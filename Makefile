@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate
+.PHONY: check build vet test race fuzz cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module
 
 # check is the CI gate: compile everything, vet, run the full test suite
 # with the race detector (the scheduler and backend-cancellation tests
@@ -50,6 +50,14 @@ replica-race:
 	$(GO) test -race ./internal/replica/... ./internal/durable/... ./internal/ring/... ./internal/netproto/... -count=2
 	$(GO) test -race ./cmd/rbc-server -run 'TestRollingRestartDrill|TestKillPromoteFailover' -count=2
 
+# bench-module vets and tests the wire-to-wire benchmark, a module of its
+# own (benchmark/go.mod) that `./...` from the root does not reach. It
+# wraps this module's seams from outside — core.Journal, the listener,
+# the trace ring — so a change to any of them fails here, in CI, rather
+# than in the perf pipeline.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # fuzz smokes the netproto frame/error-payload fuzzers, the WAL record
 # decoder, the differential fuzzers for the wide batch kernels (256-lane
 # bit-sliced SHA-3 and 4-way multi-buffer SHA-1, each against its scalar
@@ -86,12 +94,14 @@ bench-gate:
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke is the CI guard: one iteration of the hot-path benches,
-# so a compile break or panic in the batched engine fails loudly
-# without paying for stable timings, then the baseline gate re-measures
-# host throughput and fails on a >15% speedup-ratio regression against
-# the committed BENCH_host.json.
+# bench-smoke is the CI guard: one iteration of the hot-path benches
+# (and of the WAL's group-commit bench), so a compile break or panic in
+# the batched engine or the commit barrier fails loudly without paying
+# for stable timings, then the baseline gate re-measures host throughput
+# and fails on a >15% speedup-ratio regression against the committed
+# BENCH_host.json.
 bench-smoke:
 	$(GO) test ./internal/core -run='^$$' -bench=ShellHost -benchtime=1x -benchmem
 	$(GO) test ./internal/bitslice -run='^$$' -bench=SlicedKernels -benchtime=1x -benchmem
+	$(GO) test ./internal/durable -run='^$$' -bench=WALCommitParallel -benchtime=1x -benchmem
 	$(GO) run ./cmd/rbc-bench -experiment hostthroughput -baseline BENCH_host.json

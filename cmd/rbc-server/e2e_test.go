@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -100,6 +101,21 @@ func authenticate(t *testing.T, addr string, devSeed uint64) []byte {
 	return res.PublicKey
 }
 
+// walLogicalEnd walks a WAL segment's frames (seq 8 | len 4 | crc 4 |
+// payload) and returns the offset past the last one; zeros from there on
+// are preallocated space.
+func walLogicalEnd(data []byte) int {
+	off := 0
+	for off+16 <= len(data) {
+		plen := int(binary.BigEndian.Uint32(data[off+8 : off+12]))
+		if plen == 0 || off+16+plen > len(data) {
+			break
+		}
+		off += 16 + plen
+	}
+	return off
+}
+
 // TestKillRestartDurability is the acceptance test for the durable
 // subsystem: enroll and authenticate against `rbc-server -data-dir`,
 // SIGKILL it, restart, and authenticate again with the rotated key —
@@ -132,24 +148,37 @@ func TestKillRestartDurability(t *testing.T) {
 	// snapshot). The client authenticates against the recovered, rotated
 	// state — which re-rotates the key.
 	srv2 := startServer(t, bin, args...)
+	if boot := strings.Join(srv2.boot, "\n"); strings.Contains(boot, "torn tail") {
+		t.Errorf("a preallocated segment's zero tail was reported as damage after kill -9:\n%s", boot)
+	}
 	pk2 := authenticate(t, srv2.addr, 4242)
 	if bytes.Equal(pk1, pk2) {
 		t.Fatal("public key did not rotate across restart")
 	}
 	srv2.kill()
 
-	// Tear the WAL's tail: append half a record's worth of garbage to
-	// the newest segment, as if the crash had interrupted a write.
+	// Tear the WAL's tail: half a record's worth of garbage where the next
+	// record would have gone, as if the crash had interrupted a write.
+	// Under -sync always the segment is preallocated, so that is at its
+	// logical end — past its last record — not at the end of the file.
 	segs, err := filepath.Glob(filepath.Join(dataDir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments in %s (err %v)", dataDir, err)
 	}
 	last := segs[len(segs)-1]
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o600)
+	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF, 0x00}); err != nil {
+	end := walLogicalEnd(data)
+	if end == 0 || end == len(data) {
+		t.Fatalf("segment %s: %d bytes of records in a %d-byte file; expected records and a preallocated tail", last, end, len(data))
+	}
+	f, err := os.OpenFile(last, os.O_WRONLY, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xDE, 0xAD, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF, 0x00}, int64(end)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

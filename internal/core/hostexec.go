@@ -153,6 +153,12 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 				}
 				pollEvery := (checkEvery + width - 1) / width
 				hbm := loadHostBatchMetrics()
+				var stage *[MatchWidth]u256.Uint256
+				if s, ok := bm.(batchStager); ok {
+					stage = s.batchStage()
+				} else {
+					stage = new([MatchWidth]u256.Uint256)
+				}
 				if dm, ok := bm.(DeltaBatchMatcher); ok && dm.DeltaCapable() {
 					// Sliced-domain delta hot loop (DESIGN.md §16): the
 					// batch stays resident in the matcher's wide bit-sliced
@@ -160,7 +166,7 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 					// flip masks and each lane advances by its sparse mask
 					// delta. Candidates are only materialized (one 256-bit
 					// XOR) for recorded hits.
-					var masks [MatchWidth]u256.Uint256
+					masks := stage
 					sinceCheck := 0
 					for {
 						var t0 time.Time
@@ -174,7 +180,7 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 						if n == 0 {
 							break
 						}
-						if hits := dm.MatchDeltaBatch(base, &masks, n); hits.Any() {
+						if hits := dm.MatchDeltaBatch(base, masks, n); hits.Any() {
 							if !exhaustive {
 								win := hits.FirstLane()
 								record(iterseq.ApplyMask(base, masks[win]))
@@ -203,7 +209,7 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 					}
 					break
 				}
-				var cands [MatchWidth]u256.Uint256
+				cands := stage
 				var scratch u256.Uint256
 				sinceCheck := 0
 				for {
@@ -218,7 +224,7 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 					if n == 0 {
 						break
 					}
-					if hits := bm.MatchBatch(&cands, n); hits.Any() {
+					if hits := bm.MatchBatch(cands, n); hits.Any() {
 						if !exhaustive {
 							// Early exit: only candidates at or before the
 							// winning lane count as covered, so the batched

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"rbcsalted/internal/u256"
@@ -34,6 +35,11 @@ const (
 // InlineName is the backend name stamped on trace events emitted by the
 // inline fast path.
 const InlineName = "inline-host"
+
+// inlineMatchers recycles the inline path's matchers across requests.
+// Almost every authentication is served here, and an unpooled matcher is
+// ~180 KB of wide-kernel staging state allocated per request.
+var inlineMatchers sync.Pool
 
 // SearchInline covers shells 0..depth of task synchronously on the
 // calling goroutine with the host BatchMatcher. It is the first stage
@@ -73,7 +79,9 @@ func SearchInline(ctx context.Context, task Task, depth int) (Result, error) {
 	if task.TimeLimit > 0 {
 		deadline = start.Add(task.TimeLimit)
 	}
-	factory := HashMatcherFactory(alg, task.Target)
+	// SearchShellHost releases each matcher it draws when its worker
+	// returns — found, exhausted, timed out or cancelled alike.
+	factory := PooledHashMatcherFactory(&inlineMatchers, alg, task.Target)
 	var err error
 	for d := 1; d <= depth && !(res.Found && !task.Exhaustive); d++ {
 		shellStart := time.Now()

@@ -1,6 +1,9 @@
 package core
 
-import "hash/fnv"
+import (
+	"fmt"
+	"hash/fnv"
+)
 
 // Journal receives every durable mutation of the CA's state — image puts
 // and deletes, RA key/certificate updates and deletions, and session
@@ -14,6 +17,14 @@ import "hash/fnv"
 // sealed under the store's AES-256-GCM master key, so a journal (and
 // therefore the WAL and every snapshot) never sees a plaintext PUF
 // image.
+//
+// A journal call records the mutation in order; it need not make it
+// durable. Durability is the stores' commit barrier (SetCommit, wired by
+// durable.Open beside the journal): every exported mutator runs it after
+// releasing the shard lock and before returning, so a mutation is
+// durable when its caller learns of it. A failed barrier is returned as
+// an error although the mutation is already applied in memory — the log
+// can no longer vouch for it, and nothing may be acknowledged.
 //
 // All methods must be safe for concurrent use; they are invoked while
 // the owning shard's lock is held, which serializes journal entries for
@@ -35,6 +46,20 @@ type Journal interface {
 	SessionOpen(id ClientID, ch Challenge) error
 	// SessionClose records consumption (or expiry) of a session.
 	SessionClose(id ClientID) error
+}
+
+// commitFunc is a store's durability barrier: it returns once every
+// mutation journaled before the call is durable. Nil means none.
+type commitFunc func() error
+
+func (c commitFunc) run() error {
+	if c == nil {
+		return nil
+	}
+	if err := c(); err != nil {
+		return fmt.Errorf("core: commit: %w", err)
+	}
+	return nil
 }
 
 // DefaultShards is the stripe count of the sharded stores (ImageStore,

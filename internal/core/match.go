@@ -191,6 +191,9 @@ type HashMatcher struct {
 	seeds [MatchWidth][32]byte
 	vals  [4][MatchWidth]uint64
 
+	// stage is lent to the host loop (see batchStager).
+	stage [MatchWidth]u256.Uint256
+
 	// Sliced-domain delta state (KernelSliced256Delta, DESIGN.md §16).
 	// deltaMsg holds the batch's four message lanes resident in flat
 	// sliced layout; deltaPrev remembers each lane's last flip mask so the
@@ -202,6 +205,16 @@ type HashMatcher struct {
 	deltaPrev [MatchWidth]u256.Uint256
 	deltaLive bool
 }
+
+// batchStager is an optional BatchMatcher capability: a matcher-owned
+// buffer the host loop stages each batch's candidates (or flip masks) in,
+// instead of an 8 KB array of its own that escapes to the heap on every
+// search. A pooled matcher thereby carries it across requests.
+type batchStager interface {
+	batchStage() *[MatchWidth]u256.Uint256
+}
+
+func (m *HashMatcher) batchStage() *[MatchWidth]u256.Uint256 { return &m.stage }
 
 // NewHashMatcher builds a HashMatcher for one (algorithm, target) pair.
 func NewHashMatcher(alg HashAlg, target Digest) *HashMatcher {

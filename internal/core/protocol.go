@@ -56,6 +56,7 @@ type Challenge struct {
 // Journal (if any) before it lands in the maps.
 type RA struct {
 	journal Journal
+	commit  commitFunc
 	shards  []raShard
 }
 
@@ -88,12 +89,26 @@ func NewRAShards(shards int) *RA {
 // assembly, before the registry is shared.
 func (ra *RA) SetJournal(j Journal) { ra.journal = j }
 
+// SetCommit attaches the journal's durability barrier (see Journal):
+// Update, UpdateCertificate and Delete run it after releasing the shard
+// lock, before returning. Attach during assembly, like SetJournal.
+func (ra *RA) SetCommit(commit func() error) { ra.commit = commit }
+
 func (ra *RA) shard(id ClientID) *raShard {
 	return &ra.shards[shardIndex(id, len(ra.shards))]
 }
 
-// Update records the client's current public key.
+// Update records the client's current public key, durably.
 func (ra *RA) Update(id ClientID, publicKey []byte) error {
+	if err := ra.update(id, publicKey); err != nil {
+		return err
+	}
+	return ra.commit.run()
+}
+
+// update journals and applies a key without the barrier: CA.Authenticate
+// takes one for the whole result.
+func (ra *RA) update(id ClientID, publicKey []byte) error {
 	sh := ra.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -106,8 +121,16 @@ func (ra *RA) Update(id ClientID, publicKey []byte) error {
 	return nil
 }
 
-// UpdateCertificate records the client's current certificate.
+// UpdateCertificate records the client's current certificate, durably.
 func (ra *RA) UpdateCertificate(id ClientID, cert *Certificate) error {
+	if err := ra.updateCertificate(id, cert); err != nil {
+		return err
+	}
+	return ra.commit.run()
+}
+
+// updateCertificate is UpdateCertificate without the barrier (see update).
+func (ra *RA) updateCertificate(id ClientID, cert *Certificate) error {
 	sh := ra.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -126,20 +149,22 @@ func (ra *RA) UpdateCertificate(id ClientID, cert *Certificate) error {
 func (ra *RA) Delete(id ClientID) error {
 	sh := ra.shard(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	_, hasKey := sh.keys[id]
 	_, hasCert := sh.certs[id]
 	if !hasKey && !hasCert {
+		sh.mu.Unlock()
 		return nil
 	}
 	if ra.journal != nil {
 		if err := ra.journal.RADelete(id); err != nil {
+			sh.mu.Unlock()
 			return fmt.Errorf("core: journal RA delete for %q: %w", id, err)
 		}
 	}
 	delete(sh.keys, id)
 	delete(sh.certs, id)
-	return nil
+	sh.mu.Unlock()
+	return ra.commit.run()
 }
 
 // SetKey applies a public key without journaling (the replay path).
@@ -472,6 +497,11 @@ type AuthResult struct {
 // the session is consumed on every path — success, failure, policy error
 // or cancellation — so a failed attempt can never be replayed. A session
 // older than the configured SessionTTL is treated as absent.
+//
+// With a durable journal attached, the session close and the RA update
+// are journaled as they happen and made durable together, by one barrier
+// taken before any outcome of a consumed challenge — result or error — is
+// returned. A failed barrier turns the outcome into an error.
 func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, error) {
 	// The challenge is consumed here: any outcome below — including the
 	// early error returns — has already burnt it.
@@ -479,6 +509,27 @@ func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, er
 	if !ok {
 		return AuthResult{}, fmt.Errorf("%w for %q with nonce %d", ErrNoSession, req.Client, req.Nonce)
 	}
+	out, err := ca.authenticate(ctx, req, ch)
+	if cerr := ca.commit(); cerr != nil {
+		return AuthResult{}, cerr
+	}
+	return out, err
+}
+
+// commit is the barrier for what one Authenticate journaled. The session
+// table and the RA of one CA journal to the same log (durable.Open wires
+// both), so either store's barrier covers both.
+func (ca *CA) commit() error {
+	if ca.sessions.commit != nil {
+		return ca.sessions.commit.run()
+	}
+	return ca.ra.commit.run()
+}
+
+// authenticate is Authenticate after the challenge has been taken; it
+// journals through the stores' barrier-free paths and leaves the barrier
+// to its caller.
+func (ca *CA) authenticate(ctx context.Context, req AuthRequest, ch Challenge) (AuthResult, error) {
 	if !req.Class.Valid() {
 		return AuthResult{}, fmt.Errorf("%w: unknown QoS class %d", ErrBadConfig, uint8(req.Class))
 	}
@@ -514,7 +565,7 @@ func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, er
 		salted := SaltSeed(res.Seed, ca.cfg.SaltRotation).Bytes()
 		out.PublicKey = ca.keygen.PublicKey(salted)
 		out.Authenticated = true
-		if err := ca.ra.Update(req.Client, out.PublicKey); err != nil {
+		if err := ca.ra.update(req.Client, out.PublicKey); err != nil {
 			return AuthResult{}, err
 		}
 		ca.mu.Lock()
@@ -526,7 +577,7 @@ func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, er
 				return AuthResult{}, certErr
 			}
 			out.Certificate = cert
-			if err := ca.ra.UpdateCertificate(req.Client, cert); err != nil {
+			if err := ca.ra.updateCertificate(req.Client, cert); err != nil {
 				return AuthResult{}, err
 			}
 		}

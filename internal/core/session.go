@@ -14,6 +14,7 @@ import (
 // closes so sessions (and the nonce high-water mark) survive a restart.
 type SessionTable struct {
 	journal Journal
+	commit  commitFunc
 	nonce   atomic.Uint64
 	// ttl bounds a session's life from IssuedAt; see SetTTL.
 	ttl atomic.Int64
@@ -56,6 +57,11 @@ func NewSessionTableShards(shards int) *SessionTable {
 // assembly, before the table is shared.
 func (t *SessionTable) SetJournal(j Journal) { t.journal = j }
 
+// SetCommit attaches the journal's durability barrier (see Journal):
+// Open and Drop run it after releasing the shard lock, before returning;
+// Take leaves it to its caller. Attach during assembly, like SetJournal.
+func (t *SessionTable) SetCommit(commit func() error) { t.commit = commit }
+
 // SetTTL sets the session lifetime. Zero or negative disables expiry.
 func (t *SessionTable) SetTTL(d time.Duration) { t.ttl.Store(int64(d)) }
 
@@ -95,8 +101,17 @@ func (t *SessionTable) expired(ch Challenge, at time.Time) bool {
 // Open records a new session for id, superseding any previous one. The
 // challenge's IssuedAt is stamped here if unset. As a side effect the
 // shard is swept for expired sessions at most once per TTL, bounding the
-// table's footprint under abandoned handshakes.
+// table's footprint under abandoned handshakes. The session (and every
+// swept close) is durable when Open returns nil, so a challenge never
+// leaves before its nonce is on record.
 func (t *SessionTable) Open(id ClientID, ch Challenge) error {
+	if err := t.open(id, ch); err != nil {
+		return err
+	}
+	return t.commit.run()
+}
+
+func (t *SessionTable) open(id ClientID, ch Challenge) error {
 	now := t.now()
 	if ch.IssuedAt.IsZero() {
 		ch.IssuedAt = now
@@ -129,6 +144,12 @@ func (t *SessionTable) Open(id ClientID, ch Challenge) error {
 // expired; an expired session is evicted (and its close journaled) but a
 // wrong-nonce probe leaves the stored session untouched, so third
 // parties cannot void sessions they do not own.
+//
+// Take journals the close but takes no barrier. After ok=true the caller
+// must commit before it releases any outcome of the presented nonce (as
+// CA.Authenticate does, once, together with what the outcome journals),
+// or a crash could reopen a nonce whose result is already out. An evicted
+// expired session needs none: it is refused by its IssuedAt either way.
 func (t *SessionTable) Take(id ClientID, nonce uint64) (Challenge, bool) {
 	sh := t.shard(id)
 	sh.mu.Lock()
@@ -155,15 +176,20 @@ func (t *SessionTable) Take(id ClientID, nonce uint64) (Challenge, bool) {
 }
 
 // Drop closes any open session for id (deprovisioning, or an expired
-// sweep). Dropping an absent session is a no-op.
+// sweep), durably. Dropping an absent session is a no-op.
 func (t *SessionTable) Drop(id ClientID) error {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.open[id]; !ok {
-		return nil
+	_, ok := sh.open[id]
+	var err error
+	if ok {
+		err = t.closeLocked(sh, id)
 	}
-	return t.closeLocked(sh, id)
+	sh.mu.Unlock()
+	if !ok || err != nil {
+		return err
+	}
+	return t.commit.run()
 }
 
 // closeLocked journals and applies a session close; the shard lock must

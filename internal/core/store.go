@@ -26,6 +26,7 @@ import (
 type ImageStore struct {
 	aead    cipher.AEAD
 	journal Journal
+	commit  commitFunc
 	shards  []storeShard
 }
 
@@ -67,13 +68,19 @@ func NewImageStoreShards(masterKey [32]byte, shards int) (*ImageStore, error) {
 // this after replay, before the store is shared).
 func (s *ImageStore) SetJournal(j Journal) { s.journal = j }
 
+// SetCommit attaches the journal's durability barrier (see Journal): Put
+// and Delete run it after releasing the shard lock, before returning.
+// Attach during assembly, like SetJournal.
+func (s *ImageStore) SetCommit(commit func() error) { s.commit = commit }
+
 func (s *ImageStore) shard(id ClientID) *storeShard {
 	return &s.shards[shardIndex(id, len(s.shards))]
 }
 
 // Put seals and stores a client's enrollment image, replacing any
 // previous image. The sealed blob is journaled before the map is
-// updated; a journal failure leaves the store unchanged.
+// updated; a journal failure leaves the store unchanged. The image is
+// durable when Put returns nil.
 func (s *ImageStore) Put(id ClientID, im *puf.Image) error {
 	if im == nil {
 		return fmt.Errorf("core: nil image for %q", id)
@@ -89,14 +96,15 @@ func (s *ImageStore) Put(id ClientID, im *puf.Image) error {
 	sealed := s.aead.Seal(nonce, nonce, plain.Bytes(), []byte(id))
 	sh := s.shard(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if s.journal != nil {
 		if err := s.journal.ImagePut(id, sealed); err != nil {
+			sh.mu.Unlock()
 			return fmt.Errorf("core: journal image put for %q: %w", id, err)
 		}
 	}
 	sh.blobs[id] = sealed
-	return nil
+	sh.mu.Unlock()
+	return s.commit.run()
 }
 
 // PutSealed stores an already-sealed blob without journaling. It is the
@@ -147,17 +155,19 @@ func (s *ImageStore) Has(id ClientID) bool {
 func (s *ImageStore) Delete(id ClientID) error {
 	sh := s.shard(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if _, ok := sh.blobs[id]; !ok {
+		sh.mu.Unlock()
 		return nil
 	}
 	if s.journal != nil {
 		if err := s.journal.ImageDelete(id); err != nil {
+			sh.mu.Unlock()
 			return fmt.Errorf("core: journal image delete for %q: %w", id, err)
 		}
 	}
 	delete(sh.blobs, id)
-	return nil
+	sh.mu.Unlock()
+	return s.commit.run()
 }
 
 // Drop removes a client's image without journaling (the replay path of

@@ -68,8 +68,9 @@ const nonceSlack = 1 << 12
 // journaled to a write-ahead log before it is applied, and which are
 // rebuilt by replaying WAL-over-snapshot on Open.
 //
-// State implements core.Journal; Open attaches it to the three stores,
-// so using them through their normal APIs (ImageStore.Put, RA.Update,
+// State implements core.Journal; Open attaches it to the three stores
+// together with its commit barrier (SetJournal, SetCommit), so using
+// them through their normal APIs (ImageStore.Put, RA.Update,
 // SessionTable.Open, ...) is what makes them durable. Wire them into a
 // core.CA via core.NewCA(state.Images(), ..., state.RA(),
 // core.CAConfig{Sessions: state.Sessions()}).
@@ -161,10 +162,15 @@ func Open(opts Options) (*State, error) {
 	// crash (see nonceSlack).
 	s.sess.BumpNonce(s.sess.Nonce() + nonceSlack)
 
-	// Replay is done: journal from here on.
+	// Replay is done: journal from here on. The barrier is wired beside
+	// the journal, not through it, so a wrapper installed with SetJournal
+	// in place of s keeps it.
 	s.images.SetJournal(s)
 	s.ra.SetJournal(s)
 	s.sess.SetJournal(s)
+	s.images.SetCommit(s.Commit)
+	s.ra.SetCommit(s.Commit)
+	s.sess.SetCommit(s.Commit)
 
 	s.register(opts.Metrics)
 	return s, nil
@@ -249,12 +255,20 @@ func (s *State) TailFrom(after uint64) (*Tail, error) {
 	return s.wal.TailFrom(after)
 }
 
+// Commit is the durability barrier: under SyncAlways it returns once
+// every record journaled before the call is on disk (one fsync shared
+// with every concurrent caller it covers); under the other policies it
+// is a no-op. The stores call it on their own after each mutation; Ingest
+// leaves it to its caller.
+func (s *State) Commit() error { return s.wal.Commit(s.wal.LastSeq()) }
+
 // Ingest journals one replicated record payload into this State's own
 // WAL and applies it to the in-memory stores, returning the local
 // sequence number. The payload is validated before anything is written.
 // Followers re-sequence the primary's records through this: every op is
 // an idempotent overwrite/delete, so re-delivery after a reconnect
-// converges instead of corrupting.
+// converges instead of corrupting. Ingest takes no barrier: the caller
+// must Commit before it acknowledges what it ingested.
 func (s *State) Ingest(payload []byte) (uint64, error) {
 	rec, err := DecodeRecord(payload)
 	if err != nil {
@@ -278,9 +292,10 @@ func (s *State) append(rec *Record) error {
 	return err
 }
 
-// The core.Journal implementation: one WAL record per mutation. These
-// are invoked by the stores while the owning shard lock is held, so a
-// client's records appear in the log in its mutation order.
+// The core.Journal implementation: one WAL record per mutation, written
+// but not synced. These are invoked by the stores while the owning shard
+// lock is held, so a client's records appear in the log in its mutation
+// order; the store takes the barrier (Commit) after releasing the lock.
 
 func (s *State) ImagePut(id core.ClientID, sealed []byte) error {
 	return s.append(&Record{Op: OpImagePut, ID: id, Blob: sealed})
@@ -333,8 +348,9 @@ func (s *State) Snapshot() error {
 	start := time.Now()
 
 	// The cut must be taken before the copies: any record <= cut is
-	// fully applied (journal and apply share the shard lock), so the
-	// copies below can only be ahead of the cut, never behind it.
+	// applied by the time its shard is copied (append and apply share the
+	// shard lock; only the barrier runs outside it), so the copies below
+	// can only be ahead of the cut, never behind it.
 	cut := s.wal.LastSeq()
 	data := &snapshotData{
 		Seq:      cut,

@@ -26,8 +26,9 @@ var ErrWALClosed = errors.New("durable: WAL closed")
 // the recovery/apply path. It reads the segment files directly and
 // never returns a record the writer has not fully written: Append
 // publishes the sequence number only after the whole frame is in the
-// file, and Next reads nothing past LastSeq. A Tail is not safe for
-// concurrent use; run one per subscriber.
+// file, and Next reads nothing past LastSeq — in particular never the
+// preallocated zeros after the active segment's last record. A Tail is
+// not safe for concurrent use; run one per subscriber.
 type Tail struct {
 	w    *wal
 	next uint64 // sequence number the next call to Next returns

@@ -24,8 +24,10 @@ const (
 	// (Options.SyncInterval, default 100 ms): bounded data loss at a
 	// small fraction of SyncAlways's cost.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs after every append: no acknowledged mutation is
-	// ever lost, at the price of one fsync per mutation.
+	// SyncAlways makes every mutation durable before the reply that
+	// acknowledges it: appends only write, and Commit — one barrier per
+	// protocol message, shared by every concurrent committer it covers —
+	// syncs. No acknowledged mutation is ever lost.
 	SyncAlways
 	// SyncNever leaves flushing to the OS page cache: fastest, loses up
 	// to the OS writeback window on power failure (a clean process kill
@@ -112,28 +114,51 @@ type walConfig struct {
 	segBytes int64
 }
 
-// wal is a segmented write-ahead log. Appends are serialized by mu;
-// LastSeq is lock-free so snapshots can take a sequence cut without
-// stalling writers.
+// wal is a segmented write-ahead log. Appends are serialized by mu and
+// only write; durability is a separate barrier (Commit) that one leader
+// at a time takes for every committer it covers, outside mu, so appends
+// continue while an fsync is in flight. LastSeq is lock-free so
+// snapshots can take a sequence cut without stalling writers.
 type wal struct {
 	dir string
 	cfg walConfig
+	// prealloc: segments are fallocated to cfg.segBytes when created, so
+	// a barrier on the active segment has no size or extent change to
+	// journal. Set under SyncAlways where the platform supports it.
+	prealloc bool
 
 	seq atomic.Uint64 // last assigned sequence number
 
 	mu       sync.Mutex
-	f        *os.File
-	size     int64
+	f        *os.File // replaced only while holding mu and the sync token
+	size     int64    // logical size: where the next frame is written
 	segStart uint64
-	dirty    bool
 	closed   bool
 	notify   chan struct{} // closed and renewed on every append; see appendWait
+	frame    []byte        // append's frame buffer, reused under mu
+
+	// Commit state. syncing is a token: its holder alone may fsync,
+	// truncate, close or replace f. A Commit leader holds it without mu;
+	// rotation and Close take it while holding mu (lock order mu -> cmu).
+	cmu     sync.Mutex
+	ccond   *sync.Cond
+	synced  uint64 // every record <= synced is durable
+	syncing bool
+	syncErr error // first failed fsync; sticky, see syncTo
+
+	// syncFile makes f's written records durable. A field only so tests
+	// can count, block and fail barriers.
+	syncFile func(f *os.File) error
 
 	stop chan struct{}
 	done chan struct{}
 
 	metrics *walMetrics
 }
+
+// maxRetainedFrame bounds the frame buffer wal keeps between appends
+// (enrollment images are ~10 KB; session and key records ~100 bytes).
+const maxRetainedFrame = 64 << 10
 
 // walMetrics is filled in by State when an obs registry is attached;
 // nil fields are simply not recorded.
@@ -194,14 +219,18 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 	}
 	rec.segments = len(starts)
 
-	w := &wal{dir: dir, cfg: cfg}
+	w := &wal{dir: dir, cfg: cfg, prealloc: cfg.policy == SyncAlways, syncFile: datasync}
+	w.ccond = sync.NewCond(&w.cmu)
 	// Records are numbered sequentially across segments; a segment's
 	// filename is its first record's sequence number. Continuity is
 	// checked in file order; a gap between segments is tolerated only
 	// when every missing record is covered by the snapshot cut (from) —
 	// that shape is left behind when a torn tail ate records a snapshot
 	// had already captured and a fresh segment was started past the cut.
-	var fileSeq uint64
+	var (
+		fileSeq uint64
+		lastEnd int64 // logical end of the newest segment
+	)
 	if len(starts) > 0 {
 		fileSeq = starts[0] - 1
 	}
@@ -212,10 +241,11 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 		}
 		last := i == len(starts)-1
 		path := filepath.Join(dir, segName(start))
-		seq, err := w.replaySegment(path, last, start-1, from, apply, &rec)
+		seq, end, err := w.replaySegment(path, last, start-1, from, apply, &rec)
 		if err != nil {
 			return nil, rec, err
 		}
+		lastEnd = end
 		if seq > fileSeq {
 			fileSeq = seq
 		}
@@ -227,24 +257,26 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 		lastSeq = from
 	}
 	w.seq.Store(lastSeq)
+	// Recovered records need no barrier of their own: they sit in sealed
+	// segments or in the active one, where the next barrier covers them.
+	w.synced = lastSeq
 
 	// Append into the newest segment — unless the snapshot is ahead of
 	// it, in which case continuing it would punch a sequence gap into
-	// the middle of a segment; start a fresh one past the cut instead.
-	start := lastSeq + 1
-	if len(starts) > 0 && from <= fileSeq {
-		start = starts[len(starts)-1]
+	// the middle of a segment; start a fresh one past the cut instead
+	// (and seal the old one: a sealed segment has no preallocated tail).
+	start, size := lastSeq+1, int64(0)
+	if len(starts) > 0 {
+		newest := starts[len(starts)-1]
+		if from <= fileSeq {
+			start, size = newest, lastEnd
+		} else if err := sealSegment(filepath.Join(dir, segName(newest)), lastEnd); err != nil {
+			return nil, rec, err
+		}
 	}
-	f, err := os.OpenFile(filepath.Join(dir, segName(start)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, rec, fmt.Errorf("durable: open segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
+	if err := w.openSegment(start, size); err != nil {
 		return nil, rec, err
 	}
-	w.f, w.size, w.segStart = f, st.Size(), start
 
 	if cfg.policy == SyncInterval {
 		w.stop = make(chan struct{})
@@ -269,14 +301,18 @@ func listSegments(dir string) ([]uint64, error) {
 	return starts, nil
 }
 
-// replaySegment reads one segment. In the last segment a torn or corrupt
-// tail is truncated away; anywhere else it is ErrCorrupt. prevSeq is the
-// last sequence number seen so far — records must be strictly
-// increasing.
-func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply func(uint64, []byte) error, rec *walRecovery) (uint64, error) {
+// replaySegment reads one segment and returns the last sequence number
+// it holds and its logical end (the offset past its last whole record).
+// In the last segment the log ends at the first offset where no valid
+// record starts: nothing but zeros from there on is the untouched rest
+// of a preallocated segment — a clean end, after a clean stop or a
+// kill -9 alike — and anything else is a torn tail, truncated away. In
+// any other segment either is ErrCorrupt. prevSeq is the last sequence
+// number seen so far — records must be strictly increasing.
+func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply func(uint64, []byte) error, rec *walRecovery) (uint64, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer f.Close()
 
@@ -285,38 +321,40 @@ func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply 
 		offset int64
 		seq    = prevSeq
 	)
-	truncateAt := func(off int64, why string) (uint64, error) {
+	endAt := func(off int64, why string) (uint64, int64, error) {
 		if !last {
-			return 0, fmt.Errorf("%w: %s at %s offset %d", ErrCorrupt, why, filepath.Base(path), off)
+			return 0, 0, fmt.Errorf("%w: %s at %s offset %d", ErrCorrupt, why, filepath.Base(path), off)
 		}
-		st, err := f.Stat()
+		torn, err := nonzeroExtent(f, off)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		rec.tornBytes = st.Size() - off
-		rec.truncated = true
-		if err := os.Truncate(path, off); err != nil {
-			return 0, fmt.Errorf("durable: truncate torn tail: %w", err)
+		if torn > 0 {
+			rec.tornBytes = torn
+			rec.truncated = true
+			if err := os.Truncate(path, off); err != nil {
+				return 0, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
+			}
 		}
-		return seq, nil
+		return seq, off, nil
 	}
 
 	for {
 		n, err := io.ReadFull(f, hdr[:])
 		if err == io.EOF {
-			return seq, nil // clean segment end
+			return seq, offset, nil // the file ends with its last record
 		}
 		if err == io.ErrUnexpectedEOF {
-			return truncateAt(offset, fmt.Sprintf("torn header (%d bytes)", n))
+			return endAt(offset, fmt.Sprintf("torn header (%d bytes)", n))
 		}
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		rseq := binary.BigEndian.Uint64(hdr[0:8])
 		plen := binary.BigEndian.Uint32(hdr[8:12])
 		crc := binary.BigEndian.Uint32(hdr[12:16])
 		if plen == 0 || plen > maxRecordLen || rseq != seq+1 {
-			return truncateAt(offset, "invalid record header")
+			return endAt(offset, "invalid record header")
 		}
 		payload := make([]byte, plen)
 		if _, err := io.ReadFull(f, payload); err != nil {
@@ -324,17 +362,17 @@ func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply 
 			// header boundary and ErrUnexpectedEOF mid-payload; both are
 			// the same torn write.
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return truncateAt(offset, "torn payload")
+				return endAt(offset, "torn payload")
 			}
-			return 0, err
+			return 0, 0, err
 		}
 		sum := crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload)
 		if sum != crc {
-			return truncateAt(offset, "checksum mismatch")
+			return endAt(offset, "checksum mismatch")
 		}
 		if rseq > from {
 			if err := apply(rseq, payload); err != nil {
-				return 0, fmt.Errorf("durable: replay record %d: %w", rseq, err)
+				return 0, 0, fmt.Errorf("durable: replay record %d: %w", rseq, err)
 			}
 			rec.records++
 		} else {
@@ -345,9 +383,99 @@ func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply 
 	}
 }
 
-// Append journals one payload and returns its sequence number. The
-// write (and, under SyncAlways, the fsync) completes before Append
-// returns, so a nil error means the record will survive recovery.
+// nonzeroExtent returns how many bytes from off reach through the last
+// nonzero byte of f: 0 when only zeros (or nothing) follow off.
+func nonzeroExtent(f *os.File, off int64) (int64, error) {
+	var (
+		buf    = make([]byte, 64<<10)
+		extent int64
+	)
+	for pos := off; ; {
+		n, err := f.ReadAt(buf, pos)
+		for i := n - 1; i >= 0; i-- {
+			if buf[i] != 0 {
+				extent = pos + int64(i) + 1 - off
+				break
+			}
+		}
+		pos += int64(n)
+		if err == io.EOF {
+			return extent, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+}
+
+// sealSegment cuts a segment file to its logical size, durably: a sealed
+// segment ends with its last record, never with a preallocated tail.
+func sealSegment(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("durable: seal segment: %w", err)
+	}
+	err = sealFile(f, size)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func sealFile(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return fmt.Errorf("durable: seal segment: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("durable: fsync: %w", err)
+	}
+	return nil
+}
+
+// sealActive seals and closes the active segment; the caller holds mu
+// and the sync token.
+func (w *wal) sealActive() error {
+	err := sealFile(w.f, w.size)
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// openSegment makes the segment starting at record start the active one,
+// creating it if needed, with size bytes of records already in it. Under
+// preallocation the file is extended to the segment size and fsynced
+// here, once, so that no barrier on it has a size change to journal.
+// The caller holds mu and the sync token (or is openWAL).
+func (w *wal) openSegment(start uint64, size int64) error {
+	// Frames go in with WriteAt at the logical offset, which O_APPEND
+	// would override.
+	f, err := os.OpenFile(filepath.Join(w.dir, segName(start)), os.O_CREATE|os.O_WRONLY, 0o600)
+	if err != nil {
+		return fmt.Errorf("durable: open segment: %w", err)
+	}
+	if w.prealloc && size < w.cfg.segBytes {
+		switch err := preallocate(f, w.cfg.segBytes); {
+		case errors.Is(err, errors.ErrUnsupported):
+			w.prealloc = false // this platform or filesystem: plain appends
+		case err != nil:
+			f.Close()
+			return fmt.Errorf("durable: preallocate segment: %w", err)
+		default:
+			if err := f.Sync(); err != nil {
+				f.Close()
+				return fmt.Errorf("durable: fsync: %w", err)
+			}
+		}
+	}
+	w.f, w.size, w.segStart = f, size, start
+	return nil
+}
+
+// Append writes one payload to the log and returns its sequence number.
+// It does not sync: under SyncAlways the record is durable once
+// Commit(seq) has returned nil, and a caller must not acknowledge the
+// mutation before that.
 func (w *wal) Append(payload []byte) (uint64, error) {
 	if len(payload) == 0 || len(payload) > maxRecordLen {
 		return 0, fmt.Errorf("durable: record payload %d bytes", len(payload))
@@ -359,27 +487,30 @@ func (w *wal) Append(payload []byte) (uint64, error) {
 	}
 	seq := w.seq.Load() + 1
 
-	frame := make([]byte, recordHeader+len(payload))
+	n := recordHeader + len(payload)
+	frame := w.frame
+	if n <= cap(frame) {
+		frame = frame[:n]
+	} else {
+		frame = make([]byte, n)
+		if n <= maxRetainedFrame {
+			w.frame = frame
+		}
+	}
 	binary.BigEndian.PutUint64(frame[0:8], seq)
 	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
 	copy(frame[recordHeader:], payload)
 	sum := crc32.Update(crc32.Checksum(frame[:12], castagnoli), castagnoli, payload)
 	binary.BigEndian.PutUint32(frame[12:16], sum)
 
-	if _, err := w.f.Write(frame); err != nil {
+	if _, err := w.f.WriteAt(frame, w.size); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
-	w.size += int64(len(frame))
-	w.dirty = true
+	w.size += int64(n)
 	w.seq.Store(seq)
 	w.wakeTailersLocked()
-	w.metrics.incAppends(len(frame))
+	w.metrics.incAppends(n)
 
-	if w.cfg.policy == SyncAlways {
-		if err := w.fsyncLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if w.size >= w.cfg.segBytes {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
@@ -424,27 +555,90 @@ func (w *wal) isClosed() bool {
 	return w.closed
 }
 
-func (w *wal) fsyncLocked() error {
-	if !w.dirty {
+// Commit is the durability barrier: under SyncAlways it returns once
+// every record with sequence number <= seq is on disk, and under the
+// other policies (whose contract is bounded loss) it is a no-op.
+func (w *wal) Commit(seq uint64) error {
+	if w.cfg.policy != SyncAlways {
 		return nil
 	}
+	return w.syncTo(seq)
+}
+
+// Sync makes every record appended so far durable, whatever the policy.
+func (w *wal) Sync() error { return w.syncTo(w.seq.Load()) }
+
+// syncTo is group commit. A caller whose records are not yet durable
+// waits for the fsync in flight, if there is one; the first to find none
+// becomes the leader and runs one fsync for everything written by then —
+// its own records and those of every committer that queued up meanwhile.
+// N concurrent committers therefore share at most two fsyncs: the one in
+// flight when they arrived and the one that covers them all.
+//
+// A failed fsync is sticky: the kernel reports a writeback error once and
+// marks the pages clean, so a retry that "succeeds" proves nothing about
+// the records the failed one covered.
+func (w *wal) syncTo(seq uint64) error {
+	w.cmu.Lock()
+	for w.synced < seq && w.syncErr == nil && w.syncing {
+		w.ccond.Wait()
+	}
+	if w.synced >= seq { // even on a poisoned log: durable before it failed
+		w.cmu.Unlock()
+		return nil
+	}
+	if err := w.syncErr; err != nil {
+		w.cmu.Unlock()
+		return err
+	}
+	w.syncing = true
+	w.cmu.Unlock()
+
+	// Holding the token keeps rotation and Close off w.f. Every record
+	// published before this load is fully written, so the fsync below
+	// covers it.
+	target := w.seq.Load()
+	return w.releaseSync(target, w.syncActive())
+}
+
+// syncActive runs the barrier's flush on the active segment and records
+// how long it took. The caller holds the sync token.
+func (w *wal) syncActive() error {
 	start := time.Now()
-	if err := w.f.Sync(); err != nil {
+	if err := w.syncFile(w.f); err != nil {
 		return fmt.Errorf("durable: fsync: %w", err)
 	}
 	w.metrics.observeFsync(time.Since(start).Seconds())
-	w.dirty = false
 	return nil
 }
 
-// Sync forces an fsync of the current segment.
-func (w *wal) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
+// acquireSync takes the sync token, waiting out a barrier in flight, and
+// returns how far the log is durable.
+func (w *wal) acquireSync() (synced uint64) {
+	w.cmu.Lock()
+	defer w.cmu.Unlock()
+	for w.syncing {
+		w.ccond.Wait()
 	}
-	return w.fsyncLocked()
+	w.syncing = true
+	return w.synced
+}
+
+// releaseSync hands the token back and wakes the waiters. The holder made
+// every record <= synced durable, or failed with err and thereby poisoned
+// the log; either way the log's standing error is returned.
+func (w *wal) releaseSync(synced uint64, err error) error {
+	w.cmu.Lock()
+	defer w.cmu.Unlock()
+	w.syncing = false
+	if w.syncErr == nil {
+		w.syncErr = err
+	}
+	if w.syncErr == nil && synced > w.synced {
+		w.synced = synced
+	}
+	w.ccond.Broadcast()
+	return w.syncErr
 }
 
 func (w *wal) syncLoop() {
@@ -461,20 +655,25 @@ func (w *wal) syncLoop() {
 	}
 }
 
-// rotateLocked seals the current segment and starts the next one.
+// rotateLocked seals the current segment and starts the next one. The
+// old segment's cut to its logical size is on disk before the new file
+// exists, so no crash leaves a preallocated tail in a sealed segment.
 func (w *wal) rotateLocked() error {
-	if err := w.fsyncLocked(); err != nil {
-		return err
+	synced := w.acquireSync()
+	last := w.seq.Load() // mu is held: nothing is appended meanwhile
+	start := time.Now()
+	err := w.sealActive()
+	if err == nil && synced < last {
+		// The seal was also the barrier of the records that filled the
+		// segment: their Commit will find them durable.
+		w.metrics.observeFsync(time.Since(start).Seconds())
 	}
-	if err := w.f.Close(); err != nil {
-		return err
+	if err == nil {
+		err = w.openSegment(last+1, 0)
 	}
-	start := w.seq.Load() + 1
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(start)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
+	if err := w.releaseSync(last, err); err != nil {
 		return fmt.Errorf("durable: rotate: %w", err)
 	}
-	w.f, w.size, w.segStart, w.dirty = f, 0, start, false
 	w.metrics.incRotations()
 	return syncDir(w.dir)
 }
@@ -525,7 +724,8 @@ func (w *wal) CompactBefore(seq uint64) (removed int, err error) {
 	return removed, err
 }
 
-// Close fsyncs and closes the active segment and stops the sync loop.
+// Close seals and closes the active segment and stops the sync loop.
+// Every record appended before Close is durable when it returns nil.
 func (w *wal) Close() error {
 	w.mu.Lock()
 	if w.closed {
@@ -534,10 +734,9 @@ func (w *wal) Close() error {
 	}
 	w.closed = true
 	w.wakeTailersLocked()
-	err := w.fsyncLocked()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
+	w.acquireSync()
+	last := w.seq.Load()
+	err := w.releaseSync(last, w.sealActive())
 	stop, done := w.stop, w.done
 	w.mu.Unlock()
 	if stop != nil {

@@ -162,7 +162,11 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 		if rec.records != complete {
 			t.Fatalf("offset %d: recovered %d records, want %d", off, rec.records, complete)
 		}
-		if wantTorn := off - end; rec.tornBytes != wantTorn || rec.truncated != (wantTorn > 0) {
+		// The torn tail reaches through the fragment's last nonzero byte:
+		// zeros after it (or a fragment of nothing but a sequence number's
+		// leading zeros) read as never-written space, not as damage.
+		wantTorn := int64(len(bytes.TrimRight(full[end:off], "\x00")))
+		if rec.tornBytes != wantTorn || rec.truncated != (wantTorn > 0) {
 			t.Fatalf("offset %d: tornBytes=%d truncated=%v, want %d bytes", off, rec.tornBytes, rec.truncated, wantTorn)
 		}
 		for i := 0; i < complete; i++ {

@@ -327,18 +327,23 @@ func TestServerReportsOverloaded(t *testing.T) {
 	go server.Serve(ln)
 	defer server.Close()
 
-	// Saturate: worker + queue slot.
+	// Saturate: the worker first, then the queue slot — submitted
+	// together, the second search can find the first still queued and be
+	// shed instead.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for i := 0; i < 2; i++ {
-		go pool.Search(ctx, core.Task{})
-	}
 	deadline := time.Now().Add(5 * time.Second)
-	for pool.Stats().Queued < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("scheduler never saturated")
+	for _, saturated := range []func(sched.Stats) bool{
+		func(s sched.Stats) bool { return s.InFlight >= 1 },
+		func(s sched.Stats) bool { return s.Queued >= 1 },
+	} {
+		go pool.Search(ctx, core.Task{})
+		for !saturated(pool.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatal("scheduler never saturated")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -488,5 +493,33 @@ func TestLatencyInjection(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
 		t.Errorf("latency injection missing: %v", elapsed)
+	}
+}
+
+// TestCloseBeforeServe: a server closed before its Serve goroutine ran
+// has no listener to close yet; Serve must notice, close the listener it
+// is handed and return, instead of accepting on it forever.
+func TestCloseBeforeServe(t *testing.T) {
+	server := &Server{}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("Serve on a closed server: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		t.Fatal("Serve on a closed server is still accepting")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener left open: Accept err = %v", err)
 	}
 }

@@ -66,13 +66,20 @@ type Server struct {
 	// (see NewMetrics). Nil disables collection.
 	Metrics *Metrics
 
-	mu sync.Mutex
-	ln net.Listener
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
 }
 
-// Serve accepts connections until the listener closes.
+// Serve accepts connections until the listener closes. On a server that
+// has already been closed it closes ln and returns nil.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {
@@ -87,10 +94,12 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops the listener.
+// Close stops the listener — the one Serve is using or, when Serve has
+// not run yet, the one it is about to be given.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	if s.ln != nil {
 		return s.ln.Close()
 	}

@@ -121,10 +121,23 @@ func (f *Follower) Promote() (uint64, error) {
 	}
 	sess := f.cfg.State.Sessions()
 	sess.BumpNonce(sess.Nonce() + PromoteNonceSlack)
-	if err := SaveMeta(f.cfg.MetaPath, Meta{Epoch: epoch, Cursor: cursor}); err != nil {
+	if err := f.persist(epoch, cursor); err != nil {
 		return epoch, err
 	}
 	return epoch, nil
+}
+
+// persist saves the follower's meta behind a commit barrier. Records are
+// ingested without one, so this is where a SyncAlways follower pays its
+// fsync — once per persisted cursor, not once per record — and what keeps
+// a persisted or acked cursor from running ahead of the durable log.
+// cursor must have been read before the call: the barrier covers every
+// record ingested by then.
+func (f *Follower) persist(epoch, cursor uint64) error {
+	if err := f.cfg.State.Commit(); err != nil {
+		return fmt.Errorf("replica: commit: %w", err)
+	}
+	return SaveMeta(f.cfg.MetaPath, Meta{Epoch: epoch, Cursor: cursor})
 }
 
 // Promoted reports whether Promote has run.
@@ -236,12 +249,13 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 		epoch = acc.Epoch
 		cursor = f.cursor
 		f.mu.Unlock()
-		if err := SaveMeta(f.cfg.MetaPath, Meta{Epoch: epoch, Cursor: cursor}); err != nil {
+		if err := f.persist(epoch, cursor); err != nil {
 			return err
 		}
 	}
 
-	// Ack loop: heartbeat the applied cursor back and persist it.
+	// Ack loop: heartbeat the applied cursor back and persist it, each
+	// time behind one barrier for the whole batch ingested since the last.
 	ackErr := make(chan error, 1)
 	go func() {
 		t := time.NewTicker(f.cfg.AckInterval)
@@ -257,7 +271,7 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 			f.mu.Lock()
 			cur, ep := f.cursor, f.epoch
 			f.mu.Unlock()
-			if err := SaveMeta(f.cfg.MetaPath, Meta{Epoch: ep, Cursor: cur}); err != nil {
+			if err := f.persist(ep, cur); err != nil {
 				ackErr <- err
 				return
 			}
@@ -278,7 +292,7 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 	f.mu.Lock()
 	cur, ep, promoted := f.cursor, f.epoch, f.promoted
 	f.mu.Unlock()
-	_ = SaveMeta(f.cfg.MetaPath, Meta{Epoch: ep, Cursor: cur})
+	_ = f.persist(ep, cur)
 	if promoted {
 		return ErrPromoted
 	}

@@ -97,9 +97,15 @@ func (p *Primary) numShards() int {
 	return ring.DefaultNumShards
 }
 
-// Serve accepts subscribers until the listener closes.
+// Serve accepts subscribers until the listener closes. On a primary that
+// has already been closed it closes ln and returns nil.
 func (p *Primary) Serve(ln net.Listener) error {
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	if p.subs == nil {
 		p.subs = make(map[*subscriber]struct{})
 	}
@@ -121,7 +127,8 @@ func (p *Primary) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops the listener and every subscriber stream.
+// Close stops the listener (Serve's, or the one a later Serve is given)
+// and every subscriber stream.
 func (p *Primary) Close() error {
 	p.mu.Lock()
 	p.closed = true

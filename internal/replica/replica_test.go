@@ -476,3 +476,32 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatalf("meta round trip = %+v, %v", got, err)
 	}
 }
+
+// TestPrimaryCloseBeforeServe: Close on a primary whose Serve goroutine
+// has not run yet must still stop it (see netproto's TestCloseBeforeServe).
+func TestPrimaryCloseBeforeServe(t *testing.T) {
+	st := openState(t, t.TempDir())
+	defer st.Close()
+	p := &Primary{State: st}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Errorf("Serve on a closed primary: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		t.Fatal("Serve on a closed primary is still accepting")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("listener left open: Accept err = %v", err)
+	}
+}

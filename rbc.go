@@ -434,7 +434,9 @@ type (
 const (
 	// SyncInterval (default): background fsync every ~100 ms.
 	SyncInterval = durable.SyncInterval
-	// SyncAlways: fsync on every append; no acknowledged loss.
+	// SyncAlways: every mutation is durable before the reply that
+	// acknowledges it (one fsync per protocol message, shared by
+	// concurrent requests); no acknowledged loss.
 	SyncAlways = durable.SyncAlways
 	// SyncNever: leave flushing to the OS page cache.
 	SyncNever = durable.SyncNever

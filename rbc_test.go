@@ -5,8 +5,10 @@ package rbc
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
+	"time"
 )
 
 func demoProfile() PUFProfile {
@@ -190,6 +192,42 @@ func TestShellStatsConsistent(t *testing.T) {
 		}
 		if seconds > res.DeviceSeconds+1e-9 {
 			t.Errorf("%s: shell seconds %.4f exceed total %.4f", b.Name(), seconds, res.DeviceSeconds)
+		}
+	}
+}
+
+// TestServerNodeCloseBeforeServe: closing a node whose Serve and
+// ServeReplication goroutines have not run yet must stop both — each
+// closes the listener it is handed and returns.
+func TestServerNodeCloseBeforeServe(t *testing.T) {
+	node, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, serve := range map[string]func(net.Listener) error{
+		"Serve":            node.Serve,
+		"ServeReplication": node.ServeReplication,
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- serve(ln) }()
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Errorf("%s on a closed node: %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			ln.Close()
+			t.Fatalf("%s on a closed node is still accepting", name)
+		}
+		if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("%s left its listener open: Accept err = %v", name, err)
 		}
 	}
 }

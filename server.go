@@ -103,6 +103,7 @@ type ServerNode struct {
 
 	cfg      ServerConfig
 	mu       sync.Mutex
+	closed   bool
 	primary  *replica.Primary
 	follower *replica.Follower
 }
@@ -252,14 +253,20 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 	}, nil
 }
 
-// Serve accepts protocol clients on ln until the listener closes.
+// Serve accepts protocol clients on ln until the listener closes (on a
+// closed node: closes ln and returns nil).
 func (n *ServerNode) Serve(ln net.Listener) error { return n.Proto.Serve(ln) }
 
 // Close tears the node down in dependency order; the durable state goes
-// last so its shutdown snapshot sees every mutation.
+// last so its shutdown snapshot sees every mutation. Serve and
+// ServeReplication calls that have not started yet return at once.
 func (n *ServerNode) Close() error {
+	// The listener's owner may have closed it already; that error says
+	// nothing about the node.
+	_ = n.Proto.Close()
 	n.Pool.Close()
 	n.mu.Lock()
+	n.closed = true
 	p := n.primary
 	n.mu.Unlock()
 	if p != nil {
@@ -307,6 +314,11 @@ func (n *ServerNode) ServeReplication(ln net.Listener) error {
 		OnFenced:  n.cfg.OnFenced,
 	}
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	if n.primary != nil {
 		n.mu.Unlock()
 		ln.Close()
