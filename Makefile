@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module
+.PHONY: check build vet test race fuzz cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
 
 # check is the CI gate: compile everything, vet, run the full test suite
 # with the race detector (the scheduler and backend-cancellation tests
@@ -59,7 +59,7 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz smokes the netproto frame/error-payload fuzzers, the WAL record
-# decoder, the differential fuzzers for the wide batch kernels (256-lane
+# decoder, the differential fuzzers for the two batch kernels (256-lane
 # bit-sliced SHA-3 and 4-way multi-buffer SHA-1, each against its scalar
 # reference), and the sliced-domain delta engine (chained delta advances
 # against a fresh pack, across all four iterators) for FUZZTIME each;
@@ -72,15 +72,15 @@ fuzz:
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDeltaFill -fuzztime=$(FUZZTIME)
 
-# bench measures the host search hot path (scalar vs every batch
-# kernel, every alg x iteration method) and refreshes BENCH_host.json
-# plus the per-class serving-latency point BENCH_serve.json and the
-# planner-vs-fixed-backends point BENCH_planner.json, the committed
-# perf-trajectory points.
+# bench measures the host search hot path (scalar vs each algorithm's
+# batch kernel, every alg x iteration method) and refreshes
+# BENCH_host.json plus the planner-vs-fixed-backends point
+# BENCH_planner.json, the committed perf-trajectory points. Serving
+# latency is measured wire to wire by the benchmark module
+# (benchmark/run.sh).
 bench:
 	$(GO) test ./internal/core -run='^$$' -bench=ShellHost -benchmem
 	$(GO) run ./cmd/rbc-bench -experiment hostthroughput -json BENCH_host.json
-	$(GO) run ./cmd/rbc-bench -experiment servelatency -json BENCH_serve.json
 	$(GO) run ./cmd/rbc-bench -experiment planner -trials 32 -json BENCH_planner.json
 
 # bench-gate re-measures host throughput and fails when any kernel's
@@ -102,6 +102,11 @@ bench-all:
 # BENCH_host.json.
 bench-smoke:
 	$(GO) test ./internal/core -run='^$$' -bench=ShellHost -benchtime=1x -benchmem
-	$(GO) test ./internal/bitslice -run='^$$' -bench=SlicedKernels -benchtime=1x -benchmem
+	$(GO) test ./internal/bitslice -run='^$$' -bench=WideKernels -benchtime=1x -benchmem
 	$(GO) test ./internal/durable -run='^$$' -bench=WALCommitParallel -benchtime=1x -benchmem
 	$(GO) run ./cmd/rbc-bench -experiment hostthroughput -baseline BENCH_host.json
+
+# loc prints the number ROADMAP tracks: non-test Go source lines outside
+# the benchmark module.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -name '*_test.go' | xargs cat | wc -l

@@ -172,9 +172,7 @@ func WithPlanPolicy(p PlanPolicy) BackendOption {
 }
 
 // NewBackend is the single entry point for constructing any of the five
-// search engines. It replaces the per-kind constructor zoo
-// (CPUBackend literals, NewGPUBackend, NewAPUBackend, hand-built
-// coordinators); those remain as thin deprecated wrappers.
+// search engines.
 //
 // A cluster backend is returned as a *ClusterCoordinator ready for
 // Serve; remember to Close it. All other kinds are ready immediately.
@@ -193,8 +191,7 @@ func NewBackend(spec BackendSpec, opts ...BackendOption) (Backend, error) {
 		return &cpu.Backend{Alg: spec.Alg, Workers: spec.Cores}, nil
 	case BackendGPU:
 		// Shared-memory iterator state is the paper's best GPU config
-		// (§4.4) and is always on here; the deprecated NewGPUBackend
-		// keeps the scalar-state mode reachable for ablations.
+		// (§4.4) and is always on here.
 		return gpusim.NewBackend(gpusim.Config{
 			Alg:               spec.Alg,
 			Devices:           spec.Devices,

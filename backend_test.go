@@ -151,25 +151,6 @@ func TestParseBackendKind(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsStillWork pins the compatibility contract:
-// the old per-kind constructors must keep compiling and searching.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	task, client := backendTask(t, rbc.SHA3)
-	for name, b := range map[string]rbc.Backend{
-		"cpu": &rbc.CPUBackend{Alg: rbc.SHA3, Workers: 2},
-		"gpu": rbc.NewGPUBackend(rbc.GPUConfig{Alg: rbc.SHA3}),
-		"apu": rbc.NewAPUBackend(rbc.APUConfig{Alg: rbc.SHA3}),
-	} {
-		res, err := b.Search(context.Background(), task)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Found || !res.Seed.Equal(client) {
-			t.Fatalf("%s: wrong result %+v", name, res)
-		}
-	}
-}
-
 func TestClusterErrorsExported(t *testing.T) {
 	coord := rbc.NewClusterCoordinator(rbc.ClusterConfig{Alg: rbc.SHA1})
 	coord.Close()

@@ -76,7 +76,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	for _, method := range []IterMethod{IterGray, IterGosper, IterAlg515} {
 		b.Run(method.String(), func(b *testing.B) {
-			backend := NewGPUBackend(GPUConfig{Alg: SHA3, SharedMemoryState: true})
+			backend := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3})
 			base, client := scenario(3, 5)
 			oracle := client
 			for i := 0; i < b.N; i++ {
@@ -103,10 +103,10 @@ func BenchmarkTable5(b *testing.B) {
 		backend Backend
 		alg     HashAlg
 	}{
-		{"GPU-SHA1", NewGPUBackend(GPUConfig{Alg: SHA1, SharedMemoryState: true}), SHA1},
-		{"GPU-SHA3", NewGPUBackend(GPUConfig{Alg: SHA3, SharedMemoryState: true}), SHA3},
-		{"APU-SHA1", NewAPUBackend(APUConfig{Alg: SHA1}), SHA1},
-		{"APU-SHA3", NewAPUBackend(APUConfig{Alg: SHA3}), SHA3},
+		{"GPU-SHA1", mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA1}), SHA1},
+		{"GPU-SHA3", mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3}), SHA3},
+		{"APU-SHA1", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA1}), SHA1},
+		{"APU-SHA3", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA3}), SHA3},
 		{"CPUmodel-SHA1", &CPUModelBackend{Alg: SHA1}, SHA1},
 		{"CPUmodel-SHA3", &CPUModelBackend{Alg: SHA3}, SHA3},
 	}
@@ -123,8 +123,8 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	for _, alg := range []HashAlg{SHA1, SHA3} {
 		b.Run(alg.String(), func(b *testing.B) {
-			gpu := NewGPUBackend(GPUConfig{Alg: alg, SharedMemoryState: true})
-			apu := NewAPUBackend(APUConfig{Alg: alg})
+			gpu := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: alg})
+			apu := mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: alg})
 			for i := 0; i < b.N; i++ {
 				searchOnce(b, gpu, alg, 5, true)
 				searchOnce(b, apu, alg, 5, true)
@@ -136,7 +136,7 @@ func BenchmarkTable6(b *testing.B) {
 // BenchmarkFigure4 runs the 3-GPU early-exit search (the figure's most
 // overhead-sensitive point).
 func BenchmarkFigure4(b *testing.B) {
-	backend := NewGPUBackend(GPUConfig{Alg: SHA3, Devices: 3, SharedMemoryState: true})
+	backend := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3, Devices: 3})
 	for i := 0; i < b.N; i++ {
 		searchOnce(b, backend, SHA3, 5, false)
 	}

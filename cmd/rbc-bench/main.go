@@ -12,8 +12,6 @@
 //	rbc-bench -experiment hostthroughput -baseline BENCH_host.json
 //	                               # gate: exit 1 if any kernel's speedup
 //	                               # ratio regresses >15% vs the baseline
-//	rbc-bench -experiment servelatency -json BENCH_serve.json
-//	                               # per-class serving latency point
 //	rbc-bench -experiment planner -json BENCH_planner.json
 //	                               # planner vs fixed backends: latency,
 //	                               # joules, SLO, d-crossovers
@@ -46,7 +44,7 @@ func run() int {
 	experiment := flag.String("experiment", "", "experiment id to run (empty = all)")
 	trials := flag.Int("trials", 200, "stochastic trials for average-case rows (paper used 1200)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	jsonPath := flag.String("json", "", "with -experiment hostthroughput or servelatency: also write the measurement to this file as JSON")
+	jsonPath := flag.String("json", "", "with -experiment hostthroughput or planner: also write the measurement to this file as JSON")
 	baseline := flag.String("baseline", "", "with -experiment hostthroughput: committed BENCH_host.json to gate against; exit 1 on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "with -baseline: allowed fractional speedup-ratio drop before a point counts as regressed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -84,75 +82,41 @@ func run() int {
 		}()
 	}
 
-	if *jsonPath != "" && *experiment != "hostthroughput" && *experiment != "servelatency" && *experiment != "planner" {
-		fmt.Fprintln(os.Stderr, "rbc-bench: -json is only supported with -experiment hostthroughput, servelatency or planner")
+	if *jsonPath != "" && *experiment != "hostthroughput" && *experiment != "planner" {
+		fmt.Fprintln(os.Stderr, "rbc-bench: -json is only supported with -experiment hostthroughput or planner")
 		return 2
 	}
 	if *baseline != "" && *experiment != "hostthroughput" {
 		fmt.Fprintln(os.Stderr, "rbc-bench: -baseline is only supported with -experiment hostthroughput")
 		return 2
 	}
-	if *experiment == "servelatency" {
-		// Measure once, then render the table and (optionally) the JSON
-		// trajectory point from the same run.
-		perClass := *trials / 4
-		if perClass < 8 {
-			perClass = 8
-		} else if perClass > 400 {
-			perClass = 400
+	render := func(tbl *exper.Table) error {
+		if *csv {
+			return tbl.RenderCSV(os.Stdout)
 		}
-		sb, err := exper.MeasureServeLatency(perClass)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+		return tbl.Render(os.Stdout)
+	}
+	// emit renders the table of an experiment that was measured once and
+	// (optionally) writes the JSON trajectory point from the same run.
+	emit := func(tbl *exper.Table, json func() ([]byte, error)) error {
 		if *jsonPath != "" {
-			out, err := sb.JSON()
+			doc, err := json()
 			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
+				err = os.WriteFile(*jsonPath, doc, 0o644)
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+				return err
 			}
 		}
-		tbl := sb.Table()
-		if *csv {
-			err = tbl.RenderCSV(os.Stdout)
-		} else {
-			err = tbl.Render(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+		return render(tbl)
 	}
 	if *experiment == "planner" {
-		// Measure once, then render the table and (optionally) the JSON
-		// trajectory point from the same run.
 		pb, err := exper.MeasurePlanner(*trials, plan.PolicyBalanced)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if *jsonPath != "" {
-			out, err := pb.JSON()
-			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		tbl := pb.Table()
-		if *csv {
-			err = tbl.RenderCSV(os.Stdout)
-		} else {
-			err = tbl.Render(os.Stdout)
-		}
-		if err != nil {
+		if err := emit(pb.Table(), pb.JSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -166,27 +130,8 @@ func run() int {
 		return 0
 	}
 	if *experiment == "hostthroughput" {
-		// Measure once, then render the table and (optionally) the JSON
-		// trajectory point from the same run.
 		hb := exper.MeasureHostThroughput()
-		if *jsonPath != "" {
-			out, err := hb.JSON()
-			if err == nil {
-				err = os.WriteFile(*jsonPath, out, 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		tbl := hb.Table()
-		var err error
-		if *csv {
-			err = tbl.RenderCSV(os.Stdout)
-		} else {
-			err = tbl.Render(os.Stdout)
-		}
-		if err != nil {
+		if err := emit(hb.Table(), hb.JSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -202,14 +147,15 @@ func run() int {
 				return 1
 			}
 			if violations := exper.HostBenchViolations(hb, bl, *tolerance); len(violations) > 0 {
-				fmt.Fprintf(os.Stderr, "rbc-bench: %d regression(s) vs %s:\n", len(violations), *baseline)
+				fmt.Fprintf(os.Stderr, "rbc-bench: %d regression(s) vs %s (keccak round: %s here, %s in the baseline):\n",
+					len(violations), *baseline, hb.KeccakISA, bl.KeccakISA)
 				for _, v := range violations {
 					fmt.Fprintln(os.Stderr, "  "+v)
 				}
 				return 1
 			}
-			fmt.Printf("baseline gate: all %d points hold %s within %.0f%%\n",
-				len(bl.Points), *baseline, *tolerance*100)
+			fmt.Printf("baseline gate: all %d points hold %s within %.0f%% (keccak round: %s here, %s in the baseline)\n",
+				len(bl.Points), *baseline, *tolerance*100, hb.KeccakISA, bl.KeccakISA)
 		}
 		return 0
 	}
@@ -227,13 +173,7 @@ func run() int {
 	}
 
 	for _, tbl := range tables {
-		var err error
-		if *csv {
-			err = tbl.RenderCSV(os.Stdout)
-		} else {
-			err = tbl.Render(os.Stdout)
-		}
-		if err != nil {
+		if err := render(tbl); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

@@ -12,9 +12,9 @@
 // (default), a calibrated GPU or APU simulator, or "planner" — a
 // cost-based dispatcher that routes every search to whichever engine
 // the calibrated curves predict to be cheapest under -plan-policy and
-// the optional -joules-budget (see DESIGN.md §14).
+// the optional -joules-budget (see DESIGN.md §13).
 //
-// # Replicated, sharded serving (DESIGN.md §15)
+// # Replicated, sharded serving (DESIGN.md §14)
 //
 // A group of rbc-servers forms a scaled-out CA. Give every node a
 // -node-id, its client-facing -advertise address, and the full topology

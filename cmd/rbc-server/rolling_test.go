@@ -239,18 +239,20 @@ func TestKillPromoteFailover(t *testing.T) {
 
 	// Load: every client authenticates; each acknowledged success
 	// rotates that client's key in the primary's RA.
+	loadClient, err := rbc.Dial(rbc.ClientConfig{Addrs: []string{protoLn.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loadClient.Close()
 	acked := make(map[string][]byte)
 	for i, id := range clientIDs {
 		dev, err := puf.NewDevice(4242+uint64(i), 1024, quietProfile)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn, err := net.Dial("tcp", protoLn.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := rbc.Authenticate(conn, &rbc.PUFClient{ID: core.ClientID(id), Device: dev}, rbc.Latency{})
-		conn.Close()
+		res, err := loadClient.Authenticate(context.Background(), rbc.ClientAuthRequest{
+			Device: &rbc.PUFClient{ID: core.ClientID(id), Device: dev},
+		})
 		if err != nil || !res.Authenticated {
 			t.Fatalf("%s: %+v, %v", id, res, err)
 		}

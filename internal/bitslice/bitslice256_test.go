@@ -43,10 +43,31 @@ func TestSplat256(t *testing.T) {
 	}
 }
 
+// forEachKeccakPath runs f once per Keccak round implementation this CPU
+// can execute - portable Go always, AVX2 and AVX-512 when present - by
+// forcing KeccakF256's choice. Left to CPUID, an AVX-512 runner would
+// never execute the AVX2 and portable rounds, which are the SHA-3 batch
+// kernel on every other machine.
+func forEachKeccakPath(t *testing.T, f func(t *testing.T)) {
+	for _, p := range keccakPaths() {
+		t.Run(p, func(t *testing.T) {
+			defer forceKeccakPath(p)()
+			if got := KeccakISA(); got != p {
+				t.Fatalf("forced path %q, KeccakISA reports %q", p, got)
+			}
+			f(t)
+		})
+	}
+}
+
 // TestKeccakF256MatchesScalar drives the wide permutation with Width256
 // independent random states and checks every lane against the scalar
-// reference permutation.
+// reference permutation, on every round implementation the host has.
 func TestKeccakF256MatchesScalar(t *testing.T) {
+	forEachKeccakPath(t, testKeccakF256MatchesScalar)
+}
+
+func testKeccakF256MatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	var scalar [Width256][25]uint64
 	for i := range scalar {
@@ -152,7 +173,9 @@ func TestMatchSliced256(t *testing.T) {
 
 // FuzzSHA3Wide differentially fuzzes the wide Keccak kernel against the
 // scalar internal/keccak reference: seeds derived from the fuzz input
-// must hash identically on every one of the 256 lanes.
+// must hash identically on every one of the 256 lanes, on every round
+// implementation the host has (so the seed corpus covers each path in a
+// plain `go test` run).
 func FuzzSHA3Wide(f *testing.F) {
 	f.Add([]byte("wide keccak"), uint64(1))
 	f.Add([]byte{}, uint64(0xffffffffffffffff))
@@ -167,13 +190,17 @@ func FuzzSHA3Wide(f *testing.F) {
 				seeds[i][j] = byte(v)
 			}
 		}
-		var e Engine
-		got := e.SHA3Seeds256Wide(&seeds)
-		// Check a spread of lanes (all 256 would make the fuzzer spend
-		// its whole budget in the scalar reference).
-		for _, i := range []int{0, 1, 63, 64, 127, 128, 200, 255} {
-			if want := keccak.Sum256Seed(&seeds[i]); got[i] != want {
-				t.Fatalf("lane %d: wide %x, scalar %x", i, got[i], want)
+		for _, p := range keccakPaths() {
+			restore := forceKeccakPath(p)
+			var e Engine
+			got := e.SHA3Seeds256Wide(&seeds)
+			restore()
+			// Check a spread of lanes (all 256 would make the fuzzer
+			// spend its whole budget in the scalar reference).
+			for _, i := range []int{0, 1, 63, 64, 127, 128, 200, 255} {
+				if want := keccak.Sum256Seed(&seeds[i]); got[i] != want {
+					t.Fatalf("%s lane %d: wide %x, scalar %x", p, i, got[i], want)
+				}
 			}
 		}
 	})
@@ -192,28 +219,19 @@ func BenchmarkSHA3Seeds256Wide(b *testing.B) {
 	}
 }
 
-// BenchmarkWideKernels extends the sliced-kernel comparison to the
-// 256-lane form: one wide compression vs four 64-wide compressions vs
-// 256 scalar hashes.
+// BenchmarkWideKernels isolates the raw kernel cost behind the batched
+// SHA-3 matcher: one 256-lane compression against 256 scalar
+// fixed-padding hashes.
 func BenchmarkWideKernels(b *testing.B) {
 	var wide [Width256][32]byte
-	var narrow [Width][32]byte
 	for i := range wide {
 		wide[i][0] = byte(i)
 		wide[i][31] = byte(i * 7)
 	}
-	copy(narrow[:], wide[:Width])
 	var e Engine
 	b.Run("sha3-wide256", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e.SHA3Seeds256WideSliced(&wide)
-		}
-	})
-	b.Run("sha3-sliced64-x4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for g := 0; g < 4; g++ {
-				e.SHA3Seeds256Sliced(&narrow)
-			}
 		}
 	})
 	b.Run("sha3-scalar-x256", func(b *testing.B) {

@@ -210,122 +210,3 @@ var (
 	sink  [Width][32]byte
 	sink1 [Width][20]byte
 )
-
-// TestMatchSliced verifies the associative compare: for a batch with
-// planted duplicates of a target digest, the match mask has exactly the
-// planted instances' bits set, for both hash shapes; a target matching
-// nothing reduces to zero.
-func TestMatchSliced(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var seeds [Width][32]byte
-	for i := range seeds {
-		r.Read(seeds[i][:])
-	}
-	// Plant instances 3 and 41 as copies of instance 17.
-	seeds[3], seeds[41] = seeds[17], seeds[17]
-	wantMask := uint64(1)<<3 | uint64(1)<<17 | uint64(1)<<41
-
-	t.Run("sha3", func(t *testing.T) {
-		var e Engine
-		lanes := e.SHA3Seeds256Sliced(&seeds)
-		digest := keccak.Sum256Seed(&seeds[17])
-		var target [4]uint64
-		for l := range target {
-			target[l] = leUint64(digest[l*8:])
-		}
-		if got := MatchSliced64(lanes[:], target[:]); got != wantMask {
-			t.Fatalf("match mask %#x, want %#x", got, wantMask)
-		}
-		target[0] ^= 1 // no instance matches now
-		if got := MatchSliced64(lanes[:], target[:]); got != 0 {
-			t.Fatalf("perturbed target matched %#x, want 0", got)
-		}
-	})
-
-	t.Run("sha1", func(t *testing.T) {
-		var e Engine
-		words := e.SHA1SeedsSliced(&seeds)
-		digest := sha1.SumSeed(&seeds[17])
-		var target [5]uint32
-		for w := range target {
-			target[w] = uint32(digest[w*4])<<24 | uint32(digest[w*4+1])<<16 |
-				uint32(digest[w*4+2])<<8 | uint32(digest[w*4+3])
-		}
-		if got := MatchSliced32(words[:], target[:]); got != wantMask {
-			t.Fatalf("match mask %#x, want %#x", got, wantMask)
-		}
-		target[4] ^= 1
-		if got := MatchSliced32(words[:], target[:]); got != 0 {
-			t.Fatalf("perturbed target matched %#x, want 0", got)
-		}
-	})
-}
-
-// TestSlicedDigestsMatchUnsliced pins the sliced variants to the
-// byte-form entry points they were factored out of.
-func TestSlicedDigestsMatchUnsliced(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	var seeds [Width][32]byte
-	for i := range seeds {
-		r.Read(seeds[i][:])
-	}
-	var e Engine
-	lanes := e.SHA3Seeds256Sliced(&seeds)
-	sha3 := e.SHA3Seeds256(&seeds)
-	for i := range seeds {
-		for l := 0; l < 4; l++ {
-			vals := Unpack(&lanes[l])
-			if vals[i] != leUint64(sha3[i][l*8:]) {
-				t.Fatalf("sha3 instance %d lane %d mismatch", i, l)
-			}
-		}
-	}
-	words := e.SHA1SeedsSliced(&seeds)
-	sha1d := e.SHA1Seeds(&seeds)
-	for i := range seeds {
-		for w := 0; w < 5; w++ {
-			vals := Unpack32(&words[w])
-			want := uint32(sha1d[i][w*4])<<24 | uint32(sha1d[i][w*4+1])<<16 |
-				uint32(sha1d[i][w*4+2])<<8 | uint32(sha1d[i][w*4+3])
-			if vals[i] != want {
-				t.Fatalf("sha1 instance %d word %d mismatch", i, w)
-			}
-		}
-	}
-}
-
-// BenchmarkSlicedKernels isolates the raw kernel cost of one 64-wide
-// bit-sliced compression against 64 scalar fixed-padding hashes - the
-// fundamental comparison behind the batched host matcher.
-func BenchmarkSlicedKernels(b *testing.B) {
-	var seeds [Width][32]byte
-	for i := range seeds {
-		seeds[i][0] = byte(i)
-		seeds[i][31] = byte(i * 7)
-	}
-	var e Engine
-	b.Run("sha1-sliced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.SHA1SeedsSliced(&seeds)
-		}
-	})
-	b.Run("sha1-scalar-x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range seeds {
-				sha1.SumSeed(&seeds[j])
-			}
-		}
-	})
-	b.Run("sha3-sliced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.SHA3Seeds256Sliced(&seeds)
-		}
-	})
-	b.Run("sha3-scalar-x64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range seeds {
-				keccak.Sum256Seed(&seeds[j])
-			}
-		}
-	})
-}

@@ -2,15 +2,15 @@ package bitslice
 
 import "math/bits"
 
-// Sliced-domain delta iteration (DESIGN.md §16). The batched host path
-// used to re-marshal every batch: fill 256 candidate seeds as u256
-// limbs, then Pack256 them through four 64×64 butterfly transposes
-// before a single Keccak round ran. But in the flat Slice256 layout a
-// single seed bit of a single lane is one bit of one word at a
-// computable offset — so once a batch is resident in sliced form,
-// advancing lane i from one candidate to the next is just XORing the
-// (sparse) difference of their flip masks into those words, bit by bit.
-// The transpose is paid once per search and amortized to near zero.
+// Sliced-domain delta iteration (DESIGN.md §11). Standing a batch up in
+// sliced form costs limb extraction plus four 64×64 butterfly
+// transposes (Pack256) before a single Keccak round runs. But in the
+// flat Slice256 layout a single seed bit of a single lane is one bit of
+// one word at a computable offset — so once a batch is resident in
+// sliced form, advancing lane i from one candidate to the next is just
+// XORing the (sparse) difference of their flip masks into those words,
+// bit by bit. The transpose is paid once per search and amortized to
+// near zero.
 //
 // The coordinate math: candidate seeds enter the wide SHA-3 kernel as
 // four 64-bit message lanes, little-endian over the 32-byte big-endian
@@ -59,7 +59,7 @@ func DeltaFill(msg *[4]Slice256, i int, d0, d1, d2, d3 uint64) {
 // PackSeedVals256 marshals the four 64-bit message lanes of Width256
 // candidates (vals[l][i] = lane l of candidate i, little-endian as
 // hashed) into resident sliced form — the pack-once step that primes a
-// delta chain. It is exactly the marshalling SHA3Seeds256WideSlicedVals
+// delta chain. It is exactly the marshalling SHA3Seeds256WideSliced
 // performs internally, exposed so callers can keep the packed lanes and
 // advance them with DeltaFill instead of re-packing every batch.
 func PackSeedVals256(msg *[4]Slice256, vals *[4][Width256]uint64) {

@@ -89,6 +89,10 @@ func TestDeltaFillMatchesRepack(t *testing.T) {
 // leaves the caller's message lanes intact for the next delta advance,
 // and (c) agrees with the scalar reference on a spread of lanes.
 func TestSHA3Msg256WideSliced(t *testing.T) {
+	forEachKeccakPath(t, testSHA3Msg256WideSliced)
+}
+
+func testSHA3Msg256WideSliced(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	var vals [4][Width256]uint64
 	var seeds [Width256][32]byte
@@ -99,14 +103,14 @@ func TestSHA3Msg256WideSliced(t *testing.T) {
 		}
 	}
 	var e Engine
-	want := e.SHA3Seeds256WideSlicedVals(&vals)
+	want := e.SHA3Seeds256WideSliced(&seeds)
 
 	var msg [4]Slice256
 	PackSeedVals256(&msg, &vals)
 	resident := msg
 	got := e.SHA3Msg256WideSliced(&msg)
 	if got != want {
-		t.Fatal("SHA3Msg256WideSliced digest columns differ from SHA3Seeds256WideSlicedVals")
+		t.Fatal("SHA3Msg256WideSliced digest columns differ from SHA3Seeds256WideSliced")
 	}
 	if msg != resident {
 		t.Fatal("SHA3Msg256WideSliced mutated the resident message lanes")

@@ -107,23 +107,6 @@ func (e *Engine) KeccakF(s *KeccakState) {
 // fills lanes 0-3, lane 4 carries the 0x06 domain suffix, and lane 16's
 // top bit is the closing pad bit.
 func (e *Engine) SHA3Seeds256(seeds *[Width][32]byte) [Width][32]byte {
-	lanes := e.SHA3Seeds256Sliced(seeds)
-	var out [Width][32]byte
-	var vals [Width]uint64
-	for lane := range lanes {
-		vals = Unpack(&lanes[lane])
-		for i := 0; i < Width; i++ {
-			putLEUint64(out[i][lane*8:], vals[i])
-		}
-	}
-	return out
-}
-
-// SHA3Seeds256Sliced is SHA3Seeds256 without the final unpack: the four
-// rate lanes that form the 256-bit digest are returned still bit-sliced
-// (lane words in Keccak's little-endian convention). The batched host
-// matcher compares in this domain, skipping the unpack entirely.
-func (e *Engine) SHA3Seeds256Sliced(seeds *[Width][32]byte) [4]Slice64 {
 	var s KeccakState
 	var vals [Width]uint64
 	for lane := 0; lane < 4; lane++ {
@@ -137,7 +120,14 @@ func (e *Engine) SHA3Seeds256Sliced(seeds *[Width][32]byte) [4]Slice64 {
 
 	e.KeccakF(&s)
 
-	return [4]Slice64{s[0], s[1], s[2], s[3]}
+	var out [Width][32]byte
+	for lane := 0; lane < 4; lane++ {
+		vals = Unpack(&s[lane])
+		for i := 0; i < Width; i++ {
+			putLEUint64(out[i][lane*8:], vals[i])
+		}
+	}
+	return out
 }
 
 func leUint64(b []byte) uint64 {

@@ -42,6 +42,20 @@ var invRhoPi = func() (m [25]struct{ src, rot int }) {
 // each held as a Slice256 of Width256 independent instances.
 type KeccakState256 [25]Slice256
 
+// KeccakISA names the round implementation KeccakF256 runs on this CPU:
+// "avx512", "avx2" or "portable". Bench artifacts record it, because
+// kernel throughput is only comparable between equal paths.
+func KeccakISA() string {
+	switch {
+	case haveAVX512:
+		return "avx512"
+	case haveAVX2:
+		return "avx2"
+	default:
+		return "portable"
+	}
+}
+
 // KeccakF256 applies Keccak-f[1600] to all Width256 instances. Counts
 // are word-level operations: 4 per gate, as each gate is applied to four
 // words here.
@@ -199,17 +213,8 @@ func (e *Engine) SHA3Seeds256WideSliced(seeds *[Width256][32]byte) [4]Slice256 {
 			vals[lane][i] = leUint64(seeds[i][lane*8:])
 		}
 	}
-	return e.SHA3Seeds256WideSlicedVals(&vals)
-}
-
-// SHA3Seeds256WideSlicedVals is SHA3Seeds256WideSliced taking the four
-// 64-bit message lanes of each seed already extracted (lane l of seed i
-// in vals[l][i], little-endian as hashed). Callers that hold seeds as
-// native integers feed them here directly, skipping a byte-serialization
-// round trip per candidate.
-func (e *Engine) SHA3Seeds256WideSlicedVals(vals *[4][Width256]uint64) [4]Slice256 {
 	var msg [4]Slice256
-	PackSeedVals256(&msg, vals)
+	PackSeedVals256(&msg, &vals)
 	return e.SHA3Msg256WideSliced(&msg)
 }
 
@@ -226,7 +231,7 @@ var (
 // SHA3Msg256WideSliced runs the wide fixed-padding SHA3-256 compression
 // over message lanes already resident in sliced form, leaving msg
 // intact: this is the compression entry of the delta-advance path
-// (DESIGN.md §16), where msg persists across batches and is stepped by
+// (DESIGN.md §11), where msg persists across batches and is stepped by
 // DeltaFill instead of re-packed. The permutation state is engine
 // scratch (KeccakF256 destroys its input, so the resident lanes are
 // copied in and the constant lanes re-splatted each call — ~50KB of

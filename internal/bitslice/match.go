@@ -2,66 +2,20 @@ package bitslice
 
 // Associative matching over bit-sliced digests. On the GSI Gemini a
 // search-and-mark compares one bit column of every record against a key
-// bit and ANDs the result into a marker register (paper §3.3); these
-// functions are the exact software transpose, with the Width instances
-// packed in a machine word instead of spread across bit processors.
+// bit and ANDs the result into a marker register (paper §3.3); this is
+// the exact software transpose, with the Width256 instances packed in
+// four machine words instead of spread across bit processors.
 //
 // The AND-reduction short-circuits: after z compared bit columns the
-// accumulator has an expected Width/2^z surviving instances, so a batch
-// with no match dies after ~log2(Width) columns and the compare cost is
-// negligible next to the hash. They are host-side matcher primitives,
-// not modelled APU compute, so no gates are counted.
-
-// MatchSliced32 compares Width bit-sliced 32-bit words against target
-// words, returning a mask with bit i set iff instance i equals every
-// target word. len(words) must equal len(target).
-func MatchSliced32(words []Slice32, target []uint32) uint64 {
-	acc := ^uint64(0)
-	for w := range words {
-		tw := target[w]
-		for z := 0; z < 32; z++ {
-			col := words[w][z]
-			if tw>>uint(z)&1 == 1 {
-				acc &= col
-			} else {
-				acc &^= col
-			}
-			if acc == 0 {
-				return 0
-			}
-		}
-	}
-	return acc
-}
-
-// MatchSliced64 compares Width bit-sliced 64-bit lanes against target
-// lanes, returning a mask with bit i set iff instance i equals every
-// target lane. len(lanes) must equal len(target).
-func MatchSliced64(lanes []Slice64, target []uint64) uint64 {
-	acc := ^uint64(0)
-	for l := range lanes {
-		tl := target[l]
-		for z := 0; z < 64; z++ {
-			col := lanes[l][z]
-			if tl>>uint(z)&1 == 1 {
-				acc &= col
-			} else {
-				acc &^= col
-			}
-			if acc == 0 {
-				return 0
-			}
-		}
-	}
-	return acc
-}
+// accumulator has an expected Width256/2^z surviving instances, so a
+// batch with no match dies after ~log2(Width256) columns and the compare
+// cost is negligible next to the hash. It is a host-side matcher
+// primitive, not modelled APU compute, so no gates are counted.
 
 // MatchSliced256 compares Width256 wide bit-sliced 64-bit lanes against
 // target lanes, returning four mask words with bit i%64 of word i/64 set
 // iff instance i equals every target lane. len(lanes) must equal
-// len(target). Same short-circuit as the 64-wide reductions: the
-// accumulator empties after ~log2(Width256) compared columns when
-// nothing matches.
+// len(target).
 func MatchSliced256(lanes []Slice256, target []uint64) [4]uint64 {
 	acc := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	for l := range lanes {

@@ -160,27 +160,6 @@ func (e *Engine) roundMaj(a, b, c, d, ee, w, k *Slice32) {
 // SHA1Seeds hashes Width 32-byte seeds with SHA-1 in one bit-sliced
 // compression, using the fixed single-block padding for 256-bit messages.
 func (e *Engine) SHA1Seeds(seeds *[Width][32]byte) [Width][20]byte {
-	hs := e.SHA1SeedsSliced(seeds)
-	var out [Width][20]byte
-	var vals [Width]uint32
-	for word := range hs {
-		vals = Unpack32(&hs[word])
-		for i := 0; i < Width; i++ {
-			out[i][word*4] = byte(vals[i] >> 24)
-			out[i][word*4+1] = byte(vals[i] >> 16)
-			out[i][word*4+2] = byte(vals[i] >> 8)
-			out[i][word*4+3] = byte(vals[i])
-		}
-	}
-	return out
-}
-
-// SHA1SeedsSliced is SHA1Seeds without the final unpack: the digest is
-// returned as its five 32-bit words (h0..h4) still in bit-sliced form.
-// The batched host matcher compares in this domain directly - the
-// software transpose of the APU's associative compare - so the unpack
-// cost is only ever paid when byte-form digests are actually needed.
-func (e *Engine) SHA1SeedsSliced(seeds *[Width][32]byte) [5]Slice32 {
 	// Message schedule: 8 seed words (big-endian), then the fixed pad.
 	var w [80]Slice32
 	var vals [Width]uint32
@@ -245,5 +224,16 @@ func (e *Engine) SHA1SeedsSliced(seeds *[Width][32]byte) [5]Slice32 {
 		hs[r] = sha1Init[r]
 		e.addInto(&hs[r], &hs[r], &v[(5-80%5+r)%5])
 	}
-	return hs
+
+	var out [Width][20]byte
+	for word := range hs {
+		vals = Unpack32(&hs[word])
+		for i := 0; i < Width; i++ {
+			out[i][word*4] = byte(vals[i] >> 24)
+			out[i][word*4+1] = byte(vals[i] >> 16)
+			out[i][word*4+2] = byte(vals[i] >> 8)
+			out[i][word*4+3] = byte(vals[i])
+		}
+	}
+	return out
 }

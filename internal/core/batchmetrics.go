@@ -8,20 +8,20 @@ import (
 
 // Per-batch phase observability of the batched host hot path. The
 // 256-wide kernel is L2-bandwidth-bound and the remaining headroom is
-// marshalling and iterator fill, not compression (DESIGN.md §13/§16) —
-// so the fill-vs-pack split must be visible live, in /metrics, not only
-// in bench runs. The hooks are process-global (the hot loops have no
+// marshalling and iterator fill, not compression (DESIGN.md §11) — so
+// the fill-vs-pack split must be visible live, in /metrics, not only in
+// bench runs. The hooks are process-global (the hot loops have no
 // registry plumbing, by design: a search runs identically with or
 // without a server around it) and cost one pointer load and branch per
 // *batch* when disabled.
 
 // HostBatchMetrics carries the per-batch phase histograms of the batched
 // host path. Fill is the time one batch spends draining the iterator
-// (FillSeeds/FillMasks: successor steps plus mask XORs); Pack is the
-// time MatchBatch spends marshalling candidates into the kernel's layout
-// before any compression runs (limb extraction + bit transposes on the
-// repack path, sparse delta application on the sliced-domain delta
-// path). Both are observed in nanoseconds per batch.
+// (FillMasks: successor steps); Pack is the time MatchMasks spends
+// marshalling candidates into the kernel's layout before any
+// compression runs (SHA-3: sparse delta application, or limb extraction
+// + bit transposes when a chain is primed; SHA-1: base^mask
+// materialization). Both are observed in nanoseconds per batch.
 type HostBatchMetrics struct {
 	Fill *obs.Histogram // host_batch_fill_ns
 	Pack *obs.Histogram // host_batch_pack_ns

@@ -31,10 +31,11 @@ func packedFromMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256) [4]bits
 }
 
 // FuzzDeltaFill differentially fuzzes the sliced-domain delta engine:
-// after every chained MatchDeltaBatch the resident message lanes must be
+// after every chained MatchMasks the resident message lanes must be
 // bit-identical to a fresh pack of the same candidates, and the match
-// verdict must equal the repack kernel's on materialized seeds — across
-// all four iterators, iterator restarts (chain breaks), partial final
+// verdict must equal that of a reference matcher re-primed for every
+// batch — across all four iterators, iterator restarts (a lane's next
+// mask then bears no relation to its previous one), partial final
 // batches and a task-switch Reset.
 func FuzzDeltaFill(f *testing.F) {
 	f.Add(uint64(1), uint8(2), uint16(100), uint8(3), uint8(0))
@@ -66,40 +67,32 @@ func FuzzDeltaFill(f *testing.F) {
 		target := HashSeed(SHA3, iterseq.ApplySeed(base, c))
 
 		m := NewHashMatcher(SHA3, target)
-		m.Kernel = KernelSliced256Delta
-		ref := NewHashMatcher(SHA3, target)
-		ref.Kernel = KernelSliced256
+		ref := repackMatcher{NewHashMatcher(SHA3, target)}
 
-		it, err := iterseq.New(method, 256, d, start, -1)
+		mi, err := iterseq.New(method, 256, d, start, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mi := it.(iterseq.MaskIter)
-		var masks, cands [MatchWidth]u256.Uint256
+		var masks [MatchWidth]u256.Uint256
 		step := func(b int) {
 			n := iterseq.FillMasks(mi, masks[:])
 			if n == 0 {
-				// Sequence exhausted: restart at rank 0. A fresh iterator
-				// breaks the delta chain and must be announced.
-				it2, err := iterseq.New(method, 256, d, 0, -1)
-				if err != nil {
+				// Sequence exhausted: restart at rank 0. The chain stays
+				// live across the jump - the deltas are just larger.
+				if mi, err = iterseq.New(method, 256, d, 0, -1); err != nil {
 					t.Fatal(err)
 				}
-				mi = it2.(iterseq.MaskIter)
-				m.InvalidateDelta()
 				n = iterseq.FillMasks(mi, masks[:])
 			}
-			got := m.MatchDeltaBatch(base, &masks, n)
-			// MatchDeltaBatch wrote the pad region of masks, so the full
-			// array is exactly what must be resident.
+			got := m.MatchMasks(base, &masks, n)
+			// MatchMasks wrote the pad region of masks, so the full array
+			// is exactly what must be resident.
 			if m.deltaMsg != packedFromMasks(base, &masks) {
 				t.Fatalf("batch %d (%v d=%d start=%d n=%d): resident state diverged from fresh pack",
 					b, method, d, start, n)
 			}
-			for i := 0; i < MatchWidth; i++ {
-				cands[i] = iterseq.ApplyMask(base, masks[i])
-			}
-			if want := ref.MatchBatch(&cands, n); got != want {
+			refMasks := masks
+			if want := ref.MatchMasks(base, &refMasks, n); got != want {
 				t.Fatalf("batch %d (%v d=%d start=%d n=%d): delta mask %v, repack mask %v",
 					b, method, d, start, n, got, want)
 			}
@@ -114,14 +107,17 @@ func FuzzDeltaFill(f *testing.F) {
 		if m.deltaLive {
 			t.Fatal("Reset left the delta chain live")
 		}
-		m.Kernel = KernelSliced256Delta
 		ref.Reset(SHA3, HashSeed(SHA3, base))
-		ref.Kernel = KernelSliced256
 		step(batches)
+
+		// A different base mid-chain re-primes instead of applying mask
+		// deltas to lanes that hold another base's candidates.
+		base = base.FlipBit(int(dRaw))
+		step(batches + 1)
 	})
 }
 
-// TestDeltaKernelPartial63 pins the delta kernel's covered/winner
+// TestDeltaKernelPartial63 pins the SHA-3 kernel's covered/winner
 // accounting against the scalar oracle on a range ending in a 63-of-256
 // partial batch: early-exit hits inside the partial batch, mid-batch in
 // a full batch, at the very last rank, and the no-match exhaustive case.
@@ -134,8 +130,8 @@ func TestDeltaKernelPartial63(t *testing.T) {
 		for _, rank := range []uint64{300, 2*MatchWidth + 30, count - 1} {
 			want := seedAtRank(t, base, d, method, rank)
 			target := HashSeed(SHA3, want)
-			scalar := ScalarMatcher(HashMatcherFactory(SHA3, target))
-			delta := forcedKernelFactory(SHA3, target, KernelSliced256Delta)
+			delta := HashMatcherFactory(SHA3, target)
+			scalar := ScalarMatcher(delta)
 			sf, ss, sc, _, err := SearchRangeHost(ctx, base, d, method, 0, count, 1, 0, false, time.Time{}, scalar)
 			if err != nil || !sf {
 				t.Fatalf("%v rank=%d: scalar oracle found=%v err=%v", method, rank, sf, err)
@@ -152,8 +148,7 @@ func TestDeltaKernelPartial63(t *testing.T) {
 			}
 		}
 		// No match in range: both engines must cover exactly count seeds.
-		target := HashSeed(SHA3, base)
-		delta := forcedKernelFactory(SHA3, target, KernelSliced256Delta)
+		delta := HashMatcherFactory(SHA3, HashSeed(SHA3, base))
 		df, _, dc, _, err := SearchRangeHost(ctx, base, d, method, 0, count, 1, 0, true, time.Time{}, delta)
 		if err != nil || df {
 			t.Fatalf("%v no-match: found=%v err=%v", method, df, err)
@@ -161,45 +156,6 @@ func TestDeltaKernelPartial63(t *testing.T) {
 		if dc != count {
 			t.Errorf("%v no-match: delta covered %d, want %d", method, dc, count)
 		}
-	}
-}
-
-// TestCalibrationDeltaDegrades proves the degradation path: the delta
-// kernel is only ever selected where it measured strictly fastest, and a
-// regressing measurement falls back to the next-best kernel (or scalar)
-// rather than shipping.
-func TestCalibrationDeltaDegrades(t *testing.T) {
-	target := HashSeed(SHA3, u256.FromUint64(5))
-
-	prev := SetCalibration(NewCalibration(
-		CalibrationPoint{Alg: SHA3, Kernel: KernelSliced256, Speedup: 6.0},
-		CalibrationPoint{Alg: SHA3, Kernel: KernelSliced256Delta, Speedup: 5.0},
-	))
-	defer SetCalibration(prev)
-	if k := DefaultKernel(SHA3); k != KernelSliced256 {
-		t.Errorf("delta slower than sliced256: DefaultKernel = %v, want sliced256", k)
-	}
-
-	SetCalibration(NewCalibration(
-		CalibrationPoint{Alg: SHA3, Kernel: KernelSliced256Delta, Speedup: 0.9},
-	))
-	if k := DefaultKernel(SHA3); k != KernelScalar {
-		t.Errorf("delta below 1.0 and alone: DefaultKernel = %v, want scalar", k)
-	}
-	if _, ok := HashMatcherFactory(SHA3, target)().(BatchMatcher); ok {
-		t.Error("degraded-to-scalar matcher still advertises batch capability")
-	}
-
-	SetCalibration(NewCalibration(
-		CalibrationPoint{Alg: SHA3, Kernel: KernelSliced256Delta, Speedup: 7.5},
-	))
-	if k := DefaultKernel(SHA3); k != KernelSliced256Delta {
-		t.Errorf("delta measured fastest: DefaultKernel = %v, want sliced256delta", k)
-	}
-	m := HashMatcherFactory(SHA3, target)()
-	dm, ok := m.(DeltaBatchMatcher)
-	if !ok || !dm.DeltaCapable() {
-		t.Error("selected delta kernel does not expose the delta fill path")
 	}
 }
 
@@ -215,18 +171,16 @@ func TestPooledMatcherResetOnReuse(t *testing.T) {
 	targetA := HashSeed(SHA3, base.FlipBit(3).FlipBit(9))
 
 	hm := NewHashMatcher(SHA3, targetA)
-	hm.Kernel = KernelSliced256Delta
 
 	// Run a two-batch delta chain so resident state is live on release.
-	it, err := iterseq.New(iterseq.GrayCode, 256, 2, 0, -1)
+	mi, err := iterseq.New(iterseq.GrayCode, 256, 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi := it.(iterseq.MaskIter)
 	var masks [MatchWidth]u256.Uint256
 	for b := 0; b < 2; b++ {
 		n := iterseq.FillMasks(mi, masks[:])
-		hm.MatchDeltaBatch(base, &masks, n)
+		hm.MatchMasks(base, &masks, n)
 	}
 	if !hm.deltaLive {
 		t.Fatal("delta chain not live after chained batches")
@@ -252,33 +206,4 @@ func TestPooledMatcherResetOnReuse(t *testing.T) {
 	// Release must route back through the wrapper without blowing up;
 	// whether the pool retains the object is sync.Pool's business.
 	pmB.ReleaseMatcher()
-}
-
-// TestDeltaHotLoopAllocs asserts the delta hot path allocates nothing in
-// steady state: FillMasks and chained MatchDeltaBatch (full and partial
-// batches).
-func TestDeltaHotLoopAllocs(t *testing.T) {
-	base := u256.FromUint64(99)
-	target := HashSeed(SHA3, base)
-	m := NewHashMatcher(SHA3, target)
-	m.Kernel = KernelSliced256Delta
-
-	it, err := iterseq.New(iterseq.GrayCode, 256, 3, 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mi := it.(iterseq.MaskIter)
-	var masks [MatchWidth]u256.Uint256
-	if n := testing.AllocsPerRun(20, func() {
-		iterseq.FillMasks(mi, masks[:])
-	}); n != 0 {
-		t.Errorf("FillMasks allocates %.1f/op", n)
-	}
-	for _, n := range []int{MatchWidth, MatchWidth - 3} {
-		if a := testing.AllocsPerRun(10, func() {
-			m.MatchDeltaBatch(base, &masks, n)
-		}); a != 0 {
-			t.Errorf("MatchDeltaBatch(n=%d) allocates %.1f/op", n, a)
-		}
-	}
 }

@@ -17,13 +17,12 @@ import (
 // workers, and the validation paths of the device simulators.
 //
 // Each worker builds its own Matcher from newMatcher. When the matcher
-// implements BatchMatcher (the HashMatcherFactory default), candidates
-// are accumulated BatchWidth at a time - generated incrementally in mask
-// form by the iterator's MaskIter fast path - and matched one batch per
-// call: one wide bit-sliced compression per 256 SHA-3 seeds, or one run
-// of interleaved multi-buffer compressions per 64 SHA-1 seeds. Partial
-// tail batches go through the same engine (padded internally).
-// Scalar-only matchers follow the classic one-seed loop.
+// implements BatchMatcher (the HashMatcherFactory default), the
+// iterator's flip masks are drained BatchWidth at a time and matched one
+// batch per call: one wide bit-sliced compression per 256 SHA-3 seeds,
+// or one run of interleaved multi-buffer compressions per 64 SHA-1
+// seeds. Partial tail batches go through the same engine (padded
+// internally). Scalar-only matchers follow the classic one-seed loop.
 //
 // The early-exit flag, ctx and the deadline are polled every checkEvery
 // candidates, rounded up to whole batches on the batched path; a
@@ -137,94 +136,40 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 			}
 
 			local := uint64(0)
-			bm, batched := m.(BatchMatcher)
-			mi, masked := it.(iterseq.MaskIter)
-			switch {
-			case batched && masked:
+			if bm, batched := m.(BatchMatcher); batched {
 				// Batched hot loop: fill the engine's preferred stride of
-				// candidates from the iterator's incremental mask form,
-				// match them in one call, and poll per batch rather than
-				// per seed. Partial batches (the range tail) go through
-				// the same MatchBatch - the engine pads internally - so
-				// no candidate ever drops to the scalar path.
+				// flip masks from the iterator, match them in one call,
+				// and poll per batch rather than per seed. Partial batches
+				// (the range tail) go through the same MatchMasks - the
+				// engine pads internally - so no candidate ever drops to
+				// the scalar path. Candidates are only materialized (one
+				// 256-bit XOR) for recorded hits.
 				width := bm.BatchWidth()
 				if width < 1 || width > MatchWidth {
 					width = MatchWidth
 				}
 				pollEvery := (checkEvery + width - 1) / width
 				hbm := loadHostBatchMetrics()
-				var stage *[MatchWidth]u256.Uint256
+				var masks *[MatchWidth]u256.Uint256
 				if s, ok := bm.(batchStager); ok {
-					stage = s.batchStage()
+					masks = s.batchStage()
 				} else {
-					stage = new([MatchWidth]u256.Uint256)
+					masks = new([MatchWidth]u256.Uint256)
 				}
-				if dm, ok := bm.(DeltaBatchMatcher); ok && dm.DeltaCapable() {
-					// Sliced-domain delta hot loop (DESIGN.md §16): the
-					// batch stays resident in the matcher's wide bit-sliced
-					// layout across batches; the iterator hands over raw
-					// flip masks and each lane advances by its sparse mask
-					// delta. Candidates are only materialized (one 256-bit
-					// XOR) for recorded hits.
-					masks := stage
-					sinceCheck := 0
-					for {
-						var t0 time.Time
-						if hbm != nil {
-							t0 = time.Now()
-						}
-						n := iterseq.FillMasks(mi, masks[:width])
-						if hbm != nil {
-							hbm.Fill.Observe(float64(time.Since(t0).Nanoseconds()))
-						}
-						if n == 0 {
-							break
-						}
-						if hits := dm.MatchDeltaBatch(base, masks, n); hits.Any() {
-							if !exhaustive {
-								win := hits.FirstLane()
-								record(iterseq.ApplyMask(base, masks[win]))
-								local += uint64(win) + 1
-								stop.Store(true)
-								break
-							}
-							local += uint64(n)
-							for lane := hits.FirstLane(); lane >= 0; lane = hits.FirstLane() {
-								record(iterseq.ApplyMask(base, masks[lane]))
-								hits.ClearBit(lane)
-							}
-						} else {
-							local += uint64(n)
-						}
-						if n < width {
-							break // iterator exhausted mid-batch
-						}
-						sinceCheck++
-						if sinceCheck >= pollEvery {
-							sinceCheck = 0
-							if poll() {
-								break
-							}
-						}
-					}
-					break
-				}
-				cands := stage
-				var scratch u256.Uint256
 				sinceCheck := 0
 				for {
 					var t0 time.Time
 					if hbm != nil {
 						t0 = time.Now()
 					}
-					n := iterseq.FillSeeds(mi, base, &scratch, cands[:width])
+					n := iterseq.FillMasks(it, masks[:width])
 					if hbm != nil {
 						hbm.Fill.Observe(float64(time.Since(t0).Nanoseconds()))
 					}
 					if n == 0 {
 						break
 					}
-					if hits := bm.MatchBatch(cands, n); hits.Any() {
+					if hits := bm.MatchMasks(base, masks, n); hits.Any() {
 						if !exhaustive {
 							// Early exit: only candidates at or before the
 							// winning lane count as covered, so the batched
@@ -232,14 +177,14 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 							// with the scalar oracle and the modelled
 							// backends (covered = rank + 1).
 							win := hits.FirstLane()
-							record(cands[win])
+							record(iterseq.ApplyMask(base, masks[win]))
 							local += uint64(win) + 1
 							stop.Store(true)
 							break
 						}
 						local += uint64(n)
 						for lane := hits.FirstLane(); lane >= 0; lane = hits.FirstLane() {
-							record(cands[lane])
+							record(iterseq.ApplyMask(base, masks[lane]))
 							hits.ClearBit(lane)
 						}
 					} else {
@@ -256,36 +201,12 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 						}
 					}
 				}
-			case masked:
-				// Scalar loop over the mask fast path: candidates come
-				// from a single 256-bit XOR per seed.
+			} else {
+				// Scalar loop: one 256-bit XOR and one Match per seed.
 				var mask u256.Uint256
 				sinceCheck := 0
-				for mi.NextMask(&mask) {
+				for it.NextMask(&mask) {
 					candidate := iterseq.ApplyMask(base, mask)
-					local++
-					if m.Match(candidate) {
-						record(candidate)
-						if !exhaustive {
-							stop.Store(true)
-							break
-						}
-					}
-					sinceCheck++
-					if sinceCheck >= checkEvery {
-						sinceCheck = 0
-						if poll() {
-							break
-						}
-					}
-				}
-			default:
-				// Position-list fallback for iterators without a mask
-				// form.
-				c := make([]int, d)
-				sinceCheck := 0
-				for it.Next(c) {
-					candidate := iterseq.ApplySeed(base, c)
 					local++
 					if m.Match(candidate) {
 						record(candidate)

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/u256"
-	"time"
 )
 
 // seedAtRank returns the candidate at the given rank of shell d in the
@@ -26,10 +26,10 @@ func seedAtRank(t *testing.T, base u256.Uint256, d int, method iterseq.Method, r
 }
 
 // TestBatchedMatchesScalarExhaustive is the cross-engine equivalence
-// property: for every iteration method and both hash algorithms, the
-// batched bit-sliced engine and the scalar oracle must agree on the
-// found seed, and in exhaustive mode must both cover exactly C(256, d)
-// seeds.
+// property: for every iteration method and both hash algorithms, on one
+// worker and on three, the batch kernel (chained and re-primed every
+// batch) and the scalar oracle must agree on the found seed, and in
+// exhaustive mode must all cover exactly C(256, d) seeds.
 func TestBatchedMatchesScalarExhaustive(t *testing.T) {
 	base := u256.FromUint64(0xfeed_beef_cafe_f00d)
 	const d = 2
@@ -40,44 +40,46 @@ func TestBatchedMatchesScalarExhaustive(t *testing.T) {
 	ranks := []uint64{0, 37, total - 5}
 	for _, alg := range []HashAlg{SHA1, SHA3} {
 		for _, method := range iterseq.Methods() {
-			for _, rank := range ranks {
-				want := seedAtRank(t, base, d, method, rank)
-				target := HashSeed(alg, want)
-				runEngines(t, base, d, method, alg, target, true, 4, func(tag string, found bool, seed u256.Uint256, covered uint64) {
-					if !found {
-						t.Errorf("%s %v %v rank=%d: match not found", tag, alg, method, rank)
-						return
-					}
-					if !seed.Equal(want) {
-						t.Errorf("%s %v %v rank=%d: wrong seed", tag, alg, method, rank)
+			for _, workers := range []int{1, 3} {
+				for _, rank := range ranks {
+					want := seedAtRank(t, base, d, method, rank)
+					target := HashSeed(alg, want)
+					runEngines(t, base, d, method, alg, target, true, workers, func(tag string, found bool, seed u256.Uint256, covered uint64) {
+						if !found {
+							t.Errorf("%s %v %v w=%d rank=%d: match not found", tag, alg, method, workers, rank)
+							return
+						}
+						if !seed.Equal(want) {
+							t.Errorf("%s %v %v w=%d rank=%d: wrong seed", tag, alg, method, workers, rank)
+						}
+						if covered != total {
+							t.Errorf("%s %v %v w=%d rank=%d: covered %d, want %d", tag, alg, method, workers, rank, covered, total)
+						}
+					})
+				}
+				// No match in the shell: the base's own digest is at
+				// distance 0, outside shell d.
+				target := HashSeed(alg, base)
+				runEngines(t, base, d, method, alg, target, true, workers, func(tag string, found bool, _ u256.Uint256, covered uint64) {
+					if found {
+						t.Errorf("%s %v %v w=%d: spurious match", tag, alg, method, workers)
 					}
 					if covered != total {
-						t.Errorf("%s %v %v rank=%d: covered %d, want %d", tag, alg, method, rank, covered, total)
+						t.Errorf("%s %v %v w=%d: covered %d, want %d", tag, alg, method, workers, covered, total)
 					}
 				})
 			}
-			// No match in the shell: the base's own digest is at
-			// distance 0, outside shell d.
-			target := HashSeed(alg, base)
-			runEngines(t, base, d, method, alg, target, true, 4, func(tag string, found bool, _ u256.Uint256, covered uint64) {
-				if found {
-					t.Errorf("%s %v %v: spurious match", tag, alg, method)
-				}
-				if covered != total {
-					t.Errorf("%s %v %v: covered %d, want %d", tag, alg, method, covered, total)
-				}
-			})
 		}
 	}
 }
 
-// TestBatchedMatchesScalarEarlyExit checks the early-exit path with a
-// single worker: every batch engine must locate the same seed as the
-// scalar oracle AND report the same covered count - the lane-exact
-// accounting fix. Ranks are chosen to land mid-batch (4321 = 16*256+225)
-// and inside the final partial batch of a d=2 shell (C(256,2) % 256 =
-// 128 pad lanes), so both the winning-lane truncation and the padded
-// tail are exercised.
+// TestBatchedMatchesScalarEarlyExit checks the early-exit path: every
+// batch engine must locate the same seed as the scalar oracle, and on a
+// single worker (where it is deterministic) report the same covered
+// count - the lane-exact accounting. Ranks are chosen to land mid-batch
+// (4321 = 16*256+225) and inside the final partial batch of a d=2 shell
+// (C(256,2) % 256 = 128 pad lanes), so both the winning-lane truncation
+// and the padded tail are exercised.
 func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 	base := u256.FromUint64(7)
 	d2total, _ := combin.Binomial64(256, 2)
@@ -93,6 +95,11 @@ func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 			for _, method := range iterseq.Methods() {
 				want := seedAtRank(t, base, tc.d, method, tc.rank)
 				target := HashSeed(alg, want)
+				runEngines(t, base, tc.d, method, alg, target, false, 3, func(tag string, found bool, seed u256.Uint256, _ uint64) {
+					if !found || !seed.Equal(want) {
+						t.Errorf("%s %v %v d=%d w=3: found=%v, winner differs from the planted seed", tag, alg, method, tc.d, found)
+					}
+				})
 				var scalarCovered uint64
 				runEngines(t, base, tc.d, method, alg, target, false, 1, func(tag string, found bool, seed u256.Uint256, covered uint64) {
 					if !found {
@@ -120,35 +127,35 @@ func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 	}
 }
 
-// forcedKernelFactory builds matchers pinned to one batch kernel,
-// bypassing the calibration default, so every kernel is cross-validated
-// even when it would not be selected in production.
-func forcedKernelFactory(alg HashAlg, target Digest, kernel BatchKernel) MatcherFactory {
-	return func() Matcher {
-		m := NewHashMatcher(alg, target)
-		m.Kernel = kernel
-		return m
-	}
+// repackMatcher is the batch kernel's test-only reference: it breaks
+// the resident chain before every batch, so each one is packed from
+// scratch - the prime path, run every call - and the chained delta
+// advances are checked against it as well as against the scalar oracle.
+type repackMatcher struct{ *HashMatcher }
+
+func (r repackMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
+	r.deltaLive = false
+	return r.HashMatcher.MatchMasks(base, masks, n)
+}
+
+func repackFactory(alg HashAlg, target Digest) MatcherFactory {
+	return func() Matcher { return repackMatcher{NewHashMatcher(alg, target)} }
 }
 
 // runEngines runs one shell search through the scalar oracle (always
-// first), the calibration-default batched engine, and every implemented
-// batch kernel forced on, handing each outcome to check.
+// first), the batch kernel, and the batch kernel re-primed every batch,
+// handing each outcome to check.
 func runEngines(t *testing.T, base u256.Uint256, d int, method iterseq.Method, alg HashAlg, target Digest, exhaustive bool, workers int, check func(tag string, found bool, seed u256.Uint256, covered uint64)) {
 	t.Helper()
 	batched := HashMatcherFactory(alg, target)
-	type engine struct {
+	for _, eng := range []struct {
 		tag string
 		f   MatcherFactory
-	}
-	engines := []engine{
+	}{
 		{"scalar", ScalarMatcher(batched)},
-		{"batched", batched},
-	}
-	for _, k := range BatchKernels(alg) {
-		engines = append(engines, engine{k.String(), forcedKernelFactory(alg, target, k)})
-	}
-	for _, eng := range engines {
+		{DefaultKernel(alg).String(), batched},
+		{"repack", repackFactory(alg, target)},
+	} {
 		found, seed, covered, _, err := SearchShellHost(
 			context.Background(), base, d, method, workers, 0, exhaustive, time.Time{}, eng.f)
 		if err != nil {
@@ -158,49 +165,67 @@ func runEngines(t *testing.T, base u256.Uint256, d int, method iterseq.Method, a
 	}
 }
 
-// TestMatchBatchPartialEqualsFull is the padded-tail regression test: a
-// batch of n-1 candidates and a batch of n candidates must report
-// identical verdicts for the shared lanes, for every batch kernel, with
-// matches planted at the last kept lane (adjacent to the pad) and
-// mid-batch. Before the fix, partial batches silently dropped to the
-// scalar path and the sliced kernels never saw shell tails.
-func TestMatchBatchPartialEqualsFull(t *testing.T) {
+// TestBatchKernels pins the selection that is no longer a selection:
+// one batch kernel per algorithm, and every HashMatcher is batched.
+func TestBatchKernels(t *testing.T) {
+	for alg, want := range map[HashAlg]BatchKernel{SHA1: KernelMulti4, SHA3: KernelSliced256Delta} {
+		if got := BatchKernels(alg); len(got) != 1 || got[0] != want || DefaultKernel(alg) != want {
+			t.Errorf("%v: BatchKernels = %v, DefaultKernel = %v, want only %v", alg, got, DefaultKernel(alg), want)
+		}
+		if DefaultKernelSpeedup(alg) <= 1 {
+			t.Errorf("%v: DefaultKernelSpeedup = %v, want > 1", alg, DefaultKernelSpeedup(alg))
+		}
+		if _, ok := HashMatcherFactory(alg, HashSeed(alg, u256.Zero))().(BatchMatcher); !ok {
+			t.Errorf("%v: default matcher is not a BatchMatcher", alg)
+		}
+	}
+	if DefaultKernel(SHA3).String() != "sliced256delta" || DefaultKernel(SHA1).String() != "multibuf4" {
+		t.Error("kernel names are bench artifact keys and must not change")
+	}
+}
+
+// TestMatchMasksPartialBatches is the padded-tail table test of the
+// batch contract: for every partial and full fill level around the
+// 64-lane word boundaries, both algorithms, and a match planted in the
+// first lane, the last kept lane (the one the pad replicates) and the
+// pad-adjacent lane just past the batch (which must not be reported),
+// MatchMasks must equal the scalar oracle lane for lane - on a freshly
+// primed matcher and on one advancing a live chain.
+func TestMatchMasksPartialBatches(t *testing.T) {
 	base := u256.FromUint64(0x5eed)
+	var masks, warm [MatchWidth]u256.Uint256
+	for i := range masks {
+		masks[i] = u256.Zero.FlipBit(i % 256).FlipBit((i*7 + 31) % 256)
+		warm[i] = u256.Zero.FlipBit((i + 5) % 256).FlipBit((i*3 + 100) % 256)
+	}
 	for _, alg := range []HashAlg{SHA1, SHA3} {
-		kernels := append([]BatchKernel{KernelScalar}, BatchKernels(alg)...)
-		for _, kernel := range kernels {
-			for _, n := range []int{1, 5, 63, 64, 65, 255, 256} {
-				var cands [MatchWidth]u256.Uint256
+		for _, n := range []int{1, 63, 64, 65, 255, 256} {
+			plants := map[string]int{"first": 0, "last": n - 1}
+			if n < MatchWidth {
+				plants["pad-adjacent"] = n
+			}
+			for where, lane := range plants {
+				target := HashSeed(alg, base.Xor(masks[lane]))
+				oracle := NewHashMatcher(alg, target)
+				var want MatchMask
 				for i := 0; i < n; i++ {
-					cands[i] = base.FlipBit(i % 256).FlipBit((i*7 + 31) % 256)
+					if oracle.Match(base.Xor(masks[i])) {
+						want.SetBit(i)
+					}
 				}
-				// Plant the target at the last kept lane: a pad lane
-				// replicates it, and must not be reported.
-				target := HashSeed(alg, cands[n-1])
-				m := NewHashMatcher(alg, target)
-				m.Kernel = kernel
-				full := m.MatchBatch(&cands, n)
-				if !full.Bit(n - 1) {
-					t.Errorf("%v/%v n=%d: planted match at lane %d not reported", alg, kernel, n, n-1)
+				if planted := lane < n; want.Any() != planted || (planted && !want.Bit(lane)) {
+					t.Fatalf("%v n=%d %s: scalar oracle mask %v does not reflect the plant", alg, n, where, want)
 				}
-				if got := full.Count(); got != 1 {
-					t.Errorf("%v/%v n=%d: %d lanes matched, want 1 (pad lanes must be trimmed)", alg, kernel, n, got)
-				}
-				// Dropping the last candidate must not change any other
-				// lane's verdict.
-				part := m.MatchBatch(&cands, n-1)
-				if part.Any() {
-					t.Errorf("%v/%v n=%d: truncated batch reports matches %v", alg, kernel, n, part)
-				}
-				// And a mid-batch plant survives truncation unchanged.
-				if n >= 2 {
-					mid := HashSeed(alg, cands[n/2])
-					mm := NewHashMatcher(alg, mid)
-					mm.Kernel = kernel
-					a, b := mm.MatchBatch(&cands, n), mm.MatchBatch(&cands, n-1)
-					if n/2 < n-1 && (a != b || !a.Bit(n/2)) {
-						t.Errorf("%v/%v n=%d: mid-batch lane %d differs between n and n-1 (%v vs %v)",
-							alg, kernel, n, n/2, a, b)
+				for _, chained := range []bool{false, true} {
+					m := NewHashMatcher(alg, target)
+					if chained {
+						w := warm
+						m.MatchMasks(base, &w, MatchWidth)
+					}
+					// MatchMasks may overwrite the pad region: hand it a copy.
+					in := masks
+					if got := m.MatchMasks(base, &in, n); got != want {
+						t.Errorf("%v n=%d %s chained=%v: mask %v, scalar oracle %v", alg, n, where, chained, got, want)
 					}
 				}
 			}
@@ -257,8 +282,8 @@ func TestHashMatcherScalarAgreesWithHashSeed(t *testing.T) {
 }
 
 // TestHotLoopAllocs asserts the steady-state hot loops allocate
-// nothing per seed: the scalar match, the 256-wide batched match on
-// every kernel (full and padded-partial batches), the incremental mask
+// nothing per seed: the scalar match, chained MatchMasks on both batch
+// kernels (full and padded-partial batches), the incremental mask
 // iteration, and the batched fill loop.
 func TestHotLoopAllocs(t *testing.T) {
 	base := u256.FromUint64(99)
@@ -273,30 +298,23 @@ func TestHotLoopAllocs(t *testing.T) {
 			t.Errorf("%v scalar Match allocates %.1f/op", alg, n)
 		}
 
-		var cands [MatchWidth]u256.Uint256
-		for i := range cands {
-			cands[i] = base.FlipBit(i % 256).FlipBit((i + 64) % 256)
+		var masks [MatchWidth]u256.Uint256
+		for i := range masks {
+			masks[i] = u256.Zero.FlipBit(i % 256).FlipBit((i + 64) % 256)
 		}
-		for _, kernel := range BatchKernels(alg) {
-			m.Kernel = kernel
-			for _, n := range []int{MatchWidth, MatchWidth - 3} {
-				if a := testing.AllocsPerRun(10, func() {
-					m.MatchBatch(&cands, n)
-				}); a != 0 {
-					t.Errorf("%v/%v MatchBatch(n=%d) allocates %.1f/op", alg, kernel, n, a)
-				}
+		for _, n := range []int{MatchWidth, MatchWidth - 3} {
+			if a := testing.AllocsPerRun(10, func() {
+				m.MatchMasks(base, &masks, n)
+			}); a != 0 {
+				t.Errorf("%v MatchMasks(n=%d) allocates %.1f/op", alg, n, a)
 			}
 		}
 	}
 
 	for _, method := range iterseq.Methods() {
-		it, err := iterseq.New(method, 256, 3, 0, -1)
+		mi, err := iterseq.New(method, 256, 3, 0, -1)
 		if err != nil {
 			t.Fatal(err)
-		}
-		mi, ok := it.(iterseq.MaskIter)
-		if !ok {
-			t.Fatalf("%v: no MaskIter fast path", method)
 		}
 		var mask u256.Uint256
 		if n := testing.AllocsPerRun(100, func() {
@@ -306,14 +324,13 @@ func TestHotLoopAllocs(t *testing.T) {
 			t.Errorf("%v NextMask allocates %.1f/op", method, n)
 		}
 
-		// The 256-wide fill loop: one NextMask + one 256-bit XOR per
-		// candidate, zero allocations per batch.
-		var cands [MatchWidth]u256.Uint256
-		var scratch u256.Uint256
+		// The 256-wide fill loop: one NextMask per candidate, zero
+		// allocations per batch.
+		var masks [MatchWidth]u256.Uint256
 		if n := testing.AllocsPerRun(20, func() {
-			iterseq.FillSeeds(mi, base, &scratch, cands[:])
+			iterseq.FillMasks(mi, masks[:])
 		}); n != 0 {
-			t.Errorf("%v FillSeeds allocates %.1f/op", method, n)
+			t.Errorf("%v FillMasks allocates %.1f/op", method, n)
 		}
 	}
 }

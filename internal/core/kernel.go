@@ -1,0 +1,80 @@
+package core
+
+import "fmt"
+
+// BatchKernel identifies a match-engine implementation. The batch
+// kernel is a function of the hash algorithm: each algorithm has
+// exactly one, the design that measured fastest on every iteration
+// method (BENCH_host.json; DESIGN.md §11 keeps the numbers of the
+// kernels that lost). There is nothing to select and nothing to set.
+type BatchKernel int
+
+const (
+	// KernelScalar is the one-seed-at-a-time quick-reject loop - the
+	// reference every batch kernel is tested and measured against
+	// (ScalarMatcher forces it).
+	KernelScalar BatchKernel = iota
+	// KernelMulti4 is the 4-way interleaved multi-buffer scalar
+	// compression, the SHA-1 batch kernel: it keeps the hardware adder
+	// and hides the round-chain latency.
+	KernelMulti4
+	// KernelSliced256Delta is the 256-lane bit-sliced compression with
+	// sliced-domain delta iteration, the SHA-3 batch kernel: the
+	// candidate batch stays resident in flat Slice256 layout and is
+	// advanced by sparse XOR deltas of the iterator's flip masks, so the
+	// transpose is paid once per search instead of once per batch.
+	KernelSliced256Delta
+)
+
+// String returns the kernel's short name (the bench artifact key).
+func (k BatchKernel) String() string {
+	switch k {
+	case KernelScalar:
+		return "scalar"
+	case KernelMulti4:
+		return "multibuf4"
+	case KernelSliced256Delta:
+		return "sliced256delta"
+	default:
+		return fmt.Sprintf("BatchKernel(%d)", int(k))
+	}
+}
+
+// DefaultKernel returns the batch kernel HashMatcher runs for alg.
+func DefaultKernel(alg HashAlg) BatchKernel {
+	switch alg {
+	case SHA1:
+		return KernelMulti4
+	case SHA3:
+		return KernelSliced256Delta
+	default:
+		return KernelScalar
+	}
+}
+
+// BatchKernels lists the batch kernels implemented for alg (the scalar
+// reference is implicit and not listed).
+func BatchKernels(alg HashAlg) []BatchKernel {
+	if k := DefaultKernel(alg); k != KernelScalar {
+		return []BatchKernel{k}
+	}
+	return nil
+}
+
+// DefaultKernelSpeedup returns the measured speedup of alg's batch
+// kernel over the scalar reference: the geometric mean of its four
+// per-iterator ratios in the committed BENCH_host.json (1-worker
+// exhaustive d=2 shells). Cost predictions divide the scalar per-seed
+// host cost by it, so a search is priced at the throughput of the kernel
+// that will actually run; the bench gate fails when a fresh measurement
+// drifts more than its tolerance from the committed rows.
+func DefaultKernelSpeedup(alg HashAlg) float64 {
+	switch alg {
+	case SHA1:
+		return 1.25
+	case SHA3:
+		return 6.4
+	default:
+		return 1
+	}
+}

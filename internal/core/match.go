@@ -75,49 +75,28 @@ type Matcher interface {
 	Match(candidate u256.Uint256) bool
 }
 
-// BatchMatcher is a Matcher that can evaluate up to MatchWidth
-// candidates in one call. The host search accumulates candidates into a
-// MatchWidth-slot buffer and matches them BatchWidth at a time;
-// implementations that hash can amortize the per-seed fixed costs across
-// the batch.
+// BatchMatcher is a Matcher that evaluates up to MatchWidth candidates
+// in one call, taking them in mask form: candidate i is base^masks[i],
+// exactly what the iterators' NextMask fast path produces. The host
+// search fills BatchWidth masks at a time (iterseq.FillMasks) and only
+// materializes a candidate for a recorded hit; implementations that hash
+// amortize the per-seed fixed costs across the batch, and may keep the
+// batch resident in their own layout between calls and advance it by the
+// difference of consecutive masks instead of re-marshalling it.
 type BatchMatcher interface {
 	Matcher
 	// BatchWidth returns the engine's preferred candidates-per-call
 	// stride, in (0, MatchWidth]. The host search fills batches to this
 	// width; shorter final batches are still evaluated in one call.
 	BatchWidth() int
-	// MatchBatch evaluates cands[:n] and returns the per-lane match
-	// mask. n is at most MatchWidth; lanes n and above of the result are
-	// always clear. Implementations must evaluate partial batches with
-	// the same engine as full ones (padding internally as needed), so a
-	// candidate's verdict never depends on its batch's fill level.
-	MatchBatch(cands *[MatchWidth]u256.Uint256, n int) MatchMask
-}
-
-// DeltaBatchMatcher is a BatchMatcher that can hold the candidate batch
-// resident in its internal bit-sliced layout across calls and advance it
-// by sparse XOR deltas of the candidates' flip masks, instead of
-// re-marshalling (transpose included) every batch. The host search
-// feeds it raw iterator masks (iterseq.FillMasks) rather than
-// materialized seeds; candidates are only reconstructed for recorded
-// hits. See DESIGN.md §16.
-type DeltaBatchMatcher interface {
-	BatchMatcher
-	// DeltaCapable reports whether the currently selected kernel wants
-	// the mask-form fill path. The host search checks it per worker and
-	// falls back to the materialized-candidate loop when false.
-	DeltaCapable() bool
-	// MatchDeltaBatch evaluates the candidates base^masks[i] for i < n
-	// and returns the per-lane match mask, with the same padding and
-	// trimming contract as MatchBatch. Consecutive calls must follow one
-	// iterator's mask sequence; the pad region masks[n:] may be
-	// overwritten. Callers must hold DeltaCapable() true.
-	MatchDeltaBatch(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask
-	// InvalidateDelta breaks the resident delta chain: the next
-	// MatchDeltaBatch packs from scratch. Required on iterator restarts
-	// and task switches, where a lane's previous mask no longer precedes
-	// its next one in any single iterator sequence.
-	InvalidateDelta()
+	// MatchMasks evaluates the candidates base^masks[i] for i < n and
+	// returns the per-lane match mask. n is at most MatchWidth; lanes n
+	// and above of the result are always clear. Implementations must
+	// evaluate partial batches with the same engine as full ones
+	// (padding internally as needed - the pad region masks[n:] may be
+	// overwritten), so a candidate's verdict never depends on its
+	// batch's fill level.
+	MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask
 }
 
 // MatchFunc adapts a plain predicate to Matcher (scalar-only).
@@ -157,14 +136,16 @@ func ScalarMatcher(factory MatcherFactory) MatcherFactory {
 //     keccak.Sum256Seed, no Digest boxing) and quick-rejects on the first
 //     64 digest bits before comparing the rest - one uint64 compare
 //     decides all but a ~2^-64 fraction of candidates.
-//   - MatchBatch evaluates up to MatchWidth candidates with the batch
-//     kernel the calibration table selected for the algorithm (see
-//     BatchKernel): a bit-sliced compression whose digest bit columns
-//     are AND-reduced against the target into the match mask - the
-//     software transpose of the APU's associative compare (§3.3) - or
-//     the multi-buffer interleaved scalar compression for SHA-1.
-//     Partial batches are padded with the last candidate and the pad
-//     lanes masked out, so every candidate sees the same engine.
+//   - MatchMasks evaluates up to MatchWidth candidates with the
+//     algorithm's batch kernel (DefaultKernel). SHA-3 keeps the batch
+//     resident in 256-lane bit-sliced layout, advances each lane by the
+//     sparse XOR difference of its consecutive masks, runs one wide
+//     compression and AND-reduces the digest bit columns against the
+//     target into the match mask - the software transpose of the APU's
+//     associative compare (§3.3). SHA-1 materializes base^mask per lane
+//     and runs the 4-way interleaved multi-buffer compression. Partial
+//     batches are padded with the last candidate and the pad lanes
+//     masked out, so every candidate sees the same engine.
 //
 // A HashMatcher is single-worker state; build one per goroutine via
 // HashMatcherFactory.
@@ -176,40 +157,32 @@ type HashMatcher struct {
 	raw   [32]byte  // full target digest bytes
 	eng   bitslice.Engine
 
-	// Kernel selects the batch engine. NewHashMatcher sets the
-	// calibration table's measured-fastest kernel for the algorithm
-	// (DefaultKernel); the equivalence tests force specific kernels to
-	// cross-validate every path. A kernel the algorithm has no
-	// implementation for falls back per batch group: KernelSliced256
-	// degrades to KernelSliced64, anything else to the scalar loop.
-	Kernel BatchKernel
-
-	// seeds and vals are batch staging buffers, kept on the matcher so
-	// the hot loop never allocates. vals holds the four message lanes of
-	// each candidate for the wide path, extracted straight from the
-	// Uint256 limbs (no byte serialization round trip).
-	seeds [MatchWidth][32]byte
-	vals  [4][MatchWidth]uint64
-
 	// stage is lent to the host loop (see batchStager).
 	stage [MatchWidth]u256.Uint256
 
-	// Sliced-domain delta state (KernelSliced256Delta, DESIGN.md §16).
-	// deltaMsg holds the batch's four message lanes resident in flat
-	// sliced layout; deltaPrev remembers each lane's last flip mask so the
-	// next batch can advance it by the sparse XOR difference. deltaLive
-	// marks the chain coherent: it drops on Reset, InvalidateDelta and any
-	// repack MatchBatch (which reuses deltaMsg as scratch), forcing the
-	// next MatchDeltaBatch to pack from scratch.
+	// seeds holds the SHA-1 batch's materialized candidates, kept on the
+	// matcher so the hot loop never allocates.
+	seeds [MatchWidth][32]byte
+
+	// The SHA-3 batch, resident in flat sliced layout across calls.
+	// deltaMsg holds its four message lanes; deltaPrev remembers each
+	// lane's last flip mask and deltaBase the base they were applied to,
+	// so the next batch advances lane i by the sparse XOR difference of
+	// its masks. deltaLive marks the chain coherent: it drops on Reset,
+	// and a call with a different base re-primes, forcing a pack from
+	// scratch through vals (the four message lanes of each candidate,
+	// extracted straight from the Uint256 limbs).
+	vals      [4][MatchWidth]uint64
 	deltaMsg  [4]bitslice.Slice256
 	deltaPrev [MatchWidth]u256.Uint256
+	deltaBase u256.Uint256
 	deltaLive bool
 }
 
 // batchStager is an optional BatchMatcher capability: a matcher-owned
-// buffer the host loop stages each batch's candidates (or flip masks) in,
-// instead of an 8 KB array of its own that escapes to the heap on every
-// search. A pooled matcher thereby carries it across requests.
+// buffer the host loop stages each batch's flip masks in, instead of an
+// 8 KB array of its own that escapes to the heap on every search. A
+// pooled matcher thereby carries it across requests.
 type batchStager interface {
 	batchStage() *[MatchWidth]u256.Uint256
 }
@@ -223,16 +196,14 @@ func NewHashMatcher(alg HashAlg, target Digest) *HashMatcher {
 	return m
 }
 
-// Reset reconfigures the matcher for a new (algorithm, target) pair,
-// re-reads the calibration table and invalidates any resident sliced
-// candidate state. A delta chain is only meaningful within one search's
-// iterator sequence, so a matcher drawn from a reuse pool must never
-// carry it across a task switch; everything else on the matcher is
-// derived from (alg, target) or overwritten before use.
+// Reset reconfigures the matcher for a new (algorithm, target) pair and
+// invalidates the resident sliced batch: the next MatchMasks packs from
+// scratch. A matcher drawn from a reuse pool must never carry candidate
+// state across a task switch; everything else on the matcher is derived
+// from (alg, target) or overwritten before use.
 func (m *HashMatcher) Reset(alg HashAlg, target Digest) {
 	m.alg = alg
 	m.raw = target.b
-	m.Kernel = DefaultKernel(alg)
 	m.quick = binary.BigEndian.Uint64(target.b[:8])
 	for w := range m.sha1T {
 		m.sha1T[w] = binary.BigEndian.Uint32(target.b[w*4:])
@@ -245,20 +216,8 @@ func (m *HashMatcher) Reset(alg HashAlg, target Digest) {
 
 // HashMatcherFactory returns a MatcherFactory producing one HashMatcher
 // per worker. This is the default matcher of every hashing backend.
-//
-// When the calibration table holds no batch kernel measured faster than
-// the scalar fast path for the algorithm, the matcher is returned
-// without its BatchMatcher capability, so the search engine skips batch
-// accumulation entirely instead of buffering candidates just to hash
-// them one at a time.
 func HashMatcherFactory(alg HashAlg, target Digest) MatcherFactory {
-	return func() Matcher {
-		m := NewHashMatcher(alg, target)
-		if m.Kernel == KernelScalar {
-			return scalarOnly{m}
-		}
-		return m
-	}
+	return func() Matcher { return NewHashMatcher(alg, target) }
 }
 
 // Match implements Matcher with the scalar quick-reject path.
@@ -282,147 +241,52 @@ func (m *HashMatcher) Match(candidate u256.Uint256) bool {
 	}
 }
 
-// BatchWidth implements BatchMatcher: the selected kernel's natural
-// stride. The 256-lane wide compression wants full 256-candidate
-// batches; the 64-wide sliced and the 4-way multi-buffer kernels run in
-// 64-candidate strides (the multi-buffer kernel consumes them in
-// interleave groups internally), which keeps early-exit polling and
-// covered accounting finer-grained at no amortization cost.
+// multi4Stride is the SHA-1 kernel's batch stride. The multi-buffer
+// compression amortizes nothing beyond its 4-lane interleave group, so a
+// short stride keeps early-exit polling and covered accounting
+// fine-grained at no cost.
+const multi4Stride = 64
+
+// BatchWidth implements BatchMatcher: the wide SHA-3 compression wants
+// full 256-candidate batches, the SHA-1 kernel runs in multi4Stride.
 func (m *HashMatcher) BatchWidth() int {
-	if (m.Kernel == KernelSliced256 || m.Kernel == KernelSliced256Delta) &&
-		m.alg == SHA3 {
+	if m.alg == SHA3 {
 		return bitslice.Width256
 	}
-	return bitslice.Width
+	return multi4Stride
 }
 
-// MatchBatch implements BatchMatcher. Full 256-candidate batches take
-// one wide compression when KernelSliced256 is selected; everything
-// else - including the padded tail groups of partial batches - runs in
-// 64-candidate groups so a short batch never pays for a full wide
-// compression.
-func (m *HashMatcher) MatchBatch(cands *[MatchWidth]u256.Uint256, n int) MatchMask {
-	var mask MatchMask
+// MatchMasks implements BatchMatcher with the algorithm's batch kernel.
+func (m *HashMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
 	if n <= 0 {
-		return mask
+		return MatchMask{}
 	}
 	if n > MatchWidth {
 		n = MatchWidth
 	}
-	kernel := m.Kernel
-	if kernel == KernelScalar {
-		for i := 0; i < n; i++ {
-			if m.Match(cands[i]) {
-				mask.SetBit(i)
-			}
-		}
-		return mask
+	var hits MatchMask
+	switch m.alg {
+	case SHA1:
+		hits = m.matchMulti4(base, masks, n)
+	case SHA3:
+		hits = m.matchSliced256Delta(base, masks, n)
+	default:
+		panic("core: HashMatcher with unknown algorithm")
 	}
-	if kernel == KernelSliced256Delta {
-		// The delta kernel's plain-candidate entry is the repack path:
-		// without the mask form there is no delta to apply, so the batch
-		// is evaluated exactly like KernelSliced256 — and any resident
-		// delta chain is invalidated, because the repack below reuses
-		// deltaMsg as its pack buffer.
-		kernel = KernelSliced256
-		m.deltaLive = false
-	}
-	hbm := loadHostBatchMetrics()
-
-	if kernel == KernelSliced256 && m.alg == SHA3 && n == MatchWidth {
-		// Wide path: feed the message lanes straight from the Uint256
-		// limbs. A seed's big-endian byte stream hashes as little-endian
-		// 64-bit lanes, so lane l of candidate i is limb 3-l byte-swapped.
-		var t0 time.Time
-		if hbm != nil {
-			t0 = time.Now()
-		}
-		for i := 0; i < MatchWidth; i++ {
-			m.vals[0][i] = bits.ReverseBytes64(cands[i].Limb(3))
-			m.vals[1][i] = bits.ReverseBytes64(cands[i].Limb(2))
-			m.vals[2][i] = bits.ReverseBytes64(cands[i].Limb(1))
-			m.vals[3][i] = bits.ReverseBytes64(cands[i].Limb(0))
-		}
-		bitslice.PackSeedVals256(&m.deltaMsg, &m.vals)
-		if hbm != nil {
-			hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
-		}
-		lanes := m.eng.SHA3Msg256WideSliced(&m.deltaMsg)
-		mask = MatchMask(bitslice.MatchSliced256(lanes[:], m.sha3T[:]))
-		return mask
-	}
-
-	var t0 time.Time
-	if hbm != nil {
-		t0 = time.Now()
-	}
-	for i := 0; i < n; i++ {
-		m.seeds[i] = cands[i].Bytes()
-	}
-	if hbm != nil {
-		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
-	}
-
-	// 64-candidate groups; the last group is padded with the final
-	// candidate and its pad lanes trimmed from the combined mask.
-	for g := 0; g*bitslice.Width < n; g++ {
-		lo := g * bitslice.Width
-		hi := lo + bitslice.Width
-		if hi > n {
-			for i := n; i < hi; i++ {
-				m.seeds[i] = m.seeds[n-1]
-			}
-		}
-		grp := (*[bitslice.Width][32]byte)(m.seeds[lo:hi])
-		var gm uint64
-		switch {
-		case m.alg == SHA1 && kernel == KernelMulti4:
-			gm = m.matchMulti4(grp)
-		case m.alg == SHA1:
-			words := m.eng.SHA1SeedsSliced(grp)
-			gm = bitslice.MatchSliced32(words[:], m.sha1T[:])
-		default:
-			lanes := m.eng.SHA3Seeds256Sliced(grp)
-			gm = bitslice.MatchSliced64(lanes[:], m.sha3T[:])
-		}
-		mask[g] = gm
-	}
-	mask.Trim(n)
-	return mask
+	hits.Trim(n)
+	return hits
 }
 
-// DeltaCapable implements DeltaBatchMatcher: the mask-form fill path is
-// wanted exactly when the sliced-domain delta kernel is selected (and
-// implemented, i.e. SHA-3).
-func (m *HashMatcher) DeltaCapable() bool {
-	return m.Kernel == KernelSliced256Delta && m.alg == SHA3
-}
-
-// InvalidateDelta implements DeltaBatchMatcher.
-func (m *HashMatcher) InvalidateDelta() { m.deltaLive = false }
-
-// MatchDeltaBatch implements DeltaBatchMatcher: evaluate the candidates
-// base^masks[i] for i < n with the batch resident in sliced layout. The
-// first call of a chain packs the message lanes from scratch (limb
-// extraction plus four 64x64 bit transposes — the price KernelSliced256
-// pays every batch); each later call advances lane i by the XOR of its
-// consecutive masks, which for Hamming-distance-k masks is at most 2k
-// single-word XORs (bitslice.DeltaFill). Partial batches are padded in
-// place with masks[n-1] — the pad region of masks is overwritten — kept
-// in the chain like any other lane, and trimmed from the result, so
-// mid-batch winners and covered accounting agree lane-exactly with every
-// other engine.
-func (m *HashMatcher) MatchDeltaBatch(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
-	var mask MatchMask
-	if n <= 0 {
-		return mask
-	}
-	if n > MatchWidth {
-		n = MatchWidth
-	}
-	if !m.DeltaCapable() {
-		panic("core: MatchDeltaBatch on a non-delta kernel (check DeltaCapable)")
-	}
+// matchSliced256Delta evaluates one batch with the batch resident in
+// sliced layout. The first call of a chain packs the message lanes from
+// scratch (limb extraction plus four 64x64 bit transposes); each later
+// call advances lane i by the XOR of its consecutive masks, which for
+// Hamming-distance-k masks is at most 2k single-word XORs
+// (bitslice.DeltaFill). Partial batches are padded in place with
+// masks[n-1] and the pad lanes kept in the chain like any other, so
+// mid-batch winners and covered accounting agree lane-exactly with the
+// scalar reference once the caller trims the result.
+func (m *HashMatcher) matchSliced256Delta(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
 	hbm := loadHostBatchMetrics()
 	var t0 time.Time
 	if hbm != nil {
@@ -431,8 +295,10 @@ func (m *HashMatcher) MatchDeltaBatch(base u256.Uint256, masks *[MatchWidth]u256
 	for i := n; i < MatchWidth; i++ {
 		masks[i] = masks[n-1]
 	}
-	if !m.deltaLive {
+	if !m.deltaLive || base != m.deltaBase {
 		// Prime the chain: materialize base^mask per lane and pack once.
+		// A seed's big-endian byte stream hashes as little-endian 64-bit
+		// lanes, so message lane l of a candidate is limb 3-l byte-swapped.
 		for i := 0; i < MatchWidth; i++ {
 			cand := base.Xor(masks[i])
 			m.vals[0][i] = bits.ReverseBytes64(cand.Limb(3))
@@ -441,6 +307,7 @@ func (m *HashMatcher) MatchDeltaBatch(base u256.Uint256, masks *[MatchWidth]u256
 			m.vals[3][i] = bits.ReverseBytes64(cand.Limb(0))
 		}
 		bitslice.PackSeedVals256(&m.deltaMsg, &m.vals)
+		m.deltaBase = base
 		m.deltaLive = true
 	} else {
 		// Advance: lane i moved from deltaPrev[i] to masks[i]; base
@@ -462,28 +329,44 @@ func (m *HashMatcher) MatchDeltaBatch(base u256.Uint256, masks *[MatchWidth]u256
 		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
 	}
 	lanes := m.eng.SHA3Msg256WideSliced(&m.deltaMsg)
-	mask = MatchMask(bitslice.MatchSliced256(lanes[:], m.sha3T[:]))
-	mask.Trim(n)
-	return mask
+	return MatchMask(bitslice.MatchSliced256(lanes[:], m.sha3T[:]))
 }
 
-// matchMulti4 evaluates one 64-candidate group with the interleaved
-// multi-buffer SHA-1 kernel: sixteen 4-lane compressions, each lane's
-// digest words compared against the target (first-word compare rejects
-// all but a ~2^-32 fraction).
-func (m *HashMatcher) matchMulti4(grp *[bitslice.Width][32]byte) uint64 {
+// matchMulti4 evaluates one batch with the interleaved multi-buffer
+// SHA-1 kernel: candidates are materialized (base^mask, serialized) into
+// the staging buffer, the last interleave group padded with the final
+// candidate, then hashed four at a time and each lane's digest words
+// compared against the target (the first-word compare rejects all but a
+// ~2^-32 fraction).
+func (m *HashMatcher) matchMulti4(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
+	hbm := loadHostBatchMetrics()
+	var t0 time.Time
+	if hbm != nil {
+		t0 = time.Now()
+	}
+	padded := (n + sha1.MultiWidth - 1) &^ (sha1.MultiWidth - 1)
+	for i := 0; i < n; i++ {
+		m.seeds[i] = base.Xor(masks[i]).Bytes()
+	}
+	for i := n; i < padded; i++ {
+		m.seeds[i] = m.seeds[n-1]
+	}
+	if hbm != nil {
+		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
+	}
+
+	var hits MatchMask
 	var words [sha1.MultiWidth][5]uint32
-	var gm uint64
-	for q := 0; q < bitslice.Width; q += sha1.MultiWidth {
-		quad := (*[sha1.MultiWidth][32]byte)(grp[q : q+sha1.MultiWidth])
+	for q := 0; q < padded; q += sha1.MultiWidth {
+		quad := (*[sha1.MultiWidth][32]byte)(m.seeds[q : q+sha1.MultiWidth])
 		sha1.SeedWords4(quad, &words)
 		for l := 0; l < sha1.MultiWidth; l++ {
 			h := &words[l]
 			if h[0] == m.sha1T[0] && h[1] == m.sha1T[1] && h[2] == m.sha1T[2] &&
 				h[3] == m.sha1T[3] && h[4] == m.sha1T[4] {
-				gm |= 1 << uint(q+l)
+				hits.SetBit(q + l)
 			}
 		}
 	}
-	return gm
+	return hits
 }

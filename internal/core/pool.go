@@ -3,13 +3,12 @@ package core
 import "sync"
 
 // Matcher reuse. A HashMatcher carries ~180KB of kernel staging buffers
-// plus the resident sliced candidate state of the delta kernel, and a
-// serving CA builds one per worker per search — thousands per second at
-// paper-scale load, each a fresh large allocation the GC then has to
-// chase. PooledHashMatcherFactory recycles them through a sync.Pool;
-// Reset on every draw re-derives all target state and invalidates the
-// resident delta chain, so reuse never leaks candidate or target state
-// across tasks.
+// plus the resident sliced candidate batch, and a serving CA builds one
+// per worker per search — thousands per second at paper-scale load, each
+// a fresh large allocation the GC then has to chase.
+// PooledHashMatcherFactory recycles them through a sync.Pool; Reset on
+// every draw re-derives all target state and invalidates the resident
+// batch, so reuse never leaks candidate or target state across tasks.
 
 // MatcherReleaser is an optional Matcher capability: the host search
 // calls ReleaseMatcher once a worker goroutine is done with its matcher,
@@ -49,10 +48,6 @@ func PooledHashMatcherFactory(pool *sync.Pool, alg HashAlg, target Digest) Match
 			m = &HashMatcher{}
 		}
 		m.Reset(alg, target)
-		pm := &pooledHashMatcher{HashMatcher: m, pool: pool}
-		if m.Kernel == KernelScalar {
-			return scalarOnly{pm}
-		}
-		return pm
+		return &pooledHashMatcher{HashMatcher: m, pool: pool}
 	}
 }

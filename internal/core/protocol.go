@@ -585,15 +585,6 @@ func (ca *CA) authenticate(ctx context.Context, req AuthRequest, ch Challenge) (
 	return out, nil
 }
 
-// AuthenticateLegacy is the positional pre-AuthRequest surface, kept for
-// one release of compatibility.
-//
-// Deprecated: use Authenticate with an AuthRequest, which also carries
-// the request's QoS class and deadline.
-func (ca *CA) AuthenticateLegacy(ctx context.Context, id ClientID, nonce uint64, m1 Digest) (AuthResult, error) {
-	return ca.Authenticate(ctx, AuthRequest{Client: id, Nonce: nonce, M1: m1})
-}
-
 // search runs the distance-progressive pipeline for one task: the inline
 // host shells first, then — only if needed — the backend for the rest of
 // the ball, with the inline telemetry folded into the returned Result.

@@ -104,9 +104,7 @@ func TestFullProtocolAuthenticates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deprecated positional wrapper must stay equivalent to
-	// Authenticate with a bare AuthRequest; the happy path pins it.
-	res, err := ca.AuthenticateLegacy(context.Background(), "alice", ch.Nonce, m1)
+	res, err := ca.Authenticate(context.Background(), AuthRequest{Client: "alice", Nonce: ch.Nonce, M1: m1})
 	if err != nil {
 		t.Fatal(err)
 	}

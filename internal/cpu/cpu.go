@@ -29,18 +29,13 @@ type Backend struct {
 	Alg core.HashAlg
 	// Workers is the thread count p; 0 means GOMAXPROCS.
 	Workers int
-	// ScalarMatch disables the 64-wide bit-sliced batch matcher, forcing
-	// the one-seed-at-a-time hash path. It exists as the correctness
-	// oracle of the equivalence tests and the baseline of the throughput
-	// benchmarks; leave it false in production.
-	ScalarMatch bool
 
 	// matchers recycles HashMatchers across this backend's searches: each
-	// carries ~180KB of kernel staging buffers plus the delta kernel's
-	// resident sliced candidate state, and a serving CA builds one per
-	// worker per search. Pool draws are Reset to the task's (alg, target)
-	// — which invalidates any resident state from the previous task — so
-	// reuse never leaks state across task switches. The zero value works;
+	// carries ~180KB of kernel staging buffers plus the resident sliced
+	// candidate batch, and a serving CA builds one per worker per search.
+	// Pool draws are Reset to the task's (alg, target) — which invalidates
+	// any resident state from the previous task — so reuse never leaks
+	// state across task switches. The zero value works;
 	// a Backend must not be copied after first use.
 	matchers sync.Pool
 }
@@ -60,7 +55,7 @@ func (b *Backend) workers() int {
 // PredictCost implements core.CostModel: the expected wall time and
 // energy of running the search on *this* host, priced from the measured
 // host cost table (device.MeasureHostCosts) at the throughput of the
-// calibrated default batch kernel, divided across the worker count. An
+// algorithm's batch kernel, divided across the worker count. An
 // early-exit search prices the final shell at half a worker's share
 // (the uniform-match expectation). Energy uses the device.PowerCPUEst
 // host estimate.
@@ -73,11 +68,7 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	if b.Alg == core.SHA1 {
 		hashNs = costs.SHA1Ns
 	}
-	speedup := core.DefaultKernelSpeedup(b.Alg)
-	if b.ScalarMatch {
-		speedup = 1
-	}
-	perSeed := (hashNs/speedup + costs.IterNs[task.Method]) / 1e9
+	perSeed := (hashNs/core.DefaultKernelSpeedup(b.Alg) + costs.IterNs[task.Method]) / 1e9
 	workers := uint64(b.workers())
 	seconds := 0.0
 	if task.IncludeBase() {
@@ -140,9 +131,6 @@ func (b *Backend) search(ctx context.Context, task core.Task) (core.Result, erro
 	}
 
 	newMatcher := core.PooledHashMatcherFactory(&b.matchers, b.Alg, task.Target)
-	if b.ScalarMatch {
-		newMatcher = core.ScalarMatcher(newMatcher)
-	}
 	for d := task.StartShell(); d <= task.MaxDistance; d++ {
 		shellStart := time.Now()
 		found, seed, covered, timedOut, err := core.SearchShellHost(

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -741,6 +742,50 @@ func TestSnapshotCutUnderConcurrentBarriers(t *testing.T) {
 		if pk, ok := st2.RA().PublicKey(id); !ok || string(pk) != want {
 			t.Errorf("%s recovered as %q, want %q", id, pk, want)
 		}
+	}
+}
+
+// TestSnapshotNeverCutsPastUnappliedIngest: a snapshot requested while
+// an Ingest sits between its WAL append and its apply must not take a
+// cut that covers the record before its effect is in the stores it
+// copies — compaction would then drop the only copy. The seam starts
+// the snapshot exactly there and holds the apply until the snapshot has
+// either finished (nothing excluded it: it cut past the record) or is
+// parked on the cut, waiting for this Ingest.
+func TestSnapshotNeverCutsPastUnappliedIngest(t *testing.T) {
+	dir := t.TempDir()
+	st := openState(t, dir, Options{Sync: SyncNever})
+	payload, err := (&Record{Op: OpRAKey, ID: "late", Blob: []byte("pk-late")}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapDone := make(chan error, 1)
+	st.ingestAppended = func() {
+		go func() { snapDone <- st.Snapshot() }()
+		for len(snapDone) == 0 {
+			// A failed TryRLock with no writer holding the lock means a
+			// writer is waiting for it: the snapshot reached its cut.
+			if !st.ingestMu.TryRLock() {
+				return
+			}
+			st.ingestMu.RUnlock()
+			runtime.Gosched()
+		}
+	}
+	if _, err := st.Ingest(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-snapDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := st.wal.Close(); err != nil { // crash: no final snapshot
+		t.Fatal(err)
+	}
+
+	st2 := openState(t, dir, Options{Sync: SyncNever})
+	defer st2.Close()
+	if pk, ok := st2.RA().PublicKey("late"); !ok || string(pk) != "pk-late" {
+		t.Fatalf("ingested record lost across snapshot + compaction: %q %v", pk, ok)
 	}
 }
 

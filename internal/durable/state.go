@@ -84,6 +84,15 @@ type State struct {
 
 	snapMu sync.Mutex // one snapshot at a time
 
+	// ingestMu makes Ingest's append+apply atomic with respect to the
+	// snapshot cut: Ingest holds it shared around both, Snapshot takes it
+	// exclusively only while it reads the cut, so the cut never covers a
+	// record whose effect is not yet in the stores it is about to copy.
+	ingestMu sync.RWMutex
+	// ingestAppended, when set (tests only), runs inside Ingest between
+	// the append and the apply.
+	ingestAppended func()
+
 	m struct {
 		snapshots    *obs.Counter
 		snapshotSecs *obs.Histogram
@@ -274,9 +283,14 @@ func (s *State) Ingest(payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	s.ingestMu.RLock()
+	defer s.ingestMu.RUnlock()
 	seq, err := s.wal.Append(payload)
 	if err != nil {
 		return 0, err
+	}
+	if s.ingestAppended != nil {
+		s.ingestAppended()
 	}
 	s.applyRecord(rec)
 	return seq, nil
@@ -348,10 +362,13 @@ func (s *State) Snapshot() error {
 	start := time.Now()
 
 	// The cut must be taken before the copies: any record <= cut is
-	// applied by the time its shard is copied (append and apply share the
-	// shard lock; only the barrier runs outside it), so the copies below
-	// can only be ahead of the cut, never behind it.
+	// applied by the time its shard is copied (the stores append and
+	// apply under one shard lock, Ingest under ingestMu; only the barrier
+	// runs outside), so the copies below can only be ahead of the cut,
+	// never behind it.
+	s.ingestMu.Lock()
 	cut := s.wal.LastSeq()
+	s.ingestMu.Unlock()
 	data := &snapshotData{
 		Seq:      cut,
 		Nonce:    s.sess.Nonce(),

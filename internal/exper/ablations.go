@@ -118,7 +118,6 @@ var registry = []struct {
 	{"multiapu", func(int) *Table { return MultiAPU() }},
 	{"noisesecurity", func(int) *Table { return NoiseSecurity() }},
 	{"hostthroughput", func(int) *Table { return HostThroughput() }},
-	{"servelatency", ServeLatency},
 	{"planner", PlannerAblation},
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"rbcsalted/internal/bitslice"
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/iterseq"
@@ -28,11 +29,16 @@ import (
 // from compression, so the marshalling overhead the sliced-domain delta
 // kernel eliminates is a tracked number rather than an inference from
 // end-to-end throughput.
-const HostBenchSchema = "rbc-salted/host-bench/v3"
+//
+// v4: one batch kernel per algorithm (the rows of the kernels that lost
+// are gone with the kernels; DESIGN.md §11 keeps their v3 numbers), and
+// the document records which Keccak round implementation the host ran
+// (keccak_isa), without which two SHA-3 rows are not comparable.
+const HostBenchSchema = "rbc-salted/host-bench/v4"
 
-// HostBenchPoint is one (algorithm, iteration method, kernel) cell of
-// the host throughput measurement: the scalar one-seed-at-a-time engine
-// against that batch kernel, in seeds per second. Speedup - the ratio -
+// HostBenchPoint is one (algorithm, iteration method) cell of the host
+// throughput measurement: the scalar one-seed-at-a-time engine against
+// the algorithm's batch kernel, in seeds per second. Speedup - the ratio -
 // is the number that transfers across machines and the one the baseline
 // gate compares; the absolute throughputs are context.
 type HostBenchPoint struct {
@@ -45,11 +51,10 @@ type HostBenchPoint struct {
 	Speedup            float64 `json:"speedup"`
 	// FillNsPerSeed and PackNsPerSeed split out the batched path's
 	// non-compression phases, measured in a separate instrumented pass
-	// (capturePhases): fill is the iterator drain (successor steps, and
-	// base XORs on the materializing path), pack is candidate
-	// marshalling into the kernel's layout (limb extraction and bit
-	// transposes on the repack kernels, sparse delta application on the
-	// sliced-domain delta kernel).
+	// (capturePhases): fill is the iterator drain (successor steps in
+	// FillMasks), pack is candidate marshalling into the kernel's layout
+	// (sparse delta application on the SHA-3 kernel, base^mask
+	// materialization on the SHA-1 kernel).
 	FillNsPerSeed float64 `json:"fill_ns_per_seed"`
 	PackNsPerSeed float64 `json:"pack_ns_per_seed"`
 }
@@ -63,6 +68,7 @@ type HostBench struct {
 	GoOS          string           `json:"goos"`
 	GoArch        string           `json:"goarch"`
 	NumCPU        int              `json:"num_cpu"`
+	KeccakISA     string           `json:"keccak_isa"`
 	Workers       int              `json:"workers"`
 	Distance      int              `json:"distance"`
 	SeedsPerShell uint64           `json:"seeds_per_shell"`
@@ -75,11 +81,11 @@ type HostBench struct {
 const hostBenchDistance = 2
 
 // MeasureHostThroughput measures the real host search engine - the
-// scalar quick-reject loop against every implemented batch kernel -
-// over one exhaustive d=2 shell for every algorithm and iteration
-// method. A single worker is used so the numbers track the hot loop
-// itself rather than the host's core count; Workers records it, NumCPU
-// records the machine.
+// scalar quick-reject loop against the algorithm's batch kernel - over
+// one exhaustive d=2 shell for every algorithm and iteration method. A
+// single worker is used so the numbers track the hot loop itself rather
+// than the host's core count; Workers records it, NumCPU records the
+// machine.
 func MeasureHostThroughput() HostBench {
 	hb := HostBench{
 		Schema:      HostBenchSchema,
@@ -88,6 +94,7 @@ func MeasureHostThroughput() HostBench {
 		GoOS:        runtime.GOOS,
 		GoArch:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
+		KeccakISA:   bitslice.KeccakISA(),
 		Workers:     1,
 		Distance:    hostBenchDistance,
 	}
@@ -99,43 +106,27 @@ func MeasureHostThroughput() HostBench {
 		// outside the measured shell, so every candidate is hashed and
 		// rejected - the worst-case (and steady-state) search load.
 		target := core.HashSeed(alg, base)
-		scalar := core.ScalarMatcher(core.HashMatcherFactory(alg, target))
-		kernels := core.BatchKernels(alg)
-		factories := make([]core.MatcherFactory, len(kernels))
-		for i, k := range kernels {
-			factories[i] = pinnedKernelFactory(alg, target, k)
-		}
+		batched := core.HashMatcherFactory(alg, target)
+		scalar := core.ScalarMatcher(batched)
+		width := core.NewHashMatcher(alg, target).BatchWidth()
 		for _, method := range iterseq.Methods() {
-			sc, bt := measureRow(base, method, scalar, factories, hb.SeedsPerShell)
-			for i, k := range kernels {
-				w := bitsliceWidth
-				if k == core.KernelSliced256 || k == core.KernelSliced256Delta {
-					w = bitsliceWidth256
-				}
-				fill, pack := capturePhases(base, method, factories[i], hb.SeedsPerShell)
-				hb.Points = append(hb.Points, HostBenchPoint{
-					Alg:                alg.String(),
-					Method:             method.String(),
-					Kernel:             k.String(),
-					Width:              w,
-					ScalarSeedsPerSec:  sc,
-					BatchedSeedsPerSec: bt[i],
-					Speedup:            bt[i] / sc,
-					FillNsPerSeed:      fill,
-					PackNsPerSeed:      pack,
-				})
-			}
+			sc, bt := measureRow(base, method, scalar, batched, hb.SeedsPerShell)
+			fill, pack := capturePhases(base, method, batched, hb.SeedsPerShell)
+			hb.Points = append(hb.Points, HostBenchPoint{
+				Alg:                alg.String(),
+				Method:             method.String(),
+				Kernel:             core.DefaultKernel(alg).String(),
+				Width:              width,
+				ScalarSeedsPerSec:  sc,
+				BatchedSeedsPerSec: bt,
+				Speedup:            bt / sc,
+				FillNsPerSeed:      fill,
+				PackNsPerSeed:      pack,
+			})
 		}
 	}
 	return hb
 }
-
-// The batch strides the kernels run at; mirrored here rather than
-// imported so the exper package stays decoupled from bitslice.
-const (
-	bitsliceWidth    = 64
-	bitsliceWidth256 = 256
-)
 
 // capturePhases runs one exhaustive shell with the host batch-phase
 // histograms installed and returns the mean fill and pack cost in
@@ -161,25 +152,14 @@ func capturePhases(base u256.Uint256, method iterseq.Method, factory core.Matche
 	return hbm.Fill.Snapshot().Sum / s, hbm.Pack.Snapshot().Sum / s
 }
 
-// pinnedKernelFactory builds matchers locked to one batch kernel,
-// bypassing the calibration table: the bench must measure every kernel,
-// including ones calibration would never select.
-func pinnedKernelFactory(alg core.HashAlg, target core.Digest, kernel core.BatchKernel) core.MatcherFactory {
-	return func() core.Matcher {
-		m := core.NewHashMatcher(alg, target)
-		m.Kernel = kernel
-		return m
-	}
-}
-
 // measureRow returns exhaustive-search throughput in seeds/sec for the
-// scalar engine and each batch kernel over the d=2 shell. All engines'
-// timing windows are interleaved - scalar, kernel A, kernel B, scalar,
-// ... - so transient host load drifts into every measurement rather
-// than skewing the ratios, and each engine keeps its best of six
-// windows of at least 80ms (maximum-over-windows rejects transient
-// load, the same policy as timeOp).
-func measureRow(base u256.Uint256, method iterseq.Method, scalar core.MatcherFactory, kernels []core.MatcherFactory, shellSeeds uint64) (sc float64, bt []float64) {
+// scalar engine and the batch kernel over the d=2 shell. The two
+// engines' timing windows are interleaved - scalar, batched, scalar,
+// ... - so transient host load drifts into both measurements rather
+// than skewing the ratio, and each engine keeps its best of six windows
+// of at least 80ms (maximum-over-windows rejects transient load, the
+// same policy as timeOp).
+func measureRow(base u256.Uint256, method iterseq.Method, scalar, batched core.MatcherFactory, shellSeeds uint64) (sc, bt float64) {
 	shell := func(factory core.MatcherFactory) func() {
 		return func() {
 			_, _, covered, _, err := core.SearchShellHost(
@@ -214,27 +194,21 @@ func measureRow(base u256.Uint256, method iterseq.Method, scalar core.MatcherFac
 		return float64(shellSeeds) * float64(reps) / time.Since(start).Seconds()
 	}
 
-	runs := []func(){shell(scalar)}
-	for _, f := range kernels {
-		runs = append(runs, shell(f))
-	}
-	reps := make([]int, len(runs))
-	for i, r := range runs {
-		reps[i] = calibrate(r)
-	}
-	best := make([]float64, len(runs))
+	runs := [2]func(){shell(scalar), shell(batched)}
+	reps := [2]int{calibrate(runs[0]), calibrate(runs[1])}
+	var best [2]float64
 	for w := 0; w < 6; w++ {
-		// Rotate which engine leads each round so none systematically
-		// inherits another's warm caches (or pays for a scheduler
-		// preemption) more often.
-		for off := 0; off < len(runs); off++ {
-			i := (off + w) % len(runs)
+		// Alternate which engine leads each round so neither
+		// systematically inherits the other's warm caches (or pays for a
+		// scheduler preemption) more often.
+		for off := 0; off < 2; off++ {
+			i := (off + w) % 2
 			if v := window(runs[i], reps[i]); v > best[i] {
 				best[i] = v
 			}
 		}
 	}
-	return best[0], best[1:]
+	return best[0], best[1]
 }
 
 // HostBenchViolations compares a fresh measurement against a committed
@@ -296,9 +270,9 @@ func (hb HostBench) Table() *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"each batch kernel is pinned and measured against the scalar quick-reject loop; the calibration table selects from these ratios at run time",
-		"fill/pack ns/seed are from a separate instrumented pass: fill = iterator drain, pack = marshalling into the kernel layout (delta application on the sliced-domain delta kernel)",
-		fmt.Sprintf("%s %s/%s, %d cores", hb.GoVersion, hb.GoOS, hb.GoArch, hb.NumCPU),
+		"each algorithm's batch kernel is measured against the scalar quick-reject loop; the speedup ratio is what the baseline gate compares",
+		"fill/pack ns/seed are from a separate instrumented pass: fill = iterator drain, pack = marshalling into the kernel layout (delta application on SHA-3, base^mask materialization on SHA-1)",
+		fmt.Sprintf("%s %s/%s, %d cores, keccak round: %s", hb.GoVersion, hb.GoOS, hb.GoArch, hb.NumCPU, hb.KeccakISA),
 	)
 	return t
 }

@@ -6,30 +6,24 @@ import (
 	"rbcsalted/internal/u256"
 )
 
-// BenchmarkFillSeeds prices each iteration method's candidate-mask fill
+// BenchmarkFillMasks prices each iteration method's candidate-mask fill
 // over the d=2 shell, in isolation from hashing: this is the per-seed
 // cost the batched host search pays before the batch kernel sees the
 // candidates, and the floor it imposes on end-to-end throughput. The
 // alg515 row is why the wide SHA-3 kernel cannot reach its batch-bound
 // throughput on that iterator - the fill alone costs several kernel
 // compressions per batch.
-func BenchmarkFillSeeds(b *testing.B) {
-	base := u256.New(0xfeedbeef, 0x12345678, 0x9abcdef0, 0x0f1e2d3c)
+func BenchmarkFillMasks(b *testing.B) {
 	for _, m := range Methods() {
 		b.Run(m.String(), func(b *testing.B) {
 			var dst [256]u256.Uint256
-			var scratch u256.Uint256
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				it, err := New(m, 256, 2, 0, 32640)
+				mi, err := New(m, 256, 2, 0, 32640)
 				if err != nil {
 					b.Fatal(err)
 				}
-				mi := it.(MaskIter)
-				for {
-					if FillSeeds(mi, base, &scratch, dst[:]) < len(dst) {
-						break
-					}
+				for FillMasks(mi, dst[:]) == len(dst) {
 				}
 			}
 		})

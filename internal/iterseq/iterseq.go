@@ -94,9 +94,9 @@ type Iter interface {
 // positions from scratch - while the random-access Alg515 rebuilds it per
 // step, exactly mirroring each method's per-seed work profile on the GPU.
 //
-// The mask form requires n <= 256. All iterators returned by New
-// implement MaskIter; Next and NextMask may be freely interleaved on the
-// same iterator and consume from the same sequence.
+// The mask form requires n <= 256. Every iterator New returns is a
+// MaskIter; Next and NextMask may be freely interleaved on the same
+// iterator and consume from the same sequence.
 type MaskIter interface {
 	Iter
 	// NextMask writes the next combination's flip mask into *mask and
@@ -107,7 +107,7 @@ type MaskIter interface {
 // New returns an iterator for the given method over k-subsets of [0, n),
 // positioned at startRank (in the method's own order) and yielding at most
 // count combinations. count < 0 means "to the end of the sequence".
-func New(method Method, n, k int, startRank uint64, count int64) (Iter, error) {
+func New(method Method, n, k int, startRank uint64, count int64) (MaskIter, error) {
 	total, ok := combin.Binomial64(n, k)
 	if !ok {
 		return nil, fmt.Errorf("iterseq: C(%d,%d) does not fit uint64", n, k)
@@ -149,36 +149,16 @@ func ApplyMask(base, mask u256.Uint256) u256.Uint256 {
 	return base.Xor(mask)
 }
 
-// FillSeeds drains up to len(dst) candidates from the iterator's mask
-// fast path into dst, returning how many were produced; fewer than
-// len(dst) means the sequence is exhausted. This is the batched host
-// engine's fill loop: one NextMask delta plus one 256-bit XOR per
-// candidate, at whatever stride the batch engine asks for (the wide
-// bit-sliced kernel consumes 256-candidate strides).
-//
-// scratch is caller-owned mask storage. It is a parameter, not a local,
-// so the per-candidate NextMask call - an interface call the compiler
-// cannot see through - never forces a fresh heap allocation per fill:
-// the hot loop hoists the scratch next to its candidate buffer and the
-// steady state allocates nothing.
-func FillSeeds(mi MaskIter, base u256.Uint256, scratch *u256.Uint256, dst []u256.Uint256) int {
-	n := 0
-	for n < len(dst) && mi.NextMask(scratch) {
-		dst[n] = ApplyMask(base, *scratch)
-		n++
-	}
-	return n
-}
-
 // FillMasks drains up to len(dst) combination flip masks — not applied
 // to any base — from the iterator's mask fast path, returning how many
 // were produced; fewer than len(dst) means the sequence is exhausted.
-// This is the batch-wise form of NextMask the sliced-domain delta engine
-// consumes: it keeps the candidate batch resident in bit-sliced layout
-// and advances lane i between batches by the XOR of that lane's
-// consecutive masks (masks of equal popcount k differ in at most 2k
-// bits), so it wants the raw masks, not base-applied seeds. Masks are
-// written straight into dst; the steady state allocates nothing.
+// This is the batched host engine's fill loop, at whatever stride the
+// batch kernel asks for. It hands over raw masks rather than
+// base-applied seeds because the SHA-3 kernel keeps the candidate batch
+// resident in bit-sliced layout and advances lane i between batches by
+// the XOR of that lane's consecutive masks (masks of equal popcount k
+// differ in at most 2k bits). Masks are written straight into dst; the
+// steady state allocates nothing.
 func FillMasks(mi MaskIter, dst []u256.Uint256) int {
 	n := 0
 	for n < len(dst) && mi.NextMask(&dst[n]) {

@@ -320,13 +320,9 @@ func TestNextMaskMatchesNext(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %+v: %v", method, tc, err)
 			}
-			got, err := New(method, tc.n, tc.k, tc.start, tc.count)
+			mi, err := New(method, tc.n, tc.k, tc.start, tc.count)
 			if err != nil {
 				t.Fatalf("%v %+v: %v", method, tc, err)
-			}
-			mi, ok := got.(MaskIter)
-			if !ok {
-				t.Fatalf("%v iterator does not implement MaskIter", method)
 			}
 			c := make([]int, tc.k)
 			var mask u256.Uint256
@@ -355,8 +351,7 @@ func TestNextMaskInterleaved(t *testing.T) {
 	for _, method := range Methods() {
 		n, k := 10, 4
 		ref, _ := New(method, n, k, 0, -1)
-		it, _ := New(method, n, k, 0, -1)
-		mi := it.(MaskIter)
+		mi, _ := New(method, n, k, 0, -1)
 		c := make([]int, k)
 		refC := make([]int, k)
 		var mask u256.Uint256
@@ -370,7 +365,7 @@ func TestNextMaskInterleaved(t *testing.T) {
 					t.Fatalf("%v step %d: mask %v, want comb %v", method, step, mask, refC)
 				}
 			} else {
-				if got := it.Next(c); got != ok {
+				if got := mi.Next(c); got != ok {
 					t.Fatalf("%v step %d: Next=%v want %v", method, step, got, ok)
 				}
 				if ok && fmt.Sprint(c) != fmt.Sprint(refC) {
@@ -395,16 +390,14 @@ func TestApplyMask(t *testing.T) {
 }
 
 func benchMethodMask(b *testing.B, method Method) {
-	it, err := New(method, 256, 5, 0, -1)
+	mi, err := New(method, 256, 5, 0, -1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mi := it.(MaskIter)
 	var mask u256.Uint256
 	for i := 0; i < b.N; i++ {
 		if !mi.NextMask(&mask) {
-			it, _ = New(method, 256, 5, 0, -1)
-			mi = it.(MaskIter)
+			mi, _ = New(method, 256, 5, 0, -1)
 			mi.NextMask(&mask)
 		}
 	}

@@ -260,21 +260,17 @@ type AuthOptions struct {
 
 // Authenticate runs the full client side of the protocol over conn:
 // hello, challenge, PUF read, digest, result. Server-reported failures
-// are returned as *ServerError carrying the wire Status.
-//
-// Deprecated: use Client, which owns dialing, shard routing, redirects
-// and retry. This single-connection form neither routes nor retries —
-// a StatusWrongShard refusal surfaces as a plain error.
+// are returned as *ServerError carrying the wire Status. This
+// single-connection form neither routes nor retries — a StatusWrongShard
+// refusal surfaces as a plain error; Client owns dialing, shard routing,
+// redirects and retry on top of it.
 func Authenticate(conn net.Conn, client *core.Client, lat Latency) (Result, error) {
 	return AuthenticateWithOptions(conn, client, AuthOptions{Latency: lat})
 }
 
 // AuthenticateWithOptions is Authenticate with per-request QoS class and
-// deadline carried in the hello.
-//
-// Deprecated: use Client (see Authenticate). Client.Authenticate
-// funnels through this, so it remains the single wire-level
-// implementation.
+// deadline carried in the hello. Client.Authenticate funnels through
+// this: it is the single wire-level implementation.
 func AuthenticateWithOptions(conn net.Conn, client *core.Client, opts AuthOptions) (Result, error) {
 	lat := opts.Latency
 	hello := Hello{ClientID: string(client.ID), Class: opts.Class, Deadline: opts.Deadline, RingEpoch: opts.RingEpoch}

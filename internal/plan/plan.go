@@ -22,7 +22,7 @@
 // deadline admission judges feasibility against the *chosen* engine)
 // and core.AlternateSearcher (so hedged dispatch re-issues a straggling
 // search on the *second-best* engine rather than duplicating the
-// first). See DESIGN.md §14.
+// first). See DESIGN.md §13.
 package plan
 
 import (

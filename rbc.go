@@ -118,7 +118,6 @@
 package rbc
 
 import (
-	"rbcsalted/internal/apusim"
 	"rbcsalted/internal/cluster"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
@@ -127,7 +126,6 @@ import (
 	"rbcsalted/internal/cryptoalg/dilithium"
 	"rbcsalted/internal/cryptoalg/saber"
 	"rbcsalted/internal/durable"
-	"rbcsalted/internal/gpusim"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/netproto"
 	"rbcsalted/internal/obs"
@@ -274,33 +272,30 @@ func NewScheduler(backend Backend, cfg SchedulerConfig) *Scheduler {
 }
 
 // Host search matchers: the predicate layer of the real execution
-// engine. The default HashMatcher batches candidates MatchWidth at a
-// time through the batch kernel the calibration table measured fastest
-// for the algorithm (see BatchKernel and core.HashMatcher).
+// engine. The default HashMatcher batches candidates up to MatchWidth at
+// a time through the algorithm's batch kernel (see BatchKernel and
+// core.HashMatcher).
 type (
 	// Matcher decides whether candidate seeds match the search target;
 	// one instance is built per worker goroutine.
 	Matcher = core.Matcher
 	// BatchMatcher is a Matcher that evaluates up to MatchWidth
-	// candidates in one call, returning a MatchMask of matches.
+	// candidates in one call - given as a base and per-candidate flip
+	// masks - returning a MatchMask of matches.
 	BatchMatcher = core.BatchMatcher
 	// MatcherFactory builds one Matcher per search worker.
 	MatcherFactory = core.MatcherFactory
 	// HashMatcher is the digest-equality matcher used by every hashing
-	// backend: scalar quick-reject plus the calibrated batch kernel
-	// (wide bit-sliced compression for SHA-3, multi-buffer interleaved
-	// compression for SHA-1).
+	// backend: scalar quick-reject plus the algorithm's batch kernel
+	// (wide bit-sliced compression with a resident, delta-advanced batch
+	// for SHA-3, multi-buffer interleaved compression for SHA-1).
 	HashMatcher = core.HashMatcher
 	// MatchMask is the per-batch match bitmask: bit i%64 of word i/64
 	// is set iff candidate i matched.
 	MatchMask = core.MatchMask
-	// BatchKernel identifies a batch-match engine implementation.
+	// BatchKernel identifies a match-engine implementation; the batch
+	// kernel is a function of the hash algorithm (DefaultKernel).
 	BatchKernel = core.BatchKernel
-	// Calibration is the measured kernel-selection table consulted by
-	// NewHashMatcher; see DefaultKernel and SetCalibration.
-	Calibration = core.Calibration
-	// CalibrationPoint is one measured (algorithm, kernel) speedup ratio.
-	CalibrationPoint = core.CalibrationPoint
 )
 
 // Host search engine constants.
@@ -313,22 +308,20 @@ const (
 	DefaultCheckInterval = core.DefaultCheckInterval
 )
 
-// Batch kernels a HashMatcher can select (see BatchKernel).
+// The match kernels (see BatchKernel).
 const (
 	// KernelScalar is the one-seed-at-a-time quick-reject loop, the
-	// baseline and fallback.
+	// reference ScalarMatcher forces.
 	KernelScalar = core.KernelScalar
-	// KernelSliced64 is the 64-wide bit-sliced compression.
-	KernelSliced64 = core.KernelSliced64
-	// KernelSliced256 is the 256-lane wide bit-sliced compression
-	// (SHA-3).
-	KernelSliced256 = core.KernelSliced256
 	// KernelMulti4 is the 4-way interleaved multi-buffer scalar
-	// compression (SHA-1).
+	// compression, the SHA-1 batch kernel.
 	KernelMulti4 = core.KernelMulti4
+	// KernelSliced256Delta is the 256-lane bit-sliced compression over
+	// a resident, delta-advanced batch, the SHA-3 batch kernel.
+	KernelSliced256Delta = core.KernelSliced256Delta
 )
 
-// Matcher constructors and kernel calibration.
+// Matcher constructors.
 var (
 	// NewHashMatcher builds the digest-equality matcher for one
 	// (algorithm, target) pair.
@@ -341,16 +334,9 @@ var (
 	ScalarMatcher = core.ScalarMatcher
 	// BatchKernels lists the batch kernels implemented for an algorithm.
 	BatchKernels = core.BatchKernels
-	// DefaultKernel returns the calibrated batch kernel for an
-	// algorithm - KernelScalar when no batch kernel measures faster.
+	// DefaultKernel returns the batch kernel a HashMatcher runs for an
+	// algorithm.
 	DefaultKernel = core.DefaultKernel
-	// NewCalibration builds a kernel-selection table from measured
-	// speedup points.
-	NewCalibration = core.NewCalibration
-	// SetCalibration installs a kernel-selection table (fresh bench
-	// measurements, or pinning kernels in tests) and returns the
-	// previous one.
-	SetCalibration = core.SetCalibration
 )
 
 // IterMethod selects a seed-iteration algorithm (paper §3.2.1).
@@ -456,25 +442,9 @@ type (
 	CPUBackend = cpu.Backend
 	// CPUModelBackend models the paper's 64-core EPYC platform.
 	CPUModelBackend = cpu.ModelBackend
-	// GPUConfig configures the A100 simulator.
-	GPUConfig = gpusim.Config
-	// APUConfig configures the Gemini simulator.
-	APUConfig = apusim.Config
 )
 
-// NewGPUBackend builds a SALTED-GPU engine (simulated A100s).
-//
-// Deprecated: use NewBackend with BackendSpec{Kind: BackendGPU}; this
-// wrapper remains for existing callers.
-func NewGPUBackend(cfg GPUConfig) Backend { return gpusim.NewBackend(cfg) }
-
-// NewAPUBackend builds a SALTED-APU engine (simulated GSI Gemini).
-//
-// Deprecated: use NewBackend with BackendSpec{Kind: BackendAPU}; this
-// wrapper remains for existing callers.
-func NewAPUBackend(cfg APUConfig) Backend { return apusim.NewBackend(cfg) }
-
-// Cost-based planner (see DESIGN.md §14): dispatches each search to the
+// Cost-based planner (see DESIGN.md §13): dispatches each search to the
 // engine the calibrated cost curves predict to be cheapest under the
 // chosen policy, deadline and joules budget, with live EWMA feedback
 // correcting the static curves.
@@ -582,10 +552,6 @@ type (
 	WireStatus = netproto.Status
 	// ServerError is the client-side error carrying a WireStatus.
 	ServerError = netproto.ServerError
-	// AuthOptions carries the client-side serving options — injected
-	// latency, QoS class and absolute deadline — for
-	// AuthenticateWithOptions.
-	AuthOptions = netproto.AuthOptions
 	// Client is the routing-aware networked client: it owns connection
 	// management, shard routing over a RingMap, redirect following and
 	// retry across node restarts. Construct with Dial.
@@ -626,21 +592,7 @@ const (
 // PaperLatency reproduces the paper's 0.90 s communication constant.
 var PaperLatency = netproto.PaperLatency
 
-// Authenticate runs the full client side of the protocol over a
-// caller-owned connection.
-//
-// Deprecated: use Dial and Client.Authenticate, which own routing,
-// redirects and retry. This wrapper remains for single-node callers.
-var Authenticate = netproto.Authenticate
-
-// AuthenticateWithOptions is Authenticate with the request's QoS class
-// and deadline carried in the hello (the v3 wire layout; a default-QoS
-// hello stays v2-compatible).
-//
-// Deprecated: use Dial and Client.Authenticate.
-var AuthenticateWithOptions = netproto.AuthenticateWithOptions
-
-// Consistent-hash sharding (see DESIGN.md §15): client IDs map to a
+// Consistent-hash sharding (see DESIGN.md §14): client IDs map to a
 // fixed shard space, shards map to nodes through a virtual-node ring,
 // so topology changes move only the shards that must move.
 type (
@@ -667,7 +619,7 @@ var (
 	ShardOfKey = ring.ShardOfKey
 )
 
-// Primary→follower WAL replication (see DESIGN.md §15): a follower
+// Primary→follower WAL replication (see DESIGN.md §14): a follower
 // holds a replica of a primary's durable state and can be promoted on
 // failure, with epoch fencing against split-brain.
 type (

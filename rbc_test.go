@@ -11,6 +11,17 @@ import (
 	"time"
 )
 
+// mustBackend builds an engine through NewBackend; none of the specs the
+// tests use can fail.
+func mustBackend(tb testing.TB, spec BackendSpec) Backend {
+	tb.Helper()
+	b, err := NewBackend(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 func demoProfile() PUFProfile {
 	return PUFProfile{BaseError: 0.5 / 256.0, FlakyFraction: 0.05, FlakyError: 0.35}
 }
@@ -66,8 +77,8 @@ func TestPublicAPIBackendsAgree(t *testing.T) {
 	backends := []Backend{
 		&CPUBackend{Alg: SHA3},
 		&CPUModelBackend{Alg: SHA3},
-		NewGPUBackend(GPUConfig{Alg: SHA3, SharedMemoryState: true}),
-		NewAPUBackend(APUConfig{Alg: SHA3}),
+		mustBackend(t, BackendSpec{Kind: BackendGPU, Alg: SHA3}),
+		mustBackend(t, BackendSpec{Kind: BackendAPU, Alg: SHA3}),
 	}
 	for _, b := range backends {
 		res, err := b.Search(context.Background(), task)
@@ -132,12 +143,14 @@ func TestPublicAPINetworkedFlow(t *testing.T) {
 	go server.Serve(ln)
 	defer server.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	client, err := Dial(ClientConfig{Addrs: []string{ln.Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	res, err := Authenticate(conn, &PUFClient{ID: "bob", Device: dev}, Latency{})
+	defer client.Close()
+	res, err := client.Authenticate(context.Background(), ClientAuthRequest{
+		Device: &PUFClient{ID: "bob", Device: dev},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +178,8 @@ func TestShellStatsConsistent(t *testing.T) {
 	backends := []Backend{
 		&CPUBackend{Alg: SHA3, Workers: 2},
 		&CPUModelBackend{Alg: SHA3},
-		NewGPUBackend(GPUConfig{Alg: SHA3, SharedMemoryState: true}),
-		NewAPUBackend(APUConfig{Alg: SHA3}),
+		mustBackend(t, BackendSpec{Kind: BackendGPU, Alg: SHA3}),
+		mustBackend(t, BackendSpec{Kind: BackendAPU, Alg: SHA3}),
 	}
 	for _, b := range backends {
 		res, err := b.Search(context.Background(), task)
@@ -229,5 +242,50 @@ func TestServerNodeCloseBeforeServe(t *testing.T) {
 		if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
 			t.Errorf("%s left its listener open: Accept err = %v", name, err)
 		}
+	}
+}
+
+// TestServerNodeCloseStopsFollow: Close must stop a running Follow and
+// wait for it before the durable state takes its final snapshot (a
+// follower still ingesting would race the cut), and Follow on a closed
+// node must return at once.
+func TestServerNodeCloseStopsFollow(t *testing.T) {
+	primary, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir(), Clients: []string{"alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	replLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go primary.ServeReplication(replLn)
+
+	standby, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir(), NodeID: "standby"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	followed := make(chan error, 1)
+	go func() { followed <- standby.Follow(context.Background(), replLn.Addr().String(), nil) }()
+	// Wait until the follower is demonstrably ingesting.
+	for deadline := time.Now().Add(10 * time.Second); !standby.State.Images().Has("alice"); {
+		if time.Now().After(deadline) {
+			t.Fatal("standby never received the enrollment")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := standby.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-followed:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Follow stopped by Close returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close returned but Follow is still running")
+	}
+	if err := standby.Follow(context.Background(), replLn.Addr().String(), nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("Follow on a closed node returned %v, want context.Canceled", err)
 	}
 }

@@ -106,6 +106,11 @@ type ServerNode struct {
 	closed   bool
 	primary  *replica.Primary
 	follower *replica.Follower
+	// quit is cancelled by Close and follows counts the running Follow
+	// calls, so Close can stop ingestion before the final snapshot.
+	quit    context.Context
+	stop    context.CancelFunc
+	follows sync.WaitGroup
 }
 
 // ringRouter implements netproto.Router over a RingMap.
@@ -246,10 +251,11 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 	if cfg.NodeID != "" && cfg.Ring != nil {
 		proto.Router = &ringRouter{self: cfg.NodeID, m: cfg.Ring}
 	}
+	quit, stop := context.WithCancel(context.Background())
 	return &ServerNode{
 		CA: ca, Pool: pool, Proto: proto,
 		Metrics: reg, Trace: traceRing, State: state,
-		cfg: cfg,
+		cfg: cfg, quit: quit, stop: stop,
 	}, nil
 }
 
@@ -258,8 +264,9 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 func (n *ServerNode) Serve(ln net.Listener) error { return n.Proto.Serve(ln) }
 
 // Close tears the node down in dependency order; the durable state goes
-// last so its shutdown snapshot sees every mutation. Serve and
-// ServeReplication calls that have not started yet return at once.
+// last, after every running Follow has returned, so its shutdown
+// snapshot sees every mutation and races none. Serve, ServeReplication
+// and Follow calls that have not started yet return at once.
 func (n *ServerNode) Close() error {
 	// The listener's owner may have closed it already; that error says
 	// nothing about the node.
@@ -272,6 +279,8 @@ func (n *ServerNode) Close() error {
 	if p != nil {
 		p.Close()
 	}
+	n.stop()
+	n.follows.Wait()
 	if n.State != nil {
 		return n.State.Close()
 	}
@@ -337,14 +346,25 @@ func (n *ServerNode) Replica() *ReplicaPrimary {
 }
 
 // Follow subscribes this node to the primary at addr and ingests its
-// WAL until ctx is cancelled or the node is promoted, redialling on
-// transient failures. shards selects a subset (nil = everything).
-// Requires DataDir.
+// WAL until ctx is done, the node is closed (context.Canceled) or it is
+// promoted, redialling on transient failures. shards selects a subset
+// (nil = everything). Requires DataDir.
 func (n *ServerNode) Follow(ctx context.Context, addr string, shards []int) error {
 	f, err := n.ensureFollower(shards)
 	if err != nil {
 		return err
 	}
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		return context.Canceled
+	}
+	n.follows.Add(1)
+	n.mu.Unlock()
+	defer n.follows.Done()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(n.quit, cancel)()
 	return f.RunUntil(ctx, addr, time.Second)
 }
 
