@@ -1,13 +1,13 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
+.PHONY: check build vet test race fuzz gen-check cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
 
 # check is the CI gate: compile everything, vet, run the full test suite
 # with the race detector (the scheduler and backend-cancellation tests
-# are concurrency tests and only count when raced), then smoke the wire
-# fuzz targets.
-check: build vet race fuzz
+# are concurrency tests and only count when raced), smoke the fuzz
+# targets, then check the generated assembly is what its generator emits.
+check: build vet race fuzz gen-check
 
 build:
 	$(GO) build ./...
@@ -59,18 +59,23 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz smokes the netproto frame/error-payload fuzzers, the WAL record
-# decoder, the differential fuzzers for the two batch kernels (256-lane
-# bit-sliced SHA-3 and 4-way multi-buffer SHA-1, each against its scalar
-# reference), and the sliced-domain delta engine (chained delta advances
-# against a fresh pack, across all four iterators) for FUZZTIME each;
-# -run='^$$' skips the unit tests so only fuzzing runs.
+# decoder, and the differential fuzzers for the two batch kernels (8-way
+# Keccak on every implementation the CPU supports, 4-way multi-buffer
+# SHA-1) and for the 256-lane bit-sliced SHA-3 the benchmark still times,
+# each against its scalar reference, for FUZZTIME each; -run='^$$' skips
+# the unit tests so only fuzzing runs.
 fuzz:
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzDeltaFill -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSeedDigests8 -fuzztime=$(FUZZTIME)
+
+# gen-check regenerates the AVX-512 Keccak assembly and fails when the
+# committed file differs from what the committed generator emits.
+gen-check:
+	$(GO) run ./internal/keccak/x8gen | cmp - internal/keccak/keccakx8_amd64.s
 
 # bench measures the host search hot path (scalar vs each algorithm's
 # batch kernel, every alg x iteration method) and refreshes

@@ -147,14 +147,14 @@ func run() int {
 				return 1
 			}
 			if violations := exper.HostBenchViolations(hb, bl, *tolerance); len(violations) > 0 {
-				fmt.Fprintf(os.Stderr, "rbc-bench: %d regression(s) vs %s (keccak round: %s here, %s in the baseline):\n",
+				fmt.Fprintf(os.Stderr, "rbc-bench: %d regression(s) vs %s (SHA-3 kernel in service: %s here, %s in the baseline):\n",
 					len(violations), *baseline, hb.KeccakISA, bl.KeccakISA)
 				for _, v := range violations {
 					fmt.Fprintln(os.Stderr, "  "+v)
 				}
 				return 1
 			}
-			fmt.Printf("baseline gate: all %d points hold %s within %.0f%% (keccak round: %s here, %s in the baseline)\n",
+			fmt.Printf("baseline gate: all %d points hold %s within %.0f%% (SHA-3 kernel in service: %s here, %s in the baseline)\n",
 				len(bl.Points), *baseline, *tolerance*100, hb.KeccakISA, bl.KeccakISA)
 		}
 		return 0

@@ -138,39 +138,6 @@ func TestWideGateCountsPerSeed(t *testing.T) {
 	}
 }
 
-// TestMatchSliced256 plants duplicate digests across all four mask words
-// and checks the wide associative compare reports exactly them.
-func TestMatchSliced256(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	var seeds [Width256][32]byte
-	for i := range seeds {
-		r.Read(seeds[i][:])
-	}
-	// Plant copies of instance 17 in each mask word's range.
-	for _, i := range []int{3, 91, 150, 255} {
-		seeds[i] = seeds[17]
-	}
-	var want [4]uint64
-	for _, i := range []int{3, 17, 91, 150, 255} {
-		want[i>>6] |= 1 << uint(i&63)
-	}
-
-	var e Engine
-	lanes := e.SHA3Seeds256WideSliced(&seeds)
-	digest := keccak.Sum256Seed(&seeds[17])
-	var target [4]uint64
-	for l := range target {
-		target[l] = leUint64(digest[l*8:])
-	}
-	if got := MatchSliced256(lanes[:], target[:]); got != want {
-		t.Fatalf("match mask %#x, want %#x", got, want)
-	}
-	target[0] ^= 1 // no instance matches now
-	if got := MatchSliced256(lanes[:], target[:]); got != [4]uint64{} {
-		t.Fatalf("perturbed target matched %#x, want zero", got)
-	}
-}
-
 // FuzzSHA3Wide differentially fuzzes the wide Keccak kernel against the
 // scalar internal/keccak reference: seeds derived from the fuzz input
 // must hash identically on every one of the 256 lanes, on every round

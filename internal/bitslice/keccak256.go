@@ -214,7 +214,9 @@ func (e *Engine) SHA3Seeds256WideSliced(seeds *[Width256][32]byte) [4]Slice256 {
 		}
 	}
 	var msg [4]Slice256
-	PackSeedVals256(&msg, &vals)
+	for lane := range msg {
+		msg[lane] = Pack256(&vals[lane])
+	}
 	return e.SHA3Msg256WideSliced(&msg)
 }
 
@@ -230,13 +232,12 @@ var (
 
 // SHA3Msg256WideSliced runs the wide fixed-padding SHA3-256 compression
 // over message lanes already resident in sliced form, leaving msg
-// intact: this is the compression entry of the delta-advance path
-// (DESIGN.md §11), where msg persists across batches and is stepped by
-// DeltaFill instead of re-packed. The permutation state is engine
-// scratch (KeccakF256 destroys its input, so the resident lanes are
-// copied in and the constant lanes re-splatted each call — ~50KB of
-// writes, the same state build the pack-per-batch path paid, minus the
-// transposes).
+// intact. No request runs it since the host search moved to
+// keccak.SeedDigests8 (DESIGN.md §11); the wire-to-wire benchmark still
+// times it as the sliced design's compression cost. The permutation
+// state is engine scratch (KeccakF256 destroys its input, so the
+// message lanes are copied in and the constant lanes re-splatted each
+// call — ~50KB of writes).
 func (e *Engine) SHA3Msg256WideSliced(msg *[4]Slice256) [4]Slice256 {
 	s := &e.wideMsg
 	s[0], s[1], s[2], s[3] = msg[0], msg[1], msg[2], msg[3]

@@ -2,14 +2,16 @@
 
 package bitslice
 
+import "rbcsalted/internal/keccak"
+
 // haveAVX2 and haveAVX512 gate the vector forms of the wide Keccak
 // round. Detected once at startup: the instruction set (CPUID leaf 7)
 // and the OS having enabled the matching register state saving
 // (OSXSAVE + XCR0), so the kernel never faults on a machine or OS that
-// lacks either.
+// lacks either. The AVX-512 probe is keccak's.
 var (
 	haveAVX2   = cpuSupportsAVX2()
-	haveAVX512 = cpuSupportsAVX512()
+	haveAVX512 = keccak.HaveAVX512()
 )
 
 // keccakRound256AVX2 is one fused Keccak round over the wide state:
@@ -44,7 +46,3 @@ func keccakParity256AVX512(c *[5]Slice256, cur *KeccakState256)
 // XGETBV (implemented in keccak256_amd64.s): the standard library does
 // not export its feature flags and this package takes no dependencies.
 func cpuSupportsAVX2() bool
-
-// cpuSupportsAVX512 reports AVX512F+VL plus OS ZMM/opmask state support
-// (implemented in keccak256_avx512_amd64.s).
-func cpuSupportsAVX512() bool

@@ -6,11 +6,11 @@ import (
 	"rbcsalted/internal/obs"
 )
 
-// Per-batch phase observability of the batched host hot path. The
-// 256-wide kernel is L2-bandwidth-bound and the remaining headroom is
-// marshalling and iterator fill, not compression (DESIGN.md §11) — so
-// the fill-vs-pack split must be visible live, in /metrics, not only in
-// bench runs. The hooks are process-global (the hot loops have no
+// Per-batch phase observability of the batched host hot path. Beside
+// a register-resident compression, iterator fill is a quarter of a
+// SHA-3 seed's cost (DESIGN.md §11) — so the fill-vs-pack split must be
+// visible live, in /metrics, not only in bench runs. The hooks are
+// process-global (the hot loops have no
 // registry plumbing, by design: a search runs identically with or
 // without a server around it) and cost one pointer load and branch per
 // *batch* when disabled.
@@ -19,9 +19,9 @@ import (
 // host path. Fill is the time one batch spends draining the iterator
 // (FillMasks: successor steps); Pack is the time MatchMasks spends
 // marshalling candidates into the kernel's layout before any
-// compression runs (SHA-3: sparse delta application, or limb extraction
-// + bit transposes when a chain is primed; SHA-1: base^mask
-// materialization). Both are observed in nanoseconds per batch.
+// compression runs (base^mask materialization: lane-interleaved
+// messages for SHA-3, serialized seeds for SHA-1). Both are observed in
+// nanoseconds per batch.
 type HostBatchMetrics struct {
 	Fill *obs.Histogram // host_batch_fill_ns
 	Pack *obs.Histogram // host_batch_pack_ns

@@ -19,9 +19,8 @@ import (
 // Each worker builds its own Matcher from newMatcher. When the matcher
 // implements BatchMatcher (the HashMatcherFactory default), the
 // iterator's flip masks are drained BatchWidth at a time and matched one
-// batch per call: one wide bit-sliced compression per 256 SHA-3 seeds,
-// or one run of interleaved multi-buffer compressions per 64 SHA-1
-// seeds. Partial tail batches go through the same engine (padded
+// batch per call: per 64 seeds, eight 8-way Keccak compressions (SHA-3)
+// or sixteen 4-way multi-buffer compressions (SHA-1). Partial tail batches go through the same engine (padded
 // internally). Scalar-only matchers follow the classic one-seed loop.
 //
 // The early-exit flag, ctx and the deadline are polled every checkEvery

@@ -2,13 +2,27 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/iterseq"
+	"rbcsalted/internal/keccak"
 	"rbcsalted/internal/u256"
 )
+
+// forEachKeccakImpl runs f once per SHA-3 kernel body this CPU supports,
+// so an AVX-512 machine still executes the portable code every other
+// machine depends on.
+func forEachKeccakImpl(t *testing.T, f func(t *testing.T)) {
+	for _, impl := range keccak.SeedDigests8Impls() {
+		t.Run(impl, func(t *testing.T) {
+			defer keccak.ForceSeedDigests8Impl(impl)()
+			f(t)
+		})
+	}
+}
 
 // seedAtRank returns the candidate at the given rank of shell d in the
 // method's own order, built independently of the engine under test.
@@ -27,16 +41,16 @@ func seedAtRank(t *testing.T, base u256.Uint256, d int, method iterseq.Method, r
 
 // TestBatchedMatchesScalarExhaustive is the cross-engine equivalence
 // property: for every iteration method and both hash algorithms, on one
-// worker and on three, the batch kernel (chained and re-primed every
-// batch) and the scalar oracle must agree on the found seed, and in
-// exhaustive mode must all cover exactly C(256, d) seeds.
+// worker and on three, the batch kernel and the scalar oracle must
+// agree on the found seed, and in exhaustive mode must both cover
+// exactly C(256, d) seeds.
 func TestBatchedMatchesScalarExhaustive(t *testing.T) {
 	base := u256.FromUint64(0xfeed_beef_cafe_f00d)
 	const d = 2
 	total, _ := combin.Binomial64(256, d)
 
 	// Plant targets at ranks chosen to exercise slot 0, a mid-batch
-	// slot, a final-partial-batch slot, and the no-match case.
+	// slot, a slot in the shell's last batch, and the no-match case.
 	ranks := []uint64{0, 37, total - 5}
 	for _, alg := range []HashAlg{SHA1, SHA3} {
 		for _, method := range iterseq.Methods() {
@@ -77,9 +91,8 @@ func TestBatchedMatchesScalarExhaustive(t *testing.T) {
 // batch engine must locate the same seed as the scalar oracle, and on a
 // single worker (where it is deterministic) report the same covered
 // count - the lane-exact accounting. Ranks are chosen to land mid-batch
-// (4321 = 16*256+225) and inside the final partial batch of a d=2 shell
-// (C(256,2) % 256 = 128 pad lanes), so both the winning-lane truncation
-// and the padded tail are exercised.
+// (4321 = 67*64+33) and in the shell's last batch, so the winning-lane
+// truncation is exercised at both ends.
 func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 	base := u256.FromUint64(7)
 	d2total, _ := combin.Binomial64(256, 2)
@@ -88,7 +101,7 @@ func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 		rank uint64
 	}{
 		{3, 4321},        // mid-batch lane of a full batch
-		{2, d2total - 5}, // inside the padded final partial batch
+		{2, d2total - 5}, // inside the final batch
 	}
 	for _, tc := range cases {
 		for _, alg := range []HashAlg{SHA1, SHA3} {
@@ -127,48 +140,36 @@ func TestBatchedMatchesScalarEarlyExit(t *testing.T) {
 	}
 }
 
-// repackMatcher is the batch kernel's test-only reference: it breaks
-// the resident chain before every batch, so each one is packed from
-// scratch - the prime path, run every call - and the chained delta
-// advances are checked against it as well as against the scalar oracle.
-type repackMatcher struct{ *HashMatcher }
-
-func (r repackMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
-	r.deltaLive = false
-	return r.HashMatcher.MatchMasks(base, masks, n)
-}
-
-func repackFactory(alg HashAlg, target Digest) MatcherFactory {
-	return func() Matcher { return repackMatcher{NewHashMatcher(alg, target)} }
-}
-
 // runEngines runs one shell search through the scalar oracle (always
-// first), the batch kernel, and the batch kernel re-primed every batch,
-// handing each outcome to check.
+// first, tagged "scalar") and then the batch kernel, once per SHA-3
+// kernel body this CPU supports, handing each outcome to check.
 func runEngines(t *testing.T, base u256.Uint256, d int, method iterseq.Method, alg HashAlg, target Digest, exhaustive bool, workers int, check func(tag string, found bool, seed u256.Uint256, covered uint64)) {
 	t.Helper()
-	batched := HashMatcherFactory(alg, target)
-	for _, eng := range []struct {
-		tag string
-		f   MatcherFactory
-	}{
-		{"scalar", ScalarMatcher(batched)},
-		{DefaultKernel(alg).String(), batched},
-		{"repack", repackFactory(alg, target)},
-	} {
+	run := func(tag string, f MatcherFactory) {
 		found, seed, covered, _, err := SearchShellHost(
-			context.Background(), base, d, method, workers, 0, exhaustive, time.Time{}, eng.f)
+			context.Background(), base, d, method, workers, 0, exhaustive, time.Time{}, f)
 		if err != nil {
-			t.Fatalf("%s: SearchShellHost: %v", eng.tag, err)
+			t.Fatalf("%s: SearchShellHost: %v", tag, err)
 		}
-		check(eng.tag, found, seed, covered)
+		check(tag, found, seed, covered)
+	}
+	batched := HashMatcherFactory(alg, target)
+	run("scalar", ScalarMatcher(batched))
+	impls := []string{keccak.ImplPortable}
+	if alg == SHA3 {
+		impls = keccak.SeedDigests8Impls()
+	}
+	for _, impl := range impls {
+		restore := keccak.ForceSeedDigests8Impl(impl)
+		run(DefaultKernel(alg).String()+"/"+impl, batched)
+		restore()
 	}
 }
 
 // TestBatchKernels pins the selection that is no longer a selection:
 // one batch kernel per algorithm, and every HashMatcher is batched.
 func TestBatchKernels(t *testing.T) {
-	for alg, want := range map[HashAlg]BatchKernel{SHA1: KernelMulti4, SHA3: KernelSliced256Delta} {
+	for alg, want := range map[HashAlg]BatchKernel{SHA1: KernelMulti4, SHA3: KernelKeccakX8} {
 		if got := BatchKernels(alg); len(got) != 1 || got[0] != want || DefaultKernel(alg) != want {
 			t.Errorf("%v: BatchKernels = %v, DefaultKernel = %v, want only %v", alg, got, DefaultKernel(alg), want)
 		}
@@ -179,57 +180,141 @@ func TestBatchKernels(t *testing.T) {
 			t.Errorf("%v: default matcher is not a BatchMatcher", alg)
 		}
 	}
-	if DefaultKernel(SHA3).String() != "sliced256delta" || DefaultKernel(SHA1).String() != "multibuf4" {
+	if DefaultKernel(SHA3).String() != "keccakx8" || DefaultKernel(SHA1).String() != "multibuf4" {
 		t.Error("kernel names are bench artifact keys and must not change")
 	}
 }
 
+// partialFills are the batch fill levels around the kernels' group
+// boundaries (4 and 8 seeds), the host stride (64) and the call
+// capacity (256).
+var partialFills = []int{1, 7, 8, 9, 63, 64, 65, 255, 256}
+
 // TestMatchMasksPartialBatches is the padded-tail table test of the
-// batch contract: for every partial and full fill level around the
-// 64-lane word boundaries, both algorithms, and a match planted in the
-// first lane, the last kept lane (the one the pad replicates) and the
-// pad-adjacent lane just past the batch (which must not be reported),
-// MatchMasks must equal the scalar oracle lane for lane - on a freshly
-// primed matcher and on one advancing a live chain.
+// batch contract: for every fill level in partialFills, both
+// algorithms, and a match planted in the first lane, the last kept lane
+// (the one the pad replicates) and the pad-adjacent lane just past the
+// batch (which must not be reported), MatchMasks must equal the scalar
+// oracle lane for lane.
 func TestMatchMasksPartialBatches(t *testing.T) {
-	base := u256.FromUint64(0x5eed)
-	var masks, warm [MatchWidth]u256.Uint256
-	for i := range masks {
-		masks[i] = u256.Zero.FlipBit(i % 256).FlipBit((i*7 + 31) % 256)
-		warm[i] = u256.Zero.FlipBit((i + 5) % 256).FlipBit((i*3 + 100) % 256)
-	}
-	for _, alg := range []HashAlg{SHA1, SHA3} {
-		for _, n := range []int{1, 63, 64, 65, 255, 256} {
-			plants := map[string]int{"first": 0, "last": n - 1}
-			if n < MatchWidth {
-				plants["pad-adjacent"] = n
-			}
-			for where, lane := range plants {
-				target := HashSeed(alg, base.Xor(masks[lane]))
-				oracle := NewHashMatcher(alg, target)
-				var want MatchMask
-				for i := 0; i < n; i++ {
-					if oracle.Match(base.Xor(masks[i])) {
-						want.SetBit(i)
-					}
+	forEachKeccakImpl(t, func(t *testing.T) {
+		base := u256.FromUint64(0x5eed)
+		var masks [MatchWidth]u256.Uint256
+		for i := range masks {
+			masks[i] = u256.Zero.FlipBit(i % 256).FlipBit((i*7 + 31) % 256)
+		}
+		for _, alg := range []HashAlg{SHA1, SHA3} {
+			for _, n := range partialFills {
+				plants := map[string]int{"first": 0, "last": n - 1}
+				if n < MatchWidth {
+					plants["pad-adjacent"] = n
 				}
-				if planted := lane < n; want.Any() != planted || (planted && !want.Bit(lane)) {
-					t.Fatalf("%v n=%d %s: scalar oracle mask %v does not reflect the plant", alg, n, where, want)
-				}
-				for _, chained := range []bool{false, true} {
+				for where, lane := range plants {
+					target := HashSeed(alg, base.Xor(masks[lane]))
 					m := NewHashMatcher(alg, target)
-					if chained {
-						w := warm
-						m.MatchMasks(base, &w, MatchWidth)
+					var want MatchMask
+					for i := 0; i < n; i++ {
+						if m.Match(base.Xor(masks[i])) {
+							want.SetBit(i)
+						}
+					}
+					if planted := lane < n; want.Any() != planted || (planted && !want.Bit(lane)) {
+						t.Fatalf("%v n=%d %s: scalar oracle mask %v does not reflect the plant", alg, n, where, want)
 					}
 					// MatchMasks may overwrite the pad region: hand it a copy.
 					in := masks
 					if got := m.MatchMasks(base, &in, n); got != want {
-						t.Errorf("%v n=%d %s chained=%v: mask %v, scalar oracle %v", alg, n, where, chained, got, want)
+						t.Errorf("%v n=%d %s: mask %v, scalar oracle %v", alg, n, where, got, want)
 					}
 				}
 			}
 		}
+	})
+}
+
+// TestPartialRangeMatchesScalar pins winner and covered accounting
+// against the scalar oracle on ranges whose length is each of
+// partialFills (plus two full strides, so the partial batch is a tail):
+// early-exit hits at the first and last rank, and the exhaustive
+// no-match case.
+func TestPartialRangeMatchesScalar(t *testing.T) {
+	forEachKeccakImpl(t, func(t *testing.T) {
+		base := u256.FromUint64(0x77)
+		const d = 2
+		ctx := context.Background()
+		for _, alg := range []HashAlg{SHA1, SHA3} {
+			for _, n := range partialFills {
+				for _, count := range []uint64{uint64(n), uint64(2*batchStride + n)} {
+					for _, rank := range []uint64{0, count - 1} {
+						want := seedAtRank(t, base, d, iterseq.GrayCode, rank)
+						batched := HashMatcherFactory(alg, HashSeed(alg, want))
+						sf, ss, sc, _, err := SearchRangeHost(ctx, base, d, iterseq.GrayCode, 0, count, 1, 0, false, time.Time{}, ScalarMatcher(batched))
+						if err != nil || !sf {
+							t.Fatalf("%v count=%d rank=%d: scalar oracle found=%v err=%v", alg, count, rank, sf, err)
+						}
+						bf, bs, bc, _, err := SearchRangeHost(ctx, base, d, iterseq.GrayCode, 0, count, 1, 0, false, time.Time{}, batched)
+						if err != nil || !bf {
+							t.Fatalf("%v count=%d rank=%d: batch kernel found=%v err=%v", alg, count, rank, bf, err)
+						}
+						if !bs.Equal(ss) || !bs.Equal(want) {
+							t.Errorf("%v count=%d rank=%d: batch winner differs from scalar oracle", alg, count, rank)
+						}
+						if bc != sc || bc != rank+1 {
+							t.Errorf("%v count=%d rank=%d: batch covered %d, scalar %d, want %d", alg, count, rank, bc, sc, rank+1)
+						}
+					}
+					// The seed just past the range is what a pad lane
+					// would reach if padding read on: never reported.
+					past := seedAtRank(t, base, d, iterseq.GrayCode, count)
+					bf, _, bc, _, err := SearchRangeHost(ctx, base, d, iterseq.GrayCode, 0, count, 1, 0, true, time.Time{},
+						HashMatcherFactory(alg, HashSeed(alg, past)))
+					if err != nil || bf || bc != count {
+						t.Errorf("%v count=%d no-match: found=%v covered=%d err=%v", alg, count, bf, bc, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestPooledMatcherResetOnReuse checks the matcher pool's task-switch
+// hygiene: a matcher that served one task and is drawn for another
+// gives the scalar verdicts for the new target and none for the old,
+// on both match paths. The pool's New hands out one specific matcher so
+// the draw is deterministic: sync.Pool drops Puts at random under the
+// race detector, so reuse identity cannot be asserted through an actual
+// Put/Get round-trip.
+func TestPooledMatcherResetOnReuse(t *testing.T) {
+	base := u256.FromUint64(0xc0ffee)
+	var masks [MatchWidth]u256.Uint256
+	for i := range masks {
+		masks[i] = u256.Zero.FlipBit(i % 256).FlipBit((i*5 + 17) % 256)
+	}
+	const oldLane, newLane = 9, 100
+	for _, algs := range [][2]HashAlg{{SHA3, SHA3}, {SHA3, SHA1}, {SHA1, SHA3}} {
+		oldSeed, newSeed := base.Xor(masks[oldLane]), base.Xor(masks[newLane])
+		hm := NewHashMatcher(algs[0], HashSeed(algs[0], oldSeed))
+		in := masks
+		if got := hm.MatchMasks(base, &in, MatchWidth); got.Count() != 1 || !got.Bit(oldLane) {
+			t.Fatalf("%v: first task matched %v, want lane %d only", algs, got, oldLane)
+		}
+
+		pool := &sync.Pool{New: func() any { return hm }}
+		m := PooledHashMatcherFactory(pool, algs[1], HashSeed(algs[1], newSeed))()
+		pm, ok := m.(*pooledHashMatcher)
+		if !ok || pm.HashMatcher != hm {
+			t.Fatalf("%v: factory returned %T, not the pooled matcher", algs, m)
+		}
+		if !pm.Match(newSeed) || pm.Match(oldSeed) {
+			t.Errorf("%v: scalar verdicts not re-derived for the new target", algs)
+		}
+		in = masks
+		if got := pm.MatchMasks(base, &in, MatchWidth); got.Count() != 1 || !got.Bit(newLane) {
+			t.Errorf("%v: reused matcher matched %v, want lane %d only", algs, got, newLane)
+		}
+		// Release must route back through the wrapper without blowing up;
+		// whether the pool retains the object is sync.Pool's business.
+		pm.ReleaseMatcher()
 	}
 }
 
@@ -282,10 +367,14 @@ func TestHashMatcherScalarAgreesWithHashSeed(t *testing.T) {
 }
 
 // TestHotLoopAllocs asserts the steady-state hot loops allocate
-// nothing per seed: the scalar match, chained MatchMasks on both batch
-// kernels (full and padded-partial batches), the incremental mask
-// iteration, and the batched fill loop.
+// nothing per seed: the scalar match, MatchMasks on both batch kernels
+// (full and padded-partial batches), the incremental mask iteration,
+// and the batched fill loop.
 func TestHotLoopAllocs(t *testing.T) {
+	forEachKeccakImpl(t, testHotLoopAllocs)
+}
+
+func testHotLoopAllocs(t *testing.T) {
 	base := u256.FromUint64(99)
 	for _, alg := range []HashAlg{SHA1, SHA3} {
 		target := HashSeed(alg, base)
@@ -324,8 +413,8 @@ func TestHotLoopAllocs(t *testing.T) {
 			t.Errorf("%v NextMask allocates %.1f/op", method, n)
 		}
 
-		// The 256-wide fill loop: one NextMask per candidate, zero
-		// allocations per batch.
+		// The fill loop: one NextMask per candidate, zero allocations
+		// per batch.
 		var masks [MatchWidth]u256.Uint256
 		if n := testing.AllocsPerRun(20, func() {
 			iterseq.FillMasks(mi, masks[:])

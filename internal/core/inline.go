@@ -20,12 +20,13 @@ import (
 
 // Inline-depth policy values for CAConfig.InlineDepth.
 const (
-	// DefaultInlineDepth covers shells d <= 1 inline: 257 candidates,
-	// one full 256-wide bit-sliced batch plus a one-candidate tail.
+	// DefaultInlineDepth covers shells d <= 1 inline: the base probe
+	// and at most four 64-candidate batches, stopping after the batch
+	// that holds the winner.
 	DefaultInlineDepth = 1
 	// MaxInlineDepth bounds the inline budget: C(256,2) = 32640
-	// candidates is already ~1 ms of caller-goroutine work; anything
-	// larger belongs on a backend.
+	// candidates is already milliseconds of caller-goroutine work;
+	// anything larger belongs on a backend.
 	MaxInlineDepth = 2
 	// InlineDisabled turns the inline fast path off entirely; every
 	// authentication goes to the backend (the pre-progressive behaviour).
@@ -38,7 +39,7 @@ const InlineName = "inline-host"
 
 // inlineMatchers recycles the inline path's matchers across requests.
 // Almost every authentication is served here, and an unpooled matcher is
-// ~180 KB of wide-kernel staging state allocated per request.
+// ~25 KB of batch staging buffers allocated per request.
 var inlineMatchers sync.Pool
 
 // SearchInline covers shells 0..depth of task synchronously on the

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"rbcsalted/internal/keccak"
+)
 
 // BatchKernel identifies a match-engine implementation. The batch
 // kernel is a function of the hash algorithm: each algorithm has
@@ -18,12 +22,11 @@ const (
 	// compression, the SHA-1 batch kernel: it keeps the hardware adder
 	// and hides the round-chain latency.
 	KernelMulti4
-	// KernelSliced256Delta is the 256-lane bit-sliced compression with
-	// sliced-domain delta iteration, the SHA-3 batch kernel: the
-	// candidate batch stays resident in flat Slice256 layout and is
-	// advanced by sparse XOR deltas of the iterator's flip masks, so the
-	// transpose is paid once per search instead of once per batch.
-	KernelSliced256Delta
+	// KernelKeccakX8 is the 8-way lane-interleaved Keccak, the SHA-3
+	// batch kernel: eight states stay in vector registers for all 24
+	// rounds on AVX-512 hosts, and run as eight passes of an unrolled
+	// scalar permutation elsewhere (keccak.SeedDigests8).
+	KernelKeccakX8
 )
 
 // String returns the kernel's short name (the bench artifact key).
@@ -33,8 +36,8 @@ func (k BatchKernel) String() string {
 		return "scalar"
 	case KernelMulti4:
 		return "multibuf4"
-	case KernelSliced256Delta:
-		return "sliced256delta"
+	case KernelKeccakX8:
+		return "keccakx8"
 	default:
 		return fmt.Sprintf("BatchKernel(%d)", int(k))
 	}
@@ -46,7 +49,7 @@ func DefaultKernel(alg HashAlg) BatchKernel {
 	case SHA1:
 		return KernelMulti4
 	case SHA3:
-		return KernelSliced256Delta
+		return KernelKeccakX8
 	default:
 		return KernelScalar
 	}
@@ -64,16 +67,21 @@ func BatchKernels(alg HashAlg) []BatchKernel {
 // DefaultKernelSpeedup returns the measured speedup of alg's batch
 // kernel over the scalar reference: the geometric mean of its four
 // per-iterator ratios in the committed BENCH_host.json (1-worker
-// exhaustive d=2 shells). Cost predictions divide the scalar per-seed
-// host cost by it, so a search is priced at the throughput of the kernel
-// that will actually run; the bench gate fails when a fresh measurement
-// drifts more than its tolerance from the committed rows.
+// exhaustive d=2 shells), for the implementation this process runs -
+// the SHA-3 kernel's two bodies are a factor of five apart. Cost
+// predictions divide the scalar per-seed host cost by it, so a search
+// is priced at the throughput of the kernel that will actually run; the
+// bench gate fails when a fresh measurement drifts more than its
+// tolerance from the committed rows.
 func DefaultKernelSpeedup(alg HashAlg) float64 {
 	switch alg {
 	case SHA1:
 		return 1.25
 	case SHA3:
-		return 6.4
+		if keccak.SeedDigests8Impl() == keccak.ImplAVX512 {
+			return 31.6
+		}
+		return 7.8
 	default:
 		return 1
 	}

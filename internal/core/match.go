@@ -5,17 +5,15 @@ import (
 	"math/bits"
 	"time"
 
-	"rbcsalted/internal/bitslice"
 	"rbcsalted/internal/keccak"
 	"rbcsalted/internal/sha1"
 	"rbcsalted/internal/u256"
 )
 
 // MatchWidth is the capacity of a BatchMatcher call: the largest number
-// of candidate seeds any batch engine evaluates at once (the 256-lane
-// wide bit-sliced compression). Engines with a smaller natural stride
-// advertise it via BatchWidth.
-const MatchWidth = bitslice.Width256
+// of candidate seeds one call evaluates. Engines advertise the stride
+// they want the host loop to fill via BatchWidth.
+const MatchWidth = 256
 
 // MatchMask is a per-lane match bitmask for up to MatchWidth candidates:
 // bit i%64 of word i/64 reports candidate i.
@@ -80,9 +78,7 @@ type Matcher interface {
 // exactly what the iterators' NextMask fast path produces. The host
 // search fills BatchWidth masks at a time (iterseq.FillMasks) and only
 // materializes a candidate for a recorded hit; implementations that hash
-// amortize the per-seed fixed costs across the batch, and may keep the
-// batch resident in their own layout between calls and advance it by the
-// difference of consecutive masks instead of re-marshalling it.
+// amortize the per-seed fixed costs across the batch.
 type BatchMatcher interface {
 	Matcher
 	// BatchWidth returns the engine's preferred candidates-per-call
@@ -137,15 +133,13 @@ func ScalarMatcher(factory MatcherFactory) MatcherFactory {
 //     64 digest bits before comparing the rest - one uint64 compare
 //     decides all but a ~2^-64 fraction of candidates.
 //   - MatchMasks evaluates up to MatchWidth candidates with the
-//     algorithm's batch kernel (DefaultKernel). SHA-3 keeps the batch
-//     resident in 256-lane bit-sliced layout, advances each lane by the
-//     sparse XOR difference of its consecutive masks, runs one wide
-//     compression and AND-reduces the digest bit columns against the
-//     target into the match mask - the software transpose of the APU's
-//     associative compare (§3.3). SHA-1 materializes base^mask per lane
-//     and runs the 4-way interleaved multi-buffer compression. Partial
-//     batches are padded with the last candidate and the pad lanes
-//     masked out, so every candidate sees the same engine.
+//     algorithm's batch kernel (DefaultKernel): base^mask is
+//     materialized per candidate and hashed eight at a time by the
+//     lane-interleaved Keccak (SHA-3) or four at a time by the
+//     interleaved multi-buffer compression (SHA-1), and every digest is
+//     compared in full against the target. The last group of a partial
+//     batch is padded with the final candidate and the pad lanes masked
+//     out, so every candidate sees the same engine.
 //
 // A HashMatcher is single-worker state; build one per goroutine via
 // HashMatcherFactory.
@@ -155,29 +149,21 @@ type HashMatcher struct {
 	sha1T [5]uint32 // SHA-1 target digest words (big-endian)
 	sha3T [4]uint64 // SHA-3 target digest lanes (little-endian)
 	raw   [32]byte  // full target digest bytes
-	eng   bitslice.Engine
 
 	// stage is lent to the host loop (see batchStager).
 	stage [MatchWidth]u256.Uint256
 
-	// seeds holds the SHA-1 batch's materialized candidates, kept on the
-	// matcher so the hot loop never allocates.
+	// The batch's materialized candidates, kept on the matcher so the
+	// hot loop never allocates: serialized seeds for SHA-1, groups of
+	// eight lane-interleaved messages for SHA-3. Both are fully written
+	// before they are read on every call, so nothing of one task's
+	// candidates reaches the next.
 	seeds [MatchWidth][32]byte
-
-	// The SHA-3 batch, resident in flat sliced layout across calls.
-	// deltaMsg holds its four message lanes; deltaPrev remembers each
-	// lane's last flip mask and deltaBase the base they were applied to,
-	// so the next batch advances lane i by the sparse XOR difference of
-	// its masks. deltaLive marks the chain coherent: it drops on Reset,
-	// and a call with a different base re-primes, forcing a pack from
-	// scratch through vals (the four message lanes of each candidate,
-	// extracted straight from the Uint256 limbs).
-	vals      [4][MatchWidth]uint64
-	deltaMsg  [4]bitslice.Slice256
-	deltaPrev [MatchWidth]u256.Uint256
-	deltaBase u256.Uint256
-	deltaLive bool
+	msgs  [MatchWidth / keccakGroup][4][keccakGroup]uint64
 }
+
+// keccakGroup is the number of seeds one keccak.SeedDigests8 call hashes.
+const keccakGroup = 8
 
 // batchStager is an optional BatchMatcher capability: a matcher-owned
 // buffer the host loop stages each batch's flip masks in, instead of an
@@ -196,11 +182,10 @@ func NewHashMatcher(alg HashAlg, target Digest) *HashMatcher {
 	return m
 }
 
-// Reset reconfigures the matcher for a new (algorithm, target) pair and
-// invalidates the resident sliced batch: the next MatchMasks packs from
-// scratch. A matcher drawn from a reuse pool must never carry candidate
-// state across a task switch; everything else on the matcher is derived
-// from (alg, target) or overwritten before use.
+// Reset reconfigures the matcher for a new (algorithm, target) pair. A
+// matcher drawn from a reuse pool must never carry state across a task
+// switch: everything on it is derived here from (alg, target) or
+// overwritten by MatchMasks before use.
 func (m *HashMatcher) Reset(alg HashAlg, target Digest) {
 	m.alg = alg
 	m.raw = target.b
@@ -211,7 +196,6 @@ func (m *HashMatcher) Reset(alg HashAlg, target Digest) {
 	for l := range m.sha3T {
 		m.sha3T[l] = binary.LittleEndian.Uint64(target.b[l*8:])
 	}
-	m.deltaLive = false
 }
 
 // HashMatcherFactory returns a MatcherFactory producing one HashMatcher
@@ -241,20 +225,15 @@ func (m *HashMatcher) Match(candidate u256.Uint256) bool {
 	}
 }
 
-// multi4Stride is the SHA-1 kernel's batch stride. The multi-buffer
-// compression amortizes nothing beyond its 4-lane interleave group, so a
-// short stride keeps early-exit polling and covered accounting
-// fine-grained at no cost.
-const multi4Stride = 64
+// batchStride is the stride both batch kernels run at. Neither
+// amortizes anything beyond its interleave group (eight seeds, four
+// seeds), so a short stride keeps early-exit polling and covered
+// accounting fine-grained at no cost: early exit overshoots the winner
+// by at most 63 candidates.
+const batchStride = 64
 
-// BatchWidth implements BatchMatcher: the wide SHA-3 compression wants
-// full 256-candidate batches, the SHA-1 kernel runs in multi4Stride.
-func (m *HashMatcher) BatchWidth() int {
-	if m.alg == SHA3 {
-		return bitslice.Width256
-	}
-	return multi4Stride
-}
+// BatchWidth implements BatchMatcher.
+func (m *HashMatcher) BatchWidth() int { return batchStride }
 
 // MatchMasks implements BatchMatcher with the algorithm's batch kernel.
 func (m *HashMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
@@ -269,7 +248,7 @@ func (m *HashMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint
 	case SHA1:
 		hits = m.matchMulti4(base, masks, n)
 	case SHA3:
-		hits = m.matchSliced256Delta(base, masks, n)
+		hits = m.matchKeccakX8(base, masks, n)
 	default:
 		panic("core: HashMatcher with unknown algorithm")
 	}
@@ -277,59 +256,47 @@ func (m *HashMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint
 	return hits
 }
 
-// matchSliced256Delta evaluates one batch with the batch resident in
-// sliced layout. The first call of a chain packs the message lanes from
-// scratch (limb extraction plus four 64x64 bit transposes); each later
-// call advances lane i by the XOR of its consecutive masks, which for
-// Hamming-distance-k masks is at most 2k single-word XORs
-// (bitslice.DeltaFill). Partial batches are padded in place with
-// masks[n-1] and the pad lanes kept in the chain like any other, so
-// mid-batch winners and covered accounting agree lane-exactly with the
-// scalar reference once the caller trims the result.
-func (m *HashMatcher) matchSliced256Delta(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
+// matchKeccakX8 evaluates one batch with the lane-interleaved Keccak:
+// all candidates are materialized first (one Pack observation per
+// batch), the last group padded with the final candidate, then hashed
+// eight per call and each digest compared lane for lane against the
+// target. A seed's big-endian byte stream hashes as little-endian
+// 64-bit lanes, so message lane l of a candidate is limb 3-l
+// byte-swapped.
+func (m *HashMatcher) matchKeccakX8(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
 	hbm := loadHostBatchMetrics()
 	var t0 time.Time
 	if hbm != nil {
 		t0 = time.Now()
 	}
-	for i := n; i < MatchWidth; i++ {
-		masks[i] = masks[n-1]
-	}
-	if !m.deltaLive || base != m.deltaBase {
-		// Prime the chain: materialize base^mask per lane and pack once.
-		// A seed's big-endian byte stream hashes as little-endian 64-bit
-		// lanes, so message lane l of a candidate is limb 3-l byte-swapped.
-		for i := 0; i < MatchWidth; i++ {
-			cand := base.Xor(masks[i])
-			m.vals[0][i] = bits.ReverseBytes64(cand.Limb(3))
-			m.vals[1][i] = bits.ReverseBytes64(cand.Limb(2))
-			m.vals[2][i] = bits.ReverseBytes64(cand.Limb(1))
-			m.vals[3][i] = bits.ReverseBytes64(cand.Limb(0))
-		}
-		bitslice.PackSeedVals256(&m.deltaMsg, &m.vals)
-		m.deltaBase = base
-		m.deltaLive = true
-	} else {
-		// Advance: lane i moved from deltaPrev[i] to masks[i]; base
-		// cancels out of the XOR, so the seed-domain delta is just the
-		// mask difference.
-		for i := 0; i < MatchWidth; i++ {
-			prev := &m.deltaPrev[i]
-			d0 := masks[i].Limb(0) ^ prev.Limb(0)
-			d1 := masks[i].Limb(1) ^ prev.Limb(1)
-			d2 := masks[i].Limb(2) ^ prev.Limb(2)
-			d3 := masks[i].Limb(3) ^ prev.Limb(3)
-			if d0|d1|d2|d3 != 0 {
-				bitslice.DeltaFill(&m.deltaMsg, i, d0, d1, d2, d3)
-			}
+	groups := (n + keccakGroup - 1) / keccakGroup
+	b0, b1, b2, b3 := base.Limb(0), base.Limb(1), base.Limb(2), base.Limb(3)
+	for g := 0; g < groups; g++ {
+		msg := &m.msgs[g]
+		for i := 0; i < keccakGroup; i++ {
+			mask := &masks[min(g*keccakGroup+i, n-1)]
+			msg[0][i] = bits.ReverseBytes64(b3 ^ mask.Limb(3))
+			msg[1][i] = bits.ReverseBytes64(b2 ^ mask.Limb(2))
+			msg[2][i] = bits.ReverseBytes64(b1 ^ mask.Limb(1))
+			msg[3][i] = bits.ReverseBytes64(b0 ^ mask.Limb(0))
 		}
 	}
-	copy(m.deltaPrev[:], masks[:])
 	if hbm != nil {
 		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
 	}
-	lanes := m.eng.SHA3Msg256WideSliced(&m.deltaMsg)
-	return MatchMask(bitslice.MatchSliced256(lanes[:], m.sha3T[:]))
+
+	var hits MatchMask
+	var sums [4][keccakGroup]uint64
+	for g := 0; g < groups; g++ {
+		keccak.SeedDigests8(&m.msgs[g], &sums)
+		for i := 0; i < keccakGroup; i++ {
+			if sums[0][i] == m.sha3T[0] && sums[1][i] == m.sha3T[1] &&
+				sums[2][i] == m.sha3T[2] && sums[3][i] == m.sha3T[3] {
+				hits.SetBit(g*keccakGroup + i)
+			}
+		}
+	}
+	return hits
 }
 
 // matchMulti4 evaluates one batch with the interleaved multi-buffer

@@ -2,13 +2,13 @@ package core
 
 import "sync"
 
-// Matcher reuse. A HashMatcher carries ~180KB of kernel staging buffers
-// plus the resident sliced candidate batch, and a serving CA builds one
-// per worker per search — thousands per second at paper-scale load, each
-// a fresh large allocation the GC then has to chase.
-// PooledHashMatcherFactory recycles them through a sync.Pool; Reset on
-// every draw re-derives all target state and invalidates the resident
-// batch, so reuse never leaks candidate or target state across tasks.
+// Matcher reuse. A HashMatcher carries ~25KB of batch staging buffers,
+// and a serving CA builds one per worker per search — thousands per
+// second at paper-scale load, each a fresh allocation the GC then has
+// to chase. PooledHashMatcherFactory recycles them through a sync.Pool;
+// Reset on every draw re-derives all target state and MatchMasks
+// overwrites the staging buffers before reading them, so reuse never
+// leaks candidate or target state across tasks.
 
 // MatcherReleaser is an optional Matcher capability: the host search
 // calls ReleaseMatcher once a worker goroutine is done with its matcher,

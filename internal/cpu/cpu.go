@@ -31,12 +31,10 @@ type Backend struct {
 	Workers int
 
 	// matchers recycles HashMatchers across this backend's searches: each
-	// carries ~180KB of kernel staging buffers plus the resident sliced
-	// candidate batch, and a serving CA builds one per worker per search.
-	// Pool draws are Reset to the task's (alg, target) — which invalidates
-	// any resident state from the previous task — so reuse never leaks
-	// state across task switches. The zero value works;
-	// a Backend must not be copied after first use.
+	// carries ~25KB of batch staging buffers, and a serving CA builds one
+	// per worker per search. Pool draws are Reset to the task's
+	// (alg, target), so reuse never leaks state across task switches.
+	// The zero value works; a Backend must not be copied after first use.
 	matchers sync.Pool
 }
 
@@ -55,10 +53,10 @@ func (b *Backend) workers() int {
 // PredictCost implements core.CostModel: the expected wall time and
 // energy of running the search on *this* host, priced from the measured
 // host cost table (device.MeasureHostCosts) at the throughput of the
-// algorithm's batch kernel, divided across the worker count. An
-// early-exit search prices the final shell at half a worker's share
-// (the uniform-match expectation). Energy uses the device.PowerCPUEst
-// host estimate.
+// algorithm's batch kernel as this process runs it, divided across the
+// worker count. An early-exit search prices the final shell at half a
+// worker's share (the uniform-match expectation). Energy uses the
+// device.PowerCPUEst host estimate.
 func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	if task.MaxDistance < 0 || task.MaxDistance > 10 {
 		return core.Cost{}, fmt.Errorf("cpu: MaxDistance %d outside supported range", task.MaxDistance)
@@ -68,7 +66,11 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	if b.Alg == core.SHA1 {
 		hashNs = costs.SHA1Ns
 	}
-	perSeed := (hashNs/core.DefaultKernelSpeedup(b.Alg) + costs.IterNs[task.Method]) / 1e9
+	// The kernel speedup is a ratio of whole-shell throughputs, iteration
+	// included on both sides, so it divides the whole scalar per-seed
+	// cost: adding the scalar iterator cost on top would count it twice,
+	// which a 30x kernel no longer hides.
+	perSeed := (hashNs + costs.IterNs[task.Method]) / core.DefaultKernelSpeedup(b.Alg) / 1e9
 	workers := uint64(b.workers())
 	seconds := 0.0
 	if task.IncludeBase() {

@@ -8,7 +8,9 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/iterseq"
+	"rbcsalted/internal/keccak"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/u256"
 )
@@ -341,4 +343,47 @@ func rel(got, want float64) float64 {
 		d = -d
 	}
 	return d / want
+}
+
+// TestPredictCostTracksTheKernelThatRuns prices an exhaustive d=2 shell
+// and runs it: on each SHA-3 kernel body this CPU supports the
+// prediction must be within 2x of the measurement, or ETA admission
+// would refuse feasible deadlines and the planner mis-rank the host.
+// The measurement is the best of five runs, as the prediction's cost
+// table is a minimum over rounds: both estimate the unloaded host.
+func TestPredictCostTracksTheKernelThatRuns(t *testing.T) {
+	if device.RaceEnabled {
+		t.Skip("the race detector slows the Go scalar reference the prediction scales from, not the assembly it prices")
+	}
+	base := u256.FromUint64(0x9d2)
+	for _, impl := range keccak.SeedDigests8Impls() {
+		t.Run(impl, func(t *testing.T) {
+			defer keccak.ForceSeedDigests8Impl(impl)()
+			b := &Backend{Alg: core.SHA3, Workers: 1}
+			task := core.Task{
+				Base: base, Target: core.HashSeed(core.SHA3, base),
+				MinDistance: 2, MaxDistance: 2, Exhaustive: true,
+			}
+			predicted, err := b.PredictCost(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			measured := 0.0
+			for run := 0; run < 5; run++ {
+				res, err := b.Search(context.Background(), task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if run == 0 || res.WallSeconds < measured {
+					measured = res.WallSeconds
+				}
+			}
+			if ratio := predicted.Seconds / measured; ratio < 0.5 || ratio > 2 {
+				t.Errorf("predicted %.2f ms, measured %.2f ms: ratio %.2f outside [0.5, 2]",
+					predicted.Seconds*1e3, measured*1e3, ratio)
+			} else {
+				t.Logf("predicted %.2f ms, measured %.2f ms (ratio %.2f)", predicted.Seconds*1e3, measured*1e3, ratio)
+			}
+		})
+	}
 }

@@ -7,10 +7,10 @@ import (
 	"runtime"
 	"time"
 
-	"rbcsalted/internal/bitslice"
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/iterseq"
+	"rbcsalted/internal/keccak"
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/u256"
 )
@@ -34,7 +34,13 @@ import (
 // are gone with the kernels; DESIGN.md §11 keeps their v3 numbers), and
 // the document records which Keccak round implementation the host ran
 // (keccak_isa), without which two SHA-3 rows are not comparable.
-const HostBenchSchema = "rbc-salted/host-bench/v4"
+//
+// v5: every row names the kernel implementation that produced it
+// (impl), the SHA-3 kernel is measured once per implementation the CPU
+// can run, and the gate compares a row only with a fresh row of the
+// same implementation - so a baseline generated on an AVX-512 machine
+// still gates a runner without it, on the portable rows both can run.
+const HostBenchSchema = "rbc-salted/host-bench/v5"
 
 // HostBenchPoint is one (algorithm, iteration method) cell of the host
 // throughput measurement: the scalar one-seed-at-a-time engine against
@@ -42,9 +48,13 @@ const HostBenchSchema = "rbc-salted/host-bench/v4"
 // is the number that transfers across machines and the one the baseline
 // gate compares; the absolute throughputs are context.
 type HostBenchPoint struct {
-	Alg                string  `json:"alg"`
-	Method             string  `json:"method"`
-	Kernel             string  `json:"kernel"`
+	Alg    string `json:"alg"`
+	Method string `json:"method"`
+	Kernel string `json:"kernel"`
+	// Impl is the kernel body that ran: keccak.ImplAVX512 or
+	// keccak.ImplPortable for SHA-3, always portable for SHA-1 (its
+	// kernel is plain Go on every host).
+	Impl               string  `json:"impl"`
 	Width              int     `json:"width"`
 	ScalarSeedsPerSec  float64 `json:"scalar_seeds_per_sec"`
 	BatchedSeedsPerSec float64 `json:"batched_seeds_per_sec"`
@@ -53,8 +63,7 @@ type HostBenchPoint struct {
 	// non-compression phases, measured in a separate instrumented pass
 	// (capturePhases): fill is the iterator drain (successor steps in
 	// FillMasks), pack is candidate marshalling into the kernel's layout
-	// (sparse delta application on the SHA-3 kernel, base^mask
-	// materialization on the SHA-1 kernel).
+	// (base^mask materialization).
 	FillNsPerSeed float64 `json:"fill_ns_per_seed"`
 	PackNsPerSeed float64 `json:"pack_ns_per_seed"`
 }
@@ -82,10 +91,12 @@ const hostBenchDistance = 2
 
 // MeasureHostThroughput measures the real host search engine - the
 // scalar quick-reject loop against the algorithm's batch kernel - over
-// one exhaustive d=2 shell for every algorithm and iteration method. A
-// single worker is used so the numbers track the hot loop itself rather
-// than the host's core count; Workers records it, NumCPU records the
-// machine.
+// one exhaustive d=2 shell for every algorithm and iteration method,
+// and for every implementation of the SHA-3 kernel this CPU can run
+// (the start-up choice first; KeccakISA records it). A single worker is
+// used so the numbers track the hot loop itself rather than the host's
+// core count; Workers records it, NumCPU records the machine. It forces
+// the kernel implementation and must not run beside a search.
 func MeasureHostThroughput() HostBench {
 	hb := HostBench{
 		Schema:      HostBenchSchema,
@@ -94,7 +105,7 @@ func MeasureHostThroughput() HostBench {
 		GoOS:        runtime.GOOS,
 		GoArch:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
-		KeccakISA:   bitslice.KeccakISA(),
+		KeccakISA:   keccak.SeedDigests8Impl(),
 		Workers:     1,
 		Distance:    hostBenchDistance,
 	}
@@ -109,20 +120,29 @@ func MeasureHostThroughput() HostBench {
 		batched := core.HashMatcherFactory(alg, target)
 		scalar := core.ScalarMatcher(batched)
 		width := core.NewHashMatcher(alg, target).BatchWidth()
-		for _, method := range iterseq.Methods() {
-			sc, bt := measureRow(base, method, scalar, batched, hb.SeedsPerShell)
-			fill, pack := capturePhases(base, method, batched, hb.SeedsPerShell)
-			hb.Points = append(hb.Points, HostBenchPoint{
-				Alg:                alg.String(),
-				Method:             method.String(),
-				Kernel:             core.DefaultKernel(alg).String(),
-				Width:              width,
-				ScalarSeedsPerSec:  sc,
-				BatchedSeedsPerSec: bt,
-				Speedup:            bt / sc,
-				FillNsPerSeed:      fill,
-				PackNsPerSeed:      pack,
-			})
+		impls := []string{keccak.ImplPortable}
+		if alg == core.SHA3 {
+			impls = keccak.SeedDigests8Impls()
+		}
+		for _, impl := range impls {
+			restore := keccak.ForceSeedDigests8Impl(impl)
+			for _, method := range iterseq.Methods() {
+				sc, bt := measureRow(base, method, scalar, batched, hb.SeedsPerShell)
+				fill, pack := capturePhases(base, method, batched, hb.SeedsPerShell)
+				hb.Points = append(hb.Points, HostBenchPoint{
+					Alg:                alg.String(),
+					Method:             method.String(),
+					Kernel:             core.DefaultKernel(alg).String(),
+					Impl:               impl,
+					Width:              width,
+					ScalarSeedsPerSec:  sc,
+					BatchedSeedsPerSec: bt,
+					Speedup:            bt / sc,
+					FillNsPerSeed:      fill,
+					PackNsPerSeed:      pack,
+				})
+			}
+			restore()
 		}
 	}
 	return hb
@@ -215,9 +235,11 @@ func measureRow(base u256.Uint256, method iterseq.Method, scalar, batched core.M
 // baseline and returns one message per regression. The comparison is on
 // speedup ratios, not absolute seeds/sec - ratios are what transfer
 // across machines, so the gate works on any host that can run the
-// bench. A point regresses when its ratio falls more than tol (e.g.
-// 0.15 for 15%) below the baseline's, and independently whenever a
-// kernel that beat scalar in the baseline drops to or below scalar
+// bench - but only between equal kernel implementations, so a baseline
+// row whose implementation this host did not measure (it cannot run
+// it) is skipped. A point regresses when its ratio falls more than tol
+// (e.g. 0.15 for 15%) below the baseline's, and independently whenever
+// a kernel that beat scalar in the baseline drops to or below scalar
 // parity. A nil return means the measurement holds the baseline.
 func HostBenchViolations(fresh, baseline HostBench, tol float64) []string {
 	var v []string
@@ -225,25 +247,30 @@ func HostBenchViolations(fresh, baseline HostBench, tol float64) []string {
 		v = append(v, fmt.Sprintf("schema mismatch: fresh %q vs baseline %q (regenerate the baseline)", fresh.Schema, baseline.Schema))
 		return v
 	}
-	type key struct{ alg, method, kernel string }
+	type key struct{ alg, method, kernel, impl string }
 	got := make(map[key]HostBenchPoint, len(fresh.Points))
+	measured := map[string]bool{}
 	for _, p := range fresh.Points {
-		got[key{p.Alg, p.Method, p.Kernel}] = p
+		got[key{p.Alg, p.Method, p.Kernel, p.Impl}] = p
+		measured[p.Impl] = true
 	}
 	for _, b := range baseline.Points {
-		k := key{b.Alg, b.Method, b.Kernel}
-		f, ok := got[k]
+		if !measured[b.Impl] {
+			continue
+		}
+		name := fmt.Sprintf("%s/%s/%s/%s", b.Alg, b.Method, b.Kernel, b.Impl)
+		f, ok := got[key{b.Alg, b.Method, b.Kernel, b.Impl}]
 		if !ok {
-			v = append(v, fmt.Sprintf("%s/%s/%s: missing from fresh measurement", b.Alg, b.Method, b.Kernel))
+			v = append(v, name+": missing from fresh measurement")
 			continue
 		}
 		if f.Speedup < b.Speedup*(1-tol) {
-			v = append(v, fmt.Sprintf("%s/%s/%s: speedup %.2fx fell below baseline %.2fx by more than %.0f%%",
-				b.Alg, b.Method, b.Kernel, f.Speedup, b.Speedup, tol*100))
+			v = append(v, fmt.Sprintf("%s: speedup %.2fx fell below baseline %.2fx by more than %.0f%%",
+				name, f.Speedup, b.Speedup, tol*100))
 		}
 		if b.Speedup > 1.0 && f.Speedup <= 1.0 {
-			v = append(v, fmt.Sprintf("%s/%s/%s: speedup %.2fx dropped to or below scalar parity (baseline %.2fx)",
-				b.Alg, b.Method, b.Kernel, f.Speedup, b.Speedup))
+			v = append(v, fmt.Sprintf("%s: speedup %.2fx dropped to or below scalar parity (baseline %.2fx)",
+				name, f.Speedup, b.Speedup))
 		}
 	}
 	return v
@@ -255,12 +282,12 @@ func (hb HostBench) Table() *Table {
 		ID:    "hostthroughput",
 		Title: fmt.Sprintf("Host search throughput, exhaustive d=%d shell (%d seeds), 1 worker", hb.Distance, hb.SeedsPerShell),
 		Headers: []string{
-			"Hash", "Iterator", "Kernel", "Width", "Scalar seeds/s", "Batched seeds/s", "Speedup", "Fill ns/seed", "Pack ns/seed",
+			"Hash", "Iterator", "Kernel", "Impl", "Width", "Scalar seeds/s", "Batched seeds/s", "Speedup", "Fill ns/seed", "Pack ns/seed",
 		},
 	}
 	for _, p := range hb.Points {
 		t.Rows = append(t.Rows, []string{
-			p.Alg, p.Method, p.Kernel,
+			p.Alg, p.Method, p.Kernel, p.Impl,
 			fmt.Sprintf("%d", p.Width),
 			fmt.Sprintf("%.0f", p.ScalarSeedsPerSec),
 			fmt.Sprintf("%.0f", p.BatchedSeedsPerSec),
@@ -271,8 +298,8 @@ func (hb HostBench) Table() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"each algorithm's batch kernel is measured against the scalar quick-reject loop; the speedup ratio is what the baseline gate compares",
-		"fill/pack ns/seed are from a separate instrumented pass: fill = iterator drain, pack = marshalling into the kernel layout (delta application on SHA-3, base^mask materialization on SHA-1)",
-		fmt.Sprintf("%s %s/%s, %d cores, keccak round: %s", hb.GoVersion, hb.GoOS, hb.GoArch, hb.NumCPU, hb.KeccakISA),
+		"fill/pack ns/seed are from a separate instrumented pass: fill = iterator drain, pack = base^mask materialization into the kernel layout",
+		fmt.Sprintf("%s %s/%s, %d cores, SHA-3 kernel in service: %s", hb.GoVersion, hb.GoOS, hb.GoArch, hb.NumCPU, hb.KeccakISA),
 	)
 	return t
 }

@@ -287,8 +287,8 @@ type (
 	MatcherFactory = core.MatcherFactory
 	// HashMatcher is the digest-equality matcher used by every hashing
 	// backend: scalar quick-reject plus the algorithm's batch kernel
-	// (wide bit-sliced compression with a resident, delta-advanced batch
-	// for SHA-3, multi-buffer interleaved compression for SHA-1).
+	// (8-way lane-interleaved Keccak for SHA-3, multi-buffer interleaved
+	// compression for SHA-1).
 	HashMatcher = core.HashMatcher
 	// MatchMask is the per-batch match bitmask: bit i%64 of word i/64
 	// is set iff candidate i matched.
@@ -300,8 +300,8 @@ type (
 
 // Host search engine constants.
 const (
-	// MatchWidth is the number of candidates a BatchMatcher evaluates
-	// per call - one 256-lane wide bit-sliced compression.
+	// MatchWidth is the largest number of candidates a BatchMatcher
+	// evaluates per call.
 	MatchWidth = core.MatchWidth
 	// DefaultCheckInterval is the early-exit poll interval applied when
 	// Task.CheckInterval is left at zero.
@@ -316,9 +316,9 @@ const (
 	// KernelMulti4 is the 4-way interleaved multi-buffer scalar
 	// compression, the SHA-1 batch kernel.
 	KernelMulti4 = core.KernelMulti4
-	// KernelSliced256Delta is the 256-lane bit-sliced compression over
-	// a resident, delta-advanced batch, the SHA-3 batch kernel.
-	KernelSliced256Delta = core.KernelSliced256Delta
+	// KernelKeccakX8 is the 8-way lane-interleaved Keccak (register-
+	// resident on AVX-512 hosts), the SHA-3 batch kernel.
+	KernelKeccakX8 = core.KernelKeccakX8
 )
 
 // Matcher constructors.
