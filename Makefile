@@ -6,8 +6,10 @@ FUZZTIME ?= 10s
 # check is the CI gate: compile everything, vet, run the full test suite
 # with the race detector (the scheduler and backend-cancellation tests
 # are concurrency tests and only count when raced), smoke the fuzz
-# targets, then check the generated assembly is what its generator emits.
-check: build vet race fuzz gen-check
+# targets, check the generated assembly is what its generator emits, then
+# vet and test the nested benchmark module, the only code that links some
+# of the core/cpu seams and which `./...` from the root does not reach.
+check: build vet race fuzz gen-check bench-module
 
 build:
 	$(GO) build ./...

@@ -70,12 +70,9 @@ func ParseBackendKind(s string) (BackendKind, error) {
 }
 
 // BackendSpec describes the search engine NewBackend should build. The
-// zero value (plus a Kind) is a sensible default for every kind; the
-// With* functional options fill in the cross-cutting fields so call
-// sites read declaratively:
+// zero value (plus a Kind) is a sensible default for every kind:
 //
-//	b, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU},
-//		rbc.WithAlg(rbc.SHA3), rbc.WithDevices(3))
+//	b, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Alg: rbc.SHA3, Devices: 3})
 type BackendSpec struct {
 	// Kind selects the engine.
 	Kind BackendKind
@@ -110,76 +107,12 @@ type BackendSpec struct {
 	HeartbeatTimeout  time.Duration
 }
 
-// BackendOption mutates a BackendSpec; pass options to NewBackend after
-// the spec.
-type BackendOption func(*BackendSpec)
-
-// WithAlg sets the search hash algorithm.
-func WithAlg(alg HashAlg) BackendOption {
-	return func(s *BackendSpec) { s.Alg = alg }
-}
-
-// WithCores sets CPU workers (CPU kind) or host execution goroutines
-// (GPU/APU kinds).
-func WithCores(n int) BackendOption {
-	return func(s *BackendSpec) { s.Cores = n }
-}
-
-// WithDevices sets the simulated device count (GPU/APU kinds).
-func WithDevices(n int) BackendOption {
-	return func(s *BackendSpec) { s.Devices = n }
-}
-
-// WithCheckInterval sets seeds hashed between exit-flag polls (GPU
-// kind).
-func WithCheckInterval(n int) BackendOption {
-	return func(s *BackendSpec) { s.CheckInterval = n }
-}
-
-// WithExecBudget caps the shell size executed for real in the
-// simulators.
-func WithExecBudget(n uint64) BackendOption {
-	return func(s *BackendSpec) { s.ExecBudget = n }
-}
-
-// WithFallback enables the cluster's degraded mode on a local backend.
-func WithFallback(b Backend) BackendOption {
-	return func(s *BackendSpec) { s.Fallback = b }
-}
-
-// WithMetrics publishes the cluster's fault-tolerance counters.
-func WithMetrics(r *MetricsRegistry) BackendOption {
-	return func(s *BackendSpec) { s.Metrics = r }
-}
-
-// WithHeartbeat tunes the cluster's failure detector. A zero interval
-// or timeout keeps the cluster default for that field.
-func WithHeartbeat(interval, timeout time.Duration) BackendOption {
-	return func(s *BackendSpec) {
-		s.HeartbeatInterval = interval
-		s.HeartbeatTimeout = timeout
-	}
-}
-
-// WithJoulesBudget caps the planner's total energy spend in joules.
-func WithJoulesBudget(j float64) BackendOption {
-	return func(s *BackendSpec) { s.JoulesBudget = j }
-}
-
-// WithPlanPolicy selects the planner's dispatch objective.
-func WithPlanPolicy(p PlanPolicy) BackendOption {
-	return func(s *BackendSpec) { s.PlanPolicy = p }
-}
-
 // NewBackend is the single entry point for constructing any of the five
 // search engines.
 //
 // A cluster backend is returned as a *ClusterCoordinator ready for
 // Serve; remember to Close it. All other kinds are ready immediately.
-func NewBackend(spec BackendSpec, opts ...BackendOption) (Backend, error) {
-	for _, opt := range opts {
-		opt(&spec)
-	}
+func NewBackend(spec BackendSpec) (Backend, error) {
 	if spec.Cores < 0 {
 		return nil, fmt.Errorf("rbc: negative cores %d", spec.Cores)
 	}

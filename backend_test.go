@@ -1,9 +1,8 @@
 package rbc_test
 
 // Tests for the unified NewBackend constructor: every kind must
-// construct and actually search, the deprecated per-kind constructors
-// must keep working, and the option plumbing must reach the underlying
-// engines.
+// construct and actually search, and the spec's fields must reach the
+// underlying engines.
 
 import (
 	"context"
@@ -34,8 +33,7 @@ func TestNewBackendConstructsAllKinds(t *testing.T) {
 	task, client := backendTask(t, rbc.SHA3)
 	kinds := []rbc.BackendKind{rbc.BackendCPU, rbc.BackendGPU, rbc.BackendAPU, rbc.BackendPlanner}
 	for _, kind := range kinds {
-		b, err := rbc.NewBackend(rbc.BackendSpec{Kind: kind},
-			rbc.WithAlg(rbc.SHA3), rbc.WithCores(2))
+		b, err := rbc.NewBackend(rbc.BackendSpec{Kind: kind, Alg: rbc.SHA3, Cores: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -51,11 +49,14 @@ func TestNewBackendConstructsAllKinds(t *testing.T) {
 
 func TestNewBackendCluster(t *testing.T) {
 	reg := rbc.NewMetricsRegistry()
-	b, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendCluster},
-		rbc.WithAlg(rbc.SHA3),
-		rbc.WithFallback(&rbc.CPUBackend{Alg: rbc.SHA3, Workers: 2}),
-		rbc.WithMetrics(reg),
-		rbc.WithHeartbeat(50*time.Millisecond, 500*time.Millisecond))
+	b, err := rbc.NewBackend(rbc.BackendSpec{
+		Kind:              rbc.BackendCluster,
+		Alg:               rbc.SHA3,
+		Fallback:          &rbc.CPUBackend{Alg: rbc.SHA3, Workers: 2},
+		Metrics:           reg,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatTimeout:  500 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +93,11 @@ func TestNewBackendCluster(t *testing.T) {
 }
 
 func TestNewBackendClusterFallbackWithoutFleet(t *testing.T) {
-	b, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendCluster},
-		rbc.WithAlg(rbc.SHA1),
-		rbc.WithFallback(&rbc.CPUBackend{Alg: rbc.SHA1, Workers: 2}))
+	b, err := rbc.NewBackend(rbc.BackendSpec{
+		Kind:     rbc.BackendCluster,
+		Alg:      rbc.SHA1,
+		Fallback: &rbc.CPUBackend{Alg: rbc.SHA1, Workers: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +121,10 @@ func TestNewBackendRejectsBadSpecs(t *testing.T) {
 	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendKind(42)}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendCPU}, rbc.WithCores(-1)); err == nil {
+	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendCPU, Cores: -1}); err == nil {
 		t.Fatal("negative cores accepted")
 	}
-	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU}, rbc.WithDevices(-2)); err == nil {
+	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Devices: -2}); err == nil {
 		t.Fatal("negative devices accepted")
 	}
 }

@@ -26,7 +26,7 @@ func main() {
 		"device", "hash", "search(s)", "energy(J)", "peak(W)", "J/Gseed")
 	for _, alg := range []rbc.HashAlg{rbc.SHA1, rbc.SHA3} {
 		for _, kind := range []rbc.BackendKind{rbc.BackendGPU, rbc.BackendAPU} {
-			b, err := rbc.NewBackend(rbc.BackendSpec{Kind: kind}, rbc.WithAlg(alg))
+			b, err := rbc.NewBackend(rbc.BackendSpec{Kind: kind, Alg: alg})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,10 +57,12 @@ func main() {
 	// search to whichever engine its calibrated cost curves predict to be
 	// cheapest for that shell depth.
 	const budget = 2000.0
-	b, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendPlanner},
-		rbc.WithAlg(rbc.SHA3),
-		rbc.WithPlanPolicy(rbc.PlanEnergy),
-		rbc.WithJoulesBudget(budget))
+	b, err := rbc.NewBackend(rbc.BackendSpec{
+		Kind:         rbc.BackendPlanner,
+		Alg:          rbc.SHA3,
+		PlanPolicy:   rbc.PlanEnergy,
+		JoulesBudget: budget,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,8 +41,7 @@ func main() {
 func meanSeconds(alg rbc.HashAlg, devices int, exhaustive bool, trials int) float64 {
 	// NewBackend's GPU kind runs shared-memory iterator state (the
 	// paper's best config) by default.
-	backend, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU},
-		rbc.WithAlg(alg), rbc.WithDevices(devices))
+	backend, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Alg: alg, Devices: devices})
 	if err != nil {
 		log.Fatal(err)
 	}

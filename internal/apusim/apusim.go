@@ -17,18 +17,15 @@
 package apusim
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"rbcsalted/internal/bitslice"
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/device"
-	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/u256"
 )
 
@@ -147,24 +144,13 @@ func (b *Backend) powerModel() (device.PowerModel, float64) {
 // early-exit search prices the final shell at half each PE's share (the
 // uniform-match expectation); every other shell is priced in full.
 func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Cost{}, fmt.Errorf("apusim: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	var cycles, seconds float64
-	if task.IncludeBase() {
-		cycles += b.cyclesPerSeed
-	}
-	totalPEs := uint64(b.pes) * uint64(b.cfg.Devices)
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		size, ok := combin.Binomial64(256, d)
-		if !ok {
-			return core.Cost{}, fmt.Errorf("apusim: C(256,%d) overflows uint64", d)
-		}
-		perPE := (size + totalPEs - 1) / totalPEs
-		cycles += float64(core.ExpectedShellCoverage(task, d, perPE)) * b.cyclesPerSeed
-		if b.cfg.Devices > 1 {
-			seconds += perDeviceShellSyncSeconds * float64(b.cfg.Devices)
-		}
+	seconds := 0.0
+	cycles, err := core.PriceBall(task, b.totalPEs(), b.cyclesPerSeed, func(_ int, _, expect uint64) float64 {
+		seconds += b.syncSeconds()
+		return float64(expect) * b.cyclesPerSeed
+	})
+	if err != nil {
+		return core.Cost{}, err
 	}
 	if !task.Exhaustive && b.cfg.Devices > 1 {
 		seconds += exitDrainSeconds
@@ -177,122 +163,57 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	}, nil
 }
 
-// Search implements core.Backend. Cancellation is polled at 256-seed
-// batch boundaries in the bit-sliced execution paths — the same places
-// the hardware checks its early-exit flag — and between shells in the
-// analytic planner.
-func (b *Backend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	core.TraceSearchStart(task, b.Name())
-	res, err := b.search(ctx, task)
-	core.TraceSearchEnd(task, b.Name(), res, err)
-	return res, err
+// totalPEs is the processing-element count across all devices in the
+// node; they progress in lockstep over equal shares of a shell.
+func (b *Backend) totalPEs() uint64 { return uint64(b.pes) * uint64(b.cfg.Devices) }
+
+// syncSeconds is the host-side shell dispatch per device (multi-APU
+// only, §5 extension).
+func (b *Backend) syncSeconds() float64 {
+	if b.cfg.Devices > 1 {
+		return perDeviceShellSyncSeconds * float64(b.cfg.Devices)
+	}
+	return 0
 }
 
-func (b *Backend) search(ctx context.Context, task core.Task) (core.Result, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Result{}, fmt.Errorf("apusim: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var res core.Result
+// Search implements core.Backend. Cancellation is polled at batch
+// boundaries in the bit-sliced execution paths — the same places the
+// hardware checks its early-exit flag — and between shells in the
+// analytic planner.
+func (b *Backend) Search(ctx context.Context, task core.Task) (core.Result, error) {
 	var clock device.VirtualClock
-
-	// The distance-0 base probe is skipped when MinDistance says the
-	// caller already covered it.
-	if task.IncludeBase() {
-		res.HashesExecuted++
-		res.SeedsCovered++
-		clock.AdvanceCycles(b.cyclesPerSeed, device.GeminiAPU.ClockHz)
-		if core.HashSeed(b.cfg.Alg, task.Base).Equal(task.Target) {
-			res.Found = true
-			res.Seed = task.Base
-			res.Distance = 0
-		}
-	}
-
-	if !(res.Found && !task.Exhaustive) {
-		for d := task.StartShell(); d <= task.MaxDistance; d++ {
-			if ctx.Err() != nil {
-				res.DeviceSeconds = clock.Seconds()
-				res.WallSeconds = time.Since(start).Seconds()
-				return res, ctx.Err()
-			}
-			before := clock.Seconds()
-			coveredBefore := res.SeedsCovered
-			done, err := b.searchShell(ctx, task, d, &res, &clock)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					res.DeviceSeconds = clock.Seconds()
-					res.WallSeconds = time.Since(start).Seconds()
-					return res, err
-				}
-				return core.Result{}, err
-			}
-			st := core.ShellStat{
-				Distance:      d,
-				SeedsCovered:  res.SeedsCovered - coveredBefore,
-				DeviceSeconds: clock.Seconds() - before,
-			}
-			res.Shells = append(res.Shells, st)
-			core.TraceShell(task, b.Name(), st)
-			if done {
-				break
-			}
-			if task.TimeLimit > 0 && clock.Seconds() > task.TimeLimit.Seconds() {
-				res.TimedOut = true
-				break
-			}
-		}
-	}
-
-	res.DeviceSeconds = clock.Seconds()
-	if task.TimeLimit > 0 && res.DeviceSeconds > task.TimeLimit.Seconds() {
-		res.TimedOut = true
-	}
+	res, err := core.SearchBall(ctx, task, core.Engine{
+		Name: b.Name(),
+		Probe: func(base u256.Uint256) bool {
+			clock.AdvanceCycles(b.cyclesPerSeed, device.GeminiAPU.ClockHz)
+			return core.HashSeed(b.cfg.Alg, base).Equal(task.Target)
+		},
+		Shell: func(ctx context.Context, d int, _ time.Time) (core.ShellOutcome, error) {
+			return b.searchShell(ctx, task, d, &clock)
+		},
+		Clock: clock.Seconds,
+	})
 	power, peak := b.powerModel()
 	res.EnergyJoules = power.Energy(res.DeviceSeconds) * float64(b.cfg.Devices)
 	res.PeakWatts = peak * float64(b.cfg.Devices)
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return res, err
 }
 
-func (b *Backend) searchShell(ctx context.Context, task core.Task, d int, res *core.Result, clock *device.VirtualClock) (bool, error) {
+// searchShell covers one Hamming shell and charges it to the clock.
+func (b *Backend) searchShell(ctx context.Context, task core.Task, d int, clock *device.VirtualClock) (core.ShellOutcome, error) {
 	size, ok := combin.Binomial64(256, d)
 	if !ok {
-		return false, fmt.Errorf("apusim: C(256,%d) overflows uint64", d)
+		return core.ShellOutcome{}, fmt.Errorf("apusim: C(256,%d) overflows uint64", d)
 	}
-
-	var matched bool
-	var seed u256.Uint256
-
-	if size <= b.cfg.ExecBudget {
-		f, s, hashed, err := b.executeShellBitsliced(ctx, task, d)
-		res.HashesExecuted += hashed
-		if err != nil {
-			res.SeedsCovered += hashed
-			return false, err
-		}
-		matched, seed = f, s
-	} else {
-		// Analytic planning: verify the oracle by hashing, plus execute a
-		// validation sample of real bit-sliced batches.
-		if task.Oracle != nil && core.MatchShell(task.Base, *task.Oracle) == d {
-			res.HashesExecuted++
-			if core.HashSeed(b.cfg.Alg, *task.Oracle).Equal(task.Target) {
-				matched = true
-				seed = *task.Oracle
-			}
-		}
-		f, s, hashed, err := b.executeSample(task, d, 8*bitslice.Width)
-		if err != nil {
-			return false, err
-		}
-		res.HashesExecuted += hashed
-		if f && !matched {
-			matched, seed = true, s
-		}
+	// Real execution is the host shell executor over the bit-sliced
+	// matcher, polled at the batch boundaries where the hardware checks
+	// its flag.
+	out, err := core.SearchShellSim(ctx, task, b.cfg.Alg, d, size, b.cfg.ExecBudget,
+		b.cfg.HostWorkers, BatchSeeds, func() core.Matcher {
+			return &sliceMatcher{alg: b.cfg.Alg, target: task.Target, want: task.Target.Bytes()}
+		})
+	if err != nil {
+		return out, err
 	}
 
 	// Charge modelled time. PEs (across all devices in the node) progress
@@ -300,205 +221,75 @@ func (b *Backend) searchShell(ctx context.Context, task core.Task, d int, res *c
 	// finding PE's current 256-seed batch. Multi-APU runs pay host-side
 	// shell dispatch per device and one drain on early exit (§5
 	// extension).
-	totalPEs := uint64(b.pes) * uint64(b.cfg.Devices)
+	totalPEs := b.totalPEs()
 	perPE := (size + totalPEs - 1) / totalPEs
-	sync := 0.0
-	if b.cfg.Devices > 1 {
-		sync = perDeviceShellSyncSeconds * float64(b.cfg.Devices)
-	}
-	if matched && !task.Exhaustive {
-		rank, err := core.MatchRank(task.Method, task.Base, seed)
+	out.Covered = size
+	if out.Found && !task.Exhaustive {
+		rank, err := core.MatchRank(task.Method, task.Base, out.Seed)
 		if err != nil {
-			return false, err
+			return core.ShellOutcome{Hashed: out.Hashed}, err
 		}
-		share := size / totalPEs // share before remainder distribution
-		if share == 0 {
-			share = 1
-		}
-		local := rank % share
+		share := max(size/totalPEs, 1) // share before remainder distribution
 		// Round up to the batch boundary where the flag is checked.
-		batches := (local + BatchSeeds) / BatchSeeds
-		steps := min64(batches*BatchSeeds, perPE)
+		batches := (rank%share + BatchSeeds) / BatchSeeds
+		steps := min(batches*BatchSeeds, perPE)
 		clock.AdvanceCycles(float64(steps)*b.cyclesPerSeed, device.GeminiAPU.ClockHz)
-		clock.AdvanceSeconds(sync)
+		clock.AdvanceSeconds(b.syncSeconds())
 		if b.cfg.Devices > 1 {
 			clock.AdvanceSeconds(exitDrainSeconds)
 		}
-		res.SeedsCovered += min64(steps*totalPEs, size)
-		res.Found = true
-		res.Seed = seed
-		res.Distance = d
-		return true, nil
+		out.Covered = min(steps*totalPEs, size)
+		return out, nil
 	}
 	clock.AdvanceCycles(float64(perPE)*b.cyclesPerSeed, device.GeminiAPU.ClockHz)
-	clock.AdvanceSeconds(sync)
-	res.SeedsCovered += size
-	if matched && !res.Found {
-		res.Found = true
-		res.Seed = seed
-		res.Distance = d
-	}
-	return res.Found && !task.Exhaustive, nil
+	clock.AdvanceSeconds(b.syncSeconds())
+	return out, nil
 }
 
-// executeShellBitsliced covers the whole shell with real bit-sliced
-// batches across host goroutines, honouring batch-boundary early exit.
-// ctx is polled at the same batch boundaries as the exit flag.
-func (b *Backend) executeShellBitsliced(ctx context.Context, task core.Task, d int) (bool, u256.Uint256, uint64, error) {
-	workers := b.cfg.HostWorkers
-	if workers <= 0 {
-		workers = 4
-	}
-	ranges, err := iterseq.Partition(256, d, workers)
-	if err != nil {
-		return false, u256.Zero, 0, err
-	}
-	var (
-		stop      atomic.Bool
-		cancelled atomic.Bool
-		hashed    atomic.Uint64
-		mu        sync.Mutex
-		wg        sync.WaitGroup
-	)
-	var foundSeed u256.Uint256
-	var found bool
-	done := ctx.Done()
-
-	for _, r := range ranges {
-		if r.Count == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(r iterseq.Range) {
-			defer wg.Done()
-			it, iterErr := iterseq.New(task.Method, 256, d, r.Start, int64(r.Count))
-			if iterErr != nil {
-				panic(iterErr)
-			}
-			var engine bitslice.Engine
-			c := make([]int, d)
-			var batch [bitslice.Width][32]byte
-			var batchSeeds [bitslice.Width]u256.Uint256
-			for {
-				nIn := 0
-				for nIn < bitslice.Width && it.Next(c) {
-					s := iterseq.ApplySeed(task.Base, c)
-					batchSeeds[nIn] = s
-					batch[nIn] = s.Bytes()
-					nIn++
-				}
-				if nIn == 0 {
-					return
-				}
-				// Unused lanes hash garbage; they are ignored below.
-				hit := -1
-				if b.cfg.Alg == core.SHA1 {
-					digests := engine.SHA1Seeds(&batch)
-					want := task.Target.Bytes()
-					for i := 0; i < nIn; i++ {
-						if string(digests[i][:]) == string(want) {
-							hit = i
-							break
-						}
-					}
-				} else {
-					digests := engine.SHA3Seeds256(&batch)
-					want := task.Target.Bytes()
-					for i := 0; i < nIn; i++ {
-						if string(digests[i][:]) == string(want) {
-							hit = i
-							break
-						}
-					}
-				}
-				hashed.Add(uint64(nIn))
-				if hit >= 0 {
-					mu.Lock()
-					if !found {
-						found = true
-						foundSeed = batchSeeds[hit]
-					}
-					mu.Unlock()
-					if !task.Exhaustive {
-						stop.Store(true)
-						return
-					}
-				}
-				// Batch-boundary early-exit and cancellation checks, as on
-				// hardware.
-				select {
-				case <-done:
-					cancelled.Store(true)
-					stop.Store(true)
-					return
-				default:
-				}
-				if stop.Load() && (!task.Exhaustive || cancelled.Load()) {
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	if cancelled.Load() && !found {
-		return false, u256.Zero, hashed.Load(), ctx.Err()
-	}
-	return found, foundSeed, hashed.Load(), nil
+// sliceMatcher is the APU's execution engine as a core.BatchMatcher:
+// bitslice.Width candidates per call through the bit-sliced gate-level
+// hash — the software transpose of the APU's bit-serial associative
+// compute.
+type sliceMatcher struct {
+	alg    core.HashAlg
+	target core.Digest
+	want   []byte
+	engine bitslice.Engine
+	batch  [bitslice.Width][32]byte
 }
 
-// executeSample runs a bounded number of real bit-sliced batches from the
-// front of the shell, keeping every modelled search backed by executed
-// gate-level code.
-func (b *Backend) executeSample(task core.Task, d int, sample int64) (bool, u256.Uint256, uint64, error) {
-	it, err := iterseq.New(task.Method, 256, d, 0, sample)
-	if err != nil {
-		return false, u256.Zero, 0, err
-	}
-	var engine bitslice.Engine
-	c := make([]int, d)
-	var batch [bitslice.Width][32]byte
-	var batchSeeds [bitslice.Width]u256.Uint256
-	hashed := uint64(0)
-	for {
-		nIn := 0
-		for nIn < bitslice.Width && it.Next(c) {
-			s := iterseq.ApplySeed(task.Base, c)
-			batchSeeds[nIn] = s
-			batch[nIn] = s.Bytes()
-			nIn++
+// Match implements core.Matcher for callers that strip the batch form.
+func (m *sliceMatcher) Match(candidate u256.Uint256) bool {
+	return core.HashSeed(m.alg, candidate).Equal(m.target)
+}
+
+// BatchWidth implements core.BatchMatcher.
+func (m *sliceMatcher) BatchWidth() int { return bitslice.Width }
+
+// MatchMasks implements core.BatchMatcher. Lanes past a partial batch's
+// end hash whatever the previous batch left there; they are never read.
+func (m *sliceMatcher) MatchMasks(base u256.Uint256, masks *[core.MatchWidth]u256.Uint256, n int) core.MatchMask {
+	var hits core.MatchMask
+	for off := 0; off < n; off += bitslice.Width {
+		k := min(n-off, bitslice.Width)
+		for i := 0; i < k; i++ {
+			m.batch[i] = base.Xor(masks[off+i]).Bytes()
 		}
-		if nIn == 0 {
-			return false, u256.Zero, hashed, nil
-		}
-		want := task.Target.Bytes()
-		hit := -1
-		if b.cfg.Alg == core.SHA1 {
-			digests := engine.SHA1Seeds(&batch)
-			for i := 0; i < nIn; i++ {
-				if string(digests[i][:]) == string(want) {
-					hit = i
-					break
+		if m.alg == core.SHA1 {
+			digests := m.engine.SHA1Seeds(&m.batch)
+			for i := 0; i < k; i++ {
+				if bytes.Equal(digests[i][:], m.want) {
+					hits.SetBit(off + i)
 				}
 			}
 		} else {
-			digests := engine.SHA3Seeds256(&batch)
-			for i := 0; i < nIn; i++ {
-				if string(digests[i][:]) == string(want) {
-					hit = i
-					break
+			digests := m.engine.SHA3Seeds256(&m.batch)
+			for i := 0; i < k; i++ {
+				if bytes.Equal(digests[i][:], m.want) {
+					hits.SetBit(off + i)
 				}
 			}
 		}
-		hashed += uint64(nIn)
-		if hit >= 0 {
-			return true, batchSeeds[hit], hashed, nil
-		}
 	}
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return hits
 }

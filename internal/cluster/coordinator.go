@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,9 +37,8 @@ const (
 	// searches to finish before disconnecting the fleet.
 	DefaultDrainTimeout = 10 * time.Second
 
-	// flightLatencyRing is the sample window behind the
-	// percentile-derived hedge trigger.
-	flightLatencyRing = 256
+	// hedgeMinDelay floors the percentile-derived hedge trigger.
+	hedgeMinDelay = 25 * time.Millisecond
 )
 
 // HedgeConfig tunes hedged shard dispatch: a flight (one shard on one
@@ -54,38 +52,9 @@ type HedgeConfig struct {
 	// Enabled turns hedged dispatch on.
 	Enabled bool
 	// Delay is a fixed hedge trigger. Zero derives the trigger from the
-	// observed flight-latency distribution (Quantile); a fixed delay
-	// makes tests deterministic.
+	// observed flight-latency distribution (obs.HedgeWindow); a fixed
+	// delay makes tests deterministic.
 	Delay time.Duration
-	// Quantile is the flight-latency percentile used when Delay is zero;
-	// 0 means 0.95.
-	Quantile float64
-	// MinDelay floors the derived trigger; 0 means 25ms.
-	MinDelay time.Duration
-	// MinSamples is how many completed flights must be observed before a
-	// derived trigger fires; 0 means 16.
-	MinSamples int
-}
-
-func (h HedgeConfig) quantile() float64 {
-	if h.Quantile <= 0 || h.Quantile >= 1 {
-		return 0.95
-	}
-	return h.Quantile
-}
-
-func (h HedgeConfig) minDelay() time.Duration {
-	if h.MinDelay <= 0 {
-		return 25 * time.Millisecond
-	}
-	return h.MinDelay
-}
-
-func (h HedgeConfig) minSamples() int {
-	if h.MinSamples <= 0 {
-		return 16
-	}
-	return h.MinSamples
 }
 
 // ErrClosed reports a Search submitted after Close.
@@ -204,12 +173,9 @@ type Coordinator struct {
 	hedges       atomic.Uint64
 	hedgeWins    atomic.Uint64
 
-	// latMu guards the flight-latency ring feeding the derived hedge
-	// trigger.
-	latMu      sync.Mutex
-	latSamples [flightLatencyRing]float64
-	latCount   int
-	latNext    int
+	// flightLatency holds completed flights' dispatch-to-done latencies,
+	// feeding the derived hedge trigger.
+	flightLatency obs.HedgeWindow
 
 	mDeaths       *obs.Counter
 	mRedispatches *obs.Counter
@@ -632,87 +598,25 @@ func (c *Coordinator) Search(ctx context.Context, task core.Task) (core.Result, 
 	c.mu.Unlock()
 	defer c.searches.Done()
 
-	core.TraceSearchStart(task, c.Name())
-	res, err := c.search(ctx, task)
-	core.TraceSearchEnd(task, c.Name(), res, err)
-	return res, err
-}
-
-func (c *Coordinator) search(ctx context.Context, task core.Task) (core.Result, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Result{}, fmt.Errorf("cluster: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-
 	// Degraded mode: an empty fleet at search entry delegates the whole
 	// task to the local fallback backend.
 	if len(c.eligibleFleet(task.Method)) == 0 && c.cfg.Fallback != nil {
 		c.countFallback()
 		return c.cfg.Fallback.Search(ctx, task)
 	}
-
-	start := time.Now()
-	var res core.Result
-
-	// Distance 0: skipped when MinDistance says the caller covered it.
-	if task.IncludeBase() {
-		res.HashesExecuted++
-		res.SeedsCovered++
-		if core.HashSeed(c.Alg, task.Base).Equal(task.Target) {
-			res.Found = true
-			res.Seed = task.Base
-			res.Distance = 0
-			if !task.Exhaustive {
-				res.WallSeconds = time.Since(start).Seconds()
-				res.DeviceSeconds = res.WallSeconds
-				return res, nil
-			}
-		}
-	}
-
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		if ctx.Err() != nil {
-			res.WallSeconds = time.Since(start).Seconds()
-			res.DeviceSeconds = res.WallSeconds
-			return res, ctx.Err()
-		}
-		shellStart := time.Now()
-		found, seed, covered, err := c.searchShell(ctx, task, d)
-		st := core.ShellStat{
-			Distance:      d,
-			SeedsCovered:  covered,
-			DeviceSeconds: time.Since(shellStart).Seconds(),
-		}
-		res.Shells = append(res.Shells, st)
-		core.TraceShell(task, c.Name(), st)
-		res.SeedsCovered += covered
-		res.HashesExecuted += covered
-		if found && !res.Found {
-			res.Found = true
-			res.Seed = seed
-			res.Distance = d
-		}
-		if err != nil {
-			res.WallSeconds = time.Since(start).Seconds()
-			res.DeviceSeconds = res.WallSeconds
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return res, err
-			}
-			return core.Result{}, err
-		}
-		if res.Found && !task.Exhaustive {
-			break
-		}
-		if task.TimeLimit > 0 && time.Since(start) > task.TimeLimit {
-			res.TimedOut = true
-			break
-		}
-	}
-	res.WallSeconds = time.Since(start).Seconds()
-	res.DeviceSeconds = res.WallSeconds
-	return res, nil
+	return core.SearchBall(ctx, task, core.Engine{
+		Name:  c.Name(),
+		Probe: core.HashProbe(c.Alg, task.Target),
+		Shell: func(ctx context.Context, d int, deadline time.Time) (core.ShellOutcome, error) {
+			found, seed, covered, err := c.searchShell(ctx, task, d)
+			return core.ShellOutcome{
+				Found: found, Seed: seed, Covered: covered, Hashed: covered,
+				// Workers run to the end of their ranges; the time limit
+				// is held against the wall clock between shells.
+				TimedOut: !deadline.IsZero() && time.Now().After(deadline),
+			}, err
+		},
+	})
 }
 
 func (c *Coordinator) countFallback() {
@@ -859,7 +763,7 @@ func (c *Coordinator) searchShell(ctx context.Context, task core.Task, d int) (b
 				}
 			}
 			if !fr.fl.sent.IsZero() {
-				c.observeFlight(time.Since(fr.fl.sent))
+				c.flightLatency.Observe(time.Since(fr.fl.sent))
 			}
 			done := fr.res.msg
 			if done.Err != "" && firstErr == nil {
@@ -918,49 +822,14 @@ func (c *Coordinator) searchShell(ctx context.Context, task core.Task, d int) (b
 	return found, foundSeed, covered, nil
 }
 
-// observeFlight feeds one completed flight's dispatch-to-done latency
-// into the ring behind the derived hedge trigger.
-func (c *Coordinator) observeFlight(dur time.Duration) {
-	c.latMu.Lock()
-	if c.latCount < flightLatencyRing {
-		c.latSamples[c.latCount] = dur.Seconds()
-		c.latCount++
-	} else {
-		c.latSamples[c.latNext] = dur.Seconds()
-		c.latNext = (c.latNext + 1) % flightLatencyRing
-	}
-	c.latMu.Unlock()
-}
-
 // hedgeDelay returns the current hedge trigger: the configured fixed
-// delay, or the configured percentile of observed flight latencies
-// (floored at MinDelay), or 0 — meaning "do not hedge yet" — while too
-// few flights have been observed.
+// delay, or the one derived from the observed flight latencies — 0,
+// meaning "do not hedge yet", while too few flights have been observed.
 func (c *Coordinator) hedgeDelay() time.Duration {
-	h := c.cfg.Hedge
-	if h.Delay > 0 {
-		return h.Delay
+	if d := c.cfg.Hedge.Delay; d > 0 {
+		return d
 	}
-	c.latMu.Lock()
-	n := c.latCount
-	if n < h.minSamples() {
-		c.latMu.Unlock()
-		return 0
-	}
-	samples := make([]float64, n)
-	copy(samples, c.latSamples[:n])
-	c.latMu.Unlock()
-
-	sort.Float64s(samples)
-	idx := int(h.quantile() * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	d := time.Duration(samples[idx] * float64(time.Second))
-	if min := h.minDelay(); d < min {
-		d = min
-	}
-	return d
+	return c.flightLatency.Delay(hedgeMinDelay)
 }
 
 // launchHedge duplicates a straggling flight's whole shard onto one

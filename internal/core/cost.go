@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
+
+	"rbcsalted/internal/combin"
 )
 
 // Cost is a backend's predicted price for one search: modelled device
@@ -57,18 +60,39 @@ type AlternateSearcher interface {
 	SearchAlternate(ctx context.Context, task Task) (Result, error)
 }
 
-// ExpectedShellCoverage returns the expected number of seeds a backend
-// covers in the shell at distance d (of size seeds) for the task: the
-// whole shell when the search is exhaustive or the shell is not the
-// last, half the shell — the uniform-match expectation — when an
-// early-exit search ends there.
-func ExpectedShellCoverage(task Task, d int, seeds uint64) uint64 {
+// PriceBall is the one pricing walk behind every CostModel: the cost of
+// the base probe (iff the task covers it) plus, for each shell the task
+// covers, whatever the engine charges for it. shell is told the shell's
+// distance and size and the number of seeds one of the engine's `lanes`
+// lockstep lanes is expected to cover there: its equal share of the
+// shell (rounded up), halved — the uniform-match expectation — when an
+// early-exit search ends in that shell. The sum is in the engine's own
+// unit (seconds, cycles).
+func PriceBall(task Task, lanes uint64, base float64, shell func(d int, size, expect uint64) float64) (float64, error) {
+	if err := checkMaxDistance(task.MaxDistance); err != nil {
+		return 0, err
+	}
+	total := 0.0
+	if task.IncludeBase() {
+		total += base
+	}
+	for d := task.StartShell(); d <= task.MaxDistance; d++ {
+		size, ok := combin.Binomial64(256, d)
+		if !ok {
+			return 0, fmt.Errorf("core: C(256,%d) overflows uint64", d)
+		}
+		total += shell(d, size, expectedShellCoverage(task, d, (size+lanes-1)/lanes))
+	}
+	return total, nil
+}
+
+// expectedShellCoverage returns the expected number of seeds covered in
+// the shell at distance d out of seeds: all of them when the search is
+// exhaustive or the shell is not the last, half when an early-exit
+// search ends there.
+func expectedShellCoverage(task Task, d int, seeds uint64) uint64 {
 	if task.Exhaustive || d < task.MaxDistance {
 		return seeds
 	}
-	half := seeds / 2
-	if half == 0 {
-		half = 1
-	}
-	return half
+	return max(seeds/2, 1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,4 +241,47 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 		return false, u256.Zero, covered, timeout.Load(), ctx.Err()
 	}
 	return found, seed, covered, timeout.Load(), nil
+}
+
+// simSampleSeeds is the validation sample of real work executed from the
+// front of every analytically planned shell, so a modelled shell is
+// backed by executed code on every search.
+const simSampleSeeds = 512
+
+// SearchShellSim is the real execution under one shell of a simulated
+// engine. A shell of at most budget seeds is covered for real, like any
+// host shell, on hostWorkers goroutines (0 means GOMAXPROCS). A larger
+// one is planned analytically: the task's oracle, if it lies in this
+// shell, is verified by hashing, and a validation sample from the front
+// of the shell runs through the engine's matcher. Found, Seed and Hashed
+// of the outcome are set; Covered is for the caller's model to decide,
+// except on error, where it is what was hashed before the shell was
+// abandoned (no modelled charge: the kernel did not complete).
+func SearchShellSim(ctx context.Context, task Task, alg HashAlg, d int, size, budget uint64, hostWorkers, checkEvery int, newMatcher MatcherFactory) (ShellOutcome, error) {
+	var out ShellOutcome
+	if size <= budget {
+		if hostWorkers < 1 {
+			hostWorkers = runtime.GOMAXPROCS(0)
+		}
+		var err error
+		out.Found, out.Seed, out.Hashed, _, err = SearchShellHost(
+			ctx, task.Base, d, task.Method, hostWorkers, checkEvery, task.Exhaustive, time.Time{}, newMatcher)
+		if err != nil {
+			out.Covered = out.Hashed
+		}
+		return out, err
+	}
+	if task.Oracle != nil && MatchShell(task.Base, *task.Oracle) == d {
+		out.Hashed++
+		if HashSeed(alg, *task.Oracle).Equal(task.Target) {
+			out.Found, out.Seed = true, *task.Oracle
+		}
+	}
+	found, seed, sampled, _, err := SearchRangeHost(
+		ctx, task.Base, d, task.Method, 0, min(simSampleSeeds, size), 1, checkEvery, true, time.Time{}, newMatcher)
+	out.Hashed += sampled
+	if found && !out.Found {
+		out.Found, out.Seed = true, seed
+	}
+	return out, err
 }

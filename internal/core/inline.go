@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
-
-	"rbcsalted/internal/u256"
 )
 
 // The distance-progressive fast path: a healthy PUF authenticates at
@@ -43,82 +40,26 @@ const InlineName = "inline-host"
 var inlineMatchers sync.Pool
 
 // SearchInline covers shells 0..depth of task synchronously on the
-// calling goroutine with the host BatchMatcher. It is the first stage
-// of the distance-progressive serving path: the caller escalates to a
-// real backend with task.MinDistance = depth+1 only when SearchInline
+// calling goroutine: the host engine (SearchHost) at one worker, its
+// matchers drawn from a package pool. It is the first stage of the
+// distance-progressive serving path: the caller escalates to a real
+// backend with task.MinDistance = depth+1 only when SearchInline
 // neither finds the seed nor exhausts the ball.
 //
 // depth is clamped to task.MaxDistance. Cancellation is polled every
 // CheckInterval seeds, like any backend; the partial Result is returned
 // with ctx.Err().
 func SearchInline(ctx context.Context, task Task, depth int) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if depth > task.MaxDistance {
 		depth = task.MaxDistance
 	}
 	if depth > MaxInlineDepth {
 		return Result{}, fmt.Errorf("core: inline depth %d exceeds maximum %d", depth, MaxInlineDepth)
 	}
+	task.MaxDistance = depth
 	alg := task.Target.Alg
-	start := time.Now()
-	var res Result
-
-	TraceSearchStart(task, InlineName)
-
-	// Distance 0: the base probe.
-	res.HashesExecuted++
-	res.SeedsCovered++
-	if HashSeed(alg, task.Base).Equal(task.Target) {
-		res.Found = true
-		res.Seed = task.Base
-		res.Distance = 0
-	}
-
-	deadline := time.Time{}
-	if task.TimeLimit > 0 {
-		deadline = start.Add(task.TimeLimit)
-	}
 	// SearchShellHost releases each matcher it draws when its worker
 	// returns — found, exhausted, timed out or cancelled alike.
-	factory := PooledHashMatcherFactory(&inlineMatchers, alg, task.Target)
-	var err error
-	for d := 1; d <= depth && !(res.Found && !task.Exhaustive); d++ {
-		shellStart := time.Now()
-		var (
-			found    bool
-			seed     u256.Uint256
-			covered  uint64
-			timedOut bool
-		)
-		found, seed, covered, timedOut, err = SearchShellHost(
-			ctx, task.Base, d, task.Method, 1, task.EffectiveCheckInterval(),
-			task.Exhaustive, deadline, factory)
-		st := ShellStat{
-			Distance:      d,
-			SeedsCovered:  covered,
-			DeviceSeconds: time.Since(shellStart).Seconds(),
-		}
-		res.Shells = append(res.Shells, st)
-		TraceShell(task, InlineName, st)
-		res.SeedsCovered += covered
-		res.HashesExecuted += covered
-		if found && !res.Found {
-			res.Found = true
-			res.Seed = seed
-			res.Distance = d
-		}
-		if err != nil {
-			break
-		}
-		if timedOut {
-			res.TimedOut = true
-			break
-		}
-	}
-	res.WallSeconds = time.Since(start).Seconds()
-	res.DeviceSeconds = res.WallSeconds
-	TraceSearchEnd(task, InlineName, res, err)
-	return res, err
+	return SearchHost(ctx, task, InlineName, 1, HashProbe(alg, task.Target),
+		PooledHashMatcherFactory(&inlineMatchers, alg, task.Target))
 }

@@ -77,8 +77,8 @@ func PlanShells(task Task, workers int) ([]ShellPlan, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("core: workers must be positive, got %d", workers)
 	}
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return nil, fmt.Errorf("core: MaxDistance %d outside supported range [0,10]", task.MaxDistance)
+	if err := checkMaxDistance(task.MaxDistance); err != nil {
+		return nil, err
 	}
 	startShell := task.StartShell()
 	matchShell := -1

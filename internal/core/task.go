@@ -157,11 +157,13 @@ type Backend interface {
 	//
 	// Cancellation contract: backends poll ctx cooperatively (at the same
 	// granularity as the early-exit flag, i.e. every CheckInterval seeds
-	// for real execution, between shells for modelled execution). When ctx
-	// is cancelled or its deadline passes mid-search, Search stops
-	// promptly and returns the partial Result accumulated so far together
-	// with ctx.Err() — callers that care about partial telemetry (e.g.
-	// the scheduler's accounting) may inspect the Result even when err is
-	// context.Canceled or context.DeadlineExceeded.
+	// for real execution, between shells for modelled execution) and stop
+	// promptly when it is cancelled or its deadline passes.
+	//
+	// Error policy, one for every engine (SearchBall implements it): when
+	// a search ends early — ctx.Err() or an engine's own failure alike —
+	// Search returns the partial Result accumulated so far together with
+	// the error. Callers that care about partial telemetry (the
+	// scheduler's accounting) may inspect the Result whatever the error.
 	Search(ctx context.Context, task Task) (Result, error)
 }

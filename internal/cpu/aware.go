@@ -45,77 +45,28 @@ func (b *AwareBackend) Name() string {
 }
 
 func (b *AwareBackend) workers() int {
-	w := (&Backend{Workers: b.Workers}).workers()
-	return w
+	return (&Backend{Workers: b.Workers}).workers()
 }
 
-// Search runs the algorithm-aware search, generating a key per candidate.
-// Result.HashesExecuted counts key generations. It follows the same
-// cancellation contract as core.Backend.Search.
+// Search runs the algorithm-aware search, generating a key per candidate:
+// core.SearchHost with the key comparison as both base probe and
+// matcher. Result.HashesExecuted counts key generations. It follows the
+// same cancellation contract as core.Backend.Search.
 func (b *AwareBackend) Search(ctx context.Context, task AwareTask) (core.Result, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Result{}, fmt.Errorf("cpu: MaxDistance %d outside supported range", task.MaxDistance)
-	}
 	if len(task.TargetKey) == 0 {
 		return core.Result{}, fmt.Errorf("cpu: aware search needs a target key")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var res core.Result
-
-	match := func(candidate u256.Uint256) bool {
-		key := b.Keygen.PublicKey(candidate.Bytes())
-		return bytes.Equal(key, task.TargetKey)
-	}
-
-	res.HashesExecuted++
-	res.SeedsCovered++
-	if match(task.Base) {
-		res.Found = true
-		res.Seed = task.Base
-		res.Distance = 0
-		if !task.Exhaustive {
-			res.WallSeconds = time.Since(start).Seconds()
-			res.DeviceSeconds = res.WallSeconds
-			return res, nil
-		}
-	}
-
-	deadline := time.Time{}
-	if task.TimeLimit > 0 {
-		deadline = start.Add(task.TimeLimit)
-	}
 	// Key generators are concurrency-safe, so every worker shares the
-	// same scalar predicate; there is no batch form for keygen. An unset
-	// CheckInterval is normalized by the engine (DefaultCheckInterval).
-	newMatcher := core.MatchFuncFactory(match)
-	for d := 1; d <= task.MaxDistance; d++ {
-		found, seed, covered, timedOut, err := core.SearchShellHost(
-			ctx, task.Base, d, task.Method, b.workers(), task.CheckInterval,
-			task.Exhaustive, deadline, newMatcher)
-		res.SeedsCovered += covered
-		res.HashesExecuted += covered
-		if found && !res.Found {
-			res.Found = true
-			res.Seed = seed
-			res.Distance = d
-		}
-		if err != nil {
-			res.WallSeconds = time.Since(start).Seconds()
-			res.DeviceSeconds = res.WallSeconds
-			return res, err
-		}
-		if timedOut {
-			res.TimedOut = true
-			break
-		}
-		if res.Found && !task.Exhaustive {
-			break
-		}
+	// same scalar predicate; there is no batch form for keygen.
+	match := func(candidate u256.Uint256) bool {
+		return bytes.Equal(b.Keygen.PublicKey(candidate.Bytes()), task.TargetKey)
 	}
-	res.WallSeconds = time.Since(start).Seconds()
-	res.DeviceSeconds = res.WallSeconds
-	return res, nil
+	return core.SearchHost(ctx, core.Task{
+		Base:          task.Base,
+		MaxDistance:   task.MaxDistance,
+		Method:        task.Method,
+		Exhaustive:    task.Exhaustive,
+		CheckInterval: task.CheckInterval,
+		TimeLimit:     task.TimeLimit,
+	}, b.Name(), b.workers(), match, core.MatchFuncFactory(match))
 }

@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/device"
 )
@@ -58,9 +56,6 @@ func (b *Backend) workers() int {
 // worker's share (the uniform-match expectation). Energy uses the
 // device.PowerCPUEst host estimate.
 func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Cost{}, fmt.Errorf("cpu: MaxDistance %d outside supported range", task.MaxDistance)
-	}
 	costs := device.MeasureHostCosts()
 	hashNs := costs.SHA3Ns
 	if b.Alg == core.SHA1 {
@@ -71,101 +66,22 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	// cost: adding the scalar iterator cost on top would count it twice,
 	// which a 30x kernel no longer hides.
 	perSeed := (hashNs + costs.IterNs[task.Method]) / core.DefaultKernelSpeedup(b.Alg) / 1e9
-	workers := uint64(b.workers())
-	seconds := 0.0
-	if task.IncludeBase() {
-		seconds += perSeed
-	}
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		size, ok := combin.Binomial64(256, d)
-		if !ok {
-			return core.Cost{}, fmt.Errorf("cpu: C(256,%d) overflows uint64", d)
-		}
-		perWorker := (size + workers - 1) / workers
-		seconds += float64(core.ExpectedShellCoverage(task, d, perWorker)) * perSeed
-	}
-	return core.Cost{
-		Seconds: seconds,
-		Joules:  device.PowerCPUEst.Energy(seconds),
-	}, nil
+	return predictCost(task, b.workers(), perSeed)
 }
 
-// Search implements core.Backend by actually hashing every covered seed.
-// Cancellation is polled in the shell loops every CheckInterval seeds;
-// on cancellation the partial Result is returned with ctx.Err().
+// predictCost prices a search on `workers` lockstep CPU workers at
+// perSeed seconds per seed per worker.
+func predictCost(task core.Task, workers int, perSeed float64) (core.Cost, error) {
+	seconds, err := core.PriceBall(task, uint64(workers), perSeed, func(_ int, _, expect uint64) float64 {
+		return float64(expect) * perSeed
+	})
+	return core.Cost{Seconds: seconds, Joules: device.PowerCPUEst.Energy(seconds)}, err
+}
+
+// Search implements core.Backend by actually hashing every covered seed:
+// core.SearchHost on b's worker count, matchers drawn from b's pool.
+// Cancellation is polled in the shell loops every CheckInterval seeds.
 func (b *Backend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	core.TraceSearchStart(task, b.Name())
-	res, err := b.search(ctx, task)
-	core.TraceSearchEnd(task, b.Name(), res, err)
-	return res, err
-}
-
-func (b *Backend) search(ctx context.Context, task core.Task) (core.Result, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Result{}, fmt.Errorf("cpu: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	var res core.Result
-
-	// Distance 0: thread 0 checks S_init itself (Algorithm 1 lines 4-8).
-	// Skipped when MinDistance says the caller already covered it.
-	if task.IncludeBase() {
-		res.HashesExecuted++
-		res.SeedsCovered++
-		if core.HashSeed(b.Alg, task.Base).Equal(task.Target) {
-			res.Found = true
-			res.Seed = task.Base
-			res.Distance = 0
-			if !task.Exhaustive {
-				res.DeviceSeconds = time.Since(start).Seconds()
-				res.WallSeconds = res.DeviceSeconds
-				return res, nil
-			}
-		}
-	}
-
-	deadline := time.Time{}
-	if task.TimeLimit > 0 {
-		deadline = start.Add(task.TimeLimit)
-	}
-
-	newMatcher := core.PooledHashMatcherFactory(&b.matchers, b.Alg, task.Target)
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		shellStart := time.Now()
-		found, seed, covered, timedOut, err := core.SearchShellHost(
-			ctx, task.Base, d, task.Method, b.workers(), task.EffectiveCheckInterval(),
-			task.Exhaustive, deadline, newMatcher)
-		st := core.ShellStat{
-			Distance:      d,
-			SeedsCovered:  covered,
-			DeviceSeconds: time.Since(shellStart).Seconds(),
-		}
-		res.Shells = append(res.Shells, st)
-		core.TraceShell(task, b.Name(), st)
-		res.SeedsCovered += covered
-		res.HashesExecuted += covered
-		if found && !res.Found {
-			res.Found = true
-			res.Seed = seed
-			res.Distance = d
-		}
-		if err != nil {
-			res.WallSeconds = time.Since(start).Seconds()
-			res.DeviceSeconds = res.WallSeconds
-			return res, err
-		}
-		if timedOut {
-			res.TimedOut = true
-			break
-		}
-		if res.Found && !task.Exhaustive {
-			break
-		}
-	}
-	res.WallSeconds = time.Since(start).Seconds()
-	res.DeviceSeconds = res.WallSeconds
-	return res, nil
+	return core.SearchHost(ctx, task, b.Name(), b.workers(), core.HashProbe(b.Alg, task.Target),
+		core.PooledHashMatcherFactory(&b.matchers, b.Alg, task.Target))
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/device"
 	"rbcsalted/internal/iterseq"
+	"rbcsalted/internal/u256"
 )
 
 // ModelBackend is SALTED-CPU on the paper's PlatformA (2x AMD EPYC 7542,
@@ -90,109 +90,51 @@ func (m *ModelBackend) perSeedSeconds(method iterseq.Method) float64 {
 // Energy uses device.PowerCPUEst — an estimate, since Table 6 reports
 // no CPU rows.
 func (m *ModelBackend) PredictCost(task core.Task) (core.Cost, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Cost{}, fmt.Errorf("cpu: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	perSeed := m.perSeedSeconds(task.Method)
-	workers := uint64(m.workers())
-	seconds := 0.0
-	if task.IncludeBase() {
-		seconds += perSeed
-	}
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		size, ok := combin.Binomial64(256, d)
-		if !ok {
-			return core.Cost{}, fmt.Errorf("cpu: C(256,%d) overflows uint64", d)
-		}
-		perWorker := (size + workers - 1) / workers
-		seconds += float64(core.ExpectedShellCoverage(task, d, perWorker)) * perSeed
-	}
-	return core.Cost{
-		Seconds: seconds,
-		Joules:  device.PowerCPUEst.Energy(seconds),
-	}, nil
+	return predictCost(task, m.workers(), m.perSeedSeconds(task.Method))
 }
 
-// Search implements core.Backend with the event-driven model. The model
-// spends no meaningful host time per shell, so cancellation is checked
-// between shells — the finest granularity the model distinguishes.
+// Search implements core.Backend with the event-driven model: each shell
+// is charged to a modelled clock at the per-seed cost, by the plan's
+// match position. The model spends no meaningful host time per shell, so
+// cancellation is checked between shells — the finest granularity the
+// model distinguishes.
 func (m *ModelBackend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	core.TraceSearchStart(task, m.Name())
-	res, err := m.search(ctx, task)
-	core.TraceSearchEnd(task, m.Name(), res, err)
-	return res, err
-}
-
-func (m *ModelBackend) search(ctx context.Context, task core.Task) (core.Result, error) {
 	workers := m.workers()
 	plans, err := core.PlanShells(task, workers)
 	if err != nil {
 		return core.Result{}, err
 	}
 	perSeed := m.perSeedSeconds(task.Method)
-
-	var res core.Result
-	start := time.Now()
-
-	// Distance 0.
-	res.HashesExecuted++
-	res.SeedsCovered++
-	deviceSeconds := perSeed
-	if core.HashSeed(m.Alg, task.Base).Equal(task.Target) {
-		res.Found = true
-		res.Seed = task.Base
-		res.Distance = 0
-	}
-
-	if !(res.Found && !task.Exhaustive) {
-		for _, p := range plans {
-			if ctx != nil && ctx.Err() != nil {
-				res.DeviceSeconds = deviceSeconds
-				res.WallSeconds = time.Since(start).Seconds()
-				return res, ctx.Err()
-			}
-			var shellSeconds float64
-			var shellCovered uint64
+	deviceSeconds := 0.0
+	res, err := core.SearchBall(ctx, task, core.Engine{
+		Name: m.Name(),
+		Probe: func(base u256.Uint256) bool {
+			deviceSeconds += perSeed
+			return core.HashSeed(m.Alg, base).Equal(task.Target)
+		},
+		Shell: func(_ context.Context, d int, _ time.Time) (core.ShellOutcome, error) {
+			p := plans[d-plans[0].Distance]
+			out := core.ShellOutcome{Covered: p.Size}
+			steps := p.PerWorkerMax
 			if p.HasMatch && !task.Exhaustive {
-				shellSeconds = float64(p.MatchLocal) * perSeed
-				shellCovered = p.CoveredAtExit(workers, task.CheckInterval)
-			} else {
-				shellSeconds = float64(p.PerWorkerMax) * perSeed
-				shellCovered = p.Size
+				steps = p.MatchLocal
+				out.Covered = p.CoveredAtExit(workers, task.CheckInterval)
 			}
-			deviceSeconds += shellSeconds
-			res.SeedsCovered += shellCovered
-			st := core.ShellStat{
-				Distance:      p.Distance,
-				SeedsCovered:  shellCovered,
-				DeviceSeconds: shellSeconds,
-			}
-			res.Shells = append(res.Shells, st)
-			core.TraceShell(task, m.Name(), st)
-			if p.HasMatch && !res.Found {
+			deviceSeconds += float64(steps) * perSeed
+			if p.HasMatch {
 				// Verify the oracle's claim by hashing the candidate.
-				res.HashesExecuted++
-				if core.HashSeed(m.Alg, *task.Oracle).Equal(task.Target) {
-					res.Found = true
-					res.Seed = *task.Oracle
-					res.Distance = p.Distance
-				}
+				out.Hashed = 1
+				out.Found = core.HashSeed(m.Alg, *task.Oracle).Equal(task.Target)
+				out.Seed = *task.Oracle
 			}
-			if res.Found && !task.Exhaustive {
-				break
-			}
-		}
-	}
-
-	res.DeviceSeconds = deviceSeconds
-	if task.TimeLimit > 0 && deviceSeconds > task.TimeLimit.Seconds() {
-		res.TimedOut = true
-	}
+			return out, nil
+		},
+		Clock: func() float64 { return deviceSeconds },
+	})
 	// Estimated accounting (device.PowerCPUEst): Table 6 has no CPU rows,
 	// so these numbers support the planner's energy policy rather than any
 	// paper-table reproduction.
-	res.EnergyJoules = device.PowerCPUEst.Energy(deviceSeconds)
+	res.EnergyJoules = device.PowerCPUEst.Energy(res.DeviceSeconds)
 	res.PeakWatts = device.PeakCPUEst
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return res, err
 }

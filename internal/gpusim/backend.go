@@ -2,15 +2,12 @@ package gpusim
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/device"
-	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/u256"
 )
 
@@ -91,30 +88,17 @@ func (b *Backend) powerModel() (device.PowerModel, float64) {
 // search is priced at half the final shell (the uniform-match
 // expectation); every other shell is priced in full.
 func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Cost{}, fmt.Errorf("gpusim: MaxDistance %d outside supported range", task.MaxDistance)
-	}
 	if task.CheckInterval == 0 {
 		task.CheckInterval = b.cfg.CheckInterval
 	}
-	seconds := 0.0
-	if task.IncludeBase() {
-		seconds += b.model.kernelLaunchSeconds
-	}
 	g := uint64(b.cfg.Devices)
-	for d := task.StartShell(); d <= task.MaxDistance; d++ {
-		size, ok := combin.Binomial64(256, d)
-		if !ok {
-			return core.Cost{}, fmt.Errorf("gpusim: C(256,%d) overflows uint64", d)
-		}
-		perDevice := (size + g - 1) / g
-		full := b.model.shellSeconds(perDevice, b.cfg.Alg, task.Method, b.cfg.Params,
+	seconds, err := core.PriceBall(task, 1, b.model.kernelLaunchSeconds, func(_ int, size, expect uint64) float64 {
+		full := b.model.shellSeconds((size+g-1)/g, b.cfg.Alg, task.Method, b.cfg.Params,
 			b.cfg.SharedMemoryState, task.CheckInterval)
-		expect := core.ExpectedShellCoverage(task, d, size)
-		seconds += full * float64(expect) / float64(size)
-		if b.cfg.Devices > 1 {
-			seconds += b.model.perDeviceKernelSyncSeconds * float64(b.cfg.Devices)
-		}
+		return full*float64(expect)/float64(size) + b.syncSeconds()
+	})
+	if err != nil {
+		return core.Cost{}, err
 	}
 	if !task.Exhaustive && b.cfg.Devices > 1 {
 		seconds += b.model.exitPropagationSeconds
@@ -126,211 +110,77 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	}, nil
 }
 
+// syncSeconds is the host-side serialization per shell of launching one
+// kernel per device (multi-GPU only).
+func (b *Backend) syncSeconds() float64 {
+	if b.cfg.Devices > 1 {
+		return b.model.perDeviceKernelSyncSeconds * float64(b.cfg.Devices)
+	}
+	return 0
+}
+
 // Search implements core.Backend. Within-budget shells run real host
 // execution and poll ctx every CheckInterval seeds; analytically planned
 // shells check ctx at shell boundaries (the modelled kernel launches).
 func (b *Backend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	core.TraceSearchStart(task, b.Name())
-	res, err := b.search(ctx, task)
-	core.TraceSearchEnd(task, b.Name(), res, err)
-	return res, err
-}
-
-func (b *Backend) search(ctx context.Context, task core.Task) (core.Result, error) {
-	if task.MaxDistance < 0 || task.MaxDistance > 10 {
-		return core.Result{}, fmt.Errorf("gpusim: MaxDistance %d outside supported range", task.MaxDistance)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if task.CheckInterval == 0 {
 		task.CheckInterval = b.cfg.CheckInterval
 	}
-	start := time.Now()
-	var res core.Result
 	var clock device.VirtualClock
-
-	// Distance 0: a single-seed host check; device cost is one kernel.
-	// Skipped when MinDistance says the caller already covered it.
-	if task.IncludeBase() {
-		res.HashesExecuted++
-		res.SeedsCovered++
-		clock.AdvanceSeconds(b.model.kernelLaunchSeconds)
-		if core.HashSeed(b.cfg.Alg, task.Base).Equal(task.Target) {
-			res.Found = true
-			res.Seed = task.Base
-			res.Distance = 0
-		}
-	}
-
-	if !(res.Found && !task.Exhaustive) {
-		for d := task.StartShell(); d <= task.MaxDistance; d++ {
-			if ctx.Err() != nil {
-				res.DeviceSeconds = clock.Seconds()
-				res.WallSeconds = time.Since(start).Seconds()
-				return res, ctx.Err()
-			}
-			before := clock.Seconds()
-			coveredBefore := res.SeedsCovered
-			done, err := b.searchShell(ctx, task, d, &res, &clock)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					res.DeviceSeconds = clock.Seconds()
-					res.WallSeconds = time.Since(start).Seconds()
-					return res, err
-				}
-				return core.Result{}, err
-			}
-			st := core.ShellStat{
-				Distance:      d,
-				SeedsCovered:  res.SeedsCovered - coveredBefore,
-				DeviceSeconds: clock.Seconds() - before,
-			}
-			res.Shells = append(res.Shells, st)
-			core.TraceShell(task, b.Name(), st)
-			if done {
-				break
-			}
-			if task.TimeLimit > 0 && clock.Seconds() > task.TimeLimit.Seconds() {
-				res.TimedOut = true
-				break
-			}
-		}
-	}
-
-	res.DeviceSeconds = clock.Seconds()
-	if task.TimeLimit > 0 && res.DeviceSeconds > task.TimeLimit.Seconds() {
-		res.TimedOut = true
-	}
+	res, err := core.SearchBall(ctx, task, core.Engine{
+		Name: b.Name(),
+		// Distance 0: a single-seed host check; device cost is one kernel.
+		Probe: func(base u256.Uint256) bool {
+			clock.AdvanceSeconds(b.model.kernelLaunchSeconds)
+			return core.HashSeed(b.cfg.Alg, base).Equal(task.Target)
+		},
+		Shell: func(ctx context.Context, d int, _ time.Time) (core.ShellOutcome, error) {
+			return b.searchShell(ctx, task, d, &clock)
+		},
+		Clock: clock.Seconds,
+	})
 	power, peak := b.powerModel()
 	res.EnergyJoules = power.Energy(res.DeviceSeconds) * float64(b.cfg.Devices)
 	res.PeakWatts = peak * float64(b.cfg.Devices)
-	res.WallSeconds = time.Since(start).Seconds()
-	return res, nil
+	return res, err
 }
 
-// searchShell covers one Hamming shell, returning done=true if the search
-// should stop (match found in early-exit mode).
-func (b *Backend) searchShell(ctx context.Context, task core.Task, d int, res *core.Result, clock *device.VirtualClock) (bool, error) {
+// searchShell covers one Hamming shell and charges it to the clock.
+func (b *Backend) searchShell(ctx context.Context, task core.Task, d int, clock *device.VirtualClock) (core.ShellOutcome, error) {
 	size, ok := combin.Binomial64(256, d)
 	if !ok {
-		return false, fmt.Errorf("gpusim: C(256,%d) overflows uint64", d)
+		return core.ShellOutcome{}, fmt.Errorf("gpusim: C(256,%d) overflows uint64", d)
 	}
-
-	if size <= b.cfg.ExecBudget {
-		// Real execution: the kernel's actual Go code runs on the host.
-		found, seed, covered, _, err := core.SearchShellHost(
-			ctx, task.Base, d, task.Method, hostWorkers(b.cfg.HostWorkers),
-			task.CheckInterval, task.Exhaustive, time.Time{},
-			core.HashMatcherFactory(b.cfg.Alg, task.Target))
-		res.HashesExecuted += covered
-		if err != nil {
-			// Cancelled mid-kernel: account the partial coverage without a
-			// modelled charge (the kernel was aborted, not completed).
-			res.SeedsCovered += covered
-			return false, err
-		}
-		// Charge modelled time by the match's analytic position (GPU
-		// blocks stream in rank order), not by the host goroutines'
-		// incidental progress.
-		modelCovered := size
-		if found && !task.Exhaustive {
-			rank, errRank := core.MatchRank(task.Method, task.Base, seed)
-			if errRank != nil {
-				return false, errRank
-			}
-			modelCovered = rank + 1
-		}
-		b.chargeShell(task, size, found, modelCovered, res, clock)
-		if found && !res.Found {
-			res.Found = true
-			res.Seed = seed
-			res.Distance = d
-		}
-		return res.Found && !task.Exhaustive, nil
-	}
-
-	// Analytic planning for paper-scale shells: locate the match from the
-	// oracle, verify it by hashing, charge modelled time.
-	var matched bool
-	var seed u256.Uint256
-	if task.Oracle != nil && core.MatchShell(task.Base, *task.Oracle) == d {
-		res.HashesExecuted++
-		if core.HashSeed(b.cfg.Alg, *task.Oracle).Equal(task.Target) {
-			matched = true
-			seed = *task.Oracle
-		}
-	}
-	// Execute a validation sample of real kernel work so the modelled
-	// shell is backed by executed code on every search.
-	const sampleSeeds = 512
-	sampled := uint64(0)
-	it, err := iterseq.New(task.Method, 256, d, 0, sampleSeeds)
+	// Real execution: within budget the kernel's actual Go code covers
+	// the shell on the host; paper-scale shells are planned analytically.
+	out, err := core.SearchShellSim(ctx, task, b.cfg.Alg, d, size, b.cfg.ExecBudget,
+		b.cfg.HostWorkers, task.CheckInterval, core.HashMatcherFactory(b.cfg.Alg, task.Target))
 	if err != nil {
-		return false, err
+		return out, err
 	}
-	c := make([]int, d)
-	for it.Next(c) {
-		candidate := iterseq.ApplySeed(task.Base, c)
-		if core.HashSeed(b.cfg.Alg, candidate).Equal(task.Target) && !matched {
-			matched = true
-			seed = candidate
-		}
-		sampled++
-	}
-	res.HashesExecuted += sampled
 
-	covered := size
-	if matched && !task.Exhaustive {
-		rank, errRank := core.MatchRank(task.Method, task.Base, seed)
-		if errRank != nil {
-			return false, errRank
-		}
-		covered = rank + 1
-	}
-	b.chargeShell(task, size, matched, covered, res, clock)
-	if matched && !res.Found {
-		res.Found = true
-		res.Seed = seed
-		res.Distance = d
-	}
-	return res.Found && !task.Exhaustive, nil
-}
-
-// chargeShell advances the virtual clock for one shell. Each device takes
-// an equal contiguous slice of the shell; blocks stream through the SMs in
-// rank order, so an early exit at global fraction f costs ~f of the full
-// per-device kernel plus the exit drain.
-func (b *Backend) chargeShell(task core.Task, size uint64, found bool, covered uint64, res *core.Result, clock *device.VirtualClock) {
+	// Charge modelled time by the match's analytic position (GPU blocks
+	// stream in rank order), not by the host goroutines' incidental
+	// progress. Each device takes an equal contiguous slice of the shell,
+	// so an early exit at global fraction f costs ~f of the full
+	// per-device kernel plus the exit drain.
 	g := uint64(b.cfg.Devices)
-	perDevice := (size + g - 1) / g
-	full := b.model.shellSeconds(perDevice, b.cfg.Alg, task.Method, b.cfg.Params,
+	full := b.model.shellSeconds((size+g-1)/g, b.cfg.Alg, task.Method, b.cfg.Params,
 		b.cfg.SharedMemoryState, task.CheckInterval)
-	// Host-side serialization per device-kernel (multi-GPU only).
-	sync := 0.0
-	if b.cfg.Devices > 1 {
-		sync = b.model.perDeviceKernelSyncSeconds * float64(b.cfg.Devices)
-	}
-
-	if found && !task.Exhaustive {
-		frac := float64(covered) / float64(size)
-		if frac > 1 {
-			frac = 1
+	out.Covered = size
+	if out.Found && !task.Exhaustive {
+		rank, err := core.MatchRank(task.Method, task.Base, out.Seed)
+		if err != nil {
+			return core.ShellOutcome{Hashed: out.Hashed}, err
 		}
-		clock.AdvanceSeconds(full*frac + sync)
+		out.Covered = rank + 1
+		frac := float64(out.Covered) / float64(size)
+		clock.AdvanceSeconds(full*frac + b.syncSeconds())
 		if b.cfg.Devices > 1 {
 			clock.AdvanceSeconds(b.model.exitPropagationSeconds)
 		}
-		res.SeedsCovered += covered
-		return
+		return out, nil
 	}
-	clock.AdvanceSeconds(full + sync)
-	res.SeedsCovered += size
-}
-
-func hostWorkers(configured int) int {
-	if configured > 0 {
-		return configured
-	}
-	return runtime.GOMAXPROCS(0)
+	clock.AdvanceSeconds(full + b.syncSeconds())
+	return out, nil
 }

@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,9 +77,9 @@ const (
 	// not-yet-expired deadlines; until then only already-past deadlines
 	// are refused.
 	admitWarmup = 8
-	// hedgeRingSize is the service-time sample window behind the
-	// percentile-derived hedge delay.
-	hedgeRingSize = 256
+	// hedgeMinDelay floors the percentile-derived hedge trigger so
+	// microsecond-fast backends don't hedge everything.
+	hedgeMinDelay = 10 * time.Millisecond
 )
 
 // HedgeConfig tunes hedged dispatch: when a search's backend flight
@@ -93,40 +92,11 @@ type HedgeConfig struct {
 	// Submit callers can opt in per search with WithHedging(true)).
 	Enabled bool
 	// Delay is a fixed hedge trigger. Zero derives the trigger from the
-	// observed service-time distribution (Quantile), which is the
-	// production behaviour; a fixed delay makes tests deterministic.
+	// observed service-time distribution (obs.HedgeWindow: a search still
+	// running past the 95th percentile is a straggler worth hedging),
+	// which is the production behaviour; a fixed delay makes tests
+	// deterministic.
 	Delay time.Duration
-	// Quantile is the service-time percentile used to derive the
-	// trigger when Delay is zero; 0 means 0.95. A search still running
-	// past that percentile is a straggler worth hedging.
-	Quantile float64
-	// MinDelay floors the derived trigger so microsecond-fast backends
-	// don't hedge everything; 0 means 10ms.
-	MinDelay time.Duration
-	// MinSamples is how many served searches must be observed before a
-	// derived trigger fires at all; 0 means 16.
-	MinSamples int
-}
-
-func (h HedgeConfig) quantile() float64 {
-	if h.Quantile <= 0 || h.Quantile >= 1 {
-		return 0.95
-	}
-	return h.Quantile
-}
-
-func (h HedgeConfig) minDelay() time.Duration {
-	if h.MinDelay <= 0 {
-		return 10 * time.Millisecond
-	}
-	return h.MinDelay
-}
-
-func (h HedgeConfig) minSamples() int {
-	if h.MinSamples <= 0 {
-		return 16
-	}
-	return h.MinSamples
 }
 
 // Config sizes a Scheduler.
@@ -319,13 +289,11 @@ type Scheduler struct {
 	inFlight int
 
 	// estMu guards the service-time estimators feeding deadline
-	// admission (EWMA) and the hedge trigger (sample ring).
-	estMu      sync.Mutex
-	ewmaSvc    float64 // seconds
-	servedEst  uint64
-	svcSamples [hedgeRingSize]float64
-	svcCount   int
-	svcNext    int
+	// admission (EWMA); svcWindow feeds the hedge trigger.
+	estMu     sync.Mutex
+	ewmaSvc   float64 // seconds
+	servedEst uint64
+	svcWindow obs.HedgeWindow
 
 	// traceIDs hands out per-search trace correlation IDs.
 	traceIDs atomic.Uint64
@@ -982,58 +950,33 @@ func (s *Scheduler) execute(ctx context.Context, j *job) (res core.Result, err e
 }
 
 // hedgeDelay returns the current hedge trigger: the configured fixed
-// delay, or the configured percentile of the observed service times
-// (floored at MinDelay), or 0 — meaning "do not hedge" — while too few
-// samples have been observed.
+// delay, or the one derived from the observed service times — 0, meaning
+// "do not hedge", while too few have been observed.
 func (s *Scheduler) hedgeDelay() time.Duration {
 	if s.cfg.Hedge.Delay > 0 {
 		return s.cfg.Hedge.Delay
 	}
-	s.estMu.Lock()
-	n := s.svcCount
-	if n < s.cfg.Hedge.minSamples() {
-		s.estMu.Unlock()
-		return 0
-	}
-	samples := make([]float64, n)
-	copy(samples, s.svcSamples[:n])
-	s.estMu.Unlock()
-
-	sort.Float64s(samples)
-	idx := int(s.cfg.Hedge.quantile() * float64(n))
-	if idx >= n {
-		idx = n - 1
-	}
-	d := time.Duration(samples[idx] * float64(time.Second))
-	if min := s.cfg.Hedge.minDelay(); d < min {
-		d = min
-	}
-	return d
+	return s.svcWindow.Delay(hedgeMinDelay)
 }
 
 // observeService feeds one served search into the estimators. Only
 // completed searches update the deadline-admission EWMA (a cancelled
 // search's duration says nothing about how long service takes), but all
-// go into the hedge ring: stragglers are exactly what the hedge
+// go into the hedge window: stragglers are exactly what the hedge
 // percentile must see.
 func (s *Scheduler) observeService(service time.Duration, completed bool) {
+	s.svcWindow.Observe(service)
+	if !completed {
+		return
+	}
 	sec := service.Seconds()
 	s.estMu.Lock()
-	if completed {
-		if s.servedEst == 0 {
-			s.ewmaSvc = sec
-		} else {
-			s.ewmaSvc = 0.8*s.ewmaSvc + 0.2*sec
-		}
-		s.servedEst++
-	}
-	if s.svcCount < hedgeRingSize {
-		s.svcSamples[s.svcCount] = sec
-		s.svcCount++
+	if s.servedEst == 0 {
+		s.ewmaSvc = sec
 	} else {
-		s.svcSamples[s.svcNext] = sec
-		s.svcNext = (s.svcNext + 1) % hedgeRingSize
+		s.ewmaSvc = 0.8*s.ewmaSvc + 0.2*sec
 	}
+	s.servedEst++
 	s.estMu.Unlock()
 }
 

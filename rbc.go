@@ -45,12 +45,13 @@
 //
 // For example:
 //
-//	engine, _ := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU},
-//		rbc.WithAlg(rbc.SHA3), rbc.WithDevices(3))
+//	engine, _ := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Alg: rbc.SHA3, Devices: 3})
 //
-// Every backend implements Search(ctx, task): cancelling ctx stops the
-// shell loops cooperatively and returns the partial Result with
-// ctx.Err().
+// Every backend implements Search(ctx, task), and every one runs the
+// same Algorithm 1 (core.SearchBall) over its own way of covering a
+// shell: cancelling ctx stops the shell loops cooperatively, and
+// whatever ends a search early — cancellation or an engine error — the
+// partial Result comes back with the error.
 //
 // # Serving many clients
 //

@@ -74,13 +74,7 @@ func TestPublicAPIBackendsAgree(t *testing.T) {
 		MaxDistance: 2,
 		Oracle:      &oracle,
 	}
-	backends := []Backend{
-		&CPUBackend{Alg: SHA3},
-		&CPUModelBackend{Alg: SHA3},
-		mustBackend(t, BackendSpec{Kind: BackendGPU, Alg: SHA3}),
-		mustBackend(t, BackendSpec{Kind: BackendAPU, Alg: SHA3}),
-	}
-	for _, b := range backends {
+	for _, b := range conformanceEngines(t, SHA3, task.MaxDistance) {
 		res, err := b.Search(context.Background(), task)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
@@ -175,13 +169,7 @@ func TestShellStatsConsistent(t *testing.T) {
 		Exhaustive:  true,
 		Oracle:      &oracle,
 	}
-	backends := []Backend{
-		&CPUBackend{Alg: SHA3, Workers: 2},
-		&CPUModelBackend{Alg: SHA3},
-		mustBackend(t, BackendSpec{Kind: BackendGPU, Alg: SHA3}),
-		mustBackend(t, BackendSpec{Kind: BackendAPU, Alg: SHA3}),
-	}
-	for _, b := range backends {
+	for _, b := range conformanceEngines(t, SHA3, task.MaxDistance) {
 		res, err := b.Search(context.Background(), task)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
