@@ -1,21 +1,26 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz gen-check cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
+.PHONY: check build vet fmt-check test race fuzz gen-check cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
 
-# check is the CI gate: compile everything, vet, run the full test suite
-# with the race detector (the scheduler and backend-cancellation tests
-# are concurrency tests and only count when raced), smoke the fuzz
-# targets, check the generated assembly is what its generator emits, then
-# vet and test the nested benchmark module, the only code that links some
-# of the core/cpu seams and which `./...` from the root does not reach.
-check: build vet race fuzz gen-check bench-module
+# check is the CI gate: compile everything, vet, check formatting, run the
+# full test suite with the race detector (the scheduler and
+# backend-cancellation tests are concurrency tests and only count when
+# raced), smoke the fuzz targets, check the generated assembly is what its
+# generator emits, then vet and test the nested benchmark module, the only
+# code that links some of the core/cpu seams and which `./...` from the
+# root does not reach.
+check: build vet fmt-check race fuzz gen-check bench-module
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any file, and names it.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -61,7 +66,7 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz smokes the netproto frame/error-payload fuzzers, the WAL record
-# decoder, and the differential fuzzers for the two batch kernels (8-way
+# decoder, the PUF image codec, and the differential fuzzers for the two batch kernels (8-way
 # Keccak on every implementation the CPU supports, 4-way multi-buffer
 # SHA-1) and for the 256-lane bit-sliced SHA-3 the benchmark still times,
 # each against its scalar reference, for FUZZTIME each; -run='^$$' skips
@@ -70,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/puf -run='^$$' -fuzz=FuzzImageCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSeedDigests8 -fuzztime=$(FUZZTIME)

@@ -21,4 +21,3 @@ func keccakRound256AVX512(nxt, cur *KeccakState256, c, d *[5]Slice256) {
 func keccakParity256AVX512(c *[5]Slice256, cur *KeccakState256) {
 	panic("bitslice: vector Keccak round is amd64-only")
 }
-

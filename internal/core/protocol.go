@@ -422,8 +422,12 @@ func (ca *CA) Enroll(id ClientID, im *puf.Image) error {
 // PUF address map from the client's TAPKI-stable cells and sends it as the
 // challenge (Figure 1, "handshake"). The session expires after the
 // configured SessionTTL.
+//
+// The image is unsealed here and nowhere else in a normal authentication:
+// the seed S_init the challenge selects is computed while the image is
+// open and kept in memory beside the session (see seedCache).
 func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
-	im, err := ca.store.Get(id)
+	im, gen, err := ca.store.get(id)
 	if err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
@@ -433,8 +437,12 @@ func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
 	if err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
+	base, err := im.Seed(addr)
+	if err != nil {
+		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
+	}
 	ch := Challenge{Nonce: nonce, AddressMap: addr, Alg: ca.cfg.Alg}
-	if err := ca.sessions.Open(id, ch); err != nil {
+	if err := ca.sessions.openCached(id, ch, seedCache{base: base, gen: gen, ok: true}); err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
 	return ch, nil
@@ -505,11 +513,11 @@ type AuthResult struct {
 func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, error) {
 	// The challenge is consumed here: any outcome below — including the
 	// early error returns — has already burnt it.
-	ch, ok := ca.sessions.Take(req.Client, req.Nonce)
+	sess, ok := ca.sessions.take(req.Client, req.Nonce)
 	if !ok {
 		return AuthResult{}, fmt.Errorf("%w for %q with nonce %d", ErrNoSession, req.Client, req.Nonce)
 	}
-	out, err := ca.authenticate(ctx, req, ch)
+	out, err := ca.authenticate(ctx, req, sess)
 	if cerr := ca.commit(); cerr != nil {
 		return AuthResult{}, cerr
 	}
@@ -529,18 +537,14 @@ func (ca *CA) commit() error {
 // authenticate is Authenticate after the challenge has been taken; it
 // journals through the stores' barrier-free paths and leaves the barrier
 // to its caller.
-func (ca *CA) authenticate(ctx context.Context, req AuthRequest, ch Challenge) (AuthResult, error) {
+func (ca *CA) authenticate(ctx context.Context, req AuthRequest, sess session) (AuthResult, error) {
 	if !req.Class.Valid() {
 		return AuthResult{}, fmt.Errorf("%w: unknown QoS class %d", ErrBadConfig, uint8(req.Class))
 	}
 	if req.M1.Alg != ca.cfg.Alg {
 		return AuthResult{}, fmt.Errorf("%w: digest %v, CA policy %v", ErrAlgMismatch, req.M1.Alg, ca.cfg.Alg)
 	}
-	im, err := ca.store.Get(req.Client)
-	if err != nil {
-		return AuthResult{}, err
-	}
-	base, err := im.Seed(ch.AddressMap)
+	base, err := ca.baseSeed(req.Client, sess)
 	if err != nil {
 		return AuthResult{}, err
 	}
@@ -583,6 +587,25 @@ func (ca *CA) authenticate(ctx context.Context, req AuthRequest, ch Challenge) (
 		}
 	}
 	return out, nil
+}
+
+// baseSeed returns the seed S_init a session's challenge selects from
+// the client's enrolled image. The handshake's cached seed is used only
+// while the store still holds the very blob it was read from; a session
+// without one (recovered or replicated), a client re-enrolled since the
+// handshake, or one whose image is gone, unseals the current image — so
+// the answer is always the one the store would give now.
+func (ca *CA) baseSeed(id ClientID, sess session) (u256.Uint256, error) {
+	if sess.seed.ok {
+		if gen, ok := ca.store.generation(id); ok && gen == sess.seed.gen {
+			return sess.seed.base, nil
+		}
+	}
+	im, err := ca.store.Get(id)
+	if err != nil {
+		return u256.Zero, err
+	}
+	return im.Seed(sess.ch.AddressMap)
 }
 
 // search runs the distance-progressive pipeline for one task: the inline
@@ -661,14 +684,15 @@ func (c *Client) ReadSeed(ch Challenge) (u256.Uint256, error) {
 	}
 	if c.NoiseBits > 0 {
 		state := ch.Nonce ^ c.noiseSeed ^ 0x6A09E667F3BCC908
-		used := make(map[int]bool, c.NoiseBits)
-		for len(used) < c.NoiseBits {
+		var used [puf.SeedBits]bool
+		for flipped := 0; flipped < c.NoiseBits; {
 			state = splitmix64(state)
-			bit := int(state % 256)
+			bit := int(state % puf.SeedBits)
 			if used[bit] {
 				continue
 			}
 			used[bit] = true
+			flipped++
 			seed = seed.FlipBit(bit)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rbcsalted/internal/u256"
 )
 
 // SessionTable holds the CA's open handshake sessions: for each client,
@@ -25,10 +27,30 @@ type SessionTable struct {
 
 type sessionShard struct {
 	mu   sync.Mutex
-	open map[ClientID]Challenge
+	open map[ClientID]session
 	// lastSweep amortizes expiry eviction: each shard is swept at most
 	// once per TTL, on the open path.
 	lastSweep time.Time
+}
+
+// session is one open handshake: the journaled challenge and, beside it,
+// what the CA worked out while it had the client's image open.
+type session struct {
+	ch   Challenge
+	seed seedCache
+}
+
+// seedCache is the server-side seed S_init the handshake computed for a
+// challenge, tagged with the sealed image it was read from, so answering
+// the challenge need not unseal the image a second time. It is as secret
+// as the image cells it packs: it lives only in the session table's
+// memory, for at most the session's TTL, and is never journaled,
+// snapshotted or replicated — a restored session has none and
+// CA.Authenticate re-derives the seed from the store.
+type seedCache struct {
+	base u256.Uint256
+	gen  imageGen
+	ok   bool
 }
 
 // NewSessionTable returns an empty table with the default shard count
@@ -48,7 +70,7 @@ func NewSessionTableShards(shards int) *SessionTable {
 		shards: make([]sessionShard, shards),
 	}
 	for i := range t.shards {
-		t.shards[i].open = make(map[ClientID]Challenge)
+		t.shards[i].open = make(map[ClientID]session)
 	}
 	return t
 }
@@ -105,13 +127,18 @@ func (t *SessionTable) expired(ch Challenge, at time.Time) bool {
 // swept close) is durable when Open returns nil, so a challenge never
 // leaves before its nonce is on record.
 func (t *SessionTable) Open(id ClientID, ch Challenge) error {
-	if err := t.open(id, ch); err != nil {
+	return t.openCached(id, ch, seedCache{})
+}
+
+// openCached is Open with the handshake's seed kept beside the session.
+func (t *SessionTable) openCached(id ClientID, ch Challenge, seed seedCache) error {
+	if err := t.open(id, ch, seed); err != nil {
 		return err
 	}
 	return t.commit.run()
 }
 
-func (t *SessionTable) open(id ClientID, ch Challenge) error {
+func (t *SessionTable) open(id ClientID, ch Challenge, seed seedCache) error {
 	now := t.now()
 	if ch.IssuedAt.IsZero() {
 		ch.IssuedAt = now
@@ -122,8 +149,8 @@ func (t *SessionTable) open(id ClientID, ch Challenge) error {
 	ttl := t.TTL()
 	if ttl > 0 && now.Sub(sh.lastSweep) > ttl {
 		sh.lastSweep = now
-		for sid, sch := range sh.open {
-			if sid != id && t.expired(sch, now) {
+		for sid, s := range sh.open {
+			if sid != id && t.expired(s.ch, now) {
 				if err := t.closeLocked(sh, sid); err != nil {
 					return err
 				}
@@ -135,7 +162,7 @@ func (t *SessionTable) open(id ClientID, ch Challenge) error {
 			return fmt.Errorf("core: journal session open for %q: %w", id, err)
 		}
 	}
-	sh.open[id] = ch
+	sh.open[id] = session{ch: ch, seed: seed}
 	return nil
 }
 
@@ -151,28 +178,34 @@ func (t *SessionTable) open(id ClientID, ch Challenge) error {
 // or a crash could reopen a nonce whose result is already out. An evicted
 // expired session needs none: it is refused by its IssuedAt either way.
 func (t *SessionTable) Take(id ClientID, nonce uint64) (Challenge, bool) {
+	s, ok := t.take(id, nonce)
+	return s.ch, ok
+}
+
+// take is Take returning the whole session, cached seed included.
+func (t *SessionTable) take(id ClientID, nonce uint64) (session, bool) {
 	sh := t.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ch, ok := sh.open[id]
+	s, ok := sh.open[id]
 	if !ok {
-		return Challenge{}, false
+		return session{}, false
 	}
-	if t.expired(ch, t.now()) {
+	if t.expired(s.ch, t.now()) {
 		_ = t.closeLocked(sh, id)
-		return Challenge{}, false
+		return session{}, false
 	}
-	if ch.Nonce != nonce {
-		return Challenge{}, false
+	if s.ch.Nonce != nonce {
+		return session{}, false
 	}
 	if err := t.closeLocked(sh, id); err != nil {
 		// The journal refused the close. Failing the Take (so the caller
 		// sees no session) keeps memory behind the log rather than ahead
 		// of it: the worst case is a still-open session that a restart
 		// also considers open.
-		return Challenge{}, false
+		return session{}, false
 	}
-	return ch, true
+	return s, true
 }
 
 // Drop closes any open session for id (deprovisioning, or an expired
@@ -200,6 +233,9 @@ func (t *SessionTable) closeLocked(sh *sessionShard, id ClientID) error {
 			return fmt.Errorf("core: journal session close for %q: %w", id, err)
 		}
 	}
+	// The slot is overwritten before it is unlinked so the cached seed is
+	// gone from the table's memory whatever the map does with the slot.
+	sh.open[id] = session{}
 	delete(sh.open, id)
 	return nil
 }
@@ -210,7 +246,7 @@ func (t *SessionTable) closeLocked(sh *sessionShard, id ClientID) error {
 func (t *SessionTable) Restore(id ClientID, ch Challenge) {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	sh.open[id] = ch
+	sh.open[id] = session{ch: ch}
 	sh.mu.Unlock()
 	t.BumpNonce(ch.Nonce)
 }
@@ -230,8 +266,8 @@ func (t *SessionTable) Snapshot() map[ClientID]Challenge {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for id, ch := range sh.open {
-			out[id] = ch
+		for id, s := range sh.open {
+			out[id] = s.ch
 		}
 		sh.mu.Unlock()
 	}

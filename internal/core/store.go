@@ -16,12 +16,12 @@ import (
 // ImageStore is the CA's PUF-image database. Images are the protocol's
 // crown jewels - whoever holds them can impersonate clients - so the
 // paper keeps them "stored in an encrypted database": each image is
-// serialized and sealed with AES-256-GCM under the store's master key
-// before it touches the in-memory map.
+// serialized (puf.Image's binary layout) and sealed with AES-256-GCM
+// under the store's master key before it touches the in-memory map.
 //
 // The map is striped across DefaultShards lock shards so the serving
-// path (one Get per handshake, one Get per authentication) does not
-// funnel through a single RWMutex. An optional Journal receives every
+// path (one Get per handshake, one tag lookup per authentication) does
+// not funnel through a single RWMutex. An optional Journal receives every
 // mutation before it is applied, already sealed.
 type ImageStore struct {
 	aead    cipher.AEAD
@@ -85,15 +85,15 @@ func (s *ImageStore) Put(id ClientID, im *puf.Image) error {
 	if im == nil {
 		return fmt.Errorf("core: nil image for %q", id)
 	}
-	var plain bytes.Buffer
-	if err := gob.NewEncoder(&plain).Encode(im); err != nil {
+	plain, err := im.AppendBinary(nil)
+	if err != nil {
 		return fmt.Errorf("core: encode image: %w", err)
 	}
 	nonce := make([]byte, s.aead.NonceSize())
 	if _, err := rand.Read(nonce); err != nil {
 		return fmt.Errorf("core: nonce: %w", err)
 	}
-	sealed := s.aead.Seal(nonce, nonce, plain.Bytes(), []byte(id))
+	sealed := s.aead.Seal(nonce, nonce, plain, []byte(id))
 	sh := s.shard(id)
 	sh.mu.Lock()
 	if s.journal != nil {
@@ -119,34 +119,75 @@ func (s *ImageStore) PutSealed(id ClientID, sealed []byte) {
 
 // Get opens and decodes a client's enrollment image.
 func (s *ImageStore) Get(id ClientID) (*puf.Image, error) {
+	im, _, err := s.get(id)
+	return im, err
+}
+
+// imageGen identifies one sealed blob: its GCM nonce, drawn fresh by
+// every Put. Two blobs stored for a client carry the same tag only if
+// they are the same blob.
+type imageGen [12]byte
+
+// blob returns the sealed blob stored for id.
+func (s *ImageStore) blob(id ClientID) ([]byte, bool) {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	sealed, ok := sh.blobs[id]
 	sh.mu.RUnlock()
+	return sealed, ok
+}
+
+// get is Get plus the generation tag of the blob it opened.
+func (s *ImageStore) get(id ClientID) (*puf.Image, imageGen, error) {
+	var gen imageGen
+	sealed, ok := s.blob(id)
 	if !ok {
-		return nil, fmt.Errorf("client %q not enrolled: %w", id, ErrUnknownClient)
+		return nil, gen, fmt.Errorf("client %q not enrolled: %w", id, ErrUnknownClient)
 	}
-	ns := s.aead.NonceSize()
-	if len(sealed) < ns {
-		return nil, fmt.Errorf("core: corrupt image blob for %q", id)
+	if len(sealed) < len(gen) {
+		return nil, gen, fmt.Errorf("core: corrupt image blob for %q", id)
 	}
-	plain, err := s.aead.Open(nil, sealed[:ns], sealed[ns:], []byte(id))
+	copy(gen[:], sealed)
+	plain, err := s.aead.Open(nil, sealed[:len(gen)], sealed[len(gen):], []byte(id))
 	if err != nil {
-		return nil, fmt.Errorf("core: unseal image for %q: %w", id, err)
+		return nil, gen, fmt.Errorf("core: unseal image for %q: %w", id, err)
+	}
+	im, err := decodeImage(plain)
+	if err != nil {
+		return nil, gen, fmt.Errorf("core: decode image: %w", err)
+	}
+	return im, gen, nil
+}
+
+// decodeImage reads either plaintext a store has ever sealed: the binary
+// layout Put writes, or the gob stream Put wrote before it. Old blobs are
+// never rewritten, so data directories, snapshots and follower streams
+// from before the layout change stay readable.
+func decodeImage(plain []byte) (*puf.Image, error) {
+	if len(plain) > 0 && plain[0] == puf.ImageMagic {
+		return puf.DecodeImage(plain)
 	}
 	var im puf.Image
 	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&im); err != nil {
-		return nil, fmt.Errorf("core: decode image: %w", err)
+		return nil, err
 	}
 	return &im, nil
 }
 
+// generation returns the tag of the blob currently stored for id.
+func (s *ImageStore) generation(id ClientID) (imageGen, bool) {
+	var gen imageGen
+	sealed, ok := s.blob(id)
+	if !ok || len(sealed) < len(gen) {
+		return gen, false
+	}
+	copy(gen[:], sealed)
+	return gen, true
+}
+
 // Has reports whether an image is stored for id.
 func (s *ImageStore) Has(id ClientID) bool {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	_, ok := sh.blobs[id]
-	sh.mu.RUnlock()
+	_, ok := s.blob(id)
 	return ok
 }
 

@@ -62,16 +62,20 @@ func TestImageStoreIsActuallyEncrypted(t *testing.T) {
 	store, _ := NewImageStore([32]byte{1})
 	im := testImage(t)
 	store.Put("alice", im)
-	// Reach into the sealed blob: it must not contain the plaintext
-	// serialization prefix.
 	blob := store.SealedSnapshot()["alice"]
 	if len(blob) == 0 {
 		t.Fatal("no blob stored")
 	}
-	// gob streams of puf.Image start with a type descriptor containing the
-	// struct name; a sealed blob must not leak it.
-	if containsSubslice(blob, []byte("Image")) || containsSubslice(blob, []byte("Instability")) {
-		t.Error("stored blob leaks plaintext structure")
+	// The plaintext is the image's binary layout; no stretch of it — the
+	// cell values least of all — may show through the sealed blob.
+	plain, err := im.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off+16 <= len(plain); off += 16 {
+		if containsSubslice(blob, plain[off:off+16]) {
+			t.Fatalf("stored blob leaks plaintext bytes %d..%d", off, off+16)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cryptoalg/aeskg"
@@ -833,6 +834,146 @@ func BenchmarkWALCommitParallel(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(fsyncs.Load())/float64(b.N), "fsyncs/op")
+		})
+	}
+}
+
+// TestHandshakeSeedStaysInMemory: the seed a handshake computes is kept
+// beside the open session in memory only. No file of the data directory
+// — the log the SessionOpen went to, which is also what a follower is
+// streamed, or a snapshot holding the open session — contains its bytes,
+// and a session recovered from either still authenticates, by unsealing
+// the image again.
+func TestHandshakeSeedStaysInMemory(t *testing.T) {
+	recoveries := []struct {
+		name string
+		stop func(*State) error
+	}{
+		{"wal replay", func(st *State) error { return st.wal.Close() }}, // crash: no snapshot
+		{"snapshot", func(st *State) error { return st.Close() }},
+	}
+	for _, rc := range recoveries {
+		t.Run(rc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := newCommitRig(t, dir, SyncNever)
+			cl := r.enroll(t, "alice", 11)
+			ch, err := r.ca.BeginHandshake(cl.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			im, err := r.st.Images().Get(cl.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, err := im.Seed(ch.AddressMap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rc.stop(r.st); err != nil {
+				t.Fatal(err)
+			}
+
+			files, err := os.ReadDir(dir)
+			if err != nil || len(files) == 0 {
+				t.Fatalf("data directory: %d files, %v", len(files), err)
+			}
+			needle := seed.Bytes()
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Contains(data, needle[:]) {
+					t.Errorf("%s contains the session's base seed", f.Name())
+				}
+			}
+
+			back := newCommitRig(t, dir, SyncNever)
+			defer back.st.Close()
+			m1, err := cl.Respond(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := back.ca.Authenticate(context.Background(), core.AuthRequest{Client: cl.ID, Nonce: ch.Nonce, M1: m1})
+			if err != nil || !res.Authenticated {
+				t.Fatalf("recovered session: %+v, %v", res, err)
+			}
+		})
+	}
+}
+
+// TestRecoversParentDataDir opens data directories written by the commit
+// before the image store's binary layout (testdata/parent_wal: a crashed
+// process, log only; testdata/parent_snapshot: a clean stop; both: key
+// 0..31, client "fixture-client" enrolled from device seed 20232, an RA
+// key, and a session opened at Unix time 1,700,000,000). The gob-sealed image, the RA key and the session must
+// all come back, and the session must authenticate.
+func TestRecoversParentDataDir(t *testing.T) {
+	var key [32]byte
+	for i := range key {
+		key[i] = byte(i)
+	}
+	const id = core.ClientID("fixture-client")
+	for _, fixture := range []string{"parent_wal", "parent_snapshot"} {
+		t.Run(fixture, func(t *testing.T) {
+			dir := t.TempDir()
+			files, err := os.ReadDir(filepath.Join("testdata", fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(filepath.Join("testdata", fixture, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := openState(t, dir, Options{MasterKey: key, Sync: SyncNever})
+			defer st.Close()
+
+			dev, err := puf.NewDevice(20232, 1024, puf.Profile{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := puf.Enroll(dev, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.Images().Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Values {
+				if got.Values[i] != want.Values[i] || got.Instability[i] != want.Instability[i] {
+					t.Fatalf("recovered image differs at cell %d", i)
+				}
+			}
+			if pk, ok := st.RA().PublicKey(id); !ok || string(pk) != "parent-key" {
+				t.Errorf("recovered RA key %q, %v", pk, ok)
+			}
+			ch, open := st.Sessions().Snapshot()[id]
+			if !open || len(ch.AddressMap) != puf.SeedBits {
+				t.Fatalf("recovered session: open %v, %d addresses", open, len(ch.AddressMap))
+			}
+
+			st.Sessions().SetClock(func() time.Time { return ch.IssuedAt.Add(time.Second) })
+			ca, err := core.NewCA(st.Images(), noBackend{t}, &aeskg.Generator{}, st.RA(), core.CAConfig{
+				MaxDistance: 2,
+				Sessions:    st.Sessions(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m1, err := (&core.Client{ID: id, Device: dev}).Respond(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ca.Authenticate(context.Background(), core.AuthRequest{Client: id, Nonce: ch.Nonce, M1: m1})
+			if err != nil || !res.Authenticated {
+				t.Fatalf("recovered session: %+v, %v", res, err)
+			}
 		})
 	}
 }

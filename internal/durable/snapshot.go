@@ -84,7 +84,7 @@ func writeSnapshot(dir string, data *snapshotData) (int64, error) {
 	if err := os.Rename(tmp.Name(), final); err != nil {
 		return 0, fmt.Errorf("durable: publish snapshot: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return 0, err
 	}
 	// Superseded snapshots are garbage once the new one is durable.

@@ -675,7 +675,7 @@ func (w *wal) rotateLocked() error {
 		return fmt.Errorf("durable: rotate: %w", err)
 	}
 	w.metrics.incRotations()
-	return syncDir(w.dir)
+	return SyncDir(w.dir)
 }
 
 // Rotate seals the current segment if it holds any records, so a
@@ -719,7 +719,7 @@ func (w *wal) CompactBefore(seq uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		err = syncDir(w.dir)
+		err = SyncDir(w.dir)
 	}
 	return removed, err
 }
@@ -746,9 +746,9 @@ func (w *wal) Close() error {
 	return err
 }
 
-// syncDir fsyncs a directory so renames and removals inside it are
+// SyncDir fsyncs a directory so renames and removals inside it are
 // durable. Best effort on platforms where directories cannot be synced.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return nil

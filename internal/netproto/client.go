@@ -259,14 +259,7 @@ func (c *Client) tryOnce(ctx context.Context, addr string, device *core.Client, 
 	}
 	// Cancel the in-flight exchange when ctx dies: closing the
 	// connection fails the pending read.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	return AuthenticateWithOptions(conn, device, opts)
 }

@@ -154,8 +154,11 @@ func (s *Server) handle(conn net.Conn) {
 		fail(statusFor(err), err.Error())
 	}
 
+	br := getFrameReader(conn)
+	defer putFrameReader(br)
+
 	conn.SetDeadline(time.Now().Add(s.idle()))
-	msgType, payload, err := ReadFrame(conn)
+	msgType, payload, err := ReadFrame(br)
 	if err != nil || msgType != MsgHello {
 		fail(StatusBadRequest, "expected hello")
 		return
@@ -193,7 +196,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	conn.SetDeadline(time.Now().Add(s.idle()))
-	msgType, payload, err = ReadFrame(conn)
+	msgType, payload, err = ReadFrame(br)
 	if err != nil || msgType != MsgDigest {
 		fail(StatusBadRequest, "expected digest")
 		return
@@ -212,13 +215,19 @@ func (s *Server) handle(conn net.Conn) {
 	// The client sends nothing between the digest and the result, so a
 	// read completing here — EOF, reset, or protocol-violating bytes —
 	// means the session is gone: cancel the search and release the
-	// worker slot instead of finishing work nobody will read.
-	conn.SetReadDeadline(time.Time{})
-	go func() {
-		var one [1]byte
-		conn.Read(one[:])
+	// worker slot instead of finishing work nobody will read. Bytes that
+	// arrived with the digest sit in br, where a read of conn would not
+	// see them; they are the same violation.
+	if br.Buffered() > 0 {
 		cancel()
-	}()
+	} else {
+		conn.SetReadDeadline(time.Time{})
+		go func() {
+			var one [1]byte
+			conn.Read(one[:])
+			cancel()
+		}()
+	}
 
 	auth, err := s.CA.Authenticate(ctx, core.AuthRequest{
 		Client:   core.ClientID(hello.ClientID),
@@ -227,6 +236,13 @@ func (s *Server) handle(conn net.Conn) {
 		Class:    hello.Class,
 		Deadline: hello.Deadline,
 	})
+	if errors.Is(err, sched.ErrClosed) {
+		// The node is shutting down under the request. An error frame
+		// would be a verdict the client must accept; a dropped connection
+		// is a transport failure, which a routing client retries on a
+		// node that is up (the consumed challenge is simply re-issued).
+		return
+	}
 	if err != nil {
 		failErr(err)
 		return
@@ -277,7 +293,9 @@ func AuthenticateWithOptions(conn net.Conn, client *core.Client, opts AuthOption
 	if err := WriteFrame(conn, MsgHello, EncodeHello(hello)); err != nil {
 		return Result{}, fmt.Errorf("netproto: hello: %w", err)
 	}
-	msgType, payload, err := ReadFrame(conn)
+	br := getFrameReader(conn)
+	defer putFrameReader(br)
+	msgType, payload, err := ReadFrame(br)
 	if err != nil {
 		return Result{}, fmt.Errorf("netproto: challenge: %w", err)
 	}
@@ -314,7 +332,7 @@ func AuthenticateWithOptions(conn net.Conn, client *core.Client, opts AuthOption
 		return Result{}, fmt.Errorf("netproto: digest: %w", err)
 	}
 
-	msgType, payload, err = ReadFrame(conn)
+	msgType, payload, err = ReadFrame(br)
 	if err != nil {
 		return Result{}, fmt.Errorf("netproto: result: %w", err)
 	}

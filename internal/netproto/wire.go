@@ -10,11 +10,13 @@
 package netproto
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"rbcsalted/internal/core"
@@ -133,19 +135,48 @@ func (e *ServerError) Error() string {
 // corruption.
 const maxFrame = 1 << 16
 
-// WriteFrame sends one framed message: u32 length, u8 type, payload.
+// frameBufs holds the buffers frames are assembled in. They start at a
+// size that fits every message of the protocol (the largest, a challenge,
+// is 526 bytes) and grow to fit whatever else is written, never past one
+// maximal frame.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// WriteFrame sends one framed message — u32 length, u8 type, payload —
+// in a single Write, so a frame is one syscall on a socket and a failed
+// write never leaves a header without its payload behind.
 func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("netproto: frame too large (%d bytes)", len(payload))
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	bp := frameBufs.Get().(*[]byte)
+	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(payload)+1))
+	buf = append(buf, msgType)
+	buf = append(buf, payload...)
+	_, err := w.Write(buf)
+	*bp = buf
+	frameBufs.Put(bp)
 	return err
+}
+
+// frameReaders holds the buffered readers both ends read a connection's
+// frames through, so a frame costs one read of the socket, not one for
+// its length and one for its body.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1024) }}
+
+// getFrameReader borrows a buffered reader over r; putFrameReader hands
+// it back once nothing reads through it any more.
+func getFrameReader(r io.Reader) *bufio.Reader {
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func putFrameReader(br *bufio.Reader) {
+	br.Reset(nil)
+	frameReaders.Put(br)
 }
 
 // ReadFrame receives one framed message.

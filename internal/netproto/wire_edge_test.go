@@ -3,13 +3,18 @@ package netproto
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cryptoalg/aeskg"
 	"rbcsalted/internal/obs"
+	"rbcsalted/internal/puf"
+	"rbcsalted/internal/sched"
 )
 
 // TestReadFrameEdgeCases tables the hostile-input contract of the frame
@@ -199,5 +204,232 @@ func waitForCounters(t *testing.T, cond func() bool) {
 			t.Fatal("counters did not converge")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// writeCounter counts the Write calls that reach it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: every frame, whatever its message and size,
+// reaches the connection in exactly one Write — one syscall on a socket,
+// and no window in which a header is out without its payload.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	challenge, err := EncodeChallenge(Challenge{Nonce: 1, Alg: 1, AddressMap: make([]int, 256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"hello", MsgHello, EncodeHello(Hello{ClientID: "alice"})},
+		{"hello v4", MsgHello, EncodeHello(Hello{ClientID: "alice", Class: core.ClassBatch, RingEpoch: 7})},
+		{"challenge", MsgChallenge, challenge},
+		{"digest", MsgDigest, EncodeDigest(DigestMsg{Nonce: 1, Digest: make([]byte, 32)})},
+		{"result", MsgResult, EncodeResult(Result{Authenticated: true, PublicKey: make([]byte, 16)})},
+		{"error", MsgError, EncodeError(StatusNoSession, "core: no open session")},
+		{"empty payload", MsgResult, nil},
+		{"largest payload", MsgDigest, bytes.Repeat([]byte{0xA5}, maxFrame-1)},
+		{"small after large", MsgHello, []byte("bob")}, // the pooled buffer is reused, not leaked into
+	}
+	for _, f := range frames {
+		var w writeCounter
+		if err := WriteFrame(&w, f.typ, f.payload); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%s: %d Writes, want 1", f.name, w.writes)
+		}
+		if w.Len() != 5+len(f.payload) {
+			t.Errorf("%s: %d bytes on the wire, want %d", f.name, w.Len(), 5+len(f.payload))
+		}
+		typ, payload, err := ReadFrame(&w)
+		if err != nil || typ != f.typ || !bytes.Equal(payload, f.payload) {
+			t.Errorf("%s: read back type %d, %d bytes, %v", f.name, typ, len(payload), err)
+		}
+	}
+}
+
+// countedConn counts the Write calls one end of a session makes.
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+type countedListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{Conn: c, writes: l.writes}, nil
+}
+
+// TestSessionWritesOncePerFrame counts Writes on both ends of real
+// sessions: four for an authentication (hello, challenge, digest,
+// result), two for one the server refuses (hello, error).
+func TestSessionWritesOncePerFrame(t *testing.T) {
+	server, client, _ := newServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverWrites, clientWrites atomic.Int64
+	go server.Serve(countedListener{Listener: ln, writes: &serverWrites})
+	defer server.Close()
+
+	session := func(device *core.Client) (Result, error) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		return Authenticate(countedConn{Conn: conn, writes: &clientWrites}, device, Latency{})
+	}
+	if res, err := session(client); err != nil || !res.Authenticated {
+		t.Fatalf("authentication: %+v, %v", res, err)
+	}
+	if c, s := clientWrites.Load(), serverWrites.Load(); c != 2 || s != 2 {
+		t.Errorf("authentication: client wrote %d times, server %d; want 2 and 2", c, s)
+	}
+
+	clientWrites.Store(0)
+	serverWrites.Store(0)
+	_, err = session(&core.Client{ID: "ghost", Device: client.Device})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Status != StatusUnknownClient {
+		t.Fatalf("refused session: %v", err)
+	}
+	if c, s := clientWrites.Load(), serverWrites.Load(); c != 1 || s != 1 {
+		t.Errorf("refused session: client wrote %d times, server %d; want 1 and 1", c, s)
+	}
+}
+
+// newEscalatingServer assembles a CA with no inline shells, so every
+// search goes to backend, and one enrolled error-free device.
+func newEscalatingServer(t *testing.T, backend core.Backend) (*Server, *core.Client) {
+	t.Helper()
+	store, err := core.NewImageStore([32]byte{12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := core.NewCA(store, backend, &aeskg.Generator{}, core.NewRA(), core.CAConfig{
+		Alg:         core.SHA3,
+		MaxDistance: 2,
+		InlineDepth: core.InlineDisabled,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := puf.NewDevice(401, 1024, puf.Profile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := puf.Enroll(dev, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ca.Enroll("alice", im); err != nil {
+		t.Fatal(err)
+	}
+	return &Server{CA: ca}, &core.Client{ID: "alice", Device: dev}
+}
+
+// TestBytesBehindTheDigestCancel: the client sends nothing between its
+// digest and the result, so anything that arrives with the digest is the
+// violation the server's watcher exists for — even though the buffered
+// frame reader, not the connection, now holds those bytes. The search
+// here never ends on its own; only the cancellation answers the client.
+func TestBytesBehindTheDigestCancel(t *testing.T) {
+	server, _ := newEscalatingServer(t, blockedBackend{release: make(chan struct{})})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go server.Serve(ln)
+	defer server.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	if err := WriteFrame(conn, MsgHello, EncodeHello(Hello{ClientID: "alice"})); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(conn)
+	if err != nil || typ != MsgChallenge {
+		t.Fatalf("challenge: type %d, %v", typ, err)
+	}
+	wire, err := DecodeChallenge(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The digest frame and a stray byte, in one segment.
+	var both bytes.Buffer
+	if err := WriteFrame(&both, MsgDigest, EncodeDigest(DigestMsg{Nonce: wire.Nonce, Digest: make([]byte, 32)})); err != nil {
+		t.Fatal(err)
+	}
+	both.WriteByte(0xEE)
+	if _, err := conn.Write(both.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err = ReadFrame(conn)
+	if err != nil || typ != MsgError {
+		t.Fatalf("reply: type %d, %v; want an error frame", typ, err)
+	}
+	if status, _ := DecodeError(payload); status != StatusCancelled {
+		t.Errorf("status = %v, want cancelled", status)
+	}
+}
+
+// TestShutdownDropsTheConnection: a search refused because the node's
+// scheduler has closed is answered by closing the connection, not by an
+// error frame. The routing client takes an error frame as the server's
+// verdict and gives up; a transport failure it retries on a live node,
+// which is what lets a fleet ride out a rolling restart.
+func TestShutdownDropsTheConnection(t *testing.T) {
+	pool := sched.New(blockedBackend{}, sched.Config{Workers: 1, QueueDepth: 1})
+	pool.Close()
+	server, client := newEscalatingServer(t, pool)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go server.Serve(ln)
+	defer server.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	_, err = Authenticate(conn, client, Latency{})
+	var se *ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("got %v, want a transport error", err)
+	}
+	if !errors.Is(err, io.EOF) {
+		t.Errorf("got %v, want the connection closed", err)
 	}
 }

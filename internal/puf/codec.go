@@ -1,0 +1,104 @@
+package puf
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// The binary layout of an Image, the plaintext the CA's image store
+// seals:
+//
+//	0x00 | version (1) | u32 cell count n, big-endian
+//	     | Values as a bitset, ceil(n/8) bytes, cell i at bit i%8 of byte i/8
+//	     | n uvarints, cell i's Instability as byte-reversed Float64bits
+//
+// The leading 0x00 tells the layout apart from the gob stream older
+// stores sealed (gob never opens with a zero-length message). Reversing
+// the float's bytes puts the exponent last, so the short mantissas
+// enrollment produces (0, 1/2, 1/4 ...) take one to three bytes, and the
+// round trip is bit-exact for every float64, NaN payloads included.
+//
+// A new layout takes the next version number; DecodeImage keeps reading
+// every version it ever wrote.
+const (
+	// ImageMagic is the first byte of every encoded image.
+	ImageMagic       = 0x00
+	imageVersion     = 1
+	imageHeaderBytes = 6 // magic + version + u32 cell count
+)
+
+// AppendBinary appends im's encoding to dst.
+func (im *Image) AppendBinary(dst []byte) ([]byte, error) {
+	n := len(im.Values)
+	if len(im.Instability) != n {
+		return dst, fmt.Errorf("puf: image has %d values but %d instabilities", n, len(im.Instability))
+	}
+	if uint64(n) > math.MaxUint32 {
+		return dst, fmt.Errorf("puf: image of %d cells is too large to encode", n)
+	}
+	// Exact for an image of perfectly stable cells, a floor otherwise.
+	dst = slices.Grow(dst, imageHeaderBytes+(n+7)/8+n)
+	dst = append(dst, ImageMagic, imageVersion)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	set := len(dst)
+	dst = append(dst, make([]byte, (n+7)/8)...)
+	for i, v := range im.Values {
+		if v {
+			dst[set+i/8] |= 1 << (i % 8)
+		}
+	}
+	for _, inst := range im.Instability {
+		dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(inst)))
+	}
+	return dst, nil
+}
+
+// DecodeImage parses an encoding written by AppendBinary. The input
+// comes from disk or the replication stream, so everything about it is
+// checked: a wrong version, a cell count the length cannot hold, a
+// truncated or overlong varint, set padding bits and trailing bytes are
+// errors, and nothing is allocated before the cell count is known to fit.
+func DecodeImage(p []byte) (*Image, error) {
+	if len(p) < imageHeaderBytes || p[0] != ImageMagic {
+		return nil, errors.New("puf: not an encoded image")
+	}
+	if p[1] != imageVersion {
+		return nil, fmt.Errorf("puf: unsupported image version %d", p[1])
+	}
+	cells := binary.BigEndian.Uint32(p[2:imageHeaderBytes])
+	body := p[imageHeaderBytes:]
+	// Every instability takes at least one byte, so a count the body
+	// cannot hold is refused before it sizes anything.
+	if uint64(cells) > uint64(len(body)) {
+		return nil, fmt.Errorf("puf: image claims %d cells in %d bytes", cells, len(body))
+	}
+	n := int(cells)
+	setBytes := (n + 7) / 8
+	if setBytes+n > len(body) {
+		return nil, fmt.Errorf("puf: image claims %d cells in %d bytes", n, len(body))
+	}
+	set, rest := body[:setBytes], body[setBytes:]
+	if n%8 != 0 && set[setBytes-1]>>(n%8) != 0 {
+		return nil, errors.New("puf: image bitset has padding bits set")
+	}
+	im := &Image{Values: make([]bool, n), Instability: make([]float64, n)}
+	for i := range im.Values {
+		im.Values[i] = set[i/8]>>(i%8)&1 == 1
+	}
+	for i := range im.Instability {
+		v, size := binary.Uvarint(rest)
+		if size <= 0 {
+			return nil, fmt.Errorf("puf: image instability %d is truncated or overlong", i)
+		}
+		im.Instability[i] = math.Float64frombits(bits.ReverseBytes64(v))
+		rest = rest[size:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("puf: %d bytes after the image's last cell", len(rest))
+	}
+	return im, nil
+}

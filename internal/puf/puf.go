@@ -151,7 +151,7 @@ func Enroll(d *Device, reads int) (*Image, error) {
 // observed instability is below threshold, in ascending order. Cells above
 // the threshold are the "ternary" cells masked out of key material.
 func (im *Image) TernaryMask(threshold float64) []int {
-	var stable []int
+	stable := make([]int, 0, len(im.Instability))
 	for i, inst := range im.Instability {
 		if inst < threshold {
 			stable = append(stable, i)

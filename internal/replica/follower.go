@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -52,6 +53,14 @@ type Follower struct {
 	cursor   uint64
 	promoted bool
 	conn     net.Conn
+
+	// persistMu orders the meta file's writers — the run loop's ack
+	// ticker and final save, and Promote — and saved is the highest epoch
+	// and cursor any of them has written. rename is os.Rename outside
+	// tests.
+	persistMu sync.Mutex
+	saved     Meta
+	rename    func(oldpath, newpath string) error
 }
 
 // NewFollower builds a Follower, loading its persisted meta.
@@ -78,7 +87,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{cfg: cfg, epoch: meta.Epoch, cursor: meta.Cursor}, nil
+	return &Follower{cfg: cfg, epoch: meta.Epoch, cursor: meta.Cursor, saved: meta, rename: os.Rename}, nil
 }
 
 // Cursor returns the primary sequence number applied through.
@@ -133,11 +142,24 @@ func (f *Follower) Promote() (uint64, error) {
 // a persisted or acked cursor from running ahead of the durable log.
 // cursor must have been read before the call: the barrier covers every
 // record ingested by then.
+//
+// Callers read their (epoch, cursor) under f.mu and arrive here in any
+// order, so a pair can be stale by the time it is written: the run loop's
+// from before a promotion, landing after Promote's. Both fields only ever
+// grow and every cursor that reaches this point is durable, so the file
+// gets the highest of each seen so far and never goes backwards.
 func (f *Follower) persist(epoch, cursor uint64) error {
 	if err := f.cfg.State.Commit(); err != nil {
 		return fmt.Errorf("replica: commit: %w", err)
 	}
-	return SaveMeta(f.cfg.MetaPath, Meta{Epoch: epoch, Cursor: cursor})
+	f.persistMu.Lock()
+	defer f.persistMu.Unlock()
+	m := Meta{Epoch: max(epoch, f.saved.Epoch), Cursor: max(cursor, f.saved.Cursor)}
+	if err := saveMeta(f.cfg.MetaPath, m, f.rename); err != nil {
+		return err
+	}
+	f.saved = m
+	return nil
 }
 
 // Promoted reports whether Promote has run.

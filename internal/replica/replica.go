@@ -45,6 +45,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+
+	"rbcsalted/internal/durable"
 )
 
 // PromoteNonceSlack is added to the nonce high-water mark on every
@@ -230,20 +233,44 @@ func LoadMeta(path string) (Meta, error) {
 	return m, nil
 }
 
-// SaveMeta persists a meta file atomically (tmp + rename), so a crash
-// mid-save leaves the previous cursor — re-delivery from an old cursor
-// is safe, a cursor ahead of applied state is not.
+// SaveMeta persists a meta file atomically and durably: the new contents
+// are written to a temporary file of their own beside it and fsynced
+// before they are renamed over the old, and the directory is fsynced
+// after, so a crash at any point leaves either the previous cursor or the
+// new one — re-delivery from an old cursor is safe, a cursor ahead of
+// applied state is not — and concurrent savers cannot tear each other's
+// file. Which of two concurrent saves lands last is up to their caller
+// (Follower orders its own).
 func SaveMeta(path string, m Meta) error {
+	return saveMeta(path, m, os.Rename)
+}
+
+// saveMeta is SaveMeta with the rename step injectable, the seam the
+// interleaving test holds writers at.
+func saveMeta(path string, m Meta, rename func(oldpath, newpath string) error) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o600); err != nil {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return fmt.Errorf("replica: write meta: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("replica: write meta: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("replica: sync meta: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("replica: write meta: %w", err)
+	}
+	if err := rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("replica: rename meta: %w", err)
 	}
-	return nil
+	return durable.SyncDir(dir)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -503,5 +504,100 @@ func TestPrimaryCloseBeforeServe(t *testing.T) {
 	}
 	if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
 		t.Errorf("listener left open: Accept err = %v", err)
+	}
+}
+
+// TestMetaWritersNeverRegress drives the meta file's two writers — the
+// run loop's periodic save and Promote's — through persist in both
+// orders, holding the first at its rename while the second arrives. The
+// second must wait its turn (sharing one temp file, it used to write and
+// rename underneath the first, which then failed or published a torn
+// file), the file on disk must never go backwards in epoch or cursor,
+// and a pair that was stale by the time it was written — the run loop's
+// pre-promotion epoch landing after Promote's — must not undo the newer
+// one.
+func TestMetaWritersNeverRegress(t *testing.T) {
+	runLoop, promote := Meta{Epoch: 4, Cursor: 70}, Meta{Epoch: 5, Cursor: 50}
+	for _, order := range [][2]Meta{{runLoop, promote}, {promote, runLoop}} {
+		dir := t.TempDir()
+		st := openState(t, dir)
+		f := newFollower(t, st, dir, "f", nil)
+
+		held, release := make(chan struct{}), make(chan struct{})
+		var onDisk Meta
+		renames := 0
+		f.rename = func(oldpath, newpath string) error {
+			if renames++; renames == 1 {
+				close(held)
+				<-release
+			}
+			if err := os.Rename(oldpath, newpath); err != nil {
+				return err
+			}
+			got, err := LoadMeta(newpath)
+			if err != nil {
+				t.Errorf("meta unreadable after rename %d: %v", renames, err)
+			}
+			if got.Epoch < onDisk.Epoch || got.Cursor < onDisk.Cursor {
+				t.Errorf("rename %d took the file from %+v back to %+v", renames, onDisk, got)
+			}
+			onDisk = got
+			return nil
+		}
+
+		first, second := make(chan error, 1), make(chan error, 1)
+		go func() { first <- f.persist(order[0].Epoch, order[0].Cursor) }()
+		<-held
+		go func() { second <- f.persist(order[1].Epoch, order[1].Cursor) }()
+		select {
+		case err := <-second:
+			t.Fatalf("second writer finished (%v) while the first was mid-save", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(release)
+		if err := <-first; err != nil {
+			t.Errorf("first writer: %v", err)
+		}
+		if err := <-second; err != nil {
+			t.Errorf("second writer: %v", err)
+		}
+		got, err := LoadMeta(f.cfg.MetaPath)
+		if want := (Meta{Epoch: 5, Cursor: 70}); err != nil || got != want {
+			t.Errorf("order %+v: meta on disk %+v (%v), want %+v", order, got, err, want)
+		}
+		st.Close()
+	}
+}
+
+// TestSaveMetaConcurrentSavers: savers that do not coordinate still each
+// publish a whole file, and leave no temporary files behind.
+func TestSaveMetaConcurrentSavers(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.meta")
+	const savers = 8
+	errs := make(chan error, savers)
+	for i := 0; i < savers; i++ {
+		go func() {
+			for round := 0; round < 20; round++ {
+				if err := SaveMeta(path, Meta{Epoch: uint64(i), Cursor: uint64(i) * 100}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < savers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	got, err := LoadMeta(path)
+	if err != nil || got.Cursor != got.Epoch*100 {
+		t.Errorf("meta after concurrent saves = %+v, %v", got, err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil || len(left) != 1 {
+		t.Errorf("directory holds %d entries (%v), want the meta file alone", len(left), err)
 	}
 }
