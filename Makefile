@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet fmt-check test race fuzz gen-check cluster-race sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
+.PHONY: check build vet fmt-check test race fuzz gen-check sched-race plan-race replica-race bench bench-all bench-smoke bench-gate bench-module loc
 
 # check is the CI gate: compile everything, vet, check formatting, run the
 # full test suite with the race detector (the scheduler and
@@ -28,16 +28,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# cluster-race hammers the fault-tolerance property tests (worker kills,
-# re-dispatch, rejoin) twice under the race detector; CI runs this as a
-# dedicated job because the timing-sensitive failure paths only count
+# sched-race runs the multi-class serving path's property tests twice
+# under the race detector: priority aging, deadline admission,
+# shed-the-tail and hedged dispatch are timing-sensitive and only count
 # when raced and repeated.
-cluster-race:
-	$(GO) test -race ./internal/cluster/... -count=2
-
-# sched-race does the same for the multi-class serving path: priority
-# aging, deadline admission, shed-the-tail and hedged dispatch are all
-# raced, repeated property tests.
 sched-race:
 	$(GO) test -race ./internal/sched/... -count=2
 

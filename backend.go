@@ -2,10 +2,8 @@ package rbc
 
 import (
 	"fmt"
-	"time"
 
 	"rbcsalted/internal/apusim"
-	"rbcsalted/internal/cluster"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/gpusim"
@@ -22,9 +20,6 @@ const (
 	BackendGPU
 	// BackendAPU is the calibrated Gemini simulator (SALTED-APU).
 	BackendAPU
-	// BackendCluster is a fault-tolerant distributed coordinator; pair it
-	// with ClusterWorker processes connecting over TCP.
-	BackendCluster
 	// BackendPlanner is the cost-based multiplexer over the CPU, GPU and
 	// APU engines: every search is dispatched to the engine the
 	// calibrated cost curves (corrected by live feedback) predict to be
@@ -41,8 +36,6 @@ func (k BackendKind) String() string {
 		return "gpu"
 	case BackendAPU:
 		return "apu"
-	case BackendCluster:
-		return "cluster"
 	case BackendPlanner:
 		return "planner"
 	default:
@@ -50,7 +43,7 @@ func (k BackendKind) String() string {
 	}
 }
 
-// ParseBackendKind parses "cpu", "gpu", "apu", "cluster" or "planner" —
+// ParseBackendKind parses "cpu", "gpu", "apu" or "planner" —
 // the values the command-line tools accept for their -backend flags.
 func ParseBackendKind(s string) (BackendKind, error) {
 	switch s {
@@ -60,12 +53,10 @@ func ParseBackendKind(s string) (BackendKind, error) {
 		return BackendGPU, nil
 	case "apu":
 		return BackendAPU, nil
-	case "cluster":
-		return BackendCluster, nil
 	case "planner":
 		return BackendPlanner, nil
 	default:
-		return 0, fmt.Errorf("rbc: unknown backend kind %q (want cpu, gpu, apu, cluster or planner)", s)
+		return 0, fmt.Errorf("rbc: unknown backend kind %q (want cpu, gpu, apu or planner)", s)
 	}
 }
 
@@ -88,11 +79,7 @@ type BackendSpec struct {
 	// ExecBudget caps the shell size executed for real rather than
 	// planned analytically (GPU/APU kinds); 0 means the package default.
 	ExecBudget uint64
-	// Fallback enables the cluster's degraded mode: searches run on this
-	// local backend whenever the fleet is empty (cluster kind).
-	Fallback Backend
-	// Metrics receives the cluster's fault-tolerance counters (cluster
-	// kind) or the planner's dispatch counters (planner kind).
+	// Metrics receives the planner's dispatch counters (planner kind).
 	Metrics *MetricsRegistry
 	// JoulesBudget, when positive, caps the total energy the planner may
 	// spend across all searches (planner kind); engines whose predicted
@@ -101,17 +88,10 @@ type BackendSpec struct {
 	// PlanPolicy selects the planner's objective (planner kind); the
 	// zero value is PlanBalanced.
 	PlanPolicy PlanPolicy
-	// HeartbeatInterval and HeartbeatTimeout tune the cluster's failure
-	// detector (cluster kind); zero values take the cluster defaults.
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
 }
 
-// NewBackend is the single entry point for constructing any of the five
-// search engines.
-//
-// A cluster backend is returned as a *ClusterCoordinator ready for
-// Serve; remember to Close it. All other kinds are ready immediately.
+// NewBackend is the single entry point for constructing any of the four
+// search engines; each is ready immediately.
 func NewBackend(spec BackendSpec) (Backend, error) {
 	if spec.Cores < 0 {
 		return nil, fmt.Errorf("rbc: negative cores %d", spec.Cores)
@@ -171,14 +151,6 @@ func NewBackend(spec BackendSpec) (Backend, error) {
 			JoulesBudget: spec.JoulesBudget,
 			Metrics:      spec.Metrics,
 		})
-	case BackendCluster:
-		return cluster.NewCoordinator(cluster.Config{
-			Alg:               spec.Alg,
-			Fallback:          spec.Fallback,
-			HeartbeatInterval: spec.HeartbeatInterval,
-			HeartbeatTimeout:  spec.HeartbeatTimeout,
-			Metrics:           spec.Metrics,
-		}), nil
 	default:
 		return nil, fmt.Errorf("rbc: unknown backend kind %v", spec.Kind)
 	}

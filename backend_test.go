@@ -6,11 +6,8 @@ package rbc_test
 
 import (
 	"context"
-	"errors"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"rbcsalted"
 )
@@ -47,76 +44,6 @@ func TestNewBackendConstructsAllKinds(t *testing.T) {
 	}
 }
 
-func TestNewBackendCluster(t *testing.T) {
-	reg := rbc.NewMetricsRegistry()
-	b, err := rbc.NewBackend(rbc.BackendSpec{
-		Kind:              rbc.BackendCluster,
-		Alg:               rbc.SHA3,
-		Fallback:          &rbc.CPUBackend{Alg: rbc.SHA3, Workers: 2},
-		Metrics:           reg,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, ok := b.(*rbc.ClusterCoordinator)
-	if !ok {
-		t.Fatalf("cluster kind returned %T", b)
-	}
-	defer coord.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve(ln)
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go rbc.RunClusterWorker(ln.Addr().String(), &rbc.ClusterWorker{Cores: 2}, stop)
-	if err := coord.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	task, client := backendTask(t, rbc.SHA3)
-	res, err := coord.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || !res.Seed.Equal(client) {
-		t.Fatalf("wrong result %+v", res)
-	}
-	if st := coord.Stats(); st.Workers != 1 {
-		t.Fatalf("stats %+v, want 1 worker", st)
-	}
-}
-
-func TestNewBackendClusterFallbackWithoutFleet(t *testing.T) {
-	b, err := rbc.NewBackend(rbc.BackendSpec{
-		Kind:     rbc.BackendCluster,
-		Alg:      rbc.SHA1,
-		Fallback: &rbc.CPUBackend{Alg: rbc.SHA1, Workers: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := b.(*rbc.ClusterCoordinator)
-	defer coord.Close()
-
-	task, client := backendTask(t, rbc.SHA1)
-	res, err := coord.Search(context.Background(), task)
-	if err != nil {
-		t.Fatalf("degraded search: %v", err)
-	}
-	if !res.Found || !res.Seed.Equal(client) {
-		t.Fatalf("wrong result %+v", res)
-	}
-	if !coord.Degraded() {
-		t.Fatal("empty fleet should report degraded")
-	}
-}
-
 func TestNewBackendRejectsBadSpecs(t *testing.T) {
 	if _, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendKind(42)}); err == nil {
 		t.Fatal("unknown kind accepted")
@@ -137,7 +64,6 @@ func TestParseBackendKind(t *testing.T) {
 		{"cpu", rbc.BackendCPU},
 		{"gpu", rbc.BackendGPU},
 		{"apu", rbc.BackendAPU},
-		{"cluster", rbc.BackendCluster},
 		{"planner", rbc.BackendPlanner},
 	} {
 		got, err := rbc.ParseBackendKind(tc.in)
@@ -148,21 +74,12 @@ func TestParseBackendKind(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := rbc.ParseBackendKind("tpu"); err == nil ||
-		!strings.Contains(err.Error(), "unknown backend kind") {
-		t.Fatalf("ParseBackendKind(tpu) = %v", err)
-	}
-}
-
-func TestClusterErrorsExported(t *testing.T) {
-	coord := rbc.NewClusterCoordinator(rbc.ClusterConfig{Alg: rbc.SHA1})
-	coord.Close()
-	task, _ := backendTask(t, rbc.SHA1)
-	_, err := coord.Search(context.Background(), task)
-	if !errors.Is(err, rbc.ErrClusterClosed) {
-		t.Fatalf("search after close: %v", err)
-	}
-	if rbc.ErrProtoVersion == nil {
-		t.Fatal("ErrProtoVersion not exported")
+	// "cluster" is no engine either: it is refused like any other unknown
+	// name, so rbc-server's -backend flag rejects it at parse time.
+	for _, in := range []string{"tpu", "cluster"} {
+		if _, err := rbc.ParseBackendKind(in); err == nil ||
+			!strings.Contains(err.Error(), "unknown backend kind") {
+			t.Fatalf("ParseBackendKind(%s) = %v", in, err)
+		}
 	}
 }

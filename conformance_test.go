@@ -8,9 +8,7 @@ package rbc
 import (
 	"context"
 	"errors"
-	"net"
 	"testing"
-	"time"
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
@@ -30,9 +28,8 @@ func (b backendFunc) Search(ctx context.Context, task Task) (Result, error) {
 
 // conformanceEngines builds every engine for alg: cpu, cpu-model, the
 // two simulators on both their executed path (every shell inside
-// ExecBudget) and their analytically planned one (none is), a
-// coordinator with one in-process worker, and — when the ball fits its
-// depth cap — the inline fast path.
+// ExecBudget) and their analytically planned one (none is), and — when
+// the ball fits its depth cap — the inline fast path.
 func conformanceEngines(t *testing.T, alg HashAlg, maxDistance int) []Backend {
 	t.Helper()
 	shell, _ := combin.Binomial64(256, maxDistance)
@@ -45,23 +42,6 @@ func conformanceEngines(t *testing.T, alg HashAlg, maxDistance int) []Backend {
 			engines = append(engines, mustBackend(t, BackendSpec{Kind: kind, Alg: alg, Cores: 2, ExecBudget: budget}))
 		}
 	}
-
-	coord := NewClusterCoordinator(ClusterConfig{Alg: alg})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go coord.Serve(ln)
-	stop := make(chan struct{})
-	go RunClusterWorker(ln.Addr().String(), &ClusterWorker{Cores: 2}, stop)
-	t.Cleanup(func() {
-		close(stop)
-		coord.Close()
-	})
-	if err := coord.WaitForWorkers(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	engines = append(engines, coord)
 
 	if maxDistance <= core.MaxInlineDepth {
 		engines = append(engines, backendFunc{core.InlineName, func(ctx context.Context, task Task) (Result, error) {

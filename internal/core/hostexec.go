@@ -14,8 +14,8 @@ import (
 
 // SearchShellHost covers one Hamming-distance shell on the host with real
 // execution: `workers` goroutines over disjoint subranges of the shell.
-// It is the execution engine behind the real CPU backend, the cluster
-// workers, and the validation paths of the device simulators.
+// It is the execution engine behind the real CPU backend and the
+// validation paths of the device simulators.
 //
 // Each worker builds its own Matcher from newMatcher. When the matcher
 // implements BatchMatcher (the HashMatcherFactory default), the
@@ -41,9 +41,9 @@ func SearchShellHost(ctx context.Context, base u256.Uint256, d int, method iters
 
 // SearchRangeHost covers ranks [startRank, startRank+count) of one shell
 // (in the method's own order) with the same engine as SearchShellHost,
-// splitting the range evenly over min(workers, count) goroutines. It is
-// the building block the cluster worker uses to serve dispatched shard
-// ranges.
+// splitting the range evenly over min(workers, count) goroutines. The
+// device simulators use it to execute a sampled prefix of a shell they
+// otherwise cover analytically.
 func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iterseq.Method, startRank, count uint64, workers, checkEvery int, exhaustive bool, deadline time.Time, newMatcher MatcherFactory) (found bool, seed u256.Uint256, covered uint64, timedOut bool, err error) {
 	if count == 0 {
 		return false, u256.Zero, 0, false, nil

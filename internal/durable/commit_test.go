@@ -263,6 +263,39 @@ func TestFailedBarrierFailsTheOutcome(t *testing.T) {
 	}
 }
 
+// TestSyncDirReportsErrors: a directory that cannot be opened, let alone
+// synced, is an error, not a silent success.
+func TestSyncDirReportsErrors(t *testing.T) {
+	if err := SyncDir(filepath.Join(t.TempDir(), "missing")); err == nil {
+		t.Fatal("SyncDir of a missing directory returned nil")
+	}
+	if err := SyncDir(t.TempDir()); err != nil {
+		t.Fatalf("SyncDir of a directory: %v", err)
+	}
+}
+
+// TestFailedRotationDirSyncPoisonsTheLog: a rotation whose directory sync
+// fails leaves the new segment's entry possibly undurable, so the log is
+// poisoned and the next Commit reports the failure instead of acking.
+func TestFailedRotationDirSyncPoisonsTheLog(t *testing.T) {
+	w, _, _ := collectWAL(t, t.TempDir(), walConfig{policy: SyncAlways}, 0)
+	if _, err := w.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	w.syncDir = func(string) error { return errInjectedSync }
+	if err := w.Rotate(); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Rotate over a failing directory sync: err = %v", err)
+	}
+	seq, err := w.Append([]byte("after"))
+	if err == nil {
+		err = w.Commit(seq)
+	}
+	if !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Commit after a failed rotation: err = %v", err)
+	}
+	w.Close()
+}
+
 // TestGroupCommit: with one fsync held open, appends keep completing, and
 // sixteen committers share two fsyncs — the one in flight and the one
 // that covers everything written meanwhile.

@@ -146,9 +146,10 @@ type wal struct {
 	syncing bool
 	syncErr error // first failed fsync; sticky, see syncTo
 
-	// syncFile makes f's written records durable. A field only so tests
-	// can count, block and fail barriers.
+	// syncFile makes f's written records durable, syncDir the entries of
+	// a directory. Fields only so tests can count, block and fail them.
 	syncFile func(f *os.File) error
+	syncDir  func(dir string) error
 
 	stop chan struct{}
 	done chan struct{}
@@ -219,7 +220,7 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 	}
 	rec.segments = len(starts)
 
-	w := &wal{dir: dir, cfg: cfg, prealloc: cfg.policy == SyncAlways, syncFile: datasync}
+	w := &wal{dir: dir, cfg: cfg, prealloc: cfg.policy == SyncAlways, syncFile: datasync, syncDir: SyncDir}
 	w.ccond = sync.NewCond(&w.cmu)
 	// Records are numbered sequentially across segments; a segment's
 	// filename is its first record's sequence number. Continuity is
@@ -671,11 +672,17 @@ func (w *wal) rotateLocked() error {
 	if err == nil {
 		err = w.openSegment(last+1, 0)
 	}
+	if err == nil {
+		// A failed directory sync poisons the log like a failed segment
+		// fsync: records in the new segment must not be acked while its
+		// directory entry may still be lost.
+		err = w.syncDir(w.dir)
+	}
 	if err := w.releaseSync(last, err); err != nil {
 		return fmt.Errorf("durable: rotate: %w", err)
 	}
 	w.metrics.incRotations()
-	return SyncDir(w.dir)
+	return nil
 }
 
 // Rotate seals the current segment if it holds any records, so a
@@ -719,7 +726,7 @@ func (w *wal) CompactBefore(seq uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		err = SyncDir(w.dir)
+		err = w.syncDir(w.dir)
 	}
 	return removed, err
 }
@@ -746,14 +753,16 @@ func (w *wal) Close() error {
 	return err
 }
 
-// SyncDir fsyncs a directory so renames and removals inside it are
-// durable. Best effort on platforms where directories cannot be synced.
+// SyncDir fsyncs a directory so creations, renames and removals inside
+// it are durable.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("durable: sync dir: %w", err)
 	}
 	defer d.Close()
-	_ = d.Sync()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("durable: sync dir: %w", err)
+	}
 	return nil
 }

@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// The hedge trigger both hedgers derive (the scheduler from search
-// service times, the cluster coordinator from shard-flight latencies):
-// the 95th percentile of the last 256 samples, once 16 have been seen.
+// The hedge trigger the scheduler derives from search service times: the
+// 95th percentile of the last 256 samples, once 16 have been seen. A
+// search slower than 95 % of recent ones is likely a straggler; fewer
+// than 16 samples say too little to tell.
 const (
 	hedgeWindow     = 256
 	hedgeQuantile   = 0.95

@@ -448,7 +448,7 @@ func (p *Planner) observe(e *engine, task core.Task, predicted core.Cost, res co
 
 // PredictCost implements core.CostModel: the planner's own predicted
 // cost for a task is its chosen engine's corrected prediction, so
-// planners nest (a cluster of planners can be planned over).
+// planners nest (a planner can dispatch over other planners).
 func (p *Planner) PredictCost(task core.Task) (core.Cost, error) {
 	pl, err := p.plan(task)
 	if err != nil {

@@ -170,10 +170,11 @@ func (f *Follower) Promoted() bool {
 }
 
 // RunUntil follows the primary at addr, redialing with a fixed delay
-// after connection loss — the cluster worker's rejoin idiom — until ctx
-// is cancelled, the follower is promoted, or the primary turns out to
-// be fenced or stale (those are permanent for this topology, so the
-// loop reports instead of hammering).
+// after connection loss — a restarted primary is rejoined from the
+// persisted cursor without operator action — until ctx is cancelled,
+// the follower is promoted, or the primary turns out to be fenced or
+// stale (those are permanent for this topology, so the loop reports
+// instead of hammering).
 func (f *Follower) RunUntil(ctx context.Context, addr string, delay time.Duration) error {
 	if delay <= 0 {
 		delay = time.Second

@@ -37,7 +37,8 @@ type Primary struct {
 	Heartbeat time.Duration
 	// ReapAfter bounds follower silence: a subscriber that has not
 	// acked for this long is disconnected and must resubscribe
-	// (default 5× Heartbeat) — the cluster coordinator's reap idiom.
+	// (default 5× Heartbeat). A dead follower's connection may never
+	// error on its own, and holding it would pin its stream forever.
 	ReapAfter time.Duration
 	// OnFenced, when set, fires once when a subscriber fences this
 	// primary (the server uses it to stand down).

@@ -31,9 +31,11 @@
 // collide with ones the dead primary issued but had not replicated —
 // the same argument durable recovery makes after a torn tail.
 //
-// The wire protocol is gob over length-prefixed frames, the same idiom
-// internal/cluster uses; liveness is heartbeat-by-traffic exactly like
-// the cluster coordinator reaps silent workers.
+// The wire protocol is gob over length-prefixed frames: self-describing
+// messages on a stream with explicit boundaries. Liveness is
+// heartbeat-by-traffic: watermarks and acks flow even when no record
+// does, so a peer silent for longer than its timeout is dead and is
+// dropped.
 package replica
 
 import (
@@ -178,8 +180,8 @@ func readMsg(r io.Reader) (byte, any, error) {
 	if n == 0 || n > maxReplicaFrame {
 		return 0, nil, fmt.Errorf("replica: invalid frame length %d", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readBody(r, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
 	dec := gob.NewDecoder(bytes.NewReader(buf[1:]))
@@ -204,6 +206,33 @@ func readMsg(r io.Reader) (byte, any, error) {
 		return buf[0], &m, dec.Decode(&m)
 	default:
 		return 0, nil, fmt.Errorf("replica: unknown message kind %d", buf[0])
+	}
+}
+
+// bodyChunk is the most readBody allocates before any payload byte has
+// arrived. It exceeds every record frame a running stream sends (a
+// sealed enrolment image is a few KB), so those cost one allocation.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte frame body. n is the peer's claim, not yet
+// its bytes, so the buffer grows (at most doubling) only as bytes
+// arrive: a bare length header followed by EOF costs bodyChunk, not the
+// n bytes it announced. A body cut short is io.ErrUnexpectedEOF.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		read = len(buf)
+		if read == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-read, read))...)
 	}
 }
 

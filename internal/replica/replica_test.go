@@ -1,12 +1,16 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,8 +306,8 @@ func TestFencing(t *testing.T) {
 	}
 }
 
-// TestFollowerRejoinsAfterPrimaryRestart: the cluster rejoin idiom — a
-// primary restart (same address) does not strand the follower.
+// TestFollowerRejoinsAfterPrimaryRestart: a primary restart (same
+// address) does not strand the follower; it redials and resumes.
 func TestFollowerRejoinsAfterPrimaryRestart(t *testing.T) {
 	pst := openState(t, t.TempDir())
 	defer pst.Close()
@@ -475,6 +479,52 @@ func TestMetaRoundTrip(t *testing.T) {
 	got, err := LoadMeta(path)
 	if err != nil || got != want {
 		t.Fatalf("meta round trip = %+v, %v", got, err)
+	}
+}
+
+// TestReadMsgAllocatesAsBytesArrive: a length header is only the peer's
+// claim. Four bytes announcing the largest frame, then EOF, cost an
+// error and a bounded buffer, not the 32 MiB announced; real frames, on
+// either side of the first chunk, still arrive whole, and a record-sized
+// body is one allocation.
+func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxReplicaFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readMsg(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header then EOF: err = %v", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("header then EOF allocated %d bytes", n)
+	}
+
+	for _, size := range []int{1500, 3*bodyChunk + 7} {
+		var frame bytes.Buffer
+		want := &recordMsg{Seq: 7, Payload: bytes.Repeat([]byte{0xA5}, size)}
+		if err := writeMsg(&frame, kindRecord, want); err != nil {
+			t.Fatal(err)
+		}
+		kind, got, err := readMsg(&frame)
+		if err != nil || kind != kindRecord {
+			t.Fatalf("%d-byte record: kind %d, err %v", size, kind, err)
+		}
+		if m := got.(*recordMsg); m.Seq != want.Seq || !bytes.Equal(m.Payload, want.Payload) {
+			t.Fatalf("%d-byte record came back as seq %d, %d bytes", size, m.Seq, len(m.Payload))
+		}
+	}
+
+	body := make([]byte, 1500)
+	r := bytes.NewReader(body)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		if _, err := readBody(r, len(body)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("record-sized body: %v allocations, want 1", n)
 	}
 }
 

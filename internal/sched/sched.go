@@ -18,7 +18,7 @@
 //
 // Scheduler itself implements core.Backend, so it composes with
 // everything that takes one: a CA can authenticate through a scheduled
-// CPU engine, a scheduled cluster coordinator, or even a scheduler over
+// CPU engine, a scheduled cost-based planner, or even a scheduler over
 // another scheduler (e.g. a small high-priority pool in front of a large
 // shared one).
 package sched
@@ -226,11 +226,6 @@ type Stats struct {
 	// ByClass breaks the admission counters down per QoS class, indexed
 	// by core.QoSClass.
 	ByClass [core.NumClasses]ClassStats
-	// Degraded mirrors the backend's core.HealthReporter state (false
-	// for backends that don't report health): true while the backend is
-	// serving in reduced-capacity mode, e.g. a cluster coordinator with
-	// an empty fleet running on its local fallback.
-	Degraded bool
 }
 
 // Served returns the number of searches that left the queue.
@@ -630,19 +625,7 @@ func (s *Scheduler) Stats() Stats {
 	s.qmu.Lock()
 	snap.Queued = s.queued
 	s.qmu.Unlock()
-	if hr, ok := s.backend.(core.HealthReporter); ok {
-		snap.Degraded = hr.Degraded()
-	}
 	return snap
-}
-
-// Degraded implements core.HealthReporter by delegating to the wrapped
-// backend, so health propagates through stacked schedulers.
-func (s *Scheduler) Degraded() bool {
-	if hr, ok := s.backend.(core.HealthReporter); ok {
-		return hr.Degraded()
-	}
-	return false
 }
 
 // Close stops admission, resolves every still-queued search with

@@ -626,43 +626,3 @@ func TestDeadlineAdmissionUsesBackendETA(t *testing.T) {
 		t.Fatalf("feasible deadline refused: %+v, %v", res, err)
 	}
 }
-
-// healthBackend is a Backend that also reports degraded health, like
-// the cluster coordinator.
-type healthBackend struct {
-	blockingBackend
-	degraded bool
-}
-
-func (h *healthBackend) Degraded() bool { return h.degraded }
-
-// TestStatsSurfacesBackendHealth pins the core.HealthReporter plumbing:
-// a degraded backend shows up in Stats and via Scheduler.Degraded, and
-// a backend without health reporting defaults to healthy.
-func TestStatsSurfacesBackendHealth(t *testing.T) {
-	hb := &healthBackend{}
-	s := New(hb, Config{Workers: 1, QueueDepth: 1})
-	defer s.Close()
-
-	if s.Stats().Degraded || s.Degraded() {
-		t.Fatal("healthy backend reported degraded")
-	}
-	hb.degraded = true
-	if !s.Stats().Degraded || !s.Degraded() {
-		t.Fatal("degraded backend not surfaced")
-	}
-
-	// A backend that is not a HealthReporter is never degraded.
-	plain := New(&blockingBackend{}, Config{Workers: 1, QueueDepth: 1})
-	defer plain.Close()
-	if plain.Stats().Degraded || plain.Degraded() {
-		t.Fatal("plain backend reported degraded")
-	}
-
-	// Health propagates through stacked schedulers.
-	outer := New(s, Config{Workers: 1, QueueDepth: 1})
-	defer outer.Close()
-	if !outer.Degraded() {
-		t.Fatal("degraded state did not propagate through stacked schedulers")
-	}
-}

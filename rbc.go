@@ -39,9 +39,9 @@
 //   - BackendAPU: a calibrated GSI Gemini associative-processor
 //     simulator (SALTED-APU) whose compute runs through a real bit-sliced
 //     gate-level engine.
-//   - BackendCluster: a fault-tolerant distributed coordinator fanning
-//     shells out over TCP-connected workers, with heartbeat failure
-//     detection and exactly-once shard re-dispatch.
+//   - BackendPlanner: a cost-based multiplexer over the three above,
+//     dispatching each search to the engine its calibrated cost curves
+//     predict to be cheapest.
 //
 // For example:
 //
@@ -119,7 +119,6 @@
 package rbc
 
 import (
-	"rbcsalted/internal/cluster"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg"
@@ -496,49 +495,6 @@ type (
 	SaberKeyGenerator = saber.Generator
 	// DilithiumKeyGenerator is from-scratch Dilithium3 key generation.
 	DilithiumKeyGenerator = dilithium.Generator
-)
-
-// Distributed search (paper §5 future work): a fault-tolerant
-// coordinator implementing Backend plus TCP-connected workers. Workers
-// heartbeat over the job stream; a worker that dies mid-shell has its
-// unfinished seed ranges re-dispatched to the survivors (or a local
-// fallback backend) with exactly-once coverage accounting, and workers
-// reconnect and rejoin the fleet automatically.
-type (
-	// ClusterCoordinator fans shells out over worker nodes.
-	ClusterCoordinator = cluster.Coordinator
-	// ClusterConfig tunes the coordinator: hash, degraded-mode fallback,
-	// failure detector, retry policy, drain timeout and metrics.
-	ClusterConfig = cluster.Config
-	// ClusterStats is a snapshot of fleet size and fault-tolerance
-	// counters (deaths, rejoins, re-dispatches, fallbacks).
-	ClusterStats = cluster.Stats
-	// ClusterWorker serves shell ranges with this machine's cores.
-	ClusterWorker = cluster.Worker
-)
-
-// NewClusterCoordinator builds a coordinator from a ClusterConfig. Call
-// Serve with a listener, then use it as a Backend; Close drains
-// in-flight searches.
-func NewClusterCoordinator(cfg ClusterConfig) *ClusterCoordinator {
-	return cluster.NewCoordinator(cfg)
-}
-
-// RunClusterWorker keeps a worker connected to a coordinator,
-// redialling with backoff until stop is closed (a nil stop never
-// stops). It gives up only if the coordinator speaks an incompatible
-// protocol version.
-func RunClusterWorker(addr string, w *ClusterWorker, stop <-chan struct{}) {
-	cluster.RunWorkerUntil(addr, w, stop)
-}
-
-// Cluster sentinel errors.
-var (
-	// ErrProtoVersion: the two ends speak different cluster wire
-	// protocol versions.
-	ErrProtoVersion = cluster.ErrProtoVersion
-	// ErrClusterClosed: Search after ClusterCoordinator.Close.
-	ErrClusterClosed = cluster.ErrClosed
 )
 
 // Networked protocol (Figure 1 over TCP).

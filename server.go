@@ -174,9 +174,6 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 	if ra == nil {
 		ra = core.NewRA()
 	}
-	if cfg.Backend == BackendCluster {
-		return nil, fmt.Errorf("rbc: cluster backends need a worker fleet; wire one up through NewClusterCoordinator instead")
-	}
 	engine, err := NewBackend(BackendSpec{
 		Kind:         cfg.Backend,
 		Alg:          core.SHA3,
