@@ -59,15 +59,20 @@ replica-race:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz smokes the netproto frame/error-payload fuzzers, the WAL record
-# decoder, the PUF image codec, and the differential fuzzers for the two batch kernels (8-way
-# Keccak on every implementation the CPU supports, 4-way multi-buffer
-# SHA-1) and for the 256-lane bit-sliced SHA-3 the benchmark still times,
-# each against its scalar reference, for FUZZTIME each; -run='^$$' skips
-# the unit tests so only fuzzing runs.
+# fuzz smokes every decoder a peer's bytes reach: the netproto frame
+# reader and its challenge, result and error payloads, the replication
+# message set, the WAL record decoder and the PUF image codec. Then the
+# differential fuzzers for the two batch kernels (8-way Keccak on every
+# implementation the CPU supports, 4-way multi-buffer SHA-1) and for the
+# 256-lane bit-sliced SHA-3 the benchmark still times, each against its
+# scalar reference. FUZZTIME each; -run='^$$' skips the unit tests so
+# only fuzzing runs.
 fuzz:
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeChallenge -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/replica -run='^$$' -fuzz=FuzzReplicaMsg -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/puf -run='^$$' -fuzz=FuzzImageCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)

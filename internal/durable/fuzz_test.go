@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzWALDecode feeds arbitrary bytes to the record decoder. The
-// invariants: DecodeRecord never panics, and anything it accepts
-// re-encodes to the exact same bytes (the format is canonical).
+// invariants: DecodeRecord and RecordID never panic, anything DecodeRecord
+// accepts re-encodes to the exact same bytes (the format is canonical),
+// and RecordID reads the same op and ID from it.
 func FuzzWALDecode(f *testing.F) {
 	seeds := []*Record{
 		{Op: OpImagePut, ID: "alice", Blob: []byte("sealed-image-bytes")},
@@ -37,9 +38,13 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0, 0, 0, 1, 'x'})
 
 	f.Fuzz(func(t *testing.T, p []byte) {
+		op, id, idErr := RecordID(p)
 		rec, err := DecodeRecord(p)
 		if err != nil {
 			return
+		}
+		if idErr != nil || op != rec.Op || string(id) != string(rec.ID) {
+			t.Fatalf("RecordID = (%s, %q, %v), DecodeRecord = (%s, %q)", op, id, idErr, rec.Op, rec.ID)
 		}
 		out, err := rec.Encode()
 		if err != nil {

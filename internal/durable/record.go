@@ -188,24 +188,40 @@ func (r *reader) field(max int) ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
+// RecordID parses only the front of a record payload: its op byte and
+// client ID. The rest is neither decoded nor validated, which is enough
+// to route a record by shard without paying for DecodeRecord. The ID
+// aliases p.
+func RecordID(p []byte) (Op, []byte, error) {
+	r := reader{p: p}
+	opb, err := r.bytes(1)
+	if err != nil {
+		return 0, nil, err
+	}
+	n, err := r.u32()
+	if err != nil {
+		return 0, nil, err
+	}
+	if n == 0 || n > maxIDLen {
+		return 0, nil, ErrBadRecord
+	}
+	id, err := r.bytes(int(n))
+	if err != nil {
+		return 0, nil, err
+	}
+	return Op(opb[0]), id, nil
+}
+
 // DecodeRecord parses a record payload written by Encode. It never
 // panics on hostile input (see FuzzWALDecode) and rejects trailing
 // bytes, oversized fields and unknown ops with ErrBadRecord.
 func DecodeRecord(p []byte) (*Record, error) {
-	r := &reader{p: p}
-	opb, err := r.bytes(1)
+	op, id, err := RecordID(p)
 	if err != nil {
 		return nil, err
 	}
-	rec := &Record{Op: Op(opb[0])}
-	id, err := r.field(maxIDLen)
-	if err != nil {
-		return nil, err
-	}
-	if len(id) == 0 {
-		return nil, ErrBadRecord
-	}
-	rec.ID = core.ClientID(id)
+	r := &reader{p: p, off: 1 + 4 + len(id)}
+	rec := &Record{Op: op, ID: core.ClientID(id)}
 	switch rec.Op {
 	case OpImagePut, OpRAKey:
 		if rec.Blob, err = r.field(maxBlobLen); err != nil {

@@ -62,6 +62,29 @@ func firstOr(s []uint64, def uint64) uint64 {
 	return s[0]
 }
 
+// Ready reports whether Next has a record to return without waiting for
+// an append. It takes no lock: a streamer asks it after every record to
+// decide whether to batch more or flush what it has.
+func (t *Tail) Ready() bool { return t.next <= t.w.LastSeq() }
+
+// closedChan is what Wait returns when there is nothing to wait for.
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// Wait returns a channel that is closed once Ready would report true or
+// the WAL closes, for a caller that selects on its own timer beside it
+// instead of blocking in Next.
+func (t *Tail) Wait() <-chan struct{} {
+	ch := t.w.appendWait()
+	if t.Ready() { // see Next: re-check after subscribing
+		return closedChan
+	}
+	return ch
+}
+
 // Next blocks until record t.next exists and returns its sequence
 // number and payload. The payload is freshly allocated and owned by the
 // caller. It fails with ErrTruncated if compaction outran the tail,
@@ -71,12 +94,12 @@ func (t *Tail) Next(ctx context.Context) (uint64, []byte, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, err
 		}
-		if t.next > t.w.LastSeq() {
+		if !t.Ready() {
 			// Subscribe first, then re-check: an append racing this call
 			// closed an earlier channel, and waiting on the fresh one
 			// without re-checking would miss it.
 			ch := t.w.appendWait()
-			if t.next <= t.w.LastSeq() {
+			if t.Ready() {
 				continue
 			}
 			if t.w.isClosed() {

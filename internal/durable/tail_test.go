@@ -187,6 +187,49 @@ func TestTailWALClose(t *testing.T) {
 	}
 }
 
+// TestTailReadyAndWait: Ready tracks the log's end without blocking, and
+// Wait's channel closes on the next append (already closed when a record
+// is ready) and on Close, so a streamer can select on it beside a timer.
+func TestTailReadyAndWait(t *testing.T) {
+	w, _, _ := collectWAL(t, t.TempDir(), walConfig{}, 0)
+	tail, err := w.TailFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		case <-time.After(20 * time.Millisecond):
+			return false
+		}
+	}
+	if tail.Ready() {
+		t.Fatal("Ready on an empty log")
+	}
+	wait := tail.Wait()
+	if closed(wait) {
+		t.Fatal("Wait closed with nothing appended")
+	}
+	if _, err := w.Append([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(wait) || !tail.Ready() || !closed(tail.Wait()) {
+		t.Fatal("an append did not make the tail ready")
+	}
+	if _, _, err := tail.Next(context.Background()); err != nil || tail.Ready() {
+		t.Fatalf("after Next: err %v, Ready %v", err, tail.Ready())
+	}
+	wait = tail.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(wait) || tail.Ready() {
+		t.Fatal("Close did not release Wait")
+	}
+}
+
 // TestStateIngestReplaysIntoStores: Ingest journals a foreign payload
 // under a local sequence number and applies it, and the result survives
 // reopening — the follower half of replication in miniature.

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -238,21 +239,32 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 		}
 	}()
 
-	if err := writeMsg(conn, kindSubscribe, &subscribeMsg{
+	sub, err := (&subscribeMsg{
 		FollowerID: f.cfg.ID,
 		Epoch:      epoch,
 		Cursor:     cursor,
 		NumShards:  f.cfg.NumShards,
 		Shards:     f.cfg.Shards,
-	}); err != nil {
+	}).append(nil)
+	if err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-	kind, raw, err := readMsg(conn)
-	if err != nil || kind != kindAccept {
-		return fmt.Errorf("replica: expected accept, got %v / %w", kind, err)
+	if _, err := conn.Write(sub); err != nil {
+		return err
 	}
-	acc := raw.(*acceptMsg)
+	r := bufio.NewReaderSize(conn, streamBuffer)
+	conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
+	kind, body, err := readMsg(r)
+	if err != nil {
+		return fmt.Errorf("replica: expected accept: %w", err)
+	}
+	if kind != kindAccept {
+		return fmt.Errorf("replica: expected accept, got message kind %d", kind)
+	}
+	acc, err := decodeAccept(body)
+	if err != nil {
+		return fmt.Errorf("replica: undecodable accept (primary not at protocol version %d?): %w", protocolVersion, err)
+	}
 	if acc.Err != "" {
 		if acc.Epoch < epoch {
 			return fmt.Errorf("%w: refused: %s", ErrFenced, acc.Err)
@@ -298,13 +310,13 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 				ackErr <- err
 				return
 			}
-			if err := writeMsg(conn, kindAck, &ackMsg{Cursor: cur}); err != nil {
+			if _, err := conn.Write(appendSeq(nil, kindAck, cur)); err != nil {
 				return // reader will surface the connection error
 			}
 		}
 	}()
 
-	err = f.consume(conn)
+	err = f.consume(conn, r)
 	select {
 	case aerr := <-ackErr:
 		err = aerr
@@ -325,39 +337,50 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 	return err
 }
 
-// consume applies the primary's stream: catch-up records (Seq 0) are
-// collected for reconciliation, live records advance the cursor.
-func (f *Follower) consume(conn net.Conn) error {
+// consume applies the primary's stream, reading it through r in batches:
+// catch-up records (Seq 0) are collected for reconciliation, live
+// records advance the cursor. A record's payload is decoded and
+// validated once, by Ingest; catch-up records are also read for their
+// op and ID, which reconciliation needs.
+func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 	var catchup *catchupSet
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		kind, raw, err := readMsg(conn)
+		kind, body, err := readMsg(r)
 		if err != nil {
 			return err
 		}
 		switch kind {
 		case kindRecord:
-			m := raw.(*recordMsg)
-			rec, err := durable.DecodeRecord(m.Payload)
+			seq, payload, err := decodeRecordMsg(body)
 			if err != nil {
-				return fmt.Errorf("replica: bad record from primary: %w", err)
+				return err
 			}
-			if m.Seq == 0 {
+			if seq == 0 {
 				if catchup == nil {
 					catchup = newCatchupSet()
 				}
-				catchup.note(rec)
+				if err := catchup.note(payload); err != nil {
+					return fmt.Errorf("replica: bad record from primary: %w", err)
+				}
 			}
-			if _, err := f.cfg.State.Ingest(m.Payload); err != nil {
+			if _, err := f.cfg.State.Ingest(payload); err != nil {
 				return fmt.Errorf("replica: ingest: %w", err)
 			}
-			if m.Seq > 0 {
-				f.advance(m.Seq)
+			if seq > 0 {
+				f.advance(seq)
 			}
 		case kindWatermark:
-			f.advance(raw.(*watermarkMsg).Seq)
+			seq, err := decodeSeq(body)
+			if err != nil {
+				return err
+			}
+			f.advance(seq)
 		case kindCatchupDone:
-			m := raw.(*catchupDoneMsg)
+			m, err := decodeCatchupDone(body)
+			if err != nil {
+				return err
+			}
 			if catchup == nil {
 				catchup = newCatchupSet()
 			}
@@ -402,17 +425,22 @@ func newCatchupSet() *catchupSet {
 	}
 }
 
-func (c *catchupSet) note(rec *durable.Record) {
-	switch rec.Op {
-	case durable.OpImagePut:
-		c.images[rec.ID] = true
-	case durable.OpRAKey:
-		c.raKeys[rec.ID] = true
-	case durable.OpRACert:
-		c.raCerts[rec.ID] = true
-	case durable.OpSessionOpen:
-		c.sessions[rec.ID] = true
+func (c *catchupSet) note(payload []byte) error {
+	op, id, err := durable.RecordID(payload)
+	if err != nil {
+		return err
 	}
+	switch op {
+	case durable.OpImagePut:
+		c.images[core.ClientID(id)] = true
+	case durable.OpRAKey:
+		c.raKeys[core.ClientID(id)] = true
+	case durable.OpRACert:
+		c.raCerts[core.ClientID(id)] = true
+	case durable.OpSessionOpen:
+		c.sessions[core.ClientID(id)] = true
+	}
+	return nil
 }
 
 // inShards reports whether id belongs to a shard this follower

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -190,21 +191,31 @@ func (p *Primary) fence(epoch uint64) {
 	}
 }
 
+// streamBuffer sizes a stream's batching at both ends: a live stream
+// writes once per append wake-up, a backlog or a catch-up transfer in
+// writes of this size, and the follower reads it in chunks as large.
+const streamBuffer = 64 << 10
+
 // handle runs one subscriber stream.
 func (p *Primary) handle(conn net.Conn) {
 	defer conn.Close()
 
 	refuse := func(msg string) {
-		_ = writeMsg(conn, kindAccept, &acceptMsg{Epoch: p.Epoch, Err: msg})
+		_, _ = conn.Write((&acceptMsg{Epoch: p.Epoch, Err: msg}).append(nil))
 	}
 
+	r := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(p.reapAfter()))
-	kind, raw, err := readMsg(conn)
+	kind, body, err := readMsg(r)
 	if err != nil || kind != kindSubscribe {
 		refuse("expected subscribe")
 		return
 	}
-	sub := raw.(*subscribeMsg)
+	sub, err := decodeSubscribe(body)
+	if err != nil {
+		refuse(err.Error())
+		return
+	}
 	if sub.NumShards != 0 && sub.NumShards != p.numShards() {
 		refuse(fmt.Sprintf("shard count mismatch: primary %d, follower %d", p.numShards(), sub.NumShards))
 		return
@@ -241,40 +252,53 @@ func (p *Primary) handle(conn net.Conn) {
 		p.mu.Unlock()
 	}()
 
-	// Acks arrive on their own goroutine; any read error tears the
-	// stream down. The stream context dies with it.
+	// Acks arrive on their own goroutine, and a subscriber silent past
+	// ReapAfter is reaped here: any read error tears the stream down.
+	// Closing the connection, not just cancelling the stream context, is
+	// what frees a stream blocked writing to a peer that stopped reading.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
 		defer cancel()
+		defer conn.Close()
 		for {
 			conn.SetReadDeadline(time.Now().Add(p.reapAfter()))
-			kind, raw, err := readMsg(conn)
+			kind, body, err := readMsg(r)
 			if err != nil || kind != kindAck {
 				return
 			}
-			s.noteAck(raw.(*ackMsg).Cursor)
+			cursor, err := decodeSeq(body)
+			if err != nil {
+				return
+			}
+			s.noteAck(cursor)
 		}
 	}()
 	conn.SetWriteDeadline(time.Time{})
 
-	_ = p.stream(ctx, conn, s, sub.Cursor)
+	_ = p.stream(ctx, bufio.NewWriterSize(conn, streamBuffer), s, sub.Cursor)
 }
 
 // stream ships records from cursor onward, switching to a synthesized
-// full-state transfer whenever compaction has outrun the cursor.
-func (p *Primary) stream(ctx context.Context, conn net.Conn, s *subscriber, cursor uint64) error {
+// full-state transfer whenever compaction has outrun the cursor. Messages
+// are buffered in w; tailLoop flushes them whenever the log has nothing
+// more ready.
+func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cursor uint64) error {
 	accepted := false
+	accept := func(m *acceptMsg) error {
+		accepted = true
+		_, err := w.Write(m.append(w.AvailableBuffer()))
+		return err
+	}
 	for {
 		tail, err := p.State.TailFrom(cursor)
 		if errors.Is(err, durable.ErrTruncated) {
 			if !accepted {
-				if err := writeMsg(conn, kindAccept, &acceptMsg{Epoch: p.Epoch, Snapshot: true}); err != nil {
+				if err := accept(&acceptMsg{Epoch: p.Epoch, Snapshot: true}); err != nil {
 					return err
 				}
-				accepted = true
 			}
-			cursor, err = p.sendSnapshot(conn, s)
+			cursor, err = p.sendSnapshot(w, s)
 			if err != nil {
 				return err
 			}
@@ -282,25 +306,26 @@ func (p *Primary) stream(ctx context.Context, conn net.Conn, s *subscriber, curs
 		}
 		if err != nil {
 			if !accepted {
-				_ = writeMsg(conn, kindAccept, &acceptMsg{Epoch: p.Epoch, Err: err.Error()})
+				// Best effort: the stream ends with err either way.
+				_ = accept(&acceptMsg{Epoch: p.Epoch, Err: err.Error()})
+				_ = w.Flush()
 			}
 			return err
 		}
 		if !accepted {
-			if err := writeMsg(conn, kindAccept, &acceptMsg{Epoch: p.Epoch}); err != nil {
+			if err := accept(&acceptMsg{Epoch: p.Epoch}); err != nil {
 				tail.Close()
 				return err
 			}
-			accepted = true
 		}
-		err = p.tailLoop(ctx, conn, s, tail, cursor)
+		err = p.tailLoop(ctx, w, s, tail, cursor)
 		tail.Close()
 		if !errors.Is(err, durable.ErrTruncated) {
 			return err
 		}
 		// Compaction outran the tail mid-stream (slow follower): fall
 		// back to a fresh snapshot transfer and resume from its cut.
-		cursor, err = p.sendSnapshot(conn, s)
+		cursor, err = p.sendSnapshot(w, s)
 		if err != nil {
 			return err
 		}
@@ -308,44 +333,52 @@ func (p *Primary) stream(ctx context.Context, conn net.Conn, s *subscriber, curs
 }
 
 // tailLoop is live streaming: records the subscriber's shards want,
-// watermarks for everything else and for idle heartbeats.
-func (p *Primary) tailLoop(ctx context.Context, conn net.Conn, s *subscriber, tail *durable.Tail, cursor uint64) error {
+// watermarks for everything else and for idle heartbeats. Records are
+// batched while the log has more ready and flushed in one write when it
+// has not, so a live stream costs one write per append wake-up. A
+// subscriber that takes every shard gets the journaled bytes without the
+// primary decoding them; a filtered one costs a read of the record's ID.
+func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, tail *durable.Tail, cursor uint64) error {
 	numShards := p.numShards()
 	watermark := cursor // highest seq covered but not sent as a record
+	idle := time.NewTimer(p.heartbeat())
+	defer idle.Stop()
 	for {
-		if since := time.Since(s.lastAckTime()); since > p.reapAfter() {
-			return fmt.Errorf("replica: follower %s silent for %s, reaping", s.id, since.Round(time.Millisecond))
-		}
-		stepCtx, cancel := context.WithTimeout(ctx, p.heartbeat())
-		seq, payload, err := tail.Next(stepCtx)
-		cancel()
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		if !tail.Ready() {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+			idle.Reset(p.heartbeat())
+			select {
+			case <-tail.Wait():
+			case <-idle.C:
 				// Idle: heartbeat the current position.
-				if err := writeMsg(conn, kindWatermark, &watermarkMsg{Seq: watermark}); err != nil {
+				if _, err := w.Write(appendSeq(w.AvailableBuffer(), kindWatermark, watermark)); err != nil {
 					return err
 				}
 				continue
+			case <-ctx.Done():
+				return ctx.Err()
 			}
+		}
+		seq, payload, err := tail.Next(ctx)
+		if err != nil {
 			return err
 		}
-		rec, err := durable.DecodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("replica: undecodable record %d: %w", seq, err)
-		}
-		if s.wants(ring.ShardOfKey(string(rec.ID), numShards)) {
-			if err := writeMsg(conn, kindRecord, &recordMsg{Seq: seq, Payload: payload}); err != nil {
-				return err
+		watermark = seq
+		if s.shards != nil {
+			_, id, err := durable.RecordID(payload)
+			if err != nil {
+				return fmt.Errorf("replica: undecodable record %d: %w", seq, err)
+			}
+			if !s.wants(ring.ShardOfKey(string(id), numShards)) {
+				continue
 			}
 		}
-		watermark = seq
+		if _, err := w.Write(appendRecord(w.AvailableBuffer(), seq, payload)); err != nil {
+			return err
+		}
 	}
-}
-
-func (s *subscriber) lastAckTime() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastAck
 }
 
 // sendSnapshot ships the stores' current state as synthesized records
@@ -354,7 +387,7 @@ func (s *subscriber) lastAckTime() time.Time {
 // — a mutation present in both the transfer and the replayed suffix
 // converges because every op is an idempotent overwrite (the same
 // argument durable.Snapshot makes).
-func (p *Primary) sendSnapshot(conn net.Conn, s *subscriber) (uint64, error) {
+func (p *Primary) sendSnapshot(w *bufio.Writer, s *subscriber) (uint64, error) {
 	cut := p.State.LastSeq()
 	nonce := p.State.Sessions().Nonce()
 	numShards := p.numShards()
@@ -367,7 +400,8 @@ func (p *Primary) sendSnapshot(conn net.Conn, s *subscriber) (uint64, error) {
 		if err != nil {
 			return err
 		}
-		return writeMsg(conn, kindRecord, &recordMsg{Payload: payload})
+		_, err = w.Write(appendRecord(w.AvailableBuffer(), 0, payload))
+		return err
 	}
 	for id, sealed := range p.State.Images().SealedSnapshot() {
 		if err := send(&durable.Record{Op: durable.OpImagePut, ID: id, Blob: sealed}); err != nil {
@@ -390,7 +424,7 @@ func (p *Primary) sendSnapshot(conn net.Conn, s *subscriber) (uint64, error) {
 			return 0, err
 		}
 	}
-	if err := writeMsg(conn, kindCatchupDone, &catchupDoneMsg{Cut: cut, Nonce: nonce}); err != nil {
+	if _, err := w.Write(catchupDoneMsg{Cut: cut, Nonce: nonce}.append(w.AvailableBuffer())); err != nil {
 		return 0, err
 	}
 	return cut, nil

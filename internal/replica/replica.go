@@ -31,17 +31,43 @@
 // collide with ones the dead primary issued but had not replicated —
 // the same argument durable recovery makes after a torn tail.
 //
-// The wire protocol is gob over length-prefixed frames: self-describing
-// messages on a stream with explicit boundaries. Liveness is
-// heartbeat-by-traffic: watermarks and acks flow even when no record
-// does, so a peer silent for longer than its timeout is dead and is
-// dropped.
+// The wire protocol is a binary message set over length-prefixed
+// frames. A frame is a u32 length (kind byte plus body), the kind byte,
+// then the body. Every integer is big-endian and every layout is fixed:
+//
+//	subscribe    version u8 | epoch u64 | cursor u64 | numShards u32 |
+//	             count u32 | count × shard u16 | idLen u16 | id
+//	accept       epoch u64 | flags u8 | errLen u16 | err
+//	record       seq u64 | payload
+//	catchupDone  cut u64 | nonce u64
+//	watermark    seq u64
+//	ack          cursor u64
+//
+// A record's payload is the journaled record exactly as the primary's
+// WAL holds it: it is shipped without re-encoding, and the follower's
+// durable.Ingest is the one place it is decoded and validated. count is
+// allShards for a subscriber that takes every shard; otherwise count ≤
+// numShards ≤ 65,536 and every shard is below numShards. id and err are
+// at most 1 KiB, and accept's only flag is acceptSnapshot. A decoder
+// rejects anything else, including trailing bytes, so every message has
+// exactly one encoding.
+//
+// Replication peers upgrade together. A subscribe leads with
+// protocolVersion and a primary refuses any other version with an
+// accept that names its own, then closes. The gob-framed protocol before
+// this one (version 0) carried no version byte: a gob-era subscribe fails
+// the version check, and a gob-era accept fails to decode, so in either
+// upgrade order the mismatched pair errors, closes, and the follower's
+// RunUntil redials until both ends speak the same version.
+//
+// Liveness is heartbeat-by-traffic: watermarks and acks flow even when
+// no record does, so a peer silent for longer than its timeout is dead
+// and is dropped.
 package replica
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,6 +97,10 @@ var ErrStalePrimary = errors.New("replica: primary epoch older than follower's")
 // called on it.
 var ErrPromoted = errors.New("replica: follower promoted")
 
+// errMalformed reports a message body that does not match its kind's
+// layout.
+var errMalformed = errors.New("replica: malformed message")
+
 // Message kinds on the replication stream.
 const (
 	kindSubscribe byte = iota + 1
@@ -79,6 +109,24 @@ const (
 	kindCatchupDone
 	kindWatermark
 	kindAck
+)
+
+// protocolVersion leads every subscribe (see the package comment).
+const protocolVersion = 1
+
+// Message bounds and layout values.
+const (
+	// maxReplicaFrame bounds one frame: the largest legitimate payload
+	// is a sealed PUF image record (durable caps blobs at 1<<24).
+	maxReplicaFrame = 1 << 25
+	// maxShards bounds a subscribe's shard count (shards travel as u16).
+	maxShards = 1 << 16
+	// allShards is a subscribe's shard count for no filter.
+	allShards = ^uint32(0)
+	// maxStringLen bounds a subscribe's id and an accept's error.
+	maxStringLen = 1 << 10
+	// acceptSnapshot is the accept flag announcing a full-state transfer.
+	acceptSnapshot = 1
 )
 
 // subscribeMsg is the follower's opening message.
@@ -115,14 +163,6 @@ type acceptMsg struct {
 	Err string
 }
 
-// recordMsg carries one WAL record payload. Seq is the primary's
-// sequence number, or 0 for a synthesized catch-up record (those carry
-// state, not log position; the position arrives in catchupDone).
-type recordMsg struct {
-	Seq     uint64
-	Payload []byte
-}
-
 // catchupDoneMsg ends a synthesized full-state transfer.
 type catchupDoneMsg struct {
 	// Cut is the primary sequence number the snapshot covers; live
@@ -133,50 +173,225 @@ type catchupDoneMsg struct {
 	Nonce uint64
 }
 
-// watermarkMsg advances the follower's cursor without carrying a
-// record (sharding filtered the records out) and doubles as the
-// primary→follower heartbeat.
-type watermarkMsg struct {
-	Seq uint64
+// A record message carries one WAL record payload under the primary's
+// sequence number, or under 0 for a synthesized catch-up record (those
+// carry state, not log position; the position arrives in catchupDone).
+// A watermark advances the follower's cursor without a record (sharding
+// filtered the records out) and doubles as the primary→follower
+// heartbeat; an ack is the follower→primary heartbeat, carrying the
+// cursor it has applied and persisted through. All three are built and
+// parsed in place, without a message struct.
+
+// appendHeader appends the header of a frame of kind with an n-byte body.
+func appendHeader(b []byte, kind byte, n int) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(1+n))
+	return append(b, kind)
 }
 
-// ackMsg is the follower→primary heartbeat: the cursor it has applied
-// and persisted through.
-type ackMsg struct {
-	Cursor uint64
+// appendRecord appends a record frame.
+func appendRecord(b []byte, seq uint64, payload []byte) []byte {
+	b = appendHeader(b, kindRecord, 8+len(payload))
+	b = binary.BigEndian.AppendUint64(b, seq)
+	return append(b, payload...)
 }
 
-// maxReplicaFrame bounds one message: the largest legitimate payload is
-// a sealed PUF image record (durable caps blobs at 1<<24).
-const maxReplicaFrame = 1 << 25
-
-// writeMsg frames and sends one gob-encoded message.
-func writeMsg(w io.Writer, kind byte, v any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(v); err != nil {
-		return fmt.Errorf("replica: encode: %w", err)
-	}
-	if body.Len()+1 > maxReplicaFrame {
-		return fmt.Errorf("replica: frame too large (%d bytes)", body.Len())
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()+1))
-	hdr[4] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
-	return err
+// appendSeq appends a watermark or ack frame.
+func appendSeq(b []byte, kind byte, seq uint64) []byte {
+	return binary.BigEndian.AppendUint64(appendHeader(b, kind, 8), seq)
 }
 
-// readMsg receives one framed message and decodes it into the value
-// selected by its kind.
-func readMsg(r io.Reader) (byte, any, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// append appends the subscribe frame, refusing a message its decoder
+// would reject.
+func (m *subscribeMsg) append(b []byte) ([]byte, error) {
+	if m.NumShards < 0 || m.NumShards > maxShards || len(m.FollowerID) > maxStringLen ||
+		(m.Shards != nil && len(m.Shards) > m.NumShards) {
+		return nil, fmt.Errorf("replica: unsendable subscribe (%d of %d shards, %d-byte id)",
+			len(m.Shards), m.NumShards, len(m.FollowerID))
+	}
+	b = appendHeader(b, kindSubscribe, 1+8+8+4+4+2*len(m.Shards)+2+len(m.FollowerID))
+	b = append(b, protocolVersion)
+	b = binary.BigEndian.AppendUint64(b, m.Epoch)
+	b = binary.BigEndian.AppendUint64(b, m.Cursor)
+	b = binary.BigEndian.AppendUint32(b, uint32(m.NumShards))
+	if m.Shards == nil {
+		b = binary.BigEndian.AppendUint32(b, allShards)
+	} else {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Shards)))
+	}
+	for _, sh := range m.Shards {
+		if sh < 0 || sh >= m.NumShards {
+			return nil, fmt.Errorf("replica: unsendable subscribe: shard %d of %d", sh, m.NumShards)
+		}
+		b = binary.BigEndian.AppendUint16(b, uint16(sh))
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(m.FollowerID)))
+	return append(b, m.FollowerID...), nil
+}
+
+// append appends the accept frame. An over-long error is cut to the
+// bound rather than left unsendable.
+func (m *acceptMsg) append(b []byte) []byte {
+	msg := m.Err[:min(len(m.Err), maxStringLen)]
+	var flags byte
+	if m.Snapshot {
+		flags = acceptSnapshot
+	}
+	b = appendHeader(b, kindAccept, 8+1+2+len(msg))
+	b = binary.BigEndian.AppendUint64(b, m.Epoch)
+	b = append(b, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(msg)))
+	return append(b, msg...)
+}
+
+// append appends the catchupDone frame.
+func (m catchupDoneMsg) append(b []byte) []byte {
+	b = appendHeader(b, kindCatchupDone, 16)
+	b = binary.BigEndian.AppendUint64(b, m.Cut)
+	return binary.BigEndian.AppendUint64(b, m.Nonce)
+}
+
+// msgReader is a bounds-checked cursor over a message body. The first
+// overrun sticks: later reads return zeros and done reports it.
+type msgReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *msgReader) take(n int) []byte {
+	if r.bad || n > len(r.b) {
+		r.bad = true
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *msgReader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *msgReader) u16() uint16 {
+	if b := r.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (r *msgReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *msgReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
+}
+
+// done reports an overrun or trailing bytes.
+func (r *msgReader) done(kind string) error {
+	if r.bad || len(r.b) != 0 {
+		return fmt.Errorf("%w: %s", errMalformed, kind)
+	}
+	return nil
+}
+
+// decodeSubscribe parses a subscribe body. Nothing is allocated for the
+// shard list or id before the bytes it claims have been seen.
+func decodeSubscribe(p []byte) (*subscribeMsg, error) {
+	r := &msgReader{b: p}
+	if v := r.u8(); !r.bad && v != protocolVersion {
+		return nil, fmt.Errorf("replica: subscribe is protocol version %d, this primary speaks protocol version %d", v, protocolVersion)
+	}
+	m := &subscribeMsg{Epoch: r.u64(), Cursor: r.u64()}
+	numShards := r.u32()
+	if numShards > maxShards {
+		return nil, fmt.Errorf("%w: subscribe for %d shards", errMalformed, numShards)
+	}
+	m.NumShards = int(numShards)
+	if count := r.u32(); count != allShards {
+		if count > numShards {
+			return nil, fmt.Errorf("%w: subscribe lists %d of %d shards", errMalformed, count, numShards)
+		}
+		raw := r.take(2 * int(count))
+		if r.bad {
+			return nil, r.done("subscribe")
+		}
+		m.Shards = make([]int, count)
+		for i := range m.Shards {
+			m.Shards[i] = int(binary.BigEndian.Uint16(raw[2*i:]))
+			if m.Shards[i] >= m.NumShards {
+				return nil, fmt.Errorf("%w: subscribe names shard %d of %d", errMalformed, m.Shards[i], numShards)
+			}
+		}
+	}
+	n := int(r.u16())
+	if n > maxStringLen {
+		return nil, fmt.Errorf("%w: %d-byte follower id", errMalformed, n)
+	}
+	m.FollowerID = string(r.take(n))
+	return m, r.done("subscribe")
+}
+
+// decodeAccept parses an accept body.
+func decodeAccept(p []byte) (*acceptMsg, error) {
+	r := &msgReader{b: p}
+	m := &acceptMsg{Epoch: r.u64()}
+	flags := r.u8()
+	if flags&^acceptSnapshot != 0 {
+		return nil, fmt.Errorf("%w: accept flags %#x", errMalformed, flags)
+	}
+	m.Snapshot = flags == acceptSnapshot
+	n := int(r.u16())
+	if n > maxStringLen {
+		return nil, fmt.Errorf("%w: %d-byte accept error", errMalformed, n)
+	}
+	m.Err = string(r.take(n))
+	return m, r.done("accept")
+}
+
+// decodeRecordMsg parses a record body. The payload aliases p.
+func decodeRecordMsg(p []byte) (uint64, []byte, error) {
+	if len(p) <= 8 {
+		return 0, nil, fmt.Errorf("%w: %d-byte record", errMalformed, len(p))
+	}
+	return binary.BigEndian.Uint64(p), p[8:], nil
+}
+
+// decodeSeq parses a watermark or ack body.
+func decodeSeq(p []byte) (uint64, error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("%w: %d-byte watermark or ack", errMalformed, len(p))
+	}
+	return binary.BigEndian.Uint64(p), nil
+}
+
+// decodeCatchupDone parses a catchupDone body.
+func decodeCatchupDone(p []byte) (catchupDoneMsg, error) {
+	r := &msgReader{b: p}
+	m := catchupDoneMsg{Cut: r.u64(), Nonce: r.u64()}
+	return m, r.done("catchupDone")
+}
+
+// readMsg receives one frame and returns its kind and body. The body is
+// the frame's one allocation; it is owned by the caller.
+func readMsg(r *bufio.Reader) (byte, []byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(4)
 	if n == 0 || n > maxReplicaFrame {
 		return 0, nil, fmt.Errorf("replica: invalid frame length %d", n)
 	}
@@ -184,29 +399,7 @@ func readMsg(r io.Reader) (byte, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	dec := gob.NewDecoder(bytes.NewReader(buf[1:]))
-	switch buf[0] {
-	case kindSubscribe:
-		var m subscribeMsg
-		return buf[0], &m, dec.Decode(&m)
-	case kindAccept:
-		var m acceptMsg
-		return buf[0], &m, dec.Decode(&m)
-	case kindRecord:
-		var m recordMsg
-		return buf[0], &m, dec.Decode(&m)
-	case kindCatchupDone:
-		var m catchupDoneMsg
-		return buf[0], &m, dec.Decode(&m)
-	case kindWatermark:
-		var m watermarkMsg
-		return buf[0], &m, dec.Decode(&m)
-	case kindAck:
-		var m ackMsg
-		return buf[0], &m, dec.Decode(&m)
-	default:
-		return 0, nil, fmt.Errorf("replica: unknown message kind %d", buf[0])
-	}
+	return buf[0], buf[1:], nil
 }
 
 // bodyChunk is the most readBody allocates before any payload byte has

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/ring"
 )
@@ -486,13 +488,13 @@ func TestMetaRoundTrip(t *testing.T) {
 // claim. Four bytes announcing the largest frame, then EOF, cost an
 // error and a bounded buffer, not the 32 MiB announced; real frames, on
 // either side of the first chunk, still arrive whole, and a record-sized
-// body is one allocation.
+// body is one allocation, as is a whole record frame read and parsed.
 func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxReplicaFrame)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readMsg(bytes.NewReader(hdr[:]))
+	_, _, err := readMsg(bufio.NewReader(bytes.NewReader(hdr[:])))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("header then EOF: err = %v", err)
@@ -502,17 +504,13 @@ func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
 	}
 
 	for _, size := range []int{1500, 3*bodyChunk + 7} {
-		var frame bytes.Buffer
-		want := &recordMsg{Seq: 7, Payload: bytes.Repeat([]byte{0xA5}, size)}
-		if err := writeMsg(&frame, kindRecord, want); err != nil {
-			t.Fatal(err)
-		}
-		kind, got, err := readMsg(&frame)
+		payload := bytes.Repeat([]byte{0xA5}, size)
+		kind, body, err := readMsg(bufio.NewReader(bytes.NewReader(appendRecord(nil, 7, payload))))
 		if err != nil || kind != kindRecord {
 			t.Fatalf("%d-byte record: kind %d, err %v", size, kind, err)
 		}
-		if m := got.(*recordMsg); m.Seq != want.Seq || !bytes.Equal(m.Payload, want.Payload) {
-			t.Fatalf("%d-byte record came back as seq %d, %d bytes", size, m.Seq, len(m.Payload))
+		if seq, got, err := decodeRecordMsg(body); err != nil || seq != 7 || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte record came back as seq %d, %d bytes, err %v", size, seq, len(got), err)
 		}
 	}
 
@@ -525,6 +523,23 @@ func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("record-sized body: %v allocations, want 1", n)
+	}
+
+	frame := appendRecord(nil, 9, body)
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	if n := testing.AllocsPerRun(100, func() {
+		src.Reset(frame)
+		br.Reset(src)
+		kind, body, err := readMsg(br)
+		if err != nil || kind != kindRecord {
+			t.Fatalf("record frame: kind %d, err %v", kind, err)
+		}
+		if _, _, err := decodeRecordMsg(body); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("record frame: %v allocations, want 1", n)
 	}
 }
 
@@ -649,5 +664,128 @@ func TestSaveMetaConcurrentSavers(t *testing.T) {
 	left, err := os.ReadDir(dir)
 	if err != nil || len(left) != 1 {
 		t.Errorf("directory holds %d entries (%v), want the meta file alone", len(left), err)
+	}
+}
+
+// TestStalledSubscriberIsReaped: a subscriber that stops reading (and
+// acking) while the primary has megabytes to send must still leave the
+// liveness table once it has been silent past ReapAfter, even though the
+// primary's stream is by then blocked writing to it.
+func TestStalledSubscriberIsReaped(t *testing.T) {
+	st, err := durable.Open(durable.Options{Dir: t.TempDir(), MasterKey: [32]byte{9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	// ~12 MB of journaled records: far more than two socket buffers hold.
+	key := bytes.Repeat([]byte{0x5A}, 64<<10)
+	for i := 0; i < 190; i++ {
+		if err := st.RA().Update(core.ClientID(fmt.Sprintf("bulk-%03d", i)), key); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const reapAfter = 300 * time.Millisecond
+	p := &Primary{State: st, Epoch: 1, Heartbeat: 50 * time.Millisecond, ReapAfter: reapAfter}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Serve(ln)
+	defer p.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	sub, err := (&subscribeMsg{FollowerID: "stalled", Epoch: 1}).append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(sub); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if kind, _, err := readMsg(bufio.NewReaderSize(conn, 16)); err != nil || kind != kindAccept {
+		t.Fatalf("accept: kind %d, err %v", kind, err)
+	}
+	subscribed := time.Now()
+	if len(p.Followers()) != 1 {
+		t.Fatal("subscriber not registered")
+	}
+	// From here on the subscriber neither reads nor acks.
+	for time.Since(subscribed) < 2*reapAfter {
+		if len(p.Followers()) == 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("stalled subscriber still registered %s after subscribing (ReapAfter %s)", time.Since(subscribed).Round(time.Millisecond), reapAfter)
+}
+
+// TestReplicaStreamAllocBudget bounds what streaming one record costs
+// the primary and the follower together: 1,000 RA-key records, journaled
+// one by one while a follower tails them over loopback, against the
+// same journaling with nobody listening. It is the in-tree guard for the
+// benchmark's proc.allocs_per_auth on the durable workloads, which carry
+// three such records per authentication; it read about 200 per record
+// when every frame was gob-encoded and both ends decoded every record.
+func TestReplicaStreamAllocBudget(t *testing.T) {
+	if device.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	open := func(dir string) *durable.State {
+		st, err := durable.Open(durable.Options{Dir: dir, MasterKey: [32]byte{9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	pst := open(t.TempDir())
+	defer pst.Close()
+	fdir := t.TempDir()
+	fst := open(fdir)
+	defer fst.Close()
+
+	const n = 1000
+	ids := make([]core.ClientID, 2*n)
+	for i := range ids {
+		ids[i] = core.ClientID(fmt.Sprintf("client-%05d", i))
+	}
+	key := bytes.Repeat([]byte{7}, 32)
+	journal := func(ids []core.ClientID) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, id := range ids {
+			if err := pst.RA().Update(id, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	alone := journal(ids[:n])
+
+	p, addr := startPrimary(t, pst, 1)
+	defer p.Close()
+	f := newFollower(t, fst, fdir, "f1", nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go f.RunUntil(ctx, addr, 10*time.Millisecond)
+	waitFor(t, "follower caught up", func() bool { return f.Cursor() >= pst.LastSeq() })
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	journal(ids[n:])
+	waitFor(t, "follower streamed", func() bool { return f.Cursor() >= pst.LastSeq() })
+	runtime.ReadMemStats(&after)
+	perRecord := float64(after.Mallocs-before.Mallocs-alone) / n
+	const budget = 25
+	if perRecord > budget {
+		t.Errorf("streaming one record allocates %.1f objects, budget %d", perRecord, budget)
+	} else {
+		t.Logf("streaming one record allocates %.1f objects", perRecord)
 	}
 }
