@@ -65,8 +65,9 @@ bench-module:
 # differential fuzzers for the two batch kernels (8-way Keccak on every
 # implementation the CPU supports, 4-way multi-buffer SHA-1) and for the
 # 256-lane bit-sliced SHA-3 the benchmark still times, each against its
-# scalar reference. FUZZTIME each; -run='^$$' skips the unit tests so
-# only fuzzing runs.
+# scalar reference; then the Gray iterator's revolving-door step against
+# its ranking. FUZZTIME each; -run='^$$' skips the unit tests so only
+# fuzzing runs.
 fuzz:
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeChallenge -fuzztime=$(FUZZTIME)
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSeedDigests8 -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/iterseq -run='^$$' -fuzz=FuzzGrayStep -fuzztime=$(FUZZTIME)
 
 # gen-check regenerates the AVX-512 Keccak assembly and fails when the
 # committed file differs from what the committed generator emits.

@@ -64,9 +64,9 @@ func scalarWalk(t *testing.T, task Task) (found bool, seed Seed, distance int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mask Seed
-		for it.NextMask(&mask) {
-			if c := iterseq.ApplyMask(task.Base, mask); HashSeed(alg, c).Equal(task.Target) {
+		var mask [1]Seed
+		for it.FillMasks(mask[:]) == 1 {
+			if c := iterseq.ApplyMask(task.Base, mask[0]); HashSeed(alg, c).Equal(task.Target) {
 				return true, c, d
 			}
 		}

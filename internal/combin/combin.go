@@ -8,6 +8,7 @@ package combin
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 )
 
@@ -43,13 +44,29 @@ func Binomial(n, k int) *big.Int {
 
 // Binomial64 returns C(n, k) as a uint64 and reports whether it fits.
 // For n = 256 this holds for all k <= 10, which covers every Hamming
-// distance the protocol searches in practice.
+// distance the protocol searches in practice. Like Binomial it returns
+// 0 for k < 0 or k > n. It takes no lock and allocates nothing: every
+// iterator construction calls it about 2n times, from every worker.
+//
+// The product runs as C(m+i, i) = C(m+i-1, i-1) * (m+i) / i for
+// i = 1..k with m = n-k, each step exact. The sequence never decreases,
+// so a step whose 128-bit product divided by i does not fit 64 bits
+// means the result does not either.
 func Binomial64(n, k int) (uint64, bool) {
-	v := Binomial(n, k)
-	if !v.IsUint64() {
-		return 0, false
+	if k < 0 || k > n || n < 0 {
+		return 0, true
 	}
-	return v.Uint64(), true
+	k = min(k, n-k)
+	m := uint64(n - k)
+	v := uint64(1)
+	for i := uint64(1); i <= uint64(k); i++ {
+		hi, lo := bits.Mul64(v, m+i)
+		if hi >= i {
+			return 0, false
+		}
+		v, _ = bits.Div64(hi, lo, i)
+	}
+	return v, true
 }
 
 // ExhaustiveSeeds returns u(d) from Equation 1: the total number of seeds

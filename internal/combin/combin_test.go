@@ -47,6 +47,39 @@ func TestBinomial64(t *testing.T) {
 	}
 }
 
+// TestBinomial64MatchesBig pins the lock-free uint64 product to
+// big.Int.Binomial on every C(n, k) with n <= 300, so both sides of
+// the fits/overflows boundary of every row are checked.
+func TestBinomial64MatchesBig(t *testing.T) {
+	boundaries := 0
+	for n := 0; n <= 300; n++ {
+		prevFits := true
+		for k := 0; k <= n; k++ {
+			want := new(big.Int).Binomial(int64(n), int64(k))
+			got, ok := Binomial64(n, k)
+			if ok != want.IsUint64() {
+				t.Fatalf("Binomial64(%d,%d) fits=%v, big.Int says %v (%v)", n, k, ok, want.IsUint64(), want)
+			}
+			if ok && got != want.Uint64() {
+				t.Fatalf("Binomial64(%d,%d) = %d, want %v", n, k, got, want)
+			}
+			if ok != prevFits {
+				boundaries++
+			}
+			prevFits = ok
+		}
+	}
+	// Every row from n = 68 on crosses 2^64 twice (up and back down).
+	if boundaries < 2*(300-68) {
+		t.Fatalf("only %d fits/overflows boundaries crossed", boundaries)
+	}
+	for _, c := range [][2]int{{5, -1}, {5, 6}, {-1, 0}} {
+		if v, ok := Binomial64(c[0], c[1]); v != 0 || !ok {
+			t.Errorf("Binomial64(%d,%d) = %d, %v; want 0, true", c[0], c[1], v, ok)
+		}
+	}
+}
+
 // TestTable1 reproduces Table 1 of the paper: seeds searched for the
 // exhaustive (Equation 1) and average (Equation 3) cases at d = 1..5.
 func TestTable1(t *testing.T) {

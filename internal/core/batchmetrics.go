@@ -6,22 +6,29 @@ import (
 	"rbcsalted/internal/obs"
 )
 
-// Per-batch phase observability of the batched host hot path. Beside
-// a register-resident compression, iterator fill is a quarter of a
-// SHA-3 seed's cost (DESIGN.md §11) — so the fill-vs-pack split must be
-// visible live, in /metrics, not only in bench runs. The hooks are
-// process-global (the hot loops have no
-// registry plumbing, by design: a search runs identically with or
-// without a server around it) and cost one pointer load and branch per
-// *batch* when disabled.
+// Per-batch phase observability of the batched host hot path. The
+// fill-vs-pack split of a seed's cost (DESIGN.md §11) must be visible
+// live, in /metrics, not only in bench runs. The hooks are
+// process-global (the hot loops have no registry plumbing, by design: a
+// search runs identically with or without a server around it) and cost
+// one pointer load per worker when disabled.
+//
+// Enabled, they are sampled: the host loop times the fill and pack of
+// the first batch of each poll interval (CheckInterval seeds, 16 batches
+// by default) and records that one sample once per batch the interval
+// ran (obs.Histogram.ObserveN). Two clock reads and two histogram
+// updates per interval instead of four and two per batch: Count is the
+// exact number of batches and Sum an unbiased estimate of the total,
+// while the bucket shape is that of the sampled batches.
 
 // HostBatchMetrics carries the per-batch phase histograms of the batched
 // host path. Fill is the time one batch spends draining the iterator
-// (FillMasks: successor steps); Pack is the time MatchMasks spends
-// marshalling candidates into the kernel's layout before any
+// (MaskIter.FillMasks: successor steps); Pack is the time MatchMasks
+// spends marshalling candidates into the kernel's layout before any
 // compression runs (base^mask materialization: lane-interleaved
-// messages for SHA-3, serialized seeds for SHA-1). Both are observed in
-// nanoseconds per batch.
+// messages for SHA-3, serialized seeds for SHA-1). Both are in
+// nanoseconds per batch. Pack is recorded only for matchers that time
+// their pack phase (HashMatcher does).
 type HostBatchMetrics struct {
 	Fill *obs.Histogram // host_batch_fill_ns
 	Pack *obs.Histogram // host_batch_pack_ns
@@ -33,6 +40,20 @@ func RegisterHostBatchMetrics(reg *obs.Registry) *HostBatchMetrics {
 	return &HostBatchMetrics{
 		Fill: reg.Histogram("host_batch_fill_ns", obs.DefBatchNsBuckets),
 		Pack: reg.Histogram("host_batch_pack_ns", obs.DefBatchNsBuckets),
+	}
+}
+
+// observe records one poll interval: the fill and pack times sampled
+// from its first batch, once for each of its batches. packTimed is
+// false when the matcher does not time its pack phase. A nil h (hooks
+// disabled) records nothing.
+func (h *HostBatchMetrics) observe(fillNs, packNs int64, batches int, packTimed bool) {
+	if h == nil || batches == 0 {
+		return
+	}
+	h.Fill.ObserveN(float64(fillNs), uint64(batches))
+	if packTimed {
+		h.Pack.ObserveN(float64(packNs), uint64(batches))
 	}
 }
 

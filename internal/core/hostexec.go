@@ -149,27 +149,39 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 					width = MatchWidth
 				}
 				pollEvery := (checkEvery + width - 1) / width
-				hbm := loadHostBatchMetrics()
 				var masks *[MatchWidth]u256.Uint256
 				if s, ok := bm.(batchStager); ok {
 					masks = s.batchStage()
 				} else {
 					masks = new([MatchWidth]u256.Uint256)
 				}
+				// Batch-phase timing samples the first batch after each
+				// poll and weighs it by the batches of its interval.
+				hbm := loadHostBatchMetrics()
+				pt, packTimed := bm.(packTimer)
+				var fillNs, packNs int64
 				sinceCheck := 0
 				for {
+					sample := hbm != nil && sinceCheck == 0
 					var t0 time.Time
-					if hbm != nil {
+					if sample {
 						t0 = time.Now()
 					}
-					n := iterseq.FillMasks(it, masks[:width])
-					if hbm != nil {
-						hbm.Fill.Observe(float64(time.Since(t0).Nanoseconds()))
+					n := it.FillMasks(masks[:width])
+					if sample {
+						fillNs = time.Since(t0).Nanoseconds()
 					}
 					if n == 0 {
 						break
 					}
-					if hits := bm.MatchMasks(base, masks, n); hits.Any() {
+					var hits MatchMask
+					if sample && packTimed {
+						hits, packNs = pt.matchMasksTimed(base, masks, n)
+					} else {
+						hits = bm.MatchMasks(base, masks, n)
+					}
+					sinceCheck++
+					if hits.Any() {
 						if !exhaustive {
 							// Early exit: only candidates at or before the
 							// winning lane count as covered, so the batched
@@ -193,20 +205,22 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 					if n < width {
 						break // iterator exhausted mid-batch
 					}
-					sinceCheck++
 					if sinceCheck >= pollEvery {
+						hbm.observe(fillNs, packNs, sinceCheck, packTimed)
 						sinceCheck = 0
 						if poll() {
 							break
 						}
 					}
 				}
+				hbm.observe(fillNs, packNs, sinceCheck, packTimed)
 			} else {
-				// Scalar loop: one 256-bit XOR and one Match per seed.
-				var mask u256.Uint256
+				// Scalar loop: one 256-bit XOR and one Match per seed,
+				// the iterator drained a batch of one at a time.
+				var mask [1]u256.Uint256
 				sinceCheck := 0
-				for it.NextMask(&mask) {
-					candidate := iterseq.ApplyMask(base, mask)
+				for it.FillMasks(mask[:]) == 1 {
+					candidate := iterseq.ApplyMask(base, mask[0])
 					local++
 					if m.Match(candidate) {
 						record(candidate)

@@ -9,6 +9,7 @@ import (
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/keccak"
+	"rbcsalted/internal/obs"
 	"rbcsalted/internal/u256"
 )
 
@@ -368,9 +369,13 @@ func TestHashMatcherScalarAgreesWithHashSeed(t *testing.T) {
 
 // TestHotLoopAllocs asserts the steady-state hot loops allocate
 // nothing per seed: the scalar match, MatchMasks on both batch kernels
-// (full and padded-partial batches), the incremental mask iteration,
-// and the batched fill loop.
+// (full and padded-partial batches, timed and untimed), the
+// batch-of-one and batched fills, and the whole batched search per
+// batch. It runs with the batch-phase histograms installed, so the
+// sampled timing is inside what it counts.
 func TestHotLoopAllocs(t *testing.T) {
+	prev := SetHostBatchMetrics(RegisterHostBatchMetrics(obs.NewRegistry()))
+	defer SetHostBatchMetrics(prev)
 	forEachKeccakImpl(t, testHotLoopAllocs)
 }
 
@@ -394,9 +399,21 @@ func testHotLoopAllocs(t *testing.T) {
 		for _, n := range []int{MatchWidth, MatchWidth - 3} {
 			if a := testing.AllocsPerRun(10, func() {
 				m.MatchMasks(base, &masks, n)
+				m.matchMasksTimed(base, &masks, n)
 			}); a != 0 {
 				t.Errorf("%v MatchMasks(n=%d) allocates %.1f/op", alg, n, a)
 			}
+		}
+
+		// A search of 200 batches allocates what a search of 2 does.
+		search := func(count uint64) float64 {
+			return testing.AllocsPerRun(5, func() {
+				SearchRangeHost(context.Background(), base, 2, iterseq.GrayCode, 0, count, 1, 0,
+					true, time.Time{}, HashMatcherFactory(alg, target))
+			})
+		}
+		if short, long := search(2*batchStride), search(200*batchStride); long != short {
+			t.Errorf("%v search allocates %.1f over 2 batches, %.1f over 200", alg, short, long)
 		}
 	}
 
@@ -405,21 +422,49 @@ func testHotLoopAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mask u256.Uint256
+		var mask [1]u256.Uint256
 		if n := testing.AllocsPerRun(100, func() {
-			mi.NextMask(&mask)
-			_ = iterseq.ApplyMask(base, mask)
+			mi.FillMasks(mask[:])
+			_ = iterseq.ApplyMask(base, mask[0])
 		}); n != 0 {
-			t.Errorf("%v NextMask allocates %.1f/op", method, n)
+			t.Errorf("%v batch-of-one FillMasks allocates %.1f/op", method, n)
 		}
 
-		// The fill loop: one NextMask per candidate, zero allocations
-		// per batch.
 		var masks [MatchWidth]u256.Uint256
 		if n := testing.AllocsPerRun(20, func() {
-			iterseq.FillMasks(mi, masks[:])
+			mi.FillMasks(masks[:])
 		}); n != 0 {
 			t.Errorf("%v FillMasks allocates %.1f/op", method, n)
+		}
+	}
+}
+
+// TestSampledBatchMetricsCountEveryBatch pins the sampled batch-phase
+// timing to exact counts: one exhaustive d=2 shell, on one worker and on
+// three, records one Fill and one Pack observation per batch the shell
+// ran, though only the first batch of each poll interval is timed.
+func TestSampledBatchMetricsCountEveryBatch(t *testing.T) {
+	base := u256.FromUint64(0x5a)
+	target := HashSeed(SHA3, base)
+	total, _ := combin.Binomial64(256, 2)
+	for _, workers := range []int{1, 3} {
+		hbm := RegisterHostBatchMetrics(obs.NewRegistry())
+		prev := SetHostBatchMetrics(hbm)
+		_, _, covered, _, err := SearchShellHost(context.Background(), base, 2, iterseq.GrayCode,
+			workers, 0, true, time.Time{}, HashMatcherFactory(SHA3, target))
+		SetHostBatchMetrics(prev)
+		if err != nil || covered != total {
+			t.Fatalf("w=%d: covered %d of %d, err %v", workers, covered, total, err)
+		}
+		// 32640 seeds are 510 batches of 64, and 170 for each of three
+		// workers' 10880.
+		const batches = 510
+		fill, pack := hbm.Fill.Snapshot(), hbm.Pack.Snapshot()
+		if fill.Count != batches || pack.Count != batches {
+			t.Errorf("w=%d: Fill.Count %d, Pack.Count %d, want %d batches", workers, fill.Count, pack.Count, batches)
+		}
+		if fill.Sum <= 0 || pack.Sum <= 0 {
+			t.Errorf("w=%d: Fill.Sum %v, Pack.Sum %v, want both positive", workers, fill.Sum, pack.Sum)
 		}
 	}
 }

@@ -76,10 +76,10 @@ func BatchKernels(alg HashAlg) []BatchKernel {
 func DefaultKernelSpeedup(alg HashAlg) float64 {
 	switch alg {
 	case SHA1:
-		return 1.25
+		return 1.29
 	case SHA3:
 		if keccak.SeedDigests8Impl() == keccak.ImplAVX512 {
-			return 31.6
+			return 34.9
 		}
 		return 7.8
 	default:

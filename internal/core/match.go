@@ -75,10 +75,10 @@ type Matcher interface {
 
 // BatchMatcher is a Matcher that evaluates up to MatchWidth candidates
 // in one call, taking them in mask form: candidate i is base^masks[i],
-// exactly what the iterators' NextMask fast path produces. The host
-// search fills BatchWidth masks at a time (iterseq.FillMasks) and only
-// materializes a candidate for a recorded hit; implementations that hash
-// amortize the per-seed fixed costs across the batch.
+// exactly what the iterators' mask fast path produces. The host
+// search fills BatchWidth masks at a time (iterseq.MaskIter.FillMasks)
+// and only materializes a candidate for a recorded hit; implementations
+// that hash amortize the per-seed fixed costs across the batch.
 type BatchMatcher interface {
 	Matcher
 	// BatchWidth returns the engine's preferred candidates-per-call
@@ -175,6 +175,18 @@ type batchStager interface {
 
 func (m *HashMatcher) batchStage() *[MatchWidth]u256.Uint256 { return &m.stage }
 
+// packTimer is an optional BatchMatcher capability: a MatchMasks that
+// also returns how long its pack phase took, which the host loop calls
+// for the one batch per poll interval it samples (HostBatchMetrics).
+// Every other batch goes through MatchMasks and reads no clock.
+type packTimer interface {
+	matchMasksTimed(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) (MatchMask, int64)
+}
+
+func (m *HashMatcher) matchMasksTimed(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) (MatchMask, int64) {
+	return m.matchMasks(base, masks, n, true)
+}
+
 // NewHashMatcher builds a HashMatcher for one (algorithm, target) pair.
 func NewHashMatcher(alg HashAlg, target Digest) *HashMatcher {
 	m := &HashMatcher{}
@@ -237,36 +249,43 @@ func (m *HashMatcher) BatchWidth() int { return batchStride }
 
 // MatchMasks implements BatchMatcher with the algorithm's batch kernel.
 func (m *HashMatcher) MatchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
+	hits, _ := m.matchMasks(base, masks, n, false)
+	return hits
+}
+
+// matchMasks is MatchMasks that, when timed, also returns the pack
+// phase's duration in nanoseconds.
+func (m *HashMatcher) matchMasks(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int, timed bool) (MatchMask, int64) {
 	if n <= 0 {
-		return MatchMask{}
+		return MatchMask{}, 0
 	}
 	if n > MatchWidth {
 		n = MatchWidth
 	}
 	var hits MatchMask
+	var packNs int64
 	switch m.alg {
 	case SHA1:
-		hits = m.matchMulti4(base, masks, n)
+		hits, packNs = m.matchMulti4(base, masks, n, timed)
 	case SHA3:
-		hits = m.matchKeccakX8(base, masks, n)
+		hits, packNs = m.matchKeccakX8(base, masks, n, timed)
 	default:
 		panic("core: HashMatcher with unknown algorithm")
 	}
 	hits.Trim(n)
-	return hits
+	return hits, packNs
 }
 
 // matchKeccakX8 evaluates one batch with the lane-interleaved Keccak:
-// all candidates are materialized first (one Pack observation per
-// batch), the last group padded with the final candidate, then hashed
+// all candidates are materialized first (the pack phase, timed when
+// asked), the last group padded with the final candidate, then hashed
 // eight per call and each digest compared lane for lane against the
 // target. A seed's big-endian byte stream hashes as little-endian
 // 64-bit lanes, so message lane l of a candidate is limb 3-l
 // byte-swapped.
-func (m *HashMatcher) matchKeccakX8(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
-	hbm := loadHostBatchMetrics()
+func (m *HashMatcher) matchKeccakX8(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int, timed bool) (MatchMask, int64) {
 	var t0 time.Time
-	if hbm != nil {
+	if timed {
 		t0 = time.Now()
 	}
 	groups := (n + keccakGroup - 1) / keccakGroup
@@ -281,8 +300,9 @@ func (m *HashMatcher) matchKeccakX8(base u256.Uint256, masks *[MatchWidth]u256.U
 			msg[3][i] = bits.ReverseBytes64(b0 ^ mask.Limb(0))
 		}
 	}
-	if hbm != nil {
-		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
+	var packNs int64
+	if timed {
+		packNs = time.Since(t0).Nanoseconds()
 	}
 
 	var hits MatchMask
@@ -296,19 +316,18 @@ func (m *HashMatcher) matchKeccakX8(base u256.Uint256, masks *[MatchWidth]u256.U
 			}
 		}
 	}
-	return hits
+	return hits, packNs
 }
 
 // matchMulti4 evaluates one batch with the interleaved multi-buffer
 // SHA-1 kernel: candidates are materialized (base^mask, serialized) into
-// the staging buffer, the last interleave group padded with the final
-// candidate, then hashed four at a time and each lane's digest words
-// compared against the target (the first-word compare rejects all but a
-// ~2^-32 fraction).
-func (m *HashMatcher) matchMulti4(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int) MatchMask {
-	hbm := loadHostBatchMetrics()
+// the staging buffer (the pack phase, timed when asked), the last
+// interleave group padded with the final candidate, then hashed four at
+// a time and each lane's digest words compared against the target (the
+// first-word compare rejects all but a ~2^-32 fraction).
+func (m *HashMatcher) matchMulti4(base u256.Uint256, masks *[MatchWidth]u256.Uint256, n int, timed bool) (MatchMask, int64) {
 	var t0 time.Time
-	if hbm != nil {
+	if timed {
 		t0 = time.Now()
 	}
 	padded := (n + sha1.MultiWidth - 1) &^ (sha1.MultiWidth - 1)
@@ -318,8 +337,9 @@ func (m *HashMatcher) matchMulti4(base u256.Uint256, masks *[MatchWidth]u256.Uin
 	for i := n; i < padded; i++ {
 		m.seeds[i] = m.seeds[n-1]
 	}
-	if hbm != nil {
-		hbm.Pack.Observe(float64(time.Since(t0).Nanoseconds()))
+	var packNs int64
+	if timed {
+		packNs = time.Since(t0).Nanoseconds()
 	}
 
 	var hits MatchMask
@@ -335,5 +355,5 @@ func (m *HashMatcher) matchMulti4(base u256.Uint256, masks *[MatchWidth]u256.Uin
 			}
 		}
 	}
-	return hits
+	return hits, packNs
 }

@@ -49,19 +49,19 @@ func (it *gosperIter) Next(c []int) bool {
 	return true
 }
 
-// NextMask implements MaskIter. The Gosper iterator's state *is* the
+// FillMasks implements MaskIter. The Gosper iterator's state *is* the
 // mask, so this path skips the per-seed bit-scan that Next pays to
 // extract positions - the fastest form of the method prior RBC work used.
-func (it *gosperIter) NextMask(mask *u256.Uint256) bool {
-	if it.remaining <= 0 {
-		return false
+func (it *gosperIter) FillMasks(dst []u256.Uint256) int {
+	n := int(min(int64(len(dst)), it.remaining))
+	for i := 0; i < n; i++ {
+		dst[i] = it.mask
+		it.remaining--
+		if it.remaining > 0 {
+			it.mask = gosperNext(it.mask)
+		}
 	}
-	it.remaining--
-	*mask = it.mask
-	if it.remaining > 0 {
-		it.mask = gosperNext(it.mask)
-	}
-	return true
+	return n
 }
 
 // gosperNext computes the next-higher integer with the same popcount:

@@ -19,92 +19,123 @@ import (
 //
 // The order R(m, j) over {0..m-1} is defined by the classic recursion
 // R(m, j) = R(m-1, j) ++ reverse(R(m-1, j-1)) x {m-1}, with
-// first(R(m, j)) = {0..j-1} and last(R(m, j)) = {0..j-2, m-1}.
+// first(R(m, j)) = {0..j-1} and last(R(m, j)) = {0..j-2, m-1}. It is
+// the order Knuth's Algorithm R (TAOCP 7.2.1.3) visits, which step
+// implements.
 type grayIter struct {
-	n, k      int
-	cur       []int
-	prev      []int // scratch for the mask delta
-	mask      u256.Uint256
-	maskStale bool // cur advanced without mask upkeep; rebuild on demand
+	k int
+	// c[:k] is the combination Next or FillMasks hands out next; c[k]
+	// is the sentinel n that Algorithm R compares the top element with.
+	c         []int
+	mask      [4]uint64 // flip mask of c[:k], 64 bits per limb
+	maskStale bool      // c moved without mask upkeep; rebuild on demand
 	remaining int64
 }
 
 func newGray(n, k int, startRank uint64, count int64) (*grayIter, error) {
-	it := &grayIter{n: n, k: k, cur: make([]int, k), prev: make([]int, k), remaining: count}
+	it := &grayIter{k: k, c: make([]int, k+1), maskStale: true, remaining: count}
+	it.c[k] = n
 	if count == 0 {
 		return it, nil
 	}
-	if err := GrayUnrank(n, startRank, it.cur); err != nil {
+	if err := GrayUnrank(n, startRank, it.c[:k]); err != nil {
 		return nil, err
-	}
-	if n <= 256 {
-		it.mask = maskOf(it.cur)
 	}
 	return it, nil
 }
 
-// advance steps cur to its revolving-door successor, keeping the flip
-// mask in sync by XORing only the slots the successor changed. A
-// revolving-door step swaps one element for another, so this is
-// typically two bit flips regardless of k. The flips accumulate in a
-// local delta applied with one Xor: this runs once per candidate in the
-// batched host fill loop, where chained by-value FlipBit calls (a
-// 32-byte copy in and out each) showed up in profiles.
-func (it *grayIter) advance() {
-	copy(it.prev, it.cur)
-	if !graySuccessor(it.n, it.cur) {
-		// The range length was validated at construction, so running
-		// off the sequence is a bug, not an input error.
-		panic("iterseq: gray successor exhausted before range end")
-	}
-	if it.n <= 256 {
-		var delta [4]uint64
-		for i, p := range it.prev {
-			if q := it.cur[i]; p != q {
-				delta[uint(p)>>6] ^= 1 << (uint(p) & 63)
-				delta[uint(q)>>6] ^= 1 << (uint(q) & 63)
-			}
+// step advances c to its revolving-door successor and returns the
+// element it removed and the one it added. This is Knuth's Algorithm R:
+// the easy case, which all but about one step in c[1]-c[0] takes, moves
+// c[0] by one (down for even k, up for odd k; for k = 1 it is a plain
+// increment); carry handles the rest in amortised O(1).
+func (it *grayIter) step() (out, in int) {
+	c := it.c
+	if it.k&1 == 0 {
+		if c[0] > 0 {
+			c[0]--
+			return c[0] + 1, c[0]
 		}
-		it.mask = it.mask.Xor(u256.New(delta[0], delta[1], delta[2], delta[3]))
+	} else if c[0]+1 < c[1] {
+		c[0]++
+		return c[0] - 1, c[0]
 	}
+	return it.carry()
+}
+
+// carry is Algorithm R's steps R4 and R5, alternating from index 1 up:
+// R4 (entered first for odd k) moves the adjacent pair c[i-1], c[i] =
+// c[i-1]+1 down to i-1, c[i-1]; R5 (first for even k) moves i-1, c[i]
+// up to c[i], c[i]+1. Each swaps exactly one element.
+func (it *grayIter) carry() (out, in int) {
+	c, k := it.c, it.k
+	decrease := k&1 == 1
+	for i := 1; i < k; i++ {
+		if decrease {
+			if c[i] > i {
+				out, in = c[i], i-1
+				c[i], c[i-1] = c[i-1], i-1
+				return out, in
+			}
+		} else if c[i]+1 < c[i+1] {
+			out = c[i-1]
+			c[i-1] = c[i]
+			c[i]++
+			return out, c[i]
+		}
+		decrease = !decrease
+	}
+	// The range length was validated at construction, so running off
+	// the sequence is a bug, not an input error.
+	panic("iterseq: gray successor exhausted before range end")
 }
 
 // Next deliberately skips the mask upkeep: position-list callers (and
 // the host-cost calibration that prices this method for the simulators)
 // must pay exactly the successor cost, nothing more. The mask is marked
-// stale and rebuilt only if the caller later switches to NextMask.
+// stale and rebuilt only if the caller later switches to FillMasks.
 func (it *grayIter) Next(c []int) bool {
 	if it.remaining <= 0 {
 		return false
 	}
 	it.remaining--
-	copy(c, it.cur)
+	copy(c, it.c[:it.k])
 	if it.remaining > 0 {
-		if !graySuccessor(it.n, it.cur) {
-			// The range length was validated at construction, so running
-			// off the sequence is a bug, not an input error.
-			panic("iterseq: gray successor exhausted before range end")
-		}
+		it.step()
 		it.maskStale = true
 	}
 	return true
 }
 
-// NextMask implements MaskIter via the incrementally maintained mask.
-func (it *grayIter) NextMask(mask *u256.Uint256) bool {
-	if it.remaining <= 0 {
-		return false
+// FillMasks implements MaskIter. Each step's swap is two bit flips on
+// the running mask, whatever k is.
+func (it *grayIter) FillMasks(dst []u256.Uint256) int {
+	n := int(min(int64(len(dst)), it.remaining))
+	if n == 0 {
+		return 0
 	}
 	if it.maskStale {
-		it.mask = maskOf(it.cur)
+		m := maskOf(it.c[:it.k])
+		it.mask = [4]uint64{m.Limb(0), m.Limb(1), m.Limb(2), m.Limb(3)}
 		it.maskStale = false
 	}
-	it.remaining--
-	*mask = it.mask
-	if it.remaining > 0 {
-		it.advance()
+	it.remaining -= int64(n)
+	steps := n
+	if it.remaining == 0 {
+		steps-- // the range's last combination may have no successor
 	}
-	return true
+	m := it.mask
+	for i := 0; i < steps; i++ {
+		dst[i] = u256.New(m[0], m[1], m[2], m[3])
+		out, in := it.step()
+		m[uint(out)>>6&3] ^= 1 << (uint(out) & 63)
+		m[uint(in)>>6&3] ^= 1 << (uint(in) & 63)
+	}
+	if steps < n {
+		dst[steps] = u256.New(m[0], m[1], m[2], m[3])
+	}
+	it.mask = m
+	return n
 }
 
 // GrayRank returns the 0-based rank of combination c (strictly increasing
@@ -160,123 +191,32 @@ func GrayUnrank(n int, rank uint64, c []int) error {
 	return nil
 }
 
-// graySuccessor advances c to the next combination in revolving-door
-// order over [0, n), in place. It returns false if c is the last
-// combination. The walk descends the defining recursion iteratively,
-// alternating direction whenever it enters a reversed second part; the
-// two boundary cases produce the answer directly from the closed forms of
-// first() and last().
-func graySuccessor(n int, c []int) bool {
-	j := len(c)
-	if j == 0 {
-		return false
-	}
-	m := n
-	forward := true
-	for {
-		if j == 0 {
-			// Asked to move within R(m, 0) = [empty set]: no neighbours.
-			return false
-		}
-		top := c[j-1]
-		if forward {
-			if top == m-1 {
-				// Second part, forward = backward within R(m-1, j-1).
-				forward = false
-				m--
-				j--
-				continue
-			}
-			// First part. The only boundary is last(R(m-1,j)) =
-			// {0..j-2, m-2}, so jump straight to m = top+2.
-			m = top + 2
-			if prefixConsecutive(c, j-1) {
-				// Cross into the second part:
-				// {0..j-2, m-2} -> {0..j-3, m-2, m-1}.
-				if j >= 2 {
-					c[j-2] = m - 2
-				}
-				c[j-1] = m - 1
-				return true
-			}
-			// Not at the boundary; the next level down is the second part.
-			m--
-		} else {
-			if top == m-1 {
-				if j == m {
-					// c is the sole element of R(m, m): no predecessor,
-					// which means the enclosing sequence is exhausted.
-					return false
-				}
-				// Second part, backward: the element visited before
-				// c' + {m-1} is either within the reversed part (next of
-				// c' in R(m-1, j-1)) or, at the part boundary
-				// c' == last(R(m-1, j-1)) = {0..j-3, m-2}, the final
-				// element of the first part, last(R(m-1,j)) = {0..j-2, m-2}.
-				atBoundary := j == 1 || (c[j-2] == m-2 && prefixConsecutive(c, j-2))
-				if atBoundary {
-					for i := 0; i < j-1; i++ {
-						c[i] = i
-					}
-					c[j-1] = m - 2
-					return true
-				}
-				forward = true
-				m--
-				j--
-				continue
-			}
-			// First part, backward: predecessor within R(m-1, j) unless c
-			// is first(R(m, j)) = {0..j-1}, the global start.
-			if prefixConsecutive(c, j) {
-				return false
-			}
-			m = top + 1
-		}
-	}
-}
-
-// prefixConsecutive reports whether c[0..upto-1] == {0, 1, ..., upto-1}.
-func prefixConsecutive(c []int, upto int) bool {
-	for i := 0; i < upto; i++ {
-		if c[i] != i {
-			return false
-		}
-	}
-	return true
-}
-
 // EnumerateStates reproduces the paper's checkpointing strategy for
-// sequential iterators: walk the full Gray sequence once and record the
-// combination at the start of each of parts equal shares. The paper
-// performs this offline and excludes it from timing; with GrayUnrank
-// available it exists mainly to cross-validate the ranking.
+// sequential iterators: walk the Gray sequence once and record the
+// combination at the start of each of parts equal shares (nil for the
+// empty shares of more parts than combinations). The paper performs
+// this offline and excludes it from timing; with GrayUnrank available it
+// exists mainly to cross-validate the ranking.
 func EnumerateStates(n, k, parts int) ([][]int, error) {
 	ranges, err := Partition(n, k, parts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, 0, parts)
+	it, err := New(GrayCode, n, k, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]int, parts)
 	cur := make([]int, k)
-	for i := range cur {
-		cur[i] = i
-	}
-	next := 0
-	for rank := uint64(0); next < len(ranges); rank++ {
-		for next < len(ranges) && ranges[next].Start == rank {
-			if ranges[next].Count > 0 {
-				out = append(out, append([]int(nil), cur...))
-			} else {
-				out = append(out, nil) // more parts than combinations
-			}
-			next++
+	rank := uint64(0)
+	for i, r := range ranges {
+		if r.Count == 0 {
+			continue
 		}
-		if next == len(ranges) || !graySuccessor(n, cur) {
-			break
+		for ; rank <= r.Start; rank++ {
+			it.Next(cur)
 		}
-	}
-	for len(out) < parts {
-		out = append(out, nil)
+		out[i] = append([]int(nil), cur...)
 	}
 	return out, nil
 }

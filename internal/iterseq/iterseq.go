@@ -86,22 +86,29 @@ type Iter interface {
 	Next(c []int) bool
 }
 
-// MaskIter is an Iter that can additionally produce each combination as a
-// 256-bit flip mask (bit p set iff position p is in the combination).
-// This is the host hot path's fast form: the minimal-change iterators
-// (GrayCode, Gosper, Mifsud154) maintain the mask incrementally - a
-// revolving-door step flips two mask bits instead of re-applying all k
-// positions from scratch - while the random-access Alg515 rebuilds it per
-// step, exactly mirroring each method's per-seed work profile on the GPU.
+// MaskIter is an Iter that can additionally produce combinations as
+// 256-bit flip masks (bit p set iff position p is in the combination),
+// a batch at a time. This is the host hot path's fast form: the
+// minimal-change iterators (GrayCode, Gosper, Mifsud154) maintain the
+// mask incrementally - a revolving-door step flips two mask bits
+// instead of re-applying all k positions from scratch - while the
+// random-access Alg515 rebuilds it per step, exactly mirroring each
+// method's per-seed work profile on the GPU.
 //
 // The mask form requires n <= 256. Every iterator New returns is a
-// MaskIter; Next and NextMask may be freely interleaved on the same
-// iterator and consume from the same sequence.
+// MaskIter; Next and FillMasks may be freely interleaved on the same
+// iterator and consume from the same sequence. A one-element dst is the
+// scalar form.
 type MaskIter interface {
 	Iter
-	// NextMask writes the next combination's flip mask into *mask and
-	// reports whether one was produced.
-	NextMask(mask *u256.Uint256) bool
+	// FillMasks writes the next len(dst) combinations' flip masks into
+	// dst and returns how many it wrote; fewer than len(dst) means the
+	// sequence is exhausted. It is the batched host engine's fill loop,
+	// one call per batch at whatever stride the batch kernel asks for,
+	// and allocates nothing. The masks are not applied to any base: the
+	// batch kernel writes base^mask straight into its own layout, so the
+	// iterator never needs the base.
+	FillMasks(dst []u256.Uint256) int
 }
 
 // New returns an iterator for the given method over k-subsets of [0, n),
@@ -147,24 +154,6 @@ func ApplySeed(base u256.Uint256, c []int) u256.Uint256 {
 // of the Hamming distance - the payoff of the MaskIter fast path.
 func ApplyMask(base, mask u256.Uint256) u256.Uint256 {
 	return base.Xor(mask)
-}
-
-// FillMasks drains up to len(dst) combination flip masks — not applied
-// to any base — from the iterator's mask fast path, returning how many
-// were produced; fewer than len(dst) means the sequence is exhausted.
-// This is the batched host engine's fill loop, at whatever stride the
-// batch kernel asks for. It hands over raw masks rather than
-// base-applied seeds because the SHA-3 kernel keeps the candidate batch
-// resident in bit-sliced layout and advances lane i between batches by
-// the XOR of that lane's consecutive masks (masks of equal popcount k
-// differ in at most 2k bits). Masks are written straight into dst; the
-// steady state allocates nothing.
-func FillMasks(mi MaskIter, dst []u256.Uint256) int {
-	n := 0
-	for n < len(dst) && mi.NextMask(&dst[n]) {
-		n++
-	}
-	return n
 }
 
 // maskOf builds the flip mask for a combination. It requires every

@@ -2,6 +2,7 @@ package iterseq
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rbcsalted/internal/combin"
@@ -130,49 +131,138 @@ func TestGrayRankUnrankRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGraySuccessorMatchesUnrank walks the sequence with the successor and
-// checks it against direct unranking at every rank - this pins the whole
-// state machine.
+// checkGrayStep steps a Gray iterator positioned at rank and checks the
+// step against GrayUnrank(rank+1), written into want (len k): the new
+// combination, and the reported (removed, added) pair as the set
+// difference of the two.
+func checkGrayStep(t *testing.T, it *grayIter, n int, rank uint64, want []int) {
+	t.Helper()
+	k := it.k
+	before := maskOf(it.c[:k])
+	out, in := it.step()
+	if err := GrayUnrank(n, rank+1, want); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(it.c[:k], want) {
+		t.Fatalf("n=%d k=%d rank %d: step gave %v, unrank(rank+1) %v", n, k, rank, it.c[:k], want)
+	}
+	after := maskOf(want)
+	if before.Bit(out) != 1 || after.Bit(out) != 0 || before.Bit(in) != 0 || after.Bit(in) != 1 ||
+		before.Xor(after).OnesCount() != 2 {
+		t.Fatalf("n=%d k=%d rank %d: step reported (-%d, +%d), sets differ by %v", n, k, rank, out, in, before.Xor(after))
+	}
+}
+
+// checkFillMatchesNext checks FillMasks, at several batch widths, against
+// masks built from Next over the same range.
+func checkFillMatchesNext(t *testing.T, method Method, n, k int, start uint64, count int64) {
+	t.Helper()
+	for _, width := range []int{1, 7, 64} {
+		ref, err := New(method, n, k, start, count)
+		if err != nil {
+			t.Fatalf("%v n=%d k=%d start=%d: %v", method, n, k, start, err)
+		}
+		mi, _ := New(method, n, k, start, count)
+		c := make([]int, k)
+		dst := make([]u256.Uint256, width)
+		got, i := 0, 0
+		for ref.Next(c) {
+			if i == got {
+				got, i = mi.FillMasks(dst), 0
+				if got == 0 {
+					t.Fatalf("%v n=%d k=%d start=%d width=%d: FillMasks exhausted early", method, n, k, start, width)
+				}
+			}
+			if !dst[i].Equal(maskOf(c)) {
+				t.Fatalf("%v n=%d k=%d start=%d width=%d: mask %v, Next gave %v", method, n, k, start, width, dst[i], c)
+			}
+			i++
+		}
+		if i != got || mi.FillMasks(dst) != 0 {
+			t.Fatalf("%v n=%d k=%d start=%d width=%d: FillMasks ran past Next's end", method, n, k, start, width)
+		}
+	}
+}
+
+// TestGrayStepExhaustive pins the revolving-door step at full width: for
+// k = 1, 2, 3 over n = 256, a step from every rank lands on
+// GrayUnrank(rank+1) and reports the swap it made, and the batch fill
+// agrees with Next from several start ranks.
+func TestGrayStepExhaustive(t *testing.T) {
+	const n = 256
+	for k := 1; k <= 3; k++ {
+		total, _ := combin.Binomial64(n, k)
+		it, err := newGray(n, k, 0, int64(total))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, k)
+		for r := uint64(0); r+1 < total; r++ {
+			checkGrayStep(t, it, n, r, want)
+		}
+		for _, start := range []uint64{0, 1, 63, total / 2, total - 70} {
+			checkFillMatchesNext(t, GrayCode, n, k, start, 200)
+		}
+	}
+}
+
+// FuzzGrayStep checks the same properties at random shapes and ranks.
+func FuzzGrayStep(f *testing.F) {
+	f.Add(uint8(10), uint8(4), uint64(17))
+	f.Add(uint8(64), uint8(2), uint64(2015))
+	f.Add(uint8(33), uint8(33), uint64(0))
+	f.Add(uint8(40), uint8(1), uint64(39))
+	f.Fuzz(func(t *testing.T, nb, kb uint8, rank uint64) {
+		n := 1 + int(nb)%64
+		k := int(kb) % (n + 1)
+		total, ok := combin.Binomial64(n, k)
+		if !ok {
+			t.Skip()
+		}
+		rank %= total
+		if rank+1 < total {
+			it, err := newGray(n, k, rank, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGrayStep(t, it, n, rank, make([]int, k))
+		}
+		checkFillMatchesNext(t, GrayCode, n, k, rank, 150)
+	})
+}
+
+// TestGraySuccessorMatchesUnrank walks every sequence with n <= 10 by
+// the step and checks it against direct unranking at every rank - this
+// pins the whole state machine, k = n included.
 func TestGraySuccessorMatchesUnrank(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		for k := 1; k <= n; k++ {
 			total, _ := combin.Binomial64(n, k)
-			cur := make([]int, k)
-			for i := range cur {
-				cur[i] = i
+			it, err := newGray(n, k, 0, int64(total))
+			if err != nil {
+				t.Fatal(err)
 			}
 			want := make([]int, k)
-			for r := uint64(0); r < total; r++ {
-				if err := GrayUnrank(n, r, want); err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(cur) != fmt.Sprint(want) {
-					t.Fatalf("n=%d k=%d rank %d: successor %v, unrank %v", n, k, r, cur, want)
-				}
-				ok := graySuccessor(n, cur)
-				if ok != (r+1 < total) {
-					t.Fatalf("n=%d k=%d rank %d: successor continue=%v", n, k, r, ok)
-				}
+			for r := uint64(0); r+1 < total; r++ {
+				checkGrayStep(t, it, n, r, want)
 			}
 		}
 	}
 }
 
 func TestGraySuccessor256(t *testing.T) {
-	// Spot-check at full width: successor then rank must increment.
+	// Spot-check at full width: step then rank must increment.
 	for k := 1; k <= 5; k++ {
 		total, _ := combin.Binomial64(256, k)
 		for _, r := range []uint64{0, 1, total / 3, total / 2, total - 2} {
-			c := make([]int, k)
-			if err := GrayUnrank(256, r, c); err != nil {
+			it, err := newGray(256, k, r, 2)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !graySuccessor(256, c) {
-				t.Fatalf("k=%d rank %d: unexpected end", k, r)
-			}
-			got, err := GrayRank(256, c)
+			it.step()
+			got, err := GrayRank(256, it.c[:k])
 			if err != nil || got != r+1 {
-				t.Fatalf("k=%d: rank after successor = %d, want %d (%v)", k, got, r+1, err)
+				t.Fatalf("k=%d: rank after step = %d, want %d (%v)", k, got, r+1, err)
 			}
 		}
 	}
@@ -300,9 +390,9 @@ func BenchmarkIterGosper256of5(b *testing.B)  { benchMethod(b, Gosper) }
 func BenchmarkIterMifsud256of5(b *testing.B)  { benchMethod(b, Mifsud154) }
 
 // TestNextMaskMatchesNext verifies, for every method across a sweep of
-// (n, k, startRank), that the mask fast path produces exactly the masks
-// of the combinations Next yields - the invariant the batched host
-// search depends on.
+// (n, k, startRank), that the mask fast path at batch widths 1, 7 and 64
+// produces exactly the masks of the combinations Next yields - the
+// invariant the batched host search depends on.
 func TestNextMaskMatchesNext(t *testing.T) {
 	for _, method := range Methods() {
 		for _, tc := range []struct {
@@ -316,37 +406,13 @@ func TestNextMaskMatchesNext(t *testing.T) {
 			{256, 2, 1234, 200},
 			{256, 5, 0, 300},
 		} {
-			ref, err := New(method, tc.n, tc.k, tc.start, tc.count)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", method, tc, err)
-			}
-			mi, err := New(method, tc.n, tc.k, tc.start, tc.count)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", method, tc, err)
-			}
-			c := make([]int, tc.k)
-			var mask u256.Uint256
-			step := 0
-			for ref.Next(c) {
-				if !mi.NextMask(&mask) {
-					t.Fatalf("%v %+v: NextMask exhausted at step %d", method, tc, step)
-				}
-				want := maskOf(c)
-				if !mask.Equal(want) {
-					t.Fatalf("%v %+v step %d: mask %v, want %v (comb %v)",
-						method, tc, step, mask, want, c)
-				}
-				step++
-			}
-			if mi.NextMask(&mask) {
-				t.Fatalf("%v %+v: NextMask yielded beyond Next's end", method, tc)
-			}
+			checkFillMatchesNext(t, method, tc.n, tc.k, tc.start, tc.count)
 		}
 	}
 }
 
-// TestNextMaskInterleaved verifies Next and NextMask consume from the
-// same sequence and stay consistent when interleaved.
+// TestNextMaskInterleaved verifies Next and a batch-of-one FillMasks
+// consume from the same sequence and stay consistent when interleaved.
 func TestNextMaskInterleaved(t *testing.T) {
 	for _, method := range Methods() {
 		n, k := 10, 4
@@ -354,15 +420,15 @@ func TestNextMaskInterleaved(t *testing.T) {
 		mi, _ := New(method, n, k, 0, -1)
 		c := make([]int, k)
 		refC := make([]int, k)
-		var mask u256.Uint256
+		var mask [1]u256.Uint256
 		for step := 0; ; step++ {
 			ok := ref.Next(refC)
 			if step%3 == 0 {
-				if got := mi.NextMask(&mask); got != ok {
-					t.Fatalf("%v step %d: NextMask=%v want %v", method, step, got, ok)
+				if got := mi.FillMasks(mask[:]) == 1; got != ok {
+					t.Fatalf("%v step %d: FillMasks=%v want %v", method, step, got, ok)
 				}
-				if ok && !mask.Equal(maskOf(refC)) {
-					t.Fatalf("%v step %d: mask %v, want comb %v", method, step, mask, refC)
+				if ok && !mask[0].Equal(maskOf(refC)) {
+					t.Fatalf("%v step %d: mask %v, want comb %v", method, step, mask[0], refC)
 				}
 			} else {
 				if got := mi.Next(c); got != ok {
@@ -394,11 +460,11 @@ func benchMethodMask(b *testing.B, method Method) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var mask u256.Uint256
+	var mask [1]u256.Uint256
 	for i := 0; i < b.N; i++ {
-		if !mi.NextMask(&mask) {
+		if mi.FillMasks(mask[:]) == 0 {
 			mi, _ = New(method, 256, 5, 0, -1)
-			mi.NextMask(&mask)
+			mi.FillMasks(mask[:])
 		}
 	}
 }

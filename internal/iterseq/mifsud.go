@@ -35,7 +35,7 @@ func newMifsud(n, k int, startRank uint64, count int64) (*mifsudIter, error) {
 // Next deliberately leaves the mask stale: position-list callers (and
 // the host-cost calibration that prices this method for the simulators)
 // must pay exactly the successor cost; the mask is rebuilt on demand if
-// the caller later switches to NextMask.
+// the caller later switches to FillMasks.
 func (it *mifsudIter) Next(c []int) bool {
 	if it.remaining <= 0 {
 		return false
@@ -49,23 +49,26 @@ func (it *mifsudIter) Next(c []int) bool {
 	return true
 }
 
-// NextMask implements MaskIter. The mask follows the successor's delta:
+// FillMasks implements MaskIter. The mask follows the successor's delta:
 // the flips mirror exactly the positions advance rewrites, so the
 // amortized-O(1) transition carries over to the mask form.
-func (it *mifsudIter) NextMask(mask *u256.Uint256) bool {
-	if it.remaining <= 0 {
-		return false
+func (it *mifsudIter) FillMasks(dst []u256.Uint256) int {
+	n := int(min(int64(len(dst)), it.remaining))
+	if n == 0 {
+		return 0
 	}
 	if it.maskStale {
 		it.mask = maskOf(it.cur)
 		it.maskStale = false
 	}
-	it.remaining--
-	*mask = it.mask
-	if it.remaining > 0 {
-		it.advance(it.n <= 256)
+	for i := 0; i < n; i++ {
+		dst[i] = it.mask
+		it.remaining--
+		if it.remaining > 0 {
+			it.advance(it.n <= 256)
+		}
 	}
-	return true
+	return n
 }
 
 func (it *mifsudIter) advance(trackMask bool) {

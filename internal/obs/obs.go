@@ -67,10 +67,10 @@ var DefLatencyBuckets = []float64{
 
 // DefBatchNsBuckets is the histogram geometry for per-batch hot-path
 // phase timings in nanoseconds: roughly exponential from 250 ns to
-// 10 ms. A 256-candidate fill or pack phase runs single-digit
-// microseconds on the reference host; the wide range keeps the buckets
-// meaningful from one-cacheline delta advances up to contended
-// full-repack batches.
+// 10 ms. A 64-candidate fill or pack phase takes a few hundred
+// nanoseconds on the reference host (the Gray fill and the pack each
+// ~300-450) and Algorithm 515's fill ~16 µs; the wide range keeps the
+// buckets meaningful up to batches that lose their CPU mid-phase.
 var DefBatchNsBuckets = []float64{
 	250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000,
 	100_000, 250_000, 500_000, 1_000_000, 2_500_000, 10_000_000,
@@ -109,13 +109,22 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records v as n observations: one sampled measurement that
+// stands for n events, so Count stays the number of events and Sum
+// their estimated total. n = 0 records nothing.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	total := v * float64(n)
 	for {
 		old := h.sum.Load()
-		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+total)) {
 			break
 		}
 	}

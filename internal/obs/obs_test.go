@@ -75,6 +75,42 @@ func TestHistogramBucketsAndStats(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN checks a weighted observation lands as n equal
+// ones: bucket and total counts grow by n, the sum by n*v, min and max
+// see v once, and n = 0 records nothing.
+func TestHistogramObserveN(t *testing.T) {
+	h := NewHistogram([]float64{1, 10, 100})
+	h.ObserveN(5, 16)
+	h.ObserveN(0.5, 3)
+	h.ObserveN(500, 2)
+	h.ObserveN(50, 0)
+	h.Observe(50)
+	s := h.Snapshot()
+	if s.Count != 22 {
+		t.Fatalf("count = %d, want 22", s.Count)
+	}
+	if s.Sum != 16*5+3*0.5+2*500+50 {
+		t.Errorf("sum = %v, want %v", s.Sum, 16*5+3*0.5+2*500+50)
+	}
+	if s.Min != 0.5 || s.Max != 500 {
+		t.Errorf("min/max = %v/%v, want 0.5/500", s.Min, s.Max)
+	}
+	want := []uint64{3, 16, 1}
+	for i, w := range want {
+		if s.Counts[i] != w {
+			t.Errorf("bucket %d = %d, want %d", i, s.Counts[i], w)
+		}
+	}
+	if s.Overflow != 2 {
+		t.Errorf("overflow = %d, want 2", s.Overflow)
+	}
+	empty := NewHistogram([]float64{1})
+	empty.ObserveN(7, 0)
+	if s := empty.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Max != 0 {
+		t.Errorf("ObserveN(v, 0) recorded %+v", s)
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	for i := 0; i < 100; i++ {
