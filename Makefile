@@ -61,7 +61,8 @@ bench-module:
 
 # fuzz smokes every decoder a peer's bytes reach: the netproto frame
 # reader and its challenge, result and error payloads, the replication
-# message set, the WAL record decoder and the PUF image codec. Then the
+# message set, the WAL record decoder, the snapshot and enrolment-file
+# decoder and the PUF image codec. Then the
 # differential fuzzers for the two batch kernels (8-way Keccak on every
 # implementation the CPU supports, 4-way multi-buffer SHA-1) and for the
 # 256-lane bit-sliced SHA-3 the benchmark still times, each against its
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/replica -run='^$$' -fuzz=FuzzReplicaMsg -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/puf -run='^$$' -fuzz=FuzzImageCodec -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)

@@ -1,8 +1,11 @@
 // Command rbc-enroll is the secure-facility side of the protocol: it
 // manufactures (simulated) PUF devices, captures their enrollment images
-// over repeated reads, and writes them either into an encrypted
-// image-store file that rbc-server can load (-store) or directly into a
-// durable data directory that rbc-server serves from (-data-dir).
+// over repeated reads, and writes them either into an enrolment file that
+// rbc-server can load (-store) or directly into a durable data directory
+// that rbc-server serves from (-data-dir). An enrolment file is a
+// snapshot of the data directory's format holding only image records,
+// each sealed with AES-256-GCM under the master key; enrolment files
+// written in the older gob format are still read.
 //
 // -remove deprovisions clients instead of enrolling them: the image, any
 // registered public key/certificate and any open session are deleted (and,
@@ -18,10 +21,11 @@ package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
-	"os"
 	"strings"
 
 	"rbcsalted/internal/core"
@@ -30,7 +34,7 @@ import (
 )
 
 func main() {
-	storePath := flag.String("store", "", "encrypted image-store file (default ca-images.db unless -data-dir)")
+	storePath := flag.String("store", "", "enrolment file of sealed images (default ca-images.db unless -data-dir)")
 	dataDir := flag.String("data-dir", "", "enroll into a durable data directory instead of a store file")
 	keyHex := flag.String("key", strings.Repeat("00", 32), "64-hex-char master key")
 	clients := flag.String("clients", "", "comma-separated client ids to enroll")
@@ -54,46 +58,39 @@ func main() {
 		*storePath = "ca-images.db"
 	}
 
-	// The durable path: mutations are journaled through the State and
-	// persist on Close; no separate Save step.
+	// Either destination is a store plus how to deprovision from it and
+	// how to persist it: a data directory journals every mutation and
+	// snapshots on Close, an enrolment file is rewritten whole.
+	var (
+		where       = *storePath
+		store       *core.ImageStore
+		deprovision func(core.ClientID) error
+		persist     func() error
+	)
 	if *dataDir != "" {
 		state, err := durable.Open(durable.Options{Dir: *dataDir, MasterKey: key, Sync: durable.SyncAlways})
 		if err != nil {
 			log.Fatal(err)
 		}
-		switch {
-		case *list:
-			fmt.Printf("%s: %d enrolled client(s)\n", *dataDir, state.Images().Len())
-		case *remove != "":
-			for _, id := range splitIDs(*remove) {
-				if err := state.DeleteClient(id); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Printf("removed %q (image, keys and sessions)\n", id)
-			}
-		case *clients != "":
-			enrollAll(state.Images(), splitIDs(*clients), *seedBase, *cells, *reads, *baseError)
-		default:
-			log.Fatal("rbc-enroll: -clients, -remove or -list required")
+		where, store, deprovision, persist = *dataDir, state.Images(), state.DeleteClient, state.Close
+	} else {
+		if store, err = durable.LoadImages(*storePath, key); errors.Is(err, fs.ErrNotExist) {
+			store, err = core.NewImageStore(key)
 		}
-		if err := state.Close(); err != nil {
+		if err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	store, err := openOrCreate(key, *storePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *list {
-		fmt.Printf("%s: %d enrolled client(s)\n", *storePath, store.Len())
-		return
+		deprovision, persist = store.Delete, func() error { return durable.SaveImages(*storePath, store) }
 	}
 	switch {
+	case *list:
+		fmt.Printf("%s: %d enrolled client(s)\n", where, store.Len())
+		if *dataDir == "" {
+			return // the file stays as it was
+		}
 	case *remove != "":
 		for _, id := range splitIDs(*remove) {
-			if err := store.Delete(id); err != nil {
+			if err := deprovision(id); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("removed %q\n", id)
@@ -103,16 +100,10 @@ func main() {
 	default:
 		log.Fatal("rbc-enroll: -clients, -remove or -list required")
 	}
-
-	f, err := os.Create(*storePath)
-	if err != nil {
+	if err := persist(); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := store.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d clients, sealed with AES-256-GCM)\n", *storePath, store.Len())
+	fmt.Printf("wrote %s (%d enrolled client(s))\n", where, store.Len())
 }
 
 func splitIDs(s string) []core.ClientID {
@@ -155,16 +146,4 @@ func parseKey(s string) ([32]byte, error) {
 	}
 	copy(key[:], raw)
 	return key, nil
-}
-
-func openOrCreate(key [32]byte, path string) (*core.ImageStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return core.NewImageStore(key)
-		}
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadImageStore(key, f)
 }

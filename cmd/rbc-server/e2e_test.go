@@ -211,3 +211,37 @@ func TestKillRestartDurability(t *testing.T) {
 		t.Fatal("enrollment image lost")
 	}
 }
+
+// TestEnrolStoreRoundTrip: an enrolment file written by `rbc-enroll
+// -store` is read back by rbc-enroll itself (adding a client) and served
+// by `rbc-server -store`, whose clients then authenticate.
+func TestEnrolStoreRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real binaries")
+	}
+	bins := t.TempDir()
+	server, enroll := filepath.Join(bins, "rbc-server"), filepath.Join(bins, "rbc-enroll")
+	for bin, pkg := range map[string]string{server: ".", enroll: "../rbc-enroll"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	store := filepath.Join(t.TempDir(), "ca-images.db")
+	key := strings.Repeat("5a", 32)
+	for _, args := range [][]string{
+		{"-clients", "e2e", "-seedbase", "4242"},
+		{"-clients", "other", "-seedbase", "7"},
+	} {
+		args = append(args, "-store", store, "-key", key, "-baseerror", fmt.Sprintf("%g", quietProfile.BaseError))
+		if out, err := exec.Command(enroll, args...).CombinedOutput(); err != nil {
+			t.Fatalf("rbc-enroll %v: %v\n%s", args, err, out)
+		}
+	}
+
+	srv := startServer(t, server, "-listen", "127.0.0.1:0", "-store", store, "-key", key, "-maxd", "3")
+	defer srv.kill()
+	if boot := strings.Join(srv.boot, "\n"); !strings.Contains(boot, "2 enrolled client(s)") {
+		t.Fatalf("boot output does not report both enrolled clients:\n%s", boot)
+	}
+	authenticate(t, srv.addr, 4242)
+}

@@ -83,7 +83,7 @@ func main() {
 	hedge := flag.Bool("hedge", false, "re-issue straggling searches as a second backend flight")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger (0 = derive from the service-time p95)")
 	traceDepth := flag.Int("trace-depth", 1024, "trace ring capacity (events kept for /trace)")
-	storePath := flag.String("store", "", "load an rbc-enroll image store instead of self-enrolling")
+	storePath := flag.String("store", "", "load an rbc-enroll enrolment file instead of self-enrolling")
 	keyHex := flag.String("key", strings.Repeat("00", 32), "master key for -store / -data-dir (64 hex chars)")
 	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshots); state survives restarts")
 	syncMode := flag.String("sync", "interval", "WAL fsync policy for -data-dir: always|interval|never")
@@ -148,7 +148,7 @@ func main() {
 		cfg.PUFProfile = &p
 	}
 	if *storePath != "" {
-		store, err := loadStore(*storePath, key)
+		store, err := durable.LoadImages(*storePath, key)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -297,13 +297,4 @@ func parseKey(keyHex string) ([32]byte, error) {
 	}
 	copy(key[:], raw)
 	return key, nil
-}
-
-func loadStore(path string, key [32]byte) (*core.ImageStore, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.LoadImageStore(key, f)
 }

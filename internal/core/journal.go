@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"iter"
 )
 
 // Journal receives every durable mutation of the CA's state — image puts
@@ -75,4 +76,22 @@ func shardIndex(id ClientID, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))
 	return int(h.Sum32() % uint32(n))
+}
+
+// rangeShards iterates a store striped across n lock shards, one shard
+// at a time: copyShard(i) returns a copy of shard i's map, taken under
+// that shard's lock, and its entries are yielded after the lock is
+// released, so a consumer that encodes or writes each one never stalls
+// the shard's writers. Values are shared with the store, which replaces
+// a value and never modifies one in place; consumers must not modify them.
+func rangeShards[V any](n int, copyShard func(i int) map[ClientID]V) iter.Seq2[ClientID, V] {
+	return func(yield func(ClientID, V) bool) {
+		for i := range n {
+			for id, v := range copyShard(i) {
+				if !yield(id, v) {
+					return
+				}
+			}
+		}
+	}
 }

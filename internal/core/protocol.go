@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"sync"
 	"time"
 
@@ -220,33 +222,26 @@ func (ra *RA) PublicKey(id ClientID) ([]byte, bool) {
 	return append([]byte(nil), k...), true
 }
 
-// SnapshotKeys copies every registered public key.
-func (ra *RA) SnapshotKeys() map[ClientID][]byte {
-	out := make(map[ClientID][]byte)
-	for i := range ra.shards {
+// Keys iterates every registered public key, one lock shard at a time
+// (see rangeShards).
+func (ra *RA) Keys() iter.Seq2[ClientID, []byte] {
+	return rangeShards(len(ra.shards), func(i int) map[ClientID][]byte {
 		sh := &ra.shards[i]
 		sh.mu.RLock()
-		for id, k := range sh.keys {
-			out[id] = append([]byte(nil), k...)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+		defer sh.mu.RUnlock()
+		return maps.Clone(sh.keys)
+	})
 }
 
-// SnapshotCertificates copies every registered certificate.
-func (ra *RA) SnapshotCertificates() map[ClientID]*Certificate {
-	out := make(map[ClientID]*Certificate)
-	for i := range ra.shards {
+// Certificates iterates every registered certificate, one lock shard at
+// a time (see rangeShards).
+func (ra *RA) Certificates() iter.Seq2[ClientID, *Certificate] {
+	return rangeShards(len(ra.shards), func(i int) map[ClientID]*Certificate {
 		sh := &ra.shards[i]
 		sh.mu.RLock()
-		for id, c := range sh.certs {
-			copied := *c
-			out[id] = &copied
-		}
-		sh.mu.RUnlock()
-	}
-	return out
+		defer sh.mu.RUnlock()
+		return maps.Clone(sh.certs)
+	})
 }
 
 // Len returns the number of clients with a registered key or

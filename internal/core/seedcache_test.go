@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/cipher"
 	"errors"
+	"maps"
 	"os"
 	"sync/atomic"
 	"testing"
@@ -85,7 +86,8 @@ func TestImageStoreReadsParentGobBlob(t *testing.T) {
 	if err := store.Put(id, want); err != nil {
 		t.Fatal(err)
 	}
-	if b := firstByte(store.SealedSnapshot()[id]); b != puf.ImageMagic {
+	sealed, _ := store.blob(id)
+	if b := firstByte(sealed); b != puf.ImageMagic {
 		t.Errorf("Put sealed a plaintext starting %#x, want the binary layout", b)
 	}
 }
@@ -193,7 +195,7 @@ func TestAuthenticateSeedFallbacks(t *testing.T) {
 		}, true, nil, 0},
 		{"sessions restored into a new table", func(t *testing.T, r *authRig, alice *Client) (*authRig, *Client) {
 			table := NewSessionTable()
-			for id, ch := range r.ca.Sessions().Snapshot() {
+			for id, ch := range r.ca.Sessions().Challenges() {
 				table.Restore(id, ch)
 			}
 			return newAuthRig(t, table, r.store), alice
@@ -206,7 +208,8 @@ func TestAuthenticateSeedFallbacks(t *testing.T) {
 			return r, alice
 		}, false, nil, 1},
 		{"same blob stored again", func(t *testing.T, r *authRig, alice *Client) (*authRig, *Client) {
-			r.store.PutSealed("alice", r.store.SealedSnapshot()["alice"])
+			sealed, _ := r.store.blob("alice")
+			r.store.PutSealed("alice", sealed)
 			return r, alice
 		}, true, nil, 0},
 		{"deprovisioned", func(t *testing.T, r *authRig, alice *Client) (*authRig, *Client) {
@@ -288,7 +291,7 @@ func TestSeedCacheLeavesWithTheSession(t *testing.T) {
 	if len(j.opened) != 1 || j.opened[0].Nonce != ch.Nonce {
 		t.Fatalf("journal saw %d opens", len(j.opened))
 	}
-	if snap := tab.Snapshot(); len(snap) != 1 || snap["alice"].Nonce != ch.Nonce {
+	if snap := maps.Collect(tab.Challenges()); len(snap) != 1 || snap["alice"].Nonce != ch.Nonce {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 	sh := tab.shard("alice")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -260,18 +261,20 @@ func (t *SessionTable) Forget(id ClientID) {
 	sh.mu.Unlock()
 }
 
-// Snapshot copies every open session.
-func (t *SessionTable) Snapshot() map[ClientID]Challenge {
-	out := make(map[ClientID]Challenge)
-	for i := range t.shards {
+// Challenges iterates every open session's challenge, one lock shard at
+// a time (see rangeShards). The seed cached beside a session is not
+// copied out.
+func (t *SessionTable) Challenges() iter.Seq2[ClientID, Challenge] {
+	return rangeShards(len(t.shards), func(i int) map[ClientID]Challenge {
 		sh := &t.shards[i]
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		out := make(map[ClientID]Challenge, len(sh.open))
 		for id, s := range sh.open {
 			out[id] = s.ch
 		}
-		sh.mu.Unlock()
-	}
-	return out
+		return out
+	})
 }
 
 // Len returns the number of open sessions (including not-yet-swept

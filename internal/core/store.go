@@ -7,7 +7,8 @@ import (
 	"crypto/rand"
 	"encoding/gob"
 	"fmt"
-	"io"
+	"iter"
+	"maps"
 	"sync"
 
 	"rbcsalted/internal/puf"
@@ -108,8 +109,8 @@ func (s *ImageStore) Put(id ClientID, im *puf.Image) error {
 }
 
 // PutSealed stores an already-sealed blob without journaling. It is the
-// replay/restore path: internal/durable uses it to apply WAL records and
-// snapshots, and Load uses it to fill a fresh store.
+// replay/restore path: internal/durable uses it to apply WAL records,
+// snapshots and enrolment files.
 func (s *ImageStore) PutSealed(id ClientID, sealed []byte) {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -220,47 +221,16 @@ func (s *ImageStore) Drop(id ClientID) {
 	sh.mu.Unlock()
 }
 
-// SealedSnapshot copies every sealed blob. Blobs stay sealed, so the
-// snapshot (like Save) never contains plaintext PUF images.
-func (s *ImageStore) SealedSnapshot() map[ClientID][]byte {
-	out := make(map[ClientID][]byte, s.Len())
-	for i := range s.shards {
+// Sealed iterates every stored blob, still sealed, one lock shard at a
+// time (see rangeShards). It is how the store is persisted, so nothing it
+// yields is a plaintext PUF image.
+func (s *ImageStore) Sealed() iter.Seq2[ClientID, []byte] {
+	return rangeShards(len(s.shards), func(i int) map[ClientID][]byte {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for id, blob := range sh.blobs {
-			out[id] = append([]byte(nil), blob...)
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Save writes the store to w. Blobs are persisted exactly as sealed in
-// memory, so the file never contains plaintext PUF images and can only be
-// opened again with the same master key.
-func (s *ImageStore) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(s.SealedSnapshot()); err != nil {
-		return fmt.Errorf("core: save image store: %w", err)
-	}
-	return nil
-}
-
-// LoadImageStore reads a store saved by Save. The master key must match
-// the one the store was sealed under; a wrong key surfaces on the first
-// Get.
-func LoadImageStore(masterKey [32]byte, r io.Reader) (*ImageStore, error) {
-	s, err := NewImageStore(masterKey)
-	if err != nil {
-		return nil, err
-	}
-	var snapshot map[ClientID][]byte
-	if err := gob.NewDecoder(r).Decode(&snapshot); err != nil {
-		return nil, fmt.Errorf("core: load image store: %w", err)
-	}
-	for id, blob := range snapshot {
-		s.PutSealed(id, blob)
-	}
-	return s, nil
+		defer sh.mu.RUnlock()
+		return maps.Clone(sh.blobs)
+	})
 }
 
 // Len returns the number of enrolled clients.

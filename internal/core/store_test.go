@@ -62,7 +62,7 @@ func TestImageStoreIsActuallyEncrypted(t *testing.T) {
 	store, _ := NewImageStore([32]byte{1})
 	im := testImage(t)
 	store.Put("alice", im)
-	blob := store.SealedSnapshot()["alice"]
+	blob, _ := store.blob("alice")
 	if len(blob) == 0 {
 		t.Fatal("no blob stored")
 	}
@@ -82,7 +82,8 @@ func TestImageStoreIsActuallyEncrypted(t *testing.T) {
 func TestImageStoreBlobTamperDetected(t *testing.T) {
 	store, _ := NewImageStore([32]byte{1})
 	store.Put("alice", testImage(t))
-	blob := store.SealedSnapshot()["alice"]
+	blob, _ := store.blob("alice")
+	blob = bytes.Clone(blob)
 	blob[len(blob)-1] ^= 0xFF
 	store.PutSealed("alice", blob)
 	if _, err := store.Get("alice"); err == nil {
@@ -100,7 +101,8 @@ func TestImageStoreKeyBinding(t *testing.T) {
 	// (additional authenticated data binds identity).
 	store, _ := NewImageStore([32]byte{1})
 	store.Put("alice", testImage(t))
-	store.PutSealed("eve", store.SealedSnapshot()["alice"])
+	blob, _ := store.blob("alice")
+	store.PutSealed("eve", blob)
 	if _, err := store.Get("eve"); err == nil {
 		t.Error("blob replayed under a different identity")
 	}
@@ -113,56 +115,4 @@ func containsSubslice(haystack, needle []byte) bool {
 		}
 	}
 	return false
-}
-
-func TestImageStoreSaveLoadRoundTrip(t *testing.T) {
-	key := [32]byte{3, 1, 4}
-	store, _ := NewImageStore(key)
-	im := testImage(t)
-	if err := store.Put("alice", im); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The persisted form must not leak plaintext either.
-	if containsSubslice(buf.Bytes(), []byte("Instability")) {
-		t.Error("saved store leaks plaintext structure")
-	}
-	loaded, err := LoadImageStore(key, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := loaded.Get("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range im.Values {
-		if got.Values[i] != im.Values[i] {
-			t.Fatalf("image corrupted at cell %d", i)
-		}
-	}
-}
-
-func TestImageStoreLoadWrongKey(t *testing.T) {
-	store, _ := NewImageStore([32]byte{1})
-	store.Put("alice", testImage(t))
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadImageStore([32]byte{2}, &buf)
-	if err != nil {
-		t.Fatal(err) // load succeeds; decryption must fail
-	}
-	if _, err := loaded.Get("alice"); err == nil {
-		t.Error("wrong master key opened a sealed image")
-	}
-}
-
-func TestImageStoreLoadGarbage(t *testing.T) {
-	if _, err := LoadImageStore([32]byte{}, bytes.NewReader([]byte("not a store"))); err == nil {
-		t.Error("garbage accepted as a store")
-	}
 }

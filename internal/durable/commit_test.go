@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -486,7 +487,7 @@ func TestCrashBetweenCloseAndRAKey(t *testing.T) {
 		if hasKey != cut.hasKey || (hasKey && !bytes.Equal(pk, res.PublicKey)) {
 			t.Errorf("%s: recovered RA key %x (present %v), want present %v", cut.name, pk, hasKey, cut.hasKey)
 		}
-		if _, open := rec.st.Sessions().Snapshot()["erin"]; open != cut.answerable {
+		if _, open := maps.Collect(rec.st.Sessions().Challenges())["erin"]; open != cut.answerable {
 			t.Errorf("%s: session open = %v, want %v", cut.name, open, cut.answerable)
 		}
 		again, err := rec.ca.Authenticate(context.Background(), req)
@@ -614,7 +615,7 @@ func TestPreallocatedTailRecovery(t *testing.T) {
 	reopen := func(name, dir string, wantTorn int64) *wal {
 		t.Helper()
 		w, rec, got := collectWAL(t, dir, cfg, 0)
-		if len(got) != records || rec.truncated != (wantTorn > 0) || rec.tornBytes != wantTorn {
+		if len(got) != records || rec.Truncated != (wantTorn > 0) || rec.TornBytes != wantTorn {
 			t.Fatalf("%s: recovered %d records, %+v; want %d records, %d torn bytes", name, len(got), rec, records, wantTorn)
 		}
 		if seq, err := w.Append([]byte("next")); err != nil || seq != records+1 {
@@ -655,7 +656,7 @@ func TestPreallocatedTailRecovery(t *testing.T) {
 	w3 := reopen("torn record", torn, recordHeader+int64(len("half a payl")))
 	// The repair went to disk: nothing is torn the second time.
 	w3.Close()
-	if _, rec, got := collectWAL(t, torn, cfg, 0); rec.truncated || len(got) != records+1 {
+	if _, rec, got := collectWAL(t, torn, cfg, 0); rec.Truncated || len(got) != records+1 {
 		t.Fatalf("second recovery after repair: %d records, %+v", len(got), rec)
 	}
 
@@ -715,7 +716,7 @@ func TestRotationSealsPreallocatedSegments(t *testing.T) {
 	}
 	w2, rec, got := collectWAL(t, dir, cfg, 0)
 	defer w2.Close()
-	if len(got) != records || rec.truncated {
+	if len(got) != records || rec.Truncated {
 		t.Fatalf("recovery across rotated preallocated segments: %d records, %+v", len(got), rec)
 	}
 }
@@ -986,7 +987,7 @@ func TestRecoversParentDataDir(t *testing.T) {
 			if pk, ok := st.RA().PublicKey(id); !ok || string(pk) != "parent-key" {
 				t.Errorf("recovered RA key %q, %v", pk, ok)
 			}
-			ch, open := st.Sessions().Snapshot()[id]
+			ch, open := maps.Collect(st.Sessions().Challenges())[id]
 			if !open || len(ch.AddressMap) != puf.SeedBits {
 				t.Fatalf("recovered session: open %v, %d addresses", open, len(ch.AddressMap))
 			}

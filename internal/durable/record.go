@@ -3,7 +3,9 @@
 // policy, point-in-time snapshots with log compaction (snapshot.go), and
 // a State (state.go) that journals every mutation of the image store,
 // the registration authority and the session table, and replays
-// WAL-over-snapshot on open.
+// WAL-over-snapshot on open. The package owns the state's one byte
+// format: a snapshot, an enrolment file and a follower's catch-up
+// transfer are each a run of the records the log holds.
 //
 // The motivating property is the paper's: RBC-SALTED re-keys on every
 // authentication, so the RA's registry changes on the hot path — a crash
@@ -275,7 +277,7 @@ func DecodeRecord(p []byte) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 || n > maxAddressMap {
+		if n == 0 || n > maxAddressMap || int(n) > (len(p)-r.off)/4 {
 			return nil, ErrBadRecord
 		}
 		ch.AddressMap = make([]int, n)

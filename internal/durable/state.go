@@ -3,7 +3,9 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -113,46 +115,18 @@ func Open(opts Options) (*State, error) {
 	if err := os.MkdirAll(opts.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = core.DefaultShards
+	if opts.Shards <= 0 {
+		opts.Shards = core.DefaultShards
 	}
-	images, err := core.NewImageStoreShards(opts.MasterKey, shards)
+	s := &State{opts: opts}
+	if err := s.newStores(); err != nil {
+		return nil, err
+	}
+	from, bad, err := s.loadSnapshot()
 	if err != nil {
 		return nil, err
 	}
-	s := &State{
-		opts:   opts,
-		images: images,
-		ra:     core.NewRAShards(shards),
-		sess:   core.NewSessionTableShards(shards),
-	}
-
-	snap, badSnaps, err := loadSnapshot(opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	s.rec.BadSnapshots = badSnaps
-	var from uint64
-	if snap != nil {
-		from = snap.Seq
-		s.rec.SnapshotSeq = snap.Seq
-		for id, blob := range snap.Images {
-			s.images.PutSealed(id, blob)
-		}
-		for id, key := range snap.RAKeys {
-			s.ra.SetKey(id, key)
-		}
-		for id, cert := range snap.RACerts {
-			s.ra.SetCertificate(id, cert)
-		}
-		for id, ch := range snap.Sessions {
-			s.sess.Restore(id, ch)
-		}
-		s.sess.BumpNonce(snap.Nonce)
-	}
-
-	w, walRec, err := openWAL(opts.Dir, walConfig{
+	s.wal, s.rec, err = openWAL(opts.Dir, walConfig{
 		policy:   opts.Sync,
 		interval: opts.SyncInterval,
 		segBytes: opts.SegmentBytes,
@@ -160,12 +134,7 @@ func Open(opts Options) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.wal = w
-	s.rec.Records = walRec.records
-	s.rec.Skipped = walRec.skipped
-	s.rec.Segments = walRec.segments
-	s.rec.TornBytes = walRec.tornBytes
-	s.rec.Truncated = walRec.truncated
+	s.rec.SnapshotSeq, s.rec.BadSnapshots = from, bad
 
 	// Never reissue a nonce that may have been handed out before the
 	// crash (see nonceSlack).
@@ -185,20 +154,26 @@ func Open(opts Options) (*State, error) {
 	return s, nil
 }
 
+// newStores gives the State empty stores.
+func (s *State) newStores() error {
+	images, err := core.NewImageStoreShards(s.opts.MasterKey, s.opts.Shards)
+	if err != nil {
+		return err
+	}
+	s.images, s.ra, s.sess = images, core.NewRAShards(s.opts.Shards), core.NewSessionTableShards(s.opts.Shards)
+	return nil
+}
+
 // register wires the subsystem's observability into reg (nil = off).
 func (s *State) register(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	appends := reg.Counter("durable.wal_appends")
-	appendBytes := reg.Counter("durable.wal_append_bytes")
-	fsyncSecs := reg.Histogram("durable.fsync_seconds", obs.DefLatencyBuckets)
-	rotations := reg.Counter("durable.wal_rotations")
 	s.wal.metrics = &walMetrics{
-		appends:     appends.Inc,
-		appendBytes: func(n int) { appendBytes.Add(uint64(n)) },
-		fsyncSecs:   fsyncSecs.Observe,
-		rotations:   rotations.Inc,
+		appends:     reg.Counter("durable.wal_appends"),
+		appendBytes: reg.Counter("durable.wal_append_bytes"),
+		rotations:   reg.Counter("durable.wal_rotations"),
+		fsyncSecs:   reg.Histogram("durable.fsync_seconds", obs.DefLatencyBuckets),
 	}
 	s.m.snapshots = reg.Counter("durable.snapshots")
 	s.m.snapshotSecs = reg.Histogram("durable.snapshot_seconds", obs.DefLatencyBuckets)
@@ -351,35 +326,66 @@ func (s *State) DeleteClient(id core.ClientID) error {
 	return s.images.Delete(id)
 }
 
-// Snapshot writes a point-in-time snapshot and compacts the WAL
-// segments it covers. Concurrent mutations continue during the copy:
-// the sequence cut is taken first, and since every journaled op is an
-// idempotent overwrite/delete, a mutation that lands in both the
-// snapshot and the replayed suffix converges to the same state.
+// Records returns the state's sequence cut, its challenge-nonce
+// high-water mark and the records that rebuild it: one put per image, RA
+// key, RA certificate and open session of every client filter accepts
+// (nil accepts all). A snapshot, an enrolment file and a follower's
+// catch-up transfer are each this run of records.
+//
+// Every record <= cut is applied when the cut is taken: the stores append
+// and apply under one shard lock, Ingest under ingestMu. The iterator
+// copies a lock shard only when it reaches it and encodes nothing under
+// the lock, so what it yields is at or ahead of the cut; every op being
+// an idempotent overwrite or delete, replaying the log past the cut over
+// it converges.
+func (s *State) Records(filter func(core.ClientID) bool) (cut, nonce uint64, records iter.Seq[*Record]) {
+	s.ingestMu.Lock()
+	cut = s.wal.LastSeq()
+	s.ingestMu.Unlock()
+	return cut, s.sess.Nonce(), func(yield func(*Record) bool) {
+		emit := func(rec *Record) bool { return (filter != nil && !filter(rec.ID)) || yield(rec) }
+		for id, blob := range s.images.Sealed() {
+			if !emit(&Record{Op: OpImagePut, ID: id, Blob: blob}) {
+				return
+			}
+		}
+		for id, key := range s.ra.Keys() {
+			if !emit(&Record{Op: OpRAKey, ID: id, Blob: key}) {
+				return
+			}
+		}
+		for id, cert := range s.ra.Certificates() {
+			if !emit(&Record{Op: OpRACert, ID: id, Cert: cert}) {
+				return
+			}
+		}
+		for id, ch := range s.sess.Challenges() {
+			if !emit(&Record{Op: OpSessionOpen, ID: id, Challenge: &ch}) {
+				return
+			}
+		}
+	}
+}
+
+// Snapshot writes a point-in-time snapshot — the run of Records at a
+// cut — and compacts the WAL segments it covers. Mutations continue
+// while it is written (see Records).
 func (s *State) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
 
-	// The cut must be taken before the copies: any record <= cut is
-	// applied by the time its shard is copied (the stores append and
-	// apply under one shard lock, Ingest under ingestMu; only the barrier
-	// runs outside), so the copies below can only be ahead of the cut,
-	// never behind it.
-	s.ingestMu.Lock()
-	cut := s.wal.LastSeq()
-	s.ingestMu.Unlock()
-	data := &snapshotData{
-		Seq:      cut,
-		Nonce:    s.sess.Nonce(),
-		Images:   s.images.SealedSnapshot(),
-		RAKeys:   s.ra.SnapshotKeys(),
-		RACerts:  s.ra.SnapshotCertificates(),
-		Sessions: s.sess.Snapshot(),
-	}
-	size, err := writeSnapshot(s.opts.Dir, data)
+	cut, nonce, records := s.Records(nil)
+	size, err := writeStateFile(filepath.Join(s.opts.Dir, snapName(cut)), cut, nonce, records)
 	if err != nil {
 		return err
+	}
+	// Superseded snapshots are garbage once the new one is durable.
+	seqs, _ := listSnapshots(s.opts.Dir)
+	for _, seq := range seqs {
+		if seq < cut {
+			_ = os.Remove(filepath.Join(s.opts.Dir, snapName(seq)))
+		}
 	}
 	if err := s.wal.Rotate(); err != nil {
 		return err

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -88,7 +90,7 @@ func TestStateReopenPersistsEverything(t *testing.T) {
 		!bytes.Equal(c2.Signature, cert.Signature) {
 		t.Fatalf("certificate lost or mangled: %+v", c2)
 	}
-	sess := st2.Sessions().Snapshot()
+	sess := maps.Collect(st2.Sessions().Challenges())
 	if got, ok := sess["alice"]; !ok || got.Nonce != nonce || !got.IssuedAt.Equal(ch.IssuedAt) {
 		t.Fatalf("session lost: %+v", sess)
 	}
@@ -174,9 +176,58 @@ func TestStateSnapshotCompactsLog(t *testing.T) {
 	}
 }
 
+// TestStateCorruptSnapshotFallsBack: when the newest snapshot does not
+// decode, recovery starts from an older one that the log still continues
+// — the shape a crash leaves between publishing a snapshot and removing
+// its predecessor and the segments behind it.
 func TestStateCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	st := openState(t, dir, Options{Sync: SyncNever})
+	st.RA().Update("alice", []byte("pk1"))
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	older, _ := listSnapshots(dir)
+	st.RA().Update("alice", []byte("pk2"))
+	// The newer snapshot is published; the crash comes before anything
+	// it supersedes is removed.
+	cut, nonce, records := st.Records(nil)
+	newer := filepath.Join(dir, snapName(cut))
+	if _, err := writeStateFile(newer, cut, nonce, records); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the newer snapshot: cut short by one byte, it lacks its
+	// trailer.
+	data, err := os.ReadFile(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newer, data[:len(data)-1], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openState(t, dir, Options{Sync: SyncNever})
+	defer st2.Close()
+	if rec := st2.Recovery(); rec.BadSnapshots != 1 || len(older) != 1 || rec.SnapshotSeq != older[0] {
+		t.Fatalf("recovery = %+v, want one bad snapshot and a start from %v", rec, older)
+	}
+	if pk, ok := st2.RA().PublicKey("alice"); !ok || !bytes.Equal(pk, []byte("pk2")) {
+		t.Fatalf("fallback recovery lost the key: %q %v", pk, ok)
+	}
+}
+
+// TestStateCorruptSnapshotOverCompactedLog: when the only snapshot does
+// not decode and the log below its cut has been compacted away, nothing
+// can rebuild that prefix, and Open refuses with ErrCorrupt instead of
+// serving a state without it.
+func TestStateCorruptSnapshotOverCompactedLog(t *testing.T) {
+	dir := t.TempDir()
+	st := openState(t, dir, Options{Sync: SyncNever})
+	if err := st.Images().Put("bob", enrollImage(t)); err != nil {
+		t.Fatal(err)
+	}
 	st.RA().Update("alice", []byte("pk1"))
 	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -185,22 +236,20 @@ func TestStateCorruptSnapshotFallsBack(t *testing.T) {
 	if err := st.wal.Close(); err != nil { // crash: no final snapshot
 		t.Fatal(err)
 	}
-	// Corrupt the snapshot; recovery must fall back to pure WAL replay.
 	snaps, _ := listSnapshots(dir)
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %v", snaps)
 	}
-	path := filepath.Join(dir, snapName(snaps[0]))
-	if err := os.WriteFile(path, []byte("garbage"), 0o600); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapName(snaps[0])), []byte("garbage"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openState(t, dir, Options{Sync: SyncNever})
-	defer st2.Close()
-	if st2.Recovery().BadSnapshots != 1 {
-		t.Fatalf("recovery = %+v", st2.Recovery())
-	}
-	if pk, ok := st2.RA().PublicKey("alice"); !ok || !bytes.Equal(pk, []byte("pk2")) {
-		t.Fatalf("fallback recovery lost the key: %q %v", pk, ok)
+	st2, err := Open(Options{Dir: dir, MasterKey: testKey, Sync: SyncNever})
+	if !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			t.Errorf("recovery = %+v, bob enrolled: %v", st2.Recovery(), st2.Images().Has("bob"))
+			st2.Close()
+		}
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -347,7 +396,7 @@ func TestStateCrashRecoveryProperty(t *testing.T) {
 				t.Fatalf("offset %d (M=%d): certificate for %s mismatch", off, m, id)
 			}
 		}
-		sess := rec.Sessions().Snapshot()
+		sess := maps.Collect(rec.Sessions().Challenges())
 		if len(sess) != len(want.sessions) {
 			t.Fatalf("offset %d (M=%d): %d open sessions, want %d", off, m, len(sess), len(want.sessions))
 		}

@@ -2,10 +2,8 @@ package durable
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,11 +21,12 @@ var ErrTruncated = errors.New("durable: tail position compacted")
 var ErrWALClosed = errors.New("durable: WAL closed")
 
 // Tail is a read-only iterator over journaled records, independent of
-// the recovery/apply path. It reads the segment files directly and
-// never returns a record the writer has not fully written: Append
-// publishes the sequence number only after the whole frame is in the
-// file, and Next reads nothing past LastSeq — in particular never the
-// preallocated zeros after the active segment's last record. A Tail is
+// the recovery/apply path but for the frame reader. It reads the segment
+// files directly and never returns a record the writer has not fully
+// written: Append publishes the sequence number only after the whole
+// frame is in the file, and Next reads nothing past LastSeq — in
+// particular never the preallocated zeros after the active segment's
+// last record, so any bad frame it meets is ErrCorrupt. A Tail is
 // not safe for concurrent use; run one per subscriber.
 type Tail struct {
 	w    *wal
@@ -117,7 +116,7 @@ func (t *Tail) Next(ctx context.Context) (uint64, []byte, error) {
 				return 0, nil, err
 			}
 		}
-		seq, payload, err := t.readFrame()
+		payload, err := readFrame(t.f, t.next)
 		if err == io.EOF {
 			// This segment is exhausted but t.next <= LastSeq, so the
 			// record lives in a later segment (the writer rotated).
@@ -128,8 +127,8 @@ func (t *Tail) Next(ctx context.Context) (uint64, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		t.next = seq + 1
-		return seq, payload, nil
+		t.next++
+		return t.next - 1, payload, nil
 	}
 }
 
@@ -153,67 +152,21 @@ func (t *Tail) open() error {
 		}
 		return err
 	}
-	t.f = f
 	for seq := starts[i]; seq < t.next; seq++ {
-		hdr, err := t.readHeader(seq)
-		if err == io.EOF {
-			// The segment ends before t.next although the next segment
-			// starts after it: the records in between never existed (a
-			// snapshot covered them across a torn tail). For a tail that
-			// is the same situation as compaction.
-			t.f.Close()
-			t.f = nil
-			return fmt.Errorf("%w: want %d, gap after %d", ErrTruncated, t.next, seq-1)
-		}
-		if err != nil {
-			t.f.Close()
-			t.f = nil
-			return err
-		}
-		if _, err := f.Seek(int64(binary.BigEndian.Uint32(hdr[8:12])), io.SeekCurrent); err != nil {
-			t.f.Close()
-			t.f = nil
+		if _, err := readFrame(f, seq); err != nil {
+			f.Close()
+			if err == io.EOF {
+				// The segment ends before t.next although the next segment
+				// starts after it: the records in between never existed (a
+				// snapshot covered them across a torn tail). For a tail that
+				// is the same situation as compaction.
+				return fmt.Errorf("%w: want %d, gap after %d", ErrTruncated, t.next, seq-1)
+			}
 			return err
 		}
 	}
+	t.f = f
 	return nil
-}
-
-// readHeader reads and validates one record header that must carry seq.
-func (t *Tail) readHeader(seq uint64) ([recordHeader]byte, error) {
-	var hdr [recordHeader]byte
-	if _, err := io.ReadFull(t.f, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return hdr, err
-	}
-	rseq := binary.BigEndian.Uint64(hdr[0:8])
-	plen := binary.BigEndian.Uint32(hdr[8:12])
-	if plen == 0 || plen > maxRecordLen || rseq != seq {
-		return hdr, fmt.Errorf("%w: tail read record %d, want %d", ErrCorrupt, rseq, seq)
-	}
-	return hdr, nil
-}
-
-// readFrame reads the frame for record t.next at the current position.
-func (t *Tail) readFrame() (uint64, []byte, error) {
-	hdr, err := t.readHeader(t.next)
-	if err != nil {
-		return 0, nil, err
-	}
-	plen := binary.BigEndian.Uint32(hdr[8:12])
-	crc := binary.BigEndian.Uint32(hdr[12:16])
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(t.f, payload); err != nil {
-		// t.next <= LastSeq, so the frame is fully written: a short
-		// payload is damage, not a torn tail.
-		return 0, nil, fmt.Errorf("%w: tail short payload at %d", ErrCorrupt, t.next)
-	}
-	if crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload) != crc {
-		return 0, nil, fmt.Errorf("%w: tail checksum mismatch at %d", ErrCorrupt, t.next)
-	}
-	return t.next, payload, nil
 }
 
 // Close releases the tail's file handle. The WAL itself is unaffected.

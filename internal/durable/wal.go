@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rbcsalted/internal/obs"
 )
 
 // SyncPolicy selects when the WAL calls fsync.
@@ -72,13 +75,71 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 //	16     n    payload (one encoded Record)
 //
 // The CRC covers the header, so a bit flip in seq or length is detected
-// as reliably as one in the payload.
+// as reliably as one in the payload. Snapshots and enrolment files hold
+// records in the same frames (snapshot.go); appendFrame writes one and
+// readFrame reads one, for the log and those files alike.
 const recordHeader = 16
 
 // maxRecordLen bounds a frame's payload: larger is corruption.
 const maxRecordLen = 1 << 25
 
+// frameChunk bounds how far ahead of the bytes actually read a payload
+// buffer is allocated: past it, the buffer at most doubles per read. A
+// length field is only a claim until its bytes arrive, and a corrupt or
+// hostile one must not cost more memory than the input holds. Every
+// record but an unusually large image fits in one chunk.
+const frameChunk = 64 << 10
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// errBadFrame reports a frame that is torn, out of sequence, of an
+// impossible length or fails its checksum. It is ErrCorrupt but at the
+// tail of the log, where recovery repairs it.
+var errBadFrame = fmt.Errorf("%w: bad frame", ErrCorrupt)
+
+// appendFrame appends payload to dst framed as record seq.
+func appendFrame(dst []byte, seq uint64, payload []byte) []byte {
+	hdr := len(dst)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	sum := crc32.Update(crc32.Checksum(dst[hdr:], castagnoli), castagnoli, payload)
+	dst = binary.BigEndian.AppendUint32(dst, sum)
+	return append(dst, payload...)
+}
+
+// readFrame reads the frame of record want from r and returns its
+// payload, freshly allocated. It returns io.EOF when r ends exactly where
+// the frame would start, and an error wrapping errBadFrame when the frame
+// is torn, carries another sequence number or an impossible length, or
+// fails its checksum.
+func readFrame(r io.Reader, want uint64) ([]byte, error) {
+	var hdr [recordHeader]byte
+	if n, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: torn header (%d bytes)", errBadFrame, n)
+		}
+		return nil, err
+	}
+	seq := binary.BigEndian.Uint64(hdr[0:8])
+	n := int(binary.BigEndian.Uint32(hdr[8:12]))
+	if n == 0 || n > maxRecordLen || seq != want {
+		return nil, fmt.Errorf("%w: header of record %d (%d bytes), want record %d", errBadFrame, seq, n, want)
+	}
+	var payload []byte
+	for read := 0; read < n; read = len(payload) {
+		payload = append(payload, make([]byte, min(n-read, max(read, frameChunk)))...)
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("%w: torn payload of record %d", errBadFrame, seq)
+			}
+			return nil, err
+		}
+	}
+	if crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload) != binary.BigEndian.Uint32(hdr[12:16]) {
+		return nil, fmt.Errorf("%w: checksum mismatch in record %d", errBadFrame, seq)
+	}
+	return payload, nil
+}
 
 // ErrCorrupt reports unrecoverable WAL damage: a torn or corrupt record
 // that is NOT at the tail of the log. Tail damage is expected after a
@@ -135,7 +196,7 @@ type wal struct {
 	segStart uint64
 	closed   bool
 	notify   chan struct{} // closed and renewed on every append; see appendWait
-	frame    []byte        // append's frame buffer, reused under mu
+	frame    []byte        // append's frame buffer, reused under mu up to frameChunk
 
 	// Commit state. syncing is a token: its holder alone may fsync,
 	// truncate, close or replace f. A Commit leader holds it without mu;
@@ -157,57 +218,18 @@ type wal struct {
 	metrics *walMetrics
 }
 
-// maxRetainedFrame bounds the frame buffer wal keeps between appends
-// (enrollment images are ~10 KB; session and key records ~100 bytes).
-const maxRetainedFrame = 64 << 10
-
-// walMetrics is filled in by State when an obs registry is attached;
-// nil fields are simply not recorded.
+// walMetrics is filled in by State when an obs registry is attached.
 type walMetrics struct {
-	appends     func()
-	appendBytes func(n int)
-	fsyncSecs   func(s float64)
-	rotations   func()
-}
-
-func (m *walMetrics) incAppends(n int) {
-	if m == nil {
-		return
-	}
-	if m.appends != nil {
-		m.appends()
-	}
-	if m.appendBytes != nil {
-		m.appendBytes(n)
-	}
-}
-
-func (m *walMetrics) observeFsync(s float64) {
-	if m != nil && m.fsyncSecs != nil {
-		m.fsyncSecs(s)
-	}
-}
-
-func (m *walMetrics) incRotations() {
-	if m != nil && m.rotations != nil {
-		m.rotations()
-	}
-}
-
-// walRecovery reports what opening a WAL found and repaired.
-type walRecovery struct {
-	records   int   // records replayed (seq > from)
-	skipped   int   // records at or below the snapshot cut
-	segments  int   // segment files scanned
-	tornBytes int64 // bytes truncated off the tail
-	truncated bool
+	appends, appendBytes, rotations *obs.Counter
+	fsyncSecs                       *obs.Histogram
 }
 
 // openWAL scans dir's segments in order, replays every record with
 // seq > from through apply, repairs a torn tail by truncation, and
-// returns the WAL positioned for appending.
-func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payload []byte) error) (*wal, walRecovery, error) {
-	var rec walRecovery
+// returns the WAL positioned for appending and what it found (the
+// snapshot fields left to the caller).
+func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payload []byte) error) (*wal, RecoveryStats, error) {
+	var rec RecoveryStats
 	if cfg.segBytes <= 0 {
 		cfg.segBytes = 8 << 20
 	}
@@ -218,23 +240,22 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 	if err != nil {
 		return nil, rec, err
 	}
-	rec.segments = len(starts)
+	rec.Segments = len(starts)
 
 	w := &wal{dir: dir, cfg: cfg, prealloc: cfg.policy == SyncAlways, syncFile: datasync, syncDir: SyncDir}
 	w.ccond = sync.NewCond(&w.cmu)
 	// Records are numbered sequentially across segments; a segment's
 	// filename is its first record's sequence number. Continuity is
-	// checked in file order; a gap between segments is tolerated only
-	// when every missing record is covered by the snapshot cut (from) —
-	// that shape is left behind when a torn tail ate records a snapshot
-	// had already captured and a fresh segment was started past the cut.
+	// checked in file order, from record 1: a gap — before the oldest
+	// segment or between two — is tolerated only when every missing
+	// record is covered by the snapshot cut (from). Compaction leaves the
+	// first shape behind, and a torn tail that ate records a snapshot had
+	// already captured, followed by a fresh segment past the cut, the
+	// second.
 	var (
 		fileSeq uint64
 		lastEnd int64 // logical end of the newest segment
 	)
-	if len(starts) > 0 {
-		fileSeq = starts[0] - 1
-	}
 	for i, start := range starts {
 		if start <= fileSeq || (start != fileSeq+1 && start > from+1) {
 			return nil, rec, fmt.Errorf("%w: segment %s does not continue record %d",
@@ -310,7 +331,7 @@ func listSegments(dir string) ([]uint64, error) {
 // kill -9 alike — and anything else is a torn tail, truncated away. In
 // any other segment either is ErrCorrupt. prevSeq is the last sequence
 // number seen so far — records must be strictly increasing.
-func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply func(uint64, []byte) error, rec *walRecovery) (uint64, int64, error) {
+func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply func(uint64, []byte) error, rec *RecoveryStats) (uint64, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -318,69 +339,45 @@ func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply 
 	defer f.Close()
 
 	var (
-		hdr    [recordHeader]byte
+		r      = bufio.NewReaderSize(f, frameChunk)
 		offset int64
 		seq    = prevSeq
 	)
-	endAt := func(off int64, why string) (uint64, int64, error) {
-		if !last {
-			return 0, 0, fmt.Errorf("%w: %s at %s offset %d", ErrCorrupt, why, filepath.Base(path), off)
-		}
-		torn, err := nonzeroExtent(f, off)
-		if err != nil {
-			return 0, 0, err
-		}
-		if torn > 0 {
-			rec.tornBytes = torn
-			rec.truncated = true
-			if err := os.Truncate(path, off); err != nil {
-				return 0, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
-			}
-		}
-		return seq, off, nil
-	}
-
 	for {
-		n, err := io.ReadFull(f, hdr[:])
+		payload, err := readFrame(r, seq+1)
 		if err == io.EOF {
 			return seq, offset, nil // the file ends with its last record
 		}
-		if err == io.ErrUnexpectedEOF {
-			return endAt(offset, fmt.Sprintf("torn header (%d bytes)", n))
+		if errors.Is(err, errBadFrame) {
+			if !last {
+				return 0, 0, fmt.Errorf("%w at %s offset %d", err, filepath.Base(path), offset)
+			}
+			torn, err := nonzeroExtent(f, offset)
+			if err != nil {
+				return 0, 0, err
+			}
+			if torn > 0 {
+				rec.TornBytes = torn
+				rec.Truncated = true
+				if err := os.Truncate(path, offset); err != nil {
+					return 0, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
+				}
+			}
+			return seq, offset, nil
 		}
 		if err != nil {
 			return 0, 0, err
 		}
-		rseq := binary.BigEndian.Uint64(hdr[0:8])
-		plen := binary.BigEndian.Uint32(hdr[8:12])
-		crc := binary.BigEndian.Uint32(hdr[12:16])
-		if plen == 0 || plen > maxRecordLen || rseq != seq+1 {
-			return endAt(offset, "invalid record header")
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			// ReadFull reports io.EOF when the file ends exactly at the
-			// header boundary and ErrUnexpectedEOF mid-payload; both are
-			// the same torn write.
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return endAt(offset, "torn payload")
+		seq++
+		if seq > from {
+			if err := apply(seq, payload); err != nil {
+				return 0, 0, fmt.Errorf("durable: replay record %d: %w", seq, err)
 			}
-			return 0, 0, err
-		}
-		sum := crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload)
-		if sum != crc {
-			return endAt(offset, "checksum mismatch")
-		}
-		if rseq > from {
-			if err := apply(rseq, payload); err != nil {
-				return 0, 0, fmt.Errorf("durable: replay record %d: %w", rseq, err)
-			}
-			rec.records++
+			rec.Records++
 		} else {
-			rec.skipped++
+			rec.Skipped++
 		}
-		seq = rseq
-		offset += recordHeader + int64(plen)
+		offset += recordHeader + int64(len(payload))
 	}
 }
 
@@ -488,29 +485,20 @@ func (w *wal) Append(payload []byte) (uint64, error) {
 	}
 	seq := w.seq.Load() + 1
 
-	n := recordHeader + len(payload)
-	frame := w.frame
-	if n <= cap(frame) {
-		frame = frame[:n]
-	} else {
-		frame = make([]byte, n)
-		if n <= maxRetainedFrame {
-			w.frame = frame
-		}
+	frame := appendFrame(w.frame[:0], seq, payload)
+	if cap(frame) <= frameChunk {
+		w.frame = frame
 	}
-	binary.BigEndian.PutUint64(frame[0:8], seq)
-	binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
-	copy(frame[recordHeader:], payload)
-	sum := crc32.Update(crc32.Checksum(frame[:12], castagnoli), castagnoli, payload)
-	binary.BigEndian.PutUint32(frame[12:16], sum)
-
 	if _, err := w.f.WriteAt(frame, w.size); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
-	w.size += int64(n)
+	w.size += int64(len(frame))
 	w.seq.Store(seq)
 	w.wakeTailersLocked()
-	w.metrics.incAppends(n)
+	if m := w.metrics; m != nil {
+		m.appends.Inc()
+		m.appendBytes.Add(uint64(len(frame)))
+	}
 
 	if w.size >= w.cfg.segBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -609,7 +597,9 @@ func (w *wal) syncActive() error {
 	if err := w.syncFile(w.f); err != nil {
 		return fmt.Errorf("durable: fsync: %w", err)
 	}
-	w.metrics.observeFsync(time.Since(start).Seconds())
+	if w.metrics != nil {
+		w.metrics.fsyncSecs.Observe(time.Since(start).Seconds())
+	}
 	return nil
 }
 
@@ -664,10 +654,10 @@ func (w *wal) rotateLocked() error {
 	last := w.seq.Load() // mu is held: nothing is appended meanwhile
 	start := time.Now()
 	err := w.sealActive()
-	if err == nil && synced < last {
+	if err == nil && synced < last && w.metrics != nil {
 		// The seal was also the barrier of the records that filled the
 		// segment: their Commit will find them durable.
-		w.metrics.observeFsync(time.Since(start).Seconds())
+		w.metrics.fsyncSecs.Observe(time.Since(start).Seconds())
 	}
 	if err == nil {
 		err = w.openSegment(last+1, 0)
@@ -681,7 +671,9 @@ func (w *wal) rotateLocked() error {
 	if err := w.releaseSync(last, err); err != nil {
 		return fmt.Errorf("durable: rotate: %w", err)
 	}
-	w.metrics.incRotations()
+	if w.metrics != nil {
+		w.metrics.rotations.Inc()
+	}
 	return nil
 }
 

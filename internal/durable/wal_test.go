@@ -10,7 +10,7 @@ import (
 )
 
 // collectWAL opens dir's WAL and gathers every replayed payload.
-func collectWAL(t *testing.T, dir string, cfg walConfig, from uint64) (*wal, walRecovery, [][]byte) {
+func collectWAL(t *testing.T, dir string, cfg walConfig, from uint64) (*wal, RecoveryStats, [][]byte) {
 	t.Helper()
 	var payloads [][]byte
 	w, rec, err := openWAL(dir, cfg, from, func(seq uint64, p []byte) error {
@@ -47,7 +47,7 @@ func TestWALRoundTrip(t *testing.T) {
 
 	w2, rec, got := collectWAL(t, dir, walConfig{}, 0)
 	defer w2.Close()
-	if rec.records != 50 || rec.truncated || rec.skipped != 0 {
+	if rec.Records != 50 || rec.Truncated || rec.Skipped != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if len(got) != len(want) {
@@ -85,7 +85,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	}
 
 	w2, rec, got := collectWAL(t, dir, walConfig{segBytes: 64}, 0)
-	if rec.records != 20 || rec.segments != len(starts) {
+	if rec.Records != 20 || rec.Segments != len(starts) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	if len(got) != 20 {
@@ -114,7 +114,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	// Recovery with the snapshot cut sees only the post-compaction tail.
 	w3, rec3, got3 := collectWAL(t, dir, walConfig{segBytes: 64}, cut)
 	defer w3.Close()
-	if rec3.records != 1 || !bytes.Equal(got3[0], []byte("after-compact")) {
+	if rec3.Records != 1 || !bytes.Equal(got3[0], []byte("after-compact")) {
 		t.Fatalf("post-compaction recovery = %+v, payloads %q", rec3, got3)
 	}
 }
@@ -159,15 +159,15 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			complete++
 		}
 		w2, rec, got := collectWAL(t, dir, walConfig{}, 0)
-		if rec.records != complete {
-			t.Fatalf("offset %d: recovered %d records, want %d", off, rec.records, complete)
+		if rec.Records != complete {
+			t.Fatalf("offset %d: recovered %d records, want %d", off, rec.Records, complete)
 		}
 		// The torn tail reaches through the fragment's last nonzero byte:
 		// zeros after it (or a fragment of nothing but a sequence number's
 		// leading zeros) read as never-written space, not as damage.
 		wantTorn := int64(len(bytes.TrimRight(full[end:off], "\x00")))
-		if rec.tornBytes != wantTorn || rec.truncated != (wantTorn > 0) {
-			t.Fatalf("offset %d: tornBytes=%d truncated=%v, want %d bytes", off, rec.tornBytes, rec.truncated, wantTorn)
+		if rec.TornBytes != wantTorn || rec.Truncated != (wantTorn > 0) {
+			t.Fatalf("offset %d: tornBytes=%d truncated=%v, want %d bytes", off, rec.TornBytes, rec.Truncated, wantTorn)
 		}
 		for i := 0; i < complete; i++ {
 			if !bytes.Equal(got[i], want[i]) {
@@ -183,7 +183,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 		}
 		// And a second recovery is clean.
 		w3, rec3, _ := collectWAL(t, dir, walConfig{}, 0)
-		if rec3.truncated || rec3.records != complete+1 {
+		if rec3.Truncated || rec3.Records != complete+1 {
 			t.Fatalf("offset %d: second recovery = %+v", off, rec3)
 		}
 		w3.Close()
@@ -207,7 +207,7 @@ func TestWALBitFlipTruncatesTail(t *testing.T) {
 
 	w2, rec, _ := collectWAL(t, dir, walConfig{}, 0)
 	defer w2.Close()
-	if rec.records != 3 || !rec.truncated {
+	if rec.Records != 3 || !rec.Truncated {
 		t.Fatalf("recovery after bit flip = %+v", rec)
 	}
 }
@@ -260,7 +260,7 @@ func TestWALSegmentGapRefusedUnlessCovered(t *testing.T) {
 	from := starts[2] - 1
 	w2, rec, _ := collectWAL(t, dir, walConfig{}, from)
 	defer w2.Close()
-	if rec.records == 0 {
+	if rec.Records == 0 {
 		t.Fatalf("covered-gap recovery replayed nothing: %+v", rec)
 	}
 }

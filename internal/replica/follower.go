@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -343,7 +344,7 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 // validated once, by Ingest; catch-up records are also read for their
 // op and ID, which reconciliation needs.
 func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
-	var catchup *catchupSet
+	catchup := catchupSet{}
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
 		kind, body, err := readMsg(r)
@@ -357,9 +358,6 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 				return err
 			}
 			if seq == 0 {
-				if catchup == nil {
-					catchup = newCatchupSet()
-				}
 				if err := catchup.note(payload); err != nil {
 					return fmt.Errorf("replica: bad record from primary: %w", err)
 				}
@@ -381,13 +379,10 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 			if err != nil {
 				return err
 			}
-			if catchup == nil {
-				catchup = newCatchupSet()
-			}
 			if err := f.reconcile(catchup); err != nil {
 				return err
 			}
-			catchup = nil
+			clear(catchup)
 			f.cfg.State.Sessions().BumpNonce(m.Nonce)
 			f.advance(m.Cut)
 		default:
@@ -406,40 +401,33 @@ func (f *Follower) advance(seq uint64) {
 	f.mu.Unlock()
 }
 
-// catchupSet tracks which entries a full-state transfer mentioned, so
+// catchupSet holds the entries a full-state transfer mentioned, so
 // reconciliation can delete everything else — entries the primary
 // deleted in the compacted gap the follower never saw.
-type catchupSet struct {
-	images   map[core.ClientID]bool
-	raKeys   map[core.ClientID]bool
-	raCerts  map[core.ClientID]bool
-	sessions map[core.ClientID]bool
+type catchupSet map[catchupEntry]bool
+
+// catchupEntry names one entry by the op that puts it and its client. An
+// RA key and an RA certificate are one entry: RA entries are kept while
+// either was mentioned, and a stale certificate under a live key is left
+// for the next re-key to overwrite (certificates carry their own expiry).
+type catchupEntry struct {
+	op durable.Op
+	id core.ClientID
 }
 
-func newCatchupSet() *catchupSet {
-	return &catchupSet{
-		images:   make(map[core.ClientID]bool),
-		raKeys:   make(map[core.ClientID]bool),
-		raCerts:  make(map[core.ClientID]bool),
-		sessions: make(map[core.ClientID]bool),
+func entryOf(op durable.Op, id core.ClientID) catchupEntry {
+	if op == durable.OpRACert {
+		op = durable.OpRAKey
 	}
+	return catchupEntry{op, id}
 }
 
-func (c *catchupSet) note(payload []byte) error {
+func (c catchupSet) note(payload []byte) error {
 	op, id, err := durable.RecordID(payload)
 	if err != nil {
 		return err
 	}
-	switch op {
-	case durable.OpImagePut:
-		c.images[core.ClientID(id)] = true
-	case durable.OpRAKey:
-		c.raKeys[core.ClientID(id)] = true
-	case durable.OpRACert:
-		c.raCerts[core.ClientID(id)] = true
-	case durable.OpSessionOpen:
-		c.sessions[core.ClientID(id)] = true
-	}
+	c[entryOf(op, core.ClientID(id))] = true
 	return nil
 }
 
@@ -447,55 +435,32 @@ func (c *catchupSet) note(payload []byte) error {
 // subscribes to — reconciliation must never touch shards the transfer
 // was filtered on, or a shard-subset snapshot would wipe the rest.
 func (f *Follower) inShards(id core.ClientID) bool {
-	if f.cfg.Shards == nil {
-		return true
-	}
-	shard := ring.ShardOfKey(string(id), f.cfg.NumShards)
-	for _, s := range f.cfg.Shards {
-		if s == shard {
-			return true
-		}
-	}
-	return false
+	return f.cfg.Shards == nil || slices.Contains(f.cfg.Shards, ring.ShardOfKey(string(id), f.cfg.NumShards))
 }
 
 // reconcile deletes local entries (in subscribed shards) that the
-// full-state transfer did not mention. Deletions go through the
-// journaling store APIs, so they land in the follower's own WAL and
-// survive its restarts. RA entries are kept while either their key or
-// certificate was mentioned; a stale certificate under a live key is
-// left for the next re-key to overwrite (certificates carry their own
-// expiry).
-func (f *Follower) reconcile(c *catchupSet) error {
+// full-state transfer did not mention. It reads them as the run of
+// records a snapshot would hold, and deletes through the journaling store
+// APIs, so deletions land in the follower's own WAL and survive its
+// restarts.
+func (f *Follower) reconcile(mentioned catchupSet) error {
 	st := f.cfg.State
-	for id := range st.Images().SealedSnapshot() {
-		if f.inShards(id) && !c.images[id] {
-			if err := st.Images().Delete(id); err != nil {
-				return fmt.Errorf("replica: reconcile image %q: %w", id, err)
-			}
+	_, _, records := st.Records(f.inShards)
+	for rec := range records {
+		if mentioned[entryOf(rec.Op, rec.ID)] {
+			continue
 		}
-	}
-	stale := make(map[core.ClientID]bool)
-	for id := range st.RA().SnapshotKeys() {
-		if f.inShards(id) && !c.raKeys[id] && !c.raCerts[id] {
-			stale[id] = true
+		var err error
+		switch rec.Op {
+		case durable.OpImagePut:
+			err = st.Images().Delete(rec.ID)
+		case durable.OpRAKey, durable.OpRACert:
+			err = st.RA().Delete(rec.ID)
+		case durable.OpSessionOpen:
+			err = st.Sessions().Drop(rec.ID)
 		}
-	}
-	for id := range st.RA().SnapshotCertificates() {
-		if f.inShards(id) && !c.raKeys[id] && !c.raCerts[id] {
-			stale[id] = true
-		}
-	}
-	for id := range stale {
-		if err := st.RA().Delete(id); err != nil {
-			return fmt.Errorf("replica: reconcile RA %q: %w", id, err)
-		}
-	}
-	for id := range st.Sessions().Snapshot() {
-		if f.inShards(id) && !c.sessions[id] {
-			if err := st.Sessions().Drop(id); err != nil {
-				return fmt.Errorf("replica: reconcile session %q: %w", id, err)
-			}
+		if err != nil {
+			return fmt.Errorf("replica: reconcile %s %q: %w", rec.Op, rec.ID, err)
 		}
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"rbcsalted/internal/core"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/ring"
 )
@@ -381,46 +382,22 @@ func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, 
 	}
 }
 
-// sendSnapshot ships the stores' current state as synthesized records
-// and returns the sequence cut live tailing resumes from. The cut is
-// taken before the store copies, so the copies can only be ahead of it
-// — a mutation present in both the transfer and the replayed suffix
-// converges because every op is an idempotent overwrite (the same
-// argument durable.Snapshot makes).
+// sendSnapshot ships the state as the run of records a snapshot holds
+// (durable.State.Records), only those of the subscriber's shards, and
+// returns the sequence cut live tailing resumes from. Records are ahead
+// of the cut, never behind it, and every op is an idempotent overwrite,
+// so one present in both the transfer and the tailed suffix converges.
 func (p *Primary) sendSnapshot(w *bufio.Writer, s *subscriber) (uint64, error) {
-	cut := p.State.LastSeq()
-	nonce := p.State.Sessions().Nonce()
 	numShards := p.numShards()
-
-	send := func(rec *durable.Record) error {
-		if !s.wants(ring.ShardOfKey(string(rec.ID), numShards)) {
-			return nil
-		}
+	cut, nonce, records := p.State.Records(func(id core.ClientID) bool {
+		return s.wants(ring.ShardOfKey(string(id), numShards))
+	})
+	for rec := range records {
 		payload, err := rec.Encode()
 		if err != nil {
-			return err
-		}
-		_, err = w.Write(appendRecord(w.AvailableBuffer(), 0, payload))
-		return err
-	}
-	for id, sealed := range p.State.Images().SealedSnapshot() {
-		if err := send(&durable.Record{Op: durable.OpImagePut, ID: id, Blob: sealed}); err != nil {
 			return 0, err
 		}
-	}
-	for id, key := range p.State.RA().SnapshotKeys() {
-		if err := send(&durable.Record{Op: durable.OpRAKey, ID: id, Blob: key}); err != nil {
-			return 0, err
-		}
-	}
-	for id, cert := range p.State.RA().SnapshotCertificates() {
-		if err := send(&durable.Record{Op: durable.OpRACert, ID: id, Cert: cert}); err != nil {
-			return 0, err
-		}
-	}
-	for id, ch := range p.State.Sessions().Snapshot() {
-		ch := ch
-		if err := send(&durable.Record{Op: durable.OpSessionOpen, ID: id, Challenge: &ch}); err != nil {
+		if _, err := w.Write(appendRecord(w.AvailableBuffer(), 0, payload)); err != nil {
 			return 0, err
 		}
 	}

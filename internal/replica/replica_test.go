@@ -8,10 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/device"
 	"rbcsalted/internal/durable"
+	"rbcsalted/internal/puf"
 	"rbcsalted/internal/ring"
 )
 
@@ -787,5 +790,123 @@ func TestReplicaStreamAllocBudget(t *testing.T) {
 		t.Errorf("streaming one record allocates %.1f objects, budget %d", perRecord, budget)
 	} else {
 		t.Logf("streaming one record allocates %.1f objects", perRecord)
+	}
+}
+
+// stateOf reads a state as the records that rebuild it, keyed by op and
+// client, each as its encoded payload.
+func stateOf(t *testing.T, st *durable.State, filter func(core.ClientID) bool) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	_, _, records := st.Records(filter)
+	for rec := range records {
+		payload, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[rec.Op.String()+" "+string(rec.ID)] = string(payload)
+	}
+	return out
+}
+
+// TestCatchupMatchesSnapshotFile: one source of truth. A follower caught
+// up by a snapshot transfer — of every shard, or of a subset — holds the
+// images, RA keys, certificates and sessions that a State reopened from
+// the primary's snapshot file holds, and a nonce high-water mark no lower
+// than the primary's.
+func TestCatchupMatchesSnapshotFile(t *testing.T) {
+	pdir := t.TempDir()
+	pst := openState(t, pdir)
+	defer pst.Close()
+	dev, err := puf.NewDevice(5, 256, puf.Profile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := puf.Enroll(dev, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 24; i++ {
+		id := core.ClientID(fmt.Sprintf("client-%02d", i))
+		if err := pst.Images().Put(id, im); err != nil {
+			t.Fatal(err)
+		}
+		if err := pst.RA().Update(id, []byte("key-"+id)); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			cert := &core.Certificate{ClientID: id, KeyAlgorithm: "AES-128", PublicKey: []byte("key-" + id),
+				IssuedAt: time.Unix(1000, 0), ExpiresAt: time.Unix(2000, 0), Signature: []byte("sig")}
+			if err := pst.RA().UpdateCertificate(id, cert); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%3 == 0 {
+			openSession(t, pst, id)
+		}
+	}
+	if err := pst.DeleteClient("client-05"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pst.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pst.TailFrom(0); !errors.Is(err, durable.ErrTruncated) {
+		t.Fatalf("expected compacted prefix, got %v", err)
+	}
+
+	// The primary's snapshot file, alone, reopened.
+	snaps, err := filepath.Glob(filepath.Join(pdir, "snap-*.db"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v, %v", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(rdir, filepath.Base(snaps[0])), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	rst := openState(t, rdir)
+	defer rst.Close()
+
+	p, addr := startPrimary(t, pst, 1)
+	defer p.Close()
+	shard := ring.ShardOfKey("client-00", ring.DefaultNumShards)
+	for _, tc := range []struct {
+		name   string
+		shards []int
+		filter func(core.ClientID) bool
+	}{
+		{"all shards", nil, nil},
+		{"one shard", []int{shard}, func(id core.ClientID) bool {
+			return ring.ShardOfKey(string(id), ring.DefaultNumShards) == shard
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fdir := t.TempDir()
+			fst := openState(t, fdir)
+			defer fst.Close()
+			// An entry of the follower's own that the transfer never
+			// mentions: reconciliation removes it in subscribed shards.
+			if err := fst.RA().Update("ghost", []byte("stale")); err != nil {
+				t.Fatal(err)
+			}
+			f := newFollower(t, fst, fdir, "f-"+tc.name, tc.shards)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go f.RunUntil(ctx, addr, 20*time.Millisecond)
+			waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
+
+			got, want := stateOf(t, fst, tc.filter), stateOf(t, rst, tc.filter)
+			if len(want) == 0 || !maps.Equal(got, want) {
+				t.Fatalf("follower holds %d records, the snapshot file %d:\n follower %v\n snapshot %v",
+					len(got), len(want), slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+			}
+			if fn, pn := fst.Sessions().Nonce(), pst.Sessions().Nonce(); fn < pn {
+				t.Fatalf("follower nonce %d below the primary's %d", fn, pn)
+			}
+		})
 	}
 }

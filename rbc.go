@@ -394,8 +394,6 @@ var (
 	SaltSeed = core.SaltSeed
 	// NewIssuer creates a certificate issuer from a 32-byte seed.
 	NewIssuer = core.NewIssuer
-	// LoadImageStore reopens a store written by ImageStore.Save.
-	LoadImageStore = core.LoadImageStore
 )
 
 // DefaultSessionTTL is the CA's default challenge lifetime.
