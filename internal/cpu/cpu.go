@@ -63,9 +63,10 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	}
 	// The kernel speedup is a ratio of whole-shell throughputs, iteration
 	// included on both sides, so it divides the whole scalar per-seed
-	// cost: adding the scalar iterator cost on top would count it twice,
-	// which a 30x kernel no longer hides.
-	perSeed := (hashNs + costs.IterNs[task.Method]) / core.DefaultKernelSpeedup(b.Alg) / 1e9
+	// cost: adding the scalar iterator cost on top would count it twice.
+	// It is the committed row of the task's iterator: the fill no kernel
+	// speeds up is what sets each row.
+	perSeed := (hashNs + costs.IterNs[task.Method]) / core.DefaultKernelSpeedup(b.Alg, task.Method) / 1e9
 	return predictCost(task, b.workers(), perSeed)
 }
 

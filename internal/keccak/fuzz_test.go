@@ -20,6 +20,23 @@ func FuzzSum256VsStdlib(f *testing.F) {
 	})
 }
 
+// FuzzSum256SeedVsStdlib differentially tests the fixed-padding seed
+// digest, which runs the unrolled permutation rather than the sponge's,
+// against the standard library on arbitrary 32-byte seeds. Inputs of
+// other lengths are cut or zero-padded to 32 bytes.
+func FuzzSum256SeedVsStdlib(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 32))
+	f.Add([]byte("0123456789abcdef0123456789abcdef"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var seed [32]byte
+		copy(seed[:], data)
+		if got, want := Sum256Seed(&seed), stdsha3.Sum256(seed[:]); got != want {
+			t.Fatalf("Sum256Seed(%x) = %x, want %x", seed, got, want)
+		}
+	})
+}
+
 // FuzzSHAKE128VsStdlib covers the XOF path, including the squeeze length.
 func FuzzSHAKE128VsStdlib(f *testing.F) {
 	f.Add([]byte("seed"), uint16(32))

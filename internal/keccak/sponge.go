@@ -152,16 +152,20 @@ func SumSHAKE256(data []byte, n int) []byte {
 // permutation with precomputed padding (paper §3.2.2). A 32-byte message
 // fits one 136-byte rate block: lanes 0..3 carry the seed, lane 4's low
 // byte is the 0x06 domain suffix, and lane 16's top byte is the final pad
-// bit. No buffering, no length bookkeeping, no conditionals.
+// bit. No buffering, no length bookkeeping, no conditionals. It runs the
+// unrolled permutation (permuteUnrolled, the portable SeedDigests8 body),
+// so it is also the scalar reference the batch kernels are measured
+// against; FuzzSum256SeedVsStdlib pins it to crypto/sha3.
 func Sum256Seed(seed *[32]byte) [32]byte {
-	var a [25]uint64
-	a[0] = binary.LittleEndian.Uint64(seed[0:8])
-	a[1] = binary.LittleEndian.Uint64(seed[8:16])
-	a[2] = binary.LittleEndian.Uint64(seed[16:24])
-	a[3] = binary.LittleEndian.Uint64(seed[24:32])
-	a[4] = dsSHA3
-	a[16] = 0x80 << 56
-	permute(&a)
+	a := [25]uint64{
+		0:  binary.LittleEndian.Uint64(seed[0:8]),
+		1:  binary.LittleEndian.Uint64(seed[8:16]),
+		2:  binary.LittleEndian.Uint64(seed[16:24]),
+		3:  binary.LittleEndian.Uint64(seed[24:32]),
+		4:  dsSHA3,
+		16: 0x80 << 56,
+	}
+	permuteUnrolled(&a)
 	var out [32]byte
 	binary.LittleEndian.PutUint64(out[0:8], a[0])
 	binary.LittleEndian.PutUint64(out[8:16], a[1])

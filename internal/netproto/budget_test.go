@@ -2,6 +2,7 @@ package netproto
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -15,8 +16,10 @@ import (
 // TestInlineAuthAllocBudget bounds what one whole authentication
 // allocates, server and client together: a d=0 request over an in-memory
 // connection against an in-memory CA. It is the in-tree guard for the
-// benchmark's proc.allocs_per_auth on inline_mem, which read 456 when the
-// image was unsealed twice through gob and every frame was two writes.
+// benchmark's proc.allocs_per_auth and proc.alloc_kb_per_auth on
+// inline_mem: the count read 456 when the image was unsealed twice
+// through gob and every frame was two writes, and the bytes ~25.7 KB
+// while every address map kept TernaryMask's 8 KiB array alive.
 func TestInlineAuthAllocBudget(t *testing.T) {
 	if device.RaceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -67,5 +70,21 @@ func TestInlineAuthAllocBudget(t *testing.T) {
 		t.Errorf("one d=0 authentication allocates %.0f objects, budget %d", n, budget)
 	} else {
 		t.Logf("one d=0 authentication allocates %.0f objects", n)
+	}
+
+	// The byte budget, ~10% above the ~19.6 KB measured: the address map
+	// a handshake selects lives in the session table for the session's
+	// lifetime, so the size of what it pins matters as well as the count.
+	const runs, byteBudget = 200, 21600
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		authenticate()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > byteBudget {
+		t.Errorf("one d=0 authentication allocates %d bytes, budget %d", b, byteBudget)
+	} else {
+		t.Logf("one d=0 authentication allocates %d bytes", b)
 	}
 }

@@ -86,19 +86,33 @@ func DecodeImage(p []byte) (*Image, error) {
 		return nil, errors.New("puf: image bitset has padding bits set")
 	}
 	im := &Image{Values: make([]bool, n), Instability: make([]float64, n)}
-	for i := range im.Values {
+	for j, b := range set[:n/8] {
+		*(*[8]bool)(im.Values[8*j:]) = [8]bool{
+			b&0x01 != 0, b&0x02 != 0, b&0x04 != 0, b&0x08 != 0,
+			b&0x10 != 0, b&0x20 != 0, b&0x40 != 0, b&0x80 != 0,
+		}
+	}
+	for i := n &^ 7; i < n; i++ {
 		im.Values[i] = set[i/8]>>(i%8)&1 == 1
 	}
+	pos := 0
 	for i := range im.Instability {
-		v, size := binary.Uvarint(rest)
+		// A one-byte varint - the 0 of every cell that never flipped
+		// during enrollment - is the float's top byte, nothing else set.
+		if pos < len(rest) && rest[pos] < 0x80 {
+			im.Instability[i] = math.Float64frombits(uint64(rest[pos]) << 56)
+			pos++
+			continue
+		}
+		v, size := binary.Uvarint(rest[pos:])
 		if size <= 0 {
 			return nil, fmt.Errorf("puf: image instability %d is truncated or overlong", i)
 		}
 		im.Instability[i] = math.Float64frombits(bits.ReverseBytes64(v))
-		rest = rest[size:]
+		pos += size
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("puf: %d bytes after the image's last cell", len(rest))
+	if pos != len(rest) {
+		return nil, fmt.Errorf("puf: %d bytes after the image's last cell", len(rest)-pos)
 	}
 	return im, nil
 }

@@ -127,6 +127,39 @@ func TestDecodeImageHostileInput(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeImage decodes a 1,024-cell enrolled image, the
+// plaintext ImageStore.Get opens on every handshake: one of a noiseless
+// device (every instability 0, a one-byte varint) and one enrolled over
+// 51 reads under the default profile (mostly multi-byte varints).
+func BenchmarkDecodeImage(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		p    Profile
+	}{{"stable", Profile{}}, {"default", DefaultProfile}} {
+		b.Run(tc.name, func(b *testing.B) {
+			d, err := NewDevice(29, 1024, tc.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			im, err := Enroll(d, 51)
+			if err != nil {
+				b.Fatal(err)
+			}
+			enc, err := im.AppendBinary(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeImage(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzImageCodec checks both directions: arbitrary bytes never panic the
 // decoder or make it size anything past the input's length, and what it
 // does accept re-encodes to an image that decodes identically; a random
@@ -144,6 +177,21 @@ func FuzzImageCodec(f *testing.F) {
 		f.Add(enc, cells, uint64(cells))
 	}
 	f.Add([]byte{ImageMagic, imageVersion, 0xff, 0xff, 0xff, 0xff}, uint32(3), uint64(0))
+	// One-byte and multi-byte instabilities interleaved, so the decoder's
+	// one-byte path hands over to the general one and back mid-image.
+	mixed := &Image{Values: make([]bool, 12), Instability: make([]float64, 12)}
+	for i := range mixed.Instability {
+		if i%3 == 1 {
+			mixed.Instability[i] = float64(i) / 51
+		}
+	}
+	enc, err := mixed.AppendBinary(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc, uint32(12), uint64(12))
+	// The input ends inside a varint: its last byte is a continuation byte.
+	f.Add(append(enc[:len(enc)-1:len(enc)-1], 0x80), uint32(12), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, cells uint32, seed uint64) {
 		if im, err := DecodeImage(data); err == nil {
 			if len(im.Values) > len(data) || len(im.Instability) != len(im.Values) {

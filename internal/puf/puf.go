@@ -14,7 +14,9 @@ package puf
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"rbcsalted/internal/u256"
 )
@@ -151,46 +153,83 @@ func Enroll(d *Device, reads int) (*Image, error) {
 // observed instability is below threshold, in ascending order. Cells above
 // the threshold are the "ternary" cells masked out of key material.
 func (im *Image) TernaryMask(threshold float64) []int {
-	stable := make([]int, 0, len(im.Instability))
+	return im.appendStable(make([]int, 0, len(im.Instability)), threshold)
+}
+
+// appendStable appends to dst the indices TernaryMask returns.
+func (im *Image) appendStable(dst []int, threshold float64) []int {
 	for i, inst := range im.Instability {
 		if inst < threshold {
-			stable = append(stable, i)
+			dst = append(dst, i)
 		}
 	}
-	return stable
+	return dst
 }
 
 // SelectAddressMap picks 256 stable cells for a session, pseudo-randomly
 // from the TAPKI-stable set using the session nonce, so each handshake can
 // use a fresh PUF address (the one-time-key property of §2.1). It fails if
 // fewer than 256 stable cells exist.
+//
+// The draw is a partial Fisher–Yates: 256 swaps over a pooled scratch of
+// the stable cells' indices, each position uniform over the cells not yet
+// drawn. The returned map has its own 256-entry array - the session table
+// holds it for the session's lifetime - and is the only allocation.
 func (im *Image) SelectAddressMap(threshold float64, nonce uint64) ([]int, error) {
-	stable := im.TernaryMask(threshold)
+	sp, _ := stableScratch.Get().(*[]int)
+	if sp == nil || cap(*sp) < len(im.Instability) {
+		s := make([]int, 0, len(im.Instability))
+		sp = &s
+	}
+	defer stableScratch.Put(sp)
+	stable := im.appendStable((*sp)[:0], threshold)
 	if len(stable) < SeedBits {
 		return nil, fmt.Errorf("puf: only %d stable cells, need %d", len(stable), SeedBits)
 	}
-	rng := rand.New(rand.NewPCG(nonce, 0xD1B54A32D192ED03))
-	rng.Shuffle(len(stable), func(i, j int) { stable[i], stable[j] = stable[j], stable[i] })
-	out := stable[:SeedBits]
+	var src rand.PCG
+	src.Seed(nonce, 0xD1B54A32D192ED03)
+	out := make([]int, SeedBits)
+	for i := range out {
+		j := i + int(uint64n(&src, uint64(len(stable)-i)))
+		stable[i], stable[j] = stable[j], stable[i]
+		out[i] = stable[i]
+	}
 	return out, nil
 }
 
+// stableScratch holds SelectAddressMap's stable-cell index buffers.
+var stableScratch sync.Pool
+
+// uint64n returns a uniform draw from [0, n) by Lemire's multiply-shift
+// with rejection. src is the concrete PCG rather than a rand.Rand, which
+// would take it behind an interface and onto the heap.
+func uint64n(src *rand.PCG, n uint64) uint64 {
+	hi, lo := bits.Mul64(src.Uint64(), n)
+	if lo < n {
+		for thresh := -n % n; lo < thresh; {
+			hi, lo = bits.Mul64(src.Uint64(), n)
+		}
+	}
+	return hi
+}
+
 // Seed packs the enrolled values of the cells in addressMap into the
-// server-side S_init used to anchor the RBC search.
+// server-side S_init used to anchor the RBC search: bit j holds cell
+// addressMap[j].
 func (im *Image) Seed(addressMap []int) (u256.Uint256, error) {
 	if len(addressMap) != SeedBits {
 		return u256.Zero, fmt.Errorf("puf: address map has %d cells, want %d", len(addressMap), SeedBits)
 	}
-	seed := u256.Zero
+	var limbs [4]uint64
 	for j, cell := range addressMap {
-		if cell < 0 || cell >= len(im.Values) {
+		if uint(cell) >= uint(len(im.Values)) {
 			return u256.Zero, fmt.Errorf("puf: cell index %d out of range", cell)
 		}
 		if im.Values[cell] {
-			seed = seed.SetBit(j, 1)
+			limbs[j>>6] |= 1 << (uint(j) & 63)
 		}
 	}
-	return seed, nil
+	return u256.New(limbs[0], limbs[1], limbs[2], limbs[3]), nil
 }
 
 // InjectNoise flips additional uniformly chosen bits of clientSeed until

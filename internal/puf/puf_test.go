@@ -1,7 +1,10 @@
 package puf
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"rbcsalted/internal/u256"
@@ -143,6 +146,99 @@ func TestSelectAddressMapAndSeeds(t *testing.T) {
 	// With masked stable cells at ~2% error the distance should be small.
 	if dist > 20 {
 		t.Errorf("client/server Hamming distance %d unexpectedly large", dist)
+	}
+}
+
+// addrMapImage is the enrolled image the address-map tests select from:
+// 1,024 cells under the default profile, ~1,000 of them stable at 0.2.
+func addrMapImage(t *testing.T) *Image {
+	t.Helper()
+	im, err := Enroll(mustDevice(t, 13, 1024, DefaultProfile), 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// TestSelectAddressMapKnownAnswer pins the map one (image, threshold,
+// nonce) selects. Sessions carry their map verbatim through the WAL,
+// snapshots and replication, so nothing re-derives a map from a nonce;
+// this pin only makes the next change to the selection a deliberate one.
+func TestSelectAddressMapKnownAnswer(t *testing.T) {
+	addr, err := addrMapImage(t).SelectAddressMap(0.2, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, c := range addr {
+		h.Write([]byte{byte(c >> 8), byte(c)})
+	}
+	wantHead := []int{344, 785, 349, 848, 872, 763, 648, 279}
+	const wantSum = 0x4e1debcdc644cf62
+	if !slices.Equal(addr[:len(wantHead)], wantHead) || h.Sum64() != wantSum {
+		t.Errorf("map head %v, FNV-1a %#x; want %v, %#x", addr[:len(wantHead)], h.Sum64(), wantHead, uint64(wantSum))
+	}
+}
+
+// TestSelectAddressMapDistribution draws maps for 20,000 nonces from one
+// image: each holds 256 distinct stable cells in an array of its own, and
+// the stable cells are selected uniformly (Pearson's χ² over their
+// selection counts).
+func TestSelectAddressMapDistribution(t *testing.T) {
+	const threshold, nonces = 0.2, 20000
+	im := addrMapImage(t)
+	stable := im.TernaryMask(threshold)
+	count := make(map[int]int, len(stable))
+	for _, c := range stable {
+		count[c] = 0
+	}
+	for nonce := uint64(0); nonce < nonces; nonce++ {
+		addr, err := im.SelectAddressMap(threshold, nonce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(addr) != SeedBits || cap(addr) != SeedBits {
+			t.Fatalf("nonce %d: map len %d cap %d, want %d and %d", nonce, len(addr), cap(addr), SeedBits, SeedBits)
+		}
+		seen := make(map[int]bool, SeedBits)
+		for _, c := range addr {
+			if _, ok := count[c]; !ok {
+				t.Fatalf("nonce %d: cell %d is not stable", nonce, c)
+			}
+			if seen[c] {
+				t.Fatalf("nonce %d: cell %d selected twice", nonce, c)
+			}
+			seen[c] = true
+			count[c]++
+		}
+	}
+	want := float64(nonces*SeedBits) / float64(len(stable))
+	chi2 := 0.0
+	for _, n := range count {
+		d := float64(n) - want
+		chi2 += d * d / want
+	}
+	// Four standard deviations above the mean of χ² with df degrees of
+	// freedom. Drawing without replacement only lowers the statistic.
+	df := float64(len(stable) - 1)
+	bound := df + 4*math.Sqrt(2*df)
+	t.Logf("χ² = %.1f over %d stable cells, bound %.1f", chi2, len(stable), bound)
+	if chi2 > bound {
+		t.Errorf("χ² = %.1f over %d stable cells, bound %.1f", chi2, len(stable), bound)
+	}
+}
+
+func TestSelectAddressMapAllocs(t *testing.T) {
+	im := addrMapImage(t)
+	nonce := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		nonce++
+		if _, err := im.SelectAddressMap(0.2, nonce); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("SelectAddressMap allocates %v objects, want 1 (the map)", allocs)
 	}
 }
 
