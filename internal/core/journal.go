@@ -21,11 +21,14 @@ import (
 //
 // A journal call records the mutation in order; it need not make it
 // durable. Durability is the stores' commit barrier (SetCommit, wired by
-// durable.Open beside the journal): every exported mutator runs it after
-// releasing the shard lock and before returning, so a mutation is
-// durable when its caller learns of it. A failed barrier is returned as
-// an error although the mutation is already applied in memory — the log
-// can no longer vouch for it, and nothing may be acknowledged.
+// durable.Open beside the journal): every exported mutator but
+// SessionTable.Open and Take runs it after releasing the shard lock and
+// before returning, so a mutation is durable when its caller learns of
+// it. A session open and close ride the barrier CA.Authenticate takes for
+// the answer (a lost open costs the client a new handshake, never a
+// nonce: see SessionTable.SetLease). A failed barrier is returned as an
+// error although the mutation is already applied in memory — the log can
+// no longer vouch for it, and nothing may be acknowledged.
 //
 // All methods must be safe for concurrent use; they are invoked while
 // the owning shard's lock is held, which serializes journal entries for

@@ -421,12 +421,19 @@ func (ca *CA) Enroll(id ClientID, im *puf.Image) error {
 // The image is unsealed here and nowhere else in a normal authentication:
 // the seed S_init the challenge selects is computed while the image is
 // open and kept in memory beside the session (see seedCache).
+//
+// On a durable table the challenge leaves with its nonce below a durable
+// lease ceiling; its session is journaled without a barrier and becomes
+// durable with the one Authenticate takes.
 func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
 	im, gen, err := ca.store.get(id)
 	if err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
-	nonce := ca.sessions.NextNonce()
+	nonce, err := ca.sessions.NextNonce()
+	if err != nil {
+		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
+	}
 
 	addr, err := im.SelectAddressMap(ca.cfg.TAPKIThreshold, nonce)
 	if err != nil {
@@ -437,7 +444,7 @@ func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
 	ch := Challenge{Nonce: nonce, AddressMap: addr, Alg: ca.cfg.Alg}
-	if err := ca.sessions.openCached(id, ch, seedCache{base: base, gen: gen, ok: true}); err != nil {
+	if err := ca.sessions.open(id, ch, seedCache{base: base, gen: gen, ok: true}); err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
 	return ch, nil
@@ -502,9 +509,10 @@ type AuthResult struct {
 // older than the configured SessionTTL is treated as absent.
 //
 // With a durable journal attached, the session close and the RA update
-// are journaled as they happen and made durable together, by one barrier
-// taken before any outcome of a consumed challenge — result or error — is
-// returned. A failed barrier turns the outcome into an error.
+// are journaled as they happen and made durable together, with the
+// session's open, by one barrier taken before any outcome of a consumed
+// challenge — result or error — is returned. A failed barrier turns the
+// outcome into an error.
 func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, error) {
 	// The challenge is consumed here: any outcome below — including the
 	// early error returns — has already burnt it.

@@ -14,11 +14,24 @@ import (
 // the challenge it must answer next. The table is striped across lock
 // shards like ImageStore and RA, issues the monotonically increasing
 // challenge nonces, enforces the session TTL, and journals opens and
-// closes so sessions (and the nonce high-water mark) survive a restart.
+// closes so sessions survive a restart.
+//
+// With a lease attached (SetLease), a nonce is issued only below a
+// durable ceiling: the table leases NonceLeaseBlock nonces at a time, so
+// a restart that resumes at the highest lease never reissues a nonce
+// whatever the log lost. A session, unlike its nonce, may be lost: its
+// SessionOpen takes no barrier of its own, and a client whose session a
+// crash took sees ErrNoSession and handshakes again.
 type SessionTable struct {
 	journal Journal
 	commit  commitFunc
 	nonce   atomic.Uint64
+	// lease makes a ceiling durable; nil (a memory-only table) issues
+	// without one. ceiling is the highest nonce the last lease covers;
+	// leaseMu serializes leases and the readers of the ceiling.
+	lease   func(upTo uint64) error
+	leaseMu sync.Mutex
+	ceiling atomic.Uint64
 	// ttl bounds a session's life from IssuedAt; see SetTTL.
 	ttl atomic.Int64
 	// now is injectable for TTL tests.
@@ -81,9 +94,19 @@ func NewSessionTableShards(shards int) *SessionTable {
 func (t *SessionTable) SetJournal(j Journal) { t.journal = j }
 
 // SetCommit attaches the journal's durability barrier (see Journal):
-// Open and Drop run it after releasing the shard lock, before returning;
-// Take leaves it to its caller. Attach during assembly, like SetJournal.
+// Drop runs it after releasing the shard lock, before returning; Open and
+// Take leave it to their callers. Attach during assembly, like
+// SetJournal.
 func (t *SessionTable) SetCommit(commit func() error) { t.commit = commit }
+
+// NonceLeaseBlock is how many nonces one lease covers: a durable table
+// pays one barrier of its own per this many handshakes.
+const NonceLeaseBlock = 1 << 10
+
+// SetLease attaches the nonce lease: lease(upTo) must return only once
+// the ceiling upTo is durable, so that recovery resumes at or above it.
+// Attach during assembly, like SetJournal.
+func (t *SessionTable) SetLease(lease func(upTo uint64) error) { t.lease = lease }
 
 // SetTTL sets the session lifetime. Zero or negative disables expiry.
 func (t *SessionTable) SetTTL(d time.Duration) { t.ttl.Store(int64(d)) }
@@ -98,15 +121,44 @@ func (t *SessionTable) shard(id ClientID) *sessionShard {
 	return &t.shards[shardIndex(id, len(t.shards))]
 }
 
-// NextNonce issues a fresh challenge nonce.
-func (t *SessionTable) NextNonce() uint64 { return t.nonce.Add(1) }
+// NextNonce issues a fresh challenge nonce. With a lease attached, the
+// nonce is below a durable ceiling when NextNonce returns: the call that
+// passes the ceiling takes a new lease first, and fails if it cannot.
+func (t *SessionTable) NextNonce() (uint64, error) {
+	n := t.nonce.Add(1)
+	if t.lease == nil || n <= t.ceiling.Load() {
+		return n, nil
+	}
+	t.leaseMu.Lock()
+	defer t.leaseMu.Unlock()
+	if n <= t.ceiling.Load() {
+		return n, nil // a concurrent lease covered it
+	}
+	upTo := n + NonceLeaseBlock
+	if err := t.lease(upTo); err != nil {
+		return 0, fmt.Errorf("core: nonce lease: %w", err)
+	}
+	t.ceiling.Store(upTo)
+	return n, nil
+}
 
-// Nonce returns the nonce high-water mark.
+// Nonce returns the nonce high-water mark: the last nonce issued, or the
+// ceiling a restore resumed at.
 func (t *SessionTable) Nonce() uint64 { return t.nonce.Load() }
 
+// NonceCeiling returns the highest nonce the table may have issued or
+// leased: no nonce above it has left, and none will before a lease past
+// it returns. A lease in flight is waited for, so a reader that has taken
+// a log position first sees the ceiling of every lease up to it.
+func (t *SessionTable) NonceCeiling() uint64 {
+	t.leaseMu.Lock()
+	defer t.leaseMu.Unlock()
+	return max(t.ceiling.Load(), t.nonce.Load())
+}
+
 // BumpNonce raises the nonce high-water mark to at least n (the
-// restore path: replayed SessionOpen records and snapshots carry the
-// nonces they were issued with).
+// restore path: replayed SessionOpen and lease records and snapshots
+// carry the nonces they cover).
 func (t *SessionTable) BumpNonce(n uint64) {
 	for {
 		cur := t.nonce.Load()
@@ -124,19 +176,13 @@ func (t *SessionTable) expired(ch Challenge, at time.Time) bool {
 // Open records a new session for id, superseding any previous one. The
 // challenge's IssuedAt is stamped here if unset. As a side effect the
 // shard is swept for expired sessions at most once per TTL, bounding the
-// table's footprint under abandoned handshakes. The session (and every
-// swept close) is durable when Open returns nil, so a challenge never
-// leaves before its nonce is on record.
+// table's footprint under abandoned handshakes. Open journals the session
+// (and every swept close) but takes no barrier: the nonce is what must be
+// durable before a challenge leaves, and NextNonce saw to that. The
+// session becomes durable with the next barrier, at the latest the one
+// CA.Authenticate takes when the challenge is answered.
 func (t *SessionTable) Open(id ClientID, ch Challenge) error {
-	return t.openCached(id, ch, seedCache{})
-}
-
-// openCached is Open with the handshake's seed kept beside the session.
-func (t *SessionTable) openCached(id ClientID, ch Challenge, seed seedCache) error {
-	if err := t.open(id, ch, seed); err != nil {
-		return err
-	}
-	return t.commit.run()
+	return t.open(id, ch, seedCache{})
 }
 
 func (t *SessionTable) open(id ClientID, ch Challenge, seed seedCache) error {

@@ -17,9 +17,57 @@ func testCAPair(t *testing.T) (*CA, *Client) {
 	return ca, client
 }
 
+func nextNonce(t *testing.T, tab *SessionTable) uint64 {
+	t.Helper()
+	n, err := tab.NextNonce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSessionTableLeasesNonces: with a lease attached, every nonce is
+// issued at or below the ceiling of a lease that returned before it, a
+// lease covers the nonce that takes it and NonceLeaseBlock more, and a
+// failed lease issues nothing and is retried by the next call.
+func TestSessionTableLeasesNonces(t *testing.T) {
+	tab := NewSessionTable()
+	var leases []uint64
+	fail := false
+	tab.SetLease(func(upTo uint64) error {
+		if fail {
+			return errors.New("lease refused")
+		}
+		leases = append(leases, upTo)
+		return nil
+	})
+	const issued = 2*(NonceLeaseBlock+1) + 1
+	for range issued {
+		n := nextNonce(t, tab)
+		if len(leases) == 0 || n > leases[len(leases)-1] {
+			t.Fatalf("nonce %d issued above the leases %v", n, leases)
+		}
+	}
+	if len(leases) != 3 {
+		t.Fatalf("%d leases for %d nonces, want 3", len(leases), issued)
+	}
+	if got, want := tab.NonceCeiling(), leases[2]; got != want {
+		t.Fatalf("NonceCeiling = %d, want %d", got, want)
+	}
+	tab.BumpNonce(leases[2])
+	fail = true
+	if _, err := tab.NextNonce(); err == nil {
+		t.Fatal("a nonce was issued past the ceiling without a lease")
+	}
+	fail = false
+	if n := nextNonce(t, tab); n <= leases[2] || n > leases[3] {
+		t.Fatalf("nonce %d after the retried lease %v", n, leases)
+	}
+}
+
 func TestSessionTableOpenTake(t *testing.T) {
 	tab := NewSessionTable()
-	n := tab.NextNonce()
+	n := nextNonce(t, tab)
 	if err := tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +90,7 @@ func TestSessionTableTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	tab.SetClock(func() time.Time { return now })
 
-	n := tab.NextNonce()
+	n := nextNonce(t, tab)
 	if err := tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +100,7 @@ func TestSessionTableTTLExpiry(t *testing.T) {
 		t.Fatalf("fresh session rejected: %+v %v", ch, ok)
 	}
 
-	n2 := tab.NextNonce()
+	n2 := nextNonce(t, tab)
 	if err := tab.Open("alice", Challenge{Nonce: n2, AddressMap: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +121,7 @@ func TestSessionTableSweepEvictsAbandoned(t *testing.T) {
 	tab.SetClock(func() time.Time { return now })
 
 	for _, id := range []ClientID{"a", "b", "c"} {
-		if err := tab.Open(id, Challenge{Nonce: tab.NextNonce(), AddressMap: []int{1}}); err != nil {
+		if err := tab.Open(id, Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,7 +130,7 @@ func TestSessionTableSweepEvictsAbandoned(t *testing.T) {
 	}
 	// Long after the TTL, the next Open sweeps the abandoned handshakes.
 	now = now.Add(time.Minute)
-	if err := tab.Open("d", Challenge{Nonce: tab.NextNonce(), AddressMap: []int{1}}); err != nil {
+	if err := tab.Open("d", Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Len() != 1 {

@@ -121,8 +121,36 @@ func (r *commitRig) handshake(t *testing.T, cl *core.Client) core.AuthRequest {
 	return core.AuthRequest{Client: cl.ID, Nonce: ch.Nonce, M1: m1}
 }
 
-// TestAuthenticateOneBarrierPerOutcome: whatever Authenticate returns for
-// a presented nonce — a result or an error — everything the request
+// durableCeiling returns the highest nonce lease among the records st's
+// log has made durable, reading them back through a tail (which under
+// SyncAlways sees nothing else).
+func durableCeiling(t *testing.T, st *State) uint64 {
+	t.Helper()
+	tail, err := st.wal.TailFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	var ceiling uint64
+	for tail.Ready() {
+		_, p, err := tail.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := DecodeRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Op == OpNonceLease {
+			ceiling = max(ceiling, rec.Lease)
+		}
+	}
+	return ceiling
+}
+
+// TestAuthenticateOneBarrierPerOutcome: a challenge leaves only with its
+// nonce below a durable lease ceiling, and whatever Authenticate returns
+// for a presented nonce — a result or an error — everything the request
 // journaled (its SessionClose, and its RAKey on success) is durable by
 // then, through exactly one barrier taken after the Take.
 func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
@@ -168,8 +196,8 @@ func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 	}
 	for _, tc := range cases {
 		req := r.handshake(t, cl)
-		if got, want := r.st.wal.syncedSeq(), r.st.LastSeq(); got < want {
-			t.Fatalf("%s: challenge released at synced=%d, SessionOpen is record %d", tc.name, got, want)
+		if ceiling := durableCeiling(t, r.st); req.Nonce > ceiling {
+			t.Fatalf("%s: challenge released with nonce %d above the durable ceiling %d", tc.name, req.Nonce, ceiling)
 		}
 		tc.mutate(&req)
 		seqBefore, callsBefore := r.st.LastSeq(), r.spy.calls.Load()
@@ -199,7 +227,8 @@ func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 
 // TestMutatorsDurableOnReturn: every exported mutator other than Take
 // returns only once what it journaled is durable — no acked enrolment,
-// RA write or session change can be lost under SyncAlways.
+// RA write or session drop can be lost under SyncAlways — and a handshake
+// returns a challenge only once its nonce is below a durable ceiling.
 func TestMutatorsDurableOnReturn(t *testing.T) {
 	r := newCommitRig(t, t.TempDir(), SyncAlways)
 	defer r.st.Close()
@@ -212,15 +241,24 @@ func TestMutatorsDurableOnReturn(t *testing.T) {
 			t.Errorf("%s returned at synced=%d, its record is %d", what, got, want)
 		}
 	}
+	leased := func(what string, ch core.Challenge, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if ceiling := durableCeiling(t, r.st); ch.Nonce > ceiling {
+			t.Errorf("%s returned nonce %d above the durable ceiling %d", what, ch.Nonce, ceiling)
+		}
+	}
 	cl := r.enroll(t, "bob", 21)
 	durable("Enroll", nil)
 	durable("RA.Update", r.st.RA().Update("bob", []byte("pk")))
 	durable("RA.UpdateCertificate", r.st.RA().UpdateCertificate("bob", &core.Certificate{ClientID: "bob", PublicKey: []byte("pk")}))
-	_, err := r.ca.BeginHandshake(cl.ID)
-	durable("BeginHandshake", err)
+	ch, err := r.ca.BeginHandshake(cl.ID)
+	leased("BeginHandshake", ch, err)
 	durable("Sessions.Drop", r.st.Sessions().Drop("bob"))
-	_, err = r.ca.BeginHandshake(cl.ID)
-	durable("BeginHandshake", err)
+	ch, err = r.ca.BeginHandshake(cl.ID)
+	leased("BeginHandshake", ch, err)
 	durable("Deprovision", r.ca.Deprovision("bob"))
 	if r.st.Images().Has("bob") || r.st.Sessions().Len() != 0 {
 		t.Error("Deprovision left state behind")
@@ -230,7 +268,9 @@ func TestMutatorsDurableOnReturn(t *testing.T) {
 // TestFailedBarrierFailsTheOutcome: when the fsync fails nothing is
 // acknowledged — Authenticate returns an error and never Authenticated —
 // and the log stays poisoned, because a later fsync that succeeds says
-// nothing about the records the failed one covered.
+// nothing about the records the failed one covered. No challenge leaves
+// a poisoned log, whether its nonce lies under the last lease or needs a
+// new one.
 func TestFailedBarrierFailsTheOutcome(t *testing.T) {
 	r := newCommitRig(t, t.TempDir(), SyncAlways)
 	cl := r.enroll(t, "carol", 31)
@@ -252,6 +292,10 @@ func TestFailedBarrierFailsTheOutcome(t *testing.T) {
 	r.spy.fail.Store(false)
 	if _, err := r.ca.BeginHandshake(cl.ID); !errors.Is(err, errInjectedSync) {
 		t.Errorf("BeginHandshake on a poisoned log: err = %v", err)
+	}
+	r.st.Sessions().BumpNonce(r.st.Sessions().NonceCeiling())
+	if _, err := r.ca.BeginHandshake(cl.ID); !errors.Is(err, errInjectedSync) {
+		t.Errorf("BeginHandshake needing a lease on a poisoned log: err = %v", err)
 	}
 	if err := r.ca.Enroll("dave", im); !errors.Is(err, errInjectedSync) {
 		t.Errorf("Enroll on a poisoned log: err = %v", err)
@@ -460,10 +504,10 @@ func TestCrashBetweenCloseAndRAKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	ends := frameEnds(t, full)
-	if len(ends) != 4 { // ImagePut, SessionOpen, SessionClose, RAKey
-		t.Fatalf("log holds %d records, want 4", len(ends))
+	if len(ends) != 5 { // ImagePut, NonceLease, SessionOpen, SessionClose, RAKey
+		t.Fatalf("log holds %d records, want 5", len(ends))
 	}
-	afterOpen, afterClose, afterKey := ends[1], ends[2], ends[3]
+	afterOpen, afterClose, afterKey := ends[2], ends[3], ends[4]
 
 	cuts := []struct {
 		name       string

@@ -25,6 +25,7 @@ var sampleRecords = []*Record{
 		Nonce: 42, AddressMap: []int{0, 511, 17}, Alg: core.SHA3, IssuedAt: time.Unix(0, 12345),
 	}},
 	{Op: OpSessionClose, ID: "dave"},
+	{Op: OpNonceLease, Lease: 1<<40 + 1025},
 }
 
 // FuzzWALDecode feeds arbitrary bytes to the record decoder. The

@@ -38,6 +38,7 @@ const (
 	OpRADelete
 	OpSessionOpen
 	OpSessionClose
+	OpNonceLease
 )
 
 // String names the op for logs and errors.
@@ -57,6 +58,8 @@ func (op Op) String() string {
 		return "session-open"
 	case OpSessionClose:
 		return "session-close"
+	case OpNonceLease:
+		return "nonce-lease"
 	default:
 		return fmt.Sprintf("op-%d", uint8(op))
 	}
@@ -65,13 +68,20 @@ func (op Op) String() string {
 // Record is one journaled mutation. Which fields are meaningful depends
 // on Op: Blob carries the sealed image (OpImagePut) or the public key
 // (OpRAKey), Cert the certificate (OpRACert), Challenge the session
-// challenge (OpSessionOpen); the delete/close ops carry only ID.
+// challenge (OpSessionOpen); the delete/close ops carry only ID. A nonce
+// lease belongs to no client: it carries only Lease, the ceiling below
+// which the CA may issue challenge nonces.
+//
+// Every payload starts with its op byte. A client's record continues
+// with a u32 ID length and the ID, then the op's fields; a lease is the
+// op byte and Lease as a u64, nothing else.
 type Record struct {
 	Op        Op
 	ID        core.ClientID
 	Blob      []byte
 	Cert      *core.Certificate
 	Challenge *core.Challenge
+	Lease     uint64
 }
 
 // Decode limits: a record larger than these is corruption (or hostile
@@ -82,32 +92,35 @@ const (
 	maxIDLen      = 1 << 10
 	maxBlobLen    = 1 << 24
 	maxAddressMap = 1 << 16
+	// leaseLen is the size of an OpNonceLease payload.
+	leaseLen = 1 + 8
 )
 
 // ErrBadRecord reports a WAL record payload that does not decode.
 var ErrBadRecord = errors.New("durable: malformed WAL record")
 
 // appendField writes a u32 length prefix followed by the bytes.
-func appendField(out []byte, b []byte) []byte {
+func appendField[T ~string | ~[]byte](out []byte, b T) []byte {
 	out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
 	return append(out, b...)
 }
 
 // Encode serializes the record payload (the framing — seq, length, CRC —
-// is the WAL's job).
+// is the WAL's job) into one buffer of exactly its size.
 func (r *Record) Encode() ([]byte, error) {
+	if r.Op == OpNonceLease {
+		return binary.BigEndian.AppendUint64(append(make([]byte, 0, leaseLen), byte(r.Op)), r.Lease), nil
+	}
 	if len(r.ID) == 0 || len(r.ID) > maxIDLen {
 		return nil, fmt.Errorf("%w: client id length %d", ErrBadRecord, len(r.ID))
 	}
-	out := make([]byte, 0, 64+len(r.Blob))
-	out = append(out, byte(r.Op))
-	out = appendField(out, []byte(r.ID))
+	size := 1 + 4 + len(r.ID)
 	switch r.Op {
 	case OpImagePut, OpRAKey:
 		if len(r.Blob) == 0 || len(r.Blob) > maxBlobLen {
 			return nil, fmt.Errorf("%w: %s blob length %d", ErrBadRecord, r.Op, len(r.Blob))
 		}
-		out = appendField(out, r.Blob)
+		size += 4 + len(r.Blob)
 	case OpImageDelete, OpRADelete, OpSessionClose:
 		// ID only.
 	case OpRACert:
@@ -115,11 +128,7 @@ func (r *Record) Encode() ([]byte, error) {
 		if c == nil {
 			return nil, fmt.Errorf("%w: %s without certificate", ErrBadRecord, r.Op)
 		}
-		out = appendField(out, []byte(c.KeyAlgorithm))
-		out = appendField(out, c.PublicKey)
-		out = binary.BigEndian.AppendUint64(out, uint64(c.IssuedAt.Unix()))
-		out = binary.BigEndian.AppendUint64(out, uint64(c.ExpiresAt.Unix()))
-		out = appendField(out, c.Signature)
+		size += 4 + len(c.KeyAlgorithm) + 4 + len(c.PublicKey) + 8 + 8 + 4 + len(c.Signature)
 	case OpSessionOpen:
 		ch := r.Challenge
 		if ch == nil {
@@ -128,6 +137,26 @@ func (r *Record) Encode() ([]byte, error) {
 		if len(ch.AddressMap) == 0 || len(ch.AddressMap) > maxAddressMap {
 			return nil, fmt.Errorf("%w: address map length %d", ErrBadRecord, len(ch.AddressMap))
 		}
+		size += 8 + 1 + 8 + 4 + 4*len(ch.AddressMap)
+	default:
+		return nil, fmt.Errorf("%w: unknown op %d", ErrBadRecord, r.Op)
+	}
+
+	out := make([]byte, 0, size)
+	out = append(out, byte(r.Op))
+	out = appendField(out, r.ID)
+	switch r.Op {
+	case OpImagePut, OpRAKey:
+		out = appendField(out, r.Blob)
+	case OpRACert:
+		c := r.Cert
+		out = appendField(out, c.KeyAlgorithm)
+		out = appendField(out, c.PublicKey)
+		out = binary.BigEndian.AppendUint64(out, uint64(c.IssuedAt.Unix()))
+		out = binary.BigEndian.AppendUint64(out, uint64(c.ExpiresAt.Unix()))
+		out = appendField(out, c.Signature)
+	case OpSessionOpen:
+		ch := r.Challenge
 		out = binary.BigEndian.AppendUint64(out, ch.Nonce)
 		out = append(out, byte(ch.Alg))
 		out = binary.BigEndian.AppendUint64(out, uint64(ch.IssuedAt.UnixNano()))
@@ -138,8 +167,6 @@ func (r *Record) Encode() ([]byte, error) {
 			}
 			out = binary.BigEndian.AppendUint32(out, uint32(cell))
 		}
-	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadRecord, r.Op)
 	}
 	return out, nil
 }
@@ -193,12 +220,15 @@ func (r *reader) field(max int) ([]byte, error) {
 // RecordID parses only the front of a record payload: its op byte and
 // client ID. The rest is neither decoded nor validated, which is enough
 // to route a record by shard without paying for DecodeRecord. The ID
-// aliases p.
+// aliases p; a nonce lease has none, and every shard wants it.
 func RecordID(p []byte) (Op, []byte, error) {
 	r := reader{p: p}
 	opb, err := r.bytes(1)
 	if err != nil {
 		return 0, nil, err
+	}
+	if Op(opb[0]) == OpNonceLease {
+		return OpNonceLease, nil, nil
 	}
 	n, err := r.u32()
 	if err != nil {
@@ -221,6 +251,12 @@ func DecodeRecord(p []byte) (*Record, error) {
 	op, id, err := RecordID(p)
 	if err != nil {
 		return nil, err
+	}
+	if op == OpNonceLease {
+		if len(p) != leaseLen {
+			return nil, fmt.Errorf("%w: %d-byte %s", ErrBadRecord, len(p), op)
+		}
+		return &Record{Op: op, Lease: binary.BigEndian.Uint64(p[1:])}, nil
 	}
 	r := &reader{p: p, off: 1 + 4 + len(id)}
 	rec := &Record{Op: op, ID: core.ClientID(id)}

@@ -58,12 +58,15 @@ type RecoveryStats struct {
 	Truncated bool `json:"truncated"`
 }
 
-// nonceSlack is added to the recovered nonce high-water mark on every
-// Open. A torn tail can lose the SessionOpen records of the last
-// in-flight handshakes; reissuing one of those nonces would reproduce
-// the same address map and make a sniffed digest replayable. Skipping a
-// window guarantees post-recovery nonces are fresh even then.
-const nonceSlack = 1 << 12
+// legacyNonceSlack is added once to the nonce high-water mark of a data
+// directory that holds no nonce lease, one written before leases. Its
+// log made each SessionOpen durable before the challenge left, but a
+// torn tail could still lose the records of the last in-flight
+// handshakes; reissuing one of those nonces would reproduce the same
+// address map and make a sniffed digest replayable. The first handshake
+// after it journals a lease, and from then on recovery resumes at the
+// lease's ceiling instead.
+const legacyNonceSlack = 1 << 12
 
 // State is the durable root of the CA's mutable state: an image store,
 // a registration authority and a session table whose every mutation is
@@ -71,9 +74,10 @@ const nonceSlack = 1 << 12
 // rebuilt by replaying WAL-over-snapshot on Open.
 //
 // State implements core.Journal; Open attaches it to the three stores
-// together with its commit barrier (SetJournal, SetCommit), so using
-// them through their normal APIs (ImageStore.Put, RA.Update,
-// SessionTable.Open, ...) is what makes them durable. Wire them into a
+// together with its commit barrier (SetJournal, SetCommit) and to the
+// session table's nonce lease (SetLease), so using them through their
+// normal APIs (ImageStore.Put, RA.Update, SessionTable.Open, ...) is what
+// makes them durable. Wire them into a
 // core.CA via core.NewCA(state.Images(), ..., state.RA(),
 // core.CAConfig{Sessions: state.Sessions()}).
 type State struct {
@@ -83,6 +87,9 @@ type State struct {
 	ra     *core.RA
 	sess   *core.SessionTable
 	rec    RecoveryStats
+	// leased reports whether recovery met a nonce lease (set only while
+	// Open replays).
+	leased bool
 
 	snapMu sync.Mutex // one snapshot at a time
 
@@ -136,19 +143,23 @@ func Open(opts Options) (*State, error) {
 	}
 	s.rec.SnapshotSeq, s.rec.BadSnapshots = from, bad
 
-	// Never reissue a nonce that may have been handed out before the
-	// crash (see nonceSlack).
-	s.sess.BumpNonce(s.sess.Nonce() + nonceSlack)
+	// Replay resumed the nonce at the highest lease ceiling: no nonce
+	// issued before the crash lies above it. A directory without a lease
+	// gets the older rule once (see legacyNonceSlack).
+	if !s.leased {
+		s.sess.BumpNonce(s.sess.Nonce() + legacyNonceSlack)
+	}
 
-	// Replay is done: journal from here on. The barrier is wired beside
-	// the journal, not through it, so a wrapper installed with SetJournal
-	// in place of s keeps it.
+	// Replay is done: journal from here on. The barrier and the lease are
+	// wired beside the journal, not through it, so a wrapper installed
+	// with SetJournal in place of s keeps them.
 	s.images.SetJournal(s)
 	s.ra.SetJournal(s)
 	s.sess.SetJournal(s)
 	s.images.SetCommit(s.Commit)
 	s.ra.SetCommit(s.Commit)
 	s.sess.SetCommit(s.Commit)
+	s.sess.SetLease(s.lease)
 
 	s.register(opts.Metrics)
 	return s, nil
@@ -201,6 +212,7 @@ func (s *State) applyPayload(seq uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
+	s.leased = s.leased || rec.Op == OpNonceLease
 	s.applyRecord(rec)
 	return nil
 }
@@ -223,6 +235,8 @@ func (s *State) applyRecord(rec *Record) {
 		s.sess.Restore(rec.ID, *rec.Challenge)
 	case OpSessionClose:
 		s.sess.Forget(rec.ID)
+	case OpNonceLease:
+		s.sess.BumpNonce(rec.Lease)
 	}
 }
 
@@ -231,10 +245,11 @@ func (s *State) LastSeq() uint64 { return s.wal.LastSeq() }
 
 // TailFrom opens a read-only iterator over the journal yielding every
 // record with sequence number > after (blocking for records not yet
-// appended). It fails with ErrTruncated when record after+1 has been
-// compacted away — the subscriber must catch up from a full-state
-// transfer instead. Replication streams records through this; it is
-// also handy for debugging a live data directory.
+// appended, and under SyncAlways for records not yet durable). It fails
+// with ErrTruncated when record after+1 has been compacted away or after
+// is past the last record — the subscriber must catch up from a
+// full-state transfer instead. Replication streams records through this;
+// it is also handy for debugging a live data directory.
 func (s *State) TailFrom(after uint64) (*Tail, error) {
 	return s.wal.TailFrom(after)
 }
@@ -246,28 +261,35 @@ func (s *State) TailFrom(after uint64) (*Tail, error) {
 // leaves it to its caller.
 func (s *State) Commit() error { return s.wal.Commit(s.wal.LastSeq()) }
 
-// Ingest journals one replicated record payload into this State's own
-// WAL and applies it to the in-memory stores, returning the local
-// sequence number. The payload is validated before anything is written.
-// Followers re-sequence the primary's records through this: every op is
-// an idempotent overwrite/delete, so re-delivery after a reconnect
-// converges instead of corrupting. Ingest takes no barrier: the caller
-// must Commit before it acknowledges what it ingested.
-func (s *State) Ingest(payload []byte) (uint64, error) {
-	rec, err := DecodeRecord(payload)
-	if err != nil {
-		return 0, err
+// Ingest journals replicated record payloads into this State's own WAL,
+// in one write, and applies them to the in-memory stores in order,
+// returning the local sequence number of the last. Every payload is
+// validated before anything is written. Followers re-sequence the
+// primary's records through this: every op is an idempotent
+// overwrite/delete, so re-delivery after a reconnect converges instead
+// of corrupting. Ingest takes no barrier: the caller must Commit before
+// it acknowledges what it ingested.
+func (s *State) Ingest(payloads ...[]byte) (uint64, error) {
+	recs := make([]*Record, len(payloads))
+	for i, p := range payloads {
+		rec, err := DecodeRecord(p)
+		if err != nil {
+			return 0, err
+		}
+		recs[i] = rec
 	}
 	s.ingestMu.RLock()
 	defer s.ingestMu.RUnlock()
-	seq, err := s.wal.Append(payload)
+	seq, err := s.wal.Append(payloads...)
 	if err != nil {
 		return 0, err
 	}
 	if s.ingestAppended != nil {
 		s.ingestAppended()
 	}
-	s.applyRecord(rec)
+	for _, rec := range recs {
+		s.applyRecord(rec)
+	}
 	return seq, nil
 }
 
@@ -279,6 +301,16 @@ func (s *State) append(rec *Record) error {
 	}
 	_, err = s.wal.Append(payload)
 	return err
+}
+
+// lease is the session table's nonce lease: it journals a lease up to
+// upTo and makes the log durable through it, whatever the sync policy,
+// before the table issues a nonce under the new ceiling.
+func (s *State) lease(upTo uint64) error {
+	if err := s.append(&Record{Op: OpNonceLease, Lease: upTo}); err != nil {
+		return err
+	}
+	return s.wal.Sync()
 }
 
 // The core.Journal implementation: one WAL record per mutation, written
@@ -326,23 +358,29 @@ func (s *State) DeleteClient(id core.ClientID) error {
 	return s.images.Delete(id)
 }
 
-// Records returns the state's sequence cut, its challenge-nonce
-// high-water mark and the records that rebuild it: one put per image, RA
-// key, RA certificate and open session of every client filter accepts
-// (nil accepts all). A snapshot, an enrolment file and a follower's
-// catch-up transfer are each this run of records.
+// Records returns the state's sequence cut, its challenge-nonce ceiling
+// and the records that rebuild it: the nonce lease up to that ceiling,
+// then one put per image, RA key, RA certificate and open session of
+// every client filter accepts (nil accepts all). A snapshot, an
+// enrolment file and a follower's catch-up transfer are each this run of
+// records.
 //
 // Every record <= cut is applied when the cut is taken: the stores append
 // and apply under one shard lock, Ingest under ingestMu. The iterator
 // copies a lock shard only when it reaches it and encodes nothing under
 // the lock, so what it yields is at or ahead of the cut; every op being
 // an idempotent overwrite or delete, replaying the log past the cut over
-// it converges.
+// it converges. The ceiling is read after the cut and covers every lease
+// at or below it, so compacting the log through the cut loses none.
 func (s *State) Records(filter func(core.ClientID) bool) (cut, nonce uint64, records iter.Seq[*Record]) {
 	s.ingestMu.Lock()
 	cut = s.wal.LastSeq()
 	s.ingestMu.Unlock()
-	return cut, s.sess.Nonce(), func(yield func(*Record) bool) {
+	nonce = s.sess.NonceCeiling()
+	return cut, nonce, func(yield func(*Record) bool) {
+		if !yield(&Record{Op: OpNonceLease, Lease: nonce}) {
+			return
+		}
 		emit := func(rec *Record) bool { return (filter != nil && !filter(rec.ID)) || yield(rec) }
 		for id, blob := range s.images.Sealed() {
 			if !emit(&Record{Op: OpImagePut, ID: id, Blob: blob}) {

@@ -31,6 +31,16 @@ func openState(t *testing.T, dir string, opts Options) *State {
 	return st
 }
 
+// nextNonce issues a nonce from st's session table.
+func nextNonce(t *testing.T, st *State) uint64 {
+	t.Helper()
+	n, err := st.Sessions().NextNonce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func enrollImage(t *testing.T) *puf.Image {
 	t.Helper()
 	dev, err := puf.NewDevice(31, 512, puf.DefaultProfile)
@@ -61,7 +71,7 @@ func TestStateReopenPersistsEverything(t *testing.T) {
 	if err := st.RA().UpdateCertificate("alice", cert); err != nil {
 		t.Fatal(err)
 	}
-	nonce := st.Sessions().NextNonce()
+	nonce := nextNonce(t, st)
 	ch := core.Challenge{Nonce: nonce, AddressMap: []int{1, 2, 3}, Alg: core.SHA3, IssuedAt: time.Unix(1500, 0)}
 	if err := st.Sessions().Open("alice", ch); err != nil {
 		t.Fatal(err)
@@ -94,10 +104,9 @@ func TestStateReopenPersistsEverything(t *testing.T) {
 	if got, ok := sess["alice"]; !ok || got.Nonce != nonce || !got.IssuedAt.Equal(ch.IssuedAt) {
 		t.Fatalf("session lost: %+v", sess)
 	}
-	// The nonce high-water mark survived (plus recovery slack), so no
-	// challenge nonce is ever reissued.
-	if st2.Sessions().Nonce() < nonce+nonceSlack {
-		t.Fatalf("nonce high-water = %d, want >= %d", st2.Sessions().Nonce(), nonce+nonceSlack)
+	// The lease ceiling survived, so no challenge nonce is ever reissued.
+	if st2.Sessions().Nonce() < nonce+core.NonceLeaseBlock {
+		t.Fatalf("nonce high-water = %d, want >= %d", st2.Sessions().Nonce(), nonce+core.NonceLeaseBlock)
 	}
 	// Close wrote a snapshot; recovery came from it, not a long replay.
 	if st2.Recovery().SnapshotSeq == 0 {
@@ -110,7 +119,7 @@ func TestStateDeleteClient(t *testing.T) {
 	st := openState(t, dir, Options{Sync: SyncNever})
 	st.Images().Put("bob", enrollImage(t))
 	st.RA().Update("bob", []byte("pk-bob"))
-	st.Sessions().Open("bob", core.Challenge{Nonce: st.Sessions().NextNonce(), AddressMap: []int{1}})
+	st.Sessions().Open("bob", core.Challenge{Nonce: nextNonce(t, st), AddressMap: []int{1}})
 	if err := st.DeleteClient("bob"); err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +302,9 @@ func TestStateCrashRecoveryProperty(t *testing.T) {
 	// into a fresh reference model.
 	var replay []func(*refModel)
 	apply := func(f func(*refModel)) { f(ref); replay = append(replay, f) }
+	// The first nonce takes the lease that covers every later one, so the
+	// log's first record is the lease and each later record is one op.
+	lastNonce := nextNonce(t, st)
 
 	for len(replay) < K {
 		id := ids[rng.Intn(len(ids))]
@@ -329,12 +341,13 @@ func TestStateCrashRecoveryProperty(t *testing.T) {
 			}
 			apply(func(m *refModel) { m.certs[id] = pk })
 		case 4: // session open
-			nonce := st.Sessions().NextNonce()
+			nonce := nextNonce(t, st)
 			ch := core.Challenge{Nonce: nonce, AddressMap: []int{int(nonce % 512), 7}, Alg: core.SHA3, IssuedAt: time.Unix(30, 0)}
 			if err := st.Sessions().Open(id, ch); err != nil {
 				t.Fatal(err)
 			}
 			apply(func(m *refModel) { m.sessions[id] = nonce })
+			lastNonce = nonce
 		case 5: // session drop (guarded: absent drop journals nothing)
 			if _, open := ref.sessions[id]; !open {
 				continue
@@ -368,7 +381,7 @@ func TestStateCrashRecoveryProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := openState(t, dir, Options{Sync: SyncNever})
-		m := rec.Recovery().Records
+		m := max(rec.Recovery().Records-1, 0) // all but the lease
 		if m > K {
 			t.Fatalf("offset %d: replayed %d records, only %d written", off, m, K)
 		}
@@ -400,18 +413,16 @@ func TestStateCrashRecoveryProperty(t *testing.T) {
 		if len(sess) != len(want.sessions) {
 			t.Fatalf("offset %d (M=%d): %d open sessions, want %d", off, m, len(sess), len(want.sessions))
 		}
-		var hw uint64
 		for id, nonce := range want.sessions {
 			if got, ok := sess[id]; !ok || got.Nonce != nonce {
 				t.Fatalf("offset %d (M=%d): session for %s = %+v, want nonce %d", off, m, id, got, nonce)
 			}
-			if nonce > hw {
-				hw = nonce
-			}
 		}
-		// Recovered nonces never collide with pre-crash ones.
-		if rec.Sessions().Nonce() < hw+nonceSlack {
-			t.Fatalf("offset %d: nonce high-water %d below %d", off, rec.Sessions().Nonce(), hw+nonceSlack)
+		// Recovered nonces never collide with pre-crash ones, whether
+		// their sessions survived or not. (A cut that takes the lease is
+		// a crash before its barrier returned, when no nonce had left.)
+		if rec.Recovery().Records > 0 && rec.Sessions().Nonce() < lastNonce {
+			t.Fatalf("offset %d: nonce high-water %d below %d", off, rec.Sessions().Nonce(), lastNonce)
 		}
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)

@@ -5,73 +5,244 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/device"
 )
 
-// TestTailSeesLiveAppends is the satellite's contract: a tail started
-// before records exist sees records appended after it started, in
-// order, without going through the apply callback.
+// TestTailSeesLiveAppends: a tail started before records exist sees
+// records appended after it started, in order, without going through the
+// apply callback — as they are appended, or under SyncAlways once a
+// barrier has made them durable and not before.
 func TestTailSeesLiveAppends(t *testing.T) {
-	dir := t.TempDir()
-	w, _, _ := collectWAL(t, dir, walConfig{}, 0)
-	defer w.Close()
+	for _, policy := range []SyncPolicy{SyncInterval, SyncNever, SyncAlways} {
+		t.Run(policy.String(), func(t *testing.T) {
+			w, _, _ := collectWAL(t, t.TempDir(), walConfig{policy: policy}, 0)
+			defer w.Close()
 
+			tail, err := w.TailFrom(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tail.Close()
+
+			type result struct {
+				seq     uint64
+				payload []byte
+			}
+			got := make(chan result, 16)
+			errs := make(chan error, 1)
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				for i := 0; i < 10; i++ {
+					seq, p, err := tail.Next(ctx)
+					if err != nil {
+						errs <- err
+						return
+					}
+					got <- result{seq, bytes.Clone(p)}
+				}
+				close(got)
+			}()
+
+			var want [][]byte
+			for i := 0; i < 10; i++ {
+				p := []byte(fmt.Sprintf("live-%03d", i))
+				if _, err := w.Append(p); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, p)
+			}
+			if policy == SyncAlways {
+				select {
+				case r := <-got:
+					t.Fatalf("record %d reached the tail before its barrier", r.seq)
+				case <-time.After(20 * time.Millisecond):
+				}
+				if err := w.Commit(w.LastSeq()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			for {
+				select {
+				case err := <-errs:
+					t.Fatal(err)
+				case r, ok := <-got:
+					if !ok {
+						if i != 10 {
+							t.Fatalf("tailed %d records, want 10", i)
+						}
+						return
+					}
+					if r.seq != uint64(i+1) || !bytes.Equal(r.payload, want[i]) {
+						t.Fatalf("record %d = (%d, %q), want (%d, %q)", i, r.seq, r.payload, i+1, want[i])
+					}
+					i++
+				case <-time.After(10 * time.Second):
+					t.Fatal("tail stalled")
+				}
+			}
+		})
+	}
+}
+
+// TestTailWaitsForTheBarrier: under SyncAlways, records appended while a
+// barrier is held open reach no tail until a barrier covering them
+// returns, and the records one barrier covers become visible together.
+func TestTailWaitsForTheBarrier(t *testing.T) {
+	w, _, _ := collectWAL(t, t.TempDir(), walConfig{policy: SyncAlways}, 0)
+	defer w.Close()
+	spy := spyOn(w)
 	tail, err := w.TailFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tail.Close()
 
-	type result struct {
-		seq     uint64
-		payload []byte
+	first, err := w.Append([]byte("covered"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := make(chan result, 16)
-	errs := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for i := 0; i < 10; i++ {
-			seq, p, err := tail.Next(ctx)
-			if err != nil {
-				errs <- err
-				return
-			}
-			got <- result{seq, p}
+	spy.block.Store(true)
+	committed := make(chan error, 1)
+	go func() { committed <- w.Commit(first) }()
+	<-spy.entered
+	last, err := w.Append([]byte("open"), []byte("close"), []byte("key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail.Ready() {
+		t.Fatal("a record reached the tail while its barrier was in flight")
+	}
+	spy.block.Store(false)
+	spy.release <- struct{}{}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if seq, p, err := tail.Next(ctx); err != nil || seq != first || string(p) != "covered" {
+		t.Fatalf("after the barrier: (%d, %q, %v), want (%d, covered)", seq, p, err, first)
+	}
+	if tail.Ready() {
+		t.Fatal("records appended after the barrier's cut reached the tail")
+	}
+	if err := w.Commit(last); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"open", "close", "key"} {
+		if !tail.Ready() {
+			t.Fatalf("%s not ready after the barrier that covers it", want)
 		}
-		close(got)
-	}()
+		if _, p, err := tail.Next(ctx); err != nil || string(p) != want {
+			t.Fatalf("tailed (%q, %v), want %q", p, err, want)
+		}
+	}
+}
 
-	var want [][]byte
-	for i := 0; i < 10; i++ {
-		p := []byte(fmt.Sprintf("live-%03d", i))
-		if _, err := w.Append(p); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, p)
+// TestTailFallsBackBehindTheWindow: a tail that falls more than the
+// in-memory window behind reads the segment files, and returns to the
+// window once it catches up, with every record in order — the second
+// time from where it left the file, not from its segment's start.
+func TestTailFallsBackBehindTheWindow(t *testing.T) {
+	w, _, _ := collectWAL(t, t.TempDir(), walConfig{segBytes: 256 << 10}, 0)
+	defer w.Close()
+	tail, err := w.TailFrom(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	i := 0
-	for {
-		select {
-		case err := <-errs:
+	defer tail.Close()
+	payload := func(i int) []byte { return fmt.Appendf(bytes.Repeat([]byte{'x'}, 1000), "-%06d", i) }
+	n := 3 * windowBytes / 1000
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(payload(i)); err != nil {
 			t.Fatal(err)
-		case r, ok := <-got:
-			if !ok {
-				if i != 10 {
-					t.Fatalf("tailed %d records, want 10", i)
-				}
-				return
-			}
-			if r.seq != uint64(i+1) || !bytes.Equal(r.payload, want[i]) {
-				t.Fatalf("record %d = (%d, %q), want (%d, %q)", i, r.seq, r.payload, i+1, want[i])
-			}
-			i++
-		case <-time.After(10 * time.Second):
-			t.Fatal("tail stalled")
 		}
+	}
+	if w.win.first <= 1 {
+		t.Fatalf("window starts at record %d: the tail is not behind it", w.win.first)
+	}
+	ctx := context.Background()
+	for i := 0; i < n+10; i++ {
+		if i == n {
+			for j := n; j < n+10; j++ {
+				if _, err := w.Append(payload(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		seq, p, err := tail.Next(ctx)
+		if err != nil || seq != uint64(i+1) || !bytes.Equal(p, payload(i)) {
+			t.Fatalf("record %d: (%d, %.12q…, %v)", i+1, seq, p, err)
+		}
+	}
+	if tail.f != nil {
+		t.Error("a caught-up tail still reads the segment file")
+	}
+
+	// Behind the window a second time, the tail resumes the file where
+	// the last record it copied ends, without rereading its segment from
+	// the start: the segment's first frame is now unreadable.
+	f, err := os.OpenFile(filepath.Join(w.dir, segName(tail.at.seg)), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("garbage!"), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for i := n + 10; i < 2*n+10; i++ {
+		if _, err := w.Append(payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n + 10; i < 2*n+10; i++ {
+		seq, p, err := tail.Next(ctx)
+		if err != nil || seq != uint64(i+1) || !bytes.Equal(p, payload(i)) {
+			t.Fatalf("record %d after falling behind again: (%d, %.12q…, %v)", i+1, seq, p, err)
+		}
+	}
+}
+
+// TestTailNextAllocatesNothingLive: a live tail copies each record out of
+// the window, with no allocation once its buffer has grown.
+func TestTailNextAllocatesNothingLive(t *testing.T) {
+	if device.RaceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w, _, _ := collectWAL(t, t.TempDir(), walConfig{}, 0)
+	defer w.Close()
+	tail, err := w.TailFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	payload := bytes.Repeat([]byte{'r'}, 400)
+	ctx := context.Background()
+	step := func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, p, err := tail.Next(ctx); err != nil || !bytes.Equal(p, payload) {
+			t.Fatalf("tailed (%d bytes, %v)", len(p), err)
+		}
+	}
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 1000
+	for range n {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if perRecord := float64(after.Mallocs-before.Mallocs) / n; perRecord > 0.1 {
+		t.Errorf("append + live Next allocate %.2f objects per record", perRecord)
 	}
 }
 

@@ -29,8 +29,9 @@ const (
 	SyncInterval SyncPolicy = iota
 	// SyncAlways makes every mutation durable before the reply that
 	// acknowledges it: appends only write, and Commit — one barrier per
-	// protocol message, shared by every concurrent committer it covers —
-	// syncs. No acknowledged mutation is ever lost.
+	// request, shared by every concurrent committer it covers — syncs. No
+	// acknowledged mutation is ever lost, and a tail sees a record only
+	// once it is durable.
 	SyncAlways
 	// SyncNever leaves flushing to the OS page cache: fastest, loses up
 	// to the OS writeback window on power failure (a clean process kill
@@ -180,6 +181,10 @@ type walConfig struct {
 // at a time takes for every committer it covers, outside mu, so appends
 // continue while an fsync is in flight. LastSeq is lock-free so
 // snapshots can take a sequence cut without stalling writers.
+//
+// Tails are woken per append, or under SyncAlways per barrier: there a
+// tail reads only durable records, so the records one barrier covers
+// leave together. Lock order: mu, then cmu, then nmu.
 type wal struct {
 	dir string
 	cfg walConfig
@@ -188,15 +193,23 @@ type wal struct {
 	// journal. Set under SyncAlways where the platform supports it.
 	prealloc bool
 
-	seq atomic.Uint64 // last assigned sequence number
+	seq        atomic.Uint64 // last assigned sequence number
+	durableSeq atomic.Uint64 // synced, for lock-free readers
+	closed     atomic.Bool   // set by Close, under mu
 
 	mu       sync.Mutex
 	f        *os.File // replaced only while holding mu and the sync token
 	size     int64    // logical size: where the next frame is written
 	segStart uint64
-	closed   bool
-	notify   chan struct{} // closed and renewed on every append; see appendWait
-	frame    []byte        // append's frame buffer, reused under mu up to frameChunk
+	frame    []byte // append's frame buffer, reused under mu up to frameChunk
+
+	// nmu guards notify, which is closed and renewed whenever tails may
+	// have more to read; see tailWait.
+	nmu    sync.Mutex
+	notify chan struct{}
+
+	// win holds the newest frames for live tails (tail.go).
+	win window
 
 	// Commit state. syncing is a token: its holder alone may fsync,
 	// truncate, close or replace f. A Commit leader holds it without mu;
@@ -282,6 +295,7 @@ func openWAL(dir string, cfg walConfig, from uint64, apply func(seq uint64, payl
 	// Recovered records need no barrier of their own: they sit in sealed
 	// segments or in the active one, where the next barrier covers them.
 	w.synced = lastSeq
+	w.durableSeq.Store(lastSeq)
 
 	// Append into the newest segment — unless the snapshot is ahead of
 	// it, in which case continuing it would punch a sequence gap into
@@ -470,33 +484,47 @@ func (w *wal) openSegment(start uint64, size int64) error {
 	return nil
 }
 
-// Append writes one payload to the log and returns its sequence number.
-// It does not sync: under SyncAlways the record is durable once
-// Commit(seq) has returned nil, and a caller must not acknowledge the
-// mutation before that.
-func (w *wal) Append(payload []byte) (uint64, error) {
-	if len(payload) == 0 || len(payload) > maxRecordLen {
-		return 0, fmt.Errorf("durable: record payload %d bytes", len(payload))
+// Append writes payloads to the log as consecutive records, in one
+// write, and returns the sequence number of the last. It does not sync:
+// under SyncAlways the records are durable once Commit(seq) has returned
+// nil, and a caller must not acknowledge them before that. A log whose
+// barrier has failed takes no more records: nothing written to it can be
+// vouched for again.
+func (w *wal) Append(payloads ...[]byte) (uint64, error) {
+	for _, p := range payloads {
+		if len(p) == 0 || len(p) > maxRecordLen {
+			return 0, fmt.Errorf("durable: record payload %d bytes", len(p))
+		}
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return 0, errors.New("durable: WAL closed")
 	}
-	seq := w.seq.Load() + 1
+	if err := w.failed(); err != nil {
+		return 0, fmt.Errorf("durable: append after a failed barrier: %w", err)
+	}
+	first := w.seq.Load() + 1
 
-	frame := appendFrame(w.frame[:0], seq, payload)
+	frame := w.frame[:0]
+	for i, p := range payloads {
+		frame = appendFrame(frame, first+uint64(i), p)
+	}
 	if cap(frame) <= frameChunk {
 		w.frame = frame
 	}
 	if _, err := w.f.WriteAt(frame, w.size); err != nil {
 		return 0, fmt.Errorf("durable: append: %w", err)
 	}
+	w.win.add(first, frame, w.segStart, w.size)
 	w.size += int64(len(frame))
-	w.seq.Store(seq)
-	w.wakeTailersLocked()
+	last := first + uint64(len(payloads)) - 1
+	w.seq.Store(last)
+	if w.cfg.policy != SyncAlways {
+		w.wakeTailers()
+	}
 	if m := w.metrics; m != nil {
-		m.appends.Inc()
+		m.appends.Add(uint64(len(payloads)))
 		m.appendBytes.Add(uint64(len(frame)))
 	}
 
@@ -505,23 +533,39 @@ func (w *wal) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	return seq, nil
+	return last, nil
+}
+
+// failed returns the error of the log's failed barrier, if one failed.
+func (w *wal) failed() error {
+	w.cmu.Lock()
+	defer w.cmu.Unlock()
+	return w.syncErr
 }
 
 // LastSeq returns the last assigned sequence number (0 before any
 // append). Lock-free: snapshots use it to take their sequence cut.
 func (w *wal) LastSeq() uint64 { return w.seq.Load() }
 
-// appendWait returns a channel that is closed by the next append (or by
-// Close). A tailer must re-check LastSeq after obtaining the channel:
-// an append that raced the call has already closed an earlier channel.
-func (w *wal) appendWait() <-chan struct{} {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
+// visibleSeq is the last record a tail may read: under SyncAlways the
+// durable watermark, so no follower holds a record its primary can still
+// lose to a power cut, and under the other policies the last appended.
+func (w *wal) visibleSeq() uint64 {
+	if w.cfg.policy == SyncAlways {
+		return w.durableSeq.Load()
+	}
+	return w.seq.Load()
+}
+
+// tailWait returns a channel that is closed once visibleSeq may have
+// moved (by the next append, or under SyncAlways the next barrier) or the
+// log closes. A tailer must re-check visibleSeq after obtaining the
+// channel: a wake that raced the call has already closed an earlier one.
+func (w *wal) tailWait() <-chan struct{} {
+	w.nmu.Lock()
+	defer w.nmu.Unlock()
+	if w.closed.Load() {
+		return closedChan
 	}
 	if w.notify == nil {
 		w.notify = make(chan struct{})
@@ -529,8 +573,10 @@ func (w *wal) appendWait() <-chan struct{} {
 	return w.notify
 }
 
-// wakeTailersLocked releases every appendWait channel; mu must be held.
-func (w *wal) wakeTailersLocked() {
+// wakeTailers releases every tailWait channel.
+func (w *wal) wakeTailers() {
+	w.nmu.Lock()
+	defer w.nmu.Unlock()
 	if w.notify != nil {
 		close(w.notify)
 		w.notify = nil
@@ -538,11 +584,7 @@ func (w *wal) wakeTailersLocked() {
 }
 
 // isClosed reports whether Close has run.
-func (w *wal) isClosed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.closed
-}
+func (w *wal) isClosed() bool { return w.closed.Load() }
 
 // Commit is the durability barrier: under SyncAlways it returns once
 // every record with sequence number <= seq is on disk, and under the
@@ -627,6 +669,10 @@ func (w *wal) releaseSync(synced uint64, err error) error {
 	}
 	if w.syncErr == nil && synced > w.synced {
 		w.synced = synced
+		w.durableSeq.Store(synced)
+		if w.cfg.policy == SyncAlways {
+			w.wakeTailers()
+		}
 	}
 	w.ccond.Broadcast()
 	return w.syncErr
@@ -682,7 +728,7 @@ func (w *wal) rotateLocked() error {
 func (w *wal) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed || w.size == 0 {
+	if w.closed.Load() || w.size == 0 {
 		return nil
 	}
 	return w.rotateLocked()
@@ -727,12 +773,12 @@ func (w *wal) CompactBefore(seq uint64) (removed int, err error) {
 // Every record appended before Close is durable when it returns nil.
 func (w *wal) Close() error {
 	w.mu.Lock()
-	if w.closed {
+	if w.closed.Load() {
 		w.mu.Unlock()
 		return nil
 	}
-	w.closed = true
-	w.wakeTailersLocked()
+	w.closed.Store(true)
+	w.wakeTailers()
 	w.acquireSync()
 	last := w.seq.Load()
 	err := w.releaseSync(last, w.sealActive())

@@ -3,6 +3,7 @@ package replica
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -108,11 +109,11 @@ func (f *Follower) Epoch() uint64 {
 
 // Promote turns this follower into the replication group's new
 // authority: the fencing epoch advances (persisted before returning)
-// and the challenge-nonce high-water mark jumps by PromoteNonceSlack so
-// nonces the dead primary issued but never replicated cannot be
-// reissued. Any active Run loop stops with ErrPromoted. The caller
-// owns what happens next — typically re-serving the follower's State
-// as a Primary at the returned epoch.
+// and the challenge-nonce high-water mark — the highest lease ceiling
+// replicated — jumps by PromoteNonceSlack so nonces the dead primary
+// leased but never replicated cannot be reissued. Any active Run loop
+// stops with ErrPromoted. The caller owns what happens next — typically
+// re-serving the follower's State as a Primary at the returned epoch.
 func (f *Follower) Promote() (uint64, error) {
 	f.mu.Lock()
 	if f.promoted {
@@ -147,21 +148,53 @@ func (f *Follower) Promote() (uint64, error) {
 //
 // Callers read their (epoch, cursor) under f.mu and arrive here in any
 // order, so a pair can be stale by the time it is written: the run loop's
-// from before a promotion, landing after Promote's. Both fields only ever
-// grow and every cursor that reaches this point is durable, so the file
-// gets the highest of each seen so far and never goes backwards.
+// from before a promotion, landing after Promote's. Both fields only
+// grow — the cursor but for a rebase, which resets what was saved — and
+// every cursor that reaches this point is durable, so the file gets the
+// highest of each seen since and never goes backwards otherwise.
 func (f *Follower) persist(epoch, cursor uint64) error {
+	f.persistMu.Lock()
+	defer f.persistMu.Unlock()
+	return f.persistLocked(epoch, cursor)
+}
+
+// checkpoint persists the current epoch and cursor and returns the
+// cursor. The pair is read under persistMu, so no rebase lands between
+// the read and the write.
+func (f *Follower) checkpoint() (uint64, error) {
+	f.persistMu.Lock()
+	defer f.persistMu.Unlock()
+	f.mu.Lock()
+	cursor, epoch := f.cursor, f.epoch
+	f.mu.Unlock()
+	return cursor, f.persistLocked(epoch, cursor)
+}
+
+// persistLocked is persist with persistMu held.
+func (f *Follower) persistLocked(epoch, cursor uint64) error {
 	if err := f.cfg.State.Commit(); err != nil {
 		return fmt.Errorf("replica: commit: %w", err)
 	}
-	f.persistMu.Lock()
-	defer f.persistMu.Unlock()
 	m := Meta{Epoch: max(epoch, f.saved.Epoch), Cursor: max(cursor, f.saved.Cursor)}
 	if err := saveMeta(f.cfg.MetaPath, m, f.rename); err != nil {
 		return err
 	}
 	f.saved = m
 	return nil
+}
+
+// rebase sets the cursor to a full-state transfer's cut. That is a step
+// back when this follower was ahead of a primary that lost a tail it had
+// shipped: the transfer replaced what the follower held past the cut,
+// and the persisted cursor must come back with it, or a restart would
+// skip the records the primary writes anew at those sequence numbers.
+func (f *Follower) rebase(cut uint64) {
+	f.persistMu.Lock()
+	defer f.persistMu.Unlock()
+	f.mu.Lock()
+	f.cursor = cut
+	f.mu.Unlock()
+	f.saved.Cursor = min(f.saved.Cursor, cut)
 }
 
 // Promoted reports whether Promote has run.
@@ -304,10 +337,8 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 				return
 			case <-t.C:
 			}
-			f.mu.Lock()
-			cur, ep := f.cursor, f.epoch
-			f.mu.Unlock()
-			if err := f.persist(ep, cur); err != nil {
+			cur, err := f.checkpoint()
+			if err != nil {
 				ackErr <- err
 				return
 			}
@@ -338,15 +369,32 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 	return err
 }
 
-// consume applies the primary's stream, reading it through r in batches:
-// catch-up records (Seq 0) are collected for reconciliation, live
-// records advance the cursor. A record's payload is decoded and
-// validated once, by Ingest; catch-up records are also read for their
-// op and ID, which reconciliation needs.
+// consume applies the primary's stream, reading it through r in chunks.
+// Record messages are ingested in batches: the complete record messages
+// already buffered when one arrives go into the local WAL in one write,
+// are applied in order, and advance the cursor to the last. Gathering
+// them never waits for bytes that have not arrived. Catch-up records
+// (Seq 0) are also noted for reconciliation, by their op and ID.
 func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 	catchup := catchupSet{}
+	var batch recordBatch
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
+		if _, err := r.Peek(msgHeader); err == nil {
+			buf, _ := r.Peek(r.Buffered())
+			n, err := batch.split(buf)
+			if err != nil {
+				return err
+			}
+			if n > 0 {
+				if err := f.ingest(&batch, catchup); err != nil {
+					return err
+				}
+				r.Discard(n)
+				continue
+			}
+		}
+		// Not a record, or one larger than what is buffered.
 		kind, body, err := readMsg(r)
 		if err != nil {
 			return err
@@ -357,16 +405,9 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 			if err != nil {
 				return err
 			}
-			if seq == 0 {
-				if err := catchup.note(payload); err != nil {
-					return fmt.Errorf("replica: bad record from primary: %w", err)
-				}
-			}
-			if _, err := f.cfg.State.Ingest(payload); err != nil {
-				return fmt.Errorf("replica: ingest: %w", err)
-			}
-			if seq > 0 {
-				f.advance(seq)
+			batch.seqs, batch.payloads = append(batch.seqs[:0], seq), append(batch.payloads[:0], payload)
+			if err := f.ingest(&batch, catchup); err != nil {
+				return err
 			}
 		case kindWatermark:
 			seq, err := decodeSeq(body)
@@ -384,11 +425,60 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 			}
 			clear(catchup)
 			f.cfg.State.Sessions().BumpNonce(m.Nonce)
-			f.advance(m.Cut)
+			f.rebase(m.Cut)
 		default:
 			return fmt.Errorf("replica: unexpected message kind %d mid-stream", kind)
 		}
 	}
+}
+
+// recordBatch is a run of record messages, their payloads aliasing the
+// buffer they were read from.
+type recordBatch struct {
+	seqs     []uint64
+	payloads [][]byte
+}
+
+// split fills b with the whole record messages at the front of buf and
+// returns how many bytes they span. It stops at the first message that
+// is not a record or is not all in buf; readMsg takes that one.
+func (b *recordBatch) split(buf []byte) (int, error) {
+	b.seqs, b.payloads = b.seqs[:0], b.payloads[:0]
+	n := 0
+	for len(buf)-n >= msgHeader && buf[n+4] == kindRecord {
+		size := int(binary.BigEndian.Uint32(buf[n:]))
+		if size == 0 || size > maxReplicaFrame || len(buf)-n-4 < size {
+			break
+		}
+		seq, payload, err := decodeRecordMsg(buf[n+msgHeader : n+4+size])
+		if err != nil {
+			return 0, err
+		}
+		b.seqs, b.payloads = append(b.seqs, seq), append(b.payloads, payload)
+		n += 4 + size
+	}
+	return n, nil
+}
+
+// ingest journals and applies a batch, notes its catch-up records, and
+// advances the cursor past its live ones.
+func (f *Follower) ingest(b *recordBatch, catchup catchupSet) error {
+	var last uint64
+	for i, seq := range b.seqs {
+		if seq == 0 {
+			if err := catchup.note(b.payloads[i]); err != nil {
+				return fmt.Errorf("replica: bad record from primary: %w", err)
+			}
+		}
+		last = max(last, seq)
+	}
+	if _, err := f.cfg.State.Ingest(b.payloads...); err != nil {
+		return fmt.Errorf("replica: ingest: %w", err)
+	}
+	if last > 0 {
+		f.advance(last)
+	}
+	return nil
 }
 
 // advance moves the cursor forward (never backward: watermarks and

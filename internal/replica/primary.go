@@ -193,8 +193,9 @@ func (p *Primary) fence(epoch uint64) {
 }
 
 // streamBuffer sizes a stream's batching at both ends: a live stream
-// writes once per append wake-up, a backlog or a catch-up transfer in
-// writes of this size, and the follower reads it in chunks as large.
+// writes once per wake-up (under SyncAlways, once per barrier), a backlog
+// or a catch-up transfer in writes of this size, and the follower reads
+// it in chunks as large.
 const streamBuffer = 64 << 10
 
 // handle runs one subscriber stream.
@@ -281,7 +282,9 @@ func (p *Primary) handle(conn net.Conn) {
 }
 
 // stream ships records from cursor onward, switching to a synthesized
-// full-state transfer whenever compaction has outrun the cursor. Messages
+// full-state transfer whenever the cursor is not in the log: compaction
+// outran it, or it is past the log's end because this node lost a tail
+// the subscriber had already ingested. Messages
 // are buffered in w; tailLoop flushes them whenever the log has nothing
 // more ready.
 func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cursor uint64) error {
@@ -336,9 +339,15 @@ func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cu
 // tailLoop is live streaming: records the subscriber's shards want,
 // watermarks for everything else and for idle heartbeats. Records are
 // batched while the log has more ready and flushed in one write when it
-// has not, so a live stream costs one write per append wake-up. A
+// has not, so a live stream costs one write per wake-up — under
+// SyncAlways, per barrier, which carries a request's records together. A
 // subscriber that takes every shard gets the journaled bytes without the
-// primary decoding them; a filtered one costs a read of the record's ID.
+// primary decoding them; a filtered one costs a read of the record's ID,
+// and gets every nonce lease.
+//
+// Under SyncAlways a record no request committed (the session of a
+// handshake never answered) stays invisible until some barrier covers
+// it, so an idle heartbeat takes one.
 func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, tail *durable.Tail, cursor uint64) error {
 	numShards := p.numShards()
 	watermark := cursor // highest seq covered but not sent as a record
@@ -353,7 +362,11 @@ func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, 
 			select {
 			case <-tail.Wait():
 			case <-idle.C:
-				// Idle: heartbeat the current position.
+				// Idle: make what is pending visible, and heartbeat the
+				// current position.
+				if err := p.State.Commit(); err != nil {
+					return err
+				}
 				if _, err := w.Write(appendSeq(w.AvailableBuffer(), kindWatermark, watermark)); err != nil {
 					return err
 				}
@@ -368,11 +381,11 @@ func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, 
 		}
 		watermark = seq
 		if s.shards != nil {
-			_, id, err := durable.RecordID(payload)
+			op, id, err := durable.RecordID(payload)
 			if err != nil {
 				return fmt.Errorf("replica: undecodable record %d: %w", seq, err)
 			}
-			if !s.wants(ring.ShardOfKey(string(id), numShards)) {
+			if op != durable.OpNonceLease && !s.wants(ring.ShardOfKey(string(id), numShards)) {
 				continue
 			}
 		}

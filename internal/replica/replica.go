@@ -182,6 +182,9 @@ type catchupDoneMsg struct {
 // cursor it has applied and persisted through. All three are built and
 // parsed in place, without a message struct.
 
+// msgHeader is a frame's length and kind: the bytes before its body.
+const msgHeader = 4 + 1
+
 // appendHeader appends the header of a frame of kind with an n-byte body.
 func appendHeader(b []byte, kind byte, n int) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(1+n))

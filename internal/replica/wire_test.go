@@ -127,10 +127,11 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // FuzzReplicaMsg feeds arbitrary bytes to the frame reader and the
-// decoders. The invariants: nothing panics, nothing allocates more than
-// the bytes that arrived justify (a bounded first chunk, then a constant
-// factor of the input), and any frame that decodes re-encodes to exactly
-// the bytes it was read from.
+// decoders, and to the follower's batch splitter. The invariants: nothing
+// panics, nothing allocates more than the bytes that arrived justify (a
+// bounded first chunk, then a constant factor of the input), any frame
+// that decodes re-encodes to exactly the bytes it was read from, and the
+// records a batch splits into re-encode to exactly the bytes it spans.
 func FuzzReplicaMsg(f *testing.F) {
 	for _, m := range sampleMessages(f) {
 		if len(m.frame) < 4096 {
@@ -144,6 +145,12 @@ func FuzzReplicaMsg(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	// A barrier's batch: a request's three records, then a watermark.
+	var batch []byte
+	for seq, p := range [][]byte{[]byte("open"), []byte("close"), []byte("key")} {
+		batch = appendRecord(batch, uint64(seq+10), p)
+	}
+	f.Add(appendSeq(batch, kindWatermark, 12))
 	f.Add([]byte{0, 0, 0, 9, kindAck, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 
@@ -158,6 +165,16 @@ func FuzzReplicaMsg(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*bodyChunk+16*len(data)); n > limit {
 			t.Fatalf("%d input bytes allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+		var b recordBatch
+		if n, serr := b.split(data); serr == nil {
+			var out []byte
+			for i, seq := range b.seqs {
+				out = appendRecord(out, seq, b.payloads[i])
+			}
+			if !bytes.Equal(out, data[:n]) {
+				t.Fatalf("batch of %d records does not re-encode:\n in  %x\n out %x", len(b.seqs), data[:n], out)
+			}
 		}
 		if err != nil {
 			return

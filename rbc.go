@@ -419,8 +419,8 @@ const (
 	// SyncInterval (default): background fsync every ~100 ms.
 	SyncInterval = durable.SyncInterval
 	// SyncAlways: every mutation is durable before the reply that
-	// acknowledges it (one fsync per protocol message, shared by
-	// concurrent requests); no acknowledged loss.
+	// acknowledges it (one fsync per authentication plus one per 1,024
+	// challenges, shared by concurrent requests); no acknowledged loss.
 	SyncAlways = durable.SyncAlways
 	// SyncNever: leave flushing to the OS page cache.
 	SyncNever = durable.SyncNever
