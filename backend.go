@@ -3,10 +3,9 @@ package rbc
 import (
 	"fmt"
 
-	"rbcsalted/internal/apusim"
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
-	"rbcsalted/internal/gpusim"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/plan"
 )
 
@@ -16,9 +15,9 @@ type BackendKind int
 const (
 	// BackendCPU is the real multicore engine (SALTED-CPU).
 	BackendCPU BackendKind = iota
-	// BackendGPU is the calibrated A100 simulator (SALTED-GPU).
+	// BackendGPU is the calibrated A100 model (SALTED-GPU).
 	BackendGPU
-	// BackendAPU is the calibrated Gemini simulator (SALTED-APU).
+	// BackendAPU is the calibrated Gemini model (SALTED-APU).
 	BackendAPU
 	// BackendPlanner is the cost-based multiplexer over the CPU, GPU and
 	// APU engines: every search is dispatched to the engine the
@@ -72,10 +71,8 @@ type BackendSpec struct {
 	// Cores sets CPU search workers (CPU kind) or host execution
 	// goroutines (GPU/APU kinds); 0 means GOMAXPROCS.
 	Cores int
-	// Devices is the simulated device count (GPU/APU kinds); 0 means 1.
+	// Devices is the modelled device count (GPU/APU kinds); 0 means 1.
 	Devices int
-	// CheckInterval is seeds hashed between exit-flag polls (GPU kind).
-	CheckInterval int
 	// ExecBudget caps the shell size executed for real rather than
 	// planned analytically (GPU/APU kinds); 0 means the package default.
 	ExecBudget uint64
@@ -99,53 +96,27 @@ func NewBackend(spec BackendSpec) (Backend, error) {
 	if spec.Devices < 0 {
 		return nil, fmt.Errorf("rbc: negative devices %d", spec.Devices)
 	}
+	cfg := device.Config{Alg: spec.Alg, Devices: spec.Devices, ExecBudget: spec.ExecBudget, HostWorkers: spec.Cores}
 	switch spec.Kind {
 	case BackendCPU:
 		return &cpu.Backend{Alg: spec.Alg, Workers: spec.Cores}, nil
 	case BackendGPU:
-		// Shared-memory iterator state is the paper's best GPU config
-		// (§4.4) and is always on here.
-		return gpusim.NewBackend(gpusim.Config{
-			Alg:               spec.Alg,
-			Devices:           spec.Devices,
-			CheckInterval:     spec.CheckInterval,
-			ExecBudget:        spec.ExecBudget,
-			HostWorkers:       spec.Cores,
-			SharedMemoryState: true,
-		}), nil
+		return device.NewA100(cfg, device.MeasureHostCosts()), nil
 	case BackendAPU:
-		return apusim.NewBackend(apusim.Config{
-			Alg:         spec.Alg,
-			Devices:     spec.Devices,
-			ExecBudget:  spec.ExecBudget,
-			HostWorkers: spec.Cores,
-		}), nil
+		return device.NewGemini(cfg), nil
 	case BackendPlanner:
-		// The sims execute shells up to ExecBudget seeds for real and
+		// The models execute shells up to ExecBudget seeds for real and
 		// cover the rest analytically; production traffic carries no
 		// Oracle, so default the budget high enough for real execution
 		// through d<=3 (u(3)-u(0) = 2,796,416 candidate seeds).
-		execBudget := spec.ExecBudget
-		if execBudget == 0 {
-			execBudget = 4 << 20
+		if cfg.ExecBudget == 0 {
+			cfg.ExecBudget = 4 << 20
 		}
 		return plan.New(plan.Config{
 			Engines: []core.Backend{
 				&cpu.Backend{Alg: spec.Alg, Workers: spec.Cores},
-				gpusim.NewBackend(gpusim.Config{
-					Alg:               spec.Alg,
-					Devices:           spec.Devices,
-					CheckInterval:     spec.CheckInterval,
-					ExecBudget:        execBudget,
-					HostWorkers:       spec.Cores,
-					SharedMemoryState: true,
-				}),
-				apusim.NewBackend(apusim.Config{
-					Alg:         spec.Alg,
-					Devices:     spec.Devices,
-					ExecBudget:  execBudget,
-					HostWorkers: spec.Cores,
-				}),
+				device.NewA100(cfg, device.MeasureHostCosts()),
+				device.NewGemini(cfg),
 			},
 			Policy:       plan.Policy(spec.PlanPolicy),
 			JoulesBudget: spec.JoulesBudget,

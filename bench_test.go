@@ -16,8 +16,8 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/exper"
-	"rbcsalted/internal/gpusim"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/u256"
@@ -61,12 +61,12 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkFigure3 prices one full (n, b) heatmap from the GPU model.
 func BenchmarkFigure3(b *testing.B) {
-	m := gpusim.NewModel()
+	m := device.NewA100Kernel(device.MeasureHostCosts())
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{1, 10, 100, 1000, 10000} {
 			for _, blk := range []int{32, 128, 512, 1024} {
 				_ = m.ExhaustiveD5SecondsAt(SHA3, IterGray,
-					gpusim.KernelParams{SeedsPerThread: n, ThreadsPerBlock: blk}, true, 1)
+					device.KernelParams{SeedsPerThread: n, ThreadsPerBlock: blk}, true, 1)
 			}
 		}
 	}
@@ -107,8 +107,8 @@ func BenchmarkTable5(b *testing.B) {
 		{"GPU-SHA3", mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3}), SHA3},
 		{"APU-SHA1", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA1}), SHA1},
 		{"APU-SHA3", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA3}), SHA3},
-		{"CPUmodel-SHA1", &CPUModelBackend{Alg: SHA1}, SHA1},
-		{"CPUmodel-SHA3", &CPUModelBackend{Alg: SHA3}, SHA3},
+		{"CPUmodel-SHA1", device.NewEPYC(SHA1, device.MeasureHostCosts()), SHA1},
+		{"CPUmodel-SHA3", device.NewEPYC(SHA3, device.MeasureHostCosts()), SHA3},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -218,10 +218,10 @@ func BenchmarkFlagInterval(b *testing.B) {
 
 // BenchmarkSharedMem prices the §3.2.3 ablation point.
 func BenchmarkSharedMem(b *testing.B) {
-	m := gpusim.NewModel()
+	m := device.NewA100Kernel(device.MeasureHostCosts())
 	for i := 0; i < b.N; i++ {
-		_ = m.ShellSeconds(8809549056, SHA1, IterGray, gpusim.DefaultParams, true, 1)
-		_ = m.ShellSeconds(8809549056, SHA1, IterGray, gpusim.DefaultParams, false, 1)
+		_ = m.ShellSeconds(8809549056, SHA1, IterGray, device.DefaultKernelParams, true, 1)
+		_ = m.ShellSeconds(8809549056, SHA1, IterGray, device.DefaultKernelParams, false, 1)
 	}
 }
 

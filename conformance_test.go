@@ -12,6 +12,7 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/iterseq"
 )
 
@@ -26,20 +27,23 @@ func (b backendFunc) Search(ctx context.Context, task Task) (Result, error) {
 	return b.search(ctx, task)
 }
 
-// conformanceEngines builds every engine for alg: cpu, cpu-model, the
-// two simulators on both their executed path (every shell inside
-// ExecBudget) and their analytically planned one (none is), and — when
-// the ball fits its depth cap — the inline fast path.
+// conformanceEngines builds every engine for alg: cpu, the EPYC model,
+// the A100 and Gemini models on both their executed path (every shell
+// inside ExecBudget) and their analytically planned one (none is), the
+// same two at Devices: 3, and — when the ball fits its depth cap — the
+// inline fast path.
 func conformanceEngines(t *testing.T, alg HashAlg, maxDistance int) []Backend {
 	t.Helper()
 	shell, _ := combin.Binomial64(256, maxDistance)
 	engines := []Backend{
 		&CPUBackend{Alg: alg, Workers: 2},
-		&CPUModelBackend{Alg: alg},
+		device.NewEPYC(alg, device.MeasureHostCosts()),
 	}
-	for _, kind := range []BackendKind{BackendGPU, BackendAPU} {
-		for _, budget := range []uint64{shell, 1} {
-			engines = append(engines, mustBackend(t, BackendSpec{Kind: kind, Alg: alg, Cores: 2, ExecBudget: budget}))
+	for _, devices := range []int{1, 3} {
+		for _, kind := range []BackendKind{BackendGPU, BackendAPU} {
+			for _, budget := range []uint64{shell, 1} {
+				engines = append(engines, mustBackend(t, BackendSpec{Kind: kind, Alg: alg, Cores: 2, Devices: devices, ExecBudget: budget}))
+			}
 		}
 	}
 
@@ -141,6 +145,18 @@ func TestEngineConformance(t *testing.T) {
 						checkShellStats(t, task, res)
 						if exhaustive && res.SeedsCovered != ballSize(task) {
 							t.Errorf("exhaustive search covered %d seeds, the ball holds %d", res.SeedsCovered, ballSize(task))
+						}
+						// A modelled engine prices and charges through one
+						// function: on an exhaustive task the prediction is
+						// the modelled search, to the bit.
+						if m, ok := b.(*device.Engine); ok && exhaustive {
+							cost, err := m.PredictCost(task)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if cost.Seconds != res.DeviceSeconds || cost.Joules != res.EnergyJoules {
+								t.Errorf("predicted %gs/%gJ, modelled %gs/%gJ", cost.Seconds, cost.Joules, res.DeviceSeconds, res.EnergyJoules)
+							}
 						}
 
 						cancelled, cancel := context.WithCancel(context.Background())

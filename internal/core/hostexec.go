@@ -257,6 +257,20 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 	return found, seed, covered, timeout.Load(), nil
 }
 
+// VerifyOracle is how a model locates a match in a shell it does not
+// execute: if the task's oracle lies at distance d, one hash checks it
+// against the target. Covered is left for the caller's model.
+func VerifyOracle(task Task, alg HashAlg, d int) ShellOutcome {
+	var out ShellOutcome
+	if task.Oracle != nil && MatchShell(task.Base, *task.Oracle) == d {
+		out.Hashed = 1
+		if HashSeed(alg, *task.Oracle).Equal(task.Target) {
+			out.Found, out.Seed = true, *task.Oracle
+		}
+	}
+	return out
+}
+
 // simSampleSeeds is the validation sample of real work executed from the
 // front of every analytically planned shell, so a modelled shell is
 // backed by executed code on every search.
@@ -285,12 +299,7 @@ func SearchShellSim(ctx context.Context, task Task, alg HashAlg, d int, size, bu
 		}
 		return out, err
 	}
-	if task.Oracle != nil && MatchShell(task.Base, *task.Oracle) == d {
-		out.Hashed++
-		if HashSeed(alg, *task.Oracle).Equal(task.Target) {
-			out.Found, out.Seed = true, *task.Oracle
-		}
-	}
+	out = VerifyOracle(task, alg, d)
 	found, seed, sampled, _, err := SearchRangeHost(
 		ctx, task.Base, d, task.Method, 0, min(simSampleSeeds, size), 1, checkEvery, true, time.Time{}, newMatcher)
 	out.Hashed += sampled

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"rbcsalted/internal/device"
 	"rbcsalted/internal/u256"
 )
 
@@ -14,7 +13,7 @@ import (
 // candidate staging buffer and all — from the package pool, so what is
 // left per request is the iterator, the worker goroutine and the result.
 func TestSearchInlinePooledAllocs(t *testing.T) {
-	if device.RaceEnabled {
+	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	base := u256.FromUint64(0xC0FFEE)
@@ -46,7 +45,7 @@ func TestSearchInlinePooledAllocs(t *testing.T) {
 // TestSearchInlineReleasesOnCancel checks the exit path the others do
 // not take: a cancelled inline search still hands its matcher back.
 func TestSearchInlineReleasesOnCancel(t *testing.T) {
-	if device.RaceEnabled {
+	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	base := u256.FromUint64(0xBEEF)

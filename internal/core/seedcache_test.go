@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rbcsalted/internal/cryptoalg/aeskg"
-	"rbcsalted/internal/device"
 	"rbcsalted/internal/puf"
 )
 
@@ -321,7 +320,7 @@ func TestSeedCacheLeavesWithTheSession(t *testing.T) {
 // TestReadSeedNoiseAllocs: injecting noise into a response allocates
 // nothing (it used to build a map per call).
 func TestReadSeedNoiseAllocs(t *testing.T) {
-	if device.RaceEnabled {
+	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	dev, err := puf.NewDevice(5, 1024, puf.Profile{})

@@ -7,7 +7,7 @@
 //
 // This backend hashes every seed it covers, so it is exact at any scale
 // you are willing to wait for; the experiment harness uses it directly for
-// d <= 3 and uses ModelBackend (calibrated to the paper's 64-core EPYC)
+// d <= 3 and uses device.NewEPYC (calibrated to the paper's 64-core EPYC)
 // for the d = 5 table reproductions.
 package cpu
 
@@ -67,13 +67,7 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	// It is the committed row of the task's iterator: the fill no kernel
 	// speeds up is what sets each row.
 	perSeed := (hashNs + costs.IterNs[task.Method]) / core.DefaultKernelSpeedup(b.Alg, task.Method) / 1e9
-	return predictCost(task, b.workers(), perSeed)
-}
-
-// predictCost prices a search on `workers` lockstep CPU workers at
-// perSeed seconds per seed per worker.
-func predictCost(task core.Task, workers int, perSeed float64) (core.Cost, error) {
-	seconds, err := core.PriceBall(task, uint64(workers), perSeed, func(_ int, _, expect uint64) float64 {
+	seconds, err := core.PriceBall(task, uint64(b.workers()), perSeed, func(_ int, _, expect uint64) float64 {
 		return float64(expect) * perSeed
 	})
 	return core.Cost{Seconds: seconds, Joules: device.PowerCPUEst.Energy(seconds)}, err

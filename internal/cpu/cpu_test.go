@@ -200,69 +200,18 @@ func TestName(t *testing.T) {
 	if b.Name() == "" {
 		t.Error("empty name")
 	}
-	m := &ModelBackend{Alg: core.SHA3}
-	if m.Name() == "" {
-		t.Error("empty model name")
-	}
-}
-
-// --- ModelBackend ---
-
-func TestModelMatchesAnchorExhaustive(t *testing.T) {
-	r := rand.New(rand.NewPCG(17, 18))
-	base := randSeed(r)
-	client := puf.InjectNoise(base, base, 5, r)
-	for _, alg := range core.HashAlgs() {
-		task := taskFor(alg, base, client, 5, iterseq.GrayCode)
-		task.Exhaustive = true
-		m := &ModelBackend{Alg: alg}
-		res, err := m.Search(context.Background(), task)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Found || res.Distance != 5 {
-			t.Fatalf("%s: model lost the match: %+v", alg, res)
-		}
-		want := anchorSeconds(alg)
-		if rel(res.DeviceSeconds, want) > 0.02 {
-			t.Errorf("%s: modelled %0.2fs, anchor %0.2fs", alg, res.DeviceSeconds, want)
-		}
-	}
-}
-
-func TestModelEarlyExitFasterThanExhaustive(t *testing.T) {
-	r := rand.New(rand.NewPCG(19, 20))
-	base := randSeed(r)
-	client := puf.InjectNoise(base, base, 5, r)
-	m := &ModelBackend{Alg: core.SHA3}
-	early, err := m.Search(context.Background(), taskFor(core.SHA3, base, client, 5, iterseq.GrayCode))
-	if err != nil {
-		t.Fatal(err)
-	}
-	task := taskFor(core.SHA3, base, client, 5, iterseq.GrayCode)
-	task.Exhaustive = true
-	exh, err := m.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(early.DeviceSeconds < exh.DeviceSeconds) {
-		t.Errorf("early %0.2fs not faster than exhaustive %0.2fs",
-			early.DeviceSeconds, exh.DeviceSeconds)
-	}
-	if early.HashesExecuted >= 1000 {
-		t.Errorf("model hashed %d seeds; it should only verify", early.HashesExecuted)
-	}
 }
 
 func TestModelAgreesWithRealBackendAtSmallScale(t *testing.T) {
-	// The model and the real engine must find the same seed at the same
-	// distance (times differ: one is modelled EPYC, one is this host).
+	// The EPYC model (device.NewEPYC) and the real engine must find the
+	// same seed at the same distance (times differ: one is modelled EPYC,
+	// one is this host).
 	r := rand.New(rand.NewPCG(21, 22))
 	base := randSeed(r)
 	client := puf.InjectNoise(base, base, 2, r)
 	task := taskFor(core.SHA3, base, client, 3, iterseq.Gosper)
 	real := &Backend{Alg: core.SHA3, Workers: 4}
-	model := &ModelBackend{Alg: core.SHA3}
+	model := device.NewEPYC(core.SHA3, device.MeasureHostCosts())
 	rr, err := real.Search(context.Background(), task)
 	if err != nil {
 		t.Fatal(err)
@@ -274,75 +223,6 @@ func TestModelAgreesWithRealBackendAtSmallScale(t *testing.T) {
 	if rr.Found != mr.Found || !rr.Seed.Equal(mr.Seed) || rr.Distance != mr.Distance {
 		t.Errorf("real %+v vs model %+v disagree", rr, mr)
 	}
-}
-
-func TestModelRejectsWrongOracle(t *testing.T) {
-	// An oracle whose digest does not match must not be reported found.
-	r := rand.New(rand.NewPCG(23, 24))
-	base := randSeed(r)
-	liar := puf.InjectNoise(base, base, 3, r)
-	task := core.Task{
-		Base:        base,
-		Target:      core.HashSeed(core.SHA3, randSeed(r)), // unrelated digest
-		MaxDistance: 5,
-		Method:      iterseq.GrayCode,
-		Oracle:      &liar,
-	}
-	m := &ModelBackend{Alg: core.SHA3}
-	res, err := m.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found {
-		t.Error("model trusted an unverified oracle")
-	}
-}
-
-func TestModelTimeLimit(t *testing.T) {
-	r := rand.New(rand.NewPCG(25, 26))
-	base := randSeed(r)
-	client := puf.InjectNoise(base, base, 5, r)
-	task := taskFor(core.SHA3, base, client, 5, iterseq.GrayCode)
-	task.Exhaustive = true
-	task.TimeLimit = 20 * time.Second
-	m := &ModelBackend{Alg: core.SHA3}
-	res, err := m.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper: SALTED-CPU with SHA-3 does not authenticate within T=20s.
-	if !res.TimedOut {
-		t.Errorf("expected timeout: modelled %0.2fs vs T=20s", res.DeviceSeconds)
-	}
-}
-
-func TestSpeedupCalibration(t *testing.T) {
-	if s := Speedup(core.SHA1, 64); rel(s, 59) > 0.01 {
-		t.Errorf("SHA-1 speedup(64) = %0.2f, want 59", s)
-	}
-	if s := Speedup(core.SHA3, 64); rel(s, 63) > 0.01 {
-		t.Errorf("SHA-3 speedup(64) = %0.2f, want 63", s)
-	}
-	if s := Speedup(core.SHA3, 1); rel(s, 1) > 1e-9 {
-		t.Errorf("speedup(1) = %f, want 1", s)
-	}
-	// Monotone in p.
-	prev := 0.0
-	for p := 1; p <= 64; p *= 2 {
-		s := Speedup(core.SHA1, p)
-		if s <= prev {
-			t.Errorf("speedup not monotone at p=%d", p)
-		}
-		prev = s
-	}
-}
-
-func rel(got, want float64) float64 {
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	return d / want
 }
 
 // TestPredictCostTracksTheKernelThatRuns prices an exhaustive d=2 shell

@@ -1,7 +1,8 @@
-// Package device provides the shared modelling layer for the simulated
-// accelerators: hardware platform specifications, virtual time and energy
-// accounting, host-measured cost calibration, and the paper-derived
-// absolute throughput anchors.
+// Package device models the paper's three platforms — the A100, the
+// Gemini APU and the 64-core EPYC — as three Descriptions run by one
+// Engine (engine.go), on a shared layer of hardware platform
+// specifications, virtual time, power models, host-measured cost
+// calibration and the paper-derived absolute throughput anchors.
 //
 // The philosophy (DESIGN.md §5): performance *shape* - which algorithm or
 // platform wins, by what factor, where crossovers fall - must come from
@@ -10,8 +11,6 @@
 // the paper's measured throughputs, exactly as one calibration run on the
 // authors' testbed would.
 package device
-
-import "fmt"
 
 // Spec describes a modelled hardware platform.
 type Spec struct {
@@ -66,15 +65,7 @@ type VirtualClock struct {
 	seconds float64
 }
 
-// AdvanceCycles adds cycles of work at the given clock rate.
-func (c *VirtualClock) AdvanceCycles(cycles, hz float64) {
-	if hz <= 0 {
-		panic("device: non-positive clock rate")
-	}
-	c.seconds += cycles / hz
-}
-
-// AdvanceSeconds adds raw model time (launch overheads, transfers).
+// AdvanceSeconds adds model time.
 func (c *VirtualClock) AdvanceSeconds(s float64) {
 	if s < 0 {
 		panic("device: negative time advance")
@@ -84,33 +75,3 @@ func (c *VirtualClock) AdvanceSeconds(s float64) {
 
 // Seconds returns the accumulated virtual time.
 func (c *VirtualClock) Seconds() float64 { return c.seconds }
-
-// Reset zeroes the clock.
-func (c *VirtualClock) Reset() { c.seconds = 0 }
-
-// EnergyMeter integrates a power model over virtual time.
-type EnergyMeter struct {
-	Power  PowerModel
-	joules float64
-	peakW  float64
-}
-
-// AddBusy records busySeconds of active search.
-func (m *EnergyMeter) AddBusy(busySeconds float64) {
-	m.joules += m.Power.Energy(busySeconds)
-	if m.Power.ActiveWatts > m.peakW {
-		m.peakW = m.Power.ActiveWatts
-	}
-}
-
-// Joules returns the total energy recorded.
-func (m *EnergyMeter) Joules() float64 { return m.joules }
-
-// PeakWatts returns the maximum draw observed.
-func (m *EnergyMeter) PeakWatts() float64 { return m.peakW }
-
-// String formats the meter for reports.
-func (m *EnergyMeter) String() string {
-	return fmt.Sprintf("%.2f J (peak %.2f W, idle %.2f W)",
-		m.joules, m.peakW, m.Power.IdleWatts)
-}

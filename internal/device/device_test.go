@@ -8,47 +8,21 @@ import (
 
 func TestVirtualClock(t *testing.T) {
 	var c VirtualClock
-	c.AdvanceCycles(1e9, 1e9)
+	c.AdvanceSeconds(1)
 	c.AdvanceSeconds(0.5)
 	if got := c.Seconds(); got != 1.5 {
 		t.Errorf("Seconds = %v, want 1.5", got)
-	}
-	c.Reset()
-	if c.Seconds() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
 func TestVirtualClockPanics(t *testing.T) {
 	var c VirtualClock
-	for _, fn := range []func(){
-		func() { c.AdvanceCycles(1, 0) },
-		func() { c.AdvanceSeconds(-1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestEnergyMeter(t *testing.T) {
-	m := EnergyMeter{Power: PowerModel{IdleWatts: 20, ActiveWatts: 100}}
-	m.AddBusy(2.0)
-	m.AddBusy(1.0)
-	if m.Joules() != 300 {
-		t.Errorf("Joules = %v, want 300", m.Joules())
-	}
-	if m.PeakWatts() != 100 {
-		t.Errorf("PeakWatts = %v", m.PeakWatts())
-	}
-	if m.String() == "" {
-		t.Error("empty String")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	c.AdvanceSeconds(-1)
 }
 
 func TestSpecs(t *testing.T) {

@@ -36,7 +36,7 @@ func CPUScaling() *Table {
 			}
 			t.Rows = append(t.Rows, []string{
 				alg.String(), fmt.Sprint(p),
-				fmt.Sprintf("%.1fx", cpu.Speedup(alg, p)), note,
+				fmt.Sprintf("%.1fx", device.EPYCSpeedup(alg, p)), note,
 			})
 		}
 	}

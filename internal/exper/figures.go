@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/gpusim"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/iterseq"
 )
 
@@ -21,13 +21,13 @@ func Figure3() *Table {
 		Title:   "Search-only time (s) heatmap: seeds/thread (rows) x threads/block (cols), SHA-3 exhaustive d=5",
 		Headers: append([]string{"n \\ b"}, intsToStrings(bs)...),
 	}
-	m := gpusim.NewModel()
+	m := device.NewA100Kernel(hostCosts())
 	bestN, bestB, best := 0, 0, 1e18
 	for _, n := range ns {
 		row := []string{fmt.Sprint(n)}
 		for _, b := range bs {
 			v := m.ExhaustiveD5SecondsAt(core.SHA3, defaultMethod,
-				gpusim.KernelParams{SeedsPerThread: n, ThreadsPerBlock: b}, true, 1)
+				device.KernelParams{SeedsPerThread: n, ThreadsPerBlock: b}, true, 1)
 			row = append(row, secs(v))
 			if v < best {
 				best, bestN, bestB = v, n, b
@@ -94,7 +94,7 @@ func Figure4(trials int) *Table {
 }
 
 func meanSearchSeconds(alg core.HashAlg, devices int, exhaustive bool, trials int) float64 {
-	b := gpusim.NewBackend(gpusim.Config{Alg: alg, Devices: devices, SharedMemoryState: true})
+	b := device.NewA100(device.Config{Alg: alg, Devices: devices}, hostCosts())
 	if exhaustive {
 		res, err := b.Search(context.Background(), NewScenario(81, 5).Task(alg, 5, true))
 		if err != nil {
@@ -122,12 +122,12 @@ func SharedMem() *Table {
 		Title:   "Shared-memory iterator state ablation (exhaustive d=5 shell)",
 		Headers: []string{"Hash", "Global state (s)", "Shared state (s)", "Speedup", "Paper"},
 	}
-	m := gpusim.NewModel()
+	m := device.NewA100Kernel(hostCosts())
 	const shell = uint64(8809549056)
 	paper := map[core.HashAlg]string{core.SHA1: "1.20x", core.SHA3: "1.01x"}
 	for _, alg := range core.HashAlgs() {
-		with := m.ShellSeconds(shell, alg, defaultMethod, gpusim.DefaultParams, true, 1)
-		without := m.ShellSeconds(shell, alg, defaultMethod, gpusim.DefaultParams, false, 1)
+		with := m.ShellSeconds(shell, alg, defaultMethod, device.DefaultKernelParams, true, 1)
+		without := m.ShellSeconds(shell, alg, defaultMethod, device.DefaultKernelParams, false, 1)
 		t.Rows = append(t.Rows, []string{
 			alg.String(), secs(without), secs(with),
 			fmt.Sprintf("%.2fx", without/with), paper[alg],
@@ -144,11 +144,11 @@ func FlagInterval() *Table {
 		Title:   "Early-exit flag polling interval sweep (SHA-3 exhaustive d=5 shell)",
 		Headers: []string{"Check every N seeds", "Model time (s)", "Delta vs N=1"},
 	}
-	m := gpusim.NewModel()
+	m := device.NewA100Kernel(hostCosts())
 	const shell = uint64(8809549056)
-	base := m.ShellSeconds(shell, core.SHA3, defaultMethod, gpusim.DefaultParams, true, 1)
+	base := m.ShellSeconds(shell, core.SHA3, defaultMethod, device.DefaultKernelParams, true, 1)
 	for _, interval := range []int{1, 2, 4, 8, 16, 32, 64} {
-		v := m.ShellSeconds(shell, core.SHA3, defaultMethod, gpusim.DefaultParams, true, interval)
+		v := m.ShellSeconds(shell, core.SHA3, defaultMethod, device.DefaultKernelParams, true, interval)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(interval), fmt.Sprintf("%.4f", v),
 			fmt.Sprintf("%+.2f%%", 100*(v-base)/base),

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"rbcsalted/internal/apusim"
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/gpusim"
+	"rbcsalted/internal/device"
 )
 
 // MultiAPU explores the paper's §5 future work: multi-APU scalability
@@ -23,7 +22,7 @@ func MultiAPU() *Table {
 
 	var gpuBase float64
 	for g := 1; g <= 3; g++ {
-		b := gpusim.NewBackend(gpusim.Config{Alg: core.SHA3, Devices: g, SharedMemoryState: true})
+		b := device.NewA100(device.Config{Alg: core.SHA3, Devices: g}, hostCosts())
 		res, err := b.Search(context.Background(), sc.Task(core.SHA3, 5, true))
 		if err != nil {
 			panic(err)
@@ -39,7 +38,7 @@ func MultiAPU() *Table {
 	}
 	var apuBase float64
 	for _, g := range []int{1, 2, 4, 8} {
-		b := apusim.NewBackend(apusim.Config{Alg: core.SHA3, Devices: g})
+		b := device.NewGemini(device.Config{Alg: core.SHA3, Devices: g})
 		res, err := b.Search(context.Background(), sc.Task(core.SHA3, 5, true))
 		if err != nil {
 			panic(err)

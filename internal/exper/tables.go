@@ -5,16 +5,13 @@ import (
 	"fmt"
 	"math/big"
 
-	"rbcsalted/internal/apusim"
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg"
 	"rbcsalted/internal/cryptoalg/aeskg"
 	"rbcsalted/internal/cryptoalg/dilithium"
 	"rbcsalted/internal/cryptoalg/saber"
 	"rbcsalted/internal/device"
-	"rbcsalted/internal/gpusim"
 	"rbcsalted/internal/iterseq"
 )
 
@@ -78,7 +75,7 @@ func Table4() *Table {
 	}
 	for _, r := range rows {
 		sc := NewScenario(41, 5)
-		b := gpusim.NewBackend(gpusim.Config{Alg: core.SHA3, SharedMemoryState: true})
+		b := device.NewA100(device.Config{Alg: core.SHA3}, hostCosts())
 		task := sc.Task(core.SHA3, 5, true)
 		task.Method = r.method
 		res, err := b.Search(context.Background(), task)
@@ -95,9 +92,9 @@ func Table4() *Table {
 // table5Backends builds the three platforms for one hash algorithm.
 func table5Backends(alg core.HashAlg) []core.Backend {
 	return []core.Backend{
-		gpusim.NewBackend(gpusim.Config{Alg: alg, SharedMemoryState: true}),
-		apusim.NewBackend(apusim.Config{Alg: alg}),
-		&cpu.ModelBackend{Alg: alg},
+		device.NewA100(device.Config{Alg: alg}, hostCosts()),
+		device.NewGemini(device.Config{Alg: alg}),
+		device.NewEPYC(alg, hostCosts()),
 	}
 }
 
@@ -182,10 +179,10 @@ func Table6() *Table {
 		paperJ  string
 		paperW  string
 	}{
-		{gpusim.NewBackend(gpusim.Config{Alg: core.SHA1, SharedMemoryState: true}), "SALTED-GPU", core.SHA1, 31.53, "317.20", "253.43"},
-		{apusim.NewBackend(apusim.Config{Alg: core.SHA1}), "SALTED-APU", core.SHA1, 22.10, "124.43", "83.81"},
-		{gpusim.NewBackend(gpusim.Config{Alg: core.SHA3, SharedMemoryState: true}), "SALTED-GPU", core.SHA3, 31.53, "946.55", "258.29"},
-		{apusim.NewBackend(apusim.Config{Alg: core.SHA3}), "SALTED-APU", core.SHA3, 22.10, "974.06", "83.63"},
+		{device.NewA100(device.Config{Alg: core.SHA1}, hostCosts()), "SALTED-GPU", core.SHA1, 31.53, "317.20", "253.43"},
+		{device.NewGemini(device.Config{Alg: core.SHA1}), "SALTED-APU", core.SHA1, 22.10, "124.43", "83.81"},
+		{device.NewA100(device.Config{Alg: core.SHA3}, hostCosts()), "SALTED-GPU", core.SHA3, 31.53, "946.55", "258.29"},
+		{device.NewGemini(device.Config{Alg: core.SHA3}), "SALTED-APU", core.SHA3, 22.10, "974.06", "83.63"},
 	}
 	for _, r := range rows {
 		res, err := r.backend.Search(context.Background(), NewScenario(61, 5).Task(r.alg, 5, true))
@@ -235,7 +232,7 @@ func Table7() *Table {
 			b.keygen.PublicKey(seed)
 		})
 		seeds, _ := new(big.Float).SetInt(combin.ExhaustiveSeeds(256, b.d)).Float64()
-		modelled := seeds * opNs * 1e-9 / cpu.Speedup(core.SHA3, 64)
+		modelled := seeds * opNs * 1e-9 / device.EPYCSpeedup(core.SHA3, 64)
 		t.Rows = append(t.Rows, []string{
 			b.ref, b.engine, fmt.Sprint(b.d), b.cpu, b.gpu,
 			fmt.Sprintf("%.1f", opNs/1000), secs(modelled), "-",
@@ -243,21 +240,21 @@ func Table7() *Table {
 	}
 	// This work: SHA-3 SALTED at d=5 on all three platforms.
 	sc := NewScenario(71, 5)
-	cpuRes, err := (&cpu.ModelBackend{Alg: core.SHA3}).Search(context.Background(), sc.Task(core.SHA3, 5, true))
+	cpuRes, err := device.NewEPYC(core.SHA3, hostCosts()).Search(context.Background(), sc.Task(core.SHA3, 5, true))
 	if err != nil {
 		panic(err)
 	}
-	gpuRes, err := gpusim.NewBackend(gpusim.Config{Alg: core.SHA3, SharedMemoryState: true}).
+	gpuRes, err := device.NewA100(device.Config{Alg: core.SHA3}, hostCosts()).
 		Search(context.Background(), sc.Task(core.SHA3, 5, true))
 	if err != nil {
 		panic(err)
 	}
-	apuRes, err := apusim.NewBackend(apusim.Config{Alg: core.SHA3}).
+	apuRes, err := device.NewGemini(device.Config{Alg: core.SHA3}).
 		Search(context.Background(), sc.Task(core.SHA3, 5, true))
 	if err != nil {
 		panic(err)
 	}
-	hashNs := device.MeasureHostCosts().SHA3Ns
+	hashNs := hostCosts().SHA3Ns
 	t.Rows = append(t.Rows, []string{
 		"here", "RBC-SALTED SHA-3", "5",
 		secs(cpuRes.DeviceSeconds), secs(gpuRes.DeviceSeconds),

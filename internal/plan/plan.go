@@ -6,7 +6,7 @@
 // Every engine handed to the planner implements core.CostModel, so the
 // planner holds one calibrated (time, energy) curve per engine — the
 // same curves behind Table 5 (throughput) and Table 6 (energy), seeded
-// from device.MeasureHostCosts, the gpusim/apusim timing models and the
+// from device.MeasureHostCosts, the device.Engine timing models and the
 // committed kernel calibration. For each task it predicts every
 // engine's cost from the task's shell sizes (Hamming distance d),
 // algorithm and iterator, corrects the prediction by live feedback

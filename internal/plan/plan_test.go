@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"rbcsalted/internal/apusim"
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/cpu"
-	"rbcsalted/internal/gpusim"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/u256"
 )
@@ -23,14 +21,14 @@ var (
 	_ core.AlternateSearcher = (*Planner)(nil)
 )
 
-// paperEngines is the calibrated Table 5/6 trio the planner multiplexes
-// in production: the modelled 64-core EPYC, the A100 simulator in its
-// best (shared-memory) configuration, and the Gemini simulator.
+// paperEngines is the calibrated Table 5/6 trio: the modelled 64-core
+// EPYC, A100 and Gemini APU.
 func paperEngines(alg core.HashAlg) []core.Backend {
+	costs := device.MeasureHostCosts()
 	return []core.Backend{
-		&cpu.ModelBackend{Alg: alg},
-		gpusim.NewBackend(gpusim.Config{Alg: alg, SharedMemoryState: true}),
-		apusim.NewBackend(apusim.Config{Alg: alg}),
+		device.NewEPYC(alg, costs),
+		device.NewA100(device.Config{Alg: alg}, costs),
+		device.NewGemini(device.Config{Alg: alg}),
 	}
 }
 

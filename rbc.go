@@ -434,13 +434,8 @@ var (
 	ParseWALSyncPolicy = durable.ParseSyncPolicy
 )
 
-// Search backends.
-type (
-	// CPUBackend is the real multicore engine (SALTED-CPU).
-	CPUBackend = cpu.Backend
-	// CPUModelBackend models the paper's 64-core EPYC platform.
-	CPUModelBackend = cpu.ModelBackend
-)
+// CPUBackend is the real multicore search engine (SALTED-CPU).
+type CPUBackend = cpu.Backend
 
 // Cost-based planner (see DESIGN.md §13): dispatches each search to the
 // engine the calibrated cost curves predict to be cheapest under the
