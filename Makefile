@@ -59,10 +59,11 @@ replica-race:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz smokes every decoder a peer's bytes reach: the netproto frame
-# reader and its challenge, result and error payloads, the replication
-# message set, the WAL record decoder, the snapshot and enrolment-file
-# decoder and the PUF image codec. Then the
+# fuzz smokes every decoder a peer's bytes reach: the frame reader both
+# protocols share (internal/wire) at both caps, netproto's challenge,
+# result and error payloads, the replication message set, the WAL record
+# decoder, the snapshot and enrolment-file decoder and the PUF image
+# codec. Then the
 # differential fuzzers for the two batch kernels (8-way Keccak on every
 # implementation the CPU supports, 4-way multi-buffer SHA-1) and for the
 # 256-lane bit-sliced SHA-3 the benchmark still times, each against its
@@ -71,7 +72,7 @@ bench-module:
 # ranking. FUZZTIME each; -run='^$$' skips the unit tests so only
 # fuzzing runs.
 fuzz:
-	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeChallenge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)

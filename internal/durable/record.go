@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/wire"
 )
 
 // Op tags a WAL record with the mutation it journals.
@@ -171,77 +172,25 @@ func (r *Record) Encode() ([]byte, error) {
 	return out, nil
 }
 
-// reader is a bounds-checked cursor over a record payload.
-type reader struct {
-	p   []byte
-	off int
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.p) {
-		return nil, ErrBadRecord
-	}
-	b := r.p[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-func (r *reader) field(max int) ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > max {
-		return nil, ErrBadRecord
-	}
-	b, err := r.bytes(int(n))
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b...), nil
-}
-
 // RecordID parses only the front of a record payload: its op byte and
 // client ID. The rest is neither decoded nor validated, which is enough
 // to route a record by shard without paying for DecodeRecord. The ID
 // aliases p; a nonce lease has none, and every shard wants it.
 func RecordID(p []byte) (Op, []byte, error) {
-	r := reader{p: p}
-	opb, err := r.bytes(1)
-	if err != nil {
-		return 0, nil, err
+	r := wire.NewCursor(p)
+	op := Op(r.U8())
+	if op == OpNonceLease {
+		return op, nil, nil
 	}
-	if Op(opb[0]) == OpNonceLease {
-		return OpNonceLease, nil, nil
-	}
-	n, err := r.u32()
-	if err != nil {
-		return 0, nil, err
-	}
+	n := r.U32()
 	if n == 0 || n > maxIDLen {
 		return 0, nil, ErrBadRecord
 	}
-	id, err := r.bytes(int(n))
-	if err != nil {
-		return 0, nil, err
+	id := r.Bytes(int(n))
+	if !r.OK() {
+		return 0, nil, ErrBadRecord
 	}
-	return Op(opb[0]), id, nil
+	return op, id, nil
 }
 
 // DecodeRecord parses a record payload written by Encode. It never
@@ -258,78 +207,50 @@ func DecodeRecord(p []byte) (*Record, error) {
 		}
 		return &Record{Op: op, Lease: binary.BigEndian.Uint64(p[1:])}, nil
 	}
-	r := &reader{p: p, off: 1 + 4 + len(id)}
+	r := wire.NewCursor(p[1+4+len(id):])
+	field := func(max int) []byte {
+		n := int(r.U32())
+		if n > max {
+			n = -1 // fails the read
+		}
+		return append([]byte(nil), r.Bytes(n)...)
+	}
 	rec := &Record{Op: op, ID: core.ClientID(id)}
 	switch rec.Op {
 	case OpImagePut, OpRAKey:
-		if rec.Blob, err = r.field(maxBlobLen); err != nil {
-			return nil, err
-		}
-		if len(rec.Blob) == 0 {
+		if rec.Blob = field(maxBlobLen); len(rec.Blob) == 0 {
 			return nil, ErrBadRecord
 		}
 	case OpImageDelete, OpRADelete, OpSessionClose:
 		// ID only.
 	case OpRACert:
-		c := &core.Certificate{ClientID: rec.ID}
-		alg, err := r.field(maxIDLen)
-		if err != nil {
-			return nil, err
+		rec.Cert = &core.Certificate{
+			ClientID:     rec.ID,
+			KeyAlgorithm: string(field(maxIDLen)),
+			PublicKey:    field(maxBlobLen),
+			IssuedAt:     time.Unix(int64(r.U64()), 0),
+			ExpiresAt:    time.Unix(int64(r.U64()), 0),
+			Signature:    field(maxBlobLen),
 		}
-		c.KeyAlgorithm = string(alg)
-		if c.PublicKey, err = r.field(maxBlobLen); err != nil {
-			return nil, err
-		}
-		issued, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		expires, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		c.IssuedAt = time.Unix(int64(issued), 0)
-		c.ExpiresAt = time.Unix(int64(expires), 0)
-		if c.Signature, err = r.field(maxBlobLen); err != nil {
-			return nil, err
-		}
-		rec.Cert = c
 	case OpSessionOpen:
-		ch := &core.Challenge{}
-		if ch.Nonce, err = r.u64(); err != nil {
-			return nil, err
-		}
-		algb, err := r.bytes(1)
-		if err != nil {
-			return nil, err
-		}
-		ch.Alg = core.HashAlg(algb[0])
-		issued, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		ch.IssuedAt = time.Unix(0, int64(issued))
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 || n > maxAddressMap || int(n) > (len(p)-r.off)/4 {
+		ch := &core.Challenge{Nonce: r.U64(), Alg: core.HashAlg(r.U8()), IssuedAt: time.Unix(0, int64(r.U64()))}
+		n := r.U32()
+		if n == 0 || n > maxAddressMap || int(n) > r.Len()/4 {
 			return nil, ErrBadRecord
 		}
 		ch.AddressMap = make([]int, n)
 		for i := range ch.AddressMap {
-			cell, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			ch.AddressMap[i] = int(cell)
+			ch.AddressMap[i] = int(r.U32())
 		}
 		rec.Challenge = ch
 	default:
 		return nil, fmt.Errorf("%w: unknown op %d", ErrBadRecord, uint8(rec.Op))
 	}
-	if r.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, len(p)-r.off)
+	if !r.OK() {
+		return nil, ErrBadRecord
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRecord, r.Len())
 	}
 	return rec, nil
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/wire"
 )
 
 // A state file — a snapshot, or an enrolment file — is the run of records
@@ -44,7 +45,7 @@ const (
 // writeState writes a state file holding records to w.
 func writeState(w io.Writer, cut, nonce uint64, records iter.Seq[*Record]) error {
 	// Write errors stick in bw and surface from Flush.
-	bw := bufio.NewWriterSize(w, frameChunk)
+	bw := bufio.NewWriterSize(w, wire.Chunk)
 	bw.WriteString(stateMagic)
 	hdr := binary.BigEndian.AppendUint64([]byte{stateVersion}, cut)
 	bw.Write(appendFrame(bw.AvailableBuffer(), 0, binary.BigEndian.AppendUint64(hdr, nonce)))
@@ -71,7 +72,7 @@ func readStateFile(path string, apply func(seq uint64, payload []byte) error) (c
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, frameChunk)
+	r := bufio.NewReaderSize(f, wire.Chunk)
 	if magic, _ := r.Peek(len(stateMagic)); string(magic) != stateMagic {
 		if r, err = readLegacy(r); err != nil {
 			return 0, 0, err

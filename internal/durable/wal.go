@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/obs"
+	"rbcsalted/internal/wire"
 )
 
 // SyncPolicy selects when the WAL calls fsync.
@@ -84,13 +85,6 @@ const recordHeader = 16
 // maxRecordLen bounds a frame's payload: larger is corruption.
 const maxRecordLen = 1 << 25
 
-// frameChunk bounds how far ahead of the bytes actually read a payload
-// buffer is allocated: past it, the buffer at most doubles per read. A
-// length field is only a claim until its bytes arrive, and a corrupt or
-// hostile one must not cost more memory than the input holds. Every
-// record but an unusually large image fits in one chunk.
-const frameChunk = 64 << 10
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errBadFrame reports a frame that is torn, out of sequence, of an
@@ -126,15 +120,12 @@ func readFrame(r io.Reader, want uint64) ([]byte, error) {
 	if n == 0 || n > maxRecordLen || seq != want {
 		return nil, fmt.Errorf("%w: header of record %d (%d bytes), want record %d", errBadFrame, seq, n, want)
 	}
-	var payload []byte
-	for read := 0; read < n; read = len(payload) {
-		payload = append(payload, make([]byte, min(n-read, max(read, frameChunk)))...)
-		if _, err := io.ReadFull(r, payload[read:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, fmt.Errorf("%w: torn payload of record %d", errBadFrame, seq)
-			}
-			return nil, err
-		}
+	payload, err := wire.ReadClaimed(r, n)
+	if err == io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("%w: torn payload of record %d", errBadFrame, seq)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload) != binary.BigEndian.Uint32(hdr[12:16]) {
 		return nil, fmt.Errorf("%w: checksum mismatch in record %d", errBadFrame, seq)
@@ -201,7 +192,7 @@ type wal struct {
 	f        *os.File // replaced only while holding mu and the sync token
 	size     int64    // logical size: where the next frame is written
 	segStart uint64
-	frame    []byte // append's frame buffer, reused under mu up to frameChunk
+	frame    []byte // append's frame buffer, reused under mu up to wire.Chunk
 
 	// nmu guards notify, which is closed and renewed whenever tails may
 	// have more to read; see tailWait.
@@ -353,7 +344,7 @@ func (w *wal) replaySegment(path string, last bool, prevSeq, from uint64, apply 
 	defer f.Close()
 
 	var (
-		r      = bufio.NewReaderSize(f, frameChunk)
+		r      = bufio.NewReaderSize(f, wire.Chunk)
 		offset int64
 		seq    = prevSeq
 	)
@@ -510,7 +501,7 @@ func (w *wal) Append(payloads ...[]byte) (uint64, error) {
 	for i, p := range payloads {
 		frame = appendFrame(frame, first+uint64(i), p)
 	}
-	if cap(frame) <= frameChunk {
+	if cap(frame) <= wire.Chunk {
 		w.frame = frame
 	}
 	if _, err := w.f.WriteAt(frame, w.size); err != nil {

@@ -8,31 +8,6 @@ import (
 	"rbcsalted/internal/core"
 )
 
-// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must reject
-// or parse, never panic, and any parsed frame must re-encode losslessly.
-func FuzzReadFrame(f *testing.F) {
-	var good bytes.Buffer
-	WriteFrame(&good, MsgHello, []byte("alice"))
-	f.Add(good.Bytes())
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msgType, payload, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteFrame(&out, msgType, payload); err != nil {
-			t.Fatalf("parsed frame failed to re-encode: %v", err)
-		}
-		msgType2, payload2, err := ReadFrame(&out)
-		if err != nil || msgType2 != msgType || !bytes.Equal(payload2, payload) {
-			t.Fatal("re-encoded frame does not round trip")
-		}
-	})
-}
-
 // FuzzDecodeChallenge must never panic on hostile payloads.
 func FuzzDecodeChallenge(f *testing.F) {
 	addr := make([]int, 256)

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/sched"
+	"rbcsalted/internal/wire"
 )
 
 // Latency injects the paper's modelled communication costs: the PUF USB
@@ -66,44 +66,19 @@ type Server struct {
 	// (see NewMetrics). Nil disables collection.
 	Metrics *Metrics
 
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
+	acceptor wire.Acceptor
 }
 
-// Serve accepts connections until the listener closes. On a server that
-// has already been closed it closes ln and returns nil.
+// Serve accepts connections until the listener closes (wire.Acceptor).
+// On a server that has already been closed it closes ln and returns nil.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		go s.handle(conn)
-	}
+	return s.acceptor.Serve(ln, s.handle)
 }
 
 // Close stops the listener — the one Serve is using or, when Serve has
 // not run yet, the one it is about to be given.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.ln != nil {
-		return s.ln.Close()
-	}
-	return nil
+	return s.acceptor.Close()
 }
 
 func (s *Server) idle() time.Duration {
@@ -158,7 +133,7 @@ func (s *Server) handle(conn net.Conn) {
 	defer putFrameReader(br)
 
 	conn.SetDeadline(time.Now().Add(s.idle()))
-	msgType, payload, err := ReadFrame(br)
+	msgType, payload, err := wire.Read(br, maxHelloFrame)
 	if err != nil || msgType != MsgHello {
 		fail(StatusBadRequest, "expected hello")
 		return
@@ -196,7 +171,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	conn.SetDeadline(time.Now().Add(s.idle()))
-	msgType, payload, err = ReadFrame(br)
+	msgType, payload, err = wire.Read(br, maxDigestFrame)
 	if err != nil || msgType != MsgDigest {
 		fail(StatusBadRequest, "expected digest")
 		return
@@ -306,14 +281,14 @@ func AuthenticateWithOptions(conn net.Conn, client *core.Client, opts AuthOption
 	if msgType != MsgChallenge {
 		return Result{}, fmt.Errorf("netproto: unexpected message type %d", msgType)
 	}
-	wire, err := DecodeChallenge(payload)
+	msg, err := DecodeChallenge(payload)
 	if err != nil {
 		return Result{}, err
 	}
 	ch := core.Challenge{
-		Nonce:      wire.Nonce,
-		AddressMap: wire.AddressMap,
-		Alg:        core.HashAlg(wire.Alg),
+		Nonce:      msg.Nonce,
+		AddressMap: msg.AddressMap,
+		Alg:        core.HashAlg(msg.Alg),
 	}
 
 	// The PUF read happens here on real hardware; the latency model

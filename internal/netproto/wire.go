@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/wire"
 )
 
 // Message types.
@@ -135,30 +136,19 @@ func (e *ServerError) Error() string {
 // corruption.
 const maxFrame = 1 << 16
 
-// frameBufs holds the buffers frames are assembled in. They start at a
-// size that fits every message of the protocol (the largest, a challenge,
-// is 526 bytes) and grow to fit whatever else is written, never past one
-// maximal frame.
-var frameBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
+// The two frames a client sends are read with caps at their largest
+// legal size, so a peer that has proved nothing holds no more than that:
+// a v4 hello is the type byte, its 19-byte header and a 255-byte id; a
+// digest the type byte, the nonce and a SHA3-512-sized digest.
+const (
+	maxHelloFrame  = 1 + helloV4Header + 255
+	maxDigestFrame = 1 + 8 + 64
+)
 
 // WriteFrame sends one framed message — u32 length, u8 type, payload —
-// in a single Write, so a frame is one syscall on a socket and a failed
-// write never leaves a header without its payload behind.
+// in a single Write (wire.Write), refusing one larger than 64 KiB.
 func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
-	if len(payload)+1 > maxFrame {
-		return fmt.Errorf("netproto: frame too large (%d bytes)", len(payload))
-	}
-	bp := frameBufs.Get().(*[]byte)
-	buf := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(payload)+1))
-	buf = append(buf, msgType)
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
-	*bp = buf
-	frameBufs.Put(bp)
-	return err
+	return wire.Write(w, msgType, payload, maxFrame)
 }
 
 // frameReaders holds the buffered readers both ends read a connection's
@@ -179,21 +169,9 @@ func putFrameReader(br *bufio.Reader) {
 	frameReaders.Put(br)
 }
 
-// ReadFrame receives one framed message.
+// ReadFrame receives one framed message of at most 64 KiB (wire.Read).
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("netproto: invalid frame length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
+	return wire.Read(r, maxFrame)
 }
 
 // Hello is the client's opening message. Since protocol v3 it may carry

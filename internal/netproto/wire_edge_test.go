@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -431,5 +432,114 @@ func TestShutdownDropsTheConnection(t *testing.T) {
 	}
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("got %v, want the connection closed", err)
+	}
+}
+
+// TestOversizedClaimIsRefusedAtOnce: the hello and the digest are read
+// with caps at their largest legal size, so a bare header claiming 65,535
+// bytes — within the 64 KiB frame cap — is refused with StatusBadRequest
+// at once, not held until IdleTimeout.
+func TestOversizedClaimIsRefusedAtOnce(t *testing.T) {
+	claim := []byte{0, 0, 0xFF, 0xFF}
+	for _, tc := range []struct {
+		name  string
+		hello bool // send a hello and read the challenge first
+	}{
+		{"hello", false},
+		{"digest", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, _, _ := newServer(t)
+			server.IdleTimeout = 10 * time.Second
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go server.Serve(ln)
+			defer server.Close()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(2 * time.Second))
+			if tc.hello {
+				if err := WriteFrame(conn, MsgHello, EncodeHello(Hello{ClientID: "alice"})); err != nil {
+					t.Fatal(err)
+				}
+				if typ, _, err := ReadFrame(conn); err != nil || typ != MsgChallenge {
+					t.Fatalf("challenge: type %d, %v", typ, err)
+				}
+			}
+			if _, err := conn.Write(claim); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := ReadFrame(conn)
+			if err != nil || typ != MsgError {
+				t.Fatalf("reply to a 65,535-byte claim: type %d, %v; want an error frame", typ, err)
+			}
+			if status, _ := DecodeError(payload); status != StatusBadRequest {
+				t.Errorf("status = %v, want bad-request", status)
+			}
+		})
+	}
+}
+
+// TestStalledPeersAreDropped: a peer that dribbles its hello slower than
+// IdleTimeout, or sends half a frame header and stalls, loses its
+// connection at IdleTimeout, and the goroutine handling it exits.
+func TestStalledPeersAreDropped(t *testing.T) {
+	var hello bytes.Buffer
+	if err := WriteFrame(&hello, MsgHello, EncodeHello(Hello{ClientID: "alice"})); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		sent  []byte
+		every time.Duration // between bytes
+	}{
+		{"slow hello", hello.Bytes(), 40 * time.Millisecond},
+		{"half a header", []byte{0, 0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, _, _ := newServer(t)
+			server.IdleTimeout = 100 * time.Millisecond
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go server.Serve(ln)
+			defer server.Close()
+			baseline := runtime.NumGoroutine()
+
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			sent := make(chan struct{})
+			go func() {
+				defer close(sent)
+				for _, b := range tc.sent {
+					if _, err := conn.Write([]byte{b}); err != nil {
+						return
+					}
+					time.Sleep(tc.every)
+				}
+			}()
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			_, err = io.ReadAll(conn)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("connection still open 5 s after a 100 ms IdleTimeout")
+			}
+			<-sent
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, %d before the peer connected", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

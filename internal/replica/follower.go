@@ -3,7 +3,6 @@ package replica
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +14,7 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/ring"
+	"rbcsalted/internal/wire"
 )
 
 // FollowerConfig configures a Follower.
@@ -263,15 +263,10 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 	}()
 
 	// Tear the connection down when ctx dies so blocking reads fail.
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer stop()
 	done := make(chan struct{})
 	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
 
 	sub, err := (&subscribeMsg{
 		FollowerID: f.cfg.ID,
@@ -288,7 +283,7 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 	}
 	r := bufio.NewReaderSize(conn, streamBuffer)
 	conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-	kind, body, err := readMsg(r)
+	kind, body, err := wire.Read(r, maxReplicaFrame)
 	if err != nil {
 		return fmt.Errorf("replica: expected accept: %w", err)
 	}
@@ -380,7 +375,7 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 	var batch recordBatch
 	for {
 		conn.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		if _, err := r.Peek(msgHeader); err == nil {
+		if _, err := r.Peek(wire.HeaderSize); err == nil {
 			buf, _ := r.Peek(r.Buffered())
 			n, err := batch.split(buf)
 			if err != nil {
@@ -395,7 +390,7 @@ func (f *Follower) consume(conn net.Conn, r *bufio.Reader) error {
 			}
 		}
 		// Not a record, or one larger than what is buffered.
-		kind, body, err := readMsg(r)
+		kind, body, err := wire.Read(r, maxReplicaFrame)
 		if err != nil {
 			return err
 		}
@@ -441,23 +436,22 @@ type recordBatch struct {
 
 // split fills b with the whole record messages at the front of buf and
 // returns how many bytes they span. It stops at the first message that
-// is not a record or is not all in buf; readMsg takes that one.
+// is not a record or is not all in buf; wire.Read takes that one.
 func (b *recordBatch) split(buf []byte) (int, error) {
 	b.seqs, b.payloads = b.seqs[:0], b.payloads[:0]
 	n := 0
-	for len(buf)-n >= msgHeader && buf[n+4] == kindRecord {
-		size := int(binary.BigEndian.Uint32(buf[n:]))
-		if size == 0 || size > maxReplicaFrame || len(buf)-n-4 < size {
-			break
+	for {
+		kind, body, size := wire.Next(buf[n:], maxReplicaFrame)
+		if size == 0 || kind != kindRecord {
+			return n, nil
 		}
-		seq, payload, err := decodeRecordMsg(buf[n+msgHeader : n+4+size])
+		seq, payload, err := decodeRecordMsg(body)
 		if err != nil {
 			return 0, err
 		}
 		b.seqs, b.payloads = append(b.seqs, seq), append(b.payloads, payload)
-		n += 4 + size
+		n += size
 	}
-	return n, nil
 }
 
 // ingest journals and applies a batch, notes its catch-up records, and

@@ -13,6 +13,7 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/ring"
+	"rbcsalted/internal/wire"
 )
 
 // FollowerStatus is one subscriber in the primary's liveness table.
@@ -46,8 +47,8 @@ type Primary struct {
 	// primary (the server uses it to stand down).
 	OnFenced func(epoch uint64)
 
+	acceptor wire.Acceptor
 	mu       sync.Mutex
-	ln       net.Listener
 	fenced   bool
 	fencedBy uint64
 	subs     map[*subscriber]struct{}
@@ -100,50 +101,34 @@ func (p *Primary) numShards() int {
 	return ring.DefaultNumShards
 }
 
-// Serve accepts subscribers until the listener closes. On a primary that
-// has already been closed it closes ln and returns nil.
+// Serve accepts subscribers until the listener closes (wire.Acceptor).
+// On a primary that has already been closed it closes ln and returns nil.
 func (p *Primary) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		ln.Close()
-		return nil
-	}
-	if p.subs == nil {
-		p.subs = make(map[*subscriber]struct{})
-	}
-	p.ln = ln
-	p.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
+	return p.acceptor.Serve(ln, func(conn net.Conn) {
+		// A stream starting after Close would escape its wait: refuse it.
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			conn.Close()
+			return
 		}
 		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.handle(conn)
-		}()
-	}
+		p.mu.Unlock()
+		defer p.wg.Done()
+		p.handle(conn)
+	})
 }
 
 // Close stops the listener (Serve's, or the one a later Serve is given)
-// and every subscriber stream.
+// and every subscriber stream, and waits for the streams to end.
 func (p *Primary) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	ln := p.ln
 	for s := range p.subs {
 		s.conn.Close()
 	}
 	p.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
+	err := p.acceptor.Close()
 	p.wg.Wait()
 	return err
 }
@@ -208,7 +193,7 @@ func (p *Primary) handle(conn net.Conn) {
 
 	r := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(p.reapAfter()))
-	kind, body, err := readMsg(r)
+	kind, body, err := wire.Read(r, maxReplicaFrame)
 	if err != nil || kind != kindSubscribe {
 		refuse("expected subscribe")
 		return
@@ -246,6 +231,9 @@ func (p *Primary) handle(conn net.Conn) {
 		refuse("primary closing")
 		return
 	}
+	if p.subs == nil {
+		p.subs = make(map[*subscriber]struct{})
+	}
 	p.subs[s] = struct{}{}
 	p.mu.Unlock()
 	defer func() {
@@ -265,7 +253,7 @@ func (p *Primary) handle(conn net.Conn) {
 		defer conn.Close()
 		for {
 			conn.SetReadDeadline(time.Now().Add(p.reapAfter()))
-			kind, body, err := readMsg(r)
+			kind, body, err := wire.Read(r, maxReplicaFrame)
 			if err != nil || kind != kindAck {
 				return
 			}

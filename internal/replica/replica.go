@@ -26,14 +26,16 @@
 // promotion happened elsewhere, so the primary fences itself (stops
 // accepting subscribers, fires OnFenced) rather than split-brain; a
 // follower offered a stream by a lower-epoch primary refuses it for the
-// same reason. Promotion also bumps the challenge-nonce high-water mark
-// by PromoteNonceSlack, so nonces issued by the new primary can never
-// collide with ones the dead primary issued but had not replicated —
-// the same argument durable recovery makes after a torn tail.
+// same reason. Promotion also bumps the challenge-nonce high-water mark,
+// the highest nonce lease replicated, by PromoteNonceSlack, so nonces
+// issued by the new primary can never collide with ones the dead primary
+// leased but had not replicated. A node recovering its own log needs no
+// such slack: it resumes at the lease ceiling it journaled.
 //
-// The wire protocol is a binary message set over length-prefixed
-// frames. A frame is a u32 length (kind byte plus body), the kind byte,
-// then the body. Every integer is big-endian and every layout is fixed:
+// The wire protocol is a binary message set over internal/wire's
+// length-prefixed frames: a u32 length (kind byte plus body), the kind
+// byte, then the body. Every integer is big-endian and every layout is
+// fixed:
 //
 //	subscribe    version u8 | epoch u64 | cursor u64 | numShards u32 |
 //	             count u32 | count × shard u16 | idLen u16 | id
@@ -66,23 +68,24 @@
 package replica
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"rbcsalted/internal/durable"
+	"rbcsalted/internal/wire"
 )
 
 // PromoteNonceSlack is added to the nonce high-water mark on every
-// promotion. The dead primary may have issued nonces (SessionOpen
-// records) that never reached the follower; reissuing one would
-// reproduce its address map and make a sniffed digest replayable.
-// Mirrors the slack durable recovery applies after a crash.
+// promotion. The dead primary may have issued nonces under a lease whose
+// record never reached the follower; reissuing one would reproduce its
+// address map and make a sniffed digest replayable. Only promotion needs
+// a slack: recovery resumes at the node's own lease ceiling, and
+// durable's one-time legacy slack covers only a directory written before
+// leases.
 const PromoteNonceSlack = 1 << 12
 
 // ErrFenced reports that the primary refused a subscriber because a
@@ -182,25 +185,16 @@ type catchupDoneMsg struct {
 // cursor it has applied and persisted through. All three are built and
 // parsed in place, without a message struct.
 
-// msgHeader is a frame's length and kind: the bytes before its body.
-const msgHeader = 4 + 1
-
-// appendHeader appends the header of a frame of kind with an n-byte body.
-func appendHeader(b []byte, kind byte, n int) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(1+n))
-	return append(b, kind)
-}
-
 // appendRecord appends a record frame.
 func appendRecord(b []byte, seq uint64, payload []byte) []byte {
-	b = appendHeader(b, kindRecord, 8+len(payload))
+	b = wire.AppendHeader(b, kindRecord, 8+len(payload))
 	b = binary.BigEndian.AppendUint64(b, seq)
 	return append(b, payload...)
 }
 
 // appendSeq appends a watermark or ack frame.
 func appendSeq(b []byte, kind byte, seq uint64) []byte {
-	return binary.BigEndian.AppendUint64(appendHeader(b, kind, 8), seq)
+	return binary.BigEndian.AppendUint64(wire.AppendHeader(b, kind, 8), seq)
 }
 
 // append appends the subscribe frame, refusing a message its decoder
@@ -211,7 +205,7 @@ func (m *subscribeMsg) append(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("replica: unsendable subscribe (%d of %d shards, %d-byte id)",
 			len(m.Shards), m.NumShards, len(m.FollowerID))
 	}
-	b = appendHeader(b, kindSubscribe, 1+8+8+4+4+2*len(m.Shards)+2+len(m.FollowerID))
+	b = wire.AppendHeader(b, kindSubscribe, 1+8+8+4+4+2*len(m.Shards)+2+len(m.FollowerID))
 	b = append(b, protocolVersion)
 	b = binary.BigEndian.AppendUint64(b, m.Epoch)
 	b = binary.BigEndian.AppendUint64(b, m.Cursor)
@@ -239,7 +233,7 @@ func (m *acceptMsg) append(b []byte) []byte {
 	if m.Snapshot {
 		flags = acceptSnapshot
 	}
-	b = appendHeader(b, kindAccept, 8+1+2+len(msg))
+	b = wire.AppendHeader(b, kindAccept, 8+1+2+len(msg))
 	b = binary.BigEndian.AppendUint64(b, m.Epoch)
 	b = append(b, flags)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(msg)))
@@ -248,59 +242,14 @@ func (m *acceptMsg) append(b []byte) []byte {
 
 // append appends the catchupDone frame.
 func (m catchupDoneMsg) append(b []byte) []byte {
-	b = appendHeader(b, kindCatchupDone, 16)
+	b = wire.AppendHeader(b, kindCatchupDone, 16)
 	b = binary.BigEndian.AppendUint64(b, m.Cut)
 	return binary.BigEndian.AppendUint64(b, m.Nonce)
 }
 
-// msgReader is a bounds-checked cursor over a message body. The first
-// overrun sticks: later reads return zeros and done reports it.
-type msgReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *msgReader) take(n int) []byte {
-	if r.bad || n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *msgReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *msgReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.BigEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *msgReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.BigEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *msgReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
-	}
-	return 0
-}
-
-// done reports an overrun or trailing bytes.
-func (r *msgReader) done(kind string) error {
-	if r.bad || len(r.b) != 0 {
+// done reports an overrun or trailing bytes in a body of kind.
+func done(r *wire.Cursor, kind string) error {
+	if !r.OK() || r.Len() != 0 {
 		return fmt.Errorf("%w: %s", errMalformed, kind)
 	}
 	return nil
@@ -309,23 +258,23 @@ func (r *msgReader) done(kind string) error {
 // decodeSubscribe parses a subscribe body. Nothing is allocated for the
 // shard list or id before the bytes it claims have been seen.
 func decodeSubscribe(p []byte) (*subscribeMsg, error) {
-	r := &msgReader{b: p}
-	if v := r.u8(); !r.bad && v != protocolVersion {
+	r := wire.NewCursor(p)
+	if v := r.U8(); r.OK() && v != protocolVersion {
 		return nil, fmt.Errorf("replica: subscribe is protocol version %d, this primary speaks protocol version %d", v, protocolVersion)
 	}
-	m := &subscribeMsg{Epoch: r.u64(), Cursor: r.u64()}
-	numShards := r.u32()
+	m := &subscribeMsg{Epoch: r.U64(), Cursor: r.U64()}
+	numShards := r.U32()
 	if numShards > maxShards {
 		return nil, fmt.Errorf("%w: subscribe for %d shards", errMalformed, numShards)
 	}
 	m.NumShards = int(numShards)
-	if count := r.u32(); count != allShards {
+	if count := r.U32(); count != allShards {
 		if count > numShards {
 			return nil, fmt.Errorf("%w: subscribe lists %d of %d shards", errMalformed, count, numShards)
 		}
-		raw := r.take(2 * int(count))
-		if r.bad {
-			return nil, r.done("subscribe")
+		raw := r.Bytes(2 * int(count))
+		if !r.OK() {
+			return nil, done(&r, "subscribe")
 		}
 		m.Shards = make([]int, count)
 		for i := range m.Shards {
@@ -335,29 +284,29 @@ func decodeSubscribe(p []byte) (*subscribeMsg, error) {
 			}
 		}
 	}
-	n := int(r.u16())
+	n := int(r.U16())
 	if n > maxStringLen {
 		return nil, fmt.Errorf("%w: %d-byte follower id", errMalformed, n)
 	}
-	m.FollowerID = string(r.take(n))
-	return m, r.done("subscribe")
+	m.FollowerID = string(r.Bytes(n))
+	return m, done(&r, "subscribe")
 }
 
 // decodeAccept parses an accept body.
 func decodeAccept(p []byte) (*acceptMsg, error) {
-	r := &msgReader{b: p}
-	m := &acceptMsg{Epoch: r.u64()}
-	flags := r.u8()
+	r := wire.NewCursor(p)
+	m := &acceptMsg{Epoch: r.U64()}
+	flags := r.U8()
 	if flags&^acceptSnapshot != 0 {
 		return nil, fmt.Errorf("%w: accept flags %#x", errMalformed, flags)
 	}
 	m.Snapshot = flags == acceptSnapshot
-	n := int(r.u16())
+	n := int(r.U16())
 	if n > maxStringLen {
 		return nil, fmt.Errorf("%w: %d-byte accept error", errMalformed, n)
 	}
-	m.Err = string(r.take(n))
-	return m, r.done("accept")
+	m.Err = string(r.Bytes(n))
+	return m, done(&r, "accept")
 }
 
 // decodeRecordMsg parses a record body. The payload aliases p.
@@ -378,58 +327,9 @@ func decodeSeq(p []byte) (uint64, error) {
 
 // decodeCatchupDone parses a catchupDone body.
 func decodeCatchupDone(p []byte) (catchupDoneMsg, error) {
-	r := &msgReader{b: p}
-	m := catchupDoneMsg{Cut: r.u64(), Nonce: r.u64()}
-	return m, r.done("catchupDone")
-}
-
-// readMsg receives one frame and returns its kind and body. The body is
-// the frame's one allocation; it is owned by the caller.
-func readMsg(r *bufio.Reader) (byte, []byte, error) {
-	hdr, err := r.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	r.Discard(4)
-	if n == 0 || n > maxReplicaFrame {
-		return 0, nil, fmt.Errorf("replica: invalid frame length %d", n)
-	}
-	buf, err := readBody(r, int(n))
-	if err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
-
-// bodyChunk is the most readBody allocates before any payload byte has
-// arrived. It exceeds every record frame a running stream sends (a
-// sealed enrolment image is a few KB), so those cost one allocation.
-const bodyChunk = 64 << 10
-
-// readBody reads an n-byte frame body. n is the peer's claim, not yet
-// its bytes, so the buffer grows (at most doubling) only as bytes
-// arrive: a bare length header followed by EOF costs bodyChunk, not the
-// n bytes it announced. A body cut short is io.ErrUnexpectedEOF.
-func readBody(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, bodyChunk))
-	read := 0
-	for {
-		if _, err := io.ReadFull(r, buf[read:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		read = len(buf)
-		if read == n {
-			return buf, nil
-		}
-		buf = append(buf, make([]byte, min(n-read, read))...)
-	}
+	r := wire.NewCursor(p)
+	m := catchupDoneMsg{Cut: r.U64(), Nonce: r.U64()}
+	return m, done(&r, "catchupDone")
 }
 
 // Meta is a node's persisted replication identity: the fencing epoch it

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"net"
 	"os"
@@ -23,6 +22,7 @@ import (
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/ring"
+	"rbcsalted/internal/wire"
 )
 
 func openState(t *testing.T, dir string) *durable.State {
@@ -494,65 +494,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadMsgAllocatesAsBytesArrive: a length header is only the peer's
-// claim. Four bytes announcing the largest frame, then EOF, cost an
-// error and a bounded buffer, not the 32 MiB announced; real frames, on
-// either side of the first chunk, still arrive whole, and a record-sized
-// body is one allocation, as is a whole record frame read and parsed.
-func TestReadMsgAllocatesAsBytesArrive(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], maxReplicaFrame)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := readMsg(bufio.NewReader(bytes.NewReader(hdr[:])))
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("header then EOF: err = %v", err)
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
-		t.Errorf("header then EOF allocated %d bytes", n)
-	}
-
-	for _, size := range []int{1500, 3*bodyChunk + 7} {
-		payload := bytes.Repeat([]byte{0xA5}, size)
-		kind, body, err := readMsg(bufio.NewReader(bytes.NewReader(appendRecord(nil, 7, payload))))
-		if err != nil || kind != kindRecord {
-			t.Fatalf("%d-byte record: kind %d, err %v", size, kind, err)
-		}
-		if seq, got, err := decodeRecordMsg(body); err != nil || seq != 7 || !bytes.Equal(got, payload) {
-			t.Fatalf("%d-byte record came back as seq %d, %d bytes, err %v", size, seq, len(got), err)
-		}
-	}
-
-	body := make([]byte, 1500)
-	r := bytes.NewReader(body)
-	if n := testing.AllocsPerRun(100, func() {
-		r.Reset(body)
-		if _, err := readBody(r, len(body)); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Errorf("record-sized body: %v allocations, want 1", n)
-	}
-
-	frame := appendRecord(nil, 9, body)
-	src := bytes.NewReader(frame)
-	br := bufio.NewReader(src)
-	if n := testing.AllocsPerRun(100, func() {
-		src.Reset(frame)
-		br.Reset(src)
-		kind, body, err := readMsg(br)
-		if err != nil || kind != kindRecord {
-			t.Fatalf("record frame: kind %d, err %v", kind, err)
-		}
-		if _, _, err := decodeRecordMsg(body); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Errorf("record frame: %v allocations, want 1", n)
-	}
-}
-
 // TestPrimaryCloseBeforeServe: Close on a primary whose Serve goroutine
 // has not run yet must still stop it (see netproto's TestCloseBeforeServe).
 func TestPrimaryCloseBeforeServe(t *testing.T) {
@@ -718,7 +659,7 @@ func TestStalledSubscriberIsReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if kind, _, err := readMsg(bufio.NewReaderSize(conn, 16)); err != nil || kind != kindAccept {
+	if kind, _, err := wire.Read(bufio.NewReaderSize(conn, 16), maxReplicaFrame); err != nil || kind != kindAccept {
 		t.Fatalf("accept: kind %d, err %v", kind, err)
 	}
 	subscribed := time.Now()
@@ -1062,7 +1003,7 @@ func TestStreamShipsPerBarrier(t *testing.T) {
 	defer cancel()
 	go f.RunUntil(ctx, ln.Addr().String(), 10*time.Millisecond)
 	waitFor(t, "subscribed", func() bool { return len(p.Followers()) == 1 })
-	if kind, _, err := readMsg(bufio.NewReader(bytes.NewReader(<-writes))); err != nil || kind != kindAccept {
+	if kind, _, err := wire.Read(bufio.NewReader(bytes.NewReader(<-writes)), maxReplicaFrame); err != nil || kind != kindAccept {
 		t.Fatalf("first write: kind %d, %v", kind, err)
 	}
 

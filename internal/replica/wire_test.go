@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rbcsalted/internal/wire"
 )
 
 // sample is an encoded frame beside the value it must decode to.
@@ -104,7 +106,7 @@ func encodeAny(kind byte, v any) ([]byte, error) {
 // refuse is refused at encode time instead.
 func TestMessageRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages(t) {
-		kind, body, err := readMsg(bufio.NewReader(bytes.NewReader(m.frame)))
+		kind, body, err := wire.Read(bufio.NewReader(bytes.NewReader(m.frame)), maxReplicaFrame)
 		if err != nil {
 			t.Fatalf("%T: %v", m.want, err)
 		}
@@ -157,13 +159,13 @@ func FuzzReplicaMsg(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		kind, body, err := readMsg(bufio.NewReaderSize(bytes.NewReader(data), 16))
+		kind, body, err := wire.Read(bufio.NewReaderSize(bytes.NewReader(data), 16), maxReplicaFrame)
 		var v any
 		if err == nil {
 			v, err = decodeAny(kind, body)
 		}
 		runtime.ReadMemStats(&after)
-		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*bodyChunk+16*len(data)); n > limit {
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*wire.Chunk+16*len(data)); n > limit {
 			t.Fatalf("%d input bytes allocated %d bytes (limit %d)", len(data), n, limit)
 		}
 		var b recordBatch
@@ -213,7 +215,7 @@ func TestPrimaryRefusesGobSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(conn)
-	kind, body, err := readMsg(r)
+	kind, body, err := wire.Read(r, maxReplicaFrame)
 	if err != nil || kind != kindAccept {
 		t.Fatalf("reply: kind %d, err %v", kind, err)
 	}
@@ -224,7 +226,7 @@ func TestPrimaryRefusesGobSubscribe(t *testing.T) {
 	if want := fmt.Sprintf("protocol version %d", protocolVersion); !strings.Contains(acc.Err, want) {
 		t.Fatalf("refusal %q does not name %q", acc.Err, want)
 	}
-	if _, _, err := readMsg(r); err != io.EOF {
+	if _, _, err := wire.Read(r, maxReplicaFrame); err != io.EOF {
 		t.Fatalf("after the refusal: %v, want the primary to close", err)
 	}
 	if fs := p.Followers(); len(fs) != 0 {
@@ -256,7 +258,7 @@ func TestFollowerRefusesGobAccept(t *testing.T) {
 			dials.Add(1)
 			go func() {
 				defer conn.Close()
-				if _, _, err := readMsg(bufio.NewReader(conn)); err != nil {
+				if _, _, err := wire.Read(bufio.NewReader(conn), maxReplicaFrame); err != nil {
 					return
 				}
 				conn.Write(frame)
