@@ -30,8 +30,9 @@ race:
 
 # sched-race runs the multi-class serving path's property tests twice
 # under the race detector: priority aging, deadline admission,
-# shed-the-tail and hedged dispatch are timing-sensitive and only count
-# when raced and repeated.
+# shed-the-tail and the straggler hand-off (a flight cancelled at the
+# hedge trigger, the rest of the ball run by a second flight) are
+# timing-sensitive and only count when raced and repeated.
 sched-race:
 	$(GO) test -race ./internal/sched/... -count=2
 

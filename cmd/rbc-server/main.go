@@ -80,7 +80,7 @@ func main() {
 	schedWorkers := flag.Int("sched-workers", sched.DefaultWorkers, "concurrent searches admitted by the scheduler")
 	schedQueue := flag.Int("sched-queue", sched.DefaultQueueDepth, "scheduler admission-queue depth")
 	inlineDepth := flag.Int("inline-depth", core.DefaultInlineDepth, "largest shell served inline without queuing (-1 = always queue)")
-	hedge := flag.Bool("hedge", false, "re-issue straggling searches as a second backend flight")
+	hedge := flag.Bool("hedge", false, "hand straggling searches off, past the shells they finished, to the backend's alternate engine")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger (0 = derive from the service-time p95)")
 	traceDepth := flag.Int("trace-depth", 1024, "trace ring capacity (events kept for /trace)")
 	storePath := flag.String("store", "", "load an rbc-enroll enrolment file instead of self-enrolling")

@@ -40,12 +40,13 @@ func main() {
 	// beyond Workers running and QueueDepth waiting, authentications are
 	// shed with rbc.ErrOverloaded -> wire status "overloaded", and
 	// infeasible deadlines are refused up front with
-	// rbc.ErrDeadlineInfeasible -> "deadline-infeasible". Hedged dispatch
-	// re-issues straggling searches once their wait exceeds the observed
-	// p95 service time. One registry and one trace ring observe the whole
-	// serving path: the scheduler records per-class queue/service
-	// histograms and lifecycle events, the backend adds per-shell search
-	// events, the protocol server counts connections and statuses.
+	// rbc.ErrDeadlineInfeasible -> "deadline-infeasible". A search whose
+	// backend flight runs past the observed p95 service time is handed
+	// off past the shells it finished to the backend's alternate engine.
+	// One registry and one trace ring observe the whole serving path:
+	// the scheduler records per-class queue/service histograms and
+	// lifecycle events, the backend adds per-shell search events, the
+	// protocol server counts connections and statuses.
 	reg := rbc.NewMetricsRegistry()
 	ring := rbc.NewTraceRing(256)
 	pool := rbc.NewScheduler(&rbc.CPUBackend{Alg: rbc.SHA3},

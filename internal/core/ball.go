@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"rbcsalted/internal/combin"
 	"rbcsalted/internal/u256"
 )
 
@@ -140,6 +141,49 @@ func SearchBall(ctx context.Context, task Task, eng Engine) (Result, error) {
 		res.TimedOut = res.TimedOut || overLimit()
 	}
 	TraceSearchEnd(task, eng.Name, res, err)
+	return res, err
+}
+
+// Continue resumes task past the shells done finished: Algorithm 1
+// covers the ball one shell at a time, so a search stopped short — the
+// inline shells, a straggling flight the scheduler cancelled — goes on
+// at a shell boundary instead of starting over. A shell counts as
+// finished when done covered all C(256, d) of its seeds, and only an
+// unbroken run from task.StartShell counts; the base probe counts as run
+// when done covered a seed outside its shells. search covers the rest
+// with MinDistance at the first shell not finished, and the Result folds
+// both: an unfinished shell leaves SeedsCovered and Shells, since search
+// covers it again in full, but stays in HashesExecuted, since that work
+// was done.
+func Continue(ctx context.Context, task Task, done Result, search func(context.Context, Task) (Result, error)) (Result, error) {
+	var inShells uint64
+	for _, st := range done.Shells {
+		inShells += st.SeedsCovered
+	}
+	kept := 0
+	if !task.IncludeBase() || done.SeedsCovered > inShells {
+		for ; kept < len(done.Shells); kept++ {
+			st := done.Shells[kept]
+			size, _ := combin.Binomial64(256, st.Distance)
+			if st.Distance != task.StartShell()+kept || st.SeedsCovered != size {
+				break
+			}
+		}
+		task.MinDistance = task.StartShell() + kept
+	}
+	covered := done.SeedsCovered
+	for _, st := range done.Shells[kept:] {
+		covered -= st.SeedsCovered
+	}
+
+	res, err := search(ctx, task)
+	res.SeedsCovered += covered
+	res.HashesExecuted += done.HashesExecuted
+	res.WallSeconds += done.WallSeconds
+	res.DeviceSeconds += done.DeviceSeconds
+	res.EnergyJoules += done.EnergyJoules
+	res.PeakWatts = max(res.PeakWatts, done.PeakWatts)
+	res.Shells = append(done.Shells[:kept:kept], res.Shells...)
 	return res, err
 }
 

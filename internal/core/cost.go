@@ -50,10 +50,11 @@ type ETAEstimator interface {
 
 // AlternateSearcher is implemented by multiplexing backends that can
 // run a search on a different engine than their first choice. The
-// scheduler's hedged dispatch uses it: when a primary flight straggles,
-// re-issuing the search on the *second-best* engine attacks the case
-// where the primary engine itself (not transient load) is the problem,
-// which a duplicate flight on the same engine cannot.
+// scheduler's hand-off uses it: when a flight straggles past the hedge
+// trigger, the scheduler cancels it and continues the search past the
+// shells it finished (Continue) on the *second-best* engine, which
+// attacks the case where the primary engine itself (not transient load)
+// is the problem.
 type AlternateSearcher interface {
 	// SearchAlternate runs the task on the backend's second choice of
 	// engine, falling back to the primary when only one engine exists.

@@ -612,8 +612,8 @@ func (ca *CA) baseSeed(id ClientID, sess session) (u256.Uint256, error) {
 }
 
 // search runs the distance-progressive pipeline for one task: the inline
-// host shells first, then — only if needed — the backend for the rest of
-// the ball, with the inline telemetry folded into the returned Result.
+// host shells first, then — only if needed — the backend continues past
+// them (Continue), with the inline telemetry folded into the Result.
 func (ca *CA) search(ctx context.Context, task Task) (Result, error) {
 	depth := ca.cfg.InlineDepth
 	if depth < 0 {
@@ -638,17 +638,7 @@ func (ca *CA) search(ctx context.Context, task Task) (Result, error) {
 		})
 		return inline, nil
 	}
-
-	task.MinDistance = depth + 1
-	res, err := ca.backend.Search(ctx, task)
-	// Fold the inline shells into the escalated result so AuthResult
-	// telemetry covers the whole ball exactly once.
-	res.SeedsCovered += inline.SeedsCovered
-	res.HashesExecuted += inline.HashesExecuted
-	res.WallSeconds += inline.WallSeconds
-	res.DeviceSeconds += inline.DeviceSeconds
-	res.Shells = append(inline.Shells, res.Shells...)
-	return res, err
+	return Continue(ctx, task, inline, ca.backend.Search)
 }
 
 // Client is the device-side participant: it reads its PUF at the

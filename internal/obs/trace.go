@@ -35,9 +35,9 @@ const (
 	// KindShed: admission control evicted this queued search to make
 	// room for a strictly better one (Detail names the shed rule).
 	KindShed = "sched.shed"
-	// KindHedge: the scheduler re-issued a straggling search to a second
-	// backend flight (Dur = hedge delay); Detail on the corresponding
-	// done event says which flight won.
+	// KindHedge: the scheduler cancelled a straggling search's flight at
+	// the hedge trigger and handed the shells it did not finish to a
+	// second flight (Dur = hedge delay).
 	KindHedge = "sched.hedge"
 )
 

@@ -20,9 +20,9 @@
 //
 // The planner also implements core.ETAEstimator (so the scheduler's
 // deadline admission judges feasibility against the *chosen* engine)
-// and core.AlternateSearcher (so hedged dispatch re-issues a straggling
-// search on the *second-best* engine rather than duplicating the
-// first). See DESIGN.md §13.
+// and core.AlternateSearcher (so the scheduler's hand-off continues a
+// straggling search past the shells it finished on the *second-best*
+// engine rather than re-rolling the first). See DESIGN.md §13.
 package plan
 
 import (
@@ -388,8 +388,8 @@ func (p *Planner) Search(ctx context.Context, task core.Task) (core.Result, erro
 
 // SearchAlternate implements core.AlternateSearcher: dispatch the
 // second-best engine (the best one, when only one exists). The
-// scheduler's hedge path calls this so a straggling search retries on
-// different hardware.
+// scheduler's hand-off calls this so a straggling search continues, past
+// the shells it finished, on different hardware.
 func (p *Planner) SearchAlternate(ctx context.Context, task core.Task) (core.Result, error) {
 	return p.dispatch(ctx, task, true)
 }

@@ -12,8 +12,10 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg/aeskg"
+	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/puf"
+	"rbcsalted/internal/u256"
 )
 
 // TestInlineFastPathBypassesScheduler is the acceptance test for the
@@ -114,9 +116,8 @@ func TestDeadlineGraceNeverExtendsCallerDeadline(t *testing.T) {
 	// TimeLimit + grace would allow 11s; the task's own deadline is
 	// 50ms away and must win.
 	start := time.Now()
-	_, err := s.Submit(context.Background(),
-		core.Task{TimeLimit: 10 * time.Second},
-		WithDeadline(time.Now().Add(50*time.Millisecond)))
+	_, err := s.Search(context.Background(),
+		core.Task{TimeLimit: 10 * time.Second, Deadline: time.Now().Add(50 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected DeadlineExceeded, got %v", err)
@@ -129,7 +130,7 @@ func TestDeadlineGraceNeverExtendsCallerDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start = time.Now()
-	_, err = s.Submit(ctx, core.Task{TimeLimit: 10 * time.Second})
+	_, err = s.Search(ctx, core.Task{TimeLimit: 10 * time.Second})
 	elapsed = time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expected DeadlineExceeded, got %v", err)
@@ -181,7 +182,7 @@ func TestInteractiveNeverWaitsBehindBackground(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(class core.QoSClass) {
 		defer wg.Done()
-		if _, err := s.Submit(context.Background(), core.Task{}, WithClass(class)); err != nil {
+		if _, err := s.Search(context.Background(), core.Task{Class: class}); err != nil {
 			t.Errorf("submit class %v: %v", class, err)
 		}
 	}
@@ -237,7 +238,7 @@ func TestAgingPromotesBackground(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func(class core.QoSClass) {
 		defer wg.Done()
-		if _, err := s.Submit(context.Background(), core.Task{}, WithClass(class)); err != nil {
+		if _, err := s.Search(context.Background(), core.Task{Class: class}); err != nil {
 			t.Errorf("submit class %v: %v", class, err)
 		}
 	}
@@ -295,8 +296,7 @@ func TestOverloadShedsLargestDistanceTail(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.Submit(context.Background(),
-				core.Task{MaxDistance: maxD}, WithClass(class))
+			_, err := s.Search(context.Background(), core.Task{MaxDistance: maxD, Class: class})
 			ch <- err
 		}()
 	}
@@ -330,7 +330,7 @@ func TestOverloadShedsLargestDistanceTail(t *testing.T) {
 
 	// An arrival that is not strictly better than anything queued is
 	// rejected itself — ties never displace queued work.
-	_, err := s.Submit(context.Background(), core.Task{MaxDistance: 2}, WithClass(core.ClassBatch))
+	_, err := s.Search(context.Background(), core.Task{MaxDistance: 2, Class: core.ClassBatch})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("tie arrival: expected ErrOverloaded, got %v", err)
 	}
@@ -363,14 +363,16 @@ func TestOverloadShedsLargestDistanceTail(t *testing.T) {
 // TestHedgedDispatchNeverDoubleCounts pins the hedging property: a
 // hedged search runs two backend flights but resolves to exactly one
 // Result and one outcome — Served() stays equal to admitted work, and
-// the loser's partial result is drained, never folded into Stats.
+// the first flight's unfinished shell is dropped from the coverage the
+// hand-off covers again.
 func TestHedgedDispatchNeverDoubleCounts(t *testing.T) {
 	var calls atomic.Int32
 	bk := backendFunc(func(ctx context.Context, task core.Task) (core.Result, error) {
 		if calls.Add(1) == 1 {
-			// Primary flight straggles until the hedge's win cancels it.
+			// Primary flight straggles until the hedge trigger cancels
+			// it, mid-way through shell 1 (as core.SearchBall reports).
 			<-ctx.Done()
-			return core.Result{SeedsCovered: 7}, ctx.Err()
+			return core.Result{SeedsCovered: 7, Shells: []core.ShellStat{{Distance: 1, SeedsCovered: 7}}}, ctx.Err()
 		}
 		return core.Result{Found: true, SeedsCovered: 42}, nil
 	})
@@ -393,11 +395,80 @@ func TestHedgedDispatchNeverDoubleCounts(t *testing.T) {
 	if st.Submitted != 1 || st.Completed != 1 || st.Served() != 1 {
 		t.Errorf("double-counted hedge: %+v", st)
 	}
-	if st.Hedged != 1 || st.HedgeWins != 1 {
-		t.Errorf("Hedged/HedgeWins = %d/%d, want 1/1", st.Hedged, st.HedgeWins)
+	if st.Hedged != 1 {
+		t.Errorf("Hedged = %d, want 1", st.Hedged)
 	}
 	if st.InFlight != 0 {
 		t.Errorf("InFlight = %d after hedged search resolved", st.InFlight)
+	}
+}
+
+// stragglerBackend's primary engine is Algorithm 1 on an engine that
+// finishes shell 1 and stalls partway into shell 2 until cancelled; its
+// alternate is a real engine.
+type stragglerBackend struct {
+	alt     core.Backend
+	partial uint64 // seeds the stalled shell 2 reports
+}
+
+func (b *stragglerBackend) Name() string { return "straggler" }
+
+func (b *stragglerBackend) Search(ctx context.Context, task core.Task) (core.Result, error) {
+	return core.SearchBall(ctx, task, core.Engine{
+		Name:  b.Name(),
+		Probe: core.HashProbe(task.Target.Alg, task.Target),
+		Shell: func(ctx context.Context, d int, _ time.Time) (core.ShellOutcome, error) {
+			if d == 1 {
+				return core.ShellOutcome{Covered: 256, Hashed: 256}, nil
+			}
+			<-ctx.Done()
+			return core.ShellOutcome{Covered: b.partial, Hashed: b.partial}, ctx.Err()
+		},
+	})
+}
+
+func (b *stragglerBackend) SearchAlternate(ctx context.Context, task core.Task) (core.Result, error) {
+	return b.alt.Search(ctx, task)
+}
+
+// TestHandOffCoversEachShellOnce is the hand-off's acceptance test: a
+// flight cancelled at the hedge trigger mid-way through shell 2 hands
+// the rest of an exhaustive d=3 ball to the alternate engine starting at
+// shell 2, so the folded Result covers u(3) seeds with each shell once,
+// and only the stalled shell's partial work is hashed twice.
+func TestHandOffCoversEachShellOnce(t *testing.T) {
+	b := &stragglerBackend{alt: &cpu.Backend{Alg: core.SHA3, Workers: 2}, partial: 100}
+	s := New(b, Config{Workers: 1, QueueDepth: 4,
+		Hedge: HedgeConfig{Enabled: true, Delay: time.Millisecond}})
+	defer s.Close()
+
+	base := u256.New(7, 8, 9, 10)
+	res, err := s.Search(context.Background(), core.Task{
+		Base:        base,
+		Target:      core.HashSeed(core.SHA3, base.Not()), // outside the ball
+		MaxDistance: 3,
+		Method:      iterseq.GrayCode,
+		Exhaustive:  true,
+	})
+	if err != nil || res.Found {
+		t.Fatalf("hand-off search = %+v, %v", res, err)
+	}
+	const u3 = 1 + 256 + 32640 + 2763520
+	if res.SeedsCovered != u3 {
+		t.Errorf("SeedsCovered = %d, want u(3) = %d", res.SeedsCovered, u3)
+	}
+	var ds []int
+	for _, st := range res.Shells {
+		ds = append(ds, st.Distance)
+	}
+	if fmt.Sprint(ds) != "[1 2 3]" {
+		t.Errorf("shells %v, want [1 2 3]", ds)
+	}
+	if res.HashesExecuted != res.SeedsCovered+b.partial {
+		t.Errorf("HashesExecuted = %d, want SeedsCovered + %d", res.HashesExecuted, b.partial)
+	}
+	if st := s.Stats(); st.Hedged != 1 || st.Served() != 1 {
+		t.Errorf("Hedged = %d, Served = %d, want 1/1", st.Hedged, st.Served())
 	}
 }
 
@@ -419,7 +490,7 @@ func TestHedgeNotTriggeredForFastSearch(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("fast search ran %d flights, want 1", got)
 	}
-	if st := s.Stats(); st.Hedged != 0 || st.HedgeWins != 0 {
+	if st := s.Stats(); st.Hedged != 0 {
 		t.Errorf("fast search hedged: %+v", st)
 	}
 }
@@ -434,8 +505,7 @@ func TestDeadlineInfeasibleRefusedAtAdmission(t *testing.T) {
 	s := New(bk, Config{Workers: 1, QueueDepth: 4, Trace: ring})
 	defer s.Close()
 
-	_, err := s.Submit(context.Background(), core.Task{},
-		WithDeadline(time.Now().Add(-time.Second)))
+	_, err := s.Search(context.Background(), core.Task{Deadline: time.Now().Add(-time.Second)})
 	if !errors.Is(err, ErrDeadlineInfeasible) {
 		t.Fatalf("expected ErrDeadlineInfeasible, got %v", err)
 	}
@@ -480,8 +550,7 @@ func TestDeadlineExpiredInQueueDiscarded(t *testing.T) {
 	queuedErr := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		_, err := s.Submit(context.Background(), core.Task{},
-			WithDeadline(time.Now().Add(30*time.Millisecond)))
+		_, err := s.Search(context.Background(), core.Task{Deadline: time.Now().Add(30 * time.Millisecond)})
 		queuedErr <- err
 	}()
 	waitFor(t, func() bool { return s.Stats().Queued == 1 })
@@ -509,7 +578,7 @@ func TestSubmitRejectsInvalidClass(t *testing.T) {
 	})
 	s := New(bk, Config{Workers: 1, QueueDepth: 1})
 	defer s.Close()
-	_, err := s.Submit(context.Background(), core.Task{}, WithClass(core.QoSClass(200)))
+	_, err := s.Search(context.Background(), core.Task{Class: core.QoSClass(200)})
 	if err == nil {
 		t.Fatal("invalid class admitted")
 	}
@@ -528,7 +597,7 @@ func TestPerClassMetricsPublished(t *testing.T) {
 	s := New(bk, Config{Workers: 1, QueueDepth: 4, Metrics: reg})
 	defer s.Close()
 
-	if _, err := s.Submit(context.Background(), core.Task{MaxDistance: 3}, WithClass(core.ClassBatch)); err != nil {
+	if _, err := s.Search(context.Background(), core.Task{MaxDistance: 3, Class: core.ClassBatch}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -547,6 +616,27 @@ func TestPerClassMetricsPublished(t *testing.T) {
 	}
 }
 
+// TestSearchAllocBudget holds a scheduled search over an instant
+// backend with a metrics registry to its allocations: the per-distance
+// service histogram is resolved once at New, not looked up (with a
+// formatted name) per search.
+func TestSearchAllocBudget(t *testing.T) {
+	bk := backendFunc(func(ctx context.Context, task core.Task) (core.Result, error) {
+		return core.Result{Found: true}, nil
+	})
+	s := New(bk, Config{Workers: 1, QueueDepth: 4, Metrics: obs.NewRegistry()})
+	defer s.Close()
+	task := core.Task{MaxDistance: 2, Class: core.ClassBatch}
+	const budget = 3 // the job, its done channel and its queue slot
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.Search(context.Background(), task); err != nil {
+			t.Fatal(err)
+		}
+	}); n > budget {
+		t.Errorf("%.1f allocations per scheduled search, budget %d", n, budget)
+	}
+}
+
 // TestStatsByClassPartition: ByClass admission counters partition the
 // totals.
 func TestStatsByClassPartition(t *testing.T) {
@@ -557,12 +647,12 @@ func TestStatsByClassPartition(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(context.Background(), core.Task{}, WithClass(core.ClassInteractive)); err != nil {
+		if _, err := s.Search(context.Background(), core.Task{Class: core.ClassInteractive}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(context.Background(), core.Task{}, WithClass(core.ClassBackground)); err != nil {
+		if _, err := s.Search(context.Background(), core.Task{Class: core.ClassBackground}); err != nil {
 			t.Fatal(err)
 		}
 	}

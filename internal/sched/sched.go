@@ -1,7 +1,7 @@
 // Package sched is the multi-tenant authentication scheduler: a bounded
 // worker pool over a core.Backend with class-aware admission queues,
-// per-search deadline enforcement, cooperative cancellation and hedged
-// dispatch for stragglers.
+// per-search deadline enforcement, cooperative cancellation and a
+// hand-off for stragglers.
 //
 // The paper's engines maximise the throughput of ONE Hamming-ball search;
 // a serving CA needs many independent searches in flight without letting
@@ -24,6 +24,7 @@
 package sched
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -35,7 +36,7 @@ import (
 	"rbcsalted/internal/obs"
 )
 
-// Sentinel errors. All are returned unwrapped from Submit's admission
+// Sentinel errors. All are returned unwrapped from Search's admission
 // path, so errors.Is works without unwrapping.
 var (
 	// ErrOverloaded reports that the admission queues were full and the
@@ -80,21 +81,23 @@ const (
 	// hedgeMinDelay floors the percentile-derived hedge trigger so
 	// microsecond-fast backends don't hedge everything.
 	hedgeMinDelay = 10 * time.Millisecond
+	// maxMetricDistance is the largest MaxDistance with its own service
+	// histogram ("sched.service_seconds.maxd10"), core's supported range.
+	maxMetricDistance = 10
 )
 
-// HedgeConfig tunes hedged dispatch: when a search's backend flight
-// straggles past a latency-percentile-derived delay, the scheduler
-// re-issues it as a second flight and the first completion wins (the
-// loser's context is cancelled).
+// HedgeConfig tunes the straggler hand-off: when a search's backend
+// flight runs past a latency-percentile-derived delay, the scheduler
+// cancels it and hands the rest of the ball — the shells the flight did
+// not finish — to the backend's alternate engine (core.Continue). One
+// flight runs at a time, so each shell is covered once.
 type HedgeConfig struct {
-	// Enabled turns hedging on for every submission (individual
-	// submissions can opt out with WithHedging(false), and direct
-	// Submit callers can opt in per search with WithHedging(true)).
+	// Enabled turns the hand-off on for every search.
 	Enabled bool
 	// Delay is a fixed hedge trigger. Zero derives the trigger from the
 	// observed service-time distribution (obs.HedgeWindow: a search still
-	// running past the 95th percentile is a straggler worth hedging),
-	// which is the production behaviour; a fixed delay makes tests
+	// running past the 95th percentile is a straggler worth handing
+	// off), which is the production behaviour; a fixed delay makes tests
 	// deterministic.
 	Delay time.Duration
 }
@@ -122,7 +125,7 @@ type Config struct {
 	// level (see DefaultAgingStep); 0 means the default, negative
 	// disables aging (strict priority, background may starve).
 	AgingStep time.Duration
-	// Hedge configures hedged dispatch for straggling searches.
+	// Hedge configures the hand-off of straggling searches.
 	Hedge HedgeConfig
 	// Trace, when non-nil, receives queue-lifecycle trace events
 	// (enqueue, dequeue, reject, shed, hedge, discard, done) for every
@@ -205,11 +208,10 @@ type Stats struct {
 	// expiries also under Cancelled.
 	DeadlineInfeasible uint64
 	// Hedged counts searches that straggled past the hedge trigger and
-	// were re-issued as a second backend flight; HedgeWins counts the
-	// hedged searches whose second flight finished first. Each search
-	// still resolves to exactly one Result and one outcome.
-	Hedged    uint64
-	HedgeWins uint64
+	// were handed off to a second backend flight past the shells the
+	// first finished. Each search still resolves to exactly one Result
+	// and one outcome.
+	Hedged uint64
 	// QueueWaitTotal / QueueWaitMax aggregate the time searches spent
 	// queued before a worker picked them up for service. Searches that
 	// never reached the backend — cancelled while queued, shed, or
@@ -253,9 +255,6 @@ func (s Stats) AvgService() time.Duration {
 type job struct {
 	ctx      context.Context
 	task     core.Task
-	class    core.QoSClass
-	deadline time.Time // absolute caller deadline; zero = none
-	hedge    bool      // hedged dispatch allowed for this search
 	enqueued time.Time
 	started  atomic.Bool
 	res      core.Result
@@ -283,11 +282,9 @@ type Scheduler struct {
 	stats    Stats
 	inFlight int
 
-	// estMu guards the service-time estimators feeding deadline
-	// admission (EWMA); svcWindow feeds the hedge trigger.
-	estMu     sync.Mutex
-	ewmaSvc   float64 // seconds
-	servedEst uint64
+	// svcEWMA (seconds, over completed searches) feeds deadline
+	// admission; svcWindow feeds the hedge trigger.
+	svcEWMA   obs.EWMA
 	svcWindow obs.HedgeWindow
 
 	// traceIDs hands out per-search trace correlation IDs.
@@ -298,10 +295,10 @@ type Scheduler struct {
 	hService        *obs.Histogram
 	hQueueWaitClass [core.NumClasses]*obs.Histogram
 	hServiceClass   [core.NumClasses]*obs.Histogram
+	hServiceMaxD    [maxMetricDistance + 1]*obs.Histogram
 	// Counters published into cfg.Metrics; nil without a registry.
 	cShed       *obs.Counter
 	cHedge      *obs.Counter
-	cHedgeWins  *obs.Counter
 	cInfeasible *obs.Counter
 }
 
@@ -334,9 +331,11 @@ func New(backend core.Backend, cfg Config) *Scheduler {
 			s.hQueueWaitClass[c] = cfg.Metrics.Histogram("sched.queue_wait_seconds."+name, obs.DefLatencyBuckets)
 			s.hServiceClass[c] = cfg.Metrics.Histogram("sched.service_seconds."+name, obs.DefLatencyBuckets)
 		}
+		for d := range s.hServiceMaxD {
+			s.hServiceMaxD[d] = cfg.Metrics.Histogram(fmt.Sprintf("sched.service_seconds.maxd%d", d), obs.DefLatencyBuckets)
+		}
 		s.cShed = cfg.Metrics.Counter("sched.shed_total")
 		s.cHedge = cfg.Metrics.Counter("sched.hedge_total")
-		s.cHedgeWins = cfg.Metrics.Counter("sched.hedge_wins_total")
 		s.cInfeasible = cfg.Metrics.Counter("sched.deadline_infeasible_total")
 	}
 	s.wg.Add(cfg.Workers)
@@ -353,9 +352,8 @@ func (s *Scheduler) Name() string {
 }
 
 // Search implements core.Backend: admit the task, wait for a worker to
-// serve it, and return the backend's Result. The task's own Class and
-// Deadline fields drive admission; Submit's functional options are the
-// way to set them without constructing a Task by hand.
+// serve it, and return the backend's Result. The task's Class and
+// Deadline fields drive admission.
 //
 // Admission is non-blocking: with Workers searches running and
 // QueueDepth queued, Search returns ErrOverloaded immediately (unless
@@ -365,41 +363,19 @@ func (s *Scheduler) Name() string {
 // is still queued, Search returns ctx.Err() without waiting for a worker
 // (the worker discards the stale job when it reaches it).
 func (s *Scheduler) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	return s.Submit(ctx, task)
-}
-
-// Submit admits one search with per-submission QoS options and waits for
-// its Result. Without options the task's own Class/Deadline fields and
-// the configured hedging policy apply; WithClass, WithDeadline and
-// WithHedging override them for this submission only.
-func (s *Scheduler) Submit(ctx context.Context, task core.Task, opts ...SubmitOption) (core.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	o := submitOpts{class: task.Class, deadline: task.Deadline, hedge: s.cfg.Hedge.Enabled}
-	for _, opt := range opts {
-		opt(&o)
+	if !task.Class.Valid() {
+		return core.Result{}, fmt.Errorf("sched: invalid QoS class %d", uint8(task.Class))
 	}
-	if !o.class.Valid() {
-		return core.Result{}, fmt.Errorf("sched: invalid QoS class %d", uint8(o.class))
-	}
-	task.Class = o.class
-	task.Deadline = o.deadline
 	if task.Trace == nil {
 		task.Trace = s.cfg.Trace
 	}
 	if task.TraceID == 0 {
 		task.TraceID = s.traceIDs.Add(1)
 	}
-	j := &job{
-		ctx:      ctx,
-		task:     task,
-		class:    o.class,
-		deadline: o.deadline,
-		hedge:    o.hedge,
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
+	j := &job{ctx: ctx, task: task, enqueued: time.Now(), done: make(chan struct{})}
 	if err := s.admit(j); err != nil {
 		return core.Result{}, err
 	}
@@ -425,10 +401,10 @@ func (s *Scheduler) Submit(ctx context.Context, task core.Task, opts ...SubmitOp
 // enqueue (with shed-the-worst eviction under overload).
 func (s *Scheduler) admit(j *job) error {
 	now := time.Now()
-	if !j.deadline.IsZero() {
-		infeasible := !now.Before(j.deadline)
+	if deadline := j.task.Deadline; !deadline.IsZero() {
+		infeasible := !now.Before(deadline)
 		if !infeasible {
-			if eta := s.estimateETA(j.task); eta > 0 && now.Add(eta).After(j.deadline) {
+			if eta := s.estimateETA(j.task); eta > 0 && now.Add(eta).After(deadline) {
 				infeasible = true
 			}
 		}
@@ -449,7 +425,10 @@ func (s *Scheduler) admit(j *job) error {
 	}
 	if s.queued >= s.cfg.QueueDepth {
 		victim := s.worstQueuedLocked()
-		if victim == nil || !strictlyWorse(victim, j) {
+		// Ties never displace queued work: an arrival equal to everything
+		// queued is rejected, so identical load keeps plain
+		// FIFO-with-rejection semantics.
+		if victim == nil || shedOrder(victim, j) <= 0 {
 			s.qmu.Unlock()
 			s.countRefusal(j, false)
 			obs.Emit(j.task.Trace, obs.TraceEvent{Kind: obs.KindReject, Search: j.task.TraceID})
@@ -458,14 +437,14 @@ func (s *Scheduler) admit(j *job) error {
 		s.removeLocked(victim)
 		s.resolveShed(victim)
 	}
-	s.queues[j.class] = append(s.queues[j.class], j)
+	s.queues[j.task.Class] = append(s.queues[j.task.Class], j)
 	s.queued++
 	s.cond.Signal()
 	s.qmu.Unlock()
 
 	s.statsMu.Lock()
 	s.stats.Submitted++
-	s.stats.ByClass[j.class].Submitted++
+	s.stats.ByClass[j.task.Class].Submitted++
 	s.statsMu.Unlock()
 	obs.Emit(j.task.Trace, obs.TraceEvent{Kind: obs.KindEnqueue, Search: j.task.TraceID})
 	return nil
@@ -475,7 +454,7 @@ func (s *Scheduler) admit(j *job) error {
 func (s *Scheduler) countRefusal(j *job, infeasible bool) {
 	s.statsMu.Lock()
 	s.stats.Rejected++
-	s.stats.ByClass[j.class].Rejected++
+	s.stats.ByClass[j.task.Class].Rejected++
 	if infeasible {
 		s.stats.DeadlineInfeasible++
 	}
@@ -485,10 +464,8 @@ func (s *Scheduler) countRefusal(j *job, infeasible bool) {
 	}
 }
 
-// worstQueuedLocked returns the most sheddable queued job: lowest QoS
-// class first, then largest MaxDistance (the d-large tail costs the
-// most), then loosest deadline (none counts as loosest), then youngest.
-// Called with qmu held.
+// worstQueuedLocked returns the most sheddable queued job (see
+// moreSheddable). Called with qmu held.
 func (s *Scheduler) worstQueuedLocked() *job {
 	var worst *job
 	for c := 0; c < core.NumClasses; c++ {
@@ -501,54 +478,45 @@ func (s *Scheduler) worstQueuedLocked() *job {
 	return worst
 }
 
-// moreSheddable reports whether a should be shed before b.
+// moreSheddable reports whether a should be shed before b: the shed
+// order, with ties going to the youngest.
 func moreSheddable(a, b *job) bool {
-	if a.class != b.class {
-		return a.class > b.class
-	}
-	if a.task.MaxDistance != b.task.MaxDistance {
-		return a.task.MaxDistance > b.task.MaxDistance
-	}
-	aLoose, bLoose := a.deadline.IsZero(), b.deadline.IsZero()
-	if aLoose != bLoose {
-		return aLoose
-	}
-	if !aLoose && !a.deadline.Equal(b.deadline) {
-		return a.deadline.After(b.deadline)
+	if o := shedOrder(a, b); o != 0 {
+		return o > 0
 	}
 	return a.enqueued.After(b.enqueued)
 }
 
-// strictlyWorse reports whether victim is strictly worse than j on the
-// shed lattice (class, then distance bound, then deadline looseness).
-// Ties are NOT strictly worse: an arrival equal to everything queued is
-// rejected rather than displacing queued work, so identical load keeps
-// plain FIFO-with-rejection semantics.
-func strictlyWorse(victim, j *job) bool {
-	if victim.class != j.class {
-		return victim.class > j.class
+// shedOrder places a against b on the shed lattice: lowest QoS class
+// first, then largest MaxDistance (the d-large tail costs the most), then
+// loosest deadline (none counts as loosest). It is positive when a is
+// shed first, negative when b is, and 0 on a tie.
+func shedOrder(a, b *job) int {
+	if o := cmp.Compare(a.task.Class, b.task.Class); o != 0 {
+		return o
 	}
-	if victim.task.MaxDistance != j.task.MaxDistance {
-		return victim.task.MaxDistance > j.task.MaxDistance
+	if o := cmp.Compare(a.task.MaxDistance, b.task.MaxDistance); o != 0 {
+		return o
 	}
-	vLoose, jLoose := victim.deadline.IsZero(), j.deadline.IsZero()
-	if vLoose != jLoose {
-		return vLoose
+	switch aLoose, bLoose := a.task.Deadline.IsZero(), b.task.Deadline.IsZero(); {
+	case aLoose && bLoose:
+		return 0
+	case aLoose:
+		return 1
+	case bLoose:
+		return -1
 	}
-	if !vLoose && !victim.deadline.Equal(j.deadline) {
-		return victim.deadline.After(j.deadline)
-	}
-	return false
+	return a.task.Deadline.Compare(b.task.Deadline)
 }
 
 // removeLocked deletes j from its class queue. Called with qmu held.
 func (s *Scheduler) removeLocked(victim *job) {
-	q := s.queues[victim.class]
+	q := s.queues[victim.task.Class]
 	for i, j := range q {
 		if j == victim {
 			copy(q[i:], q[i+1:])
 			q[len(q)-1] = nil
-			s.queues[victim.class] = q[:len(q)-1]
+			s.queues[victim.task.Class] = q[:len(q)-1]
 			s.queued--
 			return
 		}
@@ -563,7 +531,7 @@ func (s *Scheduler) resolveShed(victim *job) {
 	s.statsMu.Lock()
 	s.stats.Failed++
 	s.stats.Shed++
-	s.stats.ByClass[victim.class].Shed++
+	s.stats.ByClass[victim.task.Class].Shed++
 	s.statsMu.Unlock()
 	if s.cShed != nil {
 		s.cShed.Inc()
@@ -598,18 +566,13 @@ func (s *Scheduler) estimateETA(task core.Task) time.Duration {
 		if eta, ok := est.EstimateETA(task); ok && eta > 0 {
 			// The estimator already accounts for its own in-flight load;
 			// add the wait imposed by this scheduler's queue.
-			s.estMu.Lock()
-			svc := s.ewmaSvc
-			s.estMu.Unlock()
+			svc, _ := s.svcEWMA.Value()
 			queueWait := time.Duration(svc * float64(slots-1) * float64(time.Second))
 			return eta + queueWait
 		}
 	}
 
-	s.estMu.Lock()
-	served := s.servedEst
-	svc := s.ewmaSvc
-	s.estMu.Unlock()
+	svc, served := s.svcEWMA.Value()
 	if served < admitWarmup || svc <= 0 {
 		return 0
 	}
@@ -629,8 +592,8 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close stops admission, resolves every still-queued search with
-// ErrClosed, and waits for in-flight searches (hedge flights included)
-// to finish. Safe to call more than once. No Search caller can block
+// ErrClosed, and waits for in-flight searches (and their hand-offs) to
+// finish. Safe to call more than once. No Search caller can block
 // forever behind a shutdown: queued jobs are failed immediately instead
 // of waiting for the busy workers.
 func (s *Scheduler) Close() {
@@ -664,7 +627,7 @@ func (s *Scheduler) discard(j *job, err error, reason string) {
 		errors.Is(err, ErrDeadlineInfeasible) {
 		outcome = OutcomeCancelled
 	}
-	s.record(j.class, outcome, 0, 0)
+	s.record(j.task.Class, outcome, 0, 0)
 	if errors.Is(err, ErrDeadlineInfeasible) {
 		s.statsMu.Lock()
 		s.stats.DeadlineInfeasible++
@@ -760,7 +723,7 @@ func (s *Scheduler) serve(j *job) {
 		s.discard(j, j.ctx.Err(), "cancelled-queued")
 		return
 	}
-	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
+	if !j.task.Deadline.IsZero() && !time.Now().Before(j.task.Deadline) {
 		// The deadline passed while the job waited: serving it now would
 		// burn backend time on a verdict the caller can no longer use.
 		s.discard(j, ErrDeadlineInfeasible, "deadline-queued")
@@ -785,8 +748,8 @@ func (s *Scheduler) serve(j *job) {
 	// The derived deadline must never extend an earlier caller deadline:
 	// take the min with the task's absolute deadline here, and let
 	// context.WithDeadline take the min with the submission context's.
-	if !j.deadline.IsZero() && (deadline.IsZero() || j.deadline.Before(deadline)) {
-		deadline = j.deadline
+	if d := j.task.Deadline; !d.IsZero() && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
 	}
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
@@ -798,7 +761,7 @@ func (s *Scheduler) serve(j *job) {
 	s.inFlight++
 	s.statsMu.Unlock()
 	started := time.Now()
-	res, err, hedgeWon := s.execute(ctx, j)
+	res, err := s.execute(ctx, j)
 	service := time.Since(started)
 	s.statsMu.Lock()
 	s.inFlight--
@@ -813,24 +776,15 @@ func (s *Scheduler) serve(j *job) {
 	case res.TimedOut:
 		outcome = OutcomeTimedOut
 	}
-	s.record(j.class, outcome, wait, service)
-	if hedgeWon {
-		s.statsMu.Lock()
-		s.stats.HedgeWins++
-		s.statsMu.Unlock()
-		if s.cHedgeWins != nil {
-			s.cHedgeWins.Inc()
-		}
-	}
+	s.record(j.task.Class, outcome, wait, service)
 	s.observeService(service, outcome == OutcomeCompleted)
 	if s.hQueueWait != nil {
 		s.hQueueWait.Observe(wait.Seconds())
 		s.hService.Observe(service.Seconds())
-		s.hQueueWaitClass[j.class].Observe(wait.Seconds())
-		s.hServiceClass[j.class].Observe(service.Seconds())
-		if d := j.task.MaxDistance; d >= 0 && d <= 10 {
-			s.cfg.Metrics.Histogram(fmt.Sprintf("sched.service_seconds.maxd%d", d),
-				obs.DefLatencyBuckets).Observe(service.Seconds())
+		s.hQueueWaitClass[j.task.Class].Observe(wait.Seconds())
+		s.hServiceClass[j.task.Class].Observe(service.Seconds())
+		if d := j.task.MaxDistance; d >= 0 && d <= maxMetricDistance {
+			s.hServiceMaxD[d].Observe(service.Seconds())
 		}
 	}
 	ev := obs.TraceEvent{
@@ -838,9 +792,6 @@ func (s *Scheduler) serve(j *job) {
 		Search: j.task.TraceID,
 		Detail: outcome.String(),
 		Dur:    service,
-	}
-	if hedgeWon {
-		ev.Detail += " (hedge won)"
 	}
 	if err != nil {
 		ev.Err = err.Error()
@@ -851,85 +802,43 @@ func (s *Scheduler) serve(j *job) {
 	close(j.done)
 }
 
-// execute runs one search against the backend, hedging it with a second
-// flight if it straggles past the hedge trigger. Exactly one flight's
-// outcome is returned (first completion wins; the loser's context is
-// cancelled and drained before returning, so no flight outlives the
-// call). hedgeWon reports that the second flight's result was used.
-func (s *Scheduler) execute(ctx context.Context, j *job) (res core.Result, err error, hedgeWon bool) {
+// execute runs one search against the backend, one flight at a time.
+// A flight still running at the hedge trigger is cancelled and, unless
+// it already found the seed or the caller is gone, the rest of the ball
+// is handed off past the shells it finished (core.Continue): to the
+// backend's alternate engine when it has one — a straggle caused by the
+// chosen engine itself is only fixed by a different choice — and back to
+// Search otherwise. Both flights run under ctx, the serve deadline.
+func (s *Scheduler) execute(ctx context.Context, j *job) (core.Result, error) {
 	var delay time.Duration
-	if j.hedge {
+	if s.cfg.Hedge.Enabled {
 		delay = s.hedgeDelay()
 	}
 	if delay <= 0 {
-		res, err = s.backend.Search(ctx, j.task)
-		return res, err, false
+		return s.backend.Search(ctx, j.task)
 	}
 
-	hctx, cancel := context.WithCancel(ctx)
+	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	type flight struct {
-		res   core.Result
-		err   error
-		hedge bool
-	}
-	results := make(chan flight, 2)
-	launch := func(hedge bool) {
-		go func() {
-			search := s.backend.Search
-			if hedge {
-				// Hedge onto different hardware when the backend can: a
-				// straggle caused by the chosen engine itself (not
-				// transient load) is only fixed by a different choice.
-				if alt, ok := s.backend.(core.AlternateSearcher); ok {
-					search = alt.SearchAlternate
-				}
-			}
-			r, e := search(hctx, j.task)
-			results <- flight{res: r, err: e, hedge: hedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-
-	var first flight
-	select {
-	case first = <-results:
-		// The primary beat the hedge trigger: nothing was hedged.
-		return first.res, first.err, false
-	case <-timer.C:
+	trigger := time.AfterFunc(delay, cancel)
+	res, err := s.backend.Search(fctx, j.task)
+	trigger.Stop()
+	if !errors.Is(err, context.Canceled) || res.Found || ctx.Err() != nil {
+		return res, err
 	}
 
-	// Straggler: issue the second flight and take the first completion.
 	s.statsMu.Lock()
 	s.stats.Hedged++
 	s.statsMu.Unlock()
 	if s.cHedge != nil {
 		s.cHedge.Inc()
 	}
-	obs.Emit(j.task.Trace, obs.TraceEvent{
-		Kind:   obs.KindHedge,
-		Search: j.task.TraceID,
-		Dur:    delay,
-	})
-	launch(true)
-
-	first = <-results
-	if first.err != nil && !errors.Is(first.err, context.Canceled) && !errors.Is(first.err, context.DeadlineExceeded) {
-		// The first completion is a backend fault, not an answer; give
-		// the surviving flight the chance to produce one.
-		second := <-results
-		if second.err == nil {
-			return second.res, nil, second.hedge
-		}
-		return first.res, first.err, first.hedge
+	obs.Emit(j.task.Trace, obs.TraceEvent{Kind: obs.KindHedge, Search: j.task.TraceID, Dur: delay})
+	search := s.backend.Search
+	if alt, ok := s.backend.(core.AlternateSearcher); ok {
+		search = alt.SearchAlternate
 	}
-	// First completion wins: cancel and drain the loser so its partial
-	// result is never double-counted anywhere.
-	cancel()
-	<-results
-	return first.res, first.err, first.hedge
+	return core.Continue(ctx, j.task, res, search)
 }
 
 // hedgeDelay returns the current hedge trigger: the configured fixed
@@ -949,18 +858,9 @@ func (s *Scheduler) hedgeDelay() time.Duration {
 // percentile must see.
 func (s *Scheduler) observeService(service time.Duration, completed bool) {
 	s.svcWindow.Observe(service)
-	if !completed {
-		return
+	if completed {
+		s.svcEWMA.Observe(0.2, service.Seconds())
 	}
-	sec := service.Seconds()
-	s.estMu.Lock()
-	if s.servedEst == 0 {
-		s.ewmaSvc = sec
-	} else {
-		s.ewmaSvc = 0.8*s.ewmaSvc + 0.2*sec
-	}
-	s.servedEst++
-	s.estMu.Unlock()
 }
 
 // record folds one served search into the counters.

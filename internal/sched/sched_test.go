@@ -583,8 +583,8 @@ func TestHedgeReachesAlternateSearcher(t *testing.T) {
 		t.Fatal("SearchAlternate was never invoked")
 	}
 	st := s.Stats()
-	if st.Hedged != 1 || st.HedgeWins != 1 {
-		t.Fatalf("stats Hedged=%d HedgeWins=%d, want 1/1", st.Hedged, st.HedgeWins)
+	if st.Hedged != 1 {
+		t.Fatalf("stats Hedged=%d, want 1", st.Hedged)
 	}
 }
 

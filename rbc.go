@@ -74,10 +74,10 @@
 // refused with ErrDeadlineInfeasible instead of burning search time;
 // when the queue is full, admission sheds the largest-distance,
 // loosest-deadline background work first and otherwise fails fast with
-// ErrOverloaded (wire status "overloaded"). Straggling searches can be
-// hedged with a second backend flight (SchedulerConfig.Hedge);
-// s.Stats() reports per-class queue-wait, service-time, shed and hedge
-// counters.
+// ErrOverloaded (wire status "overloaded"). A straggling search can be
+// handed off to the backend's alternate engine past the shells it
+// finished (SchedulerConfig.Hedge); s.Stats() reports per-class
+// queue-wait, service-time, shed and hedge counters.
 //
 // # Observability
 //
@@ -247,21 +247,9 @@ type (
 	// SchedulerStats is a snapshot of the scheduler's queue-wait,
 	// service-time and outcome counters.
 	SchedulerStats = sched.Stats
-	// HedgeConfig tunes hedged dispatch of straggling searches
+	// HedgeConfig tunes the hand-off of straggling searches
 	// (SchedulerConfig.Hedge).
 	HedgeConfig = sched.HedgeConfig
-	// SubmitOption customises one Scheduler.Submit call.
-	SubmitOption = sched.SubmitOption
-)
-
-// Per-submission scheduling options for Scheduler.Submit.
-var (
-	// WithClass overrides the task's QoS class for one submission.
-	WithClass = sched.WithClass
-	// WithDeadline overrides the task's absolute deadline.
-	WithDeadline = sched.WithDeadline
-	// WithHedging opts one submission in or out of hedged dispatch.
-	WithHedging = sched.WithHedging
 )
 
 // NewScheduler starts a scheduler over backend. Zero config fields take
