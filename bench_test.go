@@ -16,6 +16,7 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/device"
 	"rbcsalted/internal/exper"
 	"rbcsalted/internal/iterseq"
@@ -61,7 +62,7 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkFigure3 prices one full (n, b) heatmap from the GPU model.
 func BenchmarkFigure3(b *testing.B) {
-	m := device.NewA100Kernel(device.MeasureHostCosts())
+	m := device.NewA100Kernel(cpu.MeasureHostCosts())
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{1, 10, 100, 1000, 10000} {
 			for _, blk := range []int{32, 128, 512, 1024} {
@@ -76,7 +77,7 @@ func BenchmarkFigure3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	for _, method := range []IterMethod{IterGray, IterGosper, IterAlg515} {
 		b.Run(method.String(), func(b *testing.B) {
-			backend := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3})
+			backend := a100(SHA3, 1)
 			base, client := scenario(3, 5)
 			oracle := client
 			for i := 0; i < b.N; i++ {
@@ -103,12 +104,12 @@ func BenchmarkTable5(b *testing.B) {
 		backend Backend
 		alg     HashAlg
 	}{
-		{"GPU-SHA1", mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA1}), SHA1},
-		{"GPU-SHA3", mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3}), SHA3},
-		{"APU-SHA1", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA1}), SHA1},
-		{"APU-SHA3", mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: SHA3}), SHA3},
-		{"CPUmodel-SHA1", device.NewEPYC(SHA1, device.MeasureHostCosts()), SHA1},
-		{"CPUmodel-SHA3", device.NewEPYC(SHA3, device.MeasureHostCosts()), SHA3},
+		{"GPU-SHA1", a100(SHA1, 1), SHA1},
+		{"GPU-SHA3", a100(SHA3, 1), SHA3},
+		{"APU-SHA1", gemini(SHA1), SHA1},
+		{"APU-SHA3", gemini(SHA3), SHA3},
+		{"CPUmodel-SHA1", device.NewEPYC(SHA1, cpu.MeasureHostCosts()), SHA1},
+		{"CPUmodel-SHA3", device.NewEPYC(SHA3, cpu.MeasureHostCosts()), SHA3},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -123,8 +124,8 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	for _, alg := range []HashAlg{SHA1, SHA3} {
 		b.Run(alg.String(), func(b *testing.B) {
-			gpu := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: alg})
-			apu := mustBackend(b, BackendSpec{Kind: BackendAPU, Alg: alg})
+			gpu := a100(alg, 1)
+			apu := gemini(alg)
 			for i := 0; i < b.N; i++ {
 				searchOnce(b, gpu, alg, 5, true)
 				searchOnce(b, apu, alg, 5, true)
@@ -136,7 +137,7 @@ func BenchmarkTable6(b *testing.B) {
 // BenchmarkFigure4 runs the 3-GPU early-exit search (the figure's most
 // overhead-sensitive point).
 func BenchmarkFigure4(b *testing.B) {
-	backend := mustBackend(b, BackendSpec{Kind: BackendGPU, Alg: SHA3, Devices: 3})
+	backend := a100(SHA3, 3)
 	for i := 0; i < b.N; i++ {
 		searchOnce(b, backend, SHA3, 5, false)
 	}
@@ -218,7 +219,7 @@ func BenchmarkFlagInterval(b *testing.B) {
 
 // BenchmarkSharedMem prices the §3.2.3 ablation point.
 func BenchmarkSharedMem(b *testing.B) {
-	m := device.NewA100Kernel(device.MeasureHostCosts())
+	m := device.NewA100Kernel(cpu.MeasureHostCosts())
 	for i := 0; i < b.N; i++ {
 		_ = m.ShellSeconds(8809549056, SHA1, IterGray, device.DefaultKernelParams, true, 1)
 		_ = m.ShellSeconds(8809549056, SHA1, IterGray, device.DefaultKernelParams, false, 1)

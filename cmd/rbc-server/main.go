@@ -8,12 +8,6 @@
 // searches, -sched-queue waiting) so a burst of clients degrades into
 // fast "overloaded" rejections instead of an unbounded goroutine pile-up.
 //
-// -backend picks the search engine: the real multicore CPU engine
-// (default), a calibrated GPU or APU simulator, or "planner" — a
-// cost-based dispatcher that routes every search to whichever engine
-// the calibrated curves predict to be cheapest under -plan-policy and
-// the optional -joules-budget (see DESIGN.md §13).
-//
 // # Replicated, sharded serving (DESIGN.md §14)
 //
 // A group of rbc-servers forms a scaled-out CA. Give every node a
@@ -74,14 +68,9 @@ func main() {
 	maxD := flag.Int("maxd", 3, "maximum Hamming distance searched")
 	timeLimit := flag.Duration("timelimit", 20*time.Second, "authentication threshold T")
 	workers := flag.Int("workers", 0, "search worker goroutines (0 = GOMAXPROCS)")
-	backendFlag := flag.String("backend", "cpu", "search engine: cpu|gpu|apu|planner")
-	joulesBudget := flag.Float64("joules-budget", 0, "with -backend planner: total energy budget in joules (0 = unbudgeted)")
-	planPolicy := flag.String("plan-policy", "balanced", "with -backend planner: dispatch objective balanced|latency|energy")
 	schedWorkers := flag.Int("sched-workers", sched.DefaultWorkers, "concurrent searches admitted by the scheduler")
 	schedQueue := flag.Int("sched-queue", sched.DefaultQueueDepth, "scheduler admission-queue depth")
 	inlineDepth := flag.Int("inline-depth", core.DefaultInlineDepth, "largest shell served inline without queuing (-1 = always queue)")
-	hedge := flag.Bool("hedge", false, "hand straggling searches off, past the shells they finished, to the backend's alternate engine")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "fixed hedge trigger (0 = derive from the service-time p95)")
 	traceDepth := flag.Int("trace-depth", 1024, "trace ring capacity (events kept for /trace)")
 	storePath := flag.String("store", "", "load an rbc-enroll enrolment file instead of self-enrolling")
 	keyHex := flag.String("key", strings.Repeat("00", 32), "master key for -store / -data-dir (64 hex chars)")
@@ -99,14 +88,6 @@ func main() {
 	shardsFlag := flag.String("shards", "", "with -follow: comma-separated shard subset to subscribe (empty = all)")
 	flag.Parse()
 
-	kind, err := rbc.ParseBackendKind(*backendFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	policy, err := rbc.ParsePlanPolicy(*planPolicy)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sync, err := durable.ParseSyncPolicy(*syncMode)
 	if err != nil {
 		log.Fatal(err)
@@ -124,12 +105,7 @@ func main() {
 		Cores:        *workers,
 		SchedWorkers: *schedWorkers,
 		SchedQueue:   *schedQueue,
-		Backend:      kind,
-		JoulesBudget: *joulesBudget,
-		PlanPolicy:   policy,
 		InlineDepth:  *inlineDepth,
-		Hedge:        *hedge,
-		HedgeDelay:   *hedgeDelay,
 		TraceDepth:   *traceDepth,
 		DataDir:      *dataDir,
 		Sync:         sync,

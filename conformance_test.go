@@ -12,6 +12,7 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/device"
 	"rbcsalted/internal/iterseq"
 )
@@ -37,12 +38,16 @@ func conformanceEngines(t *testing.T, alg HashAlg, maxDistance int) []Backend {
 	shell, _ := combin.Binomial64(256, maxDistance)
 	engines := []Backend{
 		&CPUBackend{Alg: alg, Workers: 2},
-		device.NewEPYC(alg, device.MeasureHostCosts()),
+		device.NewEPYC(alg, cpu.MeasureHostCosts()),
+	}
+	models := []func(device.Config) Backend{
+		func(cfg device.Config) Backend { return device.NewA100(cfg, cpu.MeasureHostCosts()) },
+		func(cfg device.Config) Backend { return device.NewGemini(cfg) },
 	}
 	for _, devices := range []int{1, 3} {
-		for _, kind := range []BackendKind{BackendGPU, BackendAPU} {
+		for _, model := range models {
 			for _, budget := range []uint64{shell, 1} {
-				engines = append(engines, mustBackend(t, BackendSpec{Kind: kind, Alg: alg, Cores: 2, Devices: devices, ExecBudget: budget}))
+				engines = append(engines, model(device.Config{Alg: alg, Devices: devices, ExecBudget: budget, HostWorkers: 2}))
 			}
 		}
 	}

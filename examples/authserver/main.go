@@ -40,18 +40,14 @@ func main() {
 	// beyond Workers running and QueueDepth waiting, authentications are
 	// shed with rbc.ErrOverloaded -> wire status "overloaded", and
 	// infeasible deadlines are refused up front with
-	// rbc.ErrDeadlineInfeasible -> "deadline-infeasible". A search whose
-	// backend flight runs past the observed p95 service time is handed
-	// off past the shells it finished to the backend's alternate engine.
-	// One registry and one trace ring observe the whole serving path:
+	// rbc.ErrDeadlineInfeasible -> "deadline-infeasible". One registry and one trace ring observe the whole serving path:
 	// the scheduler records per-class queue/service histograms and
 	// lifecycle events, the backend adds per-shell search events, the
 	// protocol server counts connections and statuses.
 	reg := rbc.NewMetricsRegistry()
 	ring := rbc.NewTraceRing(256)
 	pool := rbc.NewScheduler(&rbc.CPUBackend{Alg: rbc.SHA3},
-		rbc.SchedulerConfig{Workers: 2, QueueDepth: 8, Trace: ring, Metrics: reg,
-			Hedge: rbc.HedgeConfig{Enabled: true}})
+		rbc.SchedulerConfig{Workers: 2, QueueDepth: 8, Trace: ring, Metrics: reg})
 	defer pool.Close()
 	ca, err := rbc.NewCA(store, pool, &rbc.AESKeyGenerator{},
 		rbc.NewRA(), rbc.CAConfig{MaxDistance: 2, Trace: ring})

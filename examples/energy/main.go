@@ -12,6 +12,10 @@ import (
 	"math/rand/v2"
 
 	"rbcsalted"
+	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
+	"rbcsalted/internal/device"
+	"rbcsalted/internal/plan"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/u256"
 )
@@ -25,13 +29,15 @@ func main() {
 	fmt.Printf("%-12s %-6s %10s %12s %10s %12s\n",
 		"device", "hash", "search(s)", "energy(J)", "peak(W)", "J/Gseed")
 	for _, alg := range []rbc.HashAlg{rbc.SHA1, rbc.SHA3} {
-		for _, kind := range []rbc.BackendKind{rbc.BackendGPU, rbc.BackendAPU} {
-			b, err := rbc.NewBackend(rbc.BackendSpec{Kind: kind, Alg: alg})
-			if err != nil {
-				log.Fatal(err)
-			}
+		for _, dev := range []struct {
+			name string
+			b    *device.Engine
+		}{
+			{"A100 GPU", device.NewA100(device.Config{Alg: alg}, cpu.MeasureHostCosts())},
+			{"Gemini APU", device.NewGemini(device.Config{Alg: alg})},
+		} {
 			oracle := client
-			res, err := b.Search(context.Background(), rbc.Task{
+			res, err := dev.b.Search(context.Background(), rbc.Task{
 				Base:        base,
 				Target:      rbc.HashSeed(alg, client),
 				MaxDistance: 5,
@@ -41,10 +47,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			name := map[rbc.BackendKind]string{
-				rbc.BackendGPU: "A100 GPU", rbc.BackendAPU: "Gemini APU"}[kind]
 			fmt.Printf("%-12s %-6s %10.2f %12.2f %10.2f %12.2f\n",
-				name, alg, res.DeviceSeconds, res.EnergyJoules, res.PeakWatts,
+				dev.name, alg, res.DeviceSeconds, res.EnergyJoules, res.PeakWatts,
 				res.EnergyJoules/(float64(res.SeedsCovered)/1e9))
 		}
 	}
@@ -57,16 +61,19 @@ func main() {
 	// search to whichever engine its calibrated cost curves predict to be
 	// cheapest for that shell depth.
 	const budget = 2000.0
-	b, err := rbc.NewBackend(rbc.BackendSpec{
-		Kind:         rbc.BackendPlanner,
-		Alg:          rbc.SHA3,
-		PlanPolicy:   rbc.PlanEnergy,
+	cfg := device.Config{Alg: rbc.SHA3}
+	planner, err := plan.New(plan.Config{
+		Engines: []core.Backend{
+			&cpu.Backend{Alg: rbc.SHA3},
+			device.NewA100(cfg, cpu.MeasureHostCosts()),
+			device.NewGemini(cfg),
+		},
+		Policy:       plan.PolicyEnergy,
 		JoulesBudget: budget,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	planner := b.(*rbc.Planner)
 
 	fmt.Printf("\nPlanner dispatch, SHA-3 early-exit, %.0f J budget (policy energy)\n", budget)
 	fmt.Printf("%-4s %10s %12s %-14s\n", "d", "search(s)", "energy(J)", "engine")
@@ -95,8 +102,8 @@ func main() {
 	fmt.Println("throughput advantage makes it the cheaper joules-per-search bet.")
 }
 
-// engineDispatches snapshots per-engine primary dispatch counts.
-func engineDispatches(st rbc.PlannerStats) map[string]uint64 {
+// engineDispatches snapshots per-engine dispatch counts.
+func engineDispatches(st plan.Stats) map[string]uint64 {
 	out := make(map[string]uint64, len(st.Engines))
 	for _, e := range st.Engines {
 		out[e.Name] = e.Dispatches
@@ -105,7 +112,7 @@ func engineDispatches(st rbc.PlannerStats) map[string]uint64 {
 }
 
 // chosenEngine names the engine whose dispatch count advanced.
-func chosenEngine(before map[string]uint64, after rbc.PlannerStats) string {
+func chosenEngine(before map[string]uint64, after plan.Stats) string {
 	for _, e := range after.Engines {
 		if e.Dispatches > before[e.Name] {
 			return e.Name

@@ -10,6 +10,8 @@ import (
 	"math/rand/v2"
 
 	"rbcsalted"
+	"rbcsalted/internal/cpu"
+	"rbcsalted/internal/device"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/u256"
 )
@@ -39,12 +41,9 @@ func main() {
 }
 
 func meanSeconds(alg rbc.HashAlg, devices int, exhaustive bool, trials int) float64 {
-	// NewBackend's GPU kind runs shared-memory iterator state (the
-	// paper's best config) by default.
-	backend, err := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Alg: alg, Devices: devices})
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The A100 model runs shared-memory iterator state (the paper's best
+	// config) by default.
+	backend := device.NewA100(device.Config{Alg: alg, Devices: devices}, cpu.MeasureHostCosts())
 	n := trials
 	if exhaustive {
 		n = 1 // deterministic

@@ -146,8 +146,8 @@ func SearchBall(ctx context.Context, task Task, eng Engine) (Result, error) {
 
 // Continue resumes task past the shells done finished: Algorithm 1
 // covers the ball one shell at a time, so a search stopped short — the
-// inline shells, a straggling flight the scheduler cancelled — goes on
-// at a shell boundary instead of starting over. A shell counts as
+// CA's inline shells — goes on at a shell boundary instead of starting
+// over. A shell counts as
 // finished when done covered all C(256, d) of its seeds, and only an
 // unbroken run from task.StartShell counts; the base probe counts as run
 // when done covered a seed outside its shells. search covers the rest

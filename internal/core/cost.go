@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"rbcsalted/internal/combin"
 )
@@ -33,32 +31,6 @@ type CostModel interface {
 	// must not consult the task's Oracle: the prediction is what a
 	// dispatcher knows before the answer exists.
 	PredictCost(task Task) (Cost, error)
-}
-
-// ETAEstimator is implemented by backends (notably the planner) whose
-// service-time estimate depends on the task itself, not just on the
-// history of past searches. The scheduler's deadline admission consults
-// it when present: an estimate specific to the task's shell sizes and
-// chosen engine refuses infeasible deadlines the global EWMA would
-// wrongly admit, and admits small searches the EWMA would wrongly
-// refuse.
-type ETAEstimator interface {
-	// EstimateETA returns the expected service time for the task on the
-	// engine that would serve it, and whether an estimate is available.
-	EstimateETA(task Task) (time.Duration, bool)
-}
-
-// AlternateSearcher is implemented by multiplexing backends that can
-// run a search on a different engine than their first choice. The
-// scheduler's hand-off uses it: when a flight straggles past the hedge
-// trigger, the scheduler cancels it and continues the search past the
-// shells it finished (Continue) on the *second-best* engine, which
-// attacks the case where the primary engine itself (not transient load)
-// is the problem.
-type AlternateSearcher interface {
-	// SearchAlternate runs the task on the backend's second choice of
-	// engine, falling back to the primary when only one engine exists.
-	SearchAlternate(ctx context.Context, task Task) (Result, error)
 }
 
 // PriceBall is the one pricing walk behind every CostModel: the cost of

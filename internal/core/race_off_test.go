@@ -2,6 +2,6 @@
 
 package core
 
-// raceEnabled is device.RaceEnabled for this package's tests; see
+// raceEnabled is cpu.RaceEnabled for this package's tests; see
 // race_on_test.go.
 const raceEnabled = false

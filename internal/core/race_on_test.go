@@ -2,6 +2,6 @@
 
 package core
 
-// raceEnabled is device.RaceEnabled for this package's tests, which
-// cannot import device: device is built on core.
+// raceEnabled is cpu.RaceEnabled for this package's tests, which
+// cannot import cpu: cpu is built on core.
 const raceEnabled = true

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/device"
 )
 
 // Backend is the real multicore search engine.
@@ -48,15 +47,21 @@ func (b *Backend) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// ActiveWattsEst is the draw PredictCost prices a search's energy at: an
+// engineering estimate taken from the paper's PlatformA (2x AMD EPYC
+// 7542), the two sockets' combined 225 W TDP, since an all-core hash
+// search is TDP-bound and Table 6 reports no CPU rows.
+const ActiveWattsEst = 450.0
+
 // PredictCost implements core.CostModel: the expected wall time and
 // energy of running the search on *this* host, priced from the measured
-// host cost table (device.MeasureHostCosts) at the throughput of the
+// host cost table (MeasureHostCosts) at the throughput of the
 // algorithm's batch kernel as this process runs it, divided across the
 // worker count. An early-exit search prices the final shell at half a
-// worker's share (the uniform-match expectation). Energy uses the
-// device.PowerCPUEst host estimate.
+// worker's share (the uniform-match expectation). Energy is
+// ActiveWattsEst over the predicted seconds.
 func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
-	costs := device.MeasureHostCosts()
+	costs := MeasureHostCosts()
 	hashNs := costs.SHA3Ns
 	if b.Alg == core.SHA1 {
 		hashNs = costs.SHA1Ns
@@ -70,7 +75,7 @@ func (b *Backend) PredictCost(task core.Task) (core.Cost, error) {
 	seconds, err := core.PriceBall(task, uint64(b.workers()), perSeed, func(_ int, _, expect uint64) float64 {
 		return float64(expect) * perSeed
 	})
-	return core.Cost{Seconds: seconds, Joules: device.PowerCPUEst.Energy(seconds)}, err
+	return core.Cost{Seconds: seconds, Joules: ActiveWattsEst * seconds}, err
 }
 
 // Search implements core.Backend by actually hashing every covered seed:

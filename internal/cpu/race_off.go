@@ -1,6 +1,6 @@
 //go:build !race
 
-package device
+package cpu
 
 // RaceEnabled reports whether the binary was built with the race
 // detector; see race_on.go for why measured cost ratios cannot be

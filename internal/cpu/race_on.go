@@ -1,6 +1,6 @@
 //go:build race
 
-package device
+package cpu
 
 // RaceEnabled reports whether the binary was built with the race
 // detector. The detector instruments every memory access, which taxes

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/iterseq"
 )
 
@@ -46,7 +47,7 @@ const (
 // memory), priced from the host cost table costs. The device streams
 // each shell in rank order over contiguous per-device slices, so an
 // early exit at rank r charges (r+1)/size of the full kernel.
-func NewA100(cfg Config, costs HostCosts) *Engine {
+func NewA100(cfg Config, costs cpu.HostCosts) *Engine {
 	cfg = cfg.withDefaults()
 	k := NewA100Kernel(costs)
 	g := uint64(cfg.Devices)
@@ -97,7 +98,7 @@ var DefaultKernelParams = KernelParams{SeedsPerThread: 100, ThreadsPerBlock: 128
 // the parameter sweeps (Figure 3's heatmap, the §4.4 flag-interval sweep,
 // the §3.2.3 shared-memory ablation). Construct with NewA100Kernel.
 type A100Kernel struct {
-	costs HostCosts
+	costs cpu.HostCosts
 
 	// cyclesSHA1 and cyclesSHA3 are the calibrated effective core-cycles
 	// to iterate (minimal-change) and hash one seed, per hash algorithm.
@@ -133,7 +134,7 @@ type A100Kernel struct {
 // the execution environment — a loaded host, or the race detector's
 // instrumentation, can compress or even invert the gap between two
 // iterators' host costs.
-func NewA100Kernel(costs HostCosts) *A100Kernel {
+func NewA100Kernel(costs cpu.HostCosts) *A100Kernel {
 	m := &A100Kernel{costs: costs, launchSeconds: 5e-6, exitCheckCycles: 2}
 
 	// First-order scale from raw throughput, then renormalized so the

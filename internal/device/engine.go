@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"rbcsalted/internal/combin"
@@ -20,7 +21,8 @@ import (
 
 // DefaultExecBudget fully executes shells up to 64Ki seeds (d <= 2) on
 // the host; larger shells run a validation sample and are planned
-// analytically. Raise it (e.g. to 4<<20 for d <= 3) when wall-clock time
+// analytically from the task's oracle, and a task without one is refused
+// there. Raise it (e.g. to 4<<20 for d <= 3) when wall-clock time
 // permits.
 const DefaultExecBudget = 1 << 16
 
@@ -150,8 +152,14 @@ func (e *Engine) Search(ctx context.Context, task core.Task) (core.Result, error
 
 // shell covers the Hamming shell at distance d and charges it to clock:
 // in full, or by the exit rule when an early-exit search matches in it.
+// A shell the platform does not execute (no kernel, or more seeds than
+// ExecBudget) is modelled from the task's oracle; without one it is
+// refused, so a model never claims coverage it did not hash.
 func (e *Engine) shell(ctx context.Context, task core.Task, d int, clock *VirtualClock) (core.ShellOutcome, error) {
 	size, _ := combin.Binomial64(256, d) // SearchBall bounds d
+	if task.Oracle == nil && (e.d.kernel == nil || size > e.d.ExecBudget) {
+		return core.ShellOutcome{}, fmt.Errorf("device: %s does not execute shell %d (%d seeds) and the task has no oracle to model it by", e.d.name, d, size)
+	}
 	var out core.ShellOutcome
 	var err error
 	if e.d.kernel == nil {

@@ -3,10 +3,12 @@ package device
 import (
 	"context"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/u256"
@@ -44,9 +46,9 @@ func platforms(alg core.HashAlg) []*Engine {
 // The contract tests below run the same check on each platform, one test
 // per platform so a failure names the device.
 
-func a100(alg core.HashAlg) *Engine   { return NewA100(Config{Alg: alg}, MeasureHostCosts()) }
+func a100(alg core.HashAlg) *Engine   { return NewA100(Config{Alg: alg}, cpu.MeasureHostCosts()) }
 func gemini(alg core.HashAlg) *Engine { return NewGemini(Config{Alg: alg}) }
-func epyc(alg core.HashAlg) *Engine   { return NewEPYC(alg, MeasureHostCosts()) }
+func epyc(alg core.HashAlg) *Engine   { return NewEPYC(alg, cpu.MeasureHostCosts()) }
 
 func TestA100SearchFindsSeedPlannedD5(t *testing.T)   { checkPlannedD5(t, a100(core.SHA3)) }
 func TestGeminiSearchFindsSeedPlannedD5(t *testing.T) { checkPlannedD5(t, gemini(core.SHA3)) }
@@ -164,20 +166,32 @@ func checkNotFoundBeyondRadius(t *testing.T, e *Engine) {
 	}
 }
 
-func TestEPYCNoOracleCoversBall(t *testing.T) {
-	// Without an oracle the EPYC model, which executes nothing, covers the
-	// whole ball and finds nothing.
-	r := rand.New(rand.NewPCG(7, 7))
+// TestModelsRefuseUnexecutedShells: a genuine d=3 client searched with
+// no oracle at the default ExecBudget. Shell 3 is larger than the budget,
+// and the EPYC model executes no shell at all, so every platform must
+// refuse the search rather than report coverage it never hashed.
+func TestModelsRefuseUnexecutedShells(t *testing.T) {
+	r := rand.New(rand.NewPCG(33, 33))
 	base := randSeed(r)
-	client := puf.InjectNoise(base, base, 4, r)
+	client := puf.InjectNoise(base, base, 3, r)
 	task := taskFor(core.SHA3, base, client, 3, iterseq.GrayCode)
 	task.Oracle = nil
-	res, err := epyc(core.SHA3).Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found || res.SeedsCovered != ballD3 {
-		t.Errorf("oracle-less EPYC search: found=%v covered=%d", res.Found, res.SeedsCovered)
+	for _, e := range []*Engine{
+		a100(core.SHA3),
+		NewA100(Config{Alg: core.SHA3, Devices: 3}, cpu.MeasureHostCosts()),
+		gemini(core.SHA3),
+		NewGemini(Config{Alg: core.SHA3, Devices: 3}),
+		epyc(core.SHA3),
+	} {
+		res, err := e.Search(context.Background(), task)
+		if err == nil {
+			t.Errorf("%s: no error; found=%v, covered %d seeds after hashing %d", e.Name(), res.Found, res.SeedsCovered, res.HashesExecuted)
+		} else if !strings.Contains(err.Error(), e.Name()) {
+			t.Errorf("%s: error %q does not name the engine", e.Name(), err)
+		}
+		if res.SeedsCovered > res.HashesExecuted {
+			t.Errorf("%s: covered %d seeds, hashed %d", e.Name(), res.SeedsCovered, res.HashesExecuted)
+		}
 	}
 }
 
@@ -208,7 +222,7 @@ func checkOracleVerified(t *testing.T, e *Engine) {
 
 func TestA100DefaultsAndName(t *testing.T) {
 	checkDefaultsAndName(t, a100(core.SHA3), "SALTED-GPU(SHA-3, 1xA100, n=100, b=128)")
-	checkDefaultsAndName(t, NewA100(Config{Alg: core.SHA1, Devices: 3}, MeasureHostCosts()), "SALTED-GPU(SHA-1, 3xA100, n=100, b=128)")
+	checkDefaultsAndName(t, NewA100(Config{Alg: core.SHA1, Devices: 3}, cpu.MeasureHostCosts()), "SALTED-GPU(SHA-1, 3xA100, n=100, b=128)")
 }
 
 func TestGeminiDefaultsAndName(t *testing.T) {
@@ -238,15 +252,19 @@ func checkDefaultsAndName(t *testing.T, e *Engine, name string) {
 	}
 }
 
-// unfindableD5 is an exhaustive d=5 search for a target no seed hashes to.
+// unfindableD5 is an exhaustive d=5 search for a target no seed in the
+// ball hashes to: its oracle, the target's preimage, is a random seed far
+// outside the d<=5 ball.
 func unfindableD5() core.Task {
 	r := rand.New(rand.NewPCG(9, 9))
+	base, client := randSeed(r), randSeed(r)
 	return core.Task{
-		Base:        randSeed(r),
-		Target:      core.HashSeed(core.SHA3, randSeed(r)),
+		Base:        base,
+		Target:      core.HashSeed(core.SHA3, client),
 		MaxDistance: 5,
 		Method:      iterseq.GrayCode,
 		Exhaustive:  true,
+		Oracle:      &client,
 	}
 }
 
@@ -304,5 +322,28 @@ func TestEarlyExitFasterThanExhaustive(t *testing.T) {
 		if e.d.kernel == nil && early.HashesExecuted >= 1000 {
 			t.Errorf("%s hashed %d seeds; a model without a kernel only verifies", e.Name(), early.HashesExecuted)
 		}
+	}
+}
+
+func TestModelAgreesWithRealBackendAtSmallScale(t *testing.T) {
+	// The EPYC model and the real engine (cpu.Backend) must find the
+	// same seed at the same distance (times differ: one is modelled EPYC,
+	// one is this host).
+	r := rand.New(rand.NewPCG(21, 22))
+	base := randSeed(r)
+	client := puf.InjectNoise(base, base, 2, r)
+	task := taskFor(core.SHA3, base, client, 3, iterseq.Gosper)
+	real := &cpu.Backend{Alg: core.SHA3, Workers: 4}
+	model := epyc(core.SHA3)
+	rr, err := real.Search(context.Background(), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := model.Search(context.Background(), task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.Found != mr.Found || !rr.Seed.Equal(mr.Seed) || rr.Distance != mr.Distance {
+		t.Errorf("real %+v vs model %+v disagree", rr, mr)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/iterseq"
 )
 
@@ -32,7 +33,7 @@ func EPYCSpeedup(alg core.HashAlg, p int) float64 {
 // shell and poll a shared exit flag every task.CheckInterval seeds.
 // Energy uses PowerCPUEst — an estimate, since Table 6 reports no CPU
 // rows.
-func NewEPYC(alg core.HashAlg, costs HostCosts) *Engine {
+func NewEPYC(alg core.HashAlg, costs cpu.HostCosts) *Engine {
 	p := PlatformACPU.Lanes
 	anchor, hashNs := AnchorCPUSHA3Seconds, costs.SHA3Ns
 	if alg == core.SHA1 {

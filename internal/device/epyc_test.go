@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/u256"
 )
@@ -34,7 +35,7 @@ func TestSpeedupCalibration(t *testing.T) {
 // the finding worker's steps lie inside its share.
 func TestEPYCExitLocatesMatch(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 1))
-	e := NewEPYC(core.SHA3, MeasureHostCosts())
+	e := NewEPYC(core.SHA3, cpu.MeasureHostCosts())
 	for _, method := range iterseq.Methods() {
 		base := randSeed(r)
 		oracle := base.FlipBit(3).FlipBit(77).FlipBit(200)

@@ -11,13 +11,14 @@ import (
 
 	"rbcsalted/internal/combin"
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/u256"
 )
 
 // goldenCosts is the host cost table testdata/golden.tsv was recorded
 // with (EXPERIMENTS.md's itermicro rows on a 2-vCPU x86-64 guest).
-var goldenCosts = HostCosts{
+var goldenCosts = cpu.HostCosts{
 	SHA1Ns: 164.2, SHA3Ns: 3103.2,
 	IterNs: map[iterseq.Method]float64{
 		iterseq.GrayCode:  73.0,

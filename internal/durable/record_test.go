@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/device"
+	"rbcsalted/internal/cpu"
 )
 
 // TestRecordEncodeAllocatesOnce: Encode sizes its buffer once, so a
 // SessionOpen — an empty blob beside a full address map, the record the
 // handshake journals — costs exactly one allocation, as does a lease.
 func TestRecordEncodeAllocatesOnce(t *testing.T) {
-	if device.RaceEnabled {
+	if cpu.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	addr := make([]int, 256)

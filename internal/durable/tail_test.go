@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/device"
+	"rbcsalted/internal/cpu"
 )
 
 // TestTailSeesLiveAppends: a tail started before records exist sees
@@ -213,7 +213,7 @@ func TestTailFallsBackBehindTheWindow(t *testing.T) {
 // TestTailNextAllocatesNothingLive: a live tail copies each record out of
 // the window, with no allocation once its buffer has grown.
 func TestTailNextAllocatesNothingLive(t *testing.T) {
-	if device.RaceEnabled {
+	if cpu.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	w, _, _ := collectWAL(t, t.TempDir(), walConfig{}, 0)

@@ -16,7 +16,7 @@ import (
 )
 
 // hostCosts memoizes the calibration measurements for report tables.
-func hostCosts() device.HostCosts { return device.MeasureHostCosts() }
+func hostCosts() cpu.HostCosts { return cpu.MeasureHostCosts() }
 
 // CPUScaling reproduces §4.3: SALTED-CPU strong scaling on the 64-core
 // EPYC model (59x for SHA-1, 63x for SHA-3 at p=64), alongside a real

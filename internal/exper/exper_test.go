@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"rbcsalted/internal/device"
+	"rbcsalted/internal/cpu"
 )
 
 func renderOK(t *testing.T, tbl *Table) string {
@@ -65,11 +65,11 @@ func TestTable4Ordering(t *testing.T) {
 	// Race builds degrade gray < gosper to <=: the detector's
 	// instrumentation can invert the measured host gap between the two
 	// iterators, and the model clamps a negative gap to zero (equal
-	// rows) — see device.RaceEnabled.
+	// rows) — see cpu.RaceEnabled.
 	if !(gray <= gosper && gosper < alg515*1.10) {
 		t.Errorf("ordering broken: gray=%.2f gosper=%.2f alg515=%.2f", gray, gosper, alg515)
 	}
-	if !device.RaceEnabled && !(gray < gosper) {
+	if !cpu.RaceEnabled && !(gray < gosper) {
 		t.Errorf("gray (%.2f) not strictly faster than gosper (%.2f)", gray, gosper)
 	}
 	// Anchored rows must match the paper closely.

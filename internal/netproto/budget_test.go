@@ -9,7 +9,6 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg/aeskg"
-	"rbcsalted/internal/device"
 	"rbcsalted/internal/puf"
 )
 
@@ -21,7 +20,7 @@ import (
 // through gob and every frame was two writes, and the bytes ~25.7 KB
 // while every address map kept TernaryMask's 8 KiB array alive.
 func TestInlineAuthAllocBudget(t *testing.T) {
-	if device.RaceEnabled {
+	if cpu.RaceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	store, err := core.NewImageStore([32]byte{21})

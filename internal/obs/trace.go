@@ -35,10 +35,6 @@ const (
 	// KindShed: admission control evicted this queued search to make
 	// room for a strictly better one (Detail names the shed rule).
 	KindShed = "sched.shed"
-	// KindHedge: the scheduler cancelled a straggling search's flight at
-	// the hedge trigger and handed the shells it did not finish to a
-	// second flight (Dur = hedge delay).
-	KindHedge = "sched.hedge"
 )
 
 // TraceEvent is one step in a search's life. Fields beyond Time and Kind

@@ -6,7 +6,7 @@
 // Every engine handed to the planner implements core.CostModel, so the
 // planner holds one calibrated (time, energy) curve per engine — the
 // same curves behind Table 5 (throughput) and Table 6 (energy), seeded
-// from device.MeasureHostCosts, the device.Engine timing models and the
+// from cpu.MeasureHostCosts, the device.Engine timing models and the
 // committed kernel calibration. For each task it predicts every
 // engine's cost from the task's shell sizes (Hamming distance d),
 // algorithm and iterator, corrects the prediction by live feedback
@@ -18,11 +18,9 @@
 // joules budget steers dispatch away from engines whose predicted
 // draw exceeds what remains.
 //
-// The planner also implements core.ETAEstimator (so the scheduler's
-// deadline admission judges feasibility against the *chosen* engine)
-// and core.AlternateSearcher (so the scheduler's hand-off continues a
-// straggling search past the shells it finished on the *second-best*
-// engine rather than re-rolling the first). See DESIGN.md §13.
+// The planner is an offline experiment over the paper's modelled
+// engines (rbc-bench -experiment planner, examples/energy); no server
+// dispatches through it. See DESIGN.md §13.
 package plan
 
 import (
@@ -120,8 +118,7 @@ type engine struct {
 	cost    core.CostModel
 
 	inFlight   atomic.Int64
-	dispatches atomic.Uint64 // primary dispatches
-	alternates atomic.Uint64 // hedge (second-best) dispatches
+	dispatches atomic.Uint64
 	joules     atomicFloat64 // observed joules attributed to this engine
 
 	// secRatio and jouleRatio are EWMAs of observed/predicted, indexed
@@ -211,14 +208,10 @@ type EngineChoice struct {
 	OverBudget bool
 }
 
-// Decision is one planning outcome: the ranked engines and the chosen
-// primary/secondary. Choices is ordered best-first under the policy.
+// Decision is one planning outcome: the ranked engines, best-first
+// under the policy, so the chosen engine is Choices[0].
 type Decision struct {
 	Choices []EngineChoice
-	// Primary and Secondary index Choices' underlying engines; Secondary
-	// is -1 when only one engine exists.
-	Primary   int
-	Secondary int
 }
 
 // planned pairs a Decision with the engine handles backing it.
@@ -228,7 +221,7 @@ type planned struct {
 }
 
 // Plan ranks the engines for the task without dispatching. Exported for
-// introspection and tests; Search/SearchAlternate plan internally.
+// introspection and tests; Search plans internally.
 func (p *Planner) Plan(task core.Task) (Decision, error) {
 	pl, err := p.plan(task)
 	return pl.decision, err
@@ -318,10 +311,7 @@ func (p *Planner) plan(task core.Task) (planned, error) {
 		ordered[i] = c
 	}
 
-	pl := planned{decision: Decision{Primary: 0, Secondary: -1}}
-	if len(ordered) > 1 {
-		pl.decision.Secondary = 1
-	}
+	var pl planned
 	if !ordered[0].choice.Feasible && p.mInfeasible != nil {
 		p.mInfeasible.Inc()
 	}
@@ -380,37 +370,17 @@ func taskAlg(task core.Task) core.HashAlg {
 	return task.Target.Alg
 }
 
-// Search implements core.Backend: plan, dispatch the primary engine,
+// Search implements core.Backend: plan, dispatch the chosen engine,
 // fold the observation back into the curves.
 func (p *Planner) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	return p.dispatch(ctx, task, false)
-}
-
-// SearchAlternate implements core.AlternateSearcher: dispatch the
-// second-best engine (the best one, when only one exists). The
-// scheduler's hand-off calls this so a straggling search continues, past
-// the shells it finished, on different hardware.
-func (p *Planner) SearchAlternate(ctx context.Context, task core.Task) (core.Result, error) {
-	return p.dispatch(ctx, task, true)
-}
-
-func (p *Planner) dispatch(ctx context.Context, task core.Task, alternate bool) (core.Result, error) {
 	pl, err := p.plan(task)
 	if err != nil {
 		return core.Result{}, err
 	}
-	idx := pl.decision.Primary
-	if alternate && pl.decision.Secondary >= 0 {
-		idx = pl.decision.Secondary
-	}
-	e := pl.ranked[idx]
-	predicted := pl.decision.Choices[idx].Cost
+	e := pl.ranked[0]
+	predicted := pl.decision.Choices[0].Cost
 
-	if alternate {
-		e.alternates.Add(1)
-	} else {
-		e.dispatches.Add(1)
-	}
+	e.dispatches.Add(1)
 	e.inFlight.Add(1)
 	res, err := e.backend.Search(ctx, task)
 	e.inFlight.Add(-1)
@@ -454,28 +424,14 @@ func (p *Planner) PredictCost(task core.Task) (core.Cost, error) {
 	if err != nil {
 		return core.Cost{}, err
 	}
-	return pl.decision.Choices[pl.decision.Primary].Cost, nil
-}
-
-// EstimateETA implements core.ETAEstimator: the load-adjusted ETA of
-// the engine the task would dispatch to. The scheduler's deadline
-// admission consults this, so infeasibility is judged against the
-// *chosen* engine rather than a backend-blind global average.
-func (p *Planner) EstimateETA(task core.Task) (time.Duration, bool) {
-	pl, err := p.plan(task)
-	if err != nil {
-		return 0, false
-	}
-	return pl.decision.Choices[pl.decision.Primary].ETA, true
+	return pl.decision.Choices[0].Cost, nil
 }
 
 // EngineStats is one engine's dispatch accounting.
 type EngineStats struct {
 	Name string
-	// Dispatches counts primary dispatches; Alternates counts hedge
-	// (second-best) dispatches.
+	// Dispatches counts the searches dispatched to the engine.
 	Dispatches uint64
-	Alternates uint64
 	// InFlight is the searches running on the engine right now.
 	InFlight int64
 	// Joules is the observed energy attributed to the engine.
@@ -485,8 +441,8 @@ type EngineStats struct {
 // Stats is a point-in-time snapshot of the planner.
 type Stats struct {
 	Policy string
-	// Plans counts planning passes (Search, SearchAlternate,
-	// EstimateETA and Plan all plan).
+	// Plans counts planning passes (Search, PredictCost and Plan all
+	// plan).
 	Plans uint64
 	// JoulesSpent is the observed energy across all engines;
 	// JoulesBudget echoes the configured cap (0 = unbudgeted).
@@ -507,7 +463,6 @@ func (p *Planner) Stats() Stats {
 		st.Engines = append(st.Engines, EngineStats{
 			Name:       e.backend.Name(),
 			Dispatches: e.dispatches.Load(),
-			Alternates: e.alternates.Load(),
 			InFlight:   e.inFlight.Load(),
 			Joules:     e.joules.Load(),
 		})

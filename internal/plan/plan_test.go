@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/device"
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/u256"
@@ -15,16 +16,14 @@ import (
 
 // The planner must satisfy every contract it brokers.
 var (
-	_ core.Backend           = (*Planner)(nil)
-	_ core.CostModel         = (*Planner)(nil)
-	_ core.ETAEstimator      = (*Planner)(nil)
-	_ core.AlternateSearcher = (*Planner)(nil)
+	_ core.Backend   = (*Planner)(nil)
+	_ core.CostModel = (*Planner)(nil)
 )
 
 // paperEngines is the calibrated Table 5/6 trio: the modelled 64-core
 // EPYC, A100 and Gemini APU.
 func paperEngines(alg core.HashAlg) []core.Backend {
-	costs := device.MeasureHostCosts()
+	costs := cpu.MeasureHostCosts()
 	return []core.Backend{
 		device.NewEPYC(alg, costs),
 		device.NewA100(device.Config{Alg: alg}, costs),
@@ -70,7 +69,7 @@ func TestPlanNeverPicksDominatedEngine(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%v %v d=%d: %v", alg, policy, d, err)
 						}
-						chosen := dec.Choices[dec.Primary]
+						chosen := dec.Choices[0]
 						for _, other := range dec.Choices {
 							if tier(other) != tier(chosen) {
 								continue
@@ -130,7 +129,7 @@ func TestJoulesBudgetDemotesButStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.Choices[dec.Primary].Engine; got != "fast" {
+	if got := dec.Choices[0].Engine; got != "fast" {
 		t.Fatalf("unbudgeted latency policy chose %s, want fast", got)
 	}
 
@@ -143,7 +142,7 @@ func TestJoulesBudgetDemotesButStillServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosen := dec.Choices[dec.Primary]
+	chosen := dec.Choices[0]
 	if chosen.Engine != "slow" {
 		t.Fatalf("budgeted planner chose %s, want the affordable slow engine", chosen.Engine)
 	}
@@ -175,7 +174,7 @@ func TestFeedbackCorrectsLyingCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.Choices[dec.Primary].Engine; got != "liar" {
+	if got := dec.Choices[0].Engine; got != "liar" {
 		t.Fatalf("static plan chose %s, want the (lying) liar", got)
 	}
 	for i := 0; i < 40; i++ {
@@ -187,7 +186,7 @@ func TestFeedbackCorrectsLyingCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec.Choices[dec.Primary].Engine; got != "honest" {
+	if got := dec.Choices[0].Engine; got != "honest" {
 		t.Fatalf("after feedback the planner still chose %s, want honest", got)
 	}
 }
@@ -227,8 +226,8 @@ func TestPlannersNest(t *testing.T) {
 }
 
 // TestConcurrentPlanSearchFeedback hammers every concurrent surface at
-// once — Search, SearchAlternate, Plan, EstimateETA, Stats — and is the
-// test the -race CI target leans on.
+// once — Search, Plan, Stats — and is the test the -race CI target leans
+// on.
 func TestConcurrentPlanSearchFeedback(t *testing.T) {
 	engines := []core.Backend{
 		&fakeEngine{name: "e0", sec: 0.0001, joules: 0.2},
@@ -257,7 +256,7 @@ func TestConcurrentPlanSearchFeedback(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := p.SearchAlternate(context.Background(), task); err != nil {
+					if _, err := p.Search(context.Background(), task); err != nil {
 						t.Error(err)
 						return
 					}
@@ -266,7 +265,6 @@ func TestConcurrentPlanSearchFeedback(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					p.EstimateETA(task)
 				case 3:
 					p.Stats()
 				}
@@ -278,7 +276,7 @@ func TestConcurrentPlanSearchFeedback(t *testing.T) {
 	st := p.Stats()
 	var dispatched uint64
 	for _, e := range st.Engines {
-		dispatched += e.Dispatches + e.Alternates
+		dispatched += e.Dispatches
 	}
 	if dispatched == 0 {
 		t.Fatal("no searches dispatched")

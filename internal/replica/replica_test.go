@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
-	"rbcsalted/internal/device"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/ring"
@@ -684,7 +684,7 @@ func TestStalledSubscriberIsReaped(t *testing.T) {
 // three such records per authentication; it read about 200 per record
 // when every frame was gob-encoded and both ends decoded every record.
 func TestReplicaStreamAllocBudget(t *testing.T) {
-	if device.RaceEnabled {
+	if cpu.RaceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	open := func(dir string) *durable.State {

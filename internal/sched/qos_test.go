@@ -12,10 +12,8 @@ import (
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg/aeskg"
-	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/puf"
-	"rbcsalted/internal/u256"
 )
 
 // TestInlineFastPathBypassesScheduler is the acceptance test for the
@@ -357,141 +355,6 @@ func TestOverloadShedsLargestDistanceTail(t *testing.T) {
 	}
 	if st.Rejected != 1 {
 		t.Errorf("Rejected = %d, want 1 (the tie arrival)", st.Rejected)
-	}
-}
-
-// TestHedgedDispatchNeverDoubleCounts pins the hedging property: a
-// hedged search runs two backend flights but resolves to exactly one
-// Result and one outcome — Served() stays equal to admitted work, and
-// the first flight's unfinished shell is dropped from the coverage the
-// hand-off covers again.
-func TestHedgedDispatchNeverDoubleCounts(t *testing.T) {
-	var calls atomic.Int32
-	bk := backendFunc(func(ctx context.Context, task core.Task) (core.Result, error) {
-		if calls.Add(1) == 1 {
-			// Primary flight straggles until the hedge trigger cancels
-			// it, mid-way through shell 1 (as core.SearchBall reports).
-			<-ctx.Done()
-			return core.Result{SeedsCovered: 7, Shells: []core.ShellStat{{Distance: 1, SeedsCovered: 7}}}, ctx.Err()
-		}
-		return core.Result{Found: true, SeedsCovered: 42}, nil
-	})
-	s := New(bk, Config{Workers: 1, QueueDepth: 4,
-		Hedge: HedgeConfig{Enabled: true, Delay: 20 * time.Millisecond}})
-	defer s.Close()
-
-	res, err := s.Search(context.Background(), core.Task{})
-	if err != nil {
-		t.Fatalf("hedged search failed: %v", err)
-	}
-	if !res.Found || res.SeedsCovered != 42 {
-		t.Fatalf("result %+v, want the hedge flight's (42 seeds)", res)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("backend saw %d flights, want 2", got)
-	}
-
-	st := s.Stats()
-	if st.Submitted != 1 || st.Completed != 1 || st.Served() != 1 {
-		t.Errorf("double-counted hedge: %+v", st)
-	}
-	if st.Hedged != 1 {
-		t.Errorf("Hedged = %d, want 1", st.Hedged)
-	}
-	if st.InFlight != 0 {
-		t.Errorf("InFlight = %d after hedged search resolved", st.InFlight)
-	}
-}
-
-// stragglerBackend's primary engine is Algorithm 1 on an engine that
-// finishes shell 1 and stalls partway into shell 2 until cancelled; its
-// alternate is a real engine.
-type stragglerBackend struct {
-	alt     core.Backend
-	partial uint64 // seeds the stalled shell 2 reports
-}
-
-func (b *stragglerBackend) Name() string { return "straggler" }
-
-func (b *stragglerBackend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	return core.SearchBall(ctx, task, core.Engine{
-		Name:  b.Name(),
-		Probe: core.HashProbe(task.Target.Alg, task.Target),
-		Shell: func(ctx context.Context, d int, _ time.Time) (core.ShellOutcome, error) {
-			if d == 1 {
-				return core.ShellOutcome{Covered: 256, Hashed: 256}, nil
-			}
-			<-ctx.Done()
-			return core.ShellOutcome{Covered: b.partial, Hashed: b.partial}, ctx.Err()
-		},
-	})
-}
-
-func (b *stragglerBackend) SearchAlternate(ctx context.Context, task core.Task) (core.Result, error) {
-	return b.alt.Search(ctx, task)
-}
-
-// TestHandOffCoversEachShellOnce is the hand-off's acceptance test: a
-// flight cancelled at the hedge trigger mid-way through shell 2 hands
-// the rest of an exhaustive d=3 ball to the alternate engine starting at
-// shell 2, so the folded Result covers u(3) seeds with each shell once,
-// and only the stalled shell's partial work is hashed twice.
-func TestHandOffCoversEachShellOnce(t *testing.T) {
-	b := &stragglerBackend{alt: &cpu.Backend{Alg: core.SHA3, Workers: 2}, partial: 100}
-	s := New(b, Config{Workers: 1, QueueDepth: 4,
-		Hedge: HedgeConfig{Enabled: true, Delay: time.Millisecond}})
-	defer s.Close()
-
-	base := u256.New(7, 8, 9, 10)
-	res, err := s.Search(context.Background(), core.Task{
-		Base:        base,
-		Target:      core.HashSeed(core.SHA3, base.Not()), // outside the ball
-		MaxDistance: 3,
-		Method:      iterseq.GrayCode,
-		Exhaustive:  true,
-	})
-	if err != nil || res.Found {
-		t.Fatalf("hand-off search = %+v, %v", res, err)
-	}
-	const u3 = 1 + 256 + 32640 + 2763520
-	if res.SeedsCovered != u3 {
-		t.Errorf("SeedsCovered = %d, want u(3) = %d", res.SeedsCovered, u3)
-	}
-	var ds []int
-	for _, st := range res.Shells {
-		ds = append(ds, st.Distance)
-	}
-	if fmt.Sprint(ds) != "[1 2 3]" {
-		t.Errorf("shells %v, want [1 2 3]", ds)
-	}
-	if res.HashesExecuted != res.SeedsCovered+b.partial {
-		t.Errorf("HashesExecuted = %d, want SeedsCovered + %d", res.HashesExecuted, b.partial)
-	}
-	if st := s.Stats(); st.Hedged != 1 || st.Served() != 1 {
-		t.Errorf("Hedged = %d, Served = %d, want 1/1", st.Hedged, st.Served())
-	}
-}
-
-// TestHedgeNotTriggeredForFastSearch: a search that beats the hedge
-// trigger runs exactly one flight.
-func TestHedgeNotTriggeredForFastSearch(t *testing.T) {
-	var calls atomic.Int32
-	bk := backendFunc(func(ctx context.Context, task core.Task) (core.Result, error) {
-		calls.Add(1)
-		return core.Result{Found: true}, nil
-	})
-	s := New(bk, Config{Workers: 1, QueueDepth: 4,
-		Hedge: HedgeConfig{Enabled: true, Delay: time.Second}})
-	defer s.Close()
-
-	if _, err := s.Search(context.Background(), core.Task{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("fast search ran %d flights, want 1", got)
-	}
-	if st := s.Stats(); st.Hedged != 0 {
-		t.Errorf("fast search hedged: %+v", st)
 	}
 }
 

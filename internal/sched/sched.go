@@ -1,7 +1,6 @@
 // Package sched is the multi-tenant authentication scheduler: a bounded
 // worker pool over a core.Backend with class-aware admission queues,
-// per-search deadline enforcement, cooperative cancellation and a
-// hand-off for stragglers.
+// per-search deadline enforcement and cooperative cancellation.
 //
 // The paper's engines maximise the throughput of ONE Hamming-ball search;
 // a serving CA needs many independent searches in flight without letting
@@ -18,9 +17,8 @@
 //
 // Scheduler itself implements core.Backend, so it composes with
 // everything that takes one: a CA can authenticate through a scheduled
-// CPU engine, a scheduled cost-based planner, or even a scheduler over
-// another scheduler (e.g. a small high-priority pool in front of a large
-// shared one).
+// CPU engine, or even a scheduler over another scheduler (e.g. a small
+// high-priority pool in front of a large shared one).
 package sched
 
 import (
@@ -78,29 +76,10 @@ const (
 	// not-yet-expired deadlines; until then only already-past deadlines
 	// are refused.
 	admitWarmup = 8
-	// hedgeMinDelay floors the percentile-derived hedge trigger so
-	// microsecond-fast backends don't hedge everything.
-	hedgeMinDelay = 10 * time.Millisecond
 	// maxMetricDistance is the largest MaxDistance with its own service
 	// histogram ("sched.service_seconds.maxd10"), core's supported range.
 	maxMetricDistance = 10
 )
-
-// HedgeConfig tunes the straggler hand-off: when a search's backend
-// flight runs past a latency-percentile-derived delay, the scheduler
-// cancels it and hands the rest of the ball — the shells the flight did
-// not finish — to the backend's alternate engine (core.Continue). One
-// flight runs at a time, so each shell is covered once.
-type HedgeConfig struct {
-	// Enabled turns the hand-off on for every search.
-	Enabled bool
-	// Delay is a fixed hedge trigger. Zero derives the trigger from the
-	// observed service-time distribution (obs.HedgeWindow: a search still
-	// running past the 95th percentile is a straggler worth handing
-	// off), which is the production behaviour; a fixed delay makes tests
-	// deterministic.
-	Delay time.Duration
-}
 
 // Config sizes a Scheduler.
 type Config struct {
@@ -125,18 +104,16 @@ type Config struct {
 	// level (see DefaultAgingStep); 0 means the default, negative
 	// disables aging (strict priority, background may starve).
 	AgingStep time.Duration
-	// Hedge configures the hand-off of straggling searches.
-	Hedge HedgeConfig
 	// Trace, when non-nil, receives queue-lifecycle trace events
-	// (enqueue, dequeue, reject, shed, hedge, discard, done) for every
+	// (enqueue, dequeue, reject, shed, discard, done) for every
 	// scheduled search, and is stamped onto tasks that arrive without
 	// their own sink so backend events share it.
 	Trace obs.TraceSink
 	// Metrics, when non-nil, publishes the latency histograms — overall
 	// ("sched.queue_wait_seconds", "sched.service_seconds"), per class
 	// ("sched.queue_wait_seconds.interactive", ...) and per distance
-	// bound ("sched.service_seconds.maxd3", ...) — plus the shed, hedge
-	// and deadline-infeasible counters into the registry. The counter
+	// bound ("sched.service_seconds.maxd3", ...) — plus the shed and
+	// deadline-infeasible counters into the registry. The counter
 	// snapshot remains available through Stats.
 	Metrics *obs.Registry
 }
@@ -207,10 +184,8 @@ type Stats struct {
 	// Admission refusals are also counted under Rejected; queued
 	// expiries also under Cancelled.
 	DeadlineInfeasible uint64
-	// Hedged counts searches that straggled past the hedge trigger and
-	// were handed off to a second backend flight past the shells the
-	// first finished. Each search still resolves to exactly one Result
-	// and one outcome.
+	// Hedged is always 0. It is kept only for the wire-to-wire
+	// benchmark, which still reads it.
 	Hedged uint64
 	// QueueWaitTotal / QueueWaitMax aggregate the time searches spent
 	// queued before a worker picked them up for service. Searches that
@@ -283,9 +258,8 @@ type Scheduler struct {
 	inFlight int
 
 	// svcEWMA (seconds, over completed searches) feeds deadline
-	// admission; svcWindow feeds the hedge trigger.
-	svcEWMA   obs.EWMA
-	svcWindow obs.HedgeWindow
+	// admission.
+	svcEWMA obs.EWMA
 
 	// traceIDs hands out per-search trace correlation IDs.
 	traceIDs atomic.Uint64
@@ -298,7 +272,6 @@ type Scheduler struct {
 	hServiceMaxD    [maxMetricDistance + 1]*obs.Histogram
 	// Counters published into cfg.Metrics; nil without a registry.
 	cShed       *obs.Counter
-	cHedge      *obs.Counter
 	cInfeasible *obs.Counter
 }
 
@@ -335,7 +308,6 @@ func New(backend core.Backend, cfg Config) *Scheduler {
 			s.hServiceMaxD[d] = cfg.Metrics.Histogram(fmt.Sprintf("sched.service_seconds.maxd%d", d), obs.DefLatencyBuckets)
 		}
 		s.cShed = cfg.Metrics.Counter("sched.shed_total")
-		s.cHedge = cfg.Metrics.Counter("sched.hedge_total")
 		s.cInfeasible = cfg.Metrics.Counter("sched.deadline_infeasible_total")
 	}
 	s.wg.Add(cfg.Workers)
@@ -404,7 +376,7 @@ func (s *Scheduler) admit(j *job) error {
 	if deadline := j.task.Deadline; !deadline.IsZero() {
 		infeasible := !now.Before(deadline)
 		if !infeasible {
-			if eta := s.estimateETA(j.task); eta > 0 && now.Add(eta).After(deadline) {
+			if eta := s.estimateETA(); eta > 0 && now.Add(eta).After(deadline) {
 				infeasible = true
 			}
 		}
@@ -547,30 +519,15 @@ func (s *Scheduler) resolveShed(victim *job) {
 }
 
 // estimateETA returns the admission controller's estimate of how long a
-// newly admitted search will take to finish (queue wait plus service),
-// or 0 while no estimate is available.
-//
-// A backend that knows the task — a core.ETAEstimator, such as the
-// planner, which prices the task's actual shell sizes on the engine it
-// would choose — supersedes the task-blind global service-time EWMA:
-// the EWMA wrongly refuses small searches and wrongly admits deep ones
-// whenever the mix is heterogeneous.
-func (s *Scheduler) estimateETA(task core.Task) time.Duration {
+// newly admitted search will take to finish (queue wait plus service)
+// from the service-time EWMA of completed searches, or 0 while no
+// estimate is available.
+func (s *Scheduler) estimateETA() time.Duration {
 	s.qmu.Lock()
 	queued := s.queued
 	s.qmu.Unlock()
 	// Everything queued ahead must be served first, Workers at a time.
 	slots := 1 + queued/s.cfg.Workers
-
-	if est, ok := s.backend.(core.ETAEstimator); ok {
-		if eta, ok := est.EstimateETA(task); ok && eta > 0 {
-			// The estimator already accounts for its own in-flight load;
-			// add the wait imposed by this scheduler's queue.
-			svc, _ := s.svcEWMA.Value()
-			queueWait := time.Duration(svc * float64(slots-1) * float64(time.Second))
-			return eta + queueWait
-		}
-	}
 
 	svc, served := s.svcEWMA.Value()
 	if served < admitWarmup || svc <= 0 {
@@ -592,8 +549,7 @@ func (s *Scheduler) Stats() Stats {
 }
 
 // Close stops admission, resolves every still-queued search with
-// ErrClosed, and waits for in-flight searches (and their hand-offs) to
-// finish. Safe to call more than once. No Search caller can block
+// ErrClosed, and waits for in-flight searches to finish. Safe to call more than once. No Search caller can block
 // forever behind a shutdown: queued jobs are failed immediately instead
 // of waiting for the busy workers.
 func (s *Scheduler) Close() {
@@ -761,7 +717,7 @@ func (s *Scheduler) serve(j *job) {
 	s.inFlight++
 	s.statsMu.Unlock()
 	started := time.Now()
-	res, err := s.execute(ctx, j)
+	res, err := s.backend.Search(ctx, j.task)
 	service := time.Since(started)
 	s.statsMu.Lock()
 	s.inFlight--
@@ -777,7 +733,11 @@ func (s *Scheduler) serve(j *job) {
 		outcome = OutcomeTimedOut
 	}
 	s.record(j.task.Class, outcome, wait, service)
-	s.observeService(service, outcome == OutcomeCompleted)
+	if outcome == OutcomeCompleted {
+		// A cancelled or failed search's duration says nothing about how
+		// long service takes.
+		s.svcEWMA.Observe(0.2, service.Seconds())
+	}
 	if s.hQueueWait != nil {
 		s.hQueueWait.Observe(wait.Seconds())
 		s.hService.Observe(service.Seconds())
@@ -800,67 +760,6 @@ func (s *Scheduler) serve(j *job) {
 
 	j.res, j.err = res, err
 	close(j.done)
-}
-
-// execute runs one search against the backend, one flight at a time.
-// A flight still running at the hedge trigger is cancelled and, unless
-// it already found the seed or the caller is gone, the rest of the ball
-// is handed off past the shells it finished (core.Continue): to the
-// backend's alternate engine when it has one — a straggle caused by the
-// chosen engine itself is only fixed by a different choice — and back to
-// Search otherwise. Both flights run under ctx, the serve deadline.
-func (s *Scheduler) execute(ctx context.Context, j *job) (core.Result, error) {
-	var delay time.Duration
-	if s.cfg.Hedge.Enabled {
-		delay = s.hedgeDelay()
-	}
-	if delay <= 0 {
-		return s.backend.Search(ctx, j.task)
-	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	trigger := time.AfterFunc(delay, cancel)
-	res, err := s.backend.Search(fctx, j.task)
-	trigger.Stop()
-	if !errors.Is(err, context.Canceled) || res.Found || ctx.Err() != nil {
-		return res, err
-	}
-
-	s.statsMu.Lock()
-	s.stats.Hedged++
-	s.statsMu.Unlock()
-	if s.cHedge != nil {
-		s.cHedge.Inc()
-	}
-	obs.Emit(j.task.Trace, obs.TraceEvent{Kind: obs.KindHedge, Search: j.task.TraceID, Dur: delay})
-	search := s.backend.Search
-	if alt, ok := s.backend.(core.AlternateSearcher); ok {
-		search = alt.SearchAlternate
-	}
-	return core.Continue(ctx, j.task, res, search)
-}
-
-// hedgeDelay returns the current hedge trigger: the configured fixed
-// delay, or the one derived from the observed service times — 0, meaning
-// "do not hedge", while too few have been observed.
-func (s *Scheduler) hedgeDelay() time.Duration {
-	if s.cfg.Hedge.Delay > 0 {
-		return s.cfg.Hedge.Delay
-	}
-	return s.svcWindow.Delay(hedgeMinDelay)
-}
-
-// observeService feeds one served search into the estimators. Only
-// completed searches update the deadline-admission EWMA (a cancelled
-// search's duration says nothing about how long service takes), but all
-// go into the hedge window: stragglers are exactly what the hedge
-// percentile must see.
-func (s *Scheduler) observeService(service time.Duration, completed bool) {
-	s.svcWindow.Observe(service)
-	if completed {
-		s.svcEWMA.Observe(0.2, service.Seconds())
-	}
 }
 
 // record folds one served search into the counters.

@@ -538,91 +538,3 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-// alternateBackend straggles forever on the primary flight and answers
-// instantly on the alternate one, so a hedge must reach SearchAlternate
-// to finish.
-type alternateBackend struct {
-	altCalls chan struct{}
-}
-
-func (b *alternateBackend) Name() string { return "alternate" }
-
-func (b *alternateBackend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	<-ctx.Done()
-	return core.Result{}, ctx.Err()
-}
-
-func (b *alternateBackend) SearchAlternate(ctx context.Context, task core.Task) (core.Result, error) {
-	b.altCalls <- struct{}{}
-	return core.Result{Found: true, SeedsCovered: 1}, nil
-}
-
-// TestHedgeReachesAlternateSearcher pins the planner integration: when
-// the backend offers a second-best engine (core.AlternateSearcher), the
-// hedge flight must run there instead of re-rolling the same engine.
-func TestHedgeReachesAlternateSearcher(t *testing.T) {
-	b := &alternateBackend{altCalls: make(chan struct{}, 1)}
-	s := New(b, Config{
-		Workers:    1,
-		QueueDepth: 4,
-		Hedge:      HedgeConfig{Enabled: true, Delay: 5 * time.Millisecond},
-	})
-	defer s.Close()
-
-	res, err := s.Search(context.Background(), core.Task{MaxDistance: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatalf("hedged search result %+v, want Found", res)
-	}
-	select {
-	case <-b.altCalls:
-	default:
-		t.Fatal("SearchAlternate was never invoked")
-	}
-	st := s.Stats()
-	if st.Hedged != 1 {
-		t.Fatalf("stats Hedged=%d, want 1", st.Hedged)
-	}
-}
-
-// etaBackend answers instantly but claims a fixed per-task ETA, like
-// the planner's core.ETAEstimator implementation.
-type etaBackend struct {
-	eta time.Duration
-}
-
-func (b *etaBackend) Name() string { return "eta" }
-
-func (b *etaBackend) Search(ctx context.Context, task core.Task) (core.Result, error) {
-	return core.Result{Found: true, SeedsCovered: 1}, nil
-}
-
-func (b *etaBackend) EstimateETA(task core.Task) (time.Duration, bool) {
-	return b.eta, true
-}
-
-// TestDeadlineAdmissionUsesBackendETA: a backend-supplied ETA must drive
-// deadline admission — even before the scheduler's own service-time EWMA
-// has warmed up — refusing deadlines the chosen engine cannot make and
-// admitting ones it can.
-func TestDeadlineAdmissionUsesBackendETA(t *testing.T) {
-	b := &etaBackend{eta: time.Hour}
-	s := New(b, Config{Workers: 1, QueueDepth: 4})
-	defer s.Close()
-
-	task := core.Task{MaxDistance: 1, Deadline: time.Now().Add(time.Second)}
-	if _, err := s.Search(context.Background(), task); !errors.Is(err, ErrDeadlineInfeasible) {
-		t.Fatalf("hour-long ETA admitted against a 1s deadline: %v", err)
-	}
-
-	b.eta = time.Millisecond
-	res, err := s.Search(context.Background(), core.Task{
-		MaxDistance: 1, Deadline: time.Now().Add(time.Second),
-	})
-	if err != nil || !res.Found {
-		t.Fatalf("feasible deadline refused: %+v, %v", res, err)
-	}
-}

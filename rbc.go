@@ -30,22 +30,11 @@
 //
 // # Search engines
 //
-// Four interchangeable core.Backend implementations are exposed, all
-// constructed through the single NewBackend entry point:
-//
-//   - BackendCPU: real multicore execution on this machine (SALTED-CPU).
-//   - BackendGPU: a calibrated NVIDIA A100 simulator (SALTED-GPU),
-//     including multi-GPU scaling.
-//   - BackendAPU: a calibrated GSI Gemini associative-processor
-//     simulator (SALTED-APU) whose compute runs through a real bit-sliced
-//     gate-level engine.
-//   - BackendPlanner: a cost-based multiplexer over the three above,
-//     dispatching each search to the engine its calibrated cost curves
-//     predict to be cheapest.
-//
-// For example:
-//
-//	engine, _ := rbc.NewBackend(rbc.BackendSpec{Kind: rbc.BackendGPU, Alg: rbc.SHA3, Devices: 3})
+// CPUBackend is the search engine that serves: real multicore execution
+// on this machine (SALTED-CPU), hashing every seed it covers. The
+// paper's A100 and Gemini results are calibrated models of hardware
+// this repository does not have; they live in the reproduction library
+// (internal/device, driven by rbc-bench) and never serve a client.
 //
 // Every backend implements Search(ctx, task), and every one runs the
 // same Algorithm 1 (core.SearchBall) over its own way of covering a
@@ -74,10 +63,8 @@
 // refused with ErrDeadlineInfeasible instead of burning search time;
 // when the queue is full, admission sheds the largest-distance,
 // loosest-deadline background work first and otherwise fails fast with
-// ErrOverloaded (wire status "overloaded"). A straggling search can be
-// handed off to the backend's alternate engine past the shells it
-// finished (SchedulerConfig.Hedge); s.Stats() reports per-class
-// queue-wait, service-time, shed and hedge counters.
+// ErrOverloaded (wire status "overloaded"). s.Stats() reports per-class
+// queue-wait, service-time and shed counters.
 //
 // # Observability
 //
@@ -129,7 +116,6 @@ import (
 	"rbcsalted/internal/iterseq"
 	"rbcsalted/internal/netproto"
 	"rbcsalted/internal/obs"
-	"rbcsalted/internal/plan"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/replica"
 	"rbcsalted/internal/ring"
@@ -247,9 +233,6 @@ type (
 	// SchedulerStats is a snapshot of the scheduler's queue-wait,
 	// service-time and outcome counters.
 	SchedulerStats = sched.Stats
-	// HedgeConfig tunes the hand-off of straggling searches
-	// (SchedulerConfig.Hedge).
-	HedgeConfig = sched.HedgeConfig
 )
 
 // NewScheduler starts a scheduler over backend. Zero config fields take
@@ -424,47 +407,6 @@ var (
 
 // CPUBackend is the real multicore search engine (SALTED-CPU).
 type CPUBackend = cpu.Backend
-
-// Cost-based planner (see DESIGN.md §13): dispatches each search to the
-// engine the calibrated cost curves predict to be cheapest under the
-// chosen policy, deadline and joules budget, with live EWMA feedback
-// correcting the static curves.
-type (
-	// Planner is the dispatching backend; NewBackend with
-	// BackendSpec{Kind: BackendPlanner} builds one over the standard
-	// CPU/GPU/APU trio, NewPlanner builds one over custom engines.
-	Planner = plan.Planner
-	// PlannerConfig configures a custom planner.
-	PlannerConfig = plan.Config
-	// PlannerStats is a dispatch-accounting snapshot.
-	PlannerStats = plan.Stats
-	// PlanPolicy selects the planner's objective.
-	PlanPolicy = plan.Policy
-	// EngineChoice is one ranked candidate from a planning decision.
-	EngineChoice = plan.EngineChoice
-	// PlanDecision is a full ranked planning decision.
-	PlanDecision = plan.Decision
-)
-
-// Planner policies.
-const (
-	// PlanBalanced minimizes predicted joules among deadline-feasible
-	// engines, falling back to the fastest when none is feasible.
-	PlanBalanced = plan.PolicyBalanced
-	// PlanLatency minimizes the load-adjusted ETA unconditionally.
-	PlanLatency = plan.PolicyLatency
-	// PlanEnergy minimizes predicted joules among feasible engines.
-	PlanEnergy = plan.PolicyEnergy
-)
-
-// NewPlanner builds a planner over custom engines; each engine must
-// implement a cost model (the built-in CPU, GPU and APU backends all
-// do).
-var NewPlanner = plan.New
-
-// ParsePlanPolicy parses "balanced", "latency" or "energy" — the values
-// the command-line tools accept for -plan-policy.
-var ParsePlanPolicy = plan.ParsePolicy
 
 // Key generation for the salted seed (and the algorithm-aware baseline).
 type (

@@ -9,18 +9,18 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"rbcsalted/internal/cpu"
+	"rbcsalted/internal/device"
 )
 
-// mustBackend builds an engine through NewBackend; none of the specs the
-// tests use can fail.
-func mustBackend(tb testing.TB, spec BackendSpec) Backend {
-	tb.Helper()
-	b, err := NewBackend(spec)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return b
+// a100 and gemini build the paper's modelled A100 and Gemini nodes at
+// their default ExecBudget and host workers.
+func a100(alg HashAlg, devices int) Backend {
+	return device.NewA100(device.Config{Alg: alg, Devices: devices}, cpu.MeasureHostCosts())
 }
+
+func gemini(alg HashAlg) Backend { return device.NewGemini(device.Config{Alg: alg}) }
 
 func demoProfile() PUFProfile {
 	return PUFProfile{BaseError: 0.5 / 256.0, FlakyFraction: 0.05, FlakyError: 0.35}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rbcsalted/internal/core"
+	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/cryptoalg/aeskg"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/netproto"
@@ -49,20 +50,14 @@ type ServerConfig struct {
 	// always queue).
 	InlineDepth int
 
-	// Backend selects the search engine; Cores sizes it (0 =
-	// GOMAXPROCS). JoulesBudget and PlanPolicy apply to the planner
-	// kind.
-	Backend      BackendKind
-	Cores        int
-	JoulesBudget float64
-	PlanPolicy   PlanPolicy
+	// Backend must be BackendCPU, its zero value; Cores sizes the
+	// engine's search workers (0 = GOMAXPROCS).
+	Backend BackendKind
+	Cores   int
 
-	// SchedWorkers/SchedQueue size the admission pool; Hedge enables
-	// hedged dispatch with an optional fixed HedgeDelay.
+	// SchedWorkers/SchedQueue size the admission pool.
 	SchedWorkers int
 	SchedQueue   int
-	Hedge        bool
-	HedgeDelay   time.Duration
 
 	// TraceDepth is the flight-recorder capacity (0 = 1024).
 	TraceDepth int
@@ -127,9 +122,22 @@ func (r *ringRouter) Route(clientID string, epoch uint64) (string, bool) {
 	return owner.Addr, false
 }
 
+// BackendKind names a server's search engine.
+type BackendKind int
+
+// BackendCPU is the real multicore engine (SALTED-CPU), the one engine a
+// server runs.
+const BackendCPU BackendKind = 0
+
 // NewServer wires the full serving path. Close the node when done; on a
 // durable data directory the close takes the shutdown snapshot.
 func NewServer(cfg ServerConfig) (*ServerNode, error) {
+	if cfg.Backend != BackendCPU {
+		return nil, fmt.Errorf("rbc: ServerConfig.Backend %d: a server runs only BackendCPU", cfg.Backend)
+	}
+	if cfg.Cores < 0 {
+		return nil, fmt.Errorf("rbc: negative cores %d", cfg.Cores)
+	}
 	reg := obs.NewRegistry()
 	// Point the host hot path's batch-phase histograms (host_batch_fill_ns
 	// / host_batch_pack_ns) at this node's registry so the fill-vs-pack
@@ -174,21 +182,9 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 	if ra == nil {
 		ra = core.NewRA()
 	}
-	engine, err := NewBackend(BackendSpec{
-		Kind:         cfg.Backend,
-		Alg:          core.SHA3,
-		Cores:        cfg.Cores,
-		JoulesBudget: cfg.JoulesBudget,
-		PlanPolicy:   cfg.PlanPolicy,
-		Metrics:      reg, // the planner kind publishes dispatch stats here
-	})
-	if err != nil {
-		return nil, err
-	}
-	pool := sched.New(engine, sched.Config{
+	pool := sched.New(&cpu.Backend{Alg: core.SHA3, Workers: cfg.Cores}, sched.Config{
 		Workers:    cfg.SchedWorkers,
 		QueueDepth: cfg.SchedQueue,
-		Hedge:      sched.HedgeConfig{Enabled: cfg.Hedge, Delay: cfg.HedgeDelay},
 		Trace:      traceRing,
 		Metrics:    reg,
 	})
