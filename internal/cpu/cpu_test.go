@@ -201,39 +201,6 @@ func TestName(t *testing.T) {
 	}
 }
 
-func TestMeasureHostCosts(t *testing.T) {
-	c := MeasureHostCosts()
-	if c.SHA1Ns <= 0 || c.SHA3Ns <= 0 {
-		t.Fatalf("non-positive hash costs: %+v", c)
-	}
-	if c.SHA3Ns < c.SHA1Ns {
-		t.Errorf("SHA-3 (%f ns) measured cheaper than SHA-1 (%f ns)", c.SHA3Ns, c.SHA1Ns)
-	}
-	for _, m := range iterseq.Methods() {
-		if c.IterNs[m] <= 0 {
-			t.Errorf("method %v has non-positive cost", m)
-		}
-	}
-	// The relationships the paper's Table 4 rests on. Race builds cannot
-	// check these: the detector's per-access instrumentation taxes the
-	// Gray iterator's int-array walk more than Gosper's limb arithmetic
-	// and inverts the unloaded-host ordering (see RaceEnabled).
-	if !RaceEnabled {
-		if !(c.IterNs[iterseq.GrayCode] < c.IterNs[iterseq.Gosper]) {
-			t.Errorf("Gray (%f) not cheaper than Gosper (%f)",
-				c.IterNs[iterseq.GrayCode], c.IterNs[iterseq.Gosper])
-		}
-		if !(c.IterNs[iterseq.Gosper] < c.IterNs[iterseq.Alg515]*1.10) {
-			t.Errorf("Gosper (%f) not cheaper than Alg515 (%f)",
-				c.IterNs[iterseq.Gosper], c.IterNs[iterseq.Alg515])
-		}
-	}
-	// Caching: second call must return identical values.
-	if c2 := MeasureHostCosts(); c2.SHA1Ns != c.SHA1Ns {
-		t.Error("MeasureHostCosts not cached")
-	}
-}
-
 // TestPredictCostTracksTheKernelThatRuns prices an exhaustive d=2 shell
 // and runs it: on each SHA-3 kernel body this CPU supports the
 // prediction must be within 2x of the measurement, or the planner

@@ -324,26 +324,3 @@ func TestEarlyExitFasterThanExhaustive(t *testing.T) {
 		}
 	}
 }
-
-func TestModelAgreesWithRealBackendAtSmallScale(t *testing.T) {
-	// The EPYC model and the real engine (cpu.Backend) must find the
-	// same seed at the same distance (times differ: one is modelled EPYC,
-	// one is this host).
-	r := rand.New(rand.NewPCG(21, 22))
-	base := randSeed(r)
-	client := puf.InjectNoise(base, base, 2, r)
-	task := taskFor(core.SHA3, base, client, 3, iterseq.Gosper)
-	real := &cpu.Backend{Alg: core.SHA3, Workers: 4}
-	model := epyc(core.SHA3)
-	rr, err := real.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := model.Search(context.Background(), task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Found != mr.Found || !rr.Seed.Equal(mr.Seed) || rr.Distance != mr.Distance {
-		t.Errorf("real %+v vs model %+v disagree", rr, mr)
-	}
-}

@@ -843,8 +843,11 @@ func TestCatchupMatchesSnapshotFile(t *testing.T) {
 			}
 			f := newFollower(t, fst, fdir, "f-"+tc.name, tc.shards)
 			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			go f.RunUntil(ctx, addr, 20*time.Millisecond)
+			done := make(chan error, 1)
+			go func() { done <- f.RunUntil(ctx, addr, 20*time.Millisecond) }()
+			// The follower must stop writing fdir before fst closes and
+			// the directory is removed.
+			defer func() { cancel(); <-done }()
 			waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
 
 			got, want := stateOf(t, fst, tc.filter), stateOf(t, rst, tc.filter)

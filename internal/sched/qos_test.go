@@ -358,6 +358,29 @@ func TestOverloadShedsLargestDistanceTail(t *testing.T) {
 	}
 }
 
+// TestHedgeNotTriggeredForFastSearch: the scheduler never hedges. A
+// search runs exactly one backend flight, and Stats.Hedged, kept for its
+// readers, stays 0.
+func TestHedgeNotTriggeredForFastSearch(t *testing.T) {
+	var calls atomic.Int32
+	bk := backendFunc(func(ctx context.Context, task core.Task) (core.Result, error) {
+		calls.Add(1)
+		return core.Result{Found: true}, nil
+	})
+	s := New(bk, Config{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+
+	if _, err := s.Search(context.Background(), core.Task{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("fast search ran %d flights, want 1", got)
+	}
+	if st := s.Stats(); st.Hedged != 0 {
+		t.Errorf("fast search hedged: %+v", st)
+	}
+}
+
 // TestDeadlineInfeasibleRefusedAtAdmission: a search whose deadline is
 // already past is refused with ErrDeadlineInfeasible without queueing.
 func TestDeadlineInfeasibleRefusedAtAdmission(t *testing.T) {
