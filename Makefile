@@ -59,20 +59,22 @@ replica-race:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz smokes every decoder a peer's bytes reach: the frame reader both
-# protocols share (internal/wire) at both caps, netproto's challenge,
-# result and error payloads, the replication message set, the WAL record
-# decoder, the snapshot and enrolment-file decoder and the PUF image
-# codec. Then the
-# differential fuzzers for the two batch kernels (8-way Keccak on every
-# implementation the CPU supports, 4-way multi-buffer SHA-1) and for the
-# 256-lane bit-sliced SHA-3 the benchmark still times, each against its
-# scalar reference; the fixed-padding scalar seed digest against
-# crypto/sha3; then the Gray iterator's revolving-door step against its
-# ranking. FUZZTIME each; -run='^$$' skips the unit tests so only
-# fuzzing runs.
+# fuzz smokes every fuzzer in the module (fuzzlist_test.go fails when one
+# is missing here): every decoder a peer's bytes reach — the frame reader
+# both protocols share (internal/wire) at both caps, netproto's hello,
+# challenge, result and error payloads, the replication message set, the
+# WAL record decoder, the snapshot and enrolment-file decoder and the PUF
+# image codec — and the hex parser. Then the differential fuzzers: the
+# two batch kernels (8-way Keccak on every implementation the CPU
+# supports, 4-way multi-buffer SHA-1) and the 256-lane bit-sliced SHA-3
+# the benchmark still times, each against its scalar reference; the
+# scalar SHA3-256, its fixed-padding seed digest and SHAKE128 against
+# crypto/sha3; the 256-bit arithmetic against math/big; then the Gray
+# iterator's revolving-door step against its ranking. FUZZTIME each;
+# -run='^$$' skips the unit tests so only fuzzing runs.
 fuzz:
 	$(GO) test ./internal/wire -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeHello -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeChallenge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netproto -run='^$$' -fuzz=FuzzDecodeError -fuzztime=$(FUZZTIME)
@@ -80,10 +82,14 @@ fuzz:
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzSnapshot -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/puf -run='^$$' -fuzz=FuzzImageCodec -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/u256 -run='^$$' -fuzz=FuzzFromHex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/bitslice -run='^$$' -fuzz=FuzzSHA3Wide -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sha1 -run='^$$' -fuzz=FuzzSHA1Multi4 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSeedDigests8 -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSum256VsStdlib -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSum256SeedVsStdlib -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/keccak -run='^$$' -fuzz=FuzzSHAKE128VsStdlib -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/u256 -run='^$$' -fuzz=FuzzArithmetic -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/iterseq -run='^$$' -fuzz=FuzzGrayStep -fuzztime=$(FUZZTIME)
 
 # gen-check regenerates the AVX-512 Keccak assembly and fails when the

@@ -7,11 +7,12 @@ import (
 )
 
 // Journal receives every durable mutation of the CA's state — image puts
-// and deletes, RA key/certificate updates and deletions, and session
-// opens and closes — before the mutation is applied to the in-memory
-// maps. A journal that returns an error vetoes the mutation: the store
-// leaves its map untouched and propagates the error, so memory never
-// gets ahead of the log.
+// and deletes, RA key/certificate updates and deletions — before the
+// mutation is applied to the in-memory maps. A journal that returns an
+// error vetoes the mutation: the store leaves its map untouched and
+// propagates the error, so memory never gets ahead of the log. Sessions
+// are not journaled (see SessionTable): what makes a challenge safe
+// across a restart is its nonce lease (SessionTable.SetLease).
 //
 // The canonical implementation is internal/durable.State, which appends
 // a record to a write-ahead log. Image blobs reach the journal already
@@ -21,14 +22,12 @@ import (
 //
 // A journal call records the mutation in order; it need not make it
 // durable. Durability is the stores' commit barrier (SetCommit, wired by
-// durable.Open beside the journal): every exported mutator but
-// SessionTable.Open and Take runs it after releasing the shard lock and
-// before returning, so a mutation is durable when its caller learns of
-// it. A session open and close ride the barrier CA.Authenticate takes for
-// the answer (a lost open costs the client a new handshake, never a
-// nonce: see SessionTable.SetLease). A failed barrier is returned as an
-// error although the mutation is already applied in memory — the log can
-// no longer vouch for it, and nothing may be acknowledged.
+// durable.Open beside the journal): every exported mutator runs it after
+// releasing the shard lock and before returning, so a mutation is durable
+// when its caller learns of it, and CA.Authenticate takes the RA's once
+// for what an authentication journaled. A failed barrier is returned as
+// an error although the mutation is already applied in memory — the log
+// can no longer vouch for it, and nothing may be acknowledged.
 //
 // All methods must be safe for concurrent use; they are invoked while
 // the owning shard's lock is held, which serializes journal entries for
@@ -46,9 +45,10 @@ type Journal interface {
 	RACertUpdate(id ClientID, cert *Certificate) error
 	// RADelete records removal of a client from the registry.
 	RADelete(id ClientID) error
-	// SessionOpen records an issued handshake challenge.
+	// SessionOpen and SessionClose are never called: sessions are not
+	// journaled. They remain for wrappers that forward every method, as
+	// benchmark/trace.go's timedJournal does.
 	SessionOpen(id ClientID, ch Challenge) error
-	// SessionClose records consumption (or expiry) of a session.
 	SessionClose(id ClientID) error
 }
 

@@ -423,8 +423,8 @@ func (ca *CA) Enroll(id ClientID, im *puf.Image) error {
 // open and kept in memory beside the session (see seedCache).
 //
 // On a durable table the challenge leaves with its nonce below a durable
-// lease ceiling; its session is journaled without a barrier and becomes
-// durable with the one Authenticate takes.
+// lease ceiling. Its session is not durable: it lives in the session
+// table's memory until it is answered or expires.
 func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
 	im, gen, err := ca.store.get(id)
 	if err != nil {
@@ -444,24 +444,19 @@ func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
 	ch := Challenge{Nonce: nonce, AddressMap: addr, Alg: ca.cfg.Alg}
-	if err := ca.sessions.open(id, ch, seedCache{base: base, gen: gen, ok: true}); err != nil {
-		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
-	}
+	ca.sessions.open(id, ch, seedCache{base: base, gen: gen, ok: true})
 	return ch, nil
 }
 
-// Sessions exposes the CA's session table (for snapshotting and
-// inspection).
+// Sessions exposes the CA's session table (for inspection and tests).
 func (ca *CA) Sessions() *SessionTable { return ca.sessions }
 
 // Deprovision removes a client entirely: its open session, its RA key
 // and certificate, and its enrolled PUF image. With a durable journal
-// attached, all three removals are journaled, so a deprovisioned client
-// stays deprovisioned across restarts.
+// attached, the RA and image removals are journaled, so a deprovisioned
+// client stays deprovisioned across restarts.
 func (ca *CA) Deprovision(id ClientID) error {
-	if err := ca.sessions.Drop(id); err != nil {
-		return fmt.Errorf("core: deprovision %q: %w", id, err)
-	}
+	ca.sessions.Drop(id)
 	if err := ca.ra.Delete(id); err != nil {
 		return fmt.Errorf("core: deprovision %q: %w", id, err)
 	}
@@ -508,11 +503,12 @@ type AuthResult struct {
 // or cancellation — so a failed attempt can never be replayed. A session
 // older than the configured SessionTTL is treated as absent.
 //
-// With a durable journal attached, the session close and the RA update
-// are journaled as they happen and made durable together, with the
-// session's open, by one barrier taken before any outcome of a consumed
-// challenge — result or error — is returned. A failed barrier turns the
-// outcome into an error.
+// With a durable journal attached, the RA update (and certificate) of a
+// success is journaled as it happens and made durable by one barrier
+// taken before any outcome of a consumed challenge — result or error — is
+// returned; a refusal journals nothing of its own for that barrier to
+// sync. A failed barrier turns the outcome into an error. The session
+// itself is consumed in memory only: nothing of it is durable.
 func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, error) {
 	// The challenge is consumed here: any outcome below — including the
 	// early error returns — has already burnt it.
@@ -521,20 +517,10 @@ func (ca *CA) Authenticate(ctx context.Context, req AuthRequest) (AuthResult, er
 		return AuthResult{}, fmt.Errorf("%w for %q with nonce %d", ErrNoSession, req.Client, req.Nonce)
 	}
 	out, err := ca.authenticate(ctx, req, sess)
-	if cerr := ca.commit(); cerr != nil {
+	if cerr := ca.ra.commit.run(); cerr != nil {
 		return AuthResult{}, cerr
 	}
 	return out, err
-}
-
-// commit is the barrier for what one Authenticate journaled. The session
-// table and the RA of one CA journal to the same log (durable.Open wires
-// both), so either store's barrier covers both.
-func (ca *CA) commit() error {
-	if ca.sessions.commit != nil {
-		return ca.sessions.commit.run()
-	}
-	return ca.ra.commit.run()
 }
 
 // authenticate is Authenticate after the challenge has been taken; it
@@ -595,9 +581,9 @@ func (ca *CA) authenticate(ctx context.Context, req AuthRequest, sess session) (
 // baseSeed returns the seed S_init a session's challenge selects from
 // the client's enrolled image. The handshake's cached seed is used only
 // while the store still holds the very blob it was read from; a session
-// without one (recovered or replicated), a client re-enrolled since the
-// handshake, or one whose image is gone, unseals the current image — so
-// the answer is always the one the store would give now.
+// without one (opened through SessionTable.Open), a client re-enrolled
+// since the handshake, or one whose image is gone, unseals the current
+// image — so the answer is always the one the store would give now.
 func (ca *CA) baseSeed(id ClientID, sess session) (u256.Uint256, error) {
 	if sess.seed.ok {
 		if gen, ok := ca.store.generation(id); ok && gen == sess.seed.gen {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,19 +12,20 @@ import (
 // SessionTable holds the CA's open handshake sessions: for each client,
 // the challenge it must answer next. The table is striped across lock
 // shards like ImageStore and RA, issues the monotonically increasing
-// challenge nonces, enforces the session TTL, and journals opens and
-// closes so sessions survive a restart.
+// challenge nonces and enforces the session TTL.
 //
-// With a lease attached (SetLease), a nonce is issued only below a
-// durable ceiling: the table leases NonceLeaseBlock nonces at a time, so
-// a restart that resumes at the highest lease never reissues a nonce
-// whatever the log lost. A session, unlike its nonce, may be lost: its
-// SessionOpen takes no barrier of its own, and a client whose session a
-// crash took sees ErrNoSession and handshakes again.
+// A session lives only in the table's memory, from its handshake until
+// it is answered, dropped or expires. It is never journaled, snapshotted
+// or replicated: one connection carries one handshake and its answer
+// (netproto.Server), so a session outlives its connection only until the
+// TTL sweeps it, and a restart or a promotion simply finds none open.
+//
+// The nonce is what must be durable. With a lease attached (SetLease), a
+// nonce is issued only below a durable ceiling: the table leases
+// NonceLeaseBlock nonces at a time, so a restart that resumes at the
+// highest lease never reissues a nonce whatever the log lost.
 type SessionTable struct {
-	journal Journal
-	commit  commitFunc
-	nonce   atomic.Uint64
+	nonce atomic.Uint64
 	// lease makes a ceiling durable; nil (a memory-only table) issues
 	// without one. ceiling is the highest nonce the last lease covers;
 	// leaseMu serializes leases and the readers of the ceiling.
@@ -47,8 +47,8 @@ type sessionShard struct {
 	lastSweep time.Time
 }
 
-// session is one open handshake: the journaled challenge and, beside it,
-// what the CA worked out while it had the client's image open.
+// session is one open handshake: the challenge and, beside it, what the
+// CA worked out while it had the client's image open.
 type session struct {
 	ch   Challenge
 	seed seedCache
@@ -57,10 +57,10 @@ type session struct {
 // seedCache is the server-side seed S_init the handshake computed for a
 // challenge, tagged with the sealed image it was read from, so answering
 // the challenge need not unseal the image a second time. It is as secret
-// as the image cells it packs: it lives only in the session table's
-// memory, for at most the session's TTL, and is never journaled,
-// snapshotted or replicated — a restored session has none and
-// CA.Authenticate re-derives the seed from the store.
+// as the image cells it packs, and like its session it lives only in the
+// table's memory, for at most the session's TTL. A session opened through
+// Open rather than a handshake has none, and CA.Authenticate re-derives
+// the seed from the store.
 type seedCache struct {
 	base u256.Uint256
 	gen  imageGen
@@ -89,15 +89,10 @@ func NewSessionTableShards(shards int) *SessionTable {
 	return t
 }
 
-// SetJournal attaches a mutation journal (nil detaches). Attach during
-// assembly, before the table is shared.
-func (t *SessionTable) SetJournal(j Journal) { t.journal = j }
-
-// SetCommit attaches the journal's durability barrier (see Journal):
-// Drop runs it after releasing the shard lock, before returning; Open and
-// Take leave it to their callers. Attach during assembly, like
-// SetJournal.
-func (t *SessionTable) SetCommit(commit func() error) { t.commit = commit }
+// SetJournal does nothing: sessions are not journaled (see SessionTable).
+// It remains for callers that attach one journal to every store, as
+// benchmark/node.go does.
+func (t *SessionTable) SetJournal(Journal) {}
 
 // NonceLeaseBlock is how many nonces one lease covers: a durable table
 // pays one barrier of its own per this many handshakes.
@@ -105,7 +100,12 @@ const NonceLeaseBlock = 1 << 10
 
 // SetLease attaches the nonce lease: lease(upTo) must return only once
 // the ceiling upTo is durable, so that recovery resumes at or above it.
-// Attach during assembly, like SetJournal.
+// lease(0) makes nothing durable; it fails when the lease can no longer
+// vouch for the ceilings it made durable before (its log's barrier
+// failed). NextNonce asks that for every nonce it issues under a held
+// ceiling, so a failed log refuses every handshake, not only the one
+// that needs a new lease. Attach during assembly, before the table is
+// shared.
 func (t *SessionTable) SetLease(lease func(upTo uint64) error) { t.lease = lease }
 
 // SetTTL sets the session lifetime. Zero or negative disables expiry.
@@ -123,10 +123,18 @@ func (t *SessionTable) shard(id ClientID) *sessionShard {
 
 // NextNonce issues a fresh challenge nonce. With a lease attached, the
 // nonce is below a durable ceiling when NextNonce returns: the call that
-// passes the ceiling takes a new lease first, and fails if it cannot.
+// passes the ceiling takes a new lease first, and fails if it cannot, and
+// every other call fails if the lease can no longer vouch for the
+// ceiling it holds (see SetLease).
 func (t *SessionTable) NextNonce() (uint64, error) {
 	n := t.nonce.Add(1)
-	if t.lease == nil || n <= t.ceiling.Load() {
+	if t.lease == nil {
+		return n, nil
+	}
+	if n <= t.ceiling.Load() {
+		if err := t.lease(0); err != nil {
+			return 0, fmt.Errorf("core: nonce lease: %w", err)
+		}
 		return n, nil
 	}
 	t.leaseMu.Lock()
@@ -156,9 +164,9 @@ func (t *SessionTable) NonceCeiling() uint64 {
 	return max(t.ceiling.Load(), t.nonce.Load())
 }
 
-// BumpNonce raises the nonce high-water mark to at least n (the
-// restore path: replayed SessionOpen and lease records and snapshots
-// carry the nonces they cover).
+// BumpNonce raises the nonce high-water mark to at least n (the restore
+// path: replayed lease records, snapshots and the SessionOpen records of
+// older logs carry the nonces they cover).
 func (t *SessionTable) BumpNonce(n uint64) {
 	for {
 		cur := t.nonce.Load()
@@ -176,16 +184,12 @@ func (t *SessionTable) expired(ch Challenge, at time.Time) bool {
 // Open records a new session for id, superseding any previous one. The
 // challenge's IssuedAt is stamped here if unset. As a side effect the
 // shard is swept for expired sessions at most once per TTL, bounding the
-// table's footprint under abandoned handshakes. Open journals the session
-// (and every swept close) but takes no barrier: the nonce is what must be
-// durable before a challenge leaves, and NextNonce saw to that. The
-// session becomes durable with the next barrier, at the latest the one
-// CA.Authenticate takes when the challenge is answered.
-func (t *SessionTable) Open(id ClientID, ch Challenge) error {
-	return t.open(id, ch, seedCache{})
+// table's footprint under abandoned handshakes.
+func (t *SessionTable) Open(id ClientID, ch Challenge) {
+	t.open(id, ch, seedCache{})
 }
 
-func (t *SessionTable) open(id ClientID, ch Challenge, seed seedCache) error {
+func (t *SessionTable) open(id ClientID, ch Challenge, seed seedCache) {
 	now := t.now()
 	if ch.IssuedAt.IsZero() {
 		ch.IssuedAt = now
@@ -198,32 +202,19 @@ func (t *SessionTable) open(id ClientID, ch Challenge, seed seedCache) error {
 		sh.lastSweep = now
 		for sid, s := range sh.open {
 			if sid != id && t.expired(s.ch, now) {
-				if err := t.closeLocked(sh, sid); err != nil {
-					return err
-				}
+				sh.closeLocked(sid)
 			}
 		}
 	}
-	if t.journal != nil {
-		if err := t.journal.SessionOpen(id, ch); err != nil {
-			return fmt.Errorf("core: journal session open for %q: %w", id, err)
-		}
-	}
 	sh.open[id] = session{ch: ch, seed: seed}
-	return nil
 }
 
 // Take consumes the open session for (id, nonce). It returns ok=false
 // when there is no session, the nonce does not match, or the session has
-// expired; an expired session is evicted (and its close journaled) but a
-// wrong-nonce probe leaves the stored session untouched, so third
-// parties cannot void sessions they do not own.
-//
-// Take journals the close but takes no barrier. After ok=true the caller
-// must commit before it releases any outcome of the presented nonce (as
-// CA.Authenticate does, once, together with what the outcome journals),
-// or a crash could reopen a nonce whose result is already out. An evicted
-// expired session needs none: it is refused by its IssuedAt either way.
+// expired; an expired session is evicted, but a wrong-nonce probe leaves
+// the stored session untouched, so third parties cannot void sessions
+// they do not own. A consumed session is gone for good: nothing of it is
+// durable, so no restart can reopen the nonce.
 func (t *SessionTable) Take(id ClientID, nonce uint64) (Challenge, bool) {
 	s, ok := t.take(id, nonce)
 	return s.ch, ok
@@ -239,88 +230,33 @@ func (t *SessionTable) take(id ClientID, nonce uint64) (session, bool) {
 		return session{}, false
 	}
 	if t.expired(s.ch, t.now()) {
-		_ = t.closeLocked(sh, id)
+		sh.closeLocked(id)
 		return session{}, false
 	}
 	if s.ch.Nonce != nonce {
 		return session{}, false
 	}
-	if err := t.closeLocked(sh, id); err != nil {
-		// The journal refused the close. Failing the Take (so the caller
-		// sees no session) keeps memory behind the log rather than ahead
-		// of it: the worst case is a still-open session that a restart
-		// also considers open.
-		return session{}, false
-	}
+	sh.closeLocked(id)
 	return s, true
 }
 
-// Drop closes any open session for id (deprovisioning, or an expired
-// sweep), durably. Dropping an absent session is a no-op.
-func (t *SessionTable) Drop(id ClientID) error {
+// Drop closes any open session for id (deprovisioning). Dropping an
+// absent session is a no-op.
+func (t *SessionTable) Drop(id ClientID) {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	_, ok := sh.open[id]
-	var err error
-	if ok {
-		err = t.closeLocked(sh, id)
-	}
-	sh.mu.Unlock()
-	if !ok || err != nil {
-		return err
-	}
-	return t.commit.run()
-}
-
-// closeLocked journals and applies a session close; the shard lock must
-// be held.
-func (t *SessionTable) closeLocked(sh *sessionShard, id ClientID) error {
-	if t.journal != nil {
-		if err := t.journal.SessionClose(id); err != nil {
-			return fmt.Errorf("core: journal session close for %q: %w", id, err)
-		}
-	}
-	// The slot is overwritten before it is unlinked so the cached seed is
-	// gone from the table's memory whatever the map does with the slot.
-	sh.open[id] = session{}
-	delete(sh.open, id)
-	return nil
-}
-
-// Restore applies a session without journaling (the replay path). The
-// recorded IssuedAt is preserved, so sessions that expired across the
-// restart stay expired.
-func (t *SessionTable) Restore(id ClientID, ch Challenge) {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	sh.open[id] = session{ch: ch}
-	sh.mu.Unlock()
-	t.BumpNonce(ch.Nonce)
-}
-
-// Forget removes a session without journaling (the replay path of a
-// SessionClose record).
-func (t *SessionTable) Forget(id ClientID) {
-	sh := t.shard(id)
-	sh.mu.Lock()
-	delete(sh.open, id)
+	sh.closeLocked(id)
 	sh.mu.Unlock()
 }
 
-// Challenges iterates every open session's challenge, one lock shard at
-// a time (see rangeShards). The seed cached beside a session is not
-// copied out.
-func (t *SessionTable) Challenges() iter.Seq2[ClientID, Challenge] {
-	return rangeShards(len(t.shards), func(i int) map[ClientID]Challenge {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		out := make(map[ClientID]Challenge, len(sh.open))
-		for id, s := range sh.open {
-			out[id] = s.ch
-		}
-		return out
-	})
+// closeLocked removes a session; the shard lock must be held. The slot is
+// overwritten before it is unlinked so the cached seed is gone from the
+// table's memory whatever the map does with the slot.
+func (sh *sessionShard) closeLocked(id ClientID) {
+	if _, ok := sh.open[id]; ok {
+		sh.open[id] = session{}
+		delete(sh.open, id)
+	}
 }
 
 // Len returns the number of open sessions (including not-yet-swept

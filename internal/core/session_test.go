@@ -28,8 +28,9 @@ func nextNonce(t *testing.T, tab *SessionTable) uint64 {
 
 // TestSessionTableLeasesNonces: with a lease attached, every nonce is
 // issued at or below the ceiling of a lease that returned before it, a
-// lease covers the nonce that takes it and NonceLeaseBlock more, and a
-// failed lease issues nothing and is retried by the next call.
+// lease covers the nonce that takes it and NonceLeaseBlock more, a failed
+// lease issues nothing and is retried by the next call, and a lease that
+// can no longer vouch for its ceiling refuses the nonces under it too.
 func TestSessionTableLeasesNonces(t *testing.T) {
 	tab := NewSessionTable()
 	var leases []uint64
@@ -38,7 +39,9 @@ func TestSessionTableLeasesNonces(t *testing.T) {
 		if fail {
 			return errors.New("lease refused")
 		}
-		leases = append(leases, upTo)
+		if upTo != 0 {
+			leases = append(leases, upTo)
+		}
 		return nil
 	})
 	const issued = 2*(NonceLeaseBlock+1) + 1
@@ -54,6 +57,10 @@ func TestSessionTableLeasesNonces(t *testing.T) {
 	if got, want := tab.NonceCeiling(), leases[2]; got != want {
 		t.Fatalf("NonceCeiling = %d, want %d", got, want)
 	}
+	fail = true
+	if _, err := tab.NextNonce(); err == nil {
+		t.Fatal("a nonce under the ceiling was issued by a lease that refuses")
+	}
 	tab.BumpNonce(leases[2])
 	fail = true
 	if _, err := tab.NextNonce(); err == nil {
@@ -68,9 +75,7 @@ func TestSessionTableLeasesNonces(t *testing.T) {
 func TestSessionTableOpenTake(t *testing.T) {
 	tab := NewSessionTable()
 	n := nextNonce(t, tab)
-	if err := tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}}); err != nil {
-		t.Fatal(err)
-	}
+	tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}})
 	if _, ok := tab.Take("alice", n+1); ok {
 		t.Fatal("wrong nonce consumed the session")
 	}
@@ -91,9 +96,7 @@ func TestSessionTableTTLExpiry(t *testing.T) {
 	tab.SetClock(func() time.Time { return now })
 
 	n := nextNonce(t, tab)
-	if err := tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}}); err != nil {
-		t.Fatal(err)
-	}
+	tab.Open("alice", Challenge{Nonce: n, AddressMap: []int{1}})
 	// Inside the TTL the session is live.
 	now = now.Add(29 * time.Second)
 	if ch, ok := tab.Take("alice", n); !ok || ch.Nonce != n {
@@ -101,9 +104,7 @@ func TestSessionTableTTLExpiry(t *testing.T) {
 	}
 
 	n2 := nextNonce(t, tab)
-	if err := tab.Open("alice", Challenge{Nonce: n2, AddressMap: []int{1}}); err != nil {
-		t.Fatal(err)
-	}
+	tab.Open("alice", Challenge{Nonce: n2, AddressMap: []int{1}})
 	now = now.Add(31 * time.Second)
 	if _, ok := tab.Take("alice", n2); ok {
 		t.Fatal("expired session consumed")
@@ -121,18 +122,14 @@ func TestSessionTableSweepEvictsAbandoned(t *testing.T) {
 	tab.SetClock(func() time.Time { return now })
 
 	for _, id := range []ClientID{"a", "b", "c"} {
-		if err := tab.Open(id, Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}}); err != nil {
-			t.Fatal(err)
-		}
+		tab.Open(id, Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}})
 	}
 	if tab.Len() != 3 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
 	// Long after the TTL, the next Open sweeps the abandoned handshakes.
 	now = now.Add(time.Minute)
-	if err := tab.Open("d", Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}}); err != nil {
-		t.Fatal(err)
-	}
+	tab.Open("d", Challenge{Nonce: nextNonce(t, tab), AddressMap: []int{1}})
 	if tab.Len() != 1 {
 		t.Fatalf("Len = %d after sweep, want 1 (just %q)", tab.Len(), "d")
 	}
@@ -226,32 +223,16 @@ func TestCADeprovision(t *testing.T) {
 	}
 }
 
-// journalRecorder counts Journal callbacks and can refuse them.
-type journalRecorder struct {
-	fail  bool
-	opens int
-	close int
-}
+// journalRecorder can refuse every Journal callback.
+type journalRecorder struct{ fail bool }
 
 func (j *journalRecorder) ImagePut(ClientID, []byte) error           { return j.err() }
 func (j *journalRecorder) ImageDelete(ClientID) error                { return j.err() }
 func (j *journalRecorder) RAKeyUpdate(ClientID, []byte) error        { return j.err() }
 func (j *journalRecorder) RACertUpdate(ClientID, *Certificate) error { return j.err() }
 func (j *journalRecorder) RADelete(ClientID) error                   { return j.err() }
-func (j *journalRecorder) SessionOpen(ClientID, Challenge) error {
-	if j.fail {
-		return errors.New("journal down")
-	}
-	j.opens++
-	return nil
-}
-func (j *journalRecorder) SessionClose(ClientID) error {
-	if j.fail {
-		return errors.New("journal down")
-	}
-	j.close++
-	return nil
-}
+func (j *journalRecorder) SessionOpen(ClientID, Challenge) error     { return j.err() }
+func (j *journalRecorder) SessionClose(ClientID) error               { return j.err() }
 func (j *journalRecorder) err() error {
 	if j.fail {
 		return errors.New("journal down")
@@ -260,7 +241,8 @@ func (j *journalRecorder) err() error {
 }
 
 // TestJournalVeto: a failing journal must keep memory behind the log —
-// the mutation is refused, not applied.
+// the mutation is refused, not applied. A session table journals
+// nothing, so the same journal cannot refuse a session.
 func TestJournalVeto(t *testing.T) {
 	j := &journalRecorder{fail: true}
 
@@ -273,23 +255,9 @@ func TestJournalVeto(t *testing.T) {
 		t.Fatal("vetoed key visible in memory")
 	}
 
-	tab := NewSessionTable()
-	tab.SetJournal(j)
-	if err := tab.Open("alice", Challenge{Nonce: 1, AddressMap: []int{1}}); err == nil {
-		t.Fatal("session opened despite journal failure")
-	}
-	if tab.Len() != 0 {
-		t.Fatal("vetoed session visible in memory")
-	}
-
-	j.fail = false
-	if err := tab.Open("alice", Challenge{Nonce: 1, AddressMap: []int{1}}); err != nil {
-		t.Fatal(err)
-	}
 	key := [32]byte{1}
 	store, _ := NewImageStore(key)
 	store.SetJournal(j)
-	j.fail = true
 	if err := store.Put("alice", testImage(t)); err == nil {
 		t.Fatal("image stored despite journal failure")
 	}
@@ -297,16 +265,10 @@ func TestJournalVeto(t *testing.T) {
 		t.Fatal("vetoed image visible in memory")
 	}
 
-	// Take with a failing close journal reports no session (memory never
-	// ahead of the log) and keeps the session for after the journal heals.
-	if _, ok := tab.Take("alice", 1); ok {
-		t.Fatal("session consumed despite close-journal failure")
-	}
-	j.fail = false
+	tab := NewSessionTable()
+	tab.SetJournal(j)
+	tab.Open("alice", Challenge{Nonce: 1, AddressMap: []int{1}})
 	if _, ok := tab.Take("alice", 1); !ok {
-		t.Fatal("session lost after journal recovered")
-	}
-	if j.opens != 1 || j.close != 1 {
-		t.Fatalf("journal saw %d opens / %d closes", j.opens, j.close)
+		t.Fatal("a failing journal refused a session")
 	}
 }

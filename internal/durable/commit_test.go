@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/cryptoalg/aeskg"
@@ -121,17 +120,18 @@ func (r *commitRig) handshake(t *testing.T, cl *core.Client) core.AuthRequest {
 	return core.AuthRequest{Client: cl.ID, Nonce: ch.Nonce, M1: m1}
 }
 
-// durableCeiling returns the highest nonce lease among the records st's
-// log has made durable, reading them back through a tail (which under
-// SyncAlways sees nothing else).
-func durableCeiling(t *testing.T, st *State) uint64 {
+// durableOps counts by op the records past sequence number after that
+// st's log has made durable, reading them back through a tail (which
+// under SyncAlways sees nothing else), and returns the highest nonce
+// lease among them.
+func durableOps(t *testing.T, st *State, after uint64) (ops map[Op]int, ceiling uint64) {
 	t.Helper()
-	tail, err := st.wal.TailFrom(0)
+	tail, err := st.wal.TailFrom(after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tail.Close()
-	var ceiling uint64
+	ops = make(map[Op]int)
 	for tail.Ready() {
 		_, p, err := tail.Next(context.Background())
 		if err != nil {
@@ -141,18 +141,28 @@ func durableCeiling(t *testing.T, st *State) uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ops[rec.Op]++
 		if rec.Op == OpNonceLease {
 			ceiling = max(ceiling, rec.Lease)
 		}
 	}
+	return ops, ceiling
+}
+
+// durableCeiling returns the highest nonce lease st's log has made
+// durable.
+func durableCeiling(t *testing.T, st *State) uint64 {
+	t.Helper()
+	_, ceiling := durableOps(t, st, 0)
 	return ceiling
 }
 
 // TestAuthenticateOneBarrierPerOutcome: a challenge leaves only with its
 // nonce below a durable lease ceiling, and whatever Authenticate returns
 // for a presented nonce — a result or an error — everything the request
-// journaled (its SessionClose, and its RAKey on success) is durable by
-// then, through exactly one barrier taken after the Take.
+// journaled is durable by then. A success journals its RAKey alone and
+// makes it durable through exactly one barrier taken after the Take; a
+// refusal journals nothing and syncs nothing.
 func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 	r := newCommitRig(t, t.TempDir(), SyncAlways)
 	defer r.st.Close()
@@ -164,31 +174,31 @@ func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 		name    string
 		ctx     context.Context
 		mutate  func(*core.AuthRequest)
-		records uint64 // journaled by Authenticate
+		records int64 // journaled by Authenticate, and the barriers it takes
 		check   func(core.AuthResult, error)
 	}{
-		{"success", context.Background(), func(*core.AuthRequest) {}, 2, func(res core.AuthResult, err error) {
+		{"success", context.Background(), func(*core.AuthRequest) {}, 1, func(res core.AuthResult, err error) {
 			if err != nil || !res.Authenticated {
 				t.Errorf("success: %+v, %v", res, err)
 			}
 		}},
 		{"wrong digest", context.Background(), func(req *core.AuthRequest) {
 			req.M1 = core.HashSeed(core.SHA3, u256.FromUint64(0xBAD))
-		}, 1, func(res core.AuthResult, err error) {
+		}, 0, func(res core.AuthResult, err error) {
 			if err != nil || res.Authenticated {
 				t.Errorf("wrong digest: %+v, %v", res, err)
 			}
 		}},
 		{"alg mismatch", context.Background(), func(req *core.AuthRequest) {
 			req.M1 = core.HashSeed(core.SHA1, u256.FromUint64(1))
-		}, 1, func(res core.AuthResult, err error) {
+		}, 0, func(res core.AuthResult, err error) {
 			if !errors.Is(err, core.ErrAlgMismatch) || res.Authenticated {
 				t.Errorf("alg mismatch: %+v, %v", res, err)
 			}
 		}},
 		{"cancelled", cancelled, func(req *core.AuthRequest) {
 			req.M1 = core.HashSeed(core.SHA3, u256.FromUint64(0xBAD))
-		}, 1, func(res core.AuthResult, err error) {
+		}, 0, func(res core.AuthResult, err error) {
 			if !errors.Is(err, context.Canceled) || res.Authenticated {
 				t.Errorf("cancelled: %+v, %v", res, err)
 			}
@@ -204,11 +214,11 @@ func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 
 		res, err := r.ca.Authenticate(tc.ctx, req)
 		tc.check(res, err)
-		if got := r.st.LastSeq() - seqBefore; got != tc.records {
+		if got := int64(r.st.LastSeq() - seqBefore); got != tc.records {
 			t.Errorf("%s: journaled %d records, want %d", tc.name, got, tc.records)
 		}
-		if got := r.spy.calls.Load() - callsBefore; got != 1 {
-			t.Errorf("%s: %d barriers after Take, want exactly 1", tc.name, got)
+		if got := r.spy.calls.Load() - callsBefore; got != tc.records {
+			t.Errorf("%s: %d barriers after Take, want exactly %d", tc.name, got, tc.records)
 		}
 		if got, want := r.st.wal.syncedSeq(), r.st.LastSeq(); got < want {
 			t.Errorf("%s: outcome released at synced=%d, request's last record is %d", tc.name, got, want)
@@ -225,10 +235,57 @@ func TestAuthenticateOneBarrierPerOutcome(t *testing.T) {
 	}
 }
 
-// TestMutatorsDurableOnReturn: every exported mutator other than Take
-// returns only once what it journaled is durable — no acked enrolment,
-// RA write or session drop can be lost under SyncAlways — and a handshake
-// returns a challenge only once its nonce is below a durable ceiling.
+// TestAppendsPerAuthentication counts what the log takes per
+// authentication: a handshake journals nothing but its share of the
+// nonce leases, one per NonceLeaseBlock+1 nonces, and a successful answer
+// its RA key alone. (A refused answer journals nothing and syncs nothing:
+// TestAuthenticateOneBarrierPerOutcome.)
+func TestAppendsPerAuthentication(t *testing.T) {
+	r := newCommitRig(t, t.TempDir(), SyncAlways)
+	defer r.st.Close()
+	const clients, rounds = 8, 129 // 1,032 handshakes: past one lease block
+	cls := make([]*core.Client, clients)
+	for i := range cls {
+		cls[i] = r.enroll(t, core.ClientID(fmt.Sprintf("c%d", i)), uint64(200+i))
+	}
+	handshakes, answers := map[Op]int{}, map[Op]int{}
+	reqs := make([]core.AuthRequest, clients)
+	for range rounds {
+		start := r.st.LastSeq()
+		for i, cl := range cls {
+			reqs[i] = r.handshake(t, cl)
+		}
+		mid := r.st.LastSeq()
+		for _, req := range reqs {
+			if res, err := r.ca.Authenticate(context.Background(), req); err != nil || !res.Authenticated {
+				t.Fatalf("%s: %+v, %v", req.Client, res, err)
+			}
+		}
+		ops, _ := durableOps(t, r.st, start)
+		later, _ := durableOps(t, r.st, mid)
+		for op, k := range ops {
+			if k > later[op] {
+				handshakes[op] += k - later[op]
+			}
+		}
+		for op, k := range later {
+			answers[op] += k
+		}
+	}
+	const n = clients * rounds
+	leases := (n + core.NonceLeaseBlock) / (core.NonceLeaseBlock + 1)
+	if want := map[Op]int{OpNonceLease: leases}; !maps.Equal(handshakes, want) {
+		t.Errorf("%d handshakes journaled %v, want %v", n, handshakes, want)
+	}
+	if want := map[Op]int{OpRAKey: n}; !maps.Equal(answers, want) {
+		t.Errorf("%d authentications journaled %v, want %v", n, answers, want)
+	}
+}
+
+// TestMutatorsDurableOnReturn: every exported mutator returns only once
+// what it journaled is durable — no acked enrolment, RA write or
+// deprovisioning can be lost under SyncAlways — and a handshake returns a
+// challenge only once its nonce is below a durable ceiling.
 func TestMutatorsDurableOnReturn(t *testing.T) {
 	r := newCommitRig(t, t.TempDir(), SyncAlways)
 	defer r.st.Close()
@@ -256,7 +313,7 @@ func TestMutatorsDurableOnReturn(t *testing.T) {
 	durable("RA.UpdateCertificate", r.st.RA().UpdateCertificate("bob", &core.Certificate{ClientID: "bob", PublicKey: []byte("pk")}))
 	ch, err := r.ca.BeginHandshake(cl.ID)
 	leased("BeginHandshake", ch, err)
-	durable("Sessions.Drop", r.st.Sessions().Drop("bob"))
+	r.st.Sessions().Drop("bob")
 	ch, err = r.ca.BeginHandshake(cl.ID)
 	leased("BeginHandshake", ch, err)
 	durable("Deprovision", r.ca.Deprovision("bob"))
@@ -482,11 +539,12 @@ func frameEnds(t *testing.T, data []byte) []int64 {
 	return ends
 }
 
-// TestCrashBetweenCloseAndRAKey cuts the log around one authentication's
-// three records. Whatever prefix survives, recovery is that prefix and
-// the nonce behaves as it says: still answerable while only the
-// SessionOpen survived, refused from the SessionClose on — with the RA
-// key present exactly when its record survived too.
+// TestCrashBetweenCloseAndRAKey cuts the log around one authentication.
+// Its records are ImagePut, NonceLease and RAKey: a handshake journals
+// only its lease and an answer only its RA key, and nothing of the
+// session between them. Whatever prefix survives, the presented nonce is
+// refused (no session survives a restart), the next nonce issued is above
+// it, and the RA key is present exactly when its record survived.
 func TestCrashBetweenCloseAndRAKey(t *testing.T) {
 	master := t.TempDir()
 	r := newCommitRig(t, master, SyncNever)
@@ -504,22 +562,19 @@ func TestCrashBetweenCloseAndRAKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	ends := frameEnds(t, full)
-	if len(ends) != 5 { // ImagePut, NonceLease, SessionOpen, SessionClose, RAKey
-		t.Fatalf("log holds %d records, want 5", len(ends))
+	if len(ends) != 3 { // ImagePut, NonceLease, RAKey
+		t.Fatalf("log holds %d records, want 3", len(ends))
 	}
-	afterOpen, afterClose, afterKey := ends[2], ends[3], ends[4]
+	afterLease, afterKey := ends[1], ends[2]
 
 	cuts := []struct {
-		name       string
-		at         int64
-		answerable bool
-		hasKey     bool
+		name   string
+		at     int64
+		hasKey bool
 	}{
-		{"after SessionOpen", afterOpen, true, false},
-		{"inside SessionClose", afterOpen + recordHeader + 1, true, false},
-		{"after SessionClose", afterClose, false, false},
-		{"inside RAKey", afterClose + recordHeader + 1, false, false},
-		{"after RAKey", afterKey, false, true},
+		{"after NonceLease", afterLease, false},
+		{"inside RAKey", afterLease + recordHeader + 1, false},
+		{"after RAKey", afterKey, true},
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
@@ -531,19 +586,11 @@ func TestCrashBetweenCloseAndRAKey(t *testing.T) {
 		if hasKey != cut.hasKey || (hasKey && !bytes.Equal(pk, res.PublicKey)) {
 			t.Errorf("%s: recovered RA key %x (present %v), want present %v", cut.name, pk, hasKey, cut.hasKey)
 		}
-		if _, open := maps.Collect(rec.st.Sessions().Challenges())["erin"]; open != cut.answerable {
-			t.Errorf("%s: session open = %v, want %v", cut.name, open, cut.answerable)
-		}
-		again, err := rec.ca.Authenticate(context.Background(), req)
-		switch {
-		case cut.answerable && (err != nil || !again.Authenticated || !bytes.Equal(again.PublicKey, res.PublicKey)):
-			t.Errorf("%s: nonce should still be answerable: %+v, %v", cut.name, again, err)
-		case !cut.answerable && !errors.Is(err, core.ErrNoSession):
-			t.Errorf("%s: nonce should be refused: %+v, %v", cut.name, again, err)
-		}
-		// Either way it is single-use from here on.
 		if _, err := rec.ca.Authenticate(context.Background(), req); !errors.Is(err, core.ErrNoSession) {
-			t.Errorf("%s: second presentation: err = %v, want ErrNoSession", cut.name, err)
+			t.Errorf("%s: presented nonce: err = %v, want ErrNoSession", cut.name, err)
+		}
+		if next := nextNonce(t, rec.st); next <= req.Nonce {
+			t.Errorf("%s: next nonce %d reissues the presented nonce %d", cut.name, next, req.Nonce)
 		}
 		if err := rec.st.Close(); err != nil {
 			t.Fatal(err)
@@ -918,10 +965,10 @@ func BenchmarkWALCommitParallel(b *testing.B) {
 
 // TestHandshakeSeedStaysInMemory: the seed a handshake computes is kept
 // beside the open session in memory only. No file of the data directory
-// — the log the SessionOpen went to, which is also what a follower is
-// streamed, or a snapshot holding the open session — contains its bytes,
-// and a session recovered from either still authenticates, by unsealing
-// the image again.
+// — the log, which is also what a follower is streamed, or a snapshot
+// taken while the session was open — contains its bytes. Neither brings
+// the session back: its answer is refused after the restart, and a fresh
+// handshake authenticates.
 func TestHandshakeSeedStaysInMemory(t *testing.T) {
 	recoveries := []struct {
 		name string
@@ -972,9 +1019,12 @@ func TestHandshakeSeedStaysInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := back.ca.Authenticate(context.Background(), core.AuthRequest{Client: cl.ID, Nonce: ch.Nonce, M1: m1})
+			if _, err := back.ca.Authenticate(context.Background(), core.AuthRequest{Client: cl.ID, Nonce: ch.Nonce, M1: m1}); !errors.Is(err, core.ErrNoSession) {
+				t.Fatalf("answer to the session before the restart: err = %v, want ErrNoSession", err)
+			}
+			res, err := back.ca.Authenticate(context.Background(), back.handshake(t, cl))
 			if err != nil || !res.Authenticated {
-				t.Fatalf("recovered session: %+v, %v", res, err)
+				t.Fatalf("fresh handshake after the restart: %+v, %v", res, err)
 			}
 		})
 	}
@@ -984,8 +1034,11 @@ func TestHandshakeSeedStaysInMemory(t *testing.T) {
 // before the image store's binary layout (testdata/parent_wal: a crashed
 // process, log only; testdata/parent_snapshot: a clean stop; both: key
 // 0..31, client "fixture-client" enrolled from device seed 20232, an RA
-// key, and a session opened at Unix time 1,700,000,000). The gob-sealed image, the RA key and the session must
-// all come back, and the session must authenticate.
+// key, and a session with nonce 4,097 opened at Unix time 1,700,000,000,
+// from when sessions were journaled). The gob-sealed image and the RA key
+// must come back. The session must not: its record only raises the nonce
+// high-water mark above its nonce. The client authenticates after a
+// fresh handshake.
 func TestRecoversParentDataDir(t *testing.T) {
 	var key [32]byte
 	for i := range key {
@@ -1031,12 +1084,14 @@ func TestRecoversParentDataDir(t *testing.T) {
 			if pk, ok := st.RA().PublicKey(id); !ok || string(pk) != "parent-key" {
 				t.Errorf("recovered RA key %q, %v", pk, ok)
 			}
-			ch, open := maps.Collect(st.Sessions().Challenges())[id]
-			if !open || len(ch.AddressMap) != puf.SeedBits {
-				t.Fatalf("recovered session: open %v, %d addresses", open, len(ch.AddressMap))
+			const fixtureNonce = 4097
+			if n := st.Sessions().Len(); n != 0 {
+				t.Errorf("%d sessions open after recovery, want none", n)
+			}
+			if got := st.Sessions().Nonce(); got <= fixtureNonce {
+				t.Errorf("nonce high-water %d, want above the fixture session's %d", got, fixtureNonce)
 			}
 
-			st.Sessions().SetClock(func() time.Time { return ch.IssuedAt.Add(time.Second) })
 			ca, err := core.NewCA(st.Images(), noBackend{t}, &aeskg.Generator{}, st.RA(), core.CAConfig{
 				MaxDistance: 2,
 				Sessions:    st.Sessions(),
@@ -1044,13 +1099,13 @@ func TestRecoversParentDataDir(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, err := (&core.Client{ID: id, Device: dev}).Respond(ch)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := ca.Authenticate(context.Background(), core.AuthRequest{Client: id, Nonce: fixtureNonce}); !errors.Is(err, core.ErrNoSession) {
+				t.Errorf("answer to the fixture's session: err = %v, want ErrNoSession", err)
 			}
-			res, err := ca.Authenticate(context.Background(), core.AuthRequest{Client: id, Nonce: ch.Nonce, M1: m1})
+			r := &commitRig{st: st, ca: ca}
+			res, err := ca.Authenticate(context.Background(), r.handshake(t, &core.Client{ID: id, Device: dev}))
 			if err != nil || !res.Authenticated {
-				t.Fatalf("recovered session: %+v, %v", res, err)
+				t.Fatalf("fresh handshake: %+v, %v", res, err)
 			}
 		})
 	}

@@ -8,16 +8,16 @@ import (
 )
 
 // TestNonceLeaseSurvivesEveryCut scripts two authentications under one
-// lease — lease, open, challenge released, close, RA key, commit, then
-// open, challenge released, close, RA key, commit — and cuts the log
-// after every record and at torn offsets inside each. Wherever the cut
-// falls, the next nonce after the reopen exceeds every nonce released
-// before the crash, also those whose SessionOpen the cut took: the
-// records after the lease were not durable, so a real crash may lose any
-// of them. A cut that takes the lease itself is a crash before the
-// lease's barrier returned, when no nonce had left. In the second case a
-// snapshot compacts the lease away between the two authentications, so
-// only the snapshot's ceiling covers the second nonce.
+// lease — lease, challenge released, RA key, commit, then challenge
+// released, RA key, commit — and cuts the log after every record and at
+// torn offsets inside each. Wherever the cut falls, the next nonce after
+// the reopen exceeds every nonce released before the crash: nothing but
+// the lease records a released nonce, and SyncNever made nothing after
+// it durable, so a real crash may lose any later record. A cut that
+// takes the lease itself is a crash before the lease's barrier returned,
+// when no nonce had left. In the second case a snapshot compacts the
+// lease away between the two authentications, so only the snapshot's
+// ceiling covers the second nonce.
 func TestNonceLeaseSurvivesEveryCut(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -59,12 +59,12 @@ func TestNonceLeaseSurvivesEveryCut(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The log case holds ImagePut, NonceLease and the two
-			// authentications' three records each; the compacted one the
-			// second authentication's three, its lease in the snapshot.
+			// authentications' RA keys; the compacted one the second
+			// authentication's RA key, its lease in the snapshot.
 			ends := frameEnds(t, full)
-			want, leaseEnd := 8, int64(0)
+			want, leaseEnd := 4, int64(0)
 			if tc.compact {
-				want = 3
+				want = 1
 			} else if len(ends) > 1 {
 				leaseEnd = ends[1]
 			}

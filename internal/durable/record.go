@@ -1,9 +1,9 @@
 // Package durable is the CA's persistence subsystem: a segmented,
 // CRC32C-framed write-ahead log (wal.go) with a configurable fsync
 // policy, point-in-time snapshots with log compaction (snapshot.go), and
-// a State (state.go) that journals every mutation of the image store,
-// the registration authority and the session table, and replays
-// WAL-over-snapshot on open. The package owns the state's one byte
+// a State (state.go) that journals every mutation of the image store and
+// the registration authority and the session table's nonce leases, and
+// replays WAL-over-snapshot on open. The package owns the state's one byte
 // format: a snapshot, an enrolment file and a follower's catch-up
 // transfer are each a run of the records the log holds.
 //
@@ -37,6 +37,8 @@ const (
 	OpRAKey
 	OpRACert
 	OpRADelete
+	// OpSessionOpen and OpSessionClose are no longer written, only read
+	// from older logs, snapshots and primaries (see State.applyRecord).
 	OpSessionOpen
 	OpSessionClose
 	OpNonceLease

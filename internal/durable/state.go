@@ -68,15 +68,17 @@ type RecoveryStats struct {
 // lease's ceiling instead.
 const legacyNonceSlack = 1 << 12
 
-// State is the durable root of the CA's mutable state: an image store,
-// a registration authority and a session table whose every mutation is
-// journaled to a write-ahead log before it is applied, and which are
-// rebuilt by replaying WAL-over-snapshot on Open.
+// State is the durable root of the CA's mutable state: an image store
+// and a registration authority whose every mutation is journaled to a
+// write-ahead log before it is applied, and the nonce ceiling of a
+// session table, all rebuilt by replaying WAL-over-snapshot on Open. The
+// table's sessions are not durable (see core.SessionTable): a reopened
+// State has none open.
 //
-// State implements core.Journal; Open attaches it to the three stores
+// State implements core.Journal; Open attaches it to the two stores
 // together with its commit barrier (SetJournal, SetCommit) and to the
 // session table's nonce lease (SetLease), so using them through their
-// normal APIs (ImageStore.Put, RA.Update, SessionTable.Open, ...) is what
+// normal APIs (ImageStore.Put, RA.Update, CA.BeginHandshake, ...) is what
 // makes them durable. Wire them into a
 // core.CA via core.NewCA(state.Images(), ..., state.RA(),
 // core.CAConfig{Sessions: state.Sessions()}).
@@ -155,10 +157,8 @@ func Open(opts Options) (*State, error) {
 	// with SetJournal in place of s keeps them.
 	s.images.SetJournal(s)
 	s.ra.SetJournal(s)
-	s.sess.SetJournal(s)
 	s.images.SetCommit(s.Commit)
 	s.ra.SetCommit(s.Commit)
-	s.sess.SetCommit(s.Commit)
 	s.sess.SetLease(s.lease)
 
 	s.register(opts.Metrics)
@@ -199,7 +199,7 @@ func (s *State) Images() *core.ImageStore { return s.images }
 // RA returns the durable registration authority.
 func (s *State) RA() *core.RA { return s.ra }
 
-// Sessions returns the durable session table.
+// Sessions returns the session table whose nonce lease the State keeps.
 func (s *State) Sessions() *core.SessionTable { return s.sess }
 
 // Recovery reports what Open found and repaired.
@@ -218,7 +218,9 @@ func (s *State) applyPayload(seq uint64, payload []byte) error {
 }
 
 // applyRecord applies one decoded record through the stores'
-// non-journaling methods (shared by recovery replay and Ingest).
+// non-journaling methods (shared by recovery replay and Ingest). The
+// session records of older logs and primaries open nothing: only an
+// open's nonce counts.
 func (s *State) applyRecord(rec *Record) {
 	switch rec.Op {
 	case OpImagePut:
@@ -232,9 +234,7 @@ func (s *State) applyRecord(rec *Record) {
 	case OpRADelete:
 		s.ra.Forget(rec.ID)
 	case OpSessionOpen:
-		s.sess.Restore(rec.ID, *rec.Challenge)
-	case OpSessionClose:
-		s.sess.Forget(rec.ID)
+		s.sess.BumpNonce(rec.Challenge.Nonce)
 	case OpNonceLease:
 		s.sess.BumpNonce(rec.Lease)
 	}
@@ -305,8 +305,13 @@ func (s *State) append(rec *Record) error {
 
 // lease is the session table's nonce lease: it journals a lease up to
 // upTo and makes the log durable through it, whatever the sync policy,
-// before the table issues a nonce under the new ceiling.
+// before the table issues a nonce under the new ceiling. lease(0), asked
+// on every other handshake, journals nothing and fails once a barrier has
+// failed: a poisoned log vouches for no ceiling.
 func (s *State) lease(upTo uint64) error {
+	if upTo == 0 {
+		return s.wal.failed()
+	}
 	if err := s.append(&Record{Op: OpNonceLease, Lease: upTo}); err != nil {
 		return err
 	}
@@ -317,6 +322,7 @@ func (s *State) lease(upTo uint64) error {
 // but not synced. These are invoked by the stores while the owning shard
 // lock is held, so a client's records appear in the log in its mutation
 // order; the store takes the barrier (Commit) after releasing the lock.
+// Sessions are not journaled: the two session methods write nothing.
 
 func (s *State) ImagePut(id core.ClientID, sealed []byte) error {
 	return s.append(&Record{Op: OpImagePut, ID: id, Blob: sealed})
@@ -338,20 +344,15 @@ func (s *State) RADelete(id core.ClientID) error {
 	return s.append(&Record{Op: OpRADelete, ID: id})
 }
 
-func (s *State) SessionOpen(id core.ClientID, ch core.Challenge) error {
-	return s.append(&Record{Op: OpSessionOpen, ID: id, Challenge: &ch})
-}
+func (s *State) SessionOpen(core.ClientID, core.Challenge) error { return nil }
 
-func (s *State) SessionClose(id core.ClientID) error {
-	return s.append(&Record{Op: OpSessionClose, ID: id})
-}
+func (s *State) SessionClose(core.ClientID) error { return nil }
 
 // DeleteClient deprovisions a client at the state level (no CA needed):
-// open session dropped, RA entry deleted, image deleted — all journaled.
+// its open session dropped from memory, its RA entry and image deleted
+// and journaled.
 func (s *State) DeleteClient(id core.ClientID) error {
-	if err := s.sess.Drop(id); err != nil {
-		return err
-	}
+	s.sess.Drop(id)
 	if err := s.ra.Delete(id); err != nil {
 		return err
 	}
@@ -360,10 +361,10 @@ func (s *State) DeleteClient(id core.ClientID) error {
 
 // Records returns the state's sequence cut, its challenge-nonce ceiling
 // and the records that rebuild it: the nonce lease up to that ceiling,
-// then one put per image, RA key, RA certificate and open session of
-// every client filter accepts (nil accepts all). A snapshot, an
-// enrolment file and a follower's catch-up transfer are each this run of
-// records.
+// then one put per image, RA key and RA certificate of every client
+// filter accepts (nil accepts all); sessions are not durable. A
+// snapshot, an enrolment file and a follower's catch-up transfer are each
+// this run of records.
 //
 // Every record <= cut is applied when the cut is taken: the stores append
 // and apply under one shard lock, Ingest under ingestMu. The iterator
@@ -394,11 +395,6 @@ func (s *State) Records(filter func(core.ClientID) bool) (cut, nonce uint64, rec
 		}
 		for id, cert := range s.ra.Certificates() {
 			if !emit(&Record{Op: OpRACert, ID: id, Cert: cert}) {
-				return
-			}
-		}
-		for id, ch := range s.sess.Challenges() {
-			if !emit(&Record{Op: OpSessionOpen, ID: id, Challenge: &ch}) {
 				return
 			}
 		}

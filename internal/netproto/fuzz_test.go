@@ -76,3 +76,35 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeHello: the first payload of every accepted connection. A
+// hello either fails to decode or decodes to a client id of 1-255 bytes
+// and a valid class, and encoding it again yields a payload that decodes
+// to the same hello.
+func FuzzDecodeHello(f *testing.F) {
+	f.Add([]byte("alice"))
+	f.Add([]byte{})
+	f.Add(EncodeHello(Hello{ClientID: "alice", Class: core.ClassBatch, Deadline: time.Unix(0, 1754550000123456789)}))
+	f.Add(EncodeHello(Hello{ClientID: "bob", RingEpoch: 7}))
+	f.Add([]byte{helloV3Marker, helloV4Version, 1, 0, 0})
+	f.Add([]byte{helloV3Marker})
+	// A default-QoS hello whose id starts with the extended marker: the raw
+	// v2 layout cannot carry it.
+	f.Add(append([]byte{helloV3Marker, helloV3Version}, make([]byte, helloV3Header-1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodeHello(data)
+		if err != nil {
+			return
+		}
+		if n := len(h.ClientID); n == 0 || n > 255 || !h.Class.Valid() {
+			t.Fatalf("decoded an invalid hello %+v", h)
+		}
+		again, err := DecodeHello(EncodeHello(h))
+		if err != nil {
+			t.Fatalf("re-encoded hello %+v: %v", h, err)
+		}
+		if again.ClientID != h.ClientID || again.Class != h.Class || !again.Deadline.Equal(h.Deadline) || again.RingEpoch != h.RingEpoch {
+			t.Fatalf("hello does not round trip: %+v -> %+v", h, again)
+		}
+	})
+}

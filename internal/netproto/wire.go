@@ -219,9 +219,11 @@ const (
 // carry it: a hello with default QoS and no ring epoch encodes as the
 // v2 raw client id, QoS alone selects v3, and a ring epoch selects v4 —
 // so upgraded clients keep working against older servers until they
-// actually use the new fields.
+// actually use the new fields. An id that starts with the v3 marker
+// would read as an extended hello, so it always takes the v3 layout.
 func EncodeHello(h Hello) []byte {
-	if h.Class == core.ClassInteractive && h.Deadline.IsZero() && h.RingEpoch == 0 {
+	raw := h.ClientID == "" || h.ClientID[0] != helloV3Marker
+	if raw && h.Class == core.ClassInteractive && h.Deadline.IsZero() && h.RingEpoch == 0 {
 		return []byte(h.ClientID)
 	}
 	header := helloV3Header

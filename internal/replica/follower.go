@@ -540,8 +540,6 @@ func (f *Follower) reconcile(mentioned catchupSet) error {
 			err = st.Images().Delete(rec.ID)
 		case durable.OpRAKey, durable.OpRACert:
 			err = st.RA().Delete(rec.ID)
-		case durable.OpSessionOpen:
-			err = st.Sessions().Drop(rec.ID)
 		}
 		if err != nil {
 			return fmt.Errorf("replica: reconcile %s %q: %w", rec.Op, rec.ID, err)

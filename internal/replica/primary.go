@@ -333,9 +333,9 @@ func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cu
 // primary decoding them; a filtered one costs a read of the record's ID,
 // and gets every nonce lease.
 //
-// Under SyncAlways a record no request committed (the session of a
-// handshake never answered) stays invisible until some barrier covers
-// it, so an idle heartbeat takes one.
+// Under SyncAlways a record journaled but not yet committed (its
+// mutator's barrier still to come) stays invisible until some barrier
+// covers it, so an idle heartbeat takes one.
 func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, tail *durable.Tail, cursor uint64) error {
 	numShards := p.numShards()
 	watermark := cursor // highest seq covered but not sent as a record

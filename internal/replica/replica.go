@@ -15,8 +15,8 @@
 // primary's log gets the suffix via durable.TailFrom. A follower whose
 // cursor was compacted away (durable.ErrTruncated) gets a synthesized
 // full-state transfer instead: the primary encodes its store snapshots
-// as ordinary WAL records (sealed images, RA keys, certificates, open
-// sessions) and the follower reconciles — applying every record and
+// as ordinary WAL records (the nonce lease, sealed images, RA keys,
+// certificates) and the follower reconciles — applying every record and
 // deleting local entries the transfer did not mention — then resumes
 // live tailing from the snapshot's sequence cut.
 //

@@ -95,14 +95,13 @@ func openSession(t *testing.T, st *durable.State, id core.ClientID) core.Challen
 		Alg:        core.SHA3,
 		IssuedAt:   time.Now(),
 	}
-	if err := st.Sessions().Open(id, ch); err != nil {
-		t.Fatal(err)
-	}
+	st.Sessions().Open(id, ch)
 	return ch
 }
 
 // TestLiveReplication: records journaled on the primary appear on the
-// follower, and the liveness table sees the follower acking.
+// follower, and the liveness table sees the follower acking. A session
+// open on the primary is not replicated; the lease behind its nonce is.
 func TestLiveReplication(t *testing.T) {
 	pst := openState(t, t.TempDir())
 	defer pst.Close()
@@ -123,7 +122,7 @@ func TestLiveReplication(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	openSession(t, pst, "client-00")
+	ch := openSession(t, pst, "client-00")
 
 	waitFor(t, "follower caught up", func() bool { return f.Cursor() >= pst.LastSeq() })
 	for i := 0; i < 30; i++ {
@@ -133,14 +132,64 @@ func TestLiveReplication(t *testing.T) {
 			t.Fatalf("follower missing %s (key %q ok=%v)", id, key, ok)
 		}
 	}
-	if fst.Sessions().Len() != 1 {
-		t.Fatalf("follower sessions = %d, want 1", fst.Sessions().Len())
+	if fst.Sessions().Len() != 0 {
+		t.Fatalf("follower sessions = %d, want 0", fst.Sessions().Len())
+	}
+	if n := fst.Sessions().Nonce(); n < ch.Nonce {
+		t.Fatalf("follower nonce %d below the primary's challenge %d", n, ch.Nonce)
 	}
 
 	waitFor(t, "follower acked", func() bool {
 		fs := p.Followers()
 		return len(fs) == 1 && fs[0].ID == "f1" && fs[0].Acked >= pst.LastSeq()
 	})
+}
+
+// TestFollowerIngestsOldSessionRecords: a primary built before sessions
+// stopped being durable ships SessionOpen and SessionClose records. A
+// follower ingests them, raises its nonce high-water mark to the opened
+// challenge's nonce, and opens no session.
+func TestFollowerIngestsOldSessionRecords(t *testing.T) {
+	pst := openState(t, t.TempDir())
+	defer pst.Close()
+	fdir := t.TempDir()
+	fst := openState(t, fdir)
+	defer fst.Close()
+
+	// The primary's log holds what an older primary journaled for a
+	// handshake and its answer.
+	ch := core.Challenge{Nonce: 1 << 20, AddressMap: make([]int, 256), Alg: core.SHA3, IssuedAt: time.Now()}
+	var payloads [][]byte
+	for _, rec := range []*durable.Record{
+		{Op: durable.OpSessionOpen, ID: "old", Challenge: &ch},
+		{Op: durable.OpSessionClose, ID: "old"},
+		{Op: durable.OpSessionOpen, ID: "older", Challenge: &ch},
+	} {
+		p, err := rec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, p)
+	}
+	if _, err := pst.Ingest(payloads...); err != nil {
+		t.Fatal(err)
+	}
+
+	p, addr := startPrimary(t, pst, 1)
+	defer p.Close()
+	f := newFollower(t, fst, fdir, "f1", nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.RunUntil(ctx, addr, 10*time.Millisecond) }()
+	defer func() { cancel(); <-done }()
+	waitFor(t, "follower caught up", func() bool { return f.Cursor() >= pst.LastSeq() })
+
+	if n := fst.Sessions().Len(); n != 0 {
+		t.Errorf("follower opened %d sessions from the old records", n)
+	}
+	if n := fst.Sessions().Nonce(); n < ch.Nonce {
+		t.Errorf("follower nonce %d below the old record's %d", n, ch.Nonce)
+	}
 }
 
 // TestSnapshotCatchup: a follower whose cursor was compacted away gets
@@ -759,8 +808,8 @@ func stateOf(t *testing.T, st *durable.State, filter func(core.ClientID) bool) m
 
 // TestCatchupMatchesSnapshotFile: one source of truth. A follower caught
 // up by a snapshot transfer — of every shard, or of a subset — holds the
-// images, RA keys, certificates and sessions that a State reopened from
-// the primary's snapshot file holds, and a nonce high-water mark no lower
+// images, RA keys and certificates that a State reopened from the
+// primary's snapshot file holds, and a nonce high-water mark no lower
 // than the primary's.
 func TestCatchupMatchesSnapshotFile(t *testing.T) {
 	pdir := t.TempDir()
@@ -980,9 +1029,9 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // TestStreamShipsPerBarrier: under SyncAlways the primary ships what one
-// barrier made durable, not what was appended: a request's three records
-// journaled without a barrier reach no follower, and the barrier that
-// covers them sends all three in one write.
+// barrier made durable, not what was appended: an authentication's RA
+// key and certificate journaled without a barrier reach no follower, and
+// the barrier that covers them sends both in one write.
 func TestStreamShipsPerBarrier(t *testing.T) {
 	pst, err := durable.Open(durable.Options{Dir: t.TempDir(), MasterKey: [32]byte{9}, Sync: durable.SyncAlways})
 	if err != nil {
@@ -1010,11 +1059,11 @@ func TestStreamShipsPerBarrier(t *testing.T) {
 		t.Fatalf("first write: kind %d, %v", kind, err)
 	}
 
-	ch := core.Challenge{Nonce: 7, AddressMap: make([]int, 256), Alg: core.SHA3, IssuedAt: time.Now()}
+	cert := &core.Certificate{ClientID: "c", KeyAlgorithm: "AES-128", PublicKey: []byte("key"),
+		IssuedAt: time.Unix(1000, 0), ExpiresAt: time.Unix(2000, 0), Signature: []byte("sig")}
 	for _, journal := range []func() error{
-		func() error { return pst.SessionOpen("c", ch) },
-		func() error { return pst.SessionClose("c") },
 		func() error { return pst.RAKeyUpdate("c", []byte("key")) },
+		func() error { return pst.RACertUpdate("c", cert) },
 	} {
 		if err := journal(); err != nil {
 			t.Fatal(err)
@@ -1031,8 +1080,8 @@ func TestStreamShipsPerBarrier(t *testing.T) {
 	waitFor(t, "follower ingested the request", func() bool { return f.Cursor() == pst.LastSeq() })
 	w := <-writes
 	var batch recordBatch
-	if n, err := batch.split(w); err != nil || n != len(w) || len(batch.seqs) != 3 {
-		t.Fatalf("the barrier's write: %d records in %d of %d bytes (%v), want 3 in all", len(batch.seqs), n, len(w), err)
+	if n, err := batch.split(w); err != nil || n != len(w) || len(batch.seqs) != 2 {
+		t.Fatalf("the barrier's write: %d records in %d of %d bytes (%v), want 2 in all", len(batch.seqs), n, len(w), err)
 	}
 	select {
 	case w := <-writes:

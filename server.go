@@ -154,7 +154,20 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 		state       *durable.State
 		ra          *core.RA
 		cfgSessions *core.SessionTable
+		pool        *sched.Scheduler
 	)
+	// fail closes what NewServer opened before err: the scheduler and the
+	// durable state, whose WAL file and sync goroutine would outlive a
+	// failed call.
+	fail := func(err error) (*ServerNode, error) {
+		if pool != nil {
+			pool.Close()
+		}
+		if state != nil {
+			state.Close()
+		}
+		return nil, err
+	}
 	store := cfg.Store
 	switch {
 	case cfg.DataDir != "":
@@ -176,13 +189,13 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 		var err error
 		store, err = core.NewImageStore([32]byte{0x52, 0x42, 0x43}) // demo master key
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
 	if ra == nil {
 		ra = core.NewRA()
 	}
-	pool := sched.New(&cpu.Backend{Alg: core.SHA3, Workers: cfg.Cores}, sched.Config{
+	pool = sched.New(&cpu.Backend{Alg: core.SHA3, Workers: cfg.Cores}, sched.Config{
 		Workers:    cfg.SchedWorkers,
 		QueueDepth: cfg.SchedQueue,
 		Trace:      traceRing,
@@ -197,8 +210,7 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 		Sessions:    cfgSessions,
 	})
 	if err != nil {
-		pool.Close()
-		return nil, err
+		return fail(err)
 	}
 
 	profile := puf.DefaultProfile
@@ -219,17 +231,14 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 		devSeed := cfg.EnrollSeed + uint64(i)
 		dev, err := puf.NewDevice(devSeed, 1024, profile)
 		if err != nil {
-			pool.Close()
-			return nil, err
+			return fail(err)
 		}
 		im, err := puf.Enroll(dev, 31)
 		if err != nil {
-			pool.Close()
-			return nil, err
+			return fail(err)
 		}
 		if err := ca.Enroll(core.ClientID(id), im); err != nil {
-			pool.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 
