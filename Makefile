@@ -41,14 +41,14 @@ sched-race:
 plan-race:
 	$(GO) test -race ./internal/plan/... -count=2
 
-# replica-race is the scaled-out CA suite under the race detector: the
+# replica-race is the replicated CA suite under the race detector: the
 # WAL streaming / snapshot catch-up / fencing property tests, the WAL
-# tailing and netproto routing-client layers beneath them, and the two
-# gating drills — the three-node rolling restart (zero dropped in-flight
-# auths) and the kill-promote failover (no acked-write loss, nonce
-# single-use across promotion).
+# tailing and netproto failover-client layers beneath them, and the two
+# gating drills — the rolling restart of a primary and two followers
+# (zero dropped in-flight auths) and the kill-promote failover (no
+# acked-write loss, nonce single-use across promotion).
 replica-race:
-	$(GO) test -race ./internal/replica/... ./internal/durable/... ./internal/ring/... ./internal/netproto/... -count=2
+	$(GO) test -race ./internal/replica/... ./internal/durable/... ./internal/netproto/... -count=2
 	$(GO) test -race ./cmd/rbc-server -run 'TestRollingRestartDrill|TestKillPromoteFailover' -count=2
 
 # bench-module vets and tests the wire-to-wire benchmark, a module of its

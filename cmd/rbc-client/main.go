@@ -1,11 +1,10 @@
 // Command rbc-client authenticates against an rbc-server using a
 // simulated PUF device.
 //
-// -server accepts one address or a comma-separated bootstrap list; the
-// routing-aware client dials the node that owns this client's shard
-// (learning it from wrong-shard redirects), and retries transport
-// failures against the remaining candidates — so it rides out a rolling
-// restart of a replicated CA group.
+// -server accepts one address or a comma-separated list of a replication
+// group's addresses; the client dials the first, retries transport
+// failures against the others, and stays on the one that last served
+// it — so it rides out a rolling restart or a failover of the group.
 //
 // Usage:
 //
@@ -26,7 +25,7 @@ import (
 )
 
 func main() {
-	server := flag.String("server", "127.0.0.1:7443", "server address, or a comma-separated bootstrap list")
+	server := flag.String("server", "127.0.0.1:7443", "server address, or a comma-separated list of a replication group's addresses")
 	id := flag.String("id", "alice", "client id")
 	devSeed := flag.Uint64("devseed", 42, "PUF device seed (must match the server's enrollment)")
 	noise := flag.Int("noise", 0, "deliberately injected noise bits")

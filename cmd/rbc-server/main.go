@@ -8,23 +8,16 @@
 // searches, -sched-queue waiting) so a burst of clients degrades into
 // fast "overloaded" rejections instead of an unbounded goroutine pile-up.
 //
-// # Replicated, sharded serving (DESIGN.md §14)
+// # Replicated serving (DESIGN.md §14)
 //
-// A group of rbc-servers forms a scaled-out CA. Give every node a
-// -node-id, its client-facing -advertise address, and the full topology
-// via -peers (id=addr pairs); clients are then routed by consistent
-// hashing, and a node that receives a hello for a shard it does not own
-// refuses with the owner's address (the rbc.Client API follows such
-// redirects transparently).
-//
-// -repl-listen serves this node's write-ahead log to followers.
-// `-role follower -follow addr` makes the node ingest a primary's WAL
-// instead of being authoritative; on the primary's death it can be
-// restarted with -role primary after a promotion (the fencing epoch in
-// the data directory's replica.meta keeps the deposed primary from
-// coming back as a split brain). -shards restricts a follower to a
-// subset of shards, which is how serving peers cross-replicate exactly
-// the shards each owns.
+// A replication group is one primary and its followers, each holding
+// every client. -repl-listen serves this node's write-ahead log to
+// followers. `-role follower -follow addr` makes the node ingest a
+// primary's WAL instead of being authoritative; on the primary's death
+// it can be restarted with -role primary after a promotion (the fencing
+// epoch in the data directory's replica.meta keeps the deposed primary
+// from coming back as a split brain). Clients are given the group's
+// addresses and fail over between them (see rbc-client).
 //
 // With -debug-addr set, a second listener serves operational endpoints:
 // /metrics (counters, latency histograms and live scheduler stats as
@@ -35,8 +28,7 @@
 // Usage:
 //
 //	rbc-server -listen :7443 -clients alice,bob -maxd 3 -sched-workers 4 \
-//	    -data-dir /var/lib/rbc -repl-listen :7543 \
-//	    -node-id ca1 -advertise 10.0.0.1:7443 -peers ca2=10.0.0.2:7443
+//	    -data-dir /var/lib/rbc -repl-listen :7543
 package main
 
 import (
@@ -48,7 +40,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -79,13 +70,8 @@ func main() {
 	baseError := flag.Float64("baseerror", 0, "PUF per-cell noise for self-enrolled demo clients (0 = default profile)")
 
 	role := flag.String("role", "primary", "replication role: primary (authoritative) or follower (ingests -follow)")
-	nodeID := flag.String("node-id", "", "this node's id in the shard ring (empty = unsharded)")
-	advertise := flag.String("advertise", "", "client-facing address announced in the ring (default: -listen)")
-	peers := flag.String("peers", "", "other ring nodes as comma-separated id=addr pairs")
-	numShards := flag.Int("num-shards", rbc.DefaultNumShards, "shard-space size (must agree across the group)")
 	replListen := flag.String("repl-listen", "", "serve WAL replication to followers on this address (needs -data-dir)")
 	follow := flag.String("follow", "", "with -role follower: primary replication address to ingest")
-	shardsFlag := flag.String("shards", "", "with -follow: comma-separated shard subset to subscribe (empty = all)")
 	flag.Parse()
 
 	sync, err := durable.ParseSyncPolicy(*syncMode)
@@ -110,7 +96,6 @@ func main() {
 		DataDir:      *dataDir,
 		Sync:         sync,
 		MasterKey:    key,
-		NodeID:       *nodeID,
 		OnFenced: func(epoch uint64) {
 			log.Printf("rbc-server: fenced by epoch %d — a promotion happened elsewhere; shut this node down", epoch)
 		},
@@ -131,13 +116,6 @@ func main() {
 		fmt.Printf("loaded %s: %d enrolled client(s)\n", *storePath, store.Len())
 		cfg.Store = store
 		cfg.Clients = nil // images come from the store
-	}
-	if *nodeID != "" {
-		ringMap, err := buildRing(*nodeID, firstNonEmpty(*advertise, *listen), *peers, *numShards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Ring = ringMap
 	}
 
 	node, err := rbc.NewServer(cfg)
@@ -197,13 +175,9 @@ func main() {
 		if *role != "follower" {
 			log.Fatal("rbc-server: -follow requires -role follower")
 		}
-		shards, err := parseShards(*shardsFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("rbc-server: following primary at %s\n", *follow)
 		go func() {
-			if err := node.Follow(ctx, *follow, shards); err != nil && ctx.Err() == nil {
+			if err := node.Follow(ctx, *follow, nil); err != nil && ctx.Err() == nil {
 				log.Printf("rbc-server: follower stopped: %v", err)
 			}
 		}()
@@ -225,44 +199,6 @@ func main() {
 		log.Fatal(serveErr)
 	}
 	fmt.Println("rbc-server: shutting down")
-}
-
-// buildRing assembles the shard ring from this node plus the -peers
-// pairs.
-func buildRing(selfID, selfAddr, peers string, numShards int) (*rbc.RingMap, error) {
-	nodes := []rbc.RingNode{{ID: selfID, Addr: selfAddr}}
-	if peers != "" {
-		for _, pair := range strings.Split(peers, ",") {
-			id, addr, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok || id == "" || addr == "" {
-				return nil, fmt.Errorf("rbc-server: -peers entry %q is not id=addr", pair)
-			}
-			nodes = append(nodes, rbc.RingNode{ID: id, Addr: addr})
-		}
-	}
-	return rbc.NewRingMap(numShards, 0, nodes...)
-}
-
-func parseShards(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("rbc-server: bad -shards entry %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }
 
 func parseKey(keyHex string) ([32]byte, error) {

@@ -17,59 +17,52 @@ import (
 	"rbcsalted/internal/puf"
 )
 
-// drillNode is one member of the in-process CA group: a ServerNode plus
-// the listener serving it, restartable in place on a fixed address.
+// drillNode is one member of the in-process replication group: a
+// durable ServerNode, restartable in place on its data directory. The
+// primary serves clients and replication on fixed addresses; a follower
+// follows the primary's replication address.
 type drillNode struct {
 	node *rbc.ServerNode
-	ln   net.Listener
-	addr string
+	dir  string
 }
 
-func (d *drillNode) stop() {
-	d.node.Proto.Close()
-	d.node.Close()
-}
-
-// TestRollingRestartDrill is the gating smoke drill for the scaled-out
-// CA: three routed nodes serve a continuous authentication load while
-// each node in turn is stopped and restarted on its address. The
-// routing client must ride out every restart — zero failed
-// authentications — by failing over to the surviving nodes' redirects
-// and redialing the owner once it returns.
+// TestRollingRestartDrill is the gating smoke drill for the replicated
+// CA: a durable primary and two followers, with clients dialing the
+// primary under continuous authentication load while each node in turn
+// is stopped and restarted on its data directory. The client must ride
+// out every restart — zero failed authentications — by redialing the
+// primary once it returns, and at the end both followers must have
+// converged on the primary's RA keys.
 func TestRollingRestartDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node restart drill")
 	}
 
 	const (
-		numNodes   = 3
-		numClients = 9
+		numFollowers = 2
+		numClients   = 9
 	)
 	clientIDs := make([]string, numClients)
 	for i := range clientIDs {
 		clientIDs[i] = fmt.Sprintf("c%02d", i)
 	}
 
-	// Fixed addresses first, so the ring can be built before any server
-	// and restarts land on the same address.
-	listeners := make([]net.Listener, numNodes)
-	nodes := make([]rbc.RingNode, numNodes)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Fixed addresses first, so restarts land on the same ones.
+	listen := func(addr string) net.Listener {
+		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("listen %s: %v", addr, err)
 		}
-		listeners[i] = ln
-		nodes[i] = rbc.RingNode{ID: fmt.Sprintf("ca%d", i), Addr: ln.Addr().String()}
+		return ln
 	}
-	ringMap, err := rbc.NewRingMap(0, 0, nodes...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	protoLn, replLn := listen("127.0.0.1:0"), listen("127.0.0.1:0")
+	addr, repl := protoLn.Addr().String(), replLn.Addr().String()
 
-	start := func(i int, ln net.Listener) *drillNode {
-		node, err := rbc.NewServer(rbc.ServerConfig{
-			Clients:      clientIDs,
+	// start opens node i (0 is the primary) on its data directory. The
+	// primary serves clients on protoLn and replication on replLn; a
+	// follower follows repl until its node closes.
+	start := func(i int, dir string, protoLn, replLn net.Listener) *drillNode {
+		cfg := rbc.ServerConfig{
 			EnrollSeed:   42,
 			MaxDistance:  3,
 			TimeLimit:    20 * time.Second,
@@ -77,31 +70,37 @@ func TestRollingRestartDrill(t *testing.T) {
 			SchedWorkers: 2,
 			SchedQueue:   32,
 			PUFProfile:   &quietProfile,
-			NodeID:       nodes[i].ID,
-			Ring:         ringMap,
-		})
+			DataDir:      dir,
+		}
+		if i == 0 {
+			cfg.Clients = clientIDs
+		}
+		node, err := rbc.NewServer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go node.Serve(ln)
-		return &drillNode{node: node, ln: ln, addr: ln.Addr().String()}
+		if i == 0 {
+			go node.ServeReplication(replLn)
+			go node.Serve(protoLn)
+		} else {
+			go node.Follow(context.Background(), repl, nil)
+		}
+		return &drillNode{node: node, dir: dir}
 	}
-	group := make([]*drillNode, numNodes)
-	for i, ln := range listeners {
-		group[i] = start(i, ln)
+	group := make([]*drillNode, 1+numFollowers)
+	group[0] = start(0, t.TempDir(), protoLn, replLn)
+	for i := 1; i < len(group); i++ {
+		group[i] = start(i, t.TempDir(), nil, nil)
 	}
 	defer func() {
 		for _, d := range group {
-			d.stop()
+			d.node.Close()
 		}
 	}()
 
-	// The load fleet: one routing client per enrolled device, looping
-	// authentications until told to stop. Any error is a dropped auth.
-	addrs := make([]string, numNodes)
-	for i, n := range nodes {
-		addrs[i] = n.Addr
-	}
+	// The load fleet: one client per enrolled device, dialing the
+	// primary and looping authentications until told to stop. Any error
+	// is a dropped auth.
 	var (
 		stop     atomic.Bool
 		okCount  atomic.Int64
@@ -115,8 +114,7 @@ func TestRollingRestartDrill(t *testing.T) {
 		}
 		device := &rbc.PUFClient{ID: core.ClientID(id), Device: dev}
 		client, err := rbc.Dial(rbc.ClientConfig{
-			Addrs: addrs,
-			Ring:  ringMap,
+			Addrs: []string{addr},
 			// Generous retry budget: a restart window must be shorter
 			// than the total backoff the client is willing to spend.
 			MaxAttempts:  12,
@@ -146,8 +144,8 @@ func TestRollingRestartDrill(t *testing.T) {
 		}()
 	}
 
-	// Let the fleet warm up, then roll every node: stop it, hold it down
-	// briefly mid-load, restart it on the same address.
+	// Let the fleet warm up, then roll every node, the followers first:
+	// stop it, hold it down briefly mid-load, restart it.
 	waitAuths := func(target int64) {
 		deadline := time.Now().Add(60 * time.Second)
 		for okCount.Load() < target && time.Now().Before(deadline) {
@@ -158,16 +156,16 @@ func TestRollingRestartDrill(t *testing.T) {
 		}
 	}
 	waitAuths(int64(numClients))
-	for i := range group {
-		group[i].stop()
+	for _, i := range []int{1, 2, 0} {
+		group[i].node.Close()
 		time.Sleep(20 * time.Millisecond) // in-flight requests hit the dead node
-		ln, err := net.Listen("tcp", group[i].addr)
-		if err != nil {
-			t.Fatalf("rebind %s: %v", group[i].addr, err)
+		if i == 0 {
+			group[0] = start(0, group[0].dir, listen(addr), listen(repl))
+		} else {
+			group[i] = start(i, group[i].dir, nil, nil)
 		}
-		group[i] = start(i, ln)
 		// The group must make progress after every restart before the
-		// next node goes down, or two nodes could overlap in downtime.
+		// next node goes down.
 		waitAuths(okCount.Load() + int64(numClients))
 	}
 
@@ -177,7 +175,29 @@ func TestRollingRestartDrill(t *testing.T) {
 	for err := range failures {
 		t.Errorf("dropped authentication: %v", err)
 	}
-	t.Logf("rolling drill: %d authentications, 0 dropped, %d restarts", okCount.Load(), numNodes)
+
+	// Every follower converges on the primary's RA keys.
+	primaryRA := group[0].node.State.RA()
+	converged := func(f *drillNode) bool {
+		for _, id := range clientIDs {
+			want, _ := primaryRA.PublicKey(core.ClientID(id))
+			got, ok := f.node.State.RA().PublicKey(core.ClientID(id))
+			if !ok || !bytes.Equal(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, f := range group[1:] {
+		deadline := time.Now().Add(30 * time.Second)
+		for !converged(f) {
+			if time.Now().After(deadline) {
+				t.Fatalf("follower %d never converged on the primary's RA keys", i+1)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	t.Logf("rolling drill: %d authentications, 0 dropped, %d restarts", okCount.Load(), len(group))
 }
 
 // TestKillPromoteFailover drives the primary→standby failover end to
@@ -212,7 +232,6 @@ func TestKillPromoteFailover(t *testing.T) {
 		SchedWorkers: 2,
 		SchedQueue:   16,
 		DataDir:      standbyDir,
-		NodeID:       "standby",
 	})
 	if err != nil {
 		t.Fatal(err)

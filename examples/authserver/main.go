@@ -67,10 +67,10 @@ func main() {
 	defer server.Close()
 	fmt.Printf("CA listening on %s\n", ln.Addr())
 
-	// The client side goes through rbc.Dial — the routing-aware Client
-	// that owns dialing, redirects and retry. On a single node it simply
-	// dials the one address; against a sharded deployment the same code
-	// routes by client ID and follows wrong-shard redirects.
+	// The client side goes through rbc.Dial — the Client that owns
+	// dialing, failover and retry. On a single node it simply dials the
+	// one address; given a replication group's addresses the same code
+	// fails over to a follower when the primary is down.
 	netClient, err := rbc.Dial(rbc.ClientConfig{Addrs: []string{ln.Addr().String()}})
 	if err != nil {
 		log.Fatal(err)

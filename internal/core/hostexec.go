@@ -41,9 +41,11 @@ func SearchShellHost(ctx context.Context, base u256.Uint256, d int, method iters
 
 // SearchRangeHost covers ranks [startRank, startRank+count) of one shell
 // (in the method's own order) with the same engine as SearchShellHost,
-// splitting the range evenly over min(workers, count) goroutines. The
-// device simulators use it to execute a sampled prefix of a shell they
-// otherwise cover analytically.
+// splitting the range evenly over min(workers, count) shares. A single
+// share runs on the calling goroutine, so a 1-worker search (the inline
+// fast path's) starts none; more run on a goroutine each while the caller
+// waits. The device simulators use it to execute a sampled prefix of a
+// shell they otherwise cover analytically.
 func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iterseq.Method, startRank, count uint64, workers, checkEvery int, exhaustive bool, deadline time.Time, newMatcher MatcherFactory) (found bool, seed u256.Uint256, covered uint64, timedOut bool, err error) {
 	if count == 0 {
 		return false, u256.Zero, 0, false, nil
@@ -74,174 +76,186 @@ func SearchRangeHost(ctx context.Context, base u256.Uint256, d int, method iters
 		done = ctx.Done()
 	}
 
-	share := count / uint64(parts)
-	extra := count % uint64(parts)
-	offset := startRank
-	for p := 0; p < parts; p++ {
-		length := share
-		if uint64(p) < extra {
-			length++
-		}
-		start := offset
-		offset += length
-		if length == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(start, length uint64) {
-			defer wg.Done()
-			it, iterErr := iterseq.New(method, 256, d, start, int64(length))
-			if iterErr != nil {
-				// Fail the whole shell cleanly instead of panicking the
-				// process: record the first error and stop the peers.
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = iterErr
-				}
-				mu.Unlock()
-				stop.Store(true)
-				return
+	// work covers one share of the range.
+	work := func(start, length uint64) {
+		it, iterErr := iterseq.New(method, 256, d, start, int64(length))
+		if iterErr != nil {
+			// Fail the whole shell cleanly instead of panicking the
+			// process: record the first error and stop the peers.
+			mu.Lock()
+			if firstErr == nil {
+				firstErr = iterErr
 			}
-			m := newMatcher()
-			if r, ok := m.(MatcherReleaser); ok {
-				// Pooled matchers go back to their pool when the worker
-				// is done with them.
-				defer r.ReleaseMatcher()
-			}
+			mu.Unlock()
+			stop.Store(true)
+			return
+		}
+		m := newMatcher()
+		if r, ok := m.(MatcherReleaser); ok {
+			// Pooled matchers go back to their pool when the worker
+			// is done with them.
+			defer r.ReleaseMatcher()
+		}
 
-			// poll checks the stop flag, ctx and deadline; it reports
-			// whether the worker should bail out.
-			poll := func() bool {
-				if !exhaustive && stop.Load() {
-					return true
-				}
-				if done != nil {
-					select {
-					case <-done:
-						cancelled.Store(true)
-						stop.Store(true)
-					default:
-					}
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					timeout.Store(true)
+		// poll checks the stop flag, ctx and deadline; it reports
+		// whether the worker should bail out.
+		poll := func() bool {
+			if !exhaustive && stop.Load() {
+				return true
+			}
+			if done != nil {
+				select {
+				case <-done:
+					cancelled.Store(true)
 					stop.Store(true)
+				default:
 				}
-				return timeout.Load() || cancelled.Load()
 			}
-			record := func(cand u256.Uint256) {
-				mu.Lock()
-				foundSeeds = append(foundSeeds, cand)
-				mu.Unlock()
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				timeout.Store(true)
+				stop.Store(true)
 			}
+			return timeout.Load() || cancelled.Load()
+		}
+		record := func(cand u256.Uint256) {
+			mu.Lock()
+			foundSeeds = append(foundSeeds, cand)
+			mu.Unlock()
+		}
 
-			local := uint64(0)
-			if bm, batched := m.(BatchMatcher); batched {
-				// Batched hot loop: fill the engine's preferred stride of
-				// flip masks from the iterator, match them in one call,
-				// and poll per batch rather than per seed. Partial batches
-				// (the range tail) go through the same MatchMasks - the
-				// engine pads internally - so no candidate ever drops to
-				// the scalar path. Candidates are only materialized (one
-				// 256-bit XOR) for recorded hits.
-				width := bm.BatchWidth()
-				if width < 1 || width > MatchWidth {
-					width = MatchWidth
+		local := uint64(0)
+		if bm, batched := m.(BatchMatcher); batched {
+			// Batched hot loop: fill the engine's preferred stride of
+			// flip masks from the iterator, match them in one call,
+			// and poll per batch rather than per seed. Partial batches
+			// (the range tail) go through the same MatchMasks - the
+			// engine pads internally - so no candidate ever drops to
+			// the scalar path. Candidates are only materialized (one
+			// 256-bit XOR) for recorded hits.
+			width := bm.BatchWidth()
+			if width < 1 || width > MatchWidth {
+				width = MatchWidth
+			}
+			pollEvery := (checkEvery + width - 1) / width
+			var masks *[MatchWidth]u256.Uint256
+			if s, ok := bm.(batchStager); ok {
+				masks = s.batchStage()
+			} else {
+				masks = new([MatchWidth]u256.Uint256)
+			}
+			// Batch-phase timing samples the first batch after each
+			// poll and weighs it by the batches of its interval.
+			hbm := loadHostBatchMetrics()
+			pt, packTimed := bm.(packTimer)
+			var fillNs, packNs int64
+			sinceCheck := 0
+			for {
+				sample := hbm != nil && sinceCheck == 0
+				var t0 time.Time
+				if sample {
+					t0 = time.Now()
 				}
-				pollEvery := (checkEvery + width - 1) / width
-				var masks *[MatchWidth]u256.Uint256
-				if s, ok := bm.(batchStager); ok {
-					masks = s.batchStage()
+				n := it.FillMasks(masks[:width])
+				if sample {
+					fillNs = time.Since(t0).Nanoseconds()
+				}
+				if n == 0 {
+					break
+				}
+				var hits MatchMask
+				if sample && packTimed {
+					hits, packNs = pt.matchMasksTimed(base, masks, n)
 				} else {
-					masks = new([MatchWidth]u256.Uint256)
+					hits = bm.MatchMasks(base, masks, n)
 				}
-				// Batch-phase timing samples the first batch after each
-				// poll and weighs it by the batches of its interval.
-				hbm := loadHostBatchMetrics()
-				pt, packTimed := bm.(packTimer)
-				var fillNs, packNs int64
-				sinceCheck := 0
-				for {
-					sample := hbm != nil && sinceCheck == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					n := it.FillMasks(masks[:width])
-					if sample {
-						fillNs = time.Since(t0).Nanoseconds()
-					}
-					if n == 0 {
+				sinceCheck++
+				if hits.Any() {
+					if !exhaustive {
+						// Early exit: only candidates at or before the
+						// winning lane count as covered, so the batched
+						// engine's accounting is lane-exact and agrees
+						// with the scalar oracle and the modelled
+						// backends (covered = rank + 1).
+						win := hits.FirstLane()
+						record(iterseq.ApplyMask(base, masks[win]))
+						local += uint64(win) + 1
+						stop.Store(true)
 						break
 					}
-					var hits MatchMask
-					if sample && packTimed {
-						hits, packNs = pt.matchMasksTimed(base, masks, n)
-					} else {
-						hits = bm.MatchMasks(base, masks, n)
+					local += uint64(n)
+					for lane := hits.FirstLane(); lane >= 0; lane = hits.FirstLane() {
+						record(iterseq.ApplyMask(base, masks[lane]))
+						hits.ClearBit(lane)
 					}
-					sinceCheck++
-					if hits.Any() {
-						if !exhaustive {
-							// Early exit: only candidates at or before the
-							// winning lane count as covered, so the batched
-							// engine's accounting is lane-exact and agrees
-							// with the scalar oracle and the modelled
-							// backends (covered = rank + 1).
-							win := hits.FirstLane()
-							record(iterseq.ApplyMask(base, masks[win]))
-							local += uint64(win) + 1
-							stop.Store(true)
-							break
-						}
-						local += uint64(n)
-						for lane := hits.FirstLane(); lane >= 0; lane = hits.FirstLane() {
-							record(iterseq.ApplyMask(base, masks[lane]))
-							hits.ClearBit(lane)
-						}
-					} else {
-						local += uint64(n)
-					}
-					if n < width {
-						break // iterator exhausted mid-batch
-					}
-					if sinceCheck >= pollEvery {
-						hbm.observe(fillNs, packNs, sinceCheck, packTimed)
-						sinceCheck = 0
-						if poll() {
-							break
-						}
-					}
+				} else {
+					local += uint64(n)
 				}
-				hbm.observe(fillNs, packNs, sinceCheck, packTimed)
-			} else {
-				// Scalar loop: one 256-bit XOR and one Match per seed,
-				// the iterator drained a batch of one at a time.
-				var mask [1]u256.Uint256
-				sinceCheck := 0
-				for it.FillMasks(mask[:]) == 1 {
-					candidate := iterseq.ApplyMask(base, mask[0])
-					local++
-					if m.Match(candidate) {
-						record(candidate)
-						if !exhaustive {
-							stop.Store(true)
-							break
-						}
-					}
-					sinceCheck++
-					if sinceCheck >= checkEvery {
-						sinceCheck = 0
-						if poll() {
-							break
-						}
+				if n < width {
+					break // iterator exhausted mid-batch
+				}
+				if sinceCheck >= pollEvery {
+					hbm.observe(fillNs, packNs, sinceCheck, packTimed)
+					sinceCheck = 0
+					if poll() {
+						break
 					}
 				}
 			}
-			totalSeeds.Add(local)
-		}(start, length)
+			hbm.observe(fillNs, packNs, sinceCheck, packTimed)
+		} else {
+			// Scalar loop: one 256-bit XOR and one Match per seed,
+			// the iterator drained a batch of one at a time.
+			var mask [1]u256.Uint256
+			sinceCheck := 0
+			for it.FillMasks(mask[:]) == 1 {
+				candidate := iterseq.ApplyMask(base, mask[0])
+				local++
+				if m.Match(candidate) {
+					record(candidate)
+					if !exhaustive {
+						stop.Store(true)
+						break
+					}
+				}
+				sinceCheck++
+				if sinceCheck >= checkEvery {
+					sinceCheck = 0
+					if poll() {
+						break
+					}
+				}
+			}
+		}
+		totalSeeds.Add(local)
 	}
-	wg.Wait()
+
+	if parts == 1 {
+		work(startRank, count)
+	} else {
+		// The caller does not take a share itself. The goroutine it
+		// started last would wait in its P's runnext slot, which an idle
+		// P steals only after a back-off; a two-worker d = 1 shell ran
+		// 8–11 % slower that way than with the caller parked (2-vCPU
+		// guest, ten alternated runs each). parts <= count, so every
+		// share holds at least one rank.
+		share := count / uint64(parts)
+		extra := count % uint64(parts)
+		offset := startRank
+		for p := 0; p < parts; p++ {
+			length := share
+			if uint64(p) < extra {
+				length++
+			}
+			start := offset
+			offset += length
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(start, length)
+			}()
+		}
+		wg.Wait()
+	}
 
 	covered = totalSeeds.Load()
 	if firstErr != nil {

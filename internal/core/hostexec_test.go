@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -350,6 +351,38 @@ func TestSearchRangeHostIterErrorPropagates(t *testing.T) {
 		false, time.Time{}, HashMatcherFactory(SHA1, target))
 	if err == nil {
 		t.Fatalf("SearchRangeHost with out-of-range startRank: want error, got nil")
+	}
+}
+
+// TestOneWorkerSearchRunsOnCaller: a 1-worker search, the engine under
+// SearchInline, runs on the calling goroutine and starts none: its
+// MatcherFactory is called with this test function on the stack.
+func TestOneWorkerSearchRunsOnCaller(t *testing.T) {
+	const name = "rbcsalted/internal/core.TestOneWorkerSearchRunsOnCaller"
+	base := u256.FromUint64(5)
+	target := HashSeed(SHA3, base.FlipBit(9))
+	var calls, onCaller int
+	factory := func() Matcher {
+		calls++
+		pcs := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+		for {
+			f, more := frames.Next()
+			if f.Function == name {
+				onCaller++
+			}
+			if !more {
+				break
+			}
+		}
+		return NewHashMatcher(SHA3, target)
+	}
+	found, _, _, _, err := SearchShellHost(context.Background(), base, 1, iterseq.GrayCode, 1, 0, false, time.Time{}, factory)
+	if err != nil || !found {
+		t.Fatalf("search: found=%v err=%v", found, err)
+	}
+	if calls != 1 || onCaller != 1 {
+		t.Fatalf("factory called %d times, %d of them on the caller's goroutine; want 1 and 1", calls, onCaller)
 	}
 }
 

@@ -361,8 +361,8 @@ func (s *State) DeleteClient(id core.ClientID) error {
 
 // Records returns the state's sequence cut, its challenge-nonce ceiling
 // and the records that rebuild it: the nonce lease up to that ceiling,
-// then one put per image, RA key and RA certificate of every client
-// filter accepts (nil accepts all); sessions are not durable. A
+// then one put per image, RA key and RA certificate; sessions are not
+// durable. A
 // snapshot, an enrolment file and a follower's catch-up transfer are each
 // this run of records.
 //
@@ -373,7 +373,7 @@ func (s *State) DeleteClient(id core.ClientID) error {
 // an idempotent overwrite or delete, replaying the log past the cut over
 // it converges. The ceiling is read after the cut and covers every lease
 // at or below it, so compacting the log through the cut loses none.
-func (s *State) Records(filter func(core.ClientID) bool) (cut, nonce uint64, records iter.Seq[*Record]) {
+func (s *State) Records() (cut, nonce uint64, records iter.Seq[*Record]) {
 	s.ingestMu.Lock()
 	cut = s.wal.LastSeq()
 	s.ingestMu.Unlock()
@@ -382,19 +382,18 @@ func (s *State) Records(filter func(core.ClientID) bool) (cut, nonce uint64, rec
 		if !yield(&Record{Op: OpNonceLease, Lease: nonce}) {
 			return
 		}
-		emit := func(rec *Record) bool { return (filter != nil && !filter(rec.ID)) || yield(rec) }
 		for id, blob := range s.images.Sealed() {
-			if !emit(&Record{Op: OpImagePut, ID: id, Blob: blob}) {
+			if !yield(&Record{Op: OpImagePut, ID: id, Blob: blob}) {
 				return
 			}
 		}
 		for id, key := range s.ra.Keys() {
-			if !emit(&Record{Op: OpRAKey, ID: id, Blob: key}) {
+			if !yield(&Record{Op: OpRAKey, ID: id, Blob: key}) {
 				return
 			}
 		}
 		for id, cert := range s.ra.Certificates() {
-			if !emit(&Record{Op: OpRACert, ID: id, Cert: cert}) {
+			if !yield(&Record{Op: OpRACert, ID: id, Cert: cert}) {
 				return
 			}
 		}
@@ -409,7 +408,7 @@ func (s *State) Snapshot() error {
 	defer s.snapMu.Unlock()
 	start := time.Now()
 
-	cut, nonce, records := s.Records(nil)
+	cut, nonce, records := s.Records()
 	size, err := writeStateFile(filepath.Join(s.opts.Dir, snapName(cut)), cut, nonce, records)
 	if err != nil {
 		return err

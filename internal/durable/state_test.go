@@ -196,7 +196,7 @@ func TestStateCorruptSnapshotFallsBack(t *testing.T) {
 	st.RA().Update("alice", []byte("pk2"))
 	// The newer snapshot is published; the crash comes before anything
 	// it supersedes is removed.
-	cut, nonce, records := st.Records(nil)
+	cut, nonce, records := st.Records()
 	newer := filepath.Join(dir, snapName(cut))
 	if _, err := writeStateFile(newer, cut, nonce, records); err != nil {
 		t.Fatal(err)

@@ -2,59 +2,94 @@ package netproto
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
-	"rbcsalted/internal/ring"
+	"rbcsalted/internal/core"
 )
 
-// routeAll is a Router serving or redirecting every client the same way.
-type routeAll struct {
-	addr  string
-	local bool
-	seen  atomic.Int64 // routed hellos
-	epoch atomic.Uint64
+// encodeHelloV4 builds the v4 hello a client built when the CA could be
+// sharded sends: the v3 layout with its ring epoch before the id.
+func encodeHelloV4(h Hello, epoch uint64) []byte {
+	out := make([]byte, helloV4Header, helloV4Header+len(h.ClientID))
+	out[0], out[1], out[2] = helloV3Marker, helloV4Version, byte(h.Class)
+	if !h.Deadline.IsZero() {
+		binary.BigEndian.PutUint64(out[3:11], uint64(h.Deadline.UnixNano()))
+	}
+	binary.BigEndian.PutUint64(out[11:19], epoch)
+	return append(out, h.ClientID...)
 }
 
-func (r *routeAll) Route(clientID string, epoch uint64) (string, bool) {
-	r.seen.Add(1)
-	r.epoch.Store(epoch)
-	return r.addr, r.local
-}
-
+// TestHelloV4RoundTrip: a v4 hello from an older ring-aware client
+// decodes with its epoch ignored, and the hello it decodes to round
+// trips through the v3 layout, the newest the encoder writes.
 func TestHelloV4RoundTrip(t *testing.T) {
-	h := Hello{ClientID: "alice", RingEpoch: 7}
-	enc := EncodeHello(h)
-	if enc[0] != helloV3Marker || enc[1] != helloV4Version {
-		t.Fatalf("hello with ring epoch not encoded as v4: % x", enc[:2])
+	h := Hello{ClientID: "alice", Class: core.ClassBatch, Deadline: time.Unix(0, 1754550000123456789)}
+	enc := encodeHelloV4(h, 7)
+	if len(enc) != helloV4Header+len(h.ClientID) {
+		t.Fatalf("v4 hello is %d bytes", len(enc))
 	}
 	dec, err := DecodeHello(enc)
-	if err != nil || dec != h {
-		t.Fatalf("v4 round trip: %+v, %v", dec, err)
+	if err != nil || dec.ClientID != h.ClientID || dec.Class != h.Class || !dec.Deadline.Equal(h.Deadline) {
+		t.Fatalf("v4 hello decoded to %+v, %v", dec, err)
 	}
-	// No ring epoch keeps the old layouts.
+	again := EncodeHello(dec)
+	if again[0] != helloV3Marker || again[1] != helloV3Version {
+		t.Fatalf("re-encoded hello is not v3: % x", again[:2])
+	}
+	if back, err := DecodeHello(again); err != nil || back.ClientID != h.ClientID || back.Class != h.Class || !back.Deadline.Equal(h.Deadline) {
+		t.Fatalf("v3 round trip: %+v, %v", back, err)
+	}
+	// Default QoS keeps the v2 layout, a deadline alone v3.
 	if enc := EncodeHello(Hello{ClientID: "alice"}); enc[0] == helloV3Marker {
 		t.Fatal("default hello no longer v2")
 	}
 	if enc := EncodeHello(Hello{ClientID: "alice", Deadline: time.Unix(1, 0)}); enc[1] != helloV3Version {
 		t.Fatal("deadline-only hello no longer v3")
 	}
-	// Truncated v4 rejected.
-	if _, err := DecodeHello(enc[:3]); err == nil {
-		t.Fatal("truncated extended hello accepted")
+	// A v4 hello cut inside its header is rejected.
+	if _, err := DecodeHello(enc[:helloV4Header-1]); err == nil {
+		t.Fatal("truncated v4 hello accepted")
 	}
 }
 
-// TestServerRedirectsWrongShard: a server whose router disowns the
-// client refuses with StatusWrongShard carrying the owner address, and
-// the raw (deprecated) client surfaces it as a ServerError.
-func TestServerRedirectsWrongShard(t *testing.T) {
+// countingDialer dials the address behind each configured name, or
+// fails for a name marked down, and logs every dial.
+type countingDialer struct {
+	mu    sync.Mutex
+	real  map[string]string
+	down  map[string]bool
+	dials []string
+}
+
+func (d *countingDialer) dial(ctx context.Context, addr string) (net.Conn, error) {
+	d.mu.Lock()
+	d.dials = append(d.dials, addr)
+	real, down := d.real[addr], d.down[addr]
+	d.mu.Unlock()
+	if down {
+		return nil, errors.New("connection refused")
+	}
+	var nd net.Dialer
+	return nd.DialContext(ctx, "tcp", real)
+}
+
+func (d *countingDialer) log() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([]string(nil), d.dials...)
+}
+
+// TestClientStaysOnSurvivor: when the address that served the client
+// goes down, the client fails over to the next one, and its next
+// authentication dials the survivor first instead of the dead address.
+func TestClientStaysOnSurvivor(t *testing.T) {
 	server, device, _ := newServer(t)
-	router := &routeAll{addr: "10.9.9.9:999", local: false}
-	server.Router = router
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -62,98 +97,76 @@ func TestServerRedirectsWrongShard(t *testing.T) {
 	go server.Serve(ln)
 	defer server.Close()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	d := &countingDialer{
+		real: map[string]string{"first": ln.Addr().String(), "second": ln.Addr().String()},
+		down: map[string]bool{},
+	}
+	c, err := Dial(ClientConfig{
+		Addrs:        []string{"first", "second"},
+		RetryBackoff: time.Millisecond,
+		DialContext:  d.dial,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	_, err = AuthenticateWithOptions(conn, device, AuthOptions{RingEpoch: 42})
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	auth := func(what string) {
+		t.Helper()
+		if res, err := c.Authenticate(ctx, AuthRequest{Device: device}); err != nil || !res.Authenticated {
+			t.Fatalf("%s: %+v, %v", what, res, err)
+		}
+	}
+	auth("first auth")
+	d.mu.Lock()
+	d.down["first"] = true
+	d.mu.Unlock()
+	auth("failover auth")
+	auth("auth after failover")
+	want := []string{"first", "first", "second", "second"}
+	if got := d.log(); !slices.Equal(got, want) {
+		t.Fatalf("dials %v, want %v", got, want)
+	}
+}
+
+// TestClientStatus8IsFinal: status 8 was the removed shard ring's
+// wrong-shard redirect. A server built before the removal still sends
+// it; the client returns it as a final ServerError and does not redial.
+func TestClientStatus8IsFinal(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if _, _, err := ReadFrame(conn); err == nil {
+				_ = WriteFrame(conn, MsgError, EncodeError(8, "10.9.9.9:999"))
+			}
+			conn.Close()
+		}
+	}()
+	_, device, _ := newServer(t)
+	d := &countingDialer{real: map[string]string{"old": ln.Addr().String()}}
+	c, err := Dial(ClientConfig{Addrs: []string{"old", "old"}, DialContext: d.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err = c.Authenticate(ctx, AuthRequest{Device: device})
 	var se *ServerError
-	if !errors.As(err, &se) || se.Status != StatusWrongShard || se.Msg != "10.9.9.9:999" {
-		t.Fatalf("wrong-shard refusal = %v", err)
+	if !errors.As(err, &se) || se.Status != 8 || se.Status.String() != "status-8" {
+		t.Fatalf("status 8 = %v, want a final status-8 ServerError", err)
 	}
-	if router.epoch.Load() != 42 {
-		t.Fatalf("router saw epoch %d, want 42 (v4 hello lost)", router.epoch.Load())
-	}
-}
-
-// TestClientFollowsRedirect: the routing Client lands on a node that
-// disowns the shard and transparently follows the redirect to the
-// owner, and the next request goes straight to the learned address.
-func TestClientFollowsRedirect(t *testing.T) {
-	owner, device, _ := newServer(t)
-	ownerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go owner.Serve(ownerLn)
-	defer owner.Close()
-
-	bouncer, _, _ := newServer(t)
-	bounceRouter := &routeAll{addr: ownerLn.Addr().String(), local: false}
-	bouncer.Router = bounceRouter
-	bounceLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go bouncer.Serve(bounceLn)
-	defer bouncer.Close()
-
-	c, err := Dial(ClientConfig{Addrs: []string{bounceLn.Addr().String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := c.Authenticate(ctx, AuthRequest{Device: device})
-	if err != nil || !res.Authenticated {
-		t.Fatalf("redirected auth: %+v, %v", res, err)
-	}
-	bounced := bounceRouter.seen.Load()
-	if bounced == 0 {
-		t.Fatal("request never hit the bouncing node")
-	}
-	// Second request: learned address, no new bounce.
-	if res, err := c.Authenticate(ctx, AuthRequest{Device: device}); err != nil || !res.Authenticated {
-		t.Fatalf("second auth: %+v, %v", res, err)
-	}
-	if bounceRouter.seen.Load() != bounced {
-		t.Fatal("client did not learn the redirect target")
-	}
-}
-
-// TestClientRingRouting: with a topology, the client dials the shard
-// owner directly and stamps the ring epoch into a v4 hello.
-func TestClientRingRouting(t *testing.T) {
-	server, device, _ := newServer(t)
-	router := &routeAll{local: true}
-	server.Router = router
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go server.Serve(ln)
-	defer server.Close()
-
-	m, err := ring.NewMap(0, 0, ring.Node{ID: "n0", Addr: ln.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m = m.WithEpoch(9)
-	c, err := Dial(ClientConfig{Ring: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	res, err := c.Authenticate(ctx, AuthRequest{Device: device})
-	if err != nil || !res.Authenticated {
-		t.Fatalf("ring-routed auth: %+v, %v", res, err)
-	}
-	if router.epoch.Load() != 9 {
-		t.Fatalf("server saw epoch %d, want 9", router.epoch.Load())
+	if n := len(d.log()); n != 1 {
+		t.Fatalf("client dialed %d times on a status-8 verdict, want 1", n)
 	}
 }
 
@@ -221,26 +234,6 @@ func TestClientAuthoritativeErrorsAreFinal(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("authoritative error was retried")
-	}
-}
-
-// TestClientUpdateRing: stale topologies are ignored, fresh ones adopted.
-func TestClientUpdateRing(t *testing.T) {
-	m1, _ := ring.NewMap(0, 0, ring.Node{ID: "a", Addr: "1:1"})
-	m1 = m1.WithEpoch(5)
-	m2, _ := ring.NewMap(0, 0, ring.Node{ID: "b", Addr: "2:2"})
-	c, err := Dial(ClientConfig{Ring: m1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.UpdateRing(m2.WithEpoch(3)) // stale
-	if c.Ring().Epoch() != 5 {
-		t.Fatal("stale ring adopted")
-	}
-	c.UpdateRing(m2.WithEpoch(8))
-	if c.Ring().Epoch() != 8 || !c.Ring().Has("b") {
-		t.Fatal("fresh ring rejected")
 	}
 }
 

@@ -85,7 +85,8 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add([]byte("alice"))
 	f.Add([]byte{})
 	f.Add(EncodeHello(Hello{ClientID: "alice", Class: core.ClassBatch, Deadline: time.Unix(0, 1754550000123456789)}))
-	f.Add(EncodeHello(Hello{ClientID: "bob", RingEpoch: 7}))
+	f.Add(EncodeHello(Hello{ClientID: "bob", Class: core.ClassBatch}))
+	f.Add(encodeHelloV4(Hello{ClientID: "carol", Deadline: time.Unix(0, 1754550000123456789)}, 7))
 	f.Add([]byte{helloV3Marker, helloV4Version, 1, 0, 0})
 	f.Add([]byte{helloV3Marker})
 	// A default-QoS hello whose id starts with the extended marker: the raw
@@ -103,7 +104,7 @@ func FuzzDecodeHello(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded hello %+v: %v", h, err)
 		}
-		if again.ClientID != h.ClientID || again.Class != h.Class || !again.Deadline.Equal(h.Deadline) || again.RingEpoch != h.RingEpoch {
+		if again.ClientID != h.ClientID || again.Class != h.Class || !again.Deadline.Equal(h.Deadline) {
 			t.Fatalf("hello does not round trip: %+v -> %+v", h, again)
 		}
 	})

@@ -39,24 +39,8 @@ func (l Latency) CommSeconds() float64 {
 // (or a scheduler queue slot) is released as soon as its session is torn
 // down. Protocol failures carry a wire Status (see statusFor) instead of
 // opaque strings.
-// Router decides which node serves a client. A sharded deployment
-// plugs one into Server (internal/replica provides it); nil means this
-// node serves everyone.
-type Router interface {
-	// Route returns the address of the node owning clientID and whether
-	// that node is this server. epoch is the ring epoch the client
-	// presented in its hello (0 = not ring-aware). A non-local route
-	// makes the server refuse the handshake with StatusWrongShard,
-	// carrying addr for the client to redial.
-	Route(clientID string, epoch uint64) (addr string, local bool)
-}
-
 type Server struct {
 	CA *core.CA
-	// Router, when set, is consulted before every handshake; clients
-	// whose shard lives elsewhere are redirected with StatusWrongShard
-	// instead of served. Nil serves every client (single-node mode).
-	Router Router
 	// IdleTimeout bounds each read; zero means 30 s.
 	IdleTimeout time.Duration
 	// BaseContext, when set, parents every per-connection context;
@@ -126,6 +110,15 @@ func (s *Server) handle(conn net.Conn) {
 		_ = WriteFrame(conn, MsgError, EncodeError(status, msg))
 	}
 	failErr := func(err error) {
+		if errors.Is(err, sched.ErrClosed) || s.acceptor.Closed() {
+			// The node is shutting down under the request, so the error
+			// may be the shutdown's own (a closed scheduler or WAL). An
+			// error frame would be a verdict the client must accept; a
+			// dropped connection is a transport failure, which a Client
+			// retries on a node that is up (the consumed challenge is
+			// simply re-issued).
+			return
+		}
 		fail(statusFor(err), err.Error())
 	}
 
@@ -143,15 +136,6 @@ func (s *Server) handle(conn net.Conn) {
 		fail(StatusBadRequest, err.Error())
 		return
 	}
-	if s.Router != nil {
-		if addr, local := s.Router.Route(hello.ClientID, hello.RingEpoch); !local {
-			// The redirect happens before any session state exists, so
-			// the client can simply redial the owner.
-			fail(StatusWrongShard, addr)
-			return
-		}
-	}
-
 	ch, err := s.CA.BeginHandshake(core.ClientID(hello.ClientID))
 	if err != nil {
 		failErr(err)
@@ -211,13 +195,6 @@ func (s *Server) handle(conn net.Conn) {
 		Class:    hello.Class,
 		Deadline: hello.Deadline,
 	})
-	if errors.Is(err, sched.ErrClosed) {
-		// The node is shutting down under the request. An error frame
-		// would be a verdict the client must accept; a dropped connection
-		// is a transport failure, which a routing client retries on a
-		// node that is up (the consumed challenge is simply re-issued).
-		return
-	}
 	if err != nil {
 		failErr(err)
 		return
@@ -244,17 +221,13 @@ type AuthOptions struct {
 	// none. A server that cannot meet it refuses the request with
 	// StatusDeadlineInfeasible instead of searching.
 	Deadline time.Time
-	// RingEpoch is the topology epoch stamped into the hello (v4) by a
-	// ring-routed Client; zero keeps the older wire layouts.
-	RingEpoch uint64
 }
 
 // Authenticate runs the full client side of the protocol over conn:
 // hello, challenge, PUF read, digest, result. Server-reported failures
 // are returned as *ServerError carrying the wire Status. This
-// single-connection form neither routes nor retries — a StatusWrongShard
-// refusal surfaces as a plain error; Client owns dialing, shard routing,
-// redirects and retry on top of it.
+// single-connection form does not retry; Client owns dialing, failover
+// and retry on top of it.
 func Authenticate(conn net.Conn, client *core.Client, lat Latency) (Result, error) {
 	return AuthenticateWithOptions(conn, client, AuthOptions{Latency: lat})
 }
@@ -264,7 +237,7 @@ func Authenticate(conn net.Conn, client *core.Client, lat Latency) (Result, erro
 // this: it is the single wire-level implementation.
 func AuthenticateWithOptions(conn net.Conn, client *core.Client, opts AuthOptions) (Result, error) {
 	lat := opts.Latency
-	hello := Hello{ClientID: string(client.ID), Class: opts.Class, Deadline: opts.Deadline, RingEpoch: opts.RingEpoch}
+	hello := Hello{ClientID: string(client.ID), Class: opts.Class, Deadline: opts.Deadline}
 	if err := WriteFrame(conn, MsgHello, EncodeHello(hello)); err != nil {
 		return Result{}, fmt.Errorf("netproto: hello: %w", err)
 	}

@@ -62,12 +62,11 @@ const (
 	// refused without being run. Retrying with the same deadline is
 	// pointless; relax it or drop it.
 	StatusDeadlineInfeasible
-	// StatusWrongShard reports that the client's shard is served by
-	// another node; the error message is that node's address. Clients
-	// (the Client type does this automatically) redial there — the
-	// request was refused before any session state was created, so the
-	// retry is always safe.
-	StatusWrongShard
+	// Status 8 was wrong-shard, a redirect from the removed shard ring.
+	// It stays reserved and is never reused: a server built before the
+	// removal still sends it, and a Client treats it like any other
+	// verdict, as final.
+	_
 )
 
 // String names the status for logs and error text.
@@ -89,8 +88,6 @@ func (s Status) String() string {
 		return "cancelled"
 	case StatusDeadlineInfeasible:
 		return "deadline-infeasible"
-	case StatusWrongShard:
-		return "wrong-shard"
 	default:
 		return fmt.Sprintf("status-%d", byte(s))
 	}
@@ -138,8 +135,9 @@ const maxFrame = 1 << 16
 
 // The two frames a client sends are read with caps at their largest
 // legal size, so a peer that has proved nothing holds no more than that:
-// a v4 hello is the type byte, its 19-byte header and a 255-byte id; a
-// digest the type byte, the nonce and a SHA3-512-sized digest.
+// the largest hello is a v4 one, still accepted from older clients — the
+// type byte, its 19-byte header and a 255-byte id; a digest is the type
+// byte, the nonce and a SHA3-512-sized digest.
 const (
 	maxHelloFrame  = 1 + helloV4Header + 255
 	maxDigestFrame = 1 + 8 + 64
@@ -187,11 +185,6 @@ type Hello struct {
 	// both ends must have loosely synchronized clocks (same assumption
 	// the session TTL already makes).
 	Deadline time.Time
-	// RingEpoch is the topology epoch of the ring the client routed
-	// with (protocol v4); zero means the client is not ring-aware. A
-	// sharded server uses it to tell a stale router from a fresh one
-	// when deciding how to phrase a redirect.
-	RingEpoch uint64
 }
 
 // helloV3Version tags the extended hello layout. A v3 payload is
@@ -203,10 +196,13 @@ type Hello struct {
 // (IDs are human-assigned names), so old and new payloads are
 // distinguishable from the first byte and a v2-only server rejects a v3
 // hello cleanly at its id-length check rather than misreading it.
-// A v4 payload extends v3 with the client's ring epoch:
+// A v4 payload, sent only by clients built when the CA could be sharded,
+// extends v3 with the topology epoch of the client's shard ring:
 //
-//	0x00 | 4 | class | deadline (8 bytes) | ring epoch (8 bytes,
-//	big-endian, 0 = not ring-aware) | client id (1-255 bytes)
+//	0x00 | 4 | class | deadline (8 bytes) | ring epoch (8 bytes) |
+//	client id (1-255 bytes)
+//
+// It is still decoded, with the epoch ignored, and never encoded.
 const (
 	helloV3Marker  = 0x00
 	helloV3Version = 3
@@ -216,38 +212,29 @@ const (
 )
 
 // EncodeHello serializes a Hello at the oldest wire version that can
-// carry it: a hello with default QoS and no ring epoch encodes as the
-// v2 raw client id, QoS alone selects v3, and a ring epoch selects v4 —
-// so upgraded clients keep working against older servers until they
-// actually use the new fields. An id that starts with the v3 marker
-// would read as an extended hello, so it always takes the v3 layout.
+// carry it: a hello with default QoS encodes as the v2 raw client id and
+// QoS selects v3, so upgraded clients keep working against older servers
+// until they actually use the new fields. An id that starts with the v3
+// marker would read as an extended hello, so it always takes the v3
+// layout.
 func EncodeHello(h Hello) []byte {
 	raw := h.ClientID == "" || h.ClientID[0] != helloV3Marker
-	if raw && h.Class == core.ClassInteractive && h.Deadline.IsZero() && h.RingEpoch == 0 {
+	if raw && h.Class == core.ClassInteractive && h.Deadline.IsZero() {
 		return []byte(h.ClientID)
 	}
-	header := helloV3Header
-	version := byte(helloV3Version)
-	if h.RingEpoch != 0 {
-		header = helloV4Header
-		version = helloV4Version
-	}
-	out := make([]byte, header+len(h.ClientID))
+	out := make([]byte, helloV3Header+len(h.ClientID))
 	out[0] = helloV3Marker
-	out[1] = version
+	out[1] = helloV3Version
 	out[2] = byte(h.Class)
 	if !h.Deadline.IsZero() {
 		binary.BigEndian.PutUint64(out[3:11], uint64(h.Deadline.UnixNano()))
 	}
-	if version == helloV4Version {
-		binary.BigEndian.PutUint64(out[11:19], h.RingEpoch)
-	}
-	copy(out[header:], h.ClientID)
+	copy(out[helloV3Header:], h.ClientID)
 	return out
 }
 
 // DecodeHello parses a Hello, accepting the v2 raw-id payload and the
-// v3/v4 extended layouts.
+// v3/v4 extended layouts (a v4 hello's ring epoch is skipped).
 func DecodeHello(p []byte) (Hello, error) {
 	if len(p) > 0 && p[0] == helloV3Marker {
 		if len(p) < 2 {
@@ -270,9 +257,6 @@ func DecodeHello(p []byte) (Hello, error) {
 		}
 		if nanos := binary.BigEndian.Uint64(p[3:11]); nanos != 0 {
 			h.Deadline = time.Unix(0, int64(nanos))
-		}
-		if p[1] == helloV4Version {
-			h.RingEpoch = binary.BigEndian.Uint64(p[11:19])
 		}
 		id := p[header:]
 		if len(id) == 0 || len(id) > 255 {

@@ -233,7 +233,7 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 		payload []byte
 	}{
 		{"hello", MsgHello, EncodeHello(Hello{ClientID: "alice"})},
-		{"hello v4", MsgHello, EncodeHello(Hello{ClientID: "alice", Class: core.ClassBatch, RingEpoch: 7})},
+		{"hello v4", MsgHello, encodeHelloV4(Hello{ClientID: "alice", Class: core.ClassBatch}, 7)},
 		{"challenge", MsgChallenge, challenge},
 		{"digest", MsgDigest, EncodeDigest(DigestMsg{Nonce: 1, Digest: make([]byte, 32)})},
 		{"result", MsgResult, EncodeResult(Result{Authenticated: true, PublicKey: make([]byte, 16)})},
@@ -405,7 +405,7 @@ func TestBytesBehindTheDigestCancel(t *testing.T) {
 
 // TestShutdownDropsTheConnection: a search refused because the node's
 // scheduler has closed is answered by closing the connection, not by an
-// error frame. The routing client takes an error frame as the server's
+// error frame. The Client takes an error frame as the server's
 // verdict and gives up; a transport failure it retries on a live node,
 // which is what lets a fleet ride out a rolling restart.
 func TestShutdownDropsTheConnection(t *testing.T) {
@@ -432,6 +432,45 @@ func TestShutdownDropsTheConnection(t *testing.T) {
 	}
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("got %v, want the connection closed", err)
+	}
+}
+
+// TestClosingServerDropsTheConnection: once the server is closed, a
+// request that fails is answered by closing the connection, whatever the
+// error, since it may be the shutdown's own (a WAL closed under an
+// in-flight authentication). The client retries it on a node that is up.
+func TestClosingServerDropsTheConnection(t *testing.T) {
+	server, _, _ := newServer(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go server.Serve(ln)
+	defer server.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(conn, MsgHello, EncodeHello(Hello{ClientID: "alice"})); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(conn)
+	if err != nil || typ != MsgChallenge {
+		t.Fatalf("challenge: type %d, %v", typ, err)
+	}
+	ch, err := DecodeChallenge(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.Close()
+	// A digest under the wrong nonce: an open server answers no-session.
+	if err := WriteFrame(conn, MsgDigest, EncodeDigest(DigestMsg{Nonce: ch.Nonce + 1, Digest: make([]byte, 32)})); err != nil {
+		t.Fatal(err)
+	}
+	if typ, payload, err := ReadFrame(conn); !errors.Is(err, io.EOF) {
+		t.Fatalf("got type %d %q, %v; want the connection closed", typ, payload, err)
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
 	"rbcsalted/internal/core"
 	"rbcsalted/internal/durable"
-	"rbcsalted/internal/ring"
 	"rbcsalted/internal/wire"
 )
 
@@ -27,13 +25,6 @@ type FollowerConfig struct {
 	// MetaPath is where the fencing epoch and cursor persist (one file
 	// per followed primary).
 	MetaPath string
-	// NumShards is the shard count (default ring.DefaultNumShards);
-	// it must match the primary's.
-	NumShards int
-	// Shards selects which shards to subscribe to (nil = all). A
-	// serving node cross-replicating a peer passes exactly the shards
-	// that peer owns.
-	Shards []int
 	// AckInterval paces cursor acks (and meta persistence) back to the
 	// primary (default 500 ms; tests shorten it).
 	AckInterval time.Duration
@@ -73,9 +64,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	if cfg.MetaPath == "" {
 		return nil, errors.New("replica: FollowerConfig.MetaPath required")
-	}
-	if cfg.NumShards <= 0 {
-		cfg.NumShards = ring.DefaultNumShards
 	}
 	if cfg.AckInterval <= 0 {
 		cfg.AckInterval = 500 * time.Millisecond
@@ -272,8 +260,6 @@ func (f *Follower) Run(ctx context.Context, addr string) error {
 		FollowerID: f.cfg.ID,
 		Epoch:      epoch,
 		Cursor:     cursor,
-		NumShards:  f.cfg.NumShards,
-		Shards:     f.cfg.Shards,
 	}).append(nil)
 	if err != nil {
 		return err
@@ -515,21 +501,13 @@ func (c catchupSet) note(payload []byte) error {
 	return nil
 }
 
-// inShards reports whether id belongs to a shard this follower
-// subscribes to — reconciliation must never touch shards the transfer
-// was filtered on, or a shard-subset snapshot would wipe the rest.
-func (f *Follower) inShards(id core.ClientID) bool {
-	return f.cfg.Shards == nil || slices.Contains(f.cfg.Shards, ring.ShardOfKey(string(id), f.cfg.NumShards))
-}
-
-// reconcile deletes local entries (in subscribed shards) that the
-// full-state transfer did not mention. It reads them as the run of
-// records a snapshot would hold, and deletes through the journaling store
-// APIs, so deletions land in the follower's own WAL and survive its
-// restarts.
+// reconcile deletes local entries that the full-state transfer did not
+// mention. It reads them as the run of records a snapshot would hold,
+// and deletes through the journaling store APIs, so deletions land in
+// the follower's own WAL and survive its restarts.
 func (f *Follower) reconcile(mentioned catchupSet) error {
 	st := f.cfg.State
-	_, _, records := st.Records(f.inShards)
+	_, _, records := st.Records()
 	for rec := range records {
 		if mentioned[entryOf(rec.Op, rec.ID)] {
 			continue

@@ -10,9 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"rbcsalted/internal/core"
 	"rbcsalted/internal/durable"
-	"rbcsalted/internal/ring"
 	"rbcsalted/internal/wire"
 )
 
@@ -22,7 +20,6 @@ type FollowerStatus struct {
 	Addr    string
 	Acked   uint64    // cursor the follower has acked
 	LastAck time.Time // when the last ack (or the subscribe) arrived
-	Shards  []int     // nil = all
 }
 
 // Primary serves this node's WAL to subscribing followers.
@@ -32,9 +29,6 @@ type Primary struct {
 	// Epoch is the fencing epoch this primary serves at (from its meta
 	// file). Subscribers carrying a higher epoch fence it.
 	Epoch uint64
-	// NumShards is the shard count records are classified with
-	// (default ring.DefaultNumShards). Subscribers must agree.
-	NumShards int
 	// Heartbeat paces watermark messages on an idle stream (default
 	// 1 s; tests shorten it).
 	Heartbeat time.Duration
@@ -57,18 +51,13 @@ type Primary struct {
 }
 
 type subscriber struct {
-	id     string
-	addr   string
-	shards map[int]bool // nil = all
-	conn   net.Conn
+	id   string
+	addr string
+	conn net.Conn
 
 	mu      sync.Mutex
 	acked   uint64
 	lastAck time.Time
-}
-
-func (s *subscriber) wants(shard int) bool {
-	return s.shards == nil || s.shards[shard]
 }
 
 func (s *subscriber) noteAck(cursor uint64) {
@@ -92,13 +81,6 @@ func (p *Primary) reapAfter() time.Duration {
 		return p.ReapAfter
 	}
 	return 5 * p.heartbeat()
-}
-
-func (p *Primary) numShards() int {
-	if p.NumShards > 0 {
-		return p.NumShards
-	}
-	return ring.DefaultNumShards
 }
 
 // Serve accepts subscribers until the listener closes (wire.Acceptor).
@@ -150,12 +132,6 @@ func (p *Primary) Followers() []FollowerStatus {
 		s.mu.Lock()
 		st := FollowerStatus{ID: s.id, Addr: s.addr, Acked: s.acked, LastAck: s.lastAck}
 		s.mu.Unlock()
-		if s.shards != nil {
-			for sh := range s.shards {
-				st.Shards = append(st.Shards, sh)
-			}
-			sort.Ints(st.Shards)
-		}
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -203,10 +179,6 @@ func (p *Primary) handle(conn net.Conn) {
 		refuse(err.Error())
 		return
 	}
-	if sub.NumShards != 0 && sub.NumShards != p.numShards() {
-		refuse(fmt.Sprintf("shard count mismatch: primary %d, follower %d", p.numShards(), sub.NumShards))
-		return
-	}
 	if sub.Epoch > p.Epoch {
 		// A promotion happened elsewhere: this primary is history.
 		p.fence(sub.Epoch)
@@ -219,12 +191,6 @@ func (p *Primary) handle(conn net.Conn) {
 	}
 
 	s := &subscriber{id: sub.FollowerID, addr: conn.RemoteAddr().String(), conn: conn, lastAck: time.Now()}
-	if sub.Shards != nil {
-		s.shards = make(map[int]bool, len(sub.Shards))
-		for _, sh := range sub.Shards {
-			s.shards[sh] = true
-		}
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -266,7 +232,7 @@ func (p *Primary) handle(conn net.Conn) {
 	}()
 	conn.SetWriteDeadline(time.Time{})
 
-	_ = p.stream(ctx, bufio.NewWriterSize(conn, streamBuffer), s, sub.Cursor)
+	_ = p.stream(ctx, bufio.NewWriterSize(conn, streamBuffer), sub.Cursor)
 }
 
 // stream ships records from cursor onward, switching to a synthesized
@@ -275,7 +241,7 @@ func (p *Primary) handle(conn net.Conn) {
 // the subscriber had already ingested. Messages
 // are buffered in w; tailLoop flushes them whenever the log has nothing
 // more ready.
-func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cursor uint64) error {
+func (p *Primary) stream(ctx context.Context, w *bufio.Writer, cursor uint64) error {
 	accepted := false
 	accept := func(m *acceptMsg) error {
 		accepted = true
@@ -290,7 +256,7 @@ func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cu
 					return err
 				}
 			}
-			cursor, err = p.sendSnapshot(w, s)
+			cursor, err = p.sendSnapshot(w)
 			if err != nil {
 				return err
 			}
@@ -310,35 +276,31 @@ func (p *Primary) stream(ctx context.Context, w *bufio.Writer, s *subscriber, cu
 				return err
 			}
 		}
-		err = p.tailLoop(ctx, w, s, tail, cursor)
+		err = p.tailLoop(ctx, w, tail, cursor)
 		tail.Close()
 		if !errors.Is(err, durable.ErrTruncated) {
 			return err
 		}
 		// Compaction outran the tail mid-stream (slow follower): fall
 		// back to a fresh snapshot transfer and resume from its cut.
-		cursor, err = p.sendSnapshot(w, s)
+		cursor, err = p.sendSnapshot(w)
 		if err != nil {
 			return err
 		}
 	}
 }
 
-// tailLoop is live streaming: records the subscriber's shards want,
-// watermarks for everything else and for idle heartbeats. Records are
+// tailLoop is live streaming: every record as journaled, without the
+// primary decoding it, and a watermark for idle heartbeats. Records are
 // batched while the log has more ready and flushed in one write when it
 // has not, so a live stream costs one write per wake-up — under
-// SyncAlways, per barrier, which carries a request's records together. A
-// subscriber that takes every shard gets the journaled bytes without the
-// primary decoding them; a filtered one costs a read of the record's ID,
-// and gets every nonce lease.
+// SyncAlways, per barrier, which carries a request's records together.
 //
 // Under SyncAlways a record journaled but not yet committed (its
 // mutator's barrier still to come) stays invisible until some barrier
 // covers it, so an idle heartbeat takes one.
-func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, tail *durable.Tail, cursor uint64) error {
-	numShards := p.numShards()
-	watermark := cursor // highest seq covered but not sent as a record
+func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, tail *durable.Tail, cursor uint64) error {
+	watermark := cursor // highest seq streamed
 	idle := time.NewTimer(p.heartbeat())
 	defer idle.Stop()
 	for {
@@ -368,15 +330,6 @@ func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, 
 			return err
 		}
 		watermark = seq
-		if s.shards != nil {
-			op, id, err := durable.RecordID(payload)
-			if err != nil {
-				return fmt.Errorf("replica: undecodable record %d: %w", seq, err)
-			}
-			if op != durable.OpNonceLease && !s.wants(ring.ShardOfKey(string(id), numShards)) {
-				continue
-			}
-		}
 		if _, err := w.Write(appendRecord(w.AvailableBuffer(), seq, payload)); err != nil {
 			return err
 		}
@@ -384,15 +337,12 @@ func (p *Primary) tailLoop(ctx context.Context, w *bufio.Writer, s *subscriber, 
 }
 
 // sendSnapshot ships the state as the run of records a snapshot holds
-// (durable.State.Records), only those of the subscriber's shards, and
-// returns the sequence cut live tailing resumes from. Records are ahead
-// of the cut, never behind it, and every op is an idempotent overwrite,
-// so one present in both the transfer and the tailed suffix converges.
-func (p *Primary) sendSnapshot(w *bufio.Writer, s *subscriber) (uint64, error) {
-	numShards := p.numShards()
-	cut, nonce, records := p.State.Records(func(id core.ClientID) bool {
-		return s.wants(ring.ShardOfKey(string(id), numShards))
-	})
+// (durable.State.Records) and returns the sequence cut live tailing
+// resumes from. Records are ahead of the cut, never behind it, and every
+// op is an idempotent overwrite, so one present in both the transfer and
+// the tailed suffix converges.
+func (p *Primary) sendSnapshot(w *bufio.Writer) (uint64, error) {
+	cut, nonce, records := p.State.Records()
 	for rec := range records {
 		payload, err := rec.Encode()
 		if err != nil {

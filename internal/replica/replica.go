@@ -7,9 +7,8 @@
 // follower can re-sequence records into its OWN log (durable.Ingest)
 // and re-delivery after a reconnect converges instead of corrupting.
 // The follower tracks its position in the primary's sequence space as a
-// persisted cursor; the primary's watermark messages advance the cursor
-// past records that were filtered out by sharding and double as
-// heartbeats.
+// persisted cursor; the primary's watermark messages restate that
+// position on an idle stream and so double as heartbeats.
 //
 // Catch-up is two-phase. A follower whose cursor still lies inside the
 // primary's log gets the suffix via durable.TailFrom. A follower whose
@@ -47,12 +46,17 @@
 //
 // A record's payload is the journaled record exactly as the primary's
 // WAL holds it: it is shipped without re-encoding, and the follower's
-// durable.Ingest is the one place it is decoded and validated. count is
-// allShards for a subscriber that takes every shard; otherwise count ≤
-// numShards ≤ 65,536 and every shard is below numShards. id and err are
-// at most 1 KiB, and accept's only flag is acceptSnapshot. A decoder
-// rejects anything else, including trailing bytes, so every message has
-// exactly one encoding.
+// durable.Ingest is the one place it is decoded and validated.
+//
+// numShards, count and the shard list are left from the removed shard
+// ring, when a follower could subscribe to a subset of shards. A
+// follower sends numShards 0 and count allShards, the all-shards marker
+// an older primary also accepts. A primary ignores numShards, which an
+// older follower set to its ring's shard count, and refuses any other
+// count (errShardSubset). id and err are at most 1 KiB, and accept's
+// only flag is acceptSnapshot. A decoder rejects anything else,
+// including trailing bytes, so every message but a subscribe, whose
+// numShards may be anything, has exactly one encoding.
 //
 // Replication peers upgrade together. A subscribe leads with
 // protocolVersion and a primary refuses any other version with an
@@ -104,6 +108,10 @@ var ErrPromoted = errors.New("replica: follower promoted")
 // layout.
 var errMalformed = errors.New("replica: malformed message")
 
+// errShardSubset refuses a subscribe from a follower built when the CA
+// could be sharded that asked for a subset of the shards.
+var errShardSubset = errors.New("replica: shard-subset subscribe refused: sharding was removed, a follower replicates every record")
+
 // Message kinds on the replication stream.
 const (
 	kindSubscribe byte = iota + 1
@@ -122,9 +130,8 @@ const (
 	// maxReplicaFrame bounds one frame: the largest legitimate payload
 	// is a sealed PUF image record (durable caps blobs at 1<<24).
 	maxReplicaFrame = 1 << 25
-	// maxShards bounds a subscribe's shard count (shards travel as u16).
-	maxShards = 1 << 16
-	// allShards is a subscribe's shard count for no filter.
+	// allShards is a subscribe's shard count for no filter, the only
+	// one a primary accepts.
 	allShards = ^uint32(0)
 	// maxStringLen bounds a subscribe's id and an accept's error.
 	maxStringLen = 1 << 10
@@ -143,15 +150,6 @@ type subscribeMsg struct {
 	// Cursor is the last primary sequence number the follower has
 	// applied or been watermarked past (0 = from the beginning).
 	Cursor uint64
-	// NumShards is the shard count the follower routes with; it must
-	// match the primary's (0 accepts the primary's).
-	NumShards int
-	// Shards selects which shards to stream (nil = all). Cross-
-	// replicating serving nodes subscribe to exactly the shards the
-	// primary owns, which is what keeps records from echoing around
-	// the mesh: an ingested foreign-shard record is never re-streamed,
-	// because no subscriber asks this node for that shard.
-	Shards []int
 }
 
 // acceptMsg is the primary's reply to a subscribe.
@@ -179,9 +177,8 @@ type catchupDoneMsg struct {
 // A record message carries one WAL record payload under the primary's
 // sequence number, or under 0 for a synthesized catch-up record (those
 // carry state, not log position; the position arrives in catchupDone).
-// A watermark advances the follower's cursor without a record (sharding
-// filtered the records out) and doubles as the primary→follower
-// heartbeat; an ack is the follower→primary heartbeat, carrying the
+// A watermark restates the position the follower's cursor has reached
+// and is the primary→follower heartbeat; an ack is the follower→primary heartbeat, carrying the
 // cursor it has applied and persisted through. All three are built and
 // parsed in place, without a message struct.
 
@@ -200,27 +197,15 @@ func appendSeq(b []byte, kind byte, seq uint64) []byte {
 // append appends the subscribe frame, refusing a message its decoder
 // would reject.
 func (m *subscribeMsg) append(b []byte) ([]byte, error) {
-	if m.NumShards < 0 || m.NumShards > maxShards || len(m.FollowerID) > maxStringLen ||
-		(m.Shards != nil && len(m.Shards) > m.NumShards) {
-		return nil, fmt.Errorf("replica: unsendable subscribe (%d of %d shards, %d-byte id)",
-			len(m.Shards), m.NumShards, len(m.FollowerID))
+	if len(m.FollowerID) > maxStringLen {
+		return nil, fmt.Errorf("replica: unsendable subscribe (%d-byte id)", len(m.FollowerID))
 	}
-	b = wire.AppendHeader(b, kindSubscribe, 1+8+8+4+4+2*len(m.Shards)+2+len(m.FollowerID))
+	b = wire.AppendHeader(b, kindSubscribe, 1+8+8+4+4+2+len(m.FollowerID))
 	b = append(b, protocolVersion)
 	b = binary.BigEndian.AppendUint64(b, m.Epoch)
 	b = binary.BigEndian.AppendUint64(b, m.Cursor)
-	b = binary.BigEndian.AppendUint32(b, uint32(m.NumShards))
-	if m.Shards == nil {
-		b = binary.BigEndian.AppendUint32(b, allShards)
-	} else {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Shards)))
-	}
-	for _, sh := range m.Shards {
-		if sh < 0 || sh >= m.NumShards {
-			return nil, fmt.Errorf("replica: unsendable subscribe: shard %d of %d", sh, m.NumShards)
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(sh))
-	}
+	b = binary.BigEndian.AppendUint32(b, 0) // numShards
+	b = binary.BigEndian.AppendUint32(b, allShards)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m.FollowerID)))
 	return append(b, m.FollowerID...), nil
 }
@@ -256,33 +241,16 @@ func done(r *wire.Cursor, kind string) error {
 }
 
 // decodeSubscribe parses a subscribe body. Nothing is allocated for the
-// shard list or id before the bytes it claims have been seen.
+// id before the bytes it claims have been seen.
 func decodeSubscribe(p []byte) (*subscribeMsg, error) {
 	r := wire.NewCursor(p)
 	if v := r.U8(); r.OK() && v != protocolVersion {
 		return nil, fmt.Errorf("replica: subscribe is protocol version %d, this primary speaks protocol version %d", v, protocolVersion)
 	}
 	m := &subscribeMsg{Epoch: r.U64(), Cursor: r.U64()}
-	numShards := r.U32()
-	if numShards > maxShards {
-		return nil, fmt.Errorf("%w: subscribe for %d shards", errMalformed, numShards)
-	}
-	m.NumShards = int(numShards)
-	if count := r.U32(); count != allShards {
-		if count > numShards {
-			return nil, fmt.Errorf("%w: subscribe lists %d of %d shards", errMalformed, count, numShards)
-		}
-		raw := r.Bytes(2 * int(count))
-		if !r.OK() {
-			return nil, done(&r, "subscribe")
-		}
-		m.Shards = make([]int, count)
-		for i := range m.Shards {
-			m.Shards[i] = int(binary.BigEndian.Uint16(raw[2*i:]))
-			if m.Shards[i] >= m.NumShards {
-				return nil, fmt.Errorf("%w: subscribe names shard %d of %d", errMalformed, m.Shards[i], numShards)
-			}
-		}
+	r.U32() // numShards, ignored
+	if count := r.U32(); r.OK() && count != allShards {
+		return nil, fmt.Errorf("%w (it lists %d shards)", errShardSubset, count)
 	}
 	n := int(r.U16())
 	if n > maxStringLen {

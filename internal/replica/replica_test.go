@@ -21,7 +21,6 @@ import (
 	"rbcsalted/internal/cpu"
 	"rbcsalted/internal/durable"
 	"rbcsalted/internal/puf"
-	"rbcsalted/internal/ring"
 	"rbcsalted/internal/wire"
 )
 
@@ -55,13 +54,12 @@ func startPrimary(t *testing.T, st *durable.State, epoch uint64) (*Primary, stri
 	return p, ln.Addr().String()
 }
 
-func newFollower(t *testing.T, st *durable.State, dir, id string, shards []int) *Follower {
+func newFollower(t *testing.T, st *durable.State, dir, id string) *Follower {
 	t.Helper()
 	f, err := NewFollower(FollowerConfig{
 		State:       st,
 		ID:          id,
 		MetaPath:    filepath.Join(dir, "replica-primary.meta"),
-		Shards:      shards,
 		AckInterval: 10 * time.Millisecond,
 		ReadTimeout: 2 * time.Second,
 	})
@@ -111,7 +109,7 @@ func TestLiveReplication(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, addr, 20*time.Millisecond)
@@ -177,7 +175,7 @@ func TestFollowerIngestsOldSessionRecords(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- f.RunUntil(ctx, addr, 10*time.Millisecond) }()
@@ -224,7 +222,7 @@ func TestSnapshotCatchup(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, addr, 20*time.Millisecond)
@@ -248,50 +246,6 @@ func TestSnapshotCatchup(t *testing.T) {
 		_, ok := fst.RA().PublicKey("after")
 		return ok
 	})
-}
-
-// TestShardFiltering: a subscriber asking for a shard subset receives
-// only those records, while watermarks still advance its cursor past
-// the filtered ones.
-func TestShardFiltering(t *testing.T) {
-	pst := openState(t, t.TempDir())
-	defer pst.Close()
-	fdir := t.TempDir()
-	fst := openState(t, fdir)
-	defer fst.Close()
-
-	// Find two client IDs in different shards.
-	inID := core.ClientID("shard-a")
-	inShard := ring.ShardOfKey(string(inID), ring.DefaultNumShards)
-	var outID core.ClientID
-	for i := 0; ; i++ {
-		id := core.ClientID(fmt.Sprintf("other-%d", i))
-		if ring.ShardOfKey(string(id), ring.DefaultNumShards) != inShard {
-			outID = id
-			break
-		}
-	}
-
-	p, addr := startPrimary(t, pst, 1)
-	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", []int{inShard})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go f.RunUntil(ctx, addr, 20*time.Millisecond)
-
-	if err := pst.RA().Update(inID, []byte("in")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pst.RA().Update(outID, []byte("out")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "cursor past filtered record", func() bool { return f.Cursor() >= pst.LastSeq() })
-	if _, ok := fst.RA().PublicKey(inID); !ok {
-		t.Fatal("subscribed-shard record not replicated")
-	}
-	if _, ok := fst.RA().PublicKey(outID); ok {
-		t.Fatal("foreign-shard record replicated despite filter")
-	}
 }
 
 // TestFencing: a higher-epoch subscriber fences the primary (OnFenced
@@ -320,7 +274,7 @@ func TestFencing(t *testing.T) {
 	f3dir := t.TempDir()
 	f3st := openState(t, f3dir)
 	defer f3st.Close()
-	f3 := newFollower(t, f3st, f3dir, "old", nil)
+	f3 := newFollower(t, f3st, f3dir, "old")
 	if err := SaveMeta(f3.cfg.MetaPath, Meta{Epoch: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +288,7 @@ func TestFencing(t *testing.T) {
 	f7dir := t.TempDir()
 	f7st := openState(t, f7dir)
 	defer f7st.Close()
-	f7 := newFollower(t, f7st, f7dir, "new", nil)
+	f7 := newFollower(t, f7st, f7dir, "new")
 	if err := SaveMeta(f7.cfg.MetaPath, Meta{Epoch: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +308,7 @@ func TestFencing(t *testing.T) {
 	f5dir := t.TempDir()
 	f5st := openState(t, f5dir)
 	defer f5st.Close()
-	f5 := newFollower(t, f5st, f5dir, "same", nil)
+	f5 := newFollower(t, f5st, f5dir, "same")
 	if err := SaveMeta(f5.cfg.MetaPath, Meta{Epoch: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +328,7 @@ func TestFollowerRejoinsAfterPrimaryRestart(t *testing.T) {
 	defer fst.Close()
 
 	p1, addr := startPrimary(t, pst, 1)
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, addr, 10*time.Millisecond)
@@ -414,7 +368,7 @@ func TestFailoverProperty(t *testing.T) {
 	fst := openState(t, fdir)
 
 	p, addr := startPrimary(t, pst, 1)
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runDone := make(chan error, 1)
@@ -511,7 +465,7 @@ func TestPromoteIsIdempotent(t *testing.T) {
 	fdir := t.TempDir()
 	fst := openState(t, fdir)
 	defer fst.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	e1, err := f.Promote()
 	if err != nil {
 		t.Fatal(err)
@@ -586,7 +540,7 @@ func TestMetaWritersNeverRegress(t *testing.T) {
 	for _, order := range [][2]Meta{{runLoop, promote}, {promote, runLoop}} {
 		dir := t.TempDir()
 		st := openState(t, dir)
-		f := newFollower(t, st, dir, "f", nil)
+		f := newFollower(t, st, dir, "f")
 
 		held, release := make(chan struct{}), make(chan struct{})
 		var onDisk Meta
@@ -770,7 +724,7 @@ func TestReplicaStreamAllocBudget(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, addr, 10*time.Millisecond)
@@ -792,10 +746,10 @@ func TestReplicaStreamAllocBudget(t *testing.T) {
 
 // stateOf reads a state as the records that rebuild it, keyed by op and
 // client, each as its encoded payload.
-func stateOf(t *testing.T, st *durable.State, filter func(core.ClientID) bool) map[string]string {
+func stateOf(t *testing.T, st *durable.State) map[string]string {
 	t.Helper()
 	out := map[string]string{}
-	_, _, records := st.Records(filter)
+	_, _, records := st.Records()
 	for rec := range records {
 		payload, err := rec.Encode()
 		if err != nil {
@@ -807,10 +761,9 @@ func stateOf(t *testing.T, st *durable.State, filter func(core.ClientID) bool) m
 }
 
 // TestCatchupMatchesSnapshotFile: one source of truth. A follower caught
-// up by a snapshot transfer — of every shard, or of a subset — holds the
-// images, RA keys and certificates that a State reopened from the
-// primary's snapshot file holds, and a nonce high-water mark no lower
-// than the primary's.
+// up by a snapshot transfer holds the images, RA keys and certificates
+// that a State reopened from the primary's snapshot file holds, and a
+// nonce high-water mark no lower than the primary's.
 func TestCatchupMatchesSnapshotFile(t *testing.T) {
 	pdir := t.TempDir()
 	pst := openState(t, pdir)
@@ -870,44 +823,30 @@ func TestCatchupMatchesSnapshotFile(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	shard := ring.ShardOfKey("client-00", ring.DefaultNumShards)
-	for _, tc := range []struct {
-		name   string
-		shards []int
-		filter func(core.ClientID) bool
-	}{
-		{"all shards", nil, nil},
-		{"one shard", []int{shard}, func(id core.ClientID) bool {
-			return ring.ShardOfKey(string(id), ring.DefaultNumShards) == shard
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fdir := t.TempDir()
-			fst := openState(t, fdir)
-			defer fst.Close()
-			// An entry of the follower's own that the transfer never
-			// mentions: reconciliation removes it in subscribed shards.
-			if err := fst.RA().Update("ghost", []byte("stale")); err != nil {
-				t.Fatal(err)
-			}
-			f := newFollower(t, fst, fdir, "f-"+tc.name, tc.shards)
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() { done <- f.RunUntil(ctx, addr, 20*time.Millisecond) }()
-			// The follower must stop writing fdir before fst closes and
-			// the directory is removed.
-			defer func() { cancel(); <-done }()
-			waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
+	fdir := t.TempDir()
+	fst := openState(t, fdir)
+	defer fst.Close()
+	// An entry of the follower's own that the transfer never mentions:
+	// reconciliation removes it.
+	if err := fst.RA().Update("ghost", []byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	f := newFollower(t, fst, fdir, "f1")
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- f.RunUntil(ctx, addr, 20*time.Millisecond) }()
+	// The follower must stop writing fdir before fst closes and the
+	// directory is removed.
+	defer func() { cancel(); <-done }()
+	waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
 
-			got, want := stateOf(t, fst, tc.filter), stateOf(t, rst, tc.filter)
-			if len(want) == 0 || !maps.Equal(got, want) {
-				t.Fatalf("follower holds %d records, the snapshot file %d:\n follower %v\n snapshot %v",
-					len(got), len(want), slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
-			}
-			if fn, pn := fst.Sessions().Nonce(), pst.Sessions().Nonce(); fn < pn {
-				t.Fatalf("follower nonce %d below the primary's %d", fn, pn)
-			}
-		})
+	got, want := stateOf(t, fst), stateOf(t, rst)
+	if len(want) == 0 || !maps.Equal(got, want) {
+		t.Fatalf("follower holds %d records, the snapshot file %d:\n follower %v\n snapshot %v",
+			len(got), len(want), slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+	}
+	if fn, pn := fst.Sessions().Nonce(), pst.Sessions().Nonce(); fn < pn {
+		t.Fatalf("follower nonce %d below the primary's %d", fn, pn)
 	}
 }
 
@@ -948,7 +887,7 @@ func TestFollowerAheadOfPrimaryResyncs(t *testing.T) {
 	fst := open(fdir)
 	defer fst.Close()
 	p, addr := startPrimary(t, pst, 1)
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- f.RunUntil(ctx, addr, 10*time.Millisecond) }()
@@ -986,7 +925,7 @@ func TestFollowerAheadOfPrimaryResyncs(t *testing.T) {
 
 	p2, addr2 := startPrimary(t, rst, 1)
 	defer p2.Close()
-	f2 := newFollower(t, fst, fdir, "f1", nil)
+	f2 := newFollower(t, fst, fdir, "f1")
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	go f2.RunUntil(ctx2, addr2, 10*time.Millisecond)
@@ -1050,7 +989,7 @@ func TestStreamShipsPerBarrier(t *testing.T) {
 	p := &Primary{State: pst, Epoch: 1, Heartbeat: time.Hour}
 	go p.Serve(countingListener{ln, writes})
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, ln.Addr().String(), 10*time.Millisecond)
@@ -1108,7 +1047,7 @@ func TestLoneRecordIngestedPromptly(t *testing.T) {
 	p := &Primary{State: pst, Epoch: 1, Heartbeat: heartbeat}
 	go p.Serve(ln)
 	defer p.Close()
-	f := newFollower(t, fst, fdir, "f1", nil)
+	f := newFollower(t, fst, fdir, "f1")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.RunUntil(ctx, ln.Addr().String(), 10*time.Millisecond)

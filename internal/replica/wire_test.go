@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,19 +27,35 @@ type sample struct {
 	want  any
 }
 
+// legacySubscribe builds the subscribe a follower built when the CA
+// could be sharded sent: its ring's shard count and, unless shards is
+// nil, the subset of shards it asked for.
+func legacySubscribe(id string, epoch, cursor uint64, numShards uint32, shards []uint16) []byte {
+	body := binary.BigEndian.AppendUint64([]byte{protocolVersion}, epoch)
+	body = binary.BigEndian.AppendUint64(body, cursor)
+	body = binary.BigEndian.AppendUint32(body, numShards)
+	if shards == nil {
+		body = binary.BigEndian.AppendUint32(body, allShards)
+	} else {
+		body = binary.BigEndian.AppendUint32(body, uint32(len(shards)))
+	}
+	for _, sh := range shards {
+		body = binary.BigEndian.AppendUint16(body, sh)
+	}
+	body = binary.BigEndian.AppendUint16(body, uint16(len(id)))
+	return append(wire.AppendHeader(nil, kindSubscribe, len(body)+len(id)), append(body, id...)...)
+}
+
+// numShardsAt is where a subscribe frame carries its ignored numShards:
+// after the frame header, the version byte, the epoch and the cursor.
+const numShardsAt = wire.HeaderSize + 1 + 8 + 8
+
 // sampleMessages is one frame of every kind, with the subscribe and
 // accept at their empty and maximal extremes.
 func sampleMessages(t testing.TB) []sample {
-	all := make([]int, maxShards)
-	for i := range all {
-		all[i] = i
-	}
-	longID := strings.Repeat("f", maxStringLen)
 	subs := []*subscribeMsg{
-		{FollowerID: "f1", Epoch: 3, Cursor: 99, NumShards: 16},                    // every shard
-		{FollowerID: "f2", NumShards: 16, Shards: []int{}},                         // no shard
-		{FollowerID: "f3", Epoch: 1, NumShards: 16, Shards: []int{0, 7, 15}},       // a subset
-		{FollowerID: longID, Epoch: ^uint64(0), NumShards: maxShards, Shards: all}, // maximal
+		{FollowerID: "f1", Epoch: 3, Cursor: 99},
+		{FollowerID: strings.Repeat("f", maxStringLen), Epoch: ^uint64(0)},
 		{},
 	}
 	var out []sample
@@ -49,6 +67,8 @@ func sampleMessages(t testing.TB) []sample {
 		}
 		add(frame, m)
 	}
+	// An older follower's subscribe to every shard of its 16-shard ring.
+	add(legacySubscribe("f2", 1, 7, 16, nil), &subscribeMsg{FollowerID: "f2", Epoch: 1, Cursor: 7})
 	for _, m := range []*acceptMsg{
 		{Epoch: 5},
 		{Epoch: 6, Snapshot: true},
@@ -101,9 +121,10 @@ func encodeAny(kind byte, v any) ([]byte, error) {
 	return nil, fmt.Errorf("unencodable %T", v)
 }
 
-// TestMessageRoundTrip: every kind decodes to what was encoded, nil and
-// empty shard lists stay distinct, and a subscribe the decoder would
-// refuse is refused at encode time instead.
+// TestMessageRoundTrip: every kind decodes to what was encoded, a
+// subscribe the decoder would refuse is refused at encode time instead,
+// and a subscribe for a subset of shards, empty or not, is refused with
+// an error that names the removed feature.
 func TestMessageRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages(t) {
 		kind, body, err := wire.Read(bufio.NewReader(bytes.NewReader(m.frame)), maxReplicaFrame)
@@ -115,15 +136,14 @@ func TestMessageRoundTrip(t *testing.T) {
 			t.Fatalf("kind %d: decoded %+v (%v), want %+v", kind, got, err, m.want)
 		}
 	}
-	for _, bad := range []*subscribeMsg{
-		{NumShards: maxShards + 1},
-		{NumShards: 4, Shards: []int{4}},
-		{NumShards: 4, Shards: []int{-1}},
-		{NumShards: 2, Shards: []int{0, 1, 1}},
-		{FollowerID: strings.Repeat("f", maxStringLen+1)},
-	} {
-		if _, err := bad.append(nil); err == nil {
-			t.Errorf("subscribe %d/%d shards, %d-byte id encoded", len(bad.Shards), bad.NumShards, len(bad.FollowerID))
+	long := &subscribeMsg{FollowerID: strings.Repeat("f", maxStringLen+1)}
+	if _, err := long.append(nil); err == nil {
+		t.Errorf("subscribe with a %d-byte id encoded", len(long.FollowerID))
+	}
+	for _, shards := range [][]uint16{{}, {0, 7, 15}} {
+		frame := legacySubscribe("f3", 1, 0, 16, shards)
+		if _, err := decodeSubscribe(frame[wire.HeaderSize:]); !errors.Is(err, errShardSubset) {
+			t.Errorf("subscribe for shards %v: %v, want errShardSubset", shards, err)
 		}
 	}
 }
@@ -132,8 +152,9 @@ func TestMessageRoundTrip(t *testing.T) {
 // decoders, and to the follower's batch splitter. The invariants: nothing
 // panics, nothing allocates more than the bytes that arrived justify (a
 // bounded first chunk, then a constant factor of the input), any frame
-// that decodes re-encodes to exactly the bytes it was read from, and the
-// records a batch splits into re-encode to exactly the bytes it spans.
+// that decodes re-encodes to exactly the bytes it was read from but for
+// a subscribe's ignored numShards, and the records a batch splits into
+// re-encode to exactly the bytes it spans.
 func FuzzReplicaMsg(f *testing.F) {
 	for _, m := range sampleMessages(f) {
 		if len(m.frame) < 4096 {
@@ -147,6 +168,7 @@ func FuzzReplicaMsg(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	f.Add(legacySubscribe("f3", 1, 0, 16, []uint16{0, 7, 15}))
 	// A barrier's batch: a request's three records, then a watermark.
 	var batch []byte
 	for seq, p := range [][]byte{[]byte("open"), []byte("close"), []byte("key")} {
@@ -185,7 +207,12 @@ func FuzzReplicaMsg(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded kind %d does not re-encode: %v", kind, err)
 		}
-		if read := data[:5+len(body)]; !bytes.Equal(frame, read) {
+		read := data[:5+len(body)]
+		if kind == kindSubscribe {
+			read = slices.Clone(read)
+			binary.BigEndian.PutUint32(read[numShardsAt:], 0)
+		}
+		if !bytes.Equal(frame, read) {
 			t.Fatalf("round trip not canonical:\n in  %x\n out %x", read, frame)
 		}
 	})
@@ -200,6 +227,21 @@ func TestPrimaryRefusesGobSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertRefused(t, frame, fmt.Sprintf("protocol version %d", protocolVersion))
+}
+
+// TestPrimaryRefusesShardSubset: an older follower that asks for a subset
+// of shards is refused with an accept naming the removed feature, the
+// same way.
+func TestPrimaryRefusesShardSubset(t *testing.T) {
+	assertRefused(t, legacySubscribe("f1", 0, 0, 16, []uint16{3}), "sharding was removed")
+}
+
+// assertRefused sends a subscribe frame to a primary and checks that it
+// answers with an accept whose error contains want, then closes, and
+// registers no subscriber.
+func assertRefused(t *testing.T, frame []byte, want string) {
+	t.Helper()
 	st := openState(t, t.TempDir())
 	defer st.Close()
 	p, addr := startPrimary(t, st, 1)
@@ -223,14 +265,14 @@ func TestPrimaryRefusesGobSubscribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("protocol version %d", protocolVersion); !strings.Contains(acc.Err, want) {
+	if !strings.Contains(acc.Err, want) {
 		t.Fatalf("refusal %q does not name %q", acc.Err, want)
 	}
 	if _, _, err := wire.Read(r, maxReplicaFrame); err != io.EOF {
 		t.Fatalf("after the refusal: %v, want the primary to close", err)
 	}
 	if fs := p.Followers(); len(fs) != 0 {
-		t.Fatalf("gob-era follower registered: %+v", fs)
+		t.Fatalf("refused follower registered: %+v", fs)
 	}
 }
 
@@ -270,7 +312,7 @@ func TestFollowerRefusesGobAccept(t *testing.T) {
 	dir := t.TempDir()
 	st := openState(t, dir)
 	defer st.Close()
-	f := newFollower(t, st, dir, "f1", nil)
+	f := newFollower(t, st, dir, "f1")
 	err = f.Run(context.Background(), ln.Addr().String())
 	if err == nil || errors.Is(err, ErrFenced) || errors.Is(err, ErrStalePrimary) {
 		t.Fatalf("Run on a gob accept = %v, want a retryable error", err)

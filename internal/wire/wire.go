@@ -171,6 +171,13 @@ func (a *Acceptor) Close() error {
 	return nil
 }
 
+// Closed reports whether Close has been called.
+func (a *Acceptor) Closed() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.closed
+}
+
 // Cursor reads a body's fields in order. Every read is bounds-checked and
 // the first overrun sticks: later reads return zeros and OK reports it,
 // so a decoder checks once. A length field inside a body is a claim like

@@ -118,7 +118,6 @@ import (
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/replica"
-	"rbcsalted/internal/ring"
 	"rbcsalted/internal/sched"
 	"rbcsalted/internal/u256"
 )
@@ -432,24 +431,20 @@ type (
 	WireStatus = netproto.Status
 	// ServerError is the client-side error carrying a WireStatus.
 	ServerError = netproto.ServerError
-	// Client is the routing-aware networked client: it owns connection
-	// management, shard routing over a RingMap, redirect following and
-	// retry across node restarts. Construct with Dial.
+	// Client is the networked client of one replication group: it owns
+	// connection management and failover across the group's addresses,
+	// retrying across node restarts. Construct with Dial.
 	Client = netproto.Client
-	// ClientConfig configures Dial (bootstrap addresses and/or ring).
+	// ClientConfig configures Dial (the group's addresses).
 	ClientConfig = netproto.ClientConfig
 	// ClientAuthRequest is one authentication through a Client: the
 	// device-side PUFClient plus optional QoS class and deadline.
 	ClientAuthRequest = netproto.AuthRequest
-	// Router decides, per hello, whether this server owns the client's
-	// shard or should redirect (Server.Router; see NewServer).
-	Router = netproto.Router
 )
 
-// Dial builds a routing-aware Client from bootstrap addresses and/or a
-// shard ring. Each Authenticate dials the owning node, follows
-// wrong-shard redirects, and retries transport failures against the
-// remaining candidates with backoff.
+// Dial builds a Client from the replication group's addresses. Each
+// Authenticate dials the address that last served it and retries
+// transport failures against the others with backoff.
 var Dial = netproto.Dial
 
 // Wire status codes (the first byte of an error frame).
@@ -463,41 +458,10 @@ const (
 	StatusCancelled     = netproto.StatusCancelled
 	// StatusDeadlineInfeasible: the request's deadline could not be met.
 	StatusDeadlineInfeasible = netproto.StatusDeadlineInfeasible
-	// StatusWrongShard: this node does not own the client's shard; the
-	// message carries the owner's address. Client follows it
-	// transparently.
-	StatusWrongShard = netproto.StatusWrongShard
 )
 
 // PaperLatency reproduces the paper's 0.90 s communication constant.
 var PaperLatency = netproto.PaperLatency
-
-// Consistent-hash sharding (see DESIGN.md §14): client IDs map to a
-// fixed shard space, shards map to nodes through a virtual-node ring,
-// so topology changes move only the shards that must move.
-type (
-	// RingMap is an immutable shard-to-node assignment with a fencing
-	// epoch; Add/Remove derive new maps.
-	RingMap = ring.Map
-	// RingNode is one CA node in the ring (ID + client-facing address).
-	RingNode = ring.Node
-)
-
-// Sharding defaults.
-const (
-	// DefaultNumShards is the fixed shard-space size client IDs hash
-	// into; it is topology-independent, so it must agree across nodes.
-	DefaultNumShards = ring.DefaultNumShards
-	// DefaultVirtualNodes is the vnode count per node on the ring.
-	DefaultVirtualNodes = ring.DefaultVirtualNodes
-)
-
-var (
-	// NewRingMap builds a ring from nodes (0 counts take the defaults).
-	NewRingMap = ring.NewMap
-	// ShardOfKey maps a client ID to its shard.
-	ShardOfKey = ring.ShardOfKey
-)
 
 // Primary→follower WAL replication (see DESIGN.md §14): a follower
 // holds a replica of a primary's durable state and can be promoted on

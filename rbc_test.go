@@ -249,7 +249,7 @@ func TestServerNodeCloseStopsFollow(t *testing.T) {
 	}
 	go primary.ServeReplication(replLn)
 
-	standby, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir(), NodeID: "standby"})
+	standby, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +275,31 @@ func TestServerNodeCloseStopsFollow(t *testing.T) {
 	}
 	if err := standby.Follow(context.Background(), replLn.Addr().String(), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Follow on a closed node returned %v, want context.Canceled", err)
+	}
+}
+
+// TestFollowRefusesShards: a follower replicates every record, so
+// Follow with a shard subset returns an error before it dials anything.
+func TestFollowRefusesShards(t *testing.T) {
+	node, err := NewServer(ServerConfig{MaxDistance: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := node.Follow(ctx, ln.Addr().String(), []int{3}); err == nil || ctx.Err() != nil {
+		t.Fatalf("Follow of shard 3 = %v (ctx %v), want an immediate error", err, ctx.Err())
+	}
+	// A dial would have left a connection in the accept queue.
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if conn, err := ln.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("Follow dialed the primary before refusing the shard subset")
 	}
 }

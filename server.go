@@ -17,7 +17,6 @@ import (
 	"rbcsalted/internal/obs"
 	"rbcsalted/internal/puf"
 	"rbcsalted/internal/replica"
-	"rbcsalted/internal/ring"
 	"rbcsalted/internal/sched"
 )
 
@@ -29,9 +28,9 @@ import (
 const replicaMetaFile = "replica.meta"
 
 // ServerConfig assembles a complete CA serving node: search engine,
-// scheduler, CA policy, enrollment, durability, and (optionally) shard
-// routing and replication. The zero value of every field is a sensible
-// default; rbc-server is a flag-parsing shim over this struct.
+// scheduler, CA policy, enrollment, durability and (optionally)
+// replication. The zero value of every field is a sensible default;
+// rbc-server is a flag-parsing shim over this struct.
 type ServerConfig struct {
 	// Clients are demo client IDs to self-enroll at startup
 	// (deterministically from EnrollSeed). IDs already present in the
@@ -71,12 +70,6 @@ type ServerConfig struct {
 	Sync      WALSyncPolicy
 	MasterKey [32]byte
 
-	// NodeID and Ring, when both set, make the node routing-aware: a
-	// hello for a shard this node does not own is refused with
-	// StatusWrongShard carrying the owner's address.
-	NodeID string
-	Ring   *RingMap
-
 	// OnFenced, when set, fires once if a higher-epoch subscriber
 	// fences this node's replication primary (a promotion happened
 	// elsewhere; the server should stand down).
@@ -106,20 +99,6 @@ type ServerNode struct {
 	quit    context.Context
 	stop    context.CancelFunc
 	follows sync.WaitGroup
-}
-
-// ringRouter implements netproto.Router over a RingMap.
-type ringRouter struct {
-	self string
-	m    *ring.Map
-}
-
-func (r *ringRouter) Route(clientID string, epoch uint64) (string, bool) {
-	owner := r.m.OwnerOf(clientID)
-	if owner.ID == r.self {
-		return "", true
-	}
-	return owner.Addr, false
 }
 
 // BackendKind names a server's search engine.
@@ -250,9 +229,6 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 		CA:      ca,
 		Metrics: netproto.NewMetrics(reg),
 	}
-	if cfg.NodeID != "" && cfg.Ring != nil {
-		proto.Router = &ringRouter{self: cfg.NodeID, m: cfg.Ring}
-	}
 	quit, stop := context.WithCancel(context.Background())
 	return &ServerNode{
 		CA: ca, Pool: pool, Proto: proto,
@@ -300,13 +276,6 @@ func (n *ServerNode) metaPath() string {
 	return filepath.Join(n.cfg.DataDir, replicaMetaFile)
 }
 
-func (n *ServerNode) numShards() int {
-	if n.cfg.Ring != nil {
-		return n.cfg.Ring.NumShards()
-	}
-	return ring.DefaultNumShards
-}
-
 // ServeReplication streams this node's WAL to followers on ln, at the
 // fencing epoch persisted in the node's replication meta. Requires
 // DataDir.
@@ -319,10 +288,9 @@ func (n *ServerNode) ServeReplication(ln net.Listener) error {
 		return err
 	}
 	p := &replica.Primary{
-		State:     n.State,
-		Epoch:     meta.Epoch,
-		NumShards: n.numShards(),
-		OnFenced:  n.cfg.OnFenced,
+		State:    n.State,
+		Epoch:    meta.Epoch,
+		OnFenced: n.cfg.OnFenced,
 	}
 	n.mu.Lock()
 	if n.closed {
@@ -349,10 +317,17 @@ func (n *ServerNode) Replica() *ReplicaPrimary {
 
 // Follow subscribes this node to the primary at addr and ingests its
 // WAL until ctx is done, the node is closed (context.Canceled) or it is
-// promoted, redialling on transient failures. shards selects a subset
-// (nil = everything). Requires DataDir.
+// promoted, redialling on transient failures. Requires DataDir.
+//
+// A follower replicates every record. shards is left from the removed
+// shard ring, when a follower could take a subset; it stays only because
+// the wire-to-wire benchmark (benchmark/node.go) passes nil, and a
+// non-empty one is refused before any dial.
 func (n *ServerNode) Follow(ctx context.Context, addr string, shards []int) error {
-	f, err := n.ensureFollower(shards)
+	if len(shards) > 0 {
+		return fmt.Errorf("rbc: Follow of shards %v: sharding was removed, a follower replicates every record", shards)
+	}
+	f, err := n.ensureFollower()
 	if err != nil {
 		return err
 	}
@@ -375,30 +350,25 @@ func (n *ServerNode) Follow(ctx context.Context, addr string, shards []int) erro
 // on its next contact) and adds PromoteNonceSlack of challenge-nonce
 // headroom. Serve replication afterwards to accept the other followers.
 func (n *ServerNode) Promote() (uint64, error) {
-	f, err := n.ensureFollower(nil)
+	f, err := n.ensureFollower()
 	if err != nil {
 		return 0, err
 	}
 	return f.Promote()
 }
 
-func (n *ServerNode) ensureFollower(shards []int) (*replica.Follower, error) {
+func (n *ServerNode) ensureFollower() (*replica.Follower, error) {
 	if n.State == nil {
 		return nil, fmt.Errorf("rbc: replication requires ServerConfig.DataDir")
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.follower == nil {
-		id := n.cfg.NodeID
-		if id == "" {
-			id = "follower"
-		}
+		// The primary's liveness table tells followers apart by address.
 		f, err := replica.NewFollower(replica.FollowerConfig{
-			State:     n.State,
-			ID:        id,
-			MetaPath:  n.metaPath(),
-			NumShards: n.numShards(),
-			Shards:    shards,
+			State:    n.State,
+			ID:       "follower",
+			MetaPath: n.metaPath(),
 		})
 		if err != nil {
 			return nil, err
