@@ -823,31 +823,34 @@ func TestCatchupMatchesSnapshotFile(t *testing.T) {
 
 	p, addr := startPrimary(t, pst, 1)
 	defer p.Close()
-	fdir := t.TempDir()
-	fst := openState(t, fdir)
-	defer fst.Close()
-	// An entry of the follower's own that the transfer never mentions:
-	// reconciliation removes it.
-	if err := fst.RA().Update("ghost", []byte("stale")); err != nil {
-		t.Fatal(err)
-	}
-	f := newFollower(t, fst, fdir, "f1")
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- f.RunUntil(ctx, addr, 20*time.Millisecond) }()
-	// The follower must stop writing fdir before fst closes and the
-	// directory is removed.
-	defer func() { cancel(); <-done }()
-	waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
+	// The follower subscribes to every record: the whole state transfers.
+	t.Run("all shards", func(t *testing.T) {
+		fdir := t.TempDir()
+		fst := openState(t, fdir)
+		defer fst.Close()
+		// An entry of the follower's own that the transfer never mentions:
+		// reconciliation removes it.
+		if err := fst.RA().Update("ghost", []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+		f := newFollower(t, fst, fdir, "f1")
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- f.RunUntil(ctx, addr, 20*time.Millisecond) }()
+		// The follower must stop writing fdir before fst closes and the
+		// directory is removed.
+		defer func() { cancel(); <-done }()
+		waitFor(t, "catch-up", func() bool { return f.Cursor() >= pst.LastSeq() })
 
-	got, want := stateOf(t, fst), stateOf(t, rst)
-	if len(want) == 0 || !maps.Equal(got, want) {
-		t.Fatalf("follower holds %d records, the snapshot file %d:\n follower %v\n snapshot %v",
-			len(got), len(want), slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
-	}
-	if fn, pn := fst.Sessions().Nonce(), pst.Sessions().Nonce(); fn < pn {
-		t.Fatalf("follower nonce %d below the primary's %d", fn, pn)
-	}
+		got, want := stateOf(t, fst), stateOf(t, rst)
+		if len(want) == 0 || !maps.Equal(got, want) {
+			t.Fatalf("follower holds %d records, the snapshot file %d:\n follower %v\n snapshot %v",
+				len(got), len(want), slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(want)))
+		}
+		if fn, pn := fst.Sessions().Nonce(), pst.Sessions().Nonce(); fn < pn {
+			t.Fatalf("follower nonce %d below the primary's %d", fn, pn)
+		}
+	})
 }
 
 // TestFollowerAheadOfPrimaryResyncs: a primary that crashed and lost a
