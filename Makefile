@@ -121,15 +121,17 @@ bench-all:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke is the CI guard: one iteration of the hot-path benches
-# (and of the WAL's group-commit bench), so a compile break or panic in
-# the batched engine or the commit barrier fails loudly without paying
-# for stable timings, then the baseline gate re-measures host throughput
-# and fails on a >15% speedup-ratio regression against the committed
-# BENCH_host.json's floors.
+# (and of the WAL's group-commit bench and the PUF image codec's), so a
+# compile break or panic in the batched engine, the commit barrier or the
+# image path fails loudly without paying for stable timings, then the
+# baseline gate re-measures host throughput and fails on a >15%
+# speedup-ratio regression against the committed BENCH_host.json's
+# floors.
 bench-smoke:
 	$(GO) test ./internal/core -run='^$$' -bench=ShellHost -benchtime=1x -benchmem
 	$(GO) test ./internal/bitslice -run='^$$' -bench=WideKernels -benchtime=1x -benchmem
 	$(GO) test ./internal/durable -run='^$$' -bench=WALCommitParallel -benchtime=1x -benchmem
+	$(GO) test ./internal/puf -run='^$$' -bench='AppendBinary|DecodeImage' -benchtime=1x -benchmem
 	$(GO) run ./cmd/rbc-bench -experiment hostthroughput -baseline BENCH_host.json
 
 # loc prints the number ROADMAP tracks: non-test Go source lines outside

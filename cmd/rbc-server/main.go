@@ -13,11 +13,14 @@
 // A replication group is one primary and its followers, each holding
 // every client. -repl-listen serves this node's write-ahead log to
 // followers. `-role follower -follow addr` makes the node ingest a
-// primary's WAL instead of being authoritative; on the primary's death
-// it can be restarted with -role primary after a promotion (the fencing
-// epoch in the data directory's replica.meta keeps the deposed primary
-// from coming back as a split brain). Clients are given the group's
-// addresses and fail over between them (see rbc-client).
+// primary's WAL instead of being authoritative. A follower does not open
+// -listen: an authentication it served would journal an RA key the
+// primary never issued, so it serves only replication. On the primary's
+// death it can be restarted with -role primary after a promotion (the
+// fencing epoch in the data directory's replica.meta keeps the deposed
+// primary from coming back as a split brain). Clients are given the
+// group's addresses and fail over between them (see rbc-client), so a
+// follower's address in that list is refused until it is promoted.
 //
 // With -debug-addr set, a second listener serves operational endpoints:
 // /metrics (counters, latency histograms and live scheduler stats as
@@ -74,6 +77,9 @@ func main() {
 	follow := flag.String("follow", "", "with -role follower: primary replication address to ingest")
 	flag.Parse()
 
+	if *role != "primary" && *role != "follower" {
+		log.Fatalf("rbc-server: -role %q: want primary or follower", *role)
+	}
 	sync, err := durable.ParseSyncPolicy(*syncMode)
 	if err != nil {
 		log.Fatal(err)
@@ -183,6 +189,12 @@ func main() {
 		}()
 	}
 
+	if *role == "follower" {
+		fmt.Printf("rbc-server: follower: serving only replication, no CA on %s, until restarted with -role primary\n", *listen)
+		<-ctx.Done()
+		fmt.Println("rbc-server: shutting down")
+		return
+	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatal(err)

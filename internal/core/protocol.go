@@ -426,25 +426,27 @@ func (ca *CA) Enroll(id ClientID, im *puf.Image) error {
 // lease ceiling. Its session is not durable: it lives in the session
 // table's memory until it is answered or expires.
 func (ca *CA) BeginHandshake(id ClientID) (Challenge, error) {
-	im, gen, err := ca.store.get(id)
+	var ch Challenge
+	err := ca.store.withImage(id, func(im *puf.Image, gen imageGen) error {
+		nonce, err := ca.sessions.NextNonce()
+		if err != nil {
+			return err
+		}
+		addr, err := im.SelectAddressMap(ca.cfg.TAPKIThreshold, nonce)
+		if err != nil {
+			return err
+		}
+		base, err := im.Seed(addr)
+		if err != nil {
+			return err
+		}
+		ch = Challenge{Nonce: nonce, AddressMap: addr, Alg: ca.cfg.Alg}
+		ca.sessions.open(id, ch, seedCache{base: base, gen: gen, ok: true})
+		return nil
+	})
 	if err != nil {
 		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
 	}
-	nonce, err := ca.sessions.NextNonce()
-	if err != nil {
-		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
-	}
-
-	addr, err := im.SelectAddressMap(ca.cfg.TAPKIThreshold, nonce)
-	if err != nil {
-		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
-	}
-	base, err := im.Seed(addr)
-	if err != nil {
-		return Challenge{}, fmt.Errorf("core: handshake: %w", err)
-	}
-	ch := Challenge{Nonce: nonce, AddressMap: addr, Alg: ca.cfg.Alg}
-	ca.sessions.open(id, ch, seedCache{base: base, gen: gen, ok: true})
 	return ch, nil
 }
 

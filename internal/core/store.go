@@ -86,15 +86,22 @@ func (s *ImageStore) Put(id ClientID, im *puf.Image) error {
 	if im == nil {
 		return fmt.Errorf("core: nil image for %q", id)
 	}
-	plain, err := im.AppendBinary(nil)
+	pp := plaintexts.Get().(*[]byte)
+	plain, err := im.AppendBinary((*pp)[:0])
+	*pp = plain
 	if err != nil {
+		putPlaintext(pp)
 		return fmt.Errorf("core: encode image: %w", err)
 	}
-	nonce := make([]byte, s.aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+	// One exact-size blob: the nonce, then the ciphertext sealed after it.
+	ns := s.aead.NonceSize()
+	sealed := make([]byte, ns, ns+len(plain)+s.aead.Overhead())
+	if _, err := rand.Read(sealed); err != nil {
+		putPlaintext(pp)
 		return fmt.Errorf("core: nonce: %w", err)
 	}
-	sealed := s.aead.Seal(nonce, nonce, plain, []byte(id))
+	sealed = s.aead.Seal(sealed, sealed, plain, []byte(id))
+	putPlaintext(pp)
 	sh := s.shard(id)
 	sh.mu.Lock()
 	if s.journal != nil {
@@ -118,10 +125,58 @@ func (s *ImageStore) PutSealed(id ClientID, sealed []byte) {
 	sh.mu.Unlock()
 }
 
-// Get opens and decodes a client's enrollment image.
+// Get opens and decodes a client's enrollment image into a new Image.
 func (s *ImageStore) Get(id ClientID) (*puf.Image, error) {
-	im, _, err := s.get(id)
-	return im, err
+	plain, _, err := s.open(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	im := new(puf.Image)
+	err = decodeImageInto(im, plain)
+	clear(plain)
+	if err != nil {
+		return nil, fmt.Errorf("core: decode image: %w", err)
+	}
+	return im, nil
+}
+
+// withImage opens id's image into pooled buffers and runs fn on it: the
+// handshake's unseal, which allocates nothing. The image and its
+// plaintext are cleared and pooled again when fn returns, so fn must not
+// keep im or anything aliasing its slices.
+func (s *ImageStore) withImage(id ClientID, fn func(im *puf.Image, gen imageGen) error) error {
+	pp := plaintexts.Get().(*[]byte)
+	defer putPlaintext(pp)
+	plain, gen, err := s.open(id, (*pp)[:0])
+	if err != nil {
+		return err
+	}
+	*pp = plain
+	im := images.Get().(*puf.Image)
+	defer putImage(im)
+	if err := decodeImageInto(im, plain); err != nil {
+		return fmt.Errorf("core: decode image: %w", err)
+	}
+	return fn(im, gen)
+}
+
+// plaintexts and images pool the buffers Put encodes into and withImage
+// unseals and decodes into. Their put functions clear every byte first:
+// a pooled buffer must not hold an image past the call that opened it.
+var (
+	plaintexts = sync.Pool{New: func() any { return new([]byte) }}
+	images     = sync.Pool{New: func() any { return new(puf.Image) }}
+)
+
+func putPlaintext(p *[]byte) {
+	clear((*p)[:cap(*p)])
+	plaintexts.Put(p)
+}
+
+func putImage(im *puf.Image) {
+	clear(im.Values[:cap(im.Values)])
+	clear(im.Instability[:cap(im.Instability)])
+	images.Put(im)
 }
 
 // imageGen identifies one sealed blob: its GCM nonce, drawn fresh by
@@ -138,8 +193,9 @@ func (s *ImageStore) blob(id ClientID) ([]byte, bool) {
 	return sealed, ok
 }
 
-// get is Get plus the generation tag of the blob it opened.
-func (s *ImageStore) get(id ClientID) (*puf.Image, imageGen, error) {
+// open unseals the blob stored for id, appending its plaintext to dst,
+// and returns the blob's generation tag.
+func (s *ImageStore) open(id ClientID, dst []byte) ([]byte, imageGen, error) {
 	var gen imageGen
 	sealed, ok := s.blob(id)
 	if !ok {
@@ -149,30 +205,23 @@ func (s *ImageStore) get(id ClientID) (*puf.Image, imageGen, error) {
 		return nil, gen, fmt.Errorf("core: corrupt image blob for %q", id)
 	}
 	copy(gen[:], sealed)
-	plain, err := s.aead.Open(nil, sealed[:len(gen)], sealed[len(gen):], []byte(id))
+	plain, err := s.aead.Open(dst, sealed[:len(gen)], sealed[len(gen):], []byte(id))
 	if err != nil {
 		return nil, gen, fmt.Errorf("core: unseal image for %q: %w", id, err)
 	}
-	im, err := decodeImage(plain)
-	if err != nil {
-		return nil, gen, fmt.Errorf("core: decode image: %w", err)
-	}
-	return im, gen, nil
+	return plain, gen, nil
 }
 
-// decodeImage reads either plaintext a store has ever sealed: the binary
-// layout Put writes, or the gob stream Put wrote before it. Old blobs are
-// never rewritten, so data directories, snapshots and follower streams
-// from before the layout change stay readable.
-func decodeImage(plain []byte) (*puf.Image, error) {
+// decodeImageInto reads either plaintext a store has ever sealed into
+// dst: the binary layout Put writes, or the gob stream Put wrote before
+// it. Old blobs are never rewritten, so data directories, snapshots and
+// follower streams from before the layout change stay readable.
+func decodeImageInto(dst *puf.Image, plain []byte) error {
 	if len(plain) > 0 && plain[0] == puf.ImageMagic {
-		return puf.DecodeImage(plain)
+		return puf.DecodeImageInto(dst, plain)
 	}
-	var im puf.Image
-	if err := gob.NewDecoder(bytes.NewReader(plain)).Decode(&im); err != nil {
-		return nil, err
-	}
-	return &im, nil
+	*dst = puf.Image{}
+	return gob.NewDecoder(bytes.NewReader(plain)).Decode(dst)
 }
 
 // generation returns the tag of the blob currently stored for id.

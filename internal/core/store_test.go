@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/cipher"
+	"math"
+	"slices"
 	"testing"
 
+	"rbcsalted/internal/cryptoalg/aeskg"
 	"rbcsalted/internal/puf"
 )
 
@@ -115,4 +119,86 @@ func containsSubslice(haystack, needle []byte) bool {
 		}
 	}
 	return false
+}
+
+// recordingAEAD keeps the plaintext the last Open returned, aliasing the
+// buffer the store opened into.
+type recordingAEAD struct {
+	cipher.AEAD
+	last []byte
+}
+
+func (r *recordingAEAD) Open(dst, nonce, ciphertext, aad []byte) ([]byte, error) {
+	out, err := r.AEAD.Open(dst, nonce, ciphertext, aad)
+	r.last = out
+	return out, err
+}
+
+// TestWithImageClearsPooledBuffers: the image withImage hands out is the
+// one Get decodes, and once withImage (or the handshake built on it)
+// returns, neither its plaintext nor its cells hold a byte of it - the
+// pooled image's slices are kept here, against withImage's contract, only
+// to look at them afterwards. Images of different cell counts alternate,
+// so the pooled image is reused across sizes.
+func TestWithImageClearsPooledBuffers(t *testing.T) {
+	store, err := NewImageStore([32]byte{5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingAEAD{AEAD: store.aead}
+	store.aead = rec
+	sizes := map[ClientID]int{"big": 4099, "small": 1024, "odd": 257}
+	for id, cells := range sizes {
+		dev, err := puf.NewDevice(uint64(cells), cells, puf.DefaultProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := puf.Enroll(dev, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(id, im); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zero := func(what string, b []byte) {
+		t.Helper()
+		if i := slices.IndexFunc(b, func(c byte) bool { return c != 0 }); i >= 0 {
+			t.Fatalf("%s: byte %d of %d still set after the scope closed", what, i, len(b))
+		}
+	}
+	for range 3 {
+		for _, id := range []ClientID{"big", "small", "odd", "small", "big"} {
+			want, err := store.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var values []bool
+			var inst []float64
+			err = store.withImage(id, func(im *puf.Image, gen imageGen) error {
+				if !slices.Equal(im.Values, want.Values) || !slices.EqualFunc(im.Instability, want.Instability,
+					func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Fatalf("%s: pooled image differs from Get's", id)
+				}
+				values, inst = im.Values[:cap(im.Values)], im.Instability[:cap(im.Instability)]
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			zero("plaintext", rec.last[:cap(rec.last)])
+			if slices.Contains(values, true) || slices.ContainsFunc(inst, func(f float64) bool { return f != 0 }) {
+				t.Fatalf("%s: pooled image still holds cells after the scope closed", id)
+			}
+		}
+	}
+
+	ca, err := NewCA(store, &echoBackend{alg: SHA3}, &aeskg.Generator{}, NewRA(), CAConfig{MaxDistance: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ca.BeginHandshake("small"); err != nil {
+		t.Fatal(err)
+	}
+	zero("handshake plaintext", rec.last[:cap(rec.last)])
 }

@@ -60,7 +60,10 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops the listener — the one Serve is using or, when Serve has
-// not run yet, the one it is about to be given.
+// not run yet, the one it is about to be given — closes every connection
+// it accepted and waits for their handlers (wire.Acceptor.Close). A
+// handler cut off mid-request sends no verdict: its client sees the
+// connection dropped.
 func (s *Server) Close() error {
 	return s.acceptor.Close()
 }

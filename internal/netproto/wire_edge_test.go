@@ -435,6 +435,61 @@ func TestShutdownDropsTheConnection(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForItsHandlers: Close closes the connections the server
+// accepted and returns only once their handlers have. The handler here
+// is parked in a search that never ends on its own; the loss of its
+// connection cancels it, and its client sees the connection dropped, not
+// a verdict.
+func TestCloseWaitsForItsHandlers(t *testing.T) {
+	entered, cancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	server, client := newEscalatingServer(t, watchedBackend{entered: entered, cancelled: cancelled})
+	server.Metrics = NewMetrics(obs.NewRegistry())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ln) }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	authed := make(chan error, 1)
+	go func() {
+		_, err := Authenticate(conn, client, Latency{})
+		authed <- err
+	}()
+	<-entered
+
+	closed := make(chan error, 1)
+	go func() { closed <- server.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hangs on the parked handler")
+	}
+	if n := server.Metrics.Active.Value(); n != 0 {
+		t.Fatalf("Close returned with %d handler(s) still running", n)
+	}
+	select {
+	case <-cancelled:
+	default:
+		t.Fatal("Close returned before the parked search was cancelled")
+	}
+	err = <-authed
+	var se *ServerError
+	if err == nil || errors.As(err, &se) {
+		t.Errorf("client got %v, want a dropped connection", err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+}
+
 // TestClosingServerDropsTheConnection: once the server is closed, a
 // request that fails is answered by closing the connection, whatever the
 // error, since it may be the shutdown's own (a WAL closed under an

@@ -115,6 +115,10 @@ func TestDecodeImageHostileInput(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), valid...), 0), "after the image's last cell"},
 		{"truncated", valid[:len(valid)-1], ""},
 	}
+	// The decode-into path refuses the same inputs with the same errors,
+	// and leaves its destination - a pooled image holding another
+	// client's cells - with none.
+	dst := randomImage(64, 9)
 	for _, tc := range cases {
 		im, err := DecodeImage(tc.in)
 		if err == nil {
@@ -124,35 +128,98 @@ func TestDecodeImageHostileInput(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q, want it to mention %q", tc.name, err, tc.want)
 		}
+		intoErr := DecodeImageInto(dst, tc.in)
+		if intoErr == nil || intoErr.Error() != err.Error() {
+			t.Errorf("%s: DecodeImageInto error %v, DecodeImage %v", tc.name, intoErr, err)
+		}
+		if len(dst.Values) != 0 || len(dst.Instability) != 0 {
+			t.Errorf("%s: a refused decode left %d values, %d instabilities", tc.name, len(dst.Values), len(dst.Instability))
+		}
 	}
 }
 
-// BenchmarkDecodeImage decodes a 1,024-cell enrolled image, the
-// plaintext ImageStore.Get opens on every handshake: one of a noiseless
-// device (every instability 0, a one-byte varint) and one enrolled over
-// 51 reads under the default profile (mostly multi-byte varints).
-func BenchmarkDecodeImage(b *testing.B) {
+// benchPopulation is how many distinct images the codec benchmarks
+// cycle through: as many as the wire-to-wire benchmark enrols. A PUF bit
+// is a coin flip across images, so a benchmark that codes one image over
+// and over trains the branch predictor on its bits and times a cost no
+// enrolment or handshake pays.
+const benchPopulation = 4096
+
+// benchSet is one profile's benchPopulation enrolled images.
+type benchSet struct {
+	name   string
+	images []*Image
+}
+
+// benchImages enrolls benchPopulation distinct 1,024-cell devices for
+// each benchmarked profile: noiseless devices over 3 reads, as the
+// wire-to-wire benchmark enrols them (every instability 0, a one-byte
+// varint), and default-profile devices over 31 reads, as rbc-server
+// enrols them (flaky cells' instabilities are multi-byte varints).
+func benchImages(b *testing.B) []benchSet {
+	b.Helper()
+	var sets []benchSet
 	for _, tc := range []struct {
-		name string
-		p    Profile
-	}{{"stable", Profile{}}, {"default", DefaultProfile}} {
+		name  string
+		p     Profile
+		reads int
+	}{{"stable", Profile{}, 3}, {"default", DefaultProfile, 31}} {
+		set := benchSet{name: tc.name, images: make([]*Image, benchPopulation)}
+		for i := range set.images {
+			d, err := NewDevice(uint64(i), 1024, tc.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if set.images[i], err = Enroll(d, tc.reads); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sets = append(sets, set)
+	}
+	return sets
+}
+
+// BenchmarkAppendBinary encodes one enrolled image per op, cycling
+// through benchPopulation of them: the plaintext ImageStore.Put seals on
+// every enrolment.
+func BenchmarkAppendBinary(b *testing.B) {
+	for _, tc := range benchImages(b) {
 		b.Run(tc.name, func(b *testing.B) {
-			d, err := NewDevice(29, 1024, tc.p)
+			buf, err := tc.images[0].AppendBinary(nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			im, err := Enroll(d, 51)
-			if err != nil {
-				b.Fatal(err)
-			}
-			enc, err := im.AppendBinary(nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(enc)))
+			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := DecodeImage(enc); err != nil {
+				if buf, err = tc.images[i%len(tc.images)].AppendBinary(buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeImage decodes one enrolled image per op into a reused
+// Image, cycling through benchPopulation encodings: the plaintext a
+// handshake unseals into its pooled image.
+func BenchmarkDecodeImage(b *testing.B) {
+	for _, tc := range benchImages(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			encs := make([][]byte, len(tc.images))
+			for i, im := range tc.images {
+				var err error
+				if encs[i], err = im.AppendBinary(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(encs[0])))
+			b.ReportAllocs()
+			dst := new(Image)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeImageInto(dst, encs[i%len(encs)]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -164,7 +231,8 @@ func BenchmarkDecodeImage(b *testing.B) {
 // decoder or make it size anything past the input's length, and what it
 // does accept re-encodes to an image that decodes identically; a random
 // image (NaN and denormal instabilities included) survives encode then
-// decode bit for bit.
+// decode bit for bit. Every encoding is also byte-for-byte the reference
+// encoder's.
 func FuzzImageCodec(f *testing.F) {
 	for _, cells := range []uint32{0, 1, 7, 8, 9, 1024, 65536} {
 		enc, err := randomImage(int(cells), 3).AppendBinary(nil)
@@ -202,6 +270,9 @@ func FuzzImageCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded image does not encode: %v", err)
 			}
+			if !bytes.Equal(enc, refAppendBinary(im, nil)) {
+				t.Fatal("re-encoding differs from the reference encoder")
+			}
 			again, err := DecodeImage(enc)
 			if err != nil {
 				t.Fatalf("re-encoded image does not decode: %v", err)
@@ -213,6 +284,9 @@ func FuzzImageCodec(f *testing.F) {
 		enc, err := want.AppendBinary(nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, refAppendBinary(want, nil)) {
+			t.Fatal("encoding differs from the reference encoder")
 		}
 		got, err := DecodeImage(enc)
 		if err != nil {

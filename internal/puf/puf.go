@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"rbcsalted/internal/u256"
@@ -84,13 +85,11 @@ func NewDevice(seed uint64, numCells int, p Profile) (*Device, error) {
 // NumCells returns the number of cells in the device.
 func (d *Device) NumCells() int { return len(d.cells) }
 
-// ReadCell returns one noisy read of cell i.
+// ReadCell returns one noisy read of cell i: one draw from the device's
+// generator, which flips the cell's value with probability ErrRate.
 func (d *Device) ReadCell(i int) bool {
 	c := d.cells[i]
-	if d.rng.Float64() < c.ErrRate {
-		return !c.Value
-	}
-	return c.Value
+	return c.Value != (d.rng.Float64() < c.ErrRate)
 }
 
 // ReadSeed reads the 256 cells named by addressMap (in order) and packs
@@ -101,16 +100,14 @@ func (d *Device) ReadSeed(addressMap []int) (u256.Uint256, error) {
 	if len(addressMap) != SeedBits {
 		return u256.Zero, fmt.Errorf("puf: address map has %d cells, want %d", len(addressMap), SeedBits)
 	}
-	seed := u256.Zero
+	var limbs [4]uint64
 	for j, cell := range addressMap {
-		if cell < 0 || cell >= len(d.cells) {
+		if uint(cell) >= uint(len(d.cells)) {
 			return u256.Zero, fmt.Errorf("puf: cell index %d out of range", cell)
 		}
-		if d.ReadCell(cell) {
-			seed = seed.SetBit(j, 1)
-		}
+		limbs[j>>6] |= uint64(b2u(d.ReadCell(cell))) << (uint(j) & 63)
 	}
-	return seed, nil
+	return u256.New(limbs[0], limbs[1], limbs[2], limbs[3]), nil
 }
 
 // Image is the server-side enrollment record of one device: the majority
@@ -135,9 +132,7 @@ func Enroll(d *Device, reads int) (*Image, error) {
 	for i := range d.cells {
 		ones := 0
 		for r := 0; r < reads; r++ {
-			if d.ReadCell(i) {
-				ones++
-			}
+			ones += int(b2u(d.ReadCell(i)))
 		}
 		im.Values[i] = ones*2 >= reads
 		minority := ones
@@ -156,14 +151,17 @@ func (im *Image) TernaryMask(threshold float64) []int {
 	return im.appendStable(make([]int, 0, len(im.Instability)), threshold)
 }
 
-// appendStable appends to dst the indices TernaryMask returns.
+// appendStable appends to dst the indices TernaryMask returns. It
+// writes every index and keeps it by advancing past it only when the
+// cell is stable, so a mixed image costs no mispredicted branches.
 func (im *Image) appendStable(dst []int, threshold float64) []int {
+	n := len(dst)
+	dst = slices.Grow(dst, len(im.Instability))[:n+len(im.Instability)]
 	for i, inst := range im.Instability {
-		if inst < threshold {
-			dst = append(dst, i)
-		}
+		dst[n] = i
+		n += int(b2u(inst < threshold))
 	}
-	return dst
+	return dst[:n]
 }
 
 // SelectAddressMap picks 256 stable cells for a session, pseudo-randomly
@@ -225,9 +223,7 @@ func (im *Image) Seed(addressMap []int) (u256.Uint256, error) {
 		if uint(cell) >= uint(len(im.Values)) {
 			return u256.Zero, fmt.Errorf("puf: cell index %d out of range", cell)
 		}
-		if im.Values[cell] {
-			limbs[j>>6] |= 1 << (uint(j) & 63)
-		}
+		limbs[j>>6] |= uint64(b2u(im.Values[cell])) << (uint(j) & 63)
 	}
 	return u256.New(limbs[0], limbs[1], limbs[2], limbs[3]), nil
 }

@@ -46,14 +46,11 @@ type Primary struct {
 	fenced   bool
 	fencedBy uint64
 	subs     map[*subscriber]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 type subscriber struct {
 	id   string
 	addr string
-	conn net.Conn
 
 	mu      sync.Mutex
 	acked   uint64
@@ -86,33 +83,15 @@ func (p *Primary) reapAfter() time.Duration {
 // Serve accepts subscribers until the listener closes (wire.Acceptor).
 // On a primary that has already been closed it closes ln and returns nil.
 func (p *Primary) Serve(ln net.Listener) error {
-	return p.acceptor.Serve(ln, func(conn net.Conn) {
-		// A stream starting after Close would escape its wait: refuse it.
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return
-		}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		defer p.wg.Done()
-		p.handle(conn)
-	})
+	return p.acceptor.Serve(ln, p.handle)
 }
 
 // Close stops the listener (Serve's, or the one a later Serve is given)
-// and every subscriber stream, and waits for the streams to end.
+// and every subscriber stream, and waits for the streams to end: the
+// Acceptor closes each stream's connection, which fails its writes and
+// ends its ack reader, whose exit cancels the stream.
 func (p *Primary) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	for s := range p.subs {
-		s.conn.Close()
-	}
-	p.mu.Unlock()
-	err := p.acceptor.Close()
-	p.wg.Wait()
-	return err
+	return p.acceptor.Close()
 }
 
 // Fenced reports whether a higher-epoch subscriber has fenced this
@@ -190,13 +169,8 @@ func (p *Primary) handle(conn net.Conn) {
 		return
 	}
 
-	s := &subscriber{id: sub.FollowerID, addr: conn.RemoteAddr().String(), conn: conn, lastAck: time.Now()}
+	s := &subscriber{id: sub.FollowerID, addr: conn.RemoteAddr().String(), lastAck: time.Now()}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		refuse("primary closing")
-		return
-	}
 	if p.subs == nil {
 		p.subs = make(map[*subscriber]struct{})
 	}

@@ -526,6 +526,34 @@ func TestPrimaryCloseBeforeServe(t *testing.T) {
 	}
 }
 
+// TestPrimaryCloseEndsLiveStreams: Close on a primary with a follower
+// streaming from it closes the stream's connection through the Acceptor
+// and returns once the stream has ended, so nothing is left in the
+// liveness table; the follower sees its stream end and redials.
+func TestPrimaryCloseEndsLiveStreams(t *testing.T) {
+	pst := openState(t, t.TempDir())
+	defer pst.Close()
+	p, addr := startPrimary(t, pst, 0)
+	fdir := t.TempDir()
+	fst := openState(t, fdir)
+	defer fst.Close()
+	f := newFollower(t, fst, fdir, "f1")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- f.RunUntil(ctx, addr, 10*time.Millisecond) }()
+	waitFor(t, "the follower to subscribe", func() bool { return len(p.Followers()) == 1 })
+
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := len(p.Followers()); n != 0 {
+		t.Fatalf("Close returned with %d stream(s) still running", n)
+	}
+	cancel()
+	<-done
+}
+
 // TestMetaWritersNeverRegress drives the meta file's two writers — the
 // run loop's periodic save and Promote's — through persist in both
 // orders, holding the first at its rename while the second arrives. The

@@ -118,12 +118,15 @@ func Next(b []byte, limit int) (kind byte, body []byte, size int) {
 	return b[4], b[HeaderSize : 4+n], 4 + int(n)
 }
 
-// Acceptor runs a listening socket's accept loop. The zero value is
-// ready, and Close may come before Serve.
+// Acceptor runs a listening socket's accept loop and owns the
+// connections it accepts: Close closes them and waits for their handlers.
+// The zero value is ready, and Close may come before Serve.
 type Acceptor struct {
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
+	mu       sync.Mutex
+	ln       net.Listener
+	closed   bool
+	conns    map[net.Conn]struct{}
+	handlers sync.WaitGroup
 }
 
 // Serve hands each connection ln accepts to handle on a goroutine of its
@@ -155,20 +158,63 @@ func (a *Acceptor) Serve(ln net.Listener, handle func(net.Conn)) error {
 			return err
 		}
 		delay = 0
-		go handle(conn)
+		if !a.track(conn) {
+			// Accepted as Close ran: the listener is closed, so the next
+			// Accept ends the loop.
+			conn.Close()
+			continue
+		}
+		go func() {
+			defer a.untrack(conn)
+			handle(conn)
+		}()
 	}
 }
 
-// Close closes the listener Serve is using or, when Serve has not run
-// yet, the one it is about to be given.
-func (a *Acceptor) Close() error {
+// track registers a connection about to be handled, unless the Acceptor
+// is closed.
+func (a *Acceptor) track(conn net.Conn) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.closed = true
-	if a.ln != nil {
-		return a.ln.Close()
+	if a.closed {
+		return false
 	}
-	return nil
+	if a.conns == nil {
+		a.conns = make(map[net.Conn]struct{})
+	}
+	a.conns[conn] = struct{}{}
+	a.handlers.Add(1)
+	return true
+}
+
+// untrack closes a handled connection and releases it.
+func (a *Acceptor) untrack(conn net.Conn) {
+	conn.Close()
+	a.mu.Lock()
+	delete(a.conns, conn)
+	a.mu.Unlock()
+	a.handlers.Done()
+}
+
+// Close closes the listener Serve is using (or, when Serve has not run
+// yet, the one it is about to be given) and every connection a handler
+// is serving, then waits for the handlers to return: after Close no
+// handler runs. A handler sees its connection fail, so one blocked in a
+// read or write, or in work its connection's loss cancels, returns
+// promptly. Close must not be called from a handler.
+func (a *Acceptor) Close() error {
+	a.mu.Lock()
+	a.closed = true
+	var err error
+	if a.ln != nil {
+		err = a.ln.Close()
+	}
+	for conn := range a.conns {
+		conn.Close()
+	}
+	a.mu.Unlock()
+	a.handlers.Wait()
+	return err
 }
 
 // Closed reports whether Close has been called.

@@ -241,10 +241,14 @@ func NewServer(cfg ServerConfig) (*ServerNode, error) {
 // closed node: closes ln and returns nil).
 func (n *ServerNode) Serve(ln net.Listener) error { return n.Proto.Serve(ln) }
 
-// Close tears the node down in dependency order; the durable state goes
-// last, after every running Follow has returned, so its shutdown
-// snapshot sees every mutation and races none. Serve, ServeReplication
-// and Follow calls that have not started yet return at once.
+// Close tears the node down in dependency order. The CA listener goes
+// first, with every connection it accepted, and Close waits for their
+// handlers, so none calls into the scheduler or the state after they
+// close; a client cut off mid-request sees a dropped connection and
+// retries on a live node. The durable state goes last, after every
+// running Follow has returned, so its shutdown snapshot sees every
+// mutation and races none. Serve, ServeReplication and Follow calls that
+// have not started yet return at once.
 func (n *ServerNode) Close() error {
 	// The listener's owner may have closed it already; that error says
 	// nothing about the node.
